@@ -1,17 +1,18 @@
 """Hilbert-Schmidt expansion of multipartite density matrices.
 
-A state on dimensions (d_0, ..., d_{N-1}) is expanded over tensor products of
-the SU(d_k) generator bases.  The stored data are the N coherence vectors
+A state on dimensions (d_0, ..., d_{N-1}) is contracted once, mode by mode,
+against the identity-augmented stacks A^(k) = [I, (d_k/2) g_1, ...] of SU(d_k)
+generators, giving the real coefficient array (cached on the state)
 
-    s^(k)_a = (d_k / 2) Tr(rho_k g_a)
+    C_{a_0...a_{N-1}} = Tr(rho (A^(0)_{a_0} x ... x A^(N-1)_{a_{N-1}})).
 
-and, for every subsystem subset S with |S| >= 2, the real correlation tensor
-
-    t_{a_1...a_M} = (prod_{k in S} d_k / 2^M) Tr(rho_S (g_{a_1} x ... x g_{a_M}))
-
-computed from the reduced state rho_S.  Together with the implicit identity
-coefficient this is a complete, invertible parameterization; see
-:func:`reconstruct`.
+Every component is a slice of C with index 0 in the traced-out modes.  As an
+identity factor traces its mode out, these slices are the coherence vectors
+s^(k)_a = (d_k / 2) Tr(rho_k g_a) and, for each subset S with |S| >= 2, the
+correlation tensors t_{a_1...a_M} = (prod_{k in S} d_k / 2^M)
+Tr(rho_S (g_{a_1} x ... x g_{a_M})) of the reduced states.  C_{0...0} = 1
+completes the parameterization: :func:`reconstruct` runs the contraction in
+reverse with the unscaled stacks and divides by D = prod_k d_k.
 """
 from __future__ import annotations
 
@@ -19,12 +20,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 import math
-import string
 
 import numpy as np
 
 from .errors import NumericIntegrityError
-from .states import DensityMatrix, partial_trace
+from .states import DensityMatrix
 from .su_basis import build_basis
 from .tolerances import IMAG_TOL
 
@@ -57,42 +57,59 @@ class BlochData:
         return len(self.singles) + len(self.tensors)
 
 
-def _generator_stack(d: int) -> np.ndarray:
-    return build_basis(d).generators
-
-
 @lru_cache(maxsize=None)
-def _stack_with_identity(d: int) -> np.ndarray:
-    gens = _generator_stack(d)
-    arr = np.concatenate([np.eye(d, dtype=complex)[None], gens])
+def _stack(d: int, scale: float) -> np.ndarray:
+    """[I, scale g_1, ...] as a (d^2, d^2) matrix: row a is A_a flattened."""
+    gens = scale * build_basis(d).generators
+    arr = np.concatenate([np.eye(d, dtype=complex)[None], gens]).reshape(d * d, d * d)
     arr.flags.writeable = False
     return arr
 
 
-def _real_part(arr: np.ndarray, what: str) -> np.ndarray:
-    resid = float(np.abs(arr.imag).max()) if arr.size else 0.0
-    if resid > IMAG_TOL:
+def _slot(n: int, subset) -> tuple:
+    """Index of a component in the coefficient array of an n-party state."""
+    return tuple(slice(1, None) if k in subset else 0 for k in range(n))
+
+
+def _mode_products(arr: np.ndarray, mats) -> np.ndarray:
+    """Contract axis k of ``arr`` with axis 1 of ``mats[k]`` for every k; each
+    step takes the leading axis and appends the new one, keeping axis order."""
+    for m in mats:
+        arr = np.tensordot(arr, m, axes=([0], [1]))
+    return arr
+
+
+def _real_part(coeff: np.ndarray) -> np.ndarray:
+    """Real part of a coefficient array; an imaginary residue above IMAG_TOL
+    raises, naming the component that holds the largest one."""
+    imag = np.abs(coeff.imag)
+    pos = np.unravel_index(int(np.argmax(imag)), imag.shape)
+    if imag[pos] > IMAG_TOL:
+        subset = tuple(k for k, a in enumerate(pos) if a)
+        what = (f"coherence vector of subsystem {subset[0]}" if len(subset) == 1
+                else f"correlation tensor of subset {subset}")
         raise NumericIntegrityError(
-            f"{what} carries imaginary residue {resid:.3e} above tolerance {IMAG_TOL:g}"
+            f"{what} carries imaginary residue {imag[pos]:.3e} above tolerance {IMAG_TOL:g}"
         )
-    return np.ascontiguousarray(arr.real)
+    return np.ascontiguousarray(coeff.real)
 
 
-def _expectation_tensor(matrix: np.ndarray, dims: tuple) -> np.ndarray:
-    """Generator expectations Tr(rho (g_{a_1} x ... x g_{a_M})) for all index
-    combinations at once, contracted one mode at a time."""
-    m = len(dims)
-    lower = string.ascii_lowercase
-    i_idx = lower[:m]
-    j_idx = lower[m : 2 * m]
-    a_idx = string.ascii_uppercase[:m]
-    subs = [i_idx + j_idx]
-    operands = [matrix.reshape(dims + dims)]
-    for k, d in enumerate(dims):
-        subs.append(a_idx[k] + j_idx[k] + i_idx[k])
-        operands.append(_generator_stack(d))
-    spec = ",".join(subs) + "->" + a_idx
-    return np.einsum(spec, *operands, optimize=True)
+def _coefficients(rho: DensityMatrix) -> np.ndarray:
+    """The read-only coefficient array of ``rho``, built on first use.  The
+    conjugated stack row is A_a^T flattened, so each step gives Tr(. A_a)."""
+    coeff = rho._coefficients
+    if coeff is None:
+        dims, n = rho.dims, rho.n_parties
+        pairs = [a for k in range(n) for a in (k, n + k)]
+        paired = rho.matrix.reshape(dims + dims).transpose(pairs).reshape([d * d for d in dims])
+        coeff = _real_part(_mode_products(paired, [_stack(d, d / 2).conj() for d in dims]))
+        coeff.flags.writeable = False
+        object.__setattr__(rho, "_coefficients", coeff)
+    return coeff
+
+
+def _component(rho: DensityMatrix, subset) -> np.ndarray:
+    return _coefficients(rho)[_slot(rho.n_parties, subset)].copy()
 
 
 def _check_subset(rho: DensityMatrix, subset, min_size: int) -> tuple:
@@ -106,11 +123,7 @@ def _check_subset(rho: DensityMatrix, subset, min_size: int) -> tuple:
 
 def bloch_vector(rho: DensityMatrix, k: int) -> np.ndarray:
     """Coherence vector of subsystem ``k`` (0-based)."""
-    (k,) = _check_subset(rho, (k,), 1)
-    red = partial_trace(rho, [k])
-    d = red.dims[0]
-    raw = np.einsum("ij,aji->a", red.matrix, _generator_stack(d), optimize=True)
-    return _real_part(0.5 * d * raw, f"coherence vector of subsystem {k}")
+    return _component(rho, _check_subset(rho, (k,), 1))
 
 
 def correlation_tensor(rho: DensityMatrix, subset) -> np.ndarray:
@@ -119,21 +132,14 @@ def correlation_tensor(rho: DensityMatrix, subset) -> np.ndarray:
     The result for subset S equals the full-set tensor of the reduced state
     on S: expectations only involve the marginal.
     """
-    subset = _check_subset(rho, subset, 2)
-    red = partial_trace(rho, subset)
-    raw = _expectation_tensor(red.matrix, red.dims)
-    prefactor = math.prod(d / 2.0 for d in red.dims)
-    return _real_part(prefactor * raw, f"correlation tensor of subset {subset}")
+    return _component(rho, _check_subset(rho, subset, 2))
 
 
 def decompose(rho: DensityMatrix) -> BlochData:
     """Full expansion: every coherence vector and every subset tensor."""
     n = rho.n_parties
-    singles = {k: bloch_vector(rho, k) for k in range(n)}
-    tensors = {}
-    for size in range(2, n + 1):
-        for subset in combinations(range(n), size):
-            tensors[subset] = correlation_tensor(rho, subset)
+    singles = {k: _component(rho, (k,)) for k in range(n)}
+    tensors = {s: _component(rho, s) for m in range(2, n + 1) for s in combinations(range(n), m)}
     return BlochData(dims=rho.dims, singles=singles, tensors=tensors)
 
 
@@ -159,8 +165,6 @@ def reconstruct(data: BlochData) -> DensityMatrix:
     """
     dims = tuple(int(d) for d in data.dims)
     n = len(dims)
-    if 2 * n > len(string.ascii_lowercase):
-        raise ValueError(f"too many subsystems ({n}) for reconstruction")
     sizes = tuple(d * d for d in dims)
     coeff = np.zeros(sizes)
     coeff[(0,) * n] = 1.0
@@ -173,8 +177,7 @@ def reconstruct(data: BlochData) -> DensityMatrix:
                 f"coherence vector of subsystem {k} has shape {s.shape}, "
                 f"expected ({dims[k] ** 2 - 1},)"
             )
-        pos = tuple(slice(1, None) if j == k else 0 for j in range(n))
-        coeff[pos] = s
+        coeff[_slot(n, (k,))] = s
     expected = sorted(
         subset for size in range(2, n + 1) for subset in combinations(range(n), size)
     )
@@ -187,21 +190,12 @@ def reconstruct(data: BlochData) -> DensityMatrix:
             raise ValueError(
                 f"correlation tensor of subset {subset} has shape {t.shape}, expected {want}"
             )
-        pos = tuple(slice(1, None) if j in subset else 0 for j in range(n))
-        coeff[pos] = t
-    lower = string.ascii_lowercase
-    i_idx = lower[:n]
-    j_idx = lower[n : 2 * n]
-    a_idx = string.ascii_uppercase[:n]
-    subs = [a_idx]
-    operands = [coeff]
-    for k, d in enumerate(dims):
-        subs.append(a_idx[k] + i_idx[k] + j_idx[k])
-        operands.append(_stack_with_identity(d))
-    spec = ",".join(subs) + "->" + i_idx + j_idx
+        coeff[_slot(n, subset)] = t
+    paired = _mode_products(coeff, [_stack(d, 1.0).T for d in dims])
+    paired = paired.reshape(tuple(x for d in dims for x in (d, d)))
+    mat = paired.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
     total = int(np.prod(dims))
-    mat = np.einsum(spec, *operands, optimize=True).reshape(total, total)
-    return DensityMatrix(dims, mat / total)
+    return DensityMatrix(dims, mat.reshape(total, total) / total)
 
 
 def ball_radii(d: int) -> tuple:

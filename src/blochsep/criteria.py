@@ -34,7 +34,6 @@ from .states import DensityMatrix, ZooSpec, kron, partial_trace
 from .su_basis import build_basis
 from .tensors import (
     find_orthogonal_kruskal,
-    is_supersymmetric,
     kyfan_via_kruskal,
     outer_product,
     sign_table,
@@ -163,9 +162,7 @@ def necessary_test(
         subset = tuple(range(rho.n_parties))
     t = correlation_tensor(rho, subset)
     sub_dims = tuple(rho.dims[k] for k in sorted(set(int(x) for x in subset)))
-    symmetric = len(set(sub_dims)) == 1 and is_supersymmetric(t)
-    norm = tensor_kyfan(t, supersymmetric=symmetric)
-    return _norm_verdict(norm, separability_bound(sub_dims), "necessary-norm", guard)
+    return _norm_verdict(tensor_kyfan(t), separability_bound(sub_dims), "necessary-norm", guard)
 
 
 def _select_subsets(n_parties: int, selector) -> list:

@@ -6,7 +6,7 @@ sum_k i_k * prod_{l>k} d_l, i.e. subsystem 0 is the most significant digit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 import math
 
@@ -61,6 +61,8 @@ class DensityMatrix:
 
     dims: tuple
     matrix: np.ndarray
+    # Hilbert-Schmidt coefficient array, built and cached by blochsep.bloch
+    _coefficients: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)

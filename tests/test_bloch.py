@@ -2,6 +2,7 @@
 tensors, and reconstruction."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from blochsep import (
     BlochData,
     DensityMatrix,
+    NumericIntegrityError,
     ball_radii,
     basis_ket,
     bloch_vector,
@@ -29,6 +31,7 @@ from blochsep import (
     unfold,
     w_state,
 )
+from blochsep.bloch import _real_part
 from conftest import random_density, random_pure_product, random_unitary
 
 SIX_PROFILES = [(2, 2), (2, 3), (2, 2, 2), (3, 3), (2, 3, 4), (2, 2, 2, 2)]
@@ -115,7 +118,7 @@ def test_ghz3_components_frozen():
     np.testing.assert_allclose(data.tensors[(0, 1, 2)], full, atol=1e-12)
 
 
-@pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2)])
+@pytest.mark.parametrize("dims", [(2, 3), (2, 2, 2), (2, 3, 2, 2)])
 def test_correlation_tensor_against_brute_oracle(dims):
     rng = np.random.default_rng(16)
     rho = random_density(rng, dims)
@@ -131,6 +134,31 @@ def test_correlation_tensor_against_brute_oracle(dims):
             partial_trace(rho, (k,)).matrix @ g).real
             for g in build_basis(rho.dims[k]).generators]
         np.testing.assert_allclose(bloch_vector(rho, k), expected, atol=1e-10)
+
+
+@pytest.mark.parametrize("pos, name", [
+    ((2, 0, 3), "correlation tensor of subset (0, 2)"),
+    ((0, 1, 0), "coherence vector of subsystem 1"),
+    ((1, 3, 2), "correlation tensor of subset (0, 1, 2)"),
+])
+def test_imaginary_residue_names_its_component(pos, name):
+    coeff = np.ones((4, 4, 4), dtype=complex)
+    coeff[pos] += 1e-6j
+    with pytest.raises(NumericIntegrityError, match=r"^" + re.escape(name) + " "):
+        _real_part(coeff)
+
+
+def test_returned_components_are_copies():
+    rho = random_density(np.random.default_rng(23), (2, 3, 2))
+    t = correlation_tensor(rho, (0, 2))
+    expected = t.copy()
+    t[...] = 7.0
+    np.testing.assert_array_equal(correlation_tensor(rho, (0, 2)), expected)
+    s = bloch_vector(rho, 1)
+    s[0] = 7.0
+    assert bloch_vector(rho, 1)[0] != 7.0
+    decompose(rho).tensors[(0, 1, 2)][...] = 7.0
+    assert not np.any(correlation_tensor(rho, (0, 1, 2)) == 7.0)
 
 
 def test_noisy_scales_every_component():

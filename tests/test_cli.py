@@ -9,6 +9,8 @@ import sys
 import numpy as np
 import pytest
 
+import blochsep.bloch
+import blochsep.states
 from blochsep import NumericIntegrityError, load_state, save_state, zoo_state
 from blochsep.cli import main
 
@@ -211,6 +213,24 @@ def test_numeric_integrity_exits_4(monkeypatch):
     code, _, err = run(["analyze", "zoo:werner", "-p", "0.5"])
     assert code == 4
     assert "imaginary residue" in err
+
+
+def test_analyze_expands_the_state_once(monkeypatch):
+    counts = {"transform": 0, "validate": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(blochsep.bloch, "_mode_products",
+                        counted("transform", blochsep.bloch._mode_products))
+    monkeypatch.setattr(blochsep.states, "validate_density",
+                        counted("validate", blochsep.states.validate_density))
+    doc = run_json(["analyze", "zoo:smolin", "--subsets", "all", "--criteria", "all"])
+    assert len(doc["records"]) == 11
+    assert counts == {"transform": 1, "validate": 1}
 
 
 def test_output_file_written_atomically(tmp_path):
