@@ -17,6 +17,7 @@ numeric integrity failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -81,7 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
         "subset; c2: exact qubit-class test; p2: sufficiency sum (default: all)",
     )
     pa.add_argument(
-        "--tol", type=float, default=None, help="guard band for norm-vs-bound verdicts"
+        "--tol",
+        type=float,
+        default=None,
+        help="guard band for norm-vs-bound verdicts, a finite number >= 0",
     )
     pa.add_argument("--format", default="json", choices=["json", "csv"])
     pa.add_argument(
@@ -90,20 +94,22 @@ def build_parser() -> argparse.ArgumentParser:
     add_zoo_params(pa)
     add_output(pa)
 
-    pt = sub.add_parser("threshold", help="locate a verdict flip over the noise weight")
+    pt = sub.add_parser(
+        "threshold",
+        help="noise weight where a criterion's verdict flips, in closed form",
+    )
     pt.add_argument("family", help="zoo family with a free noise parameter")
     pt.add_argument(
         "--criterion", default="t1", choices=["t1", "c1", "c2", "p2"]
     )
-    pt.add_argument("--tol", type=float, default=1e-6, help="bisection tolerance on p")
     add_zoo_params(pt)
     add_output(pt)
 
     ptt = sub.add_parser(
-        "threshold-table", help="thresholds of the noisy GHZ and W families"
+        "threshold-table",
+        help="closed-form t1 thresholds of the noisy GHZ and W families",
     )
     ptt.add_argument("--max-parties", type=int, default=6)
-    ptt.add_argument("--tol", type=float, default=1e-6)
     ptt.add_argument("--format", default="json", choices=["json", "csv"])
     add_output(ptt)
 
@@ -192,6 +198,8 @@ def _emit(args, text: str) -> None:
 
 
 def cmd_analyze(args) -> int:
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise InvalidStateError(f"--tol must be a finite number >= 0, got {args.tol}")
     rho, descriptor = _resolve_state(args)
     start = time.perf_counter()
     guard = BOUND_GUARD if args.tol is None else args.tol
@@ -267,13 +275,12 @@ def cmd_analyze(args) -> int:
 
 def cmd_threshold(args) -> int:
     spec = _zoo_spec(args.family, args)
-    p_star = threshold_search(spec, args.criterion, args.tol)
+    p_star = threshold_search(spec, args.criterion)
     doc = {
         "schema": SCHEMA_VERSION,
         "kind": "threshold",
         "family": {"name": spec.family},
         "criterion": args.criterion,
-        "tolerance": args.tol,
         "threshold": p_star,
     }
     for key in ("parties", "levels", "removed"):
@@ -285,7 +292,7 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_threshold_table(args) -> int:
-    rows = noise_threshold_table(args.max_parties, args.tol)
+    rows = noise_threshold_table(args.max_parties)
     if args.format == "csv":
         csv_rows = [
             (fam, n, "" if p is None else format_number(p)) for fam, n, p in rows
@@ -295,7 +302,6 @@ def cmd_threshold_table(args) -> int:
     doc = {
         "schema": SCHEMA_VERSION,
         "kind": "threshold-table",
-        "tolerance": args.tol,
         "records": [
             {"family": fam, "parties": n, "threshold": p} for fam, n, p in rows
         ],

@@ -39,7 +39,7 @@ from .tensors import (
     sign_table,
     tensor_kyfan,
 )
-from .tolerances import BOUND_GUARD, ZERO_COMPONENT_TOL
+from .tolerances import BOUND_GUARD, SUFFICIENCY_SLACK, ZERO_COMPONENT_TOL
 
 __all__ = [
     "Decision",
@@ -343,7 +343,7 @@ def sufficiency_lhs(rho: DensityMatrix) -> float | None:
     return None if parts is None else total
 
 
-def sufficiency_test(rho: DensityMatrix, slack: float = 1e-10) -> Verdict:
+def sufficiency_test(rho: DensityMatrix, slack: float = SUFFICIENCY_SLACK) -> Verdict:
     """Sufficient criterion: lhs <= 1 certifies separability.  A larger sum
     or an unavailable decomposition is merely inconclusive."""
     crit = "sufficiency-sum"
@@ -382,7 +382,7 @@ def separable_decomposition(rho: DensityMatrix) -> SeparableDecomposition:
             f"correlation tensor of subset {detail} has no completely "
             "orthogonal rank-1 decomposition"
         )
-    if total > 1.0 + 1e-10:
+    if total > 1.0 + SUFFICIENCY_SLACK:
         raise CriterionUnavailableError(
             f"weighted component norm sum {total:.12g} exceeds 1; "
             "the sufficient criterion does not apply"
@@ -454,9 +454,39 @@ def _criterion_predicate(criterion: str, subsets):
         )
     if criterion == "c2":
         return lambda rho: qubit_exact_test(rho).decision is Decision.ENTANGLED
+    return lambda rho: sufficiency_test(rho).decision is not Decision.SEPARABLE
+
+
+def _closed_form_threshold(sigma: DensityMatrix, criterion: str, subsets) -> float | None:
+    """Flip point of a criterion on the family (1-p)/D I + p sigma.
+
+    Every coherence vector and correlation tensor of the mixture is p times
+    sigma's, so each norm and the sufficiency sum grow linearly in p and one
+    evaluation on sigma fixes where the verdict flips.
+    """
     if criterion == "p2":
-        return lambda rho: sufficiency_test(rho).decision is not Decision.SEPARABLE
-    raise ValueError(f"unknown criterion {criterion!r} (known: {', '.join(_CRITERION_KEYS)})")
+        v = sufficiency_test(sigma)
+        if v.decision is Decision.SEPARABLE:
+            return None
+        if v.norm_value is None:
+            # find_orthogonal_kruskal's cutoff is relative to the tensor's
+            # scale, so the sum is unavailable at every p > 0 as well
+            return 0.0
+        return (1.0 + SUFFICIENCY_SLACK) / v.norm_value
+    if criterion == "t1":
+        verdicts = [necessary_test(sigma)]
+    elif criterion == "c1":
+        verdicts = [r.verdict for r in subset_scan(sigma, subsets).records]
+    else:
+        verdicts = [qubit_exact_test(sigma)]
+    return min(
+        (
+            (v.bound_value + BOUND_GUARD) / v.norm_value
+            for v in verdicts
+            if v.decision is Decision.ENTANGLED
+        ),
+        default=None,
+    )
 
 
 def threshold_search(
@@ -465,56 +495,50 @@ def threshold_search(
     """Locate the noise weight p in [0, 1] where a criterion's verdict flips.
 
     ``family`` is either a ZooSpec with a free noise parameter or a callable
-    p -> DensityMatrix.  Zoo families have expansion data affine in p, so the
-    flip is unique and plain bisection applies; arbitrary callables are first
-    scanned on a 1e-3 grid for the earliest flip bracket, which still assumes
-    no flip hides between grid points.  Returns None when the verdict never
-    flips on [0, 1], and 0.0 when the state is flagged already at p = 0.
+    p -> DensityMatrix.  Zoo families have the form (1-p)/D I + p sigma, so
+    the flip is computed in closed form from one evaluation of the criterion
+    on sigma (the state at p = 1).  Arbitrary callables are scanned on a
+    1e-3 grid for the earliest flip bracket, which assumes no flip hides
+    between grid points, and the bracket is bisected down to ``tol``; that
+    path also serves as the reference for the closed form.  Returns None
+    when the verdict never flips on [0, 1], and 0.0 when the state is
+    flagged at every p > 0 (or, for a callable, already at p = 0).
     """
+    if criterion not in _CRITERION_KEYS:
+        raise ValueError(
+            f"unknown criterion {criterion!r} (known: {', '.join(_CRITERION_KEYS)})"
+        )
     if isinstance(family, ZooSpec):
         if not family.noise_parameterized:
             raise ValueError(f"family {family.family!r} has no noise parameter to sweep")
-        build = lambda p: family.build(noise=p)
-        monotone = True
-    elif callable(family):
-        build = family
-        monotone = False
-    else:
+        return _closed_form_threshold(family.build(noise=1.0), criterion, subsets)
+    if not callable(family):
         raise TypeError("family must be a ZooSpec or a callable p -> DensityMatrix")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"bisection tolerance must be finite and positive, got {tol}")
     flagged = _criterion_predicate(criterion, subsets)
-    lo, hi = 0.0, 1.0
-    f_lo = flagged(build(lo))
-    f_hi = flagged(build(hi))
-    if f_lo:
+    if flagged(family(0.0)):
         return 0.0
-    if not f_hi:
+    if not flagged(family(1.0)):
         return None
-    if not monotone:
-        grid = np.linspace(0.0, 1.0, 1001)
-        bracket = None
-        for a, b in zip(grid[:-1], grid[1:]):
-            if flagged(build(float(b))):
-                bracket = (float(a), float(b))
-                break
-        if bracket is None:
-            return None
-        lo, hi = bracket
+    k = next((k for k in range(1, 1000) if flagged(family(k / 1000))), 1000)
+    lo, hi = (k - 1) / 1000, k / 1000
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if flagged(build(mid)):
+        if flagged(family(mid)):
             hi = mid
         else:
             lo = mid
     return 0.5 * (lo + hi)
 
 
-def noise_threshold_table(max_parties: int = 6, tol: float = 1e-6) -> list:
+def noise_threshold_table(max_parties: int = 6) -> list:
     """Entanglement thresholds of the white-noise GHZ and W families for
-    3..max_parties qubits under the necessary norm test.  Returns rows of
-    (family, parties, threshold)."""
+    3..max_parties qubits under the necessary norm test, each in closed
+    form.  Returns rows of (family, parties, threshold)."""
     rows = []
     for fam in ("ghz-noisy", "w-noisy"):
         for n in range(3, max_parties + 1):
-            p_star = threshold_search(ZooSpec(fam, parties=n), "t1", tol)
+            p_star = threshold_search(ZooSpec(fam, parties=n), "t1")
             rows.append((fam, n, p_star))
     return rows

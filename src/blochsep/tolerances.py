@@ -25,3 +25,7 @@ BOUND_GUARD = 1e-9
 # a Bloch component with norm at or below this is treated as vanishing when a
 # criterion requires certain components to be exactly zero
 ZERO_COMPONENT_TOL = 1e-9
+
+# the sufficiency sum may exceed one by this much and still certify
+# separability: it absorbs the rounding of a sum that is exactly one
+SUFFICIENCY_SLACK = 1e-10

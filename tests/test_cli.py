@@ -216,22 +216,44 @@ def test_numeric_integrity_exits_4(monkeypatch):
     assert "imaginary residue" in err
 
 
+@pytest.mark.parametrize("tol", ["-2", "nan", "inf"])
+def test_analyze_rejects_bad_guard(tol):
+    code, out, err = run(["analyze", "zoo:mixed", "--dims", "2,2", "--tol", tol])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "--tol" in err
+
+
+def count_calls(monkeypatch, counts, key, module, name):
+    """Count the calls of ``module.name`` into ``counts[key]``."""
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 def test_analyze_expands_the_state_once(monkeypatch):
     counts = {"transform": 0, "validate": 0}
-
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            counts[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(blochsep.bloch, "_mode_products",
-                        counted("transform", blochsep.bloch._mode_products))
-    monkeypatch.setattr(blochsep.states, "validate_density",
-                        counted("validate", blochsep.states.validate_density))
+    count_calls(monkeypatch, counts, "transform", blochsep.bloch, "_mode_products")
+    count_calls(monkeypatch, counts, "validate", blochsep.states, "validate_density")
     doc = run_json(["analyze", "zoo:smolin", "--subsets", "all", "--criteria", "all"])
     assert len(doc["records"]) == 11
     assert counts == {"transform": 1, "validate": 1}
+
+
+@pytest.mark.parametrize("argv, expansions", [
+    *((["threshold", "ghz-noisy", "-N", "4", "--criterion", c], 1)
+      for c in ("t1", "c1", "c2", "p2")),
+    (["threshold-table", "--max-parties", "4"], 4),
+])
+def test_thresholds_expand_one_state_each(monkeypatch, argv, expansions):
+    counts = {"transform": 0}
+    count_calls(monkeypatch, counts, "transform", blochsep.bloch, "_mode_products")
+    run_json(argv)
+    assert counts["transform"] == expansions
 
 
 def test_output_file_written_atomically(tmp_path):

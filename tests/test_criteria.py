@@ -332,6 +332,44 @@ def test_threshold_search_edge_cases():
         1 / 3, abs=2e-6)
     with pytest.raises(TypeError):
         threshold_search("werner")
+    for family in (ZooSpec(family="werner"), lambda p: noisy(ghz(2), p)):
+        with pytest.raises(ValueError, match="unknown criterion"):
+            threshold_search(family, criterion="t2")
+
+
+CLOSED_FORM_CASES = [
+    (ZooSpec(family="werner"), "t1"),
+    (ZooSpec(family="werner"), "c2"),
+    (ZooSpec(family="werner"), "p2"),
+    (ZooSpec(family="ghz-noisy", parties=3), "c1"),
+    (ZooSpec(family="ghz-noisy", parties=3), "p2"),
+    (ZooSpec(family="reduced-w-noisy", parties=6, removed=3), "t1"),
+    (ZooSpec(family="reduced-w-noisy", parties=6, removed=4), "t1"),
+    (ZooSpec(family="qutrit-ghz-noisy", parties=3), "t1"),
+    (ZooSpec(family="state-234-noisy"), "c1"),
+]
+
+
+@pytest.mark.parametrize("spec, criterion", CLOSED_FORM_CASES)
+def test_closed_form_threshold_matches_bisection(spec, criterion):
+    closed = threshold_search(spec, criterion)
+    reference = threshold_search(lambda p: spec.build(noise=p), criterion, tol=1e-9)
+    if reference is None:
+        assert closed is None
+    else:
+        assert closed == pytest.approx(reference, abs=1e-9)
+
+
+@pytest.mark.parametrize("criterion", ["t1", "c2", "p2"])
+def test_werner_thresholds_are_one_third(criterion):
+    assert threshold_search(ZooSpec(family="werner"), criterion) == pytest.approx(
+        1 / 3, abs=1e-9)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_threshold_search_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match="tolerance"):
+        threshold_search(lambda p: noisy(ghz(2), p), tol=tol)
 
 
 def test_noise_threshold_table_small():
