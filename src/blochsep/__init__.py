@@ -14,19 +14,13 @@ from .bloch import (
     bloch_vector,
     correlation_tensor,
     decompose,
-    empty_bloch_data,
     reconstruct,
 )
 from .criteria import (
-    AnalysisReport,
     Decision,
     SeparableDecomposition,
-    SubsetRecord,
-    SufficiencyRecord,
     Verdict,
     assemble_decomposition,
-    factor_pure_state,
-    is_pure_product,
     necessary_test,
     noise_threshold_table,
     qubit_exact_test,
@@ -64,23 +58,18 @@ from .states import (
     zoo_state,
 )
 from .stateio import load_state, save_state
-from .su_basis import GeneratorBasis, StructureConstants, build_basis, structure_constants
+from .su_basis import GeneratorBasis, build_basis
 from .tensors import (
     KruskalForm,
     find_orthogonal_kruskal,
-    fold,
     is_supersymmetric,
-    khatri_rao,
     kruskal_to_tensor,
-    kruskal_unfold,
-    kyfan_via_kruskal,
     matrix_kyfan,
     outer_product,
     sign_table,
     singular_values,
     tensor_kyfan,
     unfold,
-    verify_complete_orthogonality,
 )
 
 __version__ = "0.1.0"

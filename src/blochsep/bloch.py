@@ -35,7 +35,6 @@ __all__ = [
     "decompose",
     "reconstruct",
     "ball_radii",
-    "empty_bloch_data",
 ]
 
 
@@ -51,10 +50,6 @@ class BlochData:
     dims: tuple
     singles: dict
     tensors: dict
-
-    @property
-    def component_count(self) -> int:
-        return len(self.singles) + len(self.tensors)
 
 
 @lru_cache(maxsize=None)
@@ -141,19 +136,6 @@ def decompose(rho: DensityMatrix) -> BlochData:
     singles = {k: _component(rho, (k,)) for k in range(n)}
     tensors = {s: _component(rho, s) for m in range(2, n + 1) for s in combinations(range(n), m)}
     return BlochData(dims=rho.dims, singles=singles, tensors=tensors)
-
-
-def empty_bloch_data(dims) -> BlochData:
-    """All-zero expansion on ``dims``; reconstructs to the maximally mixed
-    state."""
-    dims = tuple(int(d) for d in dims)
-    n = len(dims)
-    singles = {k: np.zeros(dims[k] ** 2 - 1) for k in range(n)}
-    tensors = {}
-    for size in range(2, n + 1):
-        for subset in combinations(range(n), size):
-            tensors[subset] = np.zeros(tuple(dims[k] ** 2 - 1 for k in subset))
-    return BlochData(dims=dims, singles=singles, tensors=tensors)
 
 
 def reconstruct(data: BlochData) -> DensityMatrix:

@@ -22,9 +22,6 @@ import sys
 import time
 
 from .criteria import (
-    AnalysisReport,
-    Decision,
-    SufficiencyRecord,
     Verdict,
     assemble_decomposition,
     noise_threshold_table,
@@ -206,32 +203,22 @@ def cmd_analyze(args) -> int:
     selector = _parse_subsets(args.subsets)
     if args.criteria == "t1":
         selector = "full"
-    report = AnalysisReport(dims=rho.dims, records=[])
-    if args.criteria in ("t1", "c1", "all"):
-        report.records = subset_scan(rho, selector, guard).records
-    if args.criteria in ("c2", "all"):
-        report.exact_qubit = qubit_exact_test(rho, guard)
-    if args.criteria in ("p2", "all"):
-        v = sufficiency_test(rho)
-        report.sufficiency = SufficiencyRecord(
-            lhs=v.norm_value,
-            available=v.norm_value is not None,
-            decision=v.decision,
-            reason=v.reason,
-        )
-    report.elapsed_seconds = time.perf_counter() - start
+    records = subset_scan(rho, selector, guard) if args.criteria in ("t1", "c1", "all") else []
+    exact = qubit_exact_test(rho, guard) if args.criteria in ("c2", "all") else None
+    suff = sufficiency_test(rho) if args.criteria in ("p2", "all") else None
+    elapsed = time.perf_counter() - start
 
     if args.format == "csv":
         rows = [
             (
-                ",".join(str(k) for k in rec.subset),
-                format_number(rec.norm),
-                format_number(rec.bound),
-                rec.verdict.decision.value,
-                rec.verdict.criterion,
-                int(rec.verdict.borderline),
+                ",".join(str(k) for k in v.subset),
+                format_number(v.norm_value),
+                format_number(v.bound_value),
+                v.decision.value,
+                v.criterion,
+                int(v.borderline),
             )
-            for rec in report.records
+            for v in records
         ]
         _emit(args, records_to_csv(rows, ["subset", "norm", "bound", "decision", "criterion", "borderline"]))
         return 0
@@ -245,35 +232,38 @@ def cmd_analyze(args) -> int:
         "subsets": args.subsets,
         "records": [
             {
-                "subset": [int(k) for k in rec.subset],
-                "norm": float(rec.norm),
-                "bound": float(rec.bound),
-                "decision": rec.verdict.decision.value,
-                "criterion": rec.verdict.criterion,
-                "borderline": bool(rec.verdict.borderline),
+                "subset": [int(k) for k in v.subset],
+                "norm": float(v.norm_value),
+                "bound": float(v.bound_value),
+                "decision": v.decision.value,
+                "criterion": v.criterion,
+                "borderline": bool(v.borderline),
             }
-            for rec in report.records
+            for v in records
         ],
     }
-    if report.exact_qubit is not None:
-        doc["exact_qubit"] = _verdict_dict(report.exact_qubit)
-    if report.sufficiency is not None:
-        suff = report.sufficiency
+    if exact is not None:
+        doc["exact_qubit"] = _verdict_dict(exact)
+    if suff is not None:
         entry = {
-            "lhs": None if suff.lhs is None else float(suff.lhs),
-            "available": bool(suff.available),
+            "lhs": None if suff.norm_value is None else float(suff.norm_value),
+            "available": suff.norm_value is not None,
             "decision": suff.decision.value,
         }
         if suff.reason:
             entry["reason"] = suff.reason
         doc["sufficiency"] = entry
     if args.timing:
-        doc["timing"] = {"elapsed_seconds": report.elapsed_seconds}
+        doc["timing"] = {"elapsed_seconds": elapsed}
     _emit(args, dump_json(doc))
     return 0
 
 
 def cmd_threshold(args) -> int:
+    if args.noise is not None:
+        raise InvalidStateError(
+            "threshold sweeps the noise weight itself; drop -p/--noise"
+        )
     spec = _zoo_spec(args.family, args)
     p_star = threshold_search(spec, args.criterion)
     doc = {

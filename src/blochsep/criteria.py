@@ -20,39 +20,27 @@ pretending to a resolution the arithmetic cannot support.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 import math
-import time
 
 import numpy as np
 
-from .bloch import ball_radii, bloch_vector, correlation_tensor, decompose
+from .bloch import ball_radii, correlation_tensor, decompose
 from .errors import CriterionUnavailableError
-from .states import DensityMatrix, ZooSpec, kron, partial_trace
+from .states import DensityMatrix, ZooSpec, kron
 from .su_basis import build_basis
-from .tensors import (
-    find_orthogonal_kruskal,
-    kyfan_via_kruskal,
-    outer_product,
-    sign_table,
-    tensor_kyfan,
-)
+from .tensors import find_orthogonal_kruskal, sign_table, tensor_kyfan
 from .tolerances import BOUND_GUARD, SUFFICIENCY_SLACK, ZERO_COMPONENT_TOL
 
 __all__ = [
     "Decision",
     "Verdict",
-    "SubsetRecord",
-    "SufficiencyRecord",
-    "AnalysisReport",
     "SeparableDecomposition",
     "separability_bound",
     "necessary_test",
     "subset_scan",
-    "is_pure_product",
-    "factor_pure_state",
     "qubit_exact_test",
     "sufficiency_lhs",
     "sufficiency_test",
@@ -61,9 +49,6 @@ __all__ = [
     "threshold_search",
     "noise_threshold_table",
 ]
-
-PURE_TOL = 1e-9
-FACTOR_TOL = 1e-8
 
 
 class Decision(str, Enum):
@@ -78,7 +63,8 @@ class Verdict:
 
     ``norm_value`` and ``bound_value`` document the comparison that decided;
     ``borderline`` marks a comparison inside the guard band; ``reason`` is a
-    short code explaining an inconclusive outcome where one applies.
+    short code explaining an inconclusive outcome where one applies;
+    ``subset`` is the ascending index tuple a norm test read, if any.
     """
 
     decision: Decision
@@ -87,31 +73,7 @@ class Verdict:
     criterion: str
     borderline: bool = False
     reason: str | None = None
-
-
-@dataclass(frozen=True)
-class SubsetRecord:
-    subset: tuple
-    norm: float
-    bound: float
-    verdict: Verdict
-
-
-@dataclass(frozen=True)
-class SufficiencyRecord:
-    lhs: float | None
-    available: bool
-    decision: Decision
-    reason: str | None = None
-
-
-@dataclass
-class AnalysisReport:
-    dims: tuple
-    records: list
-    sufficiency: SufficiencyRecord | None = None
-    exact_qubit: Verdict | None = None
-    elapsed_seconds: float = 0.0
+    subset: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -141,14 +103,9 @@ def separability_bound(dims) -> float:
     return math.sqrt(math.prod(d * (d - 1) / 2.0 for d in dims))
 
 
-def _norm_verdict(norm: float, bound: float, criterion: str, guard: float) -> Verdict:
-    if norm > bound + guard:
-        return Verdict(Decision.ENTANGLED, norm, bound, criterion)
-    if norm > bound - guard:
-        return Verdict(
-            Decision.INCONCLUSIVE, norm, bound, criterion, borderline=True
-        )
-    return Verdict(Decision.INCONCLUSIVE, norm, bound, criterion)
+def _check_guard(guard: float) -> None:
+    if not (math.isfinite(guard) and guard >= 0.0):
+        raise ValueError(f"guard band must be a finite number >= 0, got {guard}")
 
 
 def necessary_test(
@@ -158,11 +115,16 @@ def necessary_test(
     bound.  ``subset=None`` means the full system; a proper subset tests the
     reduced state, whose entanglement also rules out full separability of
     ``rho``.  Never returns Separable: the criterion is only necessary."""
+    _check_guard(guard)
     if subset is None:
-        subset = tuple(range(rho.n_parties))
-    t = correlation_tensor(rho, subset)
-    sub_dims = tuple(rho.dims[k] for k in sorted(set(int(x) for x in subset)))
-    return _norm_verdict(tensor_kyfan(t), separability_bound(sub_dims), "necessary-norm", guard)
+        subset = range(rho.n_parties)
+    subset = tuple(sorted({int(k) for k in subset}))
+    norm = tensor_kyfan(correlation_tensor(rho, subset))
+    bound = separability_bound(tuple(rho.dims[k] for k in subset))
+    crit = "necessary-norm"
+    if norm > bound + guard:
+        return Verdict(Decision.ENTANGLED, norm, bound, crit, subset=subset)
+    return Verdict(Decision.INCONCLUSIVE, norm, bound, crit, norm > bound - guard, subset=subset)
 
 
 def _select_subsets(n_parties: int, selector) -> list:
@@ -192,69 +154,15 @@ def _select_subsets(n_parties: int, selector) -> list:
 
 def subset_scan(
     rho: DensityMatrix, subsets="all", guard: float = BOUND_GUARD
-) -> AnalysisReport:
-    """Run the necessary norm test on each selected subsystem subset.
+) -> list:
+    """Run the necessary norm test on each selected subsystem subset and
+    return the verdicts in selector order, each carrying its ``subset``.
 
     ``subsets`` may be "all" (every subset of size >= 2), "full", "pairs",
     an integer size, or an explicit iterable of index tuples.
     """
-    start = time.perf_counter()
-    records = []
-    for subset in _select_subsets(rho.n_parties, subsets):
-        v = necessary_test(rho, subset, guard)
-        records.append(SubsetRecord(subset, v.norm_value, v.bound_value, v))
-    return AnalysisReport(
-        dims=rho.dims, records=records, elapsed_seconds=time.perf_counter() - start
-    )
-
-
-def _require_pure(rho: DensityMatrix, what: str) -> None:
-    if not rho.is_pure(PURE_TOL):
-        raise ValueError(f"{what} expects a pure state (purity {rho.purity():.9f})")
-
-
-def is_pure_product(rho: DensityMatrix, tol: float = FACTOR_TOL) -> bool:
-    """True when a pure state is a full product of single-subsystem states,
-    detected as the full correlation tensor coinciding with the outer product
-    of the coherence vectors."""
-    _require_pure(rho, "is_pure_product")
-    if rho.n_parties < 2:
-        raise ValueError("is_pure_product needs at least 2 subsystems")
-    t = correlation_tensor(rho, range(rho.n_parties))
-    singles = [bloch_vector(rho, k) for k in range(rho.n_parties)]
-    return float(np.linalg.norm(t - outer_product(singles))) <= tol
-
-
-def factor_pure_state(rho: DensityMatrix, tol: float = FACTOR_TOL) -> list:
-    """Partition the subsystems of a pure state into irreducible blocks.
-
-    A subset splits off when its marginal is itself pure; the search tries
-    subsets in increasing size up to half the current block (a larger pure
-    subset always has a pure complement, so nothing is missed) and recurses
-    into both halves.  Returns the blocks as ascending index tuples.
-    """
-    _require_pure(rho, "factor_pure_state")
-    blocks = []
-    _split_blocks(rho, list(range(rho.n_parties)), blocks, tol)
-    return sorted(blocks)
-
-
-def _split_blocks(rho: DensityMatrix, labels, out, tol) -> None:
-    n = len(labels)
-    if n == 1:
-        out.append((labels[0],))
-        return
-    for size in range(1, n // 2 + 1):
-        for local in combinations(range(n), size):
-            red = partial_trace(rho, local)
-            if red.purity() >= 1.0 - tol:
-                rest = [i for i in range(n) if i not in local]
-                _split_blocks(red, [labels[i] for i in local], out, tol)
-                _split_blocks(
-                    partial_trace(rho, rest), [labels[i] for i in rest], out, tol
-                )
-                return
-    out.append(tuple(labels))
+    _check_guard(guard)
+    return [necessary_test(rho, s, guard) for s in _select_subsets(rho.n_parties, subsets)]
 
 
 def qubit_exact_test(rho: DensityMatrix, guard: float = BOUND_GUARD) -> Verdict:
@@ -267,6 +175,7 @@ def qubit_exact_test(rho: DensityMatrix, guard: float = BOUND_GUARD) -> Verdict:
     the Ky Fan norm (the decomposition's weight sum) is at most 1.  Unmet
     preconditions yield Inconclusive with a reason code.
     """
+    _check_guard(guard)
     crit = "qubit-exact"
     if rho.n_parties < 2 or any(d != 2 for d in rho.dims):
         return Verdict(
@@ -293,7 +202,7 @@ def qubit_exact_test(rho: DensityMatrix, guard: float = BOUND_GUARD) -> Verdict:
         return Verdict(
             Decision.INCONCLUSIVE, None, 1.0, crit, reason="no-orthogonal-decomposition"
         )
-    norm = kyfan_via_kruskal(form)
+    norm = float(form.weights.sum())
     if norm > 1.0 + guard:
         return Verdict(Decision.ENTANGLED, norm, 1.0, crit)
     if norm < 1.0 - guard:
@@ -442,19 +351,15 @@ def assemble_decomposition(dec: SeparableDecomposition) -> DensityMatrix:
 _CRITERION_KEYS = ("t1", "c1", "c2", "p2")
 
 
-def _criterion_predicate(criterion: str, subsets):
-    """Map a criterion key to 'state is flagged' (no longer candidate
-    separable by that test)."""
+def _verdicts(rho: DensityMatrix, criterion: str, subsets) -> list:
+    """The verdicts one criterion key reads on ``rho``."""
     if criterion == "t1":
-        return lambda rho: necessary_test(rho).decision is Decision.ENTANGLED
+        return [necessary_test(rho)]
     if criterion == "c1":
-        return lambda rho: any(
-            r.verdict.decision is Decision.ENTANGLED
-            for r in subset_scan(rho, subsets).records
-        )
+        return subset_scan(rho, subsets)
     if criterion == "c2":
-        return lambda rho: qubit_exact_test(rho).decision is Decision.ENTANGLED
-    return lambda rho: sufficiency_test(rho).decision is not Decision.SEPARABLE
+        return [qubit_exact_test(rho)]
+    return [sufficiency_test(rho)]
 
 
 def _closed_form_threshold(sigma: DensityMatrix, criterion: str, subsets) -> float | None:
@@ -464,8 +369,9 @@ def _closed_form_threshold(sigma: DensityMatrix, criterion: str, subsets) -> flo
     sigma's, so each norm and the sufficiency sum grow linearly in p and one
     evaluation on sigma fixes where the verdict flips.
     """
+    verdicts = _verdicts(sigma, criterion, subsets)
     if criterion == "p2":
-        v = sufficiency_test(sigma)
+        (v,) = verdicts
         if v.decision is Decision.SEPARABLE:
             return None
         if v.norm_value is None:
@@ -473,12 +379,6 @@ def _closed_form_threshold(sigma: DensityMatrix, criterion: str, subsets) -> flo
             # scale, so the sum is unavailable at every p > 0 as well
             return 0.0
         return (1.0 + SUFFICIENCY_SLACK) / v.norm_value
-    if criterion == "t1":
-        verdicts = [necessary_test(sigma)]
-    elif criterion == "c1":
-        verdicts = [r.verdict for r in subset_scan(sigma, subsets).records]
-    else:
-        verdicts = [qubit_exact_test(sigma)]
     return min(
         (
             (v.bound_value + BOUND_GUARD) / v.norm_value
@@ -516,16 +416,23 @@ def threshold_search(
         raise TypeError("family must be a ZooSpec or a callable p -> DensityMatrix")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"bisection tolerance must be finite and positive, got {tol}")
-    flagged = _criterion_predicate(criterion, subsets)
-    if flagged(family(0.0)):
+
+    def flagged(p: float) -> bool:
+        """True once the state at p is no longer candidate separable."""
+        verdicts = _verdicts(family(p), criterion, subsets)
+        if criterion == "p2":
+            return verdicts[0].decision is not Decision.SEPARABLE
+        return any(v.decision is Decision.ENTANGLED for v in verdicts)
+
+    if flagged(0.0):
         return 0.0
-    if not flagged(family(1.0)):
+    if not flagged(1.0):
         return None
-    k = next((k for k in range(1, 1000) if flagged(family(k / 1000))), 1000)
+    k = next((k for k in range(1, 1000) if flagged(k / 1000)), 1000)
     lo, hi = (k - 1) / 1000, k / 1000
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if flagged(family(mid)):
+        if flagged(mid):
             hi = mid
         else:
             lo = mid

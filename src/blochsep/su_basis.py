@@ -29,20 +29,6 @@ class GeneratorBasis:
         return self.generators.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class StructureConstants:
-    """Antisymmetric (f) and symmetric (g) structure constants of SU(d).
-
-    They satisfy g_i g_j = (2/d) delta_ij I + sum_k (i f_ijk + g_ijk) g_k,
-    which is what :func:`structure_constants` extracts from triple-product
-    traces.
-    """
-
-    d: int
-    f: np.ndarray  # shape (n, n, n) with n = d*d - 1
-    g: np.ndarray
-
-
 @lru_cache(maxsize=None)
 def build_basis(d: int) -> GeneratorBasis:
     """Return the generator basis for one subsystem of dimension ``d``.
@@ -74,18 +60,3 @@ def build_basis(d: int) -> GeneratorBasis:
     arr = np.stack(mats)
     arr.flags.writeable = False
     return GeneratorBasis(d=d, generators=arr)
-
-
-def structure_constants(basis: GeneratorBasis) -> StructureConstants:
-    """Extract f and g from the triple-product traces Tr(g_a g_b g_c).
-
-    The trace equals 2 g_abc + 2i f_abc, so the real and imaginary parts
-    divided by two give the two constant tensors.
-    """
-    gens = basis.generators
-    triple = np.einsum("aij,bjk,cki->abc", gens, gens, gens, optimize=True)
-    f = triple.imag / 2.0
-    g = triple.real / 2.0
-    f.flags.writeable = False
-    g.flags.writeable = False
-    return StructureConstants(d=basis.d, f=f, g=g)

@@ -17,23 +17,18 @@ import string
 
 import numpy as np
 
-from .tolerances import EXACT_TOL, RANK_CUTOFF
+from .tolerances import RANK_CUTOFF
 
 __all__ = [
     "unfold",
-    "fold",
     "singular_values",
     "matrix_kyfan",
     "tensor_kyfan",
     "outer_product",
     "is_supersymmetric",
-    "khatri_rao",
     "KruskalForm",
     "kruskal_to_tensor",
-    "kruskal_unfold",
-    "verify_complete_orthogonality",
     "find_orthogonal_kruskal",
-    "kyfan_via_kruskal",
     "sign_table",
 ]
 
@@ -62,21 +57,6 @@ def unfold(tensor, mode: int) -> np.ndarray:
     return t.transpose(axes).reshape(t.shape[mode], -1)
 
 
-def fold(matrix, mode: int, shape) -> np.ndarray:
-    """Inverse of :func:`unfold`: rebuild the tensor of ``shape`` from its
-    mode-``mode`` unfolding."""
-    shape = tuple(int(s) for s in shape)
-    m = np.asarray(matrix, dtype=float)
-    order = len(shape)
-    if not 0 <= mode < order:
-        raise ValueError(f"mode {mode} out of range for order-{order} tensor")
-    if m.shape != (shape[mode], int(np.prod(shape)) // shape[mode]):
-        raise ValueError(f"matrix shape {m.shape} does not match tensor shape {shape}")
-    cyc = tuple(np.roll(np.arange(order), -mode))
-    t = m.reshape(tuple(shape[a] for a in cyc))
-    return t.transpose(np.argsort(cyc))
-
-
 def singular_values(matrix) -> np.ndarray:
     """Singular values of a real matrix, descending."""
     m = np.asarray(matrix, dtype=float)
@@ -92,18 +72,11 @@ def matrix_kyfan(matrix) -> float:
     return float(singular_values(matrix).sum())
 
 
-def tensor_kyfan(tensor, supersymmetric: bool = False) -> float:
+def tensor_kyfan(tensor) -> float:
     """Ky Fan norm of a tensor: the largest singular-value sum over all mode
-    unfoldings.
-
-    With ``supersymmetric=True`` only the first unfolding is computed; for a
-    tensor invariant under all mode permutations every unfolding shares the
-    same singular spectrum, so this is a pure shortcut.  The caller is
-    responsible for the symmetry claim (see :func:`is_supersymmetric`).
-    """
+    unfoldings."""
     t = _as_tensor(tensor)
-    modes = (0,) if supersymmetric else range(t.ndim)
-    return max(matrix_kyfan(unfold(t, m)) for m in modes)
+    return max(matrix_kyfan(unfold(t, m)) for m in range(t.ndim))
 
 
 def outer_product(parts) -> np.ndarray:
@@ -140,38 +113,16 @@ def is_supersymmetric(tensor, tol: float = 1e-12) -> bool:
     return True
 
 
-def khatri_rao(matrices) -> np.ndarray:
-    """Column-wise Kronecker product of matrices sharing a column count.
-
-    Column ``r`` of the result is the Kronecker chain of the ``r``-th columns
-    of the inputs, left to right.
-    """
-    mats = [np.asarray(m, dtype=float) for m in matrices]
-    if not mats:
-        raise ValueError("khatri_rao needs at least one matrix")
-    cols = mats[0].shape[1]
-    for m in mats:
-        if m.ndim != 2 or m.shape[1] != cols:
-            raise ValueError("all inputs must be matrices with the same column count")
-    out = mats[0]
-    for m in mats[1:]:
-        out = (out[:, None, :] * m[None, :, :]).reshape(-1, cols)
-    return out
-
-
 @dataclass
 class KruskalForm:
     """Weighted sum of rank-1 outer products.
 
     ``factors[m]`` has shape ``(I_m, R)``; its column ``r`` is the mode-``m``
-    vector of term ``r``.  ``orthogonal`` records whether complete
-    orthogonality (orthonormal columns in every mode) has been verified; it
-    is set by :func:`verify_complete_orthogonality`.
+    vector of term ``r``.
     """
 
     weights: np.ndarray
     factors: list = field(default_factory=list)
-    orthogonal: bool = False
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float).reshape(-1)
@@ -213,39 +164,6 @@ def kruskal_to_tensor(form: KruskalForm) -> np.ndarray:
     )
 
 
-def kruskal_unfold(form: KruskalForm, mode: int) -> np.ndarray:
-    """Mode unfolding of a Kruskal form assembled factor-wise.
-
-    Equals ``unfold(kruskal_to_tensor(form), mode)`` entrywise: the column
-    basis is the Khatri-Rao chain of the other modes' factors taken in the
-    same cyclic order the unfolding uses for its columns.
-    """
-    order = form.order
-    if not 0 <= mode < order:
-        raise ValueError(f"mode {mode} out of range for order-{order} form")
-    rest = [form.factors[m] for m in list(range(mode + 1, order)) + list(range(mode))]
-    if rest:
-        v = khatri_rao(rest)
-    else:
-        v = np.ones((1, form.rank))
-    return (form.factors[mode] * form.weights) @ v.T
-
-
-def verify_complete_orthogonality(form: KruskalForm, tol: float = EXACT_TOL) -> bool:
-    """Check that every mode's factor columns are orthonormal.
-
-    Stores the outcome on ``form.orthogonal`` and returns it.
-    """
-    ok = True
-    eye = np.eye(form.rank)
-    for f in form.factors:
-        if np.abs(f.T @ f - eye).max() > tol:
-            ok = False
-            break
-    form.orthogonal = ok
-    return ok
-
-
 def find_orthogonal_kruskal(tensor, tol: float = RANK_CUTOFF):
     """Return a completely orthogonal Kruskal form of ``tensor`` or None.
 
@@ -253,19 +171,17 @@ def find_orthogonal_kruskal(tensor, tol: float = RANK_CUTOFF):
     decomposition.  For order >= 3 only tensors that are exactly diagonal
     (nonzero entries confined to equal-index positions, which requires equal
     mode dimensions) are decomposed here; anything else returns None.  The
-    returned form has ``orthogonal=True`` and strictly positive weights.
+    returned form has orthonormal factor columns in every mode and strictly
+    positive weights, so its weight sum is the tensor's Ky Fan norm.
     """
     t = _as_tensor(tensor)
     scale = float(np.abs(t).max())
     if scale == 0.0:
-        form = KruskalForm(
-            np.zeros(0), [np.zeros((n, 0)) for n in t.shape], orthogonal=True
-        )
-        return form
+        return KruskalForm(np.zeros(0), [np.zeros((n, 0)) for n in t.shape])
     if t.ndim == 2:
         u, s, vt = np.linalg.svd(t, full_matrices=False)
         keep = s > tol * s[0]
-        return KruskalForm(s[keep], [u[:, keep], vt[keep].T], orthogonal=True)
+        return KruskalForm(s[keep], [u[:, keep], vt[keep].T])
     if len(set(t.shape)) != 1:
         return None
     d = t.shape[0]
@@ -283,21 +199,7 @@ def find_orthogonal_kruskal(tensor, tol: float = RANK_CUTOFF):
         for col, i in enumerate(keep):
             f[i, col] = np.sign(diag[i]) if m == 0 else 1.0
         factors.append(f)
-    return KruskalForm(weights, factors, orthogonal=True)
-
-
-def kyfan_via_kruskal(form: KruskalForm) -> float:
-    """Ky Fan norm of a completely orthogonal form: the sum of its weights.
-
-    For such a form every mode unfolding has the weights as its singular
-    values, so the maximum over modes collapses to a plain sum.
-    """
-    if not form.orthogonal:
-        raise ValueError(
-            "kyfan_via_kruskal needs a form whose complete orthogonality "
-            "has been verified (run verify_complete_orthogonality first)"
-        )
-    return float(form.weights.sum())
+    return KruskalForm(weights, factors)
 
 
 def sign_table(n_parties: int) -> np.ndarray:

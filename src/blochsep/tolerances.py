@@ -1,13 +1,11 @@
 """Shared numeric tolerance constants.
 
-Two tiers: EXACT_TOL for algebraic identities that hold to rounding error
-(orthogonality relations, reconstructions from closed forms), ACCUM_TOL for
-quantities assembled from many floating-point terms.
+EXACT_TOL bounds algebraic identities that hold to rounding error, such as
+the Hermiticity and unit trace of a validated density matrix; the named
+constants below each guard one specific comparison.
 """
 
 EXACT_TOL = 1e-10
-
-ACCUM_TOL = 1e-8
 
 # slack below zero allowed for eigenvalues of a positive semidefinite matrix
 PSD_TOL = 1e-9

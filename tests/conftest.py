@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from blochsep import DensityMatrix, build_basis, kron
+from blochsep import BlochData, DensityMatrix, build_basis, kron, reconstruct
 
 
 def random_density(rng, dims, rank=None):
@@ -38,6 +38,30 @@ def random_separable(rng, dims, n_terms=4):
     weights = rng.dirichlet(np.ones(n_terms))
     mat = sum(w * random_pure_product(rng, dims) for w in weights)
     return DensityMatrix(dims, mat)
+
+
+def empty_bloch_data(dims):
+    """All-zero expansion on ``dims``; reconstructs to the maximally mixed
+    state."""
+    n = len(dims)
+    singles = {k: np.zeros(dims[k] ** 2 - 1) for k in range(n)}
+    tensors = {
+        subset: np.zeros(tuple(dims[k] ** 2 - 1 for k in subset))
+        for size in range(2, n + 1)
+        for subset in itertools.combinations(range(n), size)
+    }
+    return BlochData(tuple(dims), singles, tensors)
+
+
+def diagonal_qubit_state(n_parties, weights):
+    """(1/2^n)(I + sum_i w_i sigma_i^xn) via Bloch reconstruction."""
+    dims = (2,) * n_parties
+    data = empty_bloch_data(dims)
+    arr = np.zeros((3,) * n_parties)
+    for i, w in enumerate(weights):
+        arr[(i,) * n_parties] = w
+    data.tensors[tuple(range(n_parties))] = arr
+    return reconstruct(data)
 
 
 def brute_correlation(rho, subset):

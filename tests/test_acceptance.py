@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from blochsep import (
-    BlochData,
     DensityMatrix,
     ZooSpec,
     assemble_decomposition,
@@ -24,7 +23,6 @@ from blochsep import (
     correlation_tensor,
     decompose,
     duer_be4,
-    empty_bloch_data,
     ghz,
     is_supersymmetric,
     kron,
@@ -48,8 +46,8 @@ from blochsep import (
     load_state,
     Decision,
 )
-from conftest import (brute_correlation, qutrit_ghz_threshold, random_density,
-                      random_separable, random_unitary)
+from conftest import (brute_correlation, diagonal_qubit_state, qutrit_ghz_threshold,
+                      random_density, random_separable, random_unitary)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 CHESSBOARD_ENV = "BLOCHSEP_CHESSBOARD_STATE"
@@ -96,8 +94,7 @@ def test_qubit_noise_threshold_table():
 
 
 def test_bound_entangled_mixture_detected():
-    norm = tensor_kyfan(correlation_tensor(smolin(), (0, 1, 2, 3)),
-                        supersymmetric=True)
+    norm = tensor_kyfan(correlation_tensor(smolin(), (0, 1, 2, 3)))
     necessary = necessary_test(smolin())
     exact = qubit_exact_test(smolin())
     ok = (abs(norm - 3.0) <= 1e-9
@@ -164,17 +161,6 @@ def test_two_qubit_isotropic_thresholds():
            "target 1/3")
 
 
-def _diagonal_qubit_state(n_parties, weights):
-    dims = (2,) * n_parties
-    data = empty_bloch_data(dims)
-    arr = np.zeros((3,) * n_parties)
-    for i, w in enumerate(weights):
-        arr[(i,) * n_parties] = w
-    tensors = dict(data.tensors)
-    tensors[tuple(range(n_parties))] = arr
-    return reconstruct(BlochData(dims, data.singles, tensors))
-
-
 def test_property_suites():
     rng = np.random.default_rng(2024)
     failures = []
@@ -231,8 +217,8 @@ def test_property_suites():
     # every emitted decomposition reconstructs its state
     worst_res, worst_wsum = 0.0, 0.0
     grid = [zoo_state("werner", noise=p) for p in (0.05, 0.15, 0.25, 0.33)]
-    grid += [_diagonal_qubit_state(3, (0, 0, t)) for t in (0.2, 0.5, 0.9)]
-    grid += [_diagonal_qubit_state(4, (0.2, 0.2, 0.2))]
+    grid += [diagonal_qubit_state(3, (0, 0, t)) for t in (0.2, 0.5, 0.9)]
+    grid += [diagonal_qubit_state(4, (0.2, 0.2, 0.2))]
     v = np.kron(basis_ket((0,), (2,)), basis_ket((1,), (3,)))
     grid += [noisy(DensityMatrix((2, 3), projector(v)), 0.15)]
     for rho in grid:
@@ -266,7 +252,7 @@ def test_external_state_exclusion_documented():
 def test_external_four_qutrit_state_hook():
     rho, _ = load_state(os.environ[CHESSBOARD_ENV])
     assert rho.dims == (3, 3, 3, 3)
-    norms = [rec.norm for rec in subset_scan(rho, "pairs").records]
+    norms = [v.norm_value for v in subset_scan(rho, "pairs")]
     best = max(norms)
     report("external-four-qutrit-hook", abs(best - 3.75) <= 5e-3,
            f"largest pair norm {best:.6f} vs 3.75 (bound 3)")

@@ -17,7 +17,6 @@ from blochsep import (
     build_basis,
     correlation_tensor,
     decompose,
-    empty_bloch_data,
     ghz,
     is_supersymmetric,
     kron,
@@ -32,8 +31,8 @@ from blochsep import (
     w_state,
 )
 from blochsep.bloch import _real_part
-from conftest import (brute_correlation, qutrit_ghz_spectrum, random_density,
-                      random_pure_product, random_unitary)
+from conftest import (brute_correlation, empty_bloch_data, qutrit_ghz_spectrum,
+                      random_density, random_pure_product, random_unitary)
 
 SIX_PROFILES = [(2, 2), (2, 3), (2, 2, 2), (3, 3), (2, 3, 4), (2, 2, 2, 2)]
 
@@ -174,7 +173,7 @@ def test_noisy_scales_every_component():
 def test_component_count():
     for dims in SIX_PROFILES:
         data = decompose(maximally_mixed(dims))
-        assert data.component_count == 2 ** len(dims) - 1
+        assert len(data.singles) + len(data.tensors) == 2 ** len(dims) - 1
 
 
 def test_empty_bloch_data_reconstructs_to_mixed():

@@ -1,6 +1,7 @@
 """Tests for the command-line interface and state serialization."""
 
 import contextlib
+import csv
 import io
 import json
 import subprocess
@@ -111,6 +112,17 @@ def test_threshold_unknown_family():
     code, _, err = run(["threshold", "nope"])
     assert code == 2
     assert "nope" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["threshold", "werner", "-p", "0.5"],
+    ["threshold", "ghz-noisy", "-N", "3", "--noise", "0.1", "--criterion", "p2"],
+])
+def test_threshold_rejects_noise_weight(argv):
+    code, out, err = run(argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "sweeps the noise weight" in err
 
 
 def test_threshold_table_output():
@@ -272,3 +284,93 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["records"][0]["decision"] == "entangled"
+
+
+RECORD_KEYS = ["subset", "norm", "bound", "decision", "criterion", "borderline"]
+NN = "necessary-norm"
+REPORT_LAYOUTS = [
+    (["zoo:smolin"], {
+        "input": {"source": "zoo:smolin", "family": "smolin"},
+        "dims": [2, 2, 2, 2],
+        "records": [
+            *([list(s), 0.0, 1.0, "inconclusive", NN, False] for s in [
+                (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]),
+            [[0, 1, 2, 3], 3.0, 1.0, "entangled", NN, False],
+        ],
+        "exact_qubit": {"decision": "entangled", "criterion": "qubit-exact",
+                        "norm": 3.0, "bound": 1.0, "borderline": False},
+        "sufficiency": {"lhs": 3.0, "available": True, "decision": "inconclusive",
+                        "reason": "sum-exceeds-one"},
+    }),
+    (["zoo:werner", "-p", "0.2"], {
+        "input": {"source": "zoo:werner", "family": "werner", "noise": 0.2},
+        "dims": [2, 2],
+        "records": [[[0, 1], 0.6, 1.0, "inconclusive", NN, False]],
+        "exact_qubit": {"decision": "separable", "criterion": "qubit-exact",
+                        "norm": 0.6, "bound": 1.0, "borderline": False},
+        "sufficiency": {"lhs": 0.6, "available": True, "decision": "separable"},
+    }),
+    (["zoo:psi-234"], {
+        "input": {"source": "zoo:psi-234", "family": "psi-234"},
+        "dims": [2, 3, 4],
+        "records": [
+            [[0, 1], 0.75 * np.sqrt(2), np.sqrt(3), "inconclusive", NN, False],
+            [[0, 2], 2 + np.sqrt(3), np.sqrt(6), "entangled", NN, False],
+            [[1, 2], 7.116715359693519, np.sqrt(18), "entangled", NN, False],
+            [[0, 1, 2], 18.444865956769807, np.sqrt(18), "entangled", NN, False],
+        ],
+        "exact_qubit": {"decision": "inconclusive", "criterion": "qubit-exact",
+                        "norm": None, "bound": 1.0, "borderline": False,
+                        "reason": "not-a-multiqubit-state"},
+        "sufficiency": {"lhs": None, "available": False, "decision": "inconclusive",
+                        "reason": "no-orthogonal-decomposition:(0, 1, 2)"},
+    }),
+]
+
+
+def assert_same_layout(got, want):
+    """Equal key sequences at every level and equal values, floats to 1e-12."""
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            assert_same_layout(got[key], want[key])
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_layout(g, w)
+    elif isinstance(want, (bool, str)) or want is None:
+        assert got == want and type(got) is type(want)
+    else:
+        assert type(got) in (int, float)
+        assert got == pytest.approx(float(want), abs=1e-12)
+
+
+@pytest.mark.parametrize("source, layout", REPORT_LAYOUTS)
+def test_analyze_report_layout_is_pinned(source, layout):
+    argv = ["analyze", *source, "--subsets", "all", "--criteria", "all"]
+    want = {
+        "schema": "blochsep/1",
+        "kind": "analysis",
+        "input": layout["input"],
+        "dims": layout["dims"],
+        "criteria": "all",
+        "subsets": "all",
+        "records": [dict(zip(RECORD_KEYS, rec)) for rec in layout["records"]],
+        "exact_qubit": layout["exact_qubit"],
+        "sufficiency": layout["sufficiency"],
+    }
+    assert_same_layout(run_json(argv), want)
+
+    code, out, err = run(argv + ["--format", "csv"])
+    assert code == 0, err
+    assert out.endswith("\n")
+    header, *rows = list(csv.reader(io.StringIO(out)))
+    assert header == RECORD_KEYS
+    assert len(rows) == len(layout["records"])
+    for row, (subset, norm, bound, decision, criterion, borderline) in zip(
+            rows, layout["records"]):
+        assert row[0] == ",".join(str(k) for k in subset)
+        assert float(row[1]) == pytest.approx(norm, rel=1e-11, abs=1e-12)
+        assert float(row[2]) == pytest.approx(bound, rel=1e-11)
+        assert row[3:] == [decision, criterion, str(int(borderline))]

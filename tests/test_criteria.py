@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from blochsep import (
-    BlochData,
     CriterionUnavailableError,
     Decision,
     DensityMatrix,
@@ -13,19 +12,17 @@ from blochsep import (
     assemble_decomposition,
     ball_radii,
     basis_ket,
-    bell_states,
     bloch_vector,
     correlation_tensor,
     duer_be4,
-    empty_bloch_data,
-    factor_pure_state,
     ghz,
-    is_pure_product,
     kron,
     maximally_mixed,
     necessary_test,
     noise_threshold_table,
     noisy,
+    outer_product,
+    partial_trace,
     projector,
     qubit_exact_test,
     reconstruct,
@@ -42,19 +39,8 @@ from blochsep import (
     w_state,
     zoo_state,
 )
-from conftest import random_pure_product, random_separable, random_unitary
-
-
-def diagonal_qubit_state(n_parties, weights):
-    """(1/2^n)(I + sum_i w_i sigma_i^xn) via Bloch reconstruction."""
-    dims = (2,) * n_parties
-    data = empty_bloch_data(dims)
-    arr = np.zeros((3,) * n_parties)
-    for i, w in enumerate(weights):
-        arr[(i,) * n_parties] = w
-    tensors = dict(data.tensors)
-    tensors[tuple(range(n_parties))] = arr
-    return reconstruct(BlochData(dims, data.singles, tensors))
+from conftest import (diagonal_qubit_state, empty_bloch_data, random_pure_product,
+                      random_separable, random_unitary)
 
 
 def test_separability_bound_values():
@@ -100,65 +86,61 @@ def test_borderline_flag_on_product_state():
 
 def test_subset_scan_selectors():
     g = ghz(3)
-    assert [r.subset for r in subset_scan(g, "full").records] == [(0, 1, 2)]
-    assert [r.subset for r in subset_scan(g, "pairs").records] == [
+    assert [v.subset for v in subset_scan(g, "full")] == [(0, 1, 2)]
+    assert [v.subset for v in subset_scan(g, "pairs")] == [
         (0, 1), (0, 2), (1, 2)]
-    assert [r.subset for r in subset_scan(g, "all").records] == [
+    assert [v.subset for v in subset_scan(g, "all")] == [
         (0, 1), (0, 2), (1, 2), (0, 1, 2)]
-    assert [r.subset for r in subset_scan(g, 2).records] == [
+    assert [v.subset for v in subset_scan(g, 2)] == [
         (0, 1), (0, 2), (1, 2)]
-    assert [r.subset for r in subset_scan(g, [(0, 2)]).records] == [(0, 2)]
+    assert [v.subset for v in subset_scan(g, [(2, 0)])] == [(0, 2)]
+    assert [v.subset for v in subset_scan(g, [(1, 2), (0, 1, 2), (0, 1)])] == [
+        (0, 1), (1, 2), (0, 1, 2)]
     with pytest.raises(ValueError):
         subset_scan(g, "everything")
     with pytest.raises(ValueError):
         subset_scan(g, [(0,)])
 
 
+def test_subset_scan_returns_the_necessary_verdicts():
+    rho = state_234()
+    verdicts = subset_scan(rho, "all")
+    assert verdicts == [necessary_test(rho, v.subset) for v in verdicts]
+    assert necessary_test(rho).subset == (0, 1, 2)
+    assert necessary_test(rho, [2, 0, 2]).subset == (0, 2)
+    assert necessary_test(rho, [2, 0]) == verdicts[1]
+
+
 def test_subset_scan_ghz_pairs_borderline():
-    for rec in subset_scan(ghz(3), "pairs").records:
-        assert rec.norm == pytest.approx(1.0, abs=1e-9)
-        assert rec.bound == pytest.approx(1.0)
-        assert rec.verdict.decision == Decision.INCONCLUSIVE
-        assert rec.verdict.borderline
+    for v in subset_scan(ghz(3), "pairs"):
+        assert v.norm_value == pytest.approx(1.0, abs=1e-9)
+        assert v.bound_value == pytest.approx(1.0)
+        assert v.decision == Decision.INCONCLUSIVE
+        assert v.borderline
 
 
 def test_subset_scan_reduced_noisy_w():
     # tracing two parties from a noisy six-party W leaves a four-party state
     # that the full-tensor test certifies at p = 0.6
     rho = reduced_w_noisy(6, 2, 0.6)
-    rec = subset_scan(rho, "full").records[0]
-    assert rec.verdict.decision == Decision.ENTANGLED
+    (v,) = subset_scan(rho, "full")
+    assert v.decision == Decision.ENTANGLED
 
 
 def test_subset_scan_product_state_inconclusive():
     rng = np.random.default_rng(23)
     rho = DensityMatrix((2, 2, 3), random_pure_product(rng, (2, 2, 3)))
-    for rec in subset_scan(rho, "all").records:
-        assert rec.verdict.decision == Decision.INCONCLUSIVE
-        assert rec.norm <= rec.bound + 1e-9
+    for v in subset_scan(rho, "all"):
+        assert v.decision == Decision.INCONCLUSIVE
+        assert v.norm_value <= v.bound_value + 1e-9
 
 
-def test_is_pure_product():
-    v = np.kron(np.kron(basis_ket((0,), (2,)),
-                        np.ones(2) / np.sqrt(2)), basis_ket((1,), (2,)))
-    assert is_pure_product(DensityMatrix((2, 2, 2), projector(v)))
-    assert not is_pure_product(ghz(3))
-    assert not is_pure_product(w_state(4))
-    with pytest.raises(ValueError):
-        is_pure_product(zoo_state("werner", noise=0.5))
-
-
-def test_factor_pure_blocks():
-    bell = bell_states()[0]
-    vec = np.kron(basis_ket((0,), (2,)), bell)
-    rho = DensityMatrix((2, 2, 2), projector(vec))
-    assert factor_pure_state(rho) == [(0,), (1, 2)]
-    assert factor_pure_state(ghz(4)) == [(0, 1, 2, 3)]
-    rng = np.random.default_rng(24)
-    prod = DensityMatrix((2, 2, 2), random_pure_product(rng, (2, 2, 2)))
-    assert factor_pure_state(prod) == [(0,), (1,), (2,)]
-    with pytest.raises(ValueError):
-        factor_pure_state(zoo_state("werner", noise=0.5))
+@pytest.mark.parametrize("guard", [-2.0, float("nan"), float("inf")])
+def test_criteria_reject_bad_guard(guard):
+    rho = maximally_mixed((2, 2))
+    for test in (necessary_test, subset_scan, qubit_exact_test):
+        with pytest.raises(ValueError, match="guard"):
+            test(rho, guard=guard)
 
 
 def test_qubit_exact_decides_diagonal_states():
@@ -176,8 +158,8 @@ def test_qubit_exact_reason_codes():
     arr = np.zeros((3, 3, 3))
     arr[0, 0, 0] = 0.5
     arr[0, 1, 2] = 0.3
-    rho = reconstruct(BlochData((2, 2, 2), data.singles,
-                                {**dict(data.tensors), (0, 1, 2): arr}))
+    data.tensors[(0, 1, 2)] = arr
+    rho = reconstruct(data)
     assert qubit_exact_test(rho).reason == "no-orthogonal-decomposition"
 
 
@@ -265,9 +247,9 @@ def test_soundness_on_random_separable_states():
         dims = [(2, 2), (2, 3), (3, 3, 2), (2, 2, 2)][rng.integers(4)]
         rho = random_separable(rng, dims, n_terms=int(rng.integers(1, 9)))
         assert necessary_test(rho).decision != Decision.ENTANGLED
-        for rec in subset_scan(rho, "all").records:
-            assert rec.verdict.decision != Decision.ENTANGLED
-            assert rec.norm <= rec.bound + 1e-9
+        for v in subset_scan(rho, "all"):
+            assert v.decision != Decision.ENTANGLED
+            assert v.norm_value <= v.bound_value + 1e-9
 
 
 def test_no_state_both_separable_and_entangled():
@@ -293,16 +275,26 @@ def test_verdicts_invariant_under_local_unitaries():
 
 
 def test_pure_state_criterion_chain():
+    # a pure state is a full product exactly when its full tensor is the
+    # outer product of its coherence vectors, and then every one-party
+    # marginal is pure; GHZ and W fail both
+    def outer_gap(rho):
+        singles = [bloch_vector(rho, k) for k in range(3)]
+        return np.linalg.norm(correlation_tensor(rho, (0, 1, 2)) - outer_product(singles))
+
+    def pure_marginals(rho):
+        return [partial_trace(rho, (k,)).purity() >= 1 - 1e-8 for k in range(3)]
+
     rng = np.random.default_rng(29)
     prod = DensityMatrix((2, 2, 2), random_pure_product(rng, (2, 2, 2)))
-    assert is_pure_product(prod)
-    assert factor_pure_state(prod) == [(0,), (1,), (2,)]
+    assert outer_gap(prod) <= 1e-8
+    assert pure_marginals(prod) == [True] * 3
     full = correlation_tensor(prod, (0, 1, 2))
     norms = [np.linalg.norm(bloch_vector(prod, k)) for k in range(3)]
     assert tensor_kyfan(full) == pytest.approx(np.prod(norms), abs=1e-8)
     for rho in (ghz(3), w_state(3)):
-        assert not is_pure_product(rho)
-        assert factor_pure_state(rho) == [(0, 1, 2)]
+        assert outer_gap(rho) > 1e-8
+        assert pure_marginals(rho) == [False] * 3
 
 
 def test_noise_scales_tensor_norm():

@@ -4,11 +4,18 @@ constants."""
 import numpy as np
 import pytest
 
-from blochsep import DensityMatrix, bloch_vector, build_basis, structure_constants
+from blochsep import DensityMatrix, bloch_vector, build_basis
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+
+def structure_constants(d):
+    """(f, g) from the triple-product traces Tr(g_a g_b g_c) = 2 g_abc + 2i f_abc."""
+    gens = build_basis(d).generators
+    triple = np.einsum("aij,bjk,cki->abc", gens, gens, gens, optimize=True)
+    return triple.imag / 2.0, triple.real / 2.0
 
 
 def test_qubit_generators_are_pauli():
@@ -52,34 +59,33 @@ def test_basis_is_cached():
 
 
 def test_qubit_structure_constants():
-    sc = structure_constants(build_basis(2))
+    f, g = structure_constants(2)
     eps = np.zeros((3, 3, 3))
     for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
         eps[i, j, k] = 1.0
         eps[j, i, k] = -1.0
-    np.testing.assert_allclose(sc.f, eps, atol=1e-12)
-    np.testing.assert_allclose(sc.g, 0, atol=1e-12)
+    np.testing.assert_allclose(f, eps, atol=1e-12)
+    np.testing.assert_allclose(g, 0, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [3, 4])
 def test_products_reconstruct_from_structure_constants(d):
     # lam_a lam_b = (2/d) delta_ab I + sum_c (g_abc + i f_abc) lam_c
-    basis = build_basis(d)
-    sc = structure_constants(basis)
-    gens = basis.generators
+    f, g = structure_constants(d)
+    gens = build_basis(d).generators
     direct = np.einsum("aik,bkj->abij", gens, gens)
-    rebuilt = np.einsum("abc,cij->abij", sc.g + 1j * sc.f, gens)
+    rebuilt = np.einsum("abc,cij->abij", g + 1j * f, gens)
     rebuilt += (2.0 / d) * np.einsum("ab,ij->abij", np.eye(d * d - 1), np.eye(d))
     np.testing.assert_allclose(direct, rebuilt, atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [3, 4])
 def test_structure_constant_symmetries(d):
-    sc = structure_constants(build_basis(d))
-    np.testing.assert_allclose(sc.f, -sc.f.transpose(1, 0, 2), atol=1e-12)
-    np.testing.assert_allclose(sc.f, sc.f.transpose(1, 2, 0), atol=1e-12)
-    np.testing.assert_allclose(sc.g, sc.g.transpose(1, 0, 2), atol=1e-12)
-    np.testing.assert_allclose(sc.g, sc.g.transpose(1, 2, 0), atol=1e-12)
+    f, g = structure_constants(d)
+    np.testing.assert_allclose(f, -f.transpose(1, 0, 2), atol=1e-12)
+    np.testing.assert_allclose(f, f.transpose(1, 2, 0), atol=1e-12)
+    np.testing.assert_allclose(g, g.transpose(1, 0, 2), atol=1e-12)
+    np.testing.assert_allclose(g, g.transpose(1, 2, 0), atol=1e-12)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -95,11 +101,11 @@ def test_pure_state_vector_length(d):
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_pure_state_star_product_identity(d):
     # for pure states the g-contraction of s with itself returns (d-2) s
-    sc = structure_constants(build_basis(d))
+    _, g = structure_constants(d)
     rng = np.random.default_rng(97 + d)
     v = rng.normal(size=d) + 1j * rng.normal(size=d)
     v /= np.linalg.norm(v)
     rho = DensityMatrix((d,), np.outer(v, v.conj()))
     s = bloch_vector(rho, 0)
-    contracted = np.einsum("i,j,ijk->k", s, s, sc.g)
+    contracted = np.einsum("i,j,ijk->k", s, s, g)
     np.testing.assert_allclose(contracted, (d - 2) * s, atol=1e-10)

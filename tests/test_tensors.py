@@ -9,19 +9,14 @@ from hypothesis import given, settings, strategies as st
 from blochsep import (
     KruskalForm,
     find_orthogonal_kruskal,
-    fold,
     is_supersymmetric,
-    khatri_rao,
     kruskal_to_tensor,
-    kruskal_unfold,
-    kyfan_via_kruskal,
     matrix_kyfan,
     outer_product,
     sign_table,
     singular_values,
     tensor_kyfan,
     unfold,
-    verify_complete_orthogonality,
 )
 
 # hand-checkable 3x2x3 example with integer entries
@@ -87,14 +82,6 @@ def test_unfold_column_formula(shape):
             assert mat[idx[mode], col] == t[idx]
 
 
-@pytest.mark.parametrize("shape", [(3, 2, 3), (2, 3, 4, 2)])
-def test_fold_inverts_unfold(shape):
-    rng = np.random.default_rng(6)
-    t = rng.normal(size=shape)
-    for mode in range(t.ndim):
-        np.testing.assert_array_equal(fold(unfold(t, mode), mode, shape), t)
-
-
 def test_singular_values_closed_form():
     sigma = singular_values(np.array([[1.0, 1.0], [0.0, 1.0]]))
     expected = np.array([(np.sqrt(5) + 1) / 2, (np.sqrt(5) - 1) / 2])
@@ -127,8 +114,8 @@ def test_supersymmetric_shortcut_agrees():
         sym += raw.transpose(perm)
     assert is_supersymmetric(sym)
     assert not is_supersymmetric(raw)
-    assert tensor_kyfan(sym, supersymmetric=True) == pytest.approx(
-        tensor_kyfan(sym), rel=1e-12)
+    # for a supersymmetric tensor the first unfolding already gives the norm
+    assert matrix_kyfan(unfold(sym, 0)) == pytest.approx(tensor_kyfan(sym), rel=1e-12)
 
 
 def test_supersymmetric_spectra_equal_across_modes():
@@ -153,20 +140,6 @@ def test_outer_product_entries():
         assert t[i, j, k] == u[i] * v[j] * w[k]
 
 
-def test_khatri_rao_columns():
-    a = np.arange(6.0).reshape(3, 2)
-    b = np.arange(8.0).reshape(4, 2)
-    out = khatri_rao([a, b])
-    assert out.shape == (12, 2)
-    for c in range(2):
-        np.testing.assert_array_equal(out[:, c], np.kron(a[:, c], b[:, c]))
-
-
-def test_khatri_rao_column_mismatch():
-    with pytest.raises(ValueError):
-        khatri_rao([np.ones((3, 2)), np.ones((4, 3))])
-
-
 def test_kruskal_form_validation():
     with pytest.raises(ValueError):
         KruskalForm(weights=np.ones(2), factors=(np.ones((3, 3)),))
@@ -187,10 +160,16 @@ def test_kruskal_to_tensor_matches_outer_sum(shape):
     np.testing.assert_allclose(kruskal_to_tensor(form), expected, atol=1e-12)
 
 
+def assert_orthonormal_columns(form):
+    for f in form.factors:
+        np.testing.assert_allclose(f.T @ f, np.eye(form.rank), atol=1e-10)
+
+
 @pytest.mark.parametrize("shape", [(3, 4), (3, 4, 2), (2, 3, 2, 3)])
 def test_kruskal_unfold_matches_tensor_unfold(shape):
-    # the two routes to a mode unfolding must agree entrywise, not merely in
-    # norm
+    # the mode unfolding of a Kruskal form, assembled factor-wise, is
+    # (A_mode diag(w)) times the transposed column-wise Kronecker chain of
+    # the other modes' factors in the unfolding's cyclic column order
     rng = np.random.default_rng(11)
     r = 4
     form = KruskalForm(
@@ -198,30 +177,23 @@ def test_kruskal_unfold_matches_tensor_unfold(shape):
         factors=tuple(rng.normal(size=(s, r)) for s in shape),
     )
     dense = kruskal_to_tensor(form)
-    for mode in range(len(shape)):
-        np.testing.assert_allclose(kruskal_unfold(form, mode),
+    order = len(shape)
+    for mode in range(order):
+        chain = np.ones((1, r))
+        for m in [(mode + k) % order for k in range(1, order)]:
+            chain = (chain[:, None, :] * form.factors[m][None, :, :]).reshape(-1, r)
+        np.testing.assert_allclose((form.factors[mode] * form.weights) @ chain.T,
                                    unfold(dense, mode), atol=1e-12)
-
-
-def test_verify_complete_orthogonality():
-    eye = np.eye(3)
-    good = KruskalForm(weights=np.array([2.0, 1.0]),
-                       factors=(eye[:, :2], eye[:, 1:3] * 0 + eye[:, :2]))
-    assert verify_complete_orthogonality(good)
-    assert good.orthogonal
-    slanted = np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
-    bad = KruskalForm(weights=np.array([2.0, 1.0]),
-                      factors=(eye[:, :2], slanted))
-    assert not verify_complete_orthogonality(bad)
 
 
 def test_orthogonal_form_for_matrices():
     rng = np.random.default_rng(12)
     a = rng.normal(size=(4, 6))
     form = find_orthogonal_kruskal(a)
-    assert form is not None and form.orthogonal
+    assert form is not None
+    assert_orthonormal_columns(form)
     np.testing.assert_allclose(kruskal_to_tensor(form), a, atol=1e-10)
-    assert kyfan_via_kruskal(form) == pytest.approx(matrix_kyfan(a), rel=1e-10)
+    assert form.weights.sum() == pytest.approx(matrix_kyfan(a), rel=1e-10)
 
 
 def test_orthogonal_form_for_diagonal_tensor():
@@ -229,10 +201,12 @@ def test_orthogonal_form_for_diagonal_tensor():
     for i, v in enumerate((0.5, -0.2, 0.1)):
         t[i, i, i] = v
     form = find_orthogonal_kruskal(t)
-    assert form is not None and form.orthogonal
+    assert form is not None
+    assert_orthonormal_columns(form)
     np.testing.assert_allclose(sorted(form.weights), [0.1, 0.2, 0.5], atol=1e-12)
     np.testing.assert_allclose(kruskal_to_tensor(form), t, atol=1e-12)
-    assert kyfan_via_kruskal(form) == pytest.approx(0.8, abs=1e-12)
+    assert form.weights.sum() == pytest.approx(0.8, abs=1e-12)
+    assert tensor_kyfan(t) == pytest.approx(0.8, abs=1e-12)
 
 
 def test_orthogonal_form_absent_for_off_diagonal_tensor():
@@ -248,15 +222,8 @@ def test_orthogonal_form_zero_tensor():
     form = find_orthogonal_kruskal(np.zeros((3, 3, 3)))
     assert form is not None
     assert form.rank == 0
-    assert kyfan_via_kruskal(form) == 0.0
-
-
-def test_kyfan_via_kruskal_requires_orthogonality():
-    rng = np.random.default_rng(13)
-    form = KruskalForm(weights=np.ones(2),
-                       factors=tuple(rng.normal(size=(3, 2)) for _ in range(3)))
-    with pytest.raises(ValueError):
-        kyfan_via_kruskal(form)
+    assert [f.shape for f in form.factors] == [(3, 0)] * 3
+    assert form.weights.sum() == 0.0
 
 
 def test_sign_table_two_parties():
@@ -296,15 +263,6 @@ def test_sign_table_is_even_parity_group(m):
     for size in range(1, m):
         for cols in itertools.combinations(range(m), size):
             assert table[:, cols].prod(axis=1).sum() == 0
-
-
-@settings(max_examples=40, deadline=None)
-@given(shape=st.lists(st.integers(1, 4), min_size=2, max_size=4),
-       seed=st.integers(0, 2**32 - 1))
-def test_unfold_round_trip_random(shape, seed):
-    t = np.random.default_rng(seed).normal(size=tuple(shape))
-    for mode in range(t.ndim):
-        np.testing.assert_array_equal(fold(unfold(t, mode), mode, t.shape), t)
 
 
 @settings(max_examples=40, deadline=None)
