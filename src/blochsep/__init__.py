@@ -65,7 +65,6 @@ from .tensors import (
     is_supersymmetric,
     kruskal_to_tensor,
     matrix_kyfan,
-    outer_product,
     sign_table,
     singular_values,
     tensor_kyfan,

@@ -11,8 +11,10 @@ identity factor traces its mode out, these slices are the coherence vectors
 s^(k)_a = (d_k / 2) Tr(rho_k g_a) and, for each subset S with |S| >= 2, the
 correlation tensors t_{a_1...a_M} = (prod_{k in S} d_k / 2^M)
 Tr(rho_S (g_{a_1} x ... x g_{a_M})) of the reduced states.  C_{0...0} = 1
-completes the parameterization: :func:`reconstruct` runs the contraction in
-reverse with the unscaled stacks and divides by D = prod_k d_k.
+completes the parameterization: :func:`_from_coefficients` runs the
+contraction in reverse with the unscaled stacks and divides by D = prod_k d_k.
+It is the only map from coefficients back to a matrix; :func:`reconstruct`
+and the assembly of separable decompositions both end in it.
 """
 from __future__ import annotations
 
@@ -173,6 +175,13 @@ def reconstruct(data: BlochData) -> DensityMatrix:
                 f"correlation tensor of subset {subset} has shape {t.shape}, expected {want}"
             )
         coeff[_slot(n, subset)] = t
+    return _from_coefficients(dims, coeff)
+
+
+def _from_coefficients(dims: tuple, coeff: np.ndarray) -> DensityMatrix:
+    """The density matrix whose coefficient array is ``coeff``: the expansion
+    contraction run in reverse with the unscaled stacks, divided by D."""
+    n = len(dims)
     paired = _mode_products(coeff, [_stack(d, 1.0).T for d in dims])
     paired = paired.reshape(tuple(x for d in dims for x in (d, d)))
     mat = paired.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))

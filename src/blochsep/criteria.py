@@ -27,11 +27,16 @@ import math
 
 import numpy as np
 
-from .bloch import ball_radii, correlation_tensor, decompose
+from .bloch import _from_coefficients, ball_radii, correlation_tensor, decompose
 from .errors import CriterionUnavailableError
-from .states import DensityMatrix, ZooSpec, kron
-from .su_basis import build_basis
-from .tensors import find_orthogonal_kruskal, sign_table, tensor_kyfan
+from .states import DensityMatrix, ZooSpec
+from .tensors import (
+    KruskalForm,
+    find_orthogonal_kruskal,
+    kruskal_to_tensor,
+    sign_table,
+    tensor_kyfan,
+)
 from .tolerances import BOUND_GUARD, SUFFICIENCY_SLACK, ZERO_COMPONENT_TOL
 
 __all__ = [
@@ -334,18 +339,23 @@ def separable_decomposition(rho: DensityMatrix) -> SeparableDecomposition:
 
 
 def assemble_decomposition(dec: SeparableDecomposition) -> DensityMatrix:
-    """Turn a separable decomposition back into its density matrix."""
+    """Turn a separable decomposition back into its density matrix.
+
+    A product term (x)_k (I + v_k . g)/d_k has the rank-1 coefficient array
+    (x)_k (1, v_k), so the terms form one Kruskal form; the maximally mixed
+    remainder adds ``identity_weight`` at index 0...0.  The inverse
+    coefficient map turns the sum into a matrix.
+    """
     dims = dec.dims
-    total_dim = int(np.prod(dims))
-    acc = dec.identity_weight / total_dim * np.eye(total_dim, dtype=complex)
-    stacks = [build_basis(d).generators for d in dims]
-    for weight, factors in dec.terms:
-        mats = []
-        for k, d in enumerate(dims):
-            v = np.asarray(factors[k], dtype=float)
-            mats.append((np.eye(d) + np.tensordot(v, stacks[k], axes=1)) / d)
-        acc = acc + weight * kron(*mats)
-    return DensityMatrix(dims, acc)
+    rank = len(dec.terms)
+    factors = [
+        np.vstack([np.ones((1, rank)),
+                   np.reshape([f[k] for _, f in dec.terms], (rank, d * d - 1)).T])
+        for k, d in enumerate(dims)
+    ]
+    coeff = kruskal_to_tensor(KruskalForm([w for w, _ in dec.terms], factors))
+    coeff[(0,) * len(dims)] += dec.identity_weight
+    return _from_coefficients(dims, coeff)
 
 
 _CRITERION_KEYS = ("t1", "c1", "c2", "p2")
@@ -389,54 +399,24 @@ def _closed_form_threshold(sigma: DensityMatrix, criterion: str, subsets) -> flo
     )
 
 
-def threshold_search(
-    family, criterion: str = "t1", tol: float = 1e-6, subsets="all"
-) -> float | None:
+def threshold_search(family, criterion: str = "t1", subsets="all") -> float | None:
     """Locate the noise weight p in [0, 1] where a criterion's verdict flips.
 
-    ``family`` is either a ZooSpec with a free noise parameter or a callable
-    p -> DensityMatrix.  Zoo families have the form (1-p)/D I + p sigma, so
-    the flip is computed in closed form from one evaluation of the criterion
-    on sigma (the state at p = 1).  Arbitrary callables are scanned on a
-    1e-3 grid for the earliest flip bracket, which assumes no flip hides
-    between grid points, and the bracket is bisected down to ``tol``; that
-    path also serves as the reference for the closed form.  Returns None
-    when the verdict never flips on [0, 1], and 0.0 when the state is
-    flagged at every p > 0 (or, for a callable, already at p = 0).
+    ``family`` is a ZooSpec with a free noise parameter.  Zoo families have
+    the form (1-p)/D I + p sigma, so the flip is computed in closed form from
+    one evaluation of the criterion on sigma (the state at p = 1).  Returns
+    None when the verdict never flips on [0, 1], and 0.0 when the state is
+    flagged at every p > 0.
     """
     if criterion not in _CRITERION_KEYS:
         raise ValueError(
             f"unknown criterion {criterion!r} (known: {', '.join(_CRITERION_KEYS)})"
         )
-    if isinstance(family, ZooSpec):
-        if not family.noise_parameterized:
-            raise ValueError(f"family {family.family!r} has no noise parameter to sweep")
-        return _closed_form_threshold(family.build(noise=1.0), criterion, subsets)
-    if not callable(family):
-        raise TypeError("family must be a ZooSpec or a callable p -> DensityMatrix")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"bisection tolerance must be finite and positive, got {tol}")
-
-    def flagged(p: float) -> bool:
-        """True once the state at p is no longer candidate separable."""
-        verdicts = _verdicts(family(p), criterion, subsets)
-        if criterion == "p2":
-            return verdicts[0].decision is not Decision.SEPARABLE
-        return any(v.decision is Decision.ENTANGLED for v in verdicts)
-
-    if flagged(0.0):
-        return 0.0
-    if not flagged(1.0):
-        return None
-    k = next((k for k in range(1, 1000) if flagged(k / 1000)), 1000)
-    lo, hi = (k - 1) / 1000, k / 1000
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if flagged(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    if not isinstance(family, ZooSpec):
+        raise TypeError("family must be a ZooSpec")
+    if not family.noise_parameterized:
+        raise ValueError(f"family {family.family!r} has no noise parameter to sweep")
+    return _closed_form_threshold(family.build(noise=1.0), criterion, subsets)
 
 
 def noise_threshold_table(max_parties: int = 6) -> list:

@@ -13,7 +13,6 @@ choice; the entrywise layout does, and it is pinned by the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import string
 
 import numpy as np
 
@@ -24,7 +23,6 @@ __all__ = [
     "singular_values",
     "matrix_kyfan",
     "tensor_kyfan",
-    "outer_product",
     "is_supersymmetric",
     "KruskalForm",
     "kruskal_to_tensor",
@@ -77,21 +75,6 @@ def tensor_kyfan(tensor) -> float:
     unfoldings."""
     t = _as_tensor(tensor)
     return max(matrix_kyfan(unfold(t, m)) for m in range(t.ndim))
-
-
-def outer_product(parts) -> np.ndarray:
-    """Outer product of a sequence of vectors (or tensors).
-
-    The result has the concatenated shape of the inputs; for vectors
-    u, v, w this is the order-3 tensor with entries u_i v_j w_k.
-    """
-    parts = [np.asarray(p, dtype=float) for p in parts]
-    if not parts:
-        raise ValueError("outer_product needs at least one operand")
-    out = parts[0]
-    for p in parts[1:]:
-        out = np.multiply.outer(out, p)
-    return out
 
 
 def is_supersymmetric(tensor, tol: float = 1e-12) -> bool:
@@ -151,17 +134,27 @@ class KruskalForm:
         return tuple(f.shape[0] for f in self.factors)
 
 
-def _term_subscript(order: int) -> str:
-    letters = string.ascii_uppercase[:order]
-    ins = ["r"] + [c + "r" for c in letters]
-    return ",".join(ins) + "->" + "".join(letters)
+def _khatri_rao(mats, rank: int) -> np.ndarray:
+    """Column-wise Kronecker product of ``mats`` (each with ``rank``
+    columns), earlier factors varying slower; no factors give one row of
+    ones."""
+    out = np.ones((1, rank))
+    for m in mats:
+        out = (out[:, None, :] * m[None, :, :]).reshape(out.shape[0] * m.shape[0], rank)
+    return out
 
 
 def kruskal_to_tensor(form: KruskalForm) -> np.ndarray:
-    """Assemble the dense tensor sum_r w_r (u_r^(0) o u_r^(1) o ...)."""
-    return np.einsum(
-        _term_subscript(form.order), form.weights, *form.factors, optimize=True
-    )
+    """Assemble the dense tensor sum_r w_r (u_r^(0) o u_r^(1) o ...).
+
+    The first half of the modes and the rest each form one Khatri-Rao
+    matrix, and one matrix product joins them, so no intermediate holds
+    more than one half's entries per term.
+    """
+    half = form.order // 2
+    left = _khatri_rao(form.factors[:half], form.rank) * form.weights
+    right = _khatri_rao(form.factors[half:], form.rank)
+    return (left @ right.T).reshape(form.shape)
 
 
 def find_orthogonal_kruskal(tensor, tol: float = RANK_CUTOFF):

@@ -5,7 +5,18 @@ import math
 
 import numpy as np
 
-from blochsep import BlochData, DensityMatrix, build_basis, kron, reconstruct
+from blochsep import (
+    BlochData,
+    Decision,
+    DensityMatrix,
+    build_basis,
+    kron,
+    necessary_test,
+    qubit_exact_test,
+    reconstruct,
+    subset_scan,
+    sufficiency_test,
+)
 
 
 def random_density(rng, dims, rank=None):
@@ -101,3 +112,38 @@ def qutrit_ghz_threshold(n):
     """Noise weight p at which p ||T(GHZ_3^N)|| reaches the bound 3^(N/2):
     2 sqrt(3) / (9 sqrt(2) + sqrt(6)) at N = 3, 2 / (9 + sqrt(3)) at N = 4."""
     return 3 ** (n / 2) / qutrit_ghz_spectrum(n).sum()
+
+
+def bisect_threshold(family, criterion="t1", tol=1e-6, subsets="all"):
+    """Reference for the closed-form thresholds: the noise weight where the
+    verdict of the public criterion on ``family(p)`` flips.
+
+    Scans a 1e-3 grid for the earliest flip bracket, which assumes no flip
+    hides between grid points, and bisects it down to ``tol``.  Returns None
+    when the verdict never flips on [0, 1] and 0.0 when it is flipped at 0.
+    """
+    def flagged(p):
+        rho = family(p)
+        if criterion == "p2":
+            return sufficiency_test(rho).decision is not Decision.SEPARABLE
+        if criterion == "c1":
+            verdicts = subset_scan(rho, subsets)
+        elif criterion == "c2":
+            verdicts = [qubit_exact_test(rho)]
+        else:
+            verdicts = [necessary_test(rho)]
+        return any(v.decision is Decision.ENTANGLED for v in verdicts)
+
+    if flagged(0.0):
+        return 0.0
+    if not flagged(1.0):
+        return None
+    k = next((k for k in range(1, 1000) if flagged(k / 1000)), 1000)
+    lo, hi = (k - 1) / 1000, k / 1000
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if flagged(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)

@@ -152,8 +152,8 @@ def test_reduced_w_noise_threshold():
 
 def test_two_qubit_isotropic_thresholds():
     spec = ZooSpec(family="werner")
-    t_necessary = threshold_search(spec, tol=1e-8)
-    t_sufficient = threshold_search(spec, criterion="p2", tol=1e-8)
+    t_necessary = threshold_search(spec)
+    t_sufficient = threshold_search(spec, criterion="p2")
     ok = (abs(t_necessary - 1 / 3) <= 1e-6
           and abs(t_sufficient - 1 / 3) <= 1e-6)
     report("two-qubit-isotropic-thresholds", ok,

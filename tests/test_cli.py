@@ -268,6 +268,18 @@ def test_thresholds_expand_one_state_each(monkeypatch, argv, expansions):
     assert counts["transform"] == expansions
 
 
+def test_decompose_assembles_through_the_inverse_map(monkeypatch):
+    counts = {"transform": 0, "kron": 0}
+    count_calls(monkeypatch, counts, "transform", blochsep.bloch, "_mode_products")
+    kron = blochsep.states.kron
+    for mod in [m for n, m in sys.modules.items() if n.startswith("blochsep")]:
+        if getattr(mod, "kron", None) is kron:
+            count_calls(monkeypatch, counts, "kron", mod, "kron")
+    doc = run_json(["decompose", "zoo:werner", "-p", "0.3"])
+    assert doc["term_count"] == 6
+    assert counts == {"transform": 2, "kron": 0}
+
+
 def test_output_file_written_atomically(tmp_path):
     target = tmp_path / "report.json"
     target.write_text("old contents")

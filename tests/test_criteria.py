@@ -1,6 +1,8 @@
 """Tests for the separability criteria, decompositions, and threshold
 search."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,6 @@ from blochsep import (
     necessary_test,
     noise_threshold_table,
     noisy,
-    outer_product,
     partial_trace,
     projector,
     qubit_exact_test,
@@ -39,8 +40,8 @@ from blochsep import (
     w_state,
     zoo_state,
 )
-from conftest import (diagonal_qubit_state, empty_bloch_data, random_pure_product,
-                      random_separable, random_unitary)
+from conftest import (bisect_threshold, diagonal_qubit_state, empty_bloch_data,
+                      random_pure_product, random_separable, random_unitary)
 
 
 def test_separability_bound_values():
@@ -224,6 +225,8 @@ def decomposition_grid():
     yield diagonal_qubit_state(4, (0.2, 0.2, 0.2))
     v = np.kron(basis_ket((0,), (2,)), basis_ket((1,), (3,)))
     yield noisy(DensityMatrix((2, 3), projector(v)), 0.1)
+    yield zoo_state("qutrit-ghz-noisy", parties=2, noise=0.05)
+    yield zoo_state("ghz-noisy", parties=2, levels=4, noise=0.02)
 
 
 def test_decomposition_invariants():
@@ -280,7 +283,8 @@ def test_pure_state_criterion_chain():
     # marginal is pure; GHZ and W fail both
     def outer_gap(rho):
         singles = [bloch_vector(rho, k) for k in range(3)]
-        return np.linalg.norm(correlation_tensor(rho, (0, 1, 2)) - outer_product(singles))
+        product = reduce(np.multiply.outer, singles)
+        return np.linalg.norm(correlation_tensor(rho, (0, 1, 2)) - product)
 
     def pure_marginals(rho):
         return [partial_trace(rho, (k,)).purity() >= 1 - 1e-8 for k in range(3)]
@@ -318,15 +322,17 @@ def test_threshold_search_known_values():
 
 
 def test_threshold_search_edge_cases():
-    assert threshold_search(lambda p: maximally_mixed((2, 2))) is None
-    assert threshold_search(lambda p: noisy(ghz(2), 0.9)) == 0.0
-    assert threshold_search(lambda p: noisy(ghz(2), p)) == pytest.approx(
+    assert bisect_threshold(lambda p: maximally_mixed((2, 2))) is None
+    assert bisect_threshold(lambda p: noisy(ghz(2), 0.9)) == 0.0
+    assert bisect_threshold(lambda p: noisy(ghz(2), p)) == pytest.approx(
         1 / 3, abs=2e-6)
-    with pytest.raises(TypeError):
-        threshold_search("werner")
-    for family in (ZooSpec(family="werner"), lambda p: noisy(ghz(2), p)):
-        with pytest.raises(ValueError, match="unknown criterion"):
-            threshold_search(family, criterion="t2")
+    for family in ("werner", lambda p: noisy(ghz(2), p)):
+        with pytest.raises(TypeError):
+            threshold_search(family)
+    with pytest.raises(ValueError, match="unknown criterion"):
+        threshold_search(ZooSpec(family="werner"), criterion="t2")
+    with pytest.raises(ValueError, match="no noise parameter"):
+        threshold_search(ZooSpec(family="smolin"))
 
 
 CLOSED_FORM_CASES = [
@@ -345,7 +351,7 @@ CLOSED_FORM_CASES = [
 @pytest.mark.parametrize("spec, criterion", CLOSED_FORM_CASES)
 def test_closed_form_threshold_matches_bisection(spec, criterion):
     closed = threshold_search(spec, criterion)
-    reference = threshold_search(lambda p: spec.build(noise=p), criterion, tol=1e-9)
+    reference = bisect_threshold(lambda p: spec.build(noise=p), criterion, tol=1e-9)
     if reference is None:
         assert closed is None
     else:
@@ -356,12 +362,6 @@ def test_closed_form_threshold_matches_bisection(spec, criterion):
 def test_werner_thresholds_are_one_third(criterion):
     assert threshold_search(ZooSpec(family="werner"), criterion) == pytest.approx(
         1 / 3, abs=1e-9)
-
-
-@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
-def test_threshold_search_rejects_bad_tolerance(tol):
-    with pytest.raises(ValueError, match="tolerance"):
-        threshold_search(lambda p: noisy(ghz(2), p), tol=tol)
 
 
 def test_noise_threshold_table_small():

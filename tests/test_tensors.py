@@ -1,5 +1,6 @@
 """Tests for unfoldings, Ky Fan norms, Kruskal forms, and sign tables."""
 
+from functools import reduce
 import itertools
 
 import numpy as np
@@ -12,7 +13,6 @@ from blochsep import (
     is_supersymmetric,
     kruskal_to_tensor,
     matrix_kyfan,
-    outer_product,
     sign_table,
     singular_values,
     tensor_kyfan,
@@ -130,16 +130,6 @@ def test_supersymmetric_spectra_equal_across_modes():
                                    atol=1e-8)
 
 
-def test_outer_product_entries():
-    u = np.array([1.0, 2.0])
-    v = np.array([3.0, 5.0, 7.0])
-    w = np.array([-1.0, 1.0])
-    t = outer_product([u, v, w])
-    assert t.shape == (2, 3, 2)
-    for i, j, k in itertools.product(range(2), range(3), range(2)):
-        assert t[i, j, k] == u[i] * v[j] * w[k]
-
-
 def test_kruskal_form_validation():
     with pytest.raises(ValueError):
         KruskalForm(weights=np.ones(2), factors=(np.ones((3, 3)),))
@@ -147,7 +137,7 @@ def test_kruskal_form_validation():
         KruskalForm(weights=np.ones((2, 2)), factors=(np.ones((3, 2)),))
 
 
-@pytest.mark.parametrize("shape", [(3, 4), (3, 4, 2), (2, 3, 2, 3)])
+@pytest.mark.parametrize("shape", [(3, 4), (3, 4, 2), (2, 3, 2, 3), (5,), (2, 3, 2, 3, 2)])
 def test_kruskal_to_tensor_matches_outer_sum(shape):
     rng = np.random.default_rng(10)
     r = 3
@@ -156,7 +146,7 @@ def test_kruskal_to_tensor_matches_outer_sum(shape):
     form = KruskalForm(weights=weights, factors=factors)
     expected = np.zeros(shape)
     for w in range(r):
-        expected += weights[w] * outer_product([f[:, w] for f in factors])
+        expected += weights[w] * reduce(np.multiply.outer, [f[:, w] for f in factors])
     np.testing.assert_allclose(kruskal_to_tensor(form), expected, atol=1e-12)
 
 
@@ -224,6 +214,7 @@ def test_orthogonal_form_zero_tensor():
     assert form.rank == 0
     assert [f.shape for f in form.factors] == [(3, 0)] * 3
     assert form.weights.sum() == 0.0
+    np.testing.assert_array_equal(kruskal_to_tensor(form), np.zeros((3, 3, 3)))
 
 
 def test_sign_table_two_parties():
