@@ -27,7 +27,6 @@ from .criteria import (
     separability_bound,
     separable_decomposition,
     subset_scan,
-    sufficiency_lhs,
     sufficiency_test,
     threshold_search,
 )

@@ -147,15 +147,7 @@ def _resolve_state(args) -> tuple:
     src = args.state
     if src.startswith("zoo:"):
         spec = _zoo_spec(src[len("zoo:") :], args)
-        rho = spec.build()
-        descriptor = {"source": src, "family": spec.family}
-        for key in ("parties", "levels", "noise", "removed"):
-            value = getattr(spec, key)
-            if value is not None:
-                descriptor[key] = value
-        if spec.dims is not None:
-            descriptor["dims"] = list(spec.dims)
-        return rho, descriptor
+        return spec.build(), {"source": src, "family": spec.family, **spec.parameters}
     rho, metadata = load_state(src)
     descriptor = {"source": src}
     if metadata.get("name"):
@@ -269,14 +261,10 @@ def cmd_threshold(args) -> int:
     doc = {
         "schema": SCHEMA_VERSION,
         "kind": "threshold",
-        "family": {"name": spec.family},
+        "family": {"name": spec.family, **spec.parameters},
         "criterion": args.criterion,
         "threshold": p_star,
     }
-    for key in ("parties", "levels", "removed"):
-        value = getattr(spec, key)
-        if value is not None:
-            doc["family"][key] = value
     _emit(args, dump_json(doc))
     return 0
 
@@ -328,8 +316,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_zoo(args) -> int:
     spec = _zoo_spec(args.family, args)
-    rho = spec.build()
-    text = dump_json(state_to_jsonable(rho, name=spec.family, source="zoo"))
+    text = dump_json(state_to_jsonable(spec.build(), name=spec.family, source="zoo"))
     _emit(args, text)
     return 0
 

@@ -20,7 +20,7 @@ pretending to a resolution the arithmetic cannot support.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from itertools import combinations
 import math
@@ -47,7 +47,6 @@ __all__ = [
     "necessary_test",
     "subset_scan",
     "qubit_exact_test",
-    "sufficiency_lhs",
     "sufficiency_test",
     "separable_decomposition",
     "assemble_decomposition",
@@ -244,22 +243,14 @@ def _sufficiency_parts(rho: DensityMatrix):
     return total, single_parts, subset_parts
 
 
-def sufficiency_lhs(rho: DensityMatrix) -> float | None:
-    """Weighted sum of all component norms entering the sufficient criterion:
-
-        sum_k c_k ||s^(k)|| + sum_S c_S ||T^S||_KF,   c_S = sqrt(prod 2(d-1)/d).
-
-    Pair tensors use the singular value decomposition; tensors of order >= 3
-    need a completely orthogonal decomposition, and when any of them lacks
-    one the whole sum is unavailable (None).
-    """
-    total, _, parts = _sufficiency_parts(rho)
-    return None if parts is None else total
-
-
 def sufficiency_test(rho: DensityMatrix, slack: float = SUFFICIENCY_SLACK) -> Verdict:
-    """Sufficient criterion: lhs <= 1 certifies separability.  A larger sum
-    or an unavailable decomposition is merely inconclusive."""
+    """Sufficient criterion: ``norm_value`` is the weighted sum
+
+        lhs = sum_k c_k ||s^(k)|| + sum_S c_S ||T^S||_KF,   c_S = sqrt(prod 2(d-1)/d),
+
+    and lhs <= 1 certifies separability.  lhs is None when some tensor of
+    order >= 3 has no completely orthogonal decomposition; that and a larger
+    sum are merely inconclusive."""
     crit = "sufficiency-sum"
     total, detail, parts = _sufficiency_parts(rho)
     if parts is None:
@@ -416,7 +407,7 @@ def threshold_search(family, criterion: str = "t1", subsets="all") -> float | No
         raise TypeError("family must be a ZooSpec")
     if not family.noise_parameterized:
         raise ValueError(f"family {family.family!r} has no noise parameter to sweep")
-    return _closed_form_threshold(family.build(noise=1.0), criterion, subsets)
+    return _closed_form_threshold(replace(family, noise=1.0).build(), criterion, subsets)
 
 
 def noise_threshold_table(max_parties: int = 6) -> list:

@@ -6,7 +6,7 @@ sum_k i_k * prod_{l>k} d_l, i.e. subsystem 0 is the most significant digit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import reduce
 import math
 
@@ -17,7 +17,6 @@ from .tolerances import EXACT_TOL, PSD_TOL
 
 HERM_TOL = EXACT_TOL
 TRACE_TOL = EXACT_TOL
-PURITY_TOL = 1e-9
 
 
 def validate_density(matrix, dims) -> None:
@@ -79,12 +78,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return int(np.prod(self.dims))
-
-    def purity(self) -> float:
-        return float(np.vdot(self.matrix, self.matrix).real)
-
-    def is_pure(self, tol: float = PURITY_TOL) -> bool:
-        return self.purity() >= 1.0 - tol
 
 
 def kron(*matrices) -> np.ndarray:
@@ -176,14 +169,29 @@ def w_state(n_parties: int) -> DensityMatrix:
 
 
 def noisy(state: DensityMatrix, p: float) -> DensityMatrix:
-    """Mix a pure state with white noise: (1-p)/D * I + p * state."""
+    """Mix a state with white noise: (1-p)/D * I + p * state."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"noise weight p must lie in [0, 1], got {p}")
-    if not state.is_pure():
-        raise ValueError(f"noisy expects a pure state (purity {state.purity():.6f})")
     total = state.dim
     m = (1.0 - p) / total * np.eye(total) + p * state.matrix
     return DensityMatrix(state.dims, m)
+
+
+def _reduced_w(n_parties: int, n_removed: int) -> DensityMatrix:
+    """The state of :func:`reduced_w_noisy` at p = 1."""
+    if n_parties < 2:
+        raise ValueError("reduced_w_noisy needs at least 2 parties")
+    if not 1 <= n_removed < n_parties:
+        raise ValueError(
+            f"n_removed must satisfy 1 <= n < N, got n={n_removed}, N={n_parties}"
+        )
+    m_left = n_parties - n_removed
+    dims = (2,) * m_left
+    mat = (
+        (n_removed / n_parties) * projector(basis_ket((0,) * m_left, dims))
+        + (m_left / n_parties) * projector(_w_vector(m_left))
+    )
+    return DensityMatrix(dims, mat)
 
 
 def reduced_w_noisy(n_parties: int, n_removed: int, p: float) -> DensityMatrix:
@@ -195,28 +203,7 @@ def reduced_w_noisy(n_parties: int, n_removed: int, p: float) -> DensityMatrix:
     with m = N - n remaining qubits.  Agrees with partially tracing
     ``noisy(w_state(N), p)``.
     """
-    if n_parties < 2:
-        raise ValueError("reduced_w_noisy needs at least 2 parties")
-    if not 1 <= n_removed < n_parties:
-        raise ValueError(
-            f"n_removed must satisfy 1 <= n < N, got n={n_removed}, N={n_parties}"
-        )
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"noise weight p must lie in [0, 1], got {p}")
-    m_left = n_parties - n_removed
-    dims = (2,) * m_left
-    total = 2**m_left
-    ground = basis_ket((0,) * m_left, dims)
-    if m_left == 1:
-        w_vec = basis_ket((1,), dims)
-    else:
-        w_vec = _w_vector(m_left)
-    mat = (
-        (1.0 - p) / total * np.eye(total)
-        + (n_removed / n_parties) * p * projector(ground)
-        + (m_left / n_parties) * p * projector(w_vec)
-    )
-    return DensityMatrix(dims, mat)
+    return noisy(_reduced_w(n_parties, n_removed), p)
 
 
 def bell_states() -> list:
@@ -271,13 +258,35 @@ def state_234() -> DensityMatrix:
     return DensityMatrix(dims, projector(vec))
 
 
+# Every zoo family: the ZooSpec fields it reads, in the order its builder
+# takes them; whether it is a noise family (1-p)/D I + p sigma, which also
+# reads ``noise``; and the builder of its state, or of sigma for a noise
+# family.  Every field read is required except ``levels``, which defaults
+# to 2.
+_FAMILIES = {
+    "ghz": (("parties", "levels"), False, ghz),
+    "ghz-noisy": (("parties", "levels"), True, ghz),
+    "qutrit-ghz-noisy": (("parties",), True, lambda n: ghz(n, 3)),
+    "werner": ((), True, lambda: ghz(2)),
+    "w": (("parties",), False, w_state),
+    "w-noisy": (("parties",), True, w_state),
+    "reduced-w-noisy": (("parties", "removed"), True, _reduced_w),
+    "psi-234": ((), False, state_234),
+    "state-234-noisy": ((), True, state_234),
+    "smolin": ((), False, smolin),
+    "duer4": ((), False, duer_be4),
+    "mixed": (("dims",), False, maximally_mixed),
+}
+_DEFAULTS = {"levels": 2}
+
+
 @dataclass(frozen=True)
 class ZooSpec:
     """A named example-state family plus its parameters.
 
-    ``noise`` may be left None for families that take a noise weight; the
-    value can then be supplied per call to :meth:`build`, which is how
-    threshold searches sweep it.
+    Each family reads its own subset of the parameters; :meth:`build`
+    refuses a parameter the family does not read.  A noise family builds
+    ``noisy(sigma, noise)``, where sigma is its state at noise 1.
     """
 
     family: str
@@ -288,69 +297,37 @@ class ZooSpec:
     dims: tuple | None = None
 
     @property
+    def parameters(self) -> dict:
+        """The parameters set on this spec, in field order."""
+        values = ((f.name, getattr(self, f.name)) for f in fields(self)[1:])
+        return {name: value for name, value in values if value is not None}
+
+    @property
     def noise_parameterized(self) -> bool:
-        return self.family in _NOISY_FAMILIES
+        return self.family in _FAMILIES and _FAMILIES[self.family][1]
 
-    def build(self, noise: float | None = None) -> DensityMatrix:
-        p = self.noise if noise is None else noise
+    def build(self) -> DensityMatrix:
         fam = self.family
-        if fam in ("ghz", "ghz-noisy"):
-            n = _required(self.parties, fam, "parties")
-            base = ghz(n, self.levels or 2)
-        elif fam == "qutrit-ghz-noisy":
-            n = _required(self.parties, fam, "parties")
-            base = ghz(n, 3)
-        elif fam == "werner":
-            base = ghz(2, 2)
-        elif fam in ("w", "w-noisy"):
-            base = w_state(_required(self.parties, fam, "parties"))
-        elif fam == "reduced-w-noisy":
-            n = _required(self.parties, fam, "parties")
-            r = _required(self.removed, fam, "removed")
-            return reduced_w_noisy(n, r, _required(p, fam, "noise"))
-        elif fam in ("state-234", "psi-234"):
-            base = state_234()
-        elif fam == "state-234-noisy":
-            base = state_234()
-        elif fam == "smolin":
-            return smolin()
-        elif fam == "duer4":
-            return duer_be4()
-        elif fam == "mixed":
-            return maximally_mixed(_required(self.dims, fam, "dims"))
-        else:
-            raise ValueError(f"unknown state family {fam!r} (known: {', '.join(zoo_families())})")
-        if fam in _NOISY_FAMILIES:
-            return noisy(base, _required(p, fam, "noise"))
-        return base
+        if fam not in _FAMILIES:
+            raise ValueError(f"unknown state family {fam!r} (known: {', '.join(_FAMILIES)})")
+        reads, noise_family, builder = _FAMILIES[fam]
+        given = self.parameters
+        for name in given:
+            if name not in reads and not (noise_family and name == "noise"):
+                raise ValueError(f"family {fam!r} takes no parameter {name!r}")
 
+        def read(name):
+            value = given.get(name, _DEFAULTS.get(name))
+            if value is None:
+                raise ValueError(f"family {fam!r} needs parameter {name!r}")
+            return value
 
-_NOISY_FAMILIES = frozenset(
-    ["ghz-noisy", "qutrit-ghz-noisy", "werner", "w-noisy", "reduced-w-noisy", "state-234-noisy"]
-)
-
-
-def _required(value, family, name):
-    if value is None:
-        raise ValueError(f"family {family!r} needs parameter {name!r}")
-    return value
+        state = builder(*map(read, reads))
+        return noisy(state, read("noise")) if noise_family else state
 
 
 def zoo_families() -> tuple:
-    return (
-        "ghz",
-        "ghz-noisy",
-        "qutrit-ghz-noisy",
-        "werner",
-        "w",
-        "w-noisy",
-        "reduced-w-noisy",
-        "psi-234",
-        "state-234-noisy",
-        "smolin",
-        "duer4",
-        "mixed",
-    )
+    return tuple(_FAMILIES)
 
 
 def zoo_state(family: str, **params) -> DensityMatrix:

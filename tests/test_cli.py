@@ -125,6 +125,25 @@ def test_threshold_rejects_noise_weight(argv):
     assert len(err.splitlines()) == 1 and "sweeps the noise weight" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "zoo:ghz", "-N", "3", "-p", "0.5"], "takes no parameter 'noise'"),
+    (["analyze", "zoo:smolin", "-N", "7"], "takes no parameter 'parties'"),
+    (["analyze", "zoo:ghz", "-N", "3", "--dims", "2,2,2"], "takes no parameter 'dims'"),
+    (["analyze", "zoo:ghz", "-N", "3", "-d", "0"], "local dimension"),
+    (["zoo", "ghz", "-N", "2", "-p", "0.3"], "takes no parameter 'noise'"),
+    (["threshold", "werner", "-N", "5"], "takes no parameter 'parties'"),
+    (["analyze", "zoo:state-234"], "unknown state family"),
+], ids=["ghz-noise", "smolin-parties", "ghz-dims", "ghz-levels-0", "zoo-ghz-noise",
+        "threshold-werner-parties", "state-234-alias"])
+def test_parameters_a_family_does_not_read_are_refused(tmp_path, argv, message):
+    target = tmp_path / "out.json"
+    code, out, err = run(argv + ["-o", str(target)])
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and message in err
+    assert not target.exists()
+
+
 def test_threshold_table_output():
     doc = run_json(["threshold-table", "--max-parties", "4"])
     rows = {(r["family"], r["parties"]): r["threshold"] for r in doc["records"]}

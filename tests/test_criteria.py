@@ -1,6 +1,7 @@
 """Tests for the separability criteria, decompositions, and threshold
 search."""
 
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
@@ -33,7 +34,6 @@ from blochsep import (
     smolin,
     state_234,
     subset_scan,
-    sufficiency_lhs,
     sufficiency_test,
     tensor_kyfan,
     threshold_search,
@@ -165,13 +165,14 @@ def test_qubit_exact_reason_codes():
 
 
 def test_sufficiency_lhs_closed_forms():
+    def lhs(rho):
+        return sufficiency_test(rho).norm_value
+
     for p in (0.1, 0.25, 0.33):
-        assert sufficiency_lhs(zoo_state("werner", noise=p)) == pytest.approx(
-            3 * p, abs=1e-10)
+        assert lhs(zoo_state("werner", noise=p)) == pytest.approx(3 * p, abs=1e-10)
     for t in (0.2, 0.7):
-        assert sufficiency_lhs(diagonal_qubit_state(3, (0, 0, t))) == pytest.approx(
-            t, abs=1e-10)
-    assert sufficiency_lhs(noisy(ghz(3), 0.5)) is None
+        assert lhs(diagonal_qubit_state(3, (0, 0, t))) == pytest.approx(t, abs=1e-10)
+    assert lhs(noisy(ghz(3), 0.5)) is None
 
 
 def test_sufficiency_verdicts():
@@ -287,7 +288,8 @@ def test_pure_state_criterion_chain():
         return np.linalg.norm(correlation_tensor(rho, (0, 1, 2)) - product)
 
     def pure_marginals(rho):
-        return [partial_trace(rho, (k,)).purity() >= 1 - 1e-8 for k in range(3)]
+        marginals = [partial_trace(rho, (k,)).matrix for k in range(3)]
+        return [np.vdot(m, m).real >= 1 - 1e-8 for m in marginals]
 
     rng = np.random.default_rng(29)
     prod = DensityMatrix((2, 2, 2), random_pure_product(rng, (2, 2, 2)))
@@ -351,7 +353,7 @@ CLOSED_FORM_CASES = [
 @pytest.mark.parametrize("spec, criterion", CLOSED_FORM_CASES)
 def test_closed_form_threshold_matches_bisection(spec, criterion):
     closed = threshold_search(spec, criterion)
-    reference = bisect_threshold(lambda p: spec.build(noise=p), criterion, tol=1e-9)
+    reference = bisect_threshold(lambda p: replace(spec, noise=p).build(), criterion, tol=1e-9)
     if reference is None:
         assert closed is None
     else:

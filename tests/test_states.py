@@ -1,5 +1,7 @@
 """Tests for density-matrix utilities and the bundled example states."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -104,9 +106,10 @@ def test_density_matrix_basics():
     rho = zoo_state("werner", noise=0.5)
     assert rho.n_parties == 2
     assert rho.dim == 4
-    assert 0.25 <= rho.purity() <= 1.0
-    assert not rho.is_pure()
-    assert ghz(2).is_pure()
+    purity = np.vdot(rho.matrix, rho.matrix).real
+    assert 0.25 <= purity <= 1.0
+    assert not purity >= 1 - 1e-9
+    assert np.vdot(ghz(2).matrix, ghz(2).matrix).real >= 1 - 1e-9
 
 
 def test_density_matrix_is_immutable():
@@ -216,7 +219,7 @@ def test_duer_state_shape():
 def test_state_234_components():
     rho = state_234()
     assert rho.dims == (2, 3, 4)
-    assert rho.is_pure()
+    assert np.vdot(rho.matrix, rho.matrix).real >= 1 - 1e-9
     dims = (2, 3, 4)
     vec = 0.5 * (basis_ket((0, 0, 1), dims) + basis_ket((0, 1, 2), dims)
                  + basis_ket((1, 0, 3), dims) + basis_ket((1, 2, 3), dims))
@@ -227,10 +230,10 @@ def test_zoo_spec_noise_parameterization():
     spec = ZooSpec(family="ghz-noisy", parties=3)
     assert spec.noise_parameterized
     assert not ZooSpec(family="smolin").noise_parameterized
-    np.testing.assert_allclose(spec.build(noise=0.0).matrix, np.eye(8) / 8,
-                               atol=1e-12)
-    np.testing.assert_allclose(spec.build(noise=1.0).matrix, ghz(3).matrix,
-                               atol=1e-12)
+    np.testing.assert_allclose(replace(spec, noise=0.0).build().matrix,
+                               np.eye(8) / 8, atol=1e-12)
+    np.testing.assert_allclose(replace(spec, noise=1.0).build().matrix,
+                               ghz(3).matrix, atol=1e-12)
 
 
 def test_zoo_spec_missing_parameters():
@@ -240,27 +243,43 @@ def test_zoo_spec_missing_parameters():
         ZooSpec(family="werner").build()
     with pytest.raises(ValueError, match="unknown state family"):
         ZooSpec(family="nope").build()
+    with pytest.raises(ValueError, match="takes no parameter"):
+        ZooSpec("smolin", parties=3).build()
+
+
+FAMILY_PARAMS = {
+    "ghz": dict(parties=3),
+    "ghz-noisy": dict(parties=3, noise=0.4),
+    "qutrit-ghz-noisy": dict(parties=3, noise=0.4),
+    "werner": dict(noise=0.4),
+    "w": dict(parties=3),
+    "w-noisy": dict(parties=3, noise=0.4),
+    "reduced-w-noisy": dict(parties=4, removed=1, noise=0.4),
+    "psi-234": {},
+    "state-234-noisy": dict(noise=0.4),
+    "smolin": {},
+    "duer4": {},
+    "mixed": dict(dims=(2, 2)),
+}
 
 
 def test_zoo_families_all_buildable():
-    params = {
-        "ghz": dict(parties=3),
-        "ghz-noisy": dict(parties=3, noise=0.4),
-        "qutrit-ghz-noisy": dict(parties=3, noise=0.4),
-        "werner": dict(noise=0.4),
-        "w": dict(parties=3),
-        "w-noisy": dict(parties=3, noise=0.4),
-        "reduced-w-noisy": dict(parties=4, removed=1, noise=0.4),
-        "psi-234": {},
-        "state-234-noisy": dict(noise=0.4),
-        "smolin": {},
-        "duer4": {},
-        "mixed": dict(dims=(2, 2)),
-    }
-    assert set(params) == set(zoo_families())
-    for family, kwargs in params.items():
+    assert set(FAMILY_PARAMS) == set(zoo_families())
+    for family, kwargs in FAMILY_PARAMS.items():
         rho = zoo_state(family, **kwargs)
         validate_density(rho.matrix, rho.dims)
+
+
+@pytest.mark.parametrize(
+    "family", [f for f in zoo_families() if ZooSpec(f).noise_parameterized])
+def test_noise_families_mix_sigma_with_white_noise(family):
+    # the closed-form thresholds assume (1-p)/D I + p sigma, sigma the p = 1 state
+    spec = ZooSpec(family, **FAMILY_PARAMS[family])
+    sigma = replace(spec, noise=1.0).build().matrix
+    white = np.eye(len(sigma)) / len(sigma)
+    for p in (0.0, 0.37, 1.0):
+        np.testing.assert_allclose(replace(spec, noise=p).build().matrix,
+                                   (1 - p) * white + p * sigma, rtol=0, atol=1e-12)
 
 
 def test_werner_is_two_party_ghz_noisy():
