@@ -63,6 +63,17 @@ def _stack(d: int, scale: float) -> np.ndarray:
     return arr
 
 
+def _subsets(n: int):
+    """Nonempty subsets of range(n), by size and then lexicographically."""
+    return (s for m in range(1, n + 1) for s in combinations(range(n), m))
+
+
+def _name(subset) -> str:
+    """How messages name the component of ``subset``."""
+    return (f"coherence vector of subsystem {subset[0]}" if len(subset) == 1
+            else f"correlation tensor of subset {subset}")
+
+
 def _slot(n: int, subset) -> tuple:
     """Index of a component in the coefficient array of an n-party state."""
     return tuple(slice(1, None) if k in subset else 0 for k in range(n))
@@ -83,10 +94,9 @@ def _real_part(coeff: np.ndarray) -> np.ndarray:
     pos = np.unravel_index(int(np.argmax(imag)), imag.shape)
     if imag[pos] > IMAG_TOL:
         subset = tuple(k for k, a in enumerate(pos) if a)
-        what = (f"coherence vector of subsystem {subset[0]}" if len(subset) == 1
-                else f"correlation tensor of subset {subset}")
         raise NumericIntegrityError(
-            f"{what} carries imaginary residue {imag[pos]:.3e} above tolerance {IMAG_TOL:g}"
+            f"{_name(subset)} carries imaginary residue {imag[pos]:.3e} "
+            f"above tolerance {IMAG_TOL:g}"
         )
     return np.ascontiguousarray(coeff.real)
 
@@ -105,22 +115,27 @@ def _coefficients(rho: DensityMatrix) -> np.ndarray:
     return coeff
 
 
-def _component(rho: DensityMatrix, subset) -> np.ndarray:
-    return _coefficients(rho)[_slot(rho.n_parties, subset)].copy()
+def _components(rho: DensityMatrix):
+    """(subset, read-only slice of the coefficient array) for every
+    component, coherence vectors being the order-1 case."""
+    coeff, n = _coefficients(rho), rho.n_parties
+    for subset in _subsets(n):
+        yield subset, coeff[_slot(n, subset)]
 
 
-def _check_subset(rho: DensityMatrix, subset, min_size: int) -> tuple:
+def _component(rho: DensityMatrix, subset, min_size: int) -> np.ndarray:
+    """A copy of the component of ``subset`` after checking the subset."""
     subset = tuple(sorted({int(k) for k in subset}))
     if len(subset) < min_size:
         raise ValueError(f"subset {subset} too small (need at least {min_size} subsystems)")
     if subset[0] < 0 or subset[-1] >= rho.n_parties:
         raise ValueError(f"subset {subset} out of range for {rho.n_parties} parties")
-    return subset
+    return _coefficients(rho)[_slot(rho.n_parties, subset)].copy()
 
 
 def bloch_vector(rho: DensityMatrix, k: int) -> np.ndarray:
     """Coherence vector of subsystem ``k`` (0-based)."""
-    return _component(rho, _check_subset(rho, (k,), 1))
+    return _component(rho, (k,), 1)
 
 
 def correlation_tensor(rho: DensityMatrix, subset) -> np.ndarray:
@@ -129,15 +144,14 @@ def correlation_tensor(rho: DensityMatrix, subset) -> np.ndarray:
     The result for subset S equals the full-set tensor of the reduced state
     on S: expectations only involve the marginal.
     """
-    return _component(rho, _check_subset(rho, subset, 2))
+    return _component(rho, subset, 2)
 
 
 def decompose(rho: DensityMatrix) -> BlochData:
     """Full expansion: every coherence vector and every subset tensor."""
-    n = rho.n_parties
-    singles = {k: _component(rho, (k,)) for k in range(n)}
-    tensors = {s: _component(rho, s) for m in range(2, n + 1) for s in combinations(range(n), m)}
-    return BlochData(dims=rho.dims, singles=singles, tensors=tensors)
+    parts = [(s, c.copy()) for s, c in _components(rho)]
+    singles = {s[0]: c for s, c in parts if len(s) == 1}
+    return BlochData(rho.dims, singles, {s: c for s, c in parts if len(s) > 1})
 
 
 def reconstruct(data: BlochData) -> DensityMatrix:
@@ -149,32 +163,19 @@ def reconstruct(data: BlochData) -> DensityMatrix:
     """
     dims = tuple(int(d) for d in data.dims)
     n = len(dims)
-    sizes = tuple(d * d for d in dims)
-    coeff = np.zeros(sizes)
+    coeff = np.zeros(tuple(d * d for d in dims))
     coeff[(0,) * n] = 1.0
     if sorted(data.singles) != list(range(n)):
         raise ValueError("singles must hold exactly one vector per subsystem")
-    for k in range(n):
-        s = np.asarray(data.singles[k], dtype=float)
-        if s.shape != (dims[k] ** 2 - 1,):
-            raise ValueError(
-                f"coherence vector of subsystem {k} has shape {s.shape}, "
-                f"expected ({dims[k] ** 2 - 1},)"
-            )
-        coeff[_slot(n, (k,))] = s
-    expected = sorted(
-        subset for size in range(2, n + 1) for subset in combinations(range(n), size)
-    )
-    if sorted(data.tensors) != expected:
+    if sorted(data.tensors) != sorted(s for s in _subsets(n) if len(s) > 1):
         raise ValueError("tensors must hold exactly one entry per subset of size >= 2")
-    for subset, t in data.tensors.items():
-        t = np.asarray(t, dtype=float)
+    for subset in _subsets(n):
+        part = data.singles[subset[0]] if len(subset) == 1 else data.tensors[subset]
+        part = np.asarray(part, dtype=float)
         want = tuple(dims[k] ** 2 - 1 for k in subset)
-        if t.shape != want:
-            raise ValueError(
-                f"correlation tensor of subset {subset} has shape {t.shape}, expected {want}"
-            )
-        coeff[_slot(n, subset)] = t
+        if part.shape != want:
+            raise ValueError(f"{_name(subset)} has shape {part.shape}, expected {want}")
+        coeff[_slot(n, subset)] = part
     return _from_coefficients(dims, coeff)
 
 

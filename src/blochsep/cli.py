@@ -47,8 +47,15 @@ from .stateio import (
 import numpy as np
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors in one stderr line; subparsers inherit it."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="blochsep",
         description="Correlation-tensor separability analysis for multipartite states",
     )

@@ -14,20 +14,22 @@ Three kinds of statement are implemented:
   product states witnessing this is constructed from even-parity sign
   tables.
 
+A component is the coefficient-array slice of one nonempty subsystem subset;
+a coherence vector is the order-1 case, so the criteria walk them in one loop.
+
 Norm-versus-bound comparisons respect a small guard band; results inside
 the band are reported inconclusive with ``borderline=True`` rather than
 pretending to a resolution the arithmetic cannot support.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 import math
 
 import numpy as np
 
-from .bloch import _from_coefficients, ball_radii, correlation_tensor, decompose
+from .bloch import _components, _from_coefficients, _subsets, ball_radii, correlation_tensor
 from .errors import CriterionUnavailableError
 from .states import DensityMatrix, ZooSpec
 from .tensors import (
@@ -135,17 +137,14 @@ def _select_subsets(n_parties: int, selector) -> list:
     if isinstance(selector, str):
         if selector == "full":
             return [tuple(range(n_parties))]
-        if selector == "all":
-            sizes = range(2, n_parties + 1)
-        elif selector == "pairs":
-            sizes = (2,)
-        else:
+        if selector not in ("all", "pairs"):
             raise ValueError(f"unknown subset selector {selector!r}")
-        return [s for m in sizes for s in combinations(range(n_parties), m)]
+        sizes = range(2, n_parties + 1) if selector == "all" else (2,)
+        return [s for s in _subsets(n_parties) if len(s) in sizes]
     if isinstance(selector, int):
         if not 2 <= selector <= n_parties:
             raise ValueError(f"subset size must lie in [2, {n_parties}], got {selector}")
-        return list(combinations(range(n_parties), selector))
+        return [s for s in _subsets(n_parties) if len(s) == selector]
     subsets = sorted(
         {tuple(sorted(set(int(k) for k in s))) for s in selector},
         key=lambda s: (len(s), s),
@@ -182,30 +181,17 @@ def qubit_exact_test(rho: DensityMatrix, guard: float = BOUND_GUARD) -> Verdict:
     _check_guard(guard)
     crit = "qubit-exact"
     if rho.n_parties < 2 or any(d != 2 for d in rho.dims):
-        return Verdict(
-            Decision.INCONCLUSIVE, None, 1.0, crit, reason="not-a-multiqubit-state"
-        )
-    data = decompose(rho)
-    for k in range(rho.n_parties):
-        if np.linalg.norm(data.singles[k]) > ZERO_COMPONENT_TOL:
-            return Verdict(
-                Decision.INCONCLUSIVE, None, 1.0, crit, reason="coherence-vectors-nonzero"
-            )
-    full = tuple(range(rho.n_parties))
-    for subset, t in data.tensors.items():
-        if subset != full and np.linalg.norm(t) > ZERO_COMPONENT_TOL:
-            return Verdict(
-                Decision.INCONCLUSIVE,
-                None,
-                1.0,
-                crit,
-                reason="lower-order-tensors-nonzero",
-            )
-    form = find_orthogonal_kruskal(data.tensors[full])
+        return Verdict(Decision.INCONCLUSIVE, None, 1.0, crit, reason="not-a-multiqubit-state")
+    *proper, (_, full) = _components(rho)
+    for subset, c in proper:
+        if np.linalg.norm(c) > ZERO_COMPONENT_TOL:
+            reason = ("coherence-vectors-nonzero" if len(subset) == 1
+                      else "lower-order-tensors-nonzero")
+            return Verdict(Decision.INCONCLUSIVE, None, 1.0, crit, reason=reason)
+    form = find_orthogonal_kruskal(full)
     if form is None:
-        return Verdict(
-            Decision.INCONCLUSIVE, None, 1.0, crit, reason="no-orthogonal-decomposition"
-        )
+        reason = "no-orthogonal-decomposition"
+        return Verdict(Decision.INCONCLUSIVE, None, 1.0, crit, reason=reason)
     norm = float(form.weights.sum())
     if norm > 1.0 + guard:
         return Verdict(Decision.ENTANGLED, norm, 1.0, crit)
@@ -214,53 +200,39 @@ def qubit_exact_test(rho: DensityMatrix, guard: float = BOUND_GUARD) -> Verdict:
     return Verdict(Decision.INCONCLUSIVE, norm, 1.0, crit, borderline=True)
 
 
-def _component_coefficient(dims, subset) -> float:
-    return math.sqrt(math.prod(2.0 * (dims[k] - 1) / dims[k] for k in subset))
-
-
 def _sufficiency_parts(rho: DensityMatrix):
     """Shared workhorse for the sufficiency sum and the decomposition.
 
-    Returns (lhs, single_parts, subset_parts) or (None, failing_subset, None)
-    when some order >= 3 tensor has no completely orthogonal decomposition.
+    Returns (lhs, [(subset, c_S, form)]) with one completely orthogonal
+    Kruskal form per component, coherence vectors included, or
+    (None, failing_subset) when some order >= 3 tensor has none.
     """
-    data = decompose(rho)
-    dims = rho.dims
-    total = 0.0
-    single_parts = []
-    for k in sorted(data.singles):
-        s = data.singles[k]
-        nrm = float(np.linalg.norm(s))
-        total += _component_coefficient(dims, (k,)) * nrm
-        single_parts.append((k, nrm, s))
-    subset_parts = []
-    for subset in sorted(data.tensors, key=lambda s: (len(s), s)):
-        form = find_orthogonal_kruskal(data.tensors[subset])
+    dims, total, parts = rho.dims, 0.0, []
+    for subset, c in _components(rho):
+        form = find_orthogonal_kruskal(c)
         if form is None:
-            return None, subset, None
-        total += _component_coefficient(dims, subset) * float(form.weights.sum())
-        subset_parts.append((subset, form))
-    return total, single_parts, subset_parts
+            return None, subset
+        coef = math.sqrt(math.prod(2.0 * (dims[k] - 1) / dims[k] for k in subset))
+        total += coef * float(form.weights.sum())
+        parts.append((subset, coef, form))
+    return total, parts
 
 
 def sufficiency_test(rho: DensityMatrix, slack: float = SUFFICIENCY_SLACK) -> Verdict:
-    """Sufficient criterion: ``norm_value`` is the weighted sum
+    """Sufficient criterion: ``norm_value`` is the weighted sum over every
+    nonempty subset S of subsystems
 
-        lhs = sum_k c_k ||s^(k)|| + sum_S c_S ||T^S||_KF,   c_S = sqrt(prod 2(d-1)/d),
+        lhs = sum_S c_S ||T^S||_KF,   c_S = sqrt(prod_{k in S} 2(d_k - 1)/d_k),
 
-    and lhs <= 1 certifies separability.  lhs is None when some tensor of
-    order >= 3 has no completely orthogonal decomposition; that and a larger
-    sum are merely inconclusive."""
+    where T^S for a single subsystem is its coherence vector, whose Ky Fan
+    norm is its Euclidean norm; lhs <= 1 certifies separability.  lhs is
+    None when some tensor of order >= 3 has no completely orthogonal
+    decomposition; that and a larger sum are merely inconclusive."""
     crit = "sufficiency-sum"
-    total, detail, parts = _sufficiency_parts(rho)
-    if parts is None:
-        return Verdict(
-            Decision.INCONCLUSIVE,
-            None,
-            1.0,
-            crit,
-            reason=f"no-orthogonal-decomposition:{detail}",
-        )
+    total, parts = _sufficiency_parts(rho)
+    if total is None:
+        reason = f"no-orthogonal-decomposition:{parts}"
+        return Verdict(Decision.INCONCLUSIVE, None, 1.0, crit, reason=reason)
     if total <= 1.0 + slack:
         return Verdict(Decision.SEPARABLE, total, 1.0, crit)
     return Verdict(Decision.INCONCLUSIVE, total, 1.0, crit, reason="sum-exceeds-one")
@@ -273,18 +245,19 @@ def separable_decomposition(rho: DensityMatrix) -> SeparableDecomposition:
     """Materialize the mixture of product states promised by the sufficient
     criterion.
 
-    Each nonzero coherence vector contributes one product term; each rank-1
-    term of a subset tensor's orthogonal decomposition contributes 2^(M-1)
-    sign-balanced product terms whose lower-order contributions cancel
-    row-wise.  Factor vectors are rescaled onto the subsystem inball so each
-    factor is a valid state, and the leftover weight goes to the maximally
-    mixed state.  Raises CriterionUnavailableError when the criterion does
-    not apply (sum above one or a decomposition missing).
+    Each rank-1 term of a component's orthogonal decomposition, on a subset
+    of M subsystems, contributes 2^(M-1) sign-balanced product terms whose
+    lower-order contributions cancel row-wise; a nonzero coherence vector
+    (M = 1) thus gives one term.  Terms of weight at most ``WEIGHT_CUTOFF``
+    are dropped.  Factor vectors are rescaled onto the subsystem inball so
+    each factor is a valid state, and the leftover weight goes to the
+    maximally mixed state.  Raises CriterionUnavailableError when the
+    criterion does not apply (sum above one or a decomposition missing).
     """
-    total, detail, subset_parts = _sufficiency_parts(rho)
-    if subset_parts is None:
+    total, parts = _sufficiency_parts(rho)
+    if total is None:
         raise CriterionUnavailableError(
-            f"correlation tensor of subset {detail} has no completely "
+            f"correlation tensor of subset {parts} has no completely "
             "orthogonal rank-1 decomposition"
         )
     if total > 1.0 + SUFFICIENCY_SLACK:
@@ -293,24 +266,10 @@ def separable_decomposition(rho: DensityMatrix) -> SeparableDecomposition:
             "the sufficient criterion does not apply"
         )
     dims = rho.dims
-    n = len(dims)
     inball = [ball_radii(d)[0] for d in dims]
-    vec_sizes = [d * d - 1 for d in dims]
-
-    def blank():
-        return [np.zeros(sz) for sz in vec_sizes]
-
     terms = []
-    for k, nrm, s in detail:
-        if nrm <= WEIGHT_CUTOFF:
-            continue
-        factors = blank()
-        factors[k] = inball[k] * (s / nrm)
-        terms.append((_component_coefficient(dims, (k,)) * nrm, tuple(factors)))
-    for subset, form in subset_parts:
-        m = len(subset)
-        coef = _component_coefficient(dims, subset)
-        table = sign_table(m)
+    for subset, coef, form in parts:
+        table = sign_table(len(subset))
         share = 1.0 / table.shape[0]
         for j in range(form.rank):
             weight = coef * float(form.weights[j]) * share
@@ -320,7 +279,7 @@ def separable_decomposition(rho: DensityMatrix) -> SeparableDecomposition:
                 inball[k] * form.factors[pos][:, j] for pos, k in enumerate(subset)
             ]
             for row in table:
-                factors = blank()
+                factors = [np.zeros(d * d - 1) for d in dims]
                 for pos, k in enumerate(subset):
                     factors[k] = row[pos] * base[pos]
                 terms.append((weight, tuple(factors)))
@@ -407,7 +366,7 @@ def threshold_search(family, criterion: str = "t1", subsets="all") -> float | No
         raise TypeError("family must be a ZooSpec")
     if not family.noise_parameterized:
         raise ValueError(f"family {family.family!r} has no noise parameter to sweep")
-    return _closed_form_threshold(replace(family, noise=1.0).build(), criterion, subsets)
+    return _closed_form_threshold(family._state(), criterion, subsets)
 
 
 def noise_threshold_table(max_parties: int = 6) -> list:

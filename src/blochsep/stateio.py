@@ -76,7 +76,10 @@ def state_from_jsonable(doc) -> DensityMatrix:
                 raise InvalidStateError(
                     f"matrix entry ({i}, {j}) must be a [re, im] number pair"
                 )
-            mat[i, j] = complex(entry[0], entry[1])
+            try:
+                mat[i, j] = complex(entry[0], entry[1])
+            except OverflowError:
+                raise InvalidStateError(f"matrix entry ({i}, {j}) is too large for a float")
     # dimension and matrix-content checks (Hermiticity, trace, positivity)
     return DensityMatrix(tuple(dims), mat)
 

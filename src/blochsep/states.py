@@ -306,24 +306,26 @@ class ZooSpec:
     def noise_parameterized(self) -> bool:
         return self.family in _FAMILIES and _FAMILIES[self.family][1]
 
-    def build(self) -> DensityMatrix:
+    def _state(self) -> DensityMatrix:
+        """The state, or sigma for a noise family; refuses unread parameters."""
         fam = self.family
         if fam not in _FAMILIES:
             raise ValueError(f"unknown state family {fam!r} (known: {', '.join(_FAMILIES)})")
         reads, noise_family, builder = _FAMILIES[fam]
-        given = self.parameters
-        for name in given:
+        for name in self.parameters:
             if name not in reads and not (noise_family and name == "noise"):
                 raise ValueError(f"family {fam!r} takes no parameter {name!r}")
+        return builder(*map(self._read, reads))
 
-        def read(name):
-            value = given.get(name, _DEFAULTS.get(name))
-            if value is None:
-                raise ValueError(f"family {fam!r} needs parameter {name!r}")
-            return value
+    def _read(self, name):
+        value = self.parameters.get(name, _DEFAULTS.get(name))
+        if value is None:
+            raise ValueError(f"family {self.family!r} needs parameter {name!r}")
+        return value
 
-        state = builder(*map(read, reads))
-        return noisy(state, read("noise")) if noise_family else state
+    def build(self) -> DensityMatrix:
+        state = self._state()
+        return noisy(state, self._read("noise")) if self.noise_parameterized else state
 
 
 def zoo_families() -> tuple:

@@ -160,17 +160,22 @@ def kruskal_to_tensor(form: KruskalForm) -> np.ndarray:
 def find_orthogonal_kruskal(tensor, tol: float = RANK_CUTOFF):
     """Return a completely orthogonal Kruskal form of ``tensor`` or None.
 
-    Order-2 tensors always admit one through the singular value
-    decomposition.  For order >= 3 only tensors that are exactly diagonal
-    (nonzero entries confined to equal-index positions, which requires equal
-    mode dimensions) are decomposed here; anything else returns None.  The
-    returned form has orthonormal factor columns in every mode and strictly
-    positive weights, so its weight sum is the tensor's Ky Fan norm.
+    A vector v is its own form, weight ||v|| and factor v / ||v||; order-2
+    tensors always admit one through the singular value decomposition.  For
+    order >= 3 only tensors that are exactly diagonal (nonzero entries
+    confined to equal-index positions, which requires equal mode dimensions)
+    are decomposed here; anything else returns None.  A zero tensor gives
+    the rank-0 form.  The returned form has orthonormal factor columns in
+    every mode and strictly positive weights, so its weight sum is the
+    tensor's Ky Fan norm (for a vector, its Euclidean norm).
     """
-    t = _as_tensor(tensor)
+    t = _as_tensor(tensor, min_order=1)
     scale = float(np.abs(t).max())
     if scale == 0.0:
         return KruskalForm(np.zeros(0), [np.zeros((n, 0)) for n in t.shape])
+    if t.ndim == 1:
+        norm = np.linalg.norm(t)
+        return KruskalForm([norm], [(t / norm)[:, None]])
     if t.ndim == 2:
         u, s, vt = np.linalg.svd(t, full_matrices=False)
         keep = s > tol * s[0]
@@ -202,10 +207,11 @@ def sign_table(n_parties: int) -> np.ndarray:
     the last column is the product of the others, so every row carries an
     even number of minus signs.  Over any proper nonempty column subset the
     row-wise products sum to zero, which is what cancels the unwanted
-    lower-order terms when the table drives a product-state average.
+    lower-order terms when the table drives a product-state average.  For
+    N = 1 the table is [[1]]: a coherence vector needs no balancing.
     """
-    if n_parties < 2:
-        raise ValueError("sign tables are defined for at least 2 columns")
+    if n_parties < 1:
+        raise ValueError("sign tables are defined for at least 1 column")
     rows = 1 << (n_parties - 1)
     table = np.ones((rows, n_parties), dtype=int)
     for c in range(n_parties - 1):

@@ -236,6 +236,32 @@ def test_invalid_inputs_exit_2(tmp_path):
     code, _, _ = run(["analyze", "--no-such-flag"])
     assert code == 2
 
+    # an integer entry too large for a float
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"schema": "blochsep/1", "kind": "state", "dims": [2], "matrix": '
+                    '[[[1' + "0" * 400 + ', 0], [0, 0]], [[0, 0], [0, 0]]]}')
+    code, out, err = run(["analyze", str(huge)])
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "matrix entry (0, 0)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["zoo", "nope"],
+    ["analyze", "zoo:ghz", "-N", "x"],
+    ["analyze", "--no-such-flag"],
+    [],
+], ids=["zoo-unknown-family", "analyze-bad-int", "analyze-unknown-flag", "no-command"])
+def test_usage_errors_take_one_line(argv):
+    code, out, err = run(argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_help_still_exits_0():
+    code, out, err = run(["--help"])
+    assert code == 0 and err == ""
+    assert "usage: blochsep" in out
+
 
 def test_numeric_integrity_exits_4(monkeypatch):
     def explode(*args, **kwargs):
@@ -281,10 +307,12 @@ def test_analyze_expands_the_state_once(monkeypatch):
     (["threshold-table", "--max-parties", "4"], 4),
 ])
 def test_thresholds_expand_one_state_each(monkeypatch, argv, expansions):
-    counts = {"transform": 0}
+    # each threshold builds and validates sigma once, and expands it once
+    counts = {"transform": 0, "validate": 0}
     count_calls(monkeypatch, counts, "transform", blochsep.bloch, "_mode_products")
+    count_calls(monkeypatch, counts, "validate", blochsep.states, "validate_density")
     run_json(argv)
-    assert counts["transform"] == expansions
+    assert counts == {"transform": expansions, "validate": expansions}
 
 
 def test_decompose_assembles_through_the_inverse_map(monkeypatch):

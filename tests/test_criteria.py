@@ -218,14 +218,20 @@ def test_decomposition_unavailable():
         separable_decomposition(smolin())
 
 
+def noisy_qubit_qutrit_product():
+    """|0><0| x |1><1| on (2, 3) with noise weight 0.1: both coherence
+    vectors and the correlation tensor are nonzero."""
+    v = np.kron(basis_ket((0,), (2,)), basis_ket((1,), (3,)))
+    return noisy(DensityMatrix((2, 3), projector(v)), 0.1)
+
+
 def decomposition_grid():
     rng = np.random.default_rng(25)
     yield zoo_state("werner", noise=0.05)
     yield zoo_state("werner", noise=0.25)
     yield diagonal_qubit_state(3, (0, 0.3, 0.4))
     yield diagonal_qubit_state(4, (0.2, 0.2, 0.2))
-    v = np.kron(basis_ket((0,), (2,)), basis_ket((1,), (3,)))
-    yield noisy(DensityMatrix((2, 3), projector(v)), 0.1)
+    yield noisy_qubit_qutrit_product()
     yield zoo_state("qutrit-ghz-noisy", parties=2, noise=0.05)
     yield zoo_state("ghz-noisy", parties=2, levels=4, noise=0.02)
 
@@ -243,6 +249,17 @@ def test_decomposition_invariants():
                 assert np.linalg.norm(vec) <= r + 1e-10
         rebuilt = assemble_decomposition(dec)
         assert np.abs(rebuilt.matrix - rho.matrix).max() <= 1e-9
+
+
+def test_qudit_coherence_vectors_give_one_term_each():
+    # one term per coherence vector (subsystem 0, then 1), then the
+    # 2-term sign-balanced pair of the rank-1 correlation tensor
+    dec = separable_decomposition(noisy_qubit_qutrit_product())
+    assert len(dec.terms) == 4
+    assert [w for w, _ in dec.terms] == pytest.approx([0.1, 0.2, 0.1, 0.1], abs=1e-15)
+    assert dec.identity_weight == pytest.approx(0.5, abs=1e-15)
+    assert [np.flatnonzero(f[0]).size for _, f in dec.terms] == [1, 0, 1, 1]
+    assert [np.flatnonzero(f[1]).size for _, f in dec.terms] == [0, 2, 2, 2]
 
 
 def test_soundness_on_random_separable_states():

@@ -217,6 +217,31 @@ def test_orthogonal_form_zero_tensor():
     np.testing.assert_array_equal(kruskal_to_tensor(form), np.zeros((3, 3, 3)))
 
 
+def test_orthogonal_form_for_vectors():
+    # a vector's form is one term: weight ||v|| and the signed unit vector
+    v = np.array([-3.0, 0.0, 4.0])
+    form = find_orthogonal_kruskal(v)
+    assert form.rank == 1 and form.order == 1
+    assert form.weights[0] == 5.0
+    np.testing.assert_array_equal(form.factors[0][:, 0], [-0.6, 0.0, 0.8])
+    np.testing.assert_array_equal(kruskal_to_tensor(form), v)
+    rng = np.random.default_rng(13)
+    w = rng.normal(size=7)
+    w[0] = -abs(w[0])
+    form = find_orthogonal_kruskal(w)
+    assert form.weights[0] == np.linalg.norm(w)
+    np.testing.assert_allclose(kruskal_to_tensor(form), w, rtol=0, atol=1e-15)
+    zero = find_orthogonal_kruskal(np.zeros(5))
+    assert zero.rank == 0
+    assert [f.shape for f in zero.factors] == [(5, 0)]
+    np.testing.assert_array_equal(kruskal_to_tensor(zero), np.zeros(5))
+
+
+def test_sign_table_needs_a_column():
+    with pytest.raises(ValueError):
+        sign_table(0)
+
+
 def test_sign_table_two_parties():
     np.testing.assert_array_equal(sign_table(2), [[1, 1], [-1, -1]])
 
@@ -243,7 +268,7 @@ def test_sign_table_four_parties():
     ])
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 1])
 def test_sign_table_is_even_parity_group(m):
     table = sign_table(m)
     assert table.shape == (2 ** (m - 1), m)
