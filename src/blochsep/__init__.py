@@ -57,7 +57,7 @@ from .states import (
     zoo_state,
 )
 from .stateio import load_state, save_state
-from .su_basis import GeneratorBasis, build_basis
+from .su_basis import build_basis
 from .tensors import (
     KruskalForm,
     find_orthogonal_kruskal,

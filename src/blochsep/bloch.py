@@ -57,7 +57,7 @@ class BlochData:
 @lru_cache(maxsize=None)
 def _stack(d: int, scale: float) -> np.ndarray:
     """[I, scale g_1, ...] as a (d^2, d^2) matrix: row a is A_a flattened."""
-    gens = scale * build_basis(d).generators
+    gens = scale * build_basis(d)
     arr = np.concatenate([np.eye(d, dtype=complex)[None], gens]).reshape(d * d, d * d)
     arr.flags.writeable = False
     return arr
@@ -115,11 +115,12 @@ def _coefficients(rho: DensityMatrix) -> np.ndarray:
     return coeff
 
 
-def _components(rho: DensityMatrix):
-    """(subset, read-only slice of the coefficient array) for every
-    component, coherence vectors being the order-1 case."""
+def _components(rho: DensityMatrix, subsets=None):
+    """(subset, read-only slice of the coefficient array) for each of the
+    ascending index tuples ``subsets``, or for every component when None,
+    coherence vectors being the order-1 case."""
     coeff, n = _coefficients(rho), rho.n_parties
-    for subset in _subsets(n):
+    for subset in _subsets(n) if subsets is None else subsets:
         yield subset, coeff[_slot(n, subset)]
 
 

@@ -17,7 +17,6 @@ numeric integrity failure.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 
@@ -33,7 +32,6 @@ from .criteria import (
 )
 from .errors import CriterionUnavailableError, InvalidStateError, NumericIntegrityError
 from .states import DensityMatrix, ZooSpec, zoo_families
-from .tolerances import BOUND_GUARD
 from .stateio import (
     SCHEMA_VERSION,
     dump_json,
@@ -84,12 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["t1", "c1", "c2", "p2", "all"],
         help="t1: necessary norm test on the full tensor; c1: the same per "
         "subset; c2: exact qubit-class test; p2: sufficiency sum (default: all)",
-    )
-    pa.add_argument(
-        "--tol",
-        type=float,
-        default=None,
-        help="guard band for norm-vs-bound verdicts, a finite number >= 0",
     )
     pa.add_argument("--format", default="json", choices=["json", "csv"])
     pa.add_argument(
@@ -194,16 +186,13 @@ def _emit(args, text: str) -> None:
 
 
 def cmd_analyze(args) -> int:
-    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
-        raise InvalidStateError(f"--tol must be a finite number >= 0, got {args.tol}")
     rho, descriptor = _resolve_state(args)
     start = time.perf_counter()
-    guard = BOUND_GUARD if args.tol is None else args.tol
     selector = _parse_subsets(args.subsets)
     if args.criteria == "t1":
         selector = "full"
-    records = subset_scan(rho, selector, guard) if args.criteria in ("t1", "c1", "all") else []
-    exact = qubit_exact_test(rho, guard) if args.criteria in ("c2", "all") else None
+    records = subset_scan(rho, selector) if args.criteria in ("t1", "c1", "all") else []
+    exact = qubit_exact_test(rho) if args.criteria in ("c2", "all") else None
     suff = sufficiency_test(rho) if args.criteria in ("p2", "all") else None
     elapsed = time.perf_counter() - start
 
@@ -259,10 +248,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_threshold(args) -> int:
-    if args.noise is not None:
-        raise InvalidStateError(
-            "threshold sweeps the noise weight itself; drop -p/--noise"
-        )
     spec = _zoo_spec(args.family, args)
     p_star = threshold_search(spec, args.criterion)
     doc = {

@@ -17,9 +17,9 @@ Three kinds of statement are implemented:
 A component is the coefficient-array slice of one nonempty subsystem subset;
 a coherence vector is the order-1 case, so the criteria walk them in one loop.
 
-Norm-versus-bound comparisons respect a small guard band; results inside
-the band are reported inconclusive with ``borderline=True`` rather than
-pretending to a resolution the arithmetic cannot support.
+Norm-versus-bound comparisons respect the fixed guard band ``BOUND_GUARD``;
+results inside it are inconclusive with ``borderline=True``.  The band only
+absorbs rounding, and a narrower one would call separable states entangled.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .bloch import _components, _from_coefficients, _subsets, ball_radii, correlation_tensor
+from .bloch import _components, _from_coefficients, _subsets, ball_radii
 from .errors import CriterionUnavailableError
 from .states import DensityMatrix, ZooSpec
 from .tensors import (
@@ -109,66 +109,61 @@ def separability_bound(dims) -> float:
     return math.sqrt(math.prod(d * (d - 1) / 2.0 for d in dims))
 
 
-def _check_guard(guard: float) -> None:
-    if not (math.isfinite(guard) and guard >= 0.0):
-        raise ValueError(f"guard band must be a finite number >= 0, got {guard}")
-
-
-def necessary_test(
-    rho: DensityMatrix, subset=None, guard: float = BOUND_GUARD
-) -> Verdict:
+def necessary_test(rho: DensityMatrix, subset=None) -> Verdict:
     """Compare the Ky Fan norm of a correlation tensor with the separable
-    bound.  ``subset=None`` means the full system; a proper subset tests the
-    reduced state, whose entanglement also rules out full separability of
-    ``rho``.  Never returns Separable: the criterion is only necessary."""
-    _check_guard(guard)
-    if subset is None:
-        subset = range(rho.n_parties)
-    subset = tuple(sorted({int(k) for k in subset}))
-    norm = tensor_kyfan(correlation_tensor(rho, subset))
-    bound = separability_bound(tuple(rho.dims[k] for k in subset))
-    crit = "necessary-norm"
-    if norm > bound + guard:
-        return Verdict(Decision.ENTANGLED, norm, bound, crit, subset=subset)
-    return Verdict(Decision.INCONCLUSIVE, norm, bound, crit, norm > bound - guard, subset=subset)
+    bound: the one-subset case of :func:`subset_scan`.  ``subset=None``
+    means the full system; a proper subset tests the reduced state, whose
+    entanglement also rules out full separability of ``rho``.  Never
+    returns Separable: the criterion is only necessary."""
+    return subset_scan(rho, "full" if subset is None else [subset])[0]
 
 
 def _select_subsets(n_parties: int, selector) -> list:
-    if isinstance(selector, str):
-        if selector == "full":
-            return [tuple(range(n_parties))]
-        if selector not in ("all", "pairs"):
-            raise ValueError(f"unknown subset selector {selector!r}")
-        sizes = range(2, n_parties + 1) if selector == "all" else (2,)
-        return [s for s in _subsets(n_parties) if len(s) in sizes]
     if isinstance(selector, int):
         if not 2 <= selector <= n_parties:
             raise ValueError(f"subset size must lie in [2, {n_parties}], got {selector}")
-        return [s for s in _subsets(n_parties) if len(s) == selector]
-    subsets = sorted(
-        {tuple(sorted(set(int(k) for k in s))) for s in selector},
-        key=lambda s: (len(s), s),
-    )
+        subsets = [s for s in _subsets(n_parties) if len(s) == selector]
+    elif not isinstance(selector, str):
+        subsets = sorted(
+            {tuple(sorted(set(int(k) for k in s))) for s in selector},
+            key=lambda s: (len(s), s),
+        )
+    elif selector == "full":
+        subsets = [tuple(range(n_parties))]
+    elif selector in ("all", "pairs"):
+        sizes = range(2, n_parties + 1) if selector == "all" else (2,)
+        subsets = [s for s in _subsets(n_parties) if len(s) in sizes]
+    else:
+        raise ValueError(f"unknown subset selector {selector!r}")
     for s in subsets:
-        if len(s) < 2 or s[0] < 0 or s[-1] >= n_parties:
-            raise ValueError(f"invalid subset {s} for {n_parties} parties")
+        if len(s) < 2:
+            raise ValueError(f"subset {s} too small (need at least 2 subsystems)")
+        if s[0] < 0 or s[-1] >= n_parties:
+            raise ValueError(f"subset {s} out of range for {n_parties} parties")
     return subsets
 
 
-def subset_scan(
-    rho: DensityMatrix, subsets="all", guard: float = BOUND_GUARD
-) -> list:
+def subset_scan(rho: DensityMatrix, subsets="all") -> list:
     """Run the necessary norm test on each selected subsystem subset and
     return the verdicts in selector order, each carrying its ``subset``.
 
     ``subsets`` may be "all" (every subset of size >= 2), "full", "pairs",
-    an integer size, or an explicit iterable of index tuples.
+    an integer size, or an explicit iterable of index tuples.  Every norm
+    verdict of the necessary criterion is made here, on tensors read in place.
     """
-    _check_guard(guard)
-    return [necessary_test(rho, s, guard) for s in _select_subsets(rho.n_parties, subsets)]
+    verdicts = []
+    for subset, t in _components(rho, _select_subsets(rho.n_parties, subsets)):
+        norm = tensor_kyfan(t)
+        bound = separability_bound(tuple(rho.dims[k] for k in subset))
+        entangled = norm > bound + BOUND_GUARD
+        verdicts.append(Verdict(
+            Decision.ENTANGLED if entangled else Decision.INCONCLUSIVE, norm, bound,
+            "necessary-norm", not entangled and norm > bound - BOUND_GUARD, subset=subset,
+        ))
+    return verdicts
 
 
-def qubit_exact_test(rho: DensityMatrix, guard: float = BOUND_GUARD) -> Verdict:
+def qubit_exact_test(rho: DensityMatrix) -> Verdict:
     """Exact separability decision for the qubit class with only top-order
     correlations.
 
@@ -178,7 +173,6 @@ def qubit_exact_test(rho: DensityMatrix, guard: float = BOUND_GUARD) -> Verdict:
     the Ky Fan norm (the decomposition's weight sum) is at most 1.  Unmet
     preconditions yield Inconclusive with a reason code.
     """
-    _check_guard(guard)
     crit = "qubit-exact"
     if rho.n_parties < 2 or any(d != 2 for d in rho.dims):
         return Verdict(Decision.INCONCLUSIVE, None, 1.0, crit, reason="not-a-multiqubit-state")
@@ -193,9 +187,9 @@ def qubit_exact_test(rho: DensityMatrix, guard: float = BOUND_GUARD) -> Verdict:
         reason = "no-orthogonal-decomposition"
         return Verdict(Decision.INCONCLUSIVE, None, 1.0, crit, reason=reason)
     norm = float(form.weights.sum())
-    if norm > 1.0 + guard:
+    if norm > 1.0 + BOUND_GUARD:
         return Verdict(Decision.ENTANGLED, norm, 1.0, crit)
-    if norm < 1.0 - guard:
+    if norm < 1.0 - BOUND_GUARD:
         return Verdict(Decision.SEPARABLE, norm, 1.0, crit)
     return Verdict(Decision.INCONCLUSIVE, norm, 1.0, crit, borderline=True)
 
@@ -218,7 +212,7 @@ def _sufficiency_parts(rho: DensityMatrix):
     return total, parts
 
 
-def sufficiency_test(rho: DensityMatrix, slack: float = SUFFICIENCY_SLACK) -> Verdict:
+def sufficiency_test(rho: DensityMatrix) -> Verdict:
     """Sufficient criterion: ``norm_value`` is the weighted sum over every
     nonempty subset S of subsystems
 
@@ -227,13 +221,14 @@ def sufficiency_test(rho: DensityMatrix, slack: float = SUFFICIENCY_SLACK) -> Ve
     where T^S for a single subsystem is its coherence vector, whose Ky Fan
     norm is its Euclidean norm; lhs <= 1 certifies separability.  lhs is
     None when some tensor of order >= 3 has no completely orthogonal
-    decomposition; that and a larger sum are merely inconclusive."""
+    decomposition; that and a larger sum are merely inconclusive.  The sum
+    may exceed one by ``SUFFICIENCY_SLACK``, which absorbs its rounding."""
     crit = "sufficiency-sum"
     total, parts = _sufficiency_parts(rho)
     if total is None:
         reason = f"no-orthogonal-decomposition:{parts}"
         return Verdict(Decision.INCONCLUSIVE, None, 1.0, crit, reason=reason)
-    if total <= 1.0 + slack:
+    if total <= 1.0 + SUFFICIENCY_SLACK:
         return Verdict(Decision.SEPARABLE, total, 1.0, crit)
     return Verdict(Decision.INCONCLUSIVE, total, 1.0, crit, reason="sum-exceeds-one")
 
@@ -352,9 +347,10 @@ def _closed_form_threshold(sigma: DensityMatrix, criterion: str, subsets) -> flo
 def threshold_search(family, criterion: str = "t1", subsets="all") -> float | None:
     """Locate the noise weight p in [0, 1] where a criterion's verdict flips.
 
-    ``family`` is a ZooSpec with a free noise parameter.  Zoo families have
-    the form (1-p)/D I + p sigma, so the flip is computed in closed form from
-    one evaluation of the criterion on sigma (the state at p = 1).  Returns
+    ``family`` is a ZooSpec of a noise family with ``noise`` left unset.
+    Zoo families have the form (1-p)/D I + p sigma, so the flip is computed
+    in closed form from one evaluation of the criterion on sigma (the state
+    at p = 1).  Returns
     None when the verdict never flips on [0, 1], and 0.0 when the state is
     flagged at every p > 0.
     """
@@ -366,6 +362,9 @@ def threshold_search(family, criterion: str = "t1", subsets="all") -> float | No
         raise TypeError("family must be a ZooSpec")
     if not family.noise_parameterized:
         raise ValueError(f"family {family.family!r} has no noise parameter to sweep")
+    if family.noise is not None:
+        raise ValueError("a threshold sweeps the noise weight itself; "
+                         f"leave noise unset (got {family.noise})")
     return _closed_form_threshold(family._state(), criterion, subsets)
 
 

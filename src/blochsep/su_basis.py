@@ -11,29 +11,17 @@ All generators are Hermitian, traceless and normalized to Tr(g_i g_j) =
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 import math
 
 import numpy as np
 
 
-@dataclass(frozen=True, eq=False)
-class GeneratorBasis:
-    """Ordered basis of the d^2 - 1 traceless Hermitian SU(d) generators."""
-
-    d: int
-    generators: np.ndarray  # shape (d*d - 1, d, d), complex
-
-    def __len__(self) -> int:
-        return self.generators.shape[0]
-
-
 @lru_cache(maxsize=None)
-def build_basis(d: int) -> GeneratorBasis:
-    """Return the generator basis for one subsystem of dimension ``d``.
+def build_basis(d: int) -> np.ndarray:
+    """The (d^2 - 1, d, d) complex array of SU(d) generators, in basis order.
 
-    Results are cached and the arrays are read-only.
+    Results are cached and read-only.
     """
     if d < 2:
         raise ValueError(f"subsystem dimension must be at least 2, got {d}")
@@ -59,4 +47,4 @@ def build_basis(d: int) -> GeneratorBasis:
         mats.append(m)
     arr = np.stack(mats)
     arr.flags.writeable = False
-    return GeneratorBasis(d=d, generators=arr)
+    return arr

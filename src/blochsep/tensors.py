@@ -77,12 +77,12 @@ def tensor_kyfan(tensor) -> float:
     return max(matrix_kyfan(unfold(t, m)) for m in range(t.ndim))
 
 
-def is_supersymmetric(tensor, tol: float = 1e-12) -> bool:
+def is_supersymmetric(tensor) -> bool:
     """True when the tensor is invariant under every permutation of its modes.
 
     Tensors with unequal mode dimensions cannot be permutation invariant and
     yield False.  Invariance under all adjacent transpositions suffices, so
-    only order - 1 comparisons are made.
+    only order - 1 comparisons are made, each to 1e-12 max(1, max |entry|).
     """
     t = _as_tensor(tensor)
     if len(set(t.shape)) != 1:
@@ -91,7 +91,7 @@ def is_supersymmetric(tensor, tol: float = 1e-12) -> bool:
     for m in range(t.ndim - 1):
         axes = list(range(t.ndim))
         axes[m], axes[m + 1] = axes[m + 1], axes[m]
-        if not np.allclose(t, t.transpose(axes), rtol=0.0, atol=tol * scale):
+        if not np.allclose(t, t.transpose(axes), rtol=0.0, atol=1e-12 * scale):
             return False
     return True
 
@@ -157,17 +157,18 @@ def kruskal_to_tensor(form: KruskalForm) -> np.ndarray:
     return (left @ right.T).reshape(form.shape)
 
 
-def find_orthogonal_kruskal(tensor, tol: float = RANK_CUTOFF):
+def find_orthogonal_kruskal(tensor):
     """Return a completely orthogonal Kruskal form of ``tensor`` or None.
 
     A vector v is its own form, weight ||v|| and factor v / ||v||; order-2
     tensors always admit one through the singular value decomposition.  For
     order >= 3 only tensors that are exactly diagonal (nonzero entries
     confined to equal-index positions, which requires equal mode dimensions)
-    are decomposed here; anything else returns None.  A zero tensor gives
-    the rank-0 form.  The returned form has orthonormal factor columns in
-    every mode and strictly positive weights, so its weight sum is the
-    tensor's Ky Fan norm (for a vector, its Euclidean norm).
+    are decomposed here; anything else returns None.  Entries and singular
+    values at or below ``RANK_CUTOFF`` times the largest count as zero, and
+    a zero tensor gives the rank-0 form.  The returned form has orthonormal
+    factor columns in every mode and strictly positive weights, so its weight
+    sum is the tensor's Ky Fan norm (for a vector, its Euclidean norm).
     """
     t = _as_tensor(tensor, min_order=1)
     scale = float(np.abs(t).max())
@@ -178,7 +179,7 @@ def find_orthogonal_kruskal(tensor, tol: float = RANK_CUTOFF):
         return KruskalForm([norm], [(t / norm)[:, None]])
     if t.ndim == 2:
         u, s, vt = np.linalg.svd(t, full_matrices=False)
-        keep = s > tol * s[0]
+        keep = s > RANK_CUTOFF * s[0]
         return KruskalForm(s[keep], [u[:, keep], vt[keep].T])
     if len(set(t.shape)) != 1:
         return None
@@ -187,17 +188,12 @@ def find_orthogonal_kruskal(tensor, tol: float = RANK_CUTOFF):
     diag = t[idx]
     off = t.copy()
     off[idx] = 0.0
-    if np.abs(off).max() > tol * scale:
+    if np.abs(off).max() > RANK_CUTOFF * scale:
         return None
-    keep = np.flatnonzero(np.abs(diag) > tol * scale)
-    weights = np.abs(diag[keep])
-    factors = []
-    for m in range(t.ndim):
-        f = np.zeros((d, keep.size))
-        for col, i in enumerate(keep):
-            f[i, col] = np.sign(diag[i]) if m == 0 else 1.0
-        factors.append(f)
-    return KruskalForm(weights, factors)
+    keep = np.flatnonzero(np.abs(diag) > RANK_CUTOFF * scale)
+    # np.diag keeps the zeros at +0.0; np.eye(d) * sign gives -0.0 that reports print
+    factors = [np.diag(np.sign(diag))[:, keep]] + [np.eye(d)[:, keep]] * (t.ndim - 1)
+    return KruskalForm(np.abs(diag[keep]), factors)
 
 
 def sign_table(n_parties: int) -> np.ndarray:

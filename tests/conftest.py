@@ -77,7 +77,7 @@ def diagonal_qubit_state(n_parties, weights):
 
 def brute_correlation(rho, subset):
     """Oracle: trace against identity-padded Kronecker generator products."""
-    stacks = {k: build_basis(rho.dims[k]).generators for k in subset}
+    stacks = {k: build_basis(rho.dims[k]) for k in subset}
     shape = tuple(rho.dims[k] ** 2 - 1 for k in subset)
     prefactor = np.prod([rho.dims[k] / 2 for k in subset])
     out = np.zeros(shape)

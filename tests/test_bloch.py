@@ -117,7 +117,7 @@ def test_correlation_tensor_against_brute_oracle(dims):
     for k in range(n):
         expected = [(rho.dims[k] / 2) * np.trace(
             partial_trace(rho, (k,)).matrix @ g).real
-            for g in build_basis(rho.dims[k]).generators]
+            for g in build_basis(rho.dims[k])]
         np.testing.assert_allclose(bloch_vector(rho, k), expected, atol=1e-10)
 
 
@@ -290,7 +290,7 @@ def test_ball_radii_values():
 def test_inball_vectors_give_states(d):
     rng = np.random.default_rng(22 + d)
     r, _ = ball_radii(d)
-    gens = build_basis(d).generators
+    gens = build_basis(d)
     for _ in range(200):
         v = rng.normal(size=d * d - 1)
         v *= r / np.linalg.norm(v)

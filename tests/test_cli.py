@@ -273,7 +273,7 @@ def test_numeric_integrity_exits_4(monkeypatch):
     assert "imaginary residue" in err
 
 
-@pytest.mark.parametrize("tol", ["-2", "nan", "inf"])
+@pytest.mark.parametrize("tol", ["-2", "nan", "inf", "0"])
 def test_analyze_rejects_bad_guard(tol):
     code, out, err = run(["analyze", "zoo:mixed", "--dims", "2,2", "--tol", tol])
     assert code == 2
@@ -299,6 +299,15 @@ def test_analyze_expands_the_state_once(monkeypatch):
     doc = run_json(["analyze", "zoo:smolin", "--subsets", "all", "--criteria", "all"])
     assert len(doc["records"]) == 11
     assert counts == {"transform": 1, "validate": 1}
+
+
+def test_analyze_reads_tensors_in_place(monkeypatch):
+    # the norm test reads slices of the coefficient array, never copies
+    counts = {"component": 0}
+    count_calls(monkeypatch, counts, "component", blochsep.bloch, "_component")
+    doc = run_json(["analyze", "zoo:smolin", "--subsets", "all", "--criteria", "c1"])
+    assert len(doc["records"]) == 11
+    assert counts == {"component": 0}
 
 
 @pytest.mark.parametrize("argv, expansions", [

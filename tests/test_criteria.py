@@ -136,12 +136,15 @@ def test_subset_scan_product_state_inconclusive():
         assert v.norm_value <= v.bound_value + 1e-9
 
 
-@pytest.mark.parametrize("guard", [-2.0, float("nan"), float("inf")])
-def test_criteria_reject_bad_guard(guard):
+def test_guard_band_is_fixed():
+    # the band only absorbs rounding; no caller can narrow it into calling
+    # separable states entangled
     rho = maximally_mixed((2, 2))
     for test in (necessary_test, subset_scan, qubit_exact_test):
-        with pytest.raises(ValueError, match="guard"):
-            test(rho, guard=guard)
+        with pytest.raises(TypeError):
+            test(rho, guard=0.0)
+    with pytest.raises(TypeError):
+        sufficiency_test(rho, slack=0.0)
 
 
 def test_qubit_exact_decides_diagonal_states():
@@ -352,6 +355,14 @@ def test_threshold_search_edge_cases():
         threshold_search(ZooSpec(family="werner"), criterion="t2")
     with pytest.raises(ValueError, match="no noise parameter"):
         threshold_search(ZooSpec(family="smolin"))
+
+
+def test_threshold_search_rejects_noise_weight(monkeypatch):
+    built = []
+    monkeypatch.setattr(ZooSpec, "_state", lambda spec: built.append(spec))
+    with pytest.raises(ValueError, match="sweeps the noise weight"):
+        threshold_search(ZooSpec("ghz-noisy", parties=3, noise=0.5))
+    assert built == []
 
 
 CLOSED_FORM_CASES = [

@@ -13,13 +13,13 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 def structure_constants(d):
     """(f, g) from the triple-product traces Tr(g_a g_b g_c) = 2 g_abc + 2i f_abc."""
-    gens = build_basis(d).generators
+    gens = build_basis(d)
     triple = np.einsum("aij,bjk,cki->abc", gens, gens, gens, optimize=True)
     return triple.imag / 2.0, triple.real / 2.0
 
 
 def test_qubit_generators_are_pauli():
-    gens = build_basis(2).generators
+    gens = build_basis(2)
     np.testing.assert_array_equal(gens[0], PAULI_X)
     np.testing.assert_array_equal(gens[1], PAULI_Y)
     np.testing.assert_array_equal(gens[2], PAULI_Z)
@@ -27,7 +27,7 @@ def test_qubit_generators_are_pauli():
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
 def test_generator_count_and_orthogonality(d):
-    gens = build_basis(d).generators
+    gens = build_basis(d)
     assert gens.shape == (d * d - 1, d, d)
     gram = np.einsum("aij,bji->ab", gens, gens)
     np.testing.assert_allclose(gram, 2.0 * np.eye(d * d - 1), atol=1e-12)
@@ -35,14 +35,14 @@ def test_generator_count_and_orthogonality(d):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_generators_traceless_hermitian(d):
-    gens = build_basis(d).generators
+    gens = build_basis(d)
     traces = np.einsum("aii->a", gens)
     np.testing.assert_allclose(traces, 0, atol=1e-12)
     np.testing.assert_allclose(gens, gens.conj().transpose(0, 2, 1), atol=1e-12)
 
 
 def test_generator_arrays_read_only():
-    gens = build_basis(3).generators
+    gens = build_basis(3)
     with pytest.raises(ValueError):
         gens[0, 0, 0] = 1.0
 
@@ -56,6 +56,7 @@ def test_rejects_dimension_below_two():
 
 def test_basis_is_cached():
     assert build_basis(4) is build_basis(4)
+    assert not build_basis(4).flags.writeable
 
 
 def test_qubit_structure_constants():
@@ -72,7 +73,7 @@ def test_qubit_structure_constants():
 def test_products_reconstruct_from_structure_constants(d):
     # lam_a lam_b = (2/d) delta_ab I + sum_c (g_abc + i f_abc) lam_c
     f, g = structure_constants(d)
-    gens = build_basis(d).generators
+    gens = build_basis(d)
     direct = np.einsum("aik,bkj->abij", gens, gens)
     rebuilt = np.einsum("abc,cij->abij", g + 1j * f, gens)
     rebuilt += (2.0 / d) * np.einsum("ab,ij->abij", np.eye(d * d - 1), np.eye(d))
