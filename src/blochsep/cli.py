@@ -189,8 +189,9 @@ def cmd_analyze(args) -> int:
     rho, descriptor = _resolve_state(args)
     start = time.perf_counter()
     selector = _parse_subsets(args.subsets)
-    if args.criteria == "t1":
-        selector = "full"
+    if selector != "full" and args.criteria not in ("c1", "all"):
+        raise ValueError(f"--criteria {args.criteria} does not read --subsets "
+                         f"(got {args.subsets!r}); only c1 and all do")
     records = subset_scan(rho, selector) if args.criteria in ("t1", "c1", "all") else []
     exact = qubit_exact_test(rho) if args.criteria in ("c2", "all") else None
     suff = sufficiency_test(rho) if args.criteria in ("p2", "all") else None

@@ -119,6 +119,9 @@ def necessary_test(rho: DensityMatrix, subset=None) -> Verdict:
 
 
 def _select_subsets(n_parties: int, selector) -> list:
+    if n_parties < 2:
+        raise ValueError(
+            f"the necessary test needs at least 2 subsystems, the state has {n_parties}")
     if isinstance(selector, int):
         if not 2 <= selector <= n_parties:
             raise ValueError(f"subset size must lie in [2, {n_parties}], got {selector}")
@@ -150,6 +153,7 @@ def subset_scan(rho: DensityMatrix, subsets="all") -> list:
     ``subsets`` may be "all" (every subset of size >= 2), "full", "pairs",
     an integer size, or an explicit iterable of index tuples.  Every norm
     verdict of the necessary criterion is made here, on tensors read in place.
+    A single-party state raises ``ValueError`` under every selector.
     """
     verdicts = []
     for subset, t in _components(rho, _select_subsets(rho.n_parties, subsets)):

@@ -4,11 +4,21 @@ State files carry the density matrix entrywise as [re, im] pairs.  Floats go
 through Python's shortest round-trip repr (up to 17 significant digits), so a
 save/load/save cycle is byte-identical.  Writes are atomic: content lands in
 a sibling temporary file first and is moved into place.
+
+Both directions work on whole arrays.  The reader converts the matrix with
+one ``np.asarray`` call and checks its shape and leaf types; only a matrix
+that fails those checks goes through the entrywise walk, which exists to name
+the first bad row or entry.  The writer fills the matrix of a state document
+from a per-row ``%r`` template and leaves the rest to ``json``; its bytes are
+those of ``json.dumps(doc, indent=2, allow_nan=False)``, which it falls back
+to for any matrix it cannot vouch for (non-finite values, leaves that are not
+floats, ragged rows).
 """
 from __future__ import annotations
 
 import csv
 import io
+from itertools import chain
 import json
 import os
 
@@ -21,14 +31,12 @@ SCHEMA_VERSION = "blochsep/1"
 
 
 def state_to_jsonable(rho: DensityMatrix, name: str | None = None, source: str | None = None) -> dict:
-    matrix = [
-        [[float(entry.real), float(entry.imag)] for entry in row] for row in rho.matrix
-    ]
+    m = np.ascontiguousarray(rho.matrix, dtype=complex)
     doc = {
         "schema": SCHEMA_VERSION,
         "kind": "state",
         "dims": [int(d) for d in rho.dims],
-        "matrix": matrix,
+        "matrix": m.view(float).reshape(*m.shape, 2).tolist(),
     }
     metadata = {}
     if name is not None:
@@ -63,6 +71,34 @@ def state_from_jsonable(doc) -> DensityMatrix:
         total *= max(d, 1)
     if not isinstance(raw, list) or len(raw) != total:
         raise InvalidStateError(f"matrix must be a list of {total} rows")
+    mat = _matrix_array(raw, total)
+    if mat is None:
+        mat = _matrix_entrywise(raw, total)
+    # dimension and matrix-content checks (Hermiticity, trace, positivity)
+    return DensityMatrix(tuple(dims), mat)
+
+
+def _matrix_array(raw: list, total: int):
+    """The complex matrix of a well-formed ``raw``: ``total`` lists of
+    ``total`` [re, im] lists of ints and floats.  None for anything else,
+    bools included, which ``np.asarray`` would quietly read as 0 and 1."""
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if (
+        arr.shape != (total, total, 2)
+        or set(map(type, raw)) != {list}
+        or set(map(type, chain.from_iterable(raw))) != {list}
+        or not set(map(type, chain.from_iterable(chain.from_iterable(raw)))) <= {int, float}
+    ):
+        return None
+    return arr.view(complex)[..., 0]
+
+
+def _matrix_entrywise(raw: list, total: int) -> np.ndarray:
+    """Entry-by-entry conversion that raises on the first malformed row or
+    entry; reached only when ``_matrix_array`` refuses ``raw``."""
     mat = np.empty((total, total), dtype=complex)
     for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != total:
@@ -80,8 +116,7 @@ def state_from_jsonable(doc) -> DensityMatrix:
                 mat[i, j] = complex(entry[0], entry[1])
             except OverflowError:
                 raise InvalidStateError(f"matrix entry ({i}, {j}) is too large for a float")
-    # dimension and matrix-content checks (Hermiticity, trace, positivity)
-    return DensityMatrix(tuple(dims), mat)
+    return mat
 
 
 def state_metadata(doc) -> dict:
@@ -89,8 +124,46 @@ def state_metadata(doc) -> dict:
     return meta if isinstance(meta, dict) else {}
 
 
+# one [re, im] pair of a matrix row, at the depth ``indent=2`` puts it
+_PAIR = "      [\n        %r,\n        %r\n      ]"
+_MATRIX_LINE = '\n  "matrix": '
+
+
 def dump_json(doc) -> str:
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    """``json.dumps(doc, indent=2, allow_nan=False)`` plus a newline; the
+    matrix of a state document is written from a template."""
+    body = _matrix_text(doc)
+    if body is None:
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    # a top-level key is the only line that starts with exactly two spaces
+    # and a quote, so the placeholder occurs once
+    head, _, tail = json.dumps({**doc, "matrix": []}, indent=2, allow_nan=False) \
+        .partition(_MATRIX_LINE + "[]")
+    return head + _MATRIX_LINE + body + tail + "\n"
+
+
+def _matrix_text(doc):
+    """The ``indent=2`` text of a state document's matrix, or None unless it
+    is a nonempty list of equal-length, nonempty lists of [re, im] lists of
+    finite floats, which is all the template writes as json would."""
+    if type(doc) is not dict or doc.get("kind") != "state":
+        return None
+    matrix = doc.get("matrix")
+    if type(matrix) is not list or set(map(type, matrix)) != {list}:
+        return None
+    n = len(matrix[0])
+    if (
+        set(map(len, matrix)) != {n}
+        or set(map(type, chain.from_iterable(matrix))) != {list}
+        or set(map(len, chain.from_iterable(matrix))) != {2}
+        or set(map(type, chain.from_iterable(chain.from_iterable(matrix)))) != {float}
+    ):
+        return None
+    row = "    [\n" + ",\n".join([_PAIR] * n) + "\n    ]"
+    body = ",\n".join(map(row.__mod__, map(tuple, map(chain.from_iterable, matrix))))
+    # the repr of a finite float has no "n"; "nan" and "inf" do, and json
+    # refuses them
+    return None if "n" in body else "[\n" + body + "\n  ]"
 
 
 def write_text_atomic(path: str, text: str) -> None:

@@ -9,6 +9,7 @@ from blochsep import (
     BlochData,
     Decision,
     DensityMatrix,
+    InvalidStateError,
     build_basis,
     kron,
     necessary_test,
@@ -17,6 +18,7 @@ from blochsep import (
     subset_scan,
     sufficiency_test,
 )
+from blochsep.stateio import SCHEMA_VERSION
 
 
 def random_density(rng, dims, rank=None):
@@ -147,3 +149,48 @@ def bisect_threshold(family, criterion="t1", tol=1e-6, subsets="all"):
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def entrywise_state_from_jsonable(doc):
+    """Reference for ``stateio.state_from_jsonable``: the entry-by-entry
+    reader it replaced, kept verbatim so the array reader can be compared
+    with it value for value and message for message."""
+    if not isinstance(doc, dict):
+        raise InvalidStateError("state document must be a JSON object")
+    schema = doc.get("schema")
+    if schema != SCHEMA_VERSION:
+        raise InvalidStateError(
+            f"unsupported schema {schema!r} (this reader understands {SCHEMA_VERSION!r})"
+        )
+    if doc.get("kind", "state") != "state":
+        raise InvalidStateError(f"document kind {doc.get('kind')!r} is not a state")
+    dims = doc.get("dims")
+    if not isinstance(dims, list) or not dims:
+        raise InvalidStateError("dims must be a nonempty list of integers")
+    for d in dims:
+        if not isinstance(d, int) or isinstance(d, bool):
+            raise InvalidStateError(f"dims entries must be integers, got {d!r}")
+    raw = doc.get("matrix")
+    total = 1
+    for d in dims:
+        total *= max(d, 1)
+    if not isinstance(raw, list) or len(raw) != total:
+        raise InvalidStateError(f"matrix must be a list of {total} rows")
+    mat = np.empty((total, total), dtype=complex)
+    for i, row in enumerate(raw):
+        if not isinstance(row, list) or len(row) != total:
+            raise InvalidStateError(f"matrix row {i} must hold {total} entries")
+        for j, entry in enumerate(row):
+            if (
+                not isinstance(entry, list)
+                or len(entry) != 2
+                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
+            ):
+                raise InvalidStateError(
+                    f"matrix entry ({i}, {j}) must be a [re, im] number pair"
+                )
+            try:
+                mat[i, j] = complex(entry[0], entry[1])
+            except OverflowError:
+                raise InvalidStateError(f"matrix entry ({i}, {j}) is too large for a float")
+    return DensityMatrix(tuple(dims), mat)

@@ -4,17 +4,28 @@ import contextlib
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
+from types import SimpleNamespace
 
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
 import blochsep.bloch
 import blochsep.states
-from blochsep import NumericIntegrityError, load_state, save_state, zoo_state
+from blochsep import (
+    InvalidStateError,
+    NumericIntegrityError,
+    load_state,
+    maximally_mixed,
+    save_state,
+    zoo_state,
+)
 from blochsep.cli import main
-from conftest import qutrit_ghz_threshold
+from blochsep.stateio import dump_json, state_from_jsonable, state_to_jsonable
+from conftest import entrywise_state_from_jsonable, qutrit_ghz_threshold, random_density
 
 
 def run(args):
@@ -77,6 +88,32 @@ def test_analyze_subset_selectors():
     doc = run_json(["analyze", "zoo:ghz", "-N", "3", "--criteria", "c1",
                     "--subsets", "all"])
     assert len(doc["records"]) == 4
+
+
+@pytest.mark.parametrize("criteria, subsets", [
+    ("t1", "k=9"), ("t1", "all"), ("c2", "pairs"), ("c2", "k=2"), ("p2", "all"),
+], ids=["t1-k9", "t1-all", "c2-pairs", "c2-k2", "p2-all"])
+def test_analyze_refuses_subsets_the_criteria_do_not_read(criteria, subsets):
+    code, out, err = run(["analyze", "zoo:ghz", "-N", "3", "--criteria", criteria,
+                          "--subsets", subsets])
+    assert code == 2 and out == ""
+    assert err == (f"error: --criteria {criteria} does not read --subsets "
+                   f"(got {subsets!r}); only c1 and all do\n")
+
+
+@pytest.mark.parametrize("criteria", ["t1", "c2", "p2"])
+def test_analyze_subsets_full_is_still_accepted(criteria):
+    base = ["analyze", "zoo:ghz", "-N", "3", "--criteria", criteria]
+    assert run(base + ["--subsets", "full"]) == run(base)[:2] + ("",)
+
+
+@pytest.mark.parametrize("subsets", ["full", "all", "pairs", "k=2"])
+def test_single_party_state_is_refused_under_every_selector(tmp_path, subsets):
+    path = tmp_path / "one-party.json"
+    save_state(maximally_mixed((4,)), path)
+    code, out, err = run(["analyze", str(path), "--criteria", "c1", "--subsets", subsets])
+    assert (code, out) == (2, "")
+    assert err == "error: the necessary test needs at least 2 subsystems, the state has 1\n"
 
 
 def test_analyze_reports_are_deterministic():
@@ -193,13 +230,157 @@ def test_zoo_state_files(tmp_path):
 
 
 def test_state_round_trip_is_byte_identical(tmp_path):
-    first = tmp_path / "a.json"
-    second = tmp_path / "b.json"
-    save_state(zoo_state("werner", noise=0.3), first, name="werner")
-    rho, meta = load_state(first)
-    save_state(rho, second, name=meta["name"])
-    assert first.read_bytes() == second.read_bytes()
-    assert first.read_bytes().endswith(b"\n")
+    # an 11 MB file: 9 qubits is the largest N the benchmark's zoo ops write
+    for name, rho in [("werner", zoo_state("werner", noise=0.3)),
+                      ("w", zoo_state("w", parties=9))]:
+        first = tmp_path / f"{name}-a.json"
+        second = tmp_path / f"{name}-b.json"
+        save_state(rho, first, name=name)
+        loaded, meta = load_state(first)
+        assert loaded.matrix.tobytes() == rho.matrix.tobytes()
+        save_state(loaded, second, name=meta["name"])
+        assert first.read_bytes() == second.read_bytes()
+        assert first.read_bytes().endswith(b"\n")
+
+
+def entrywise_matrix(m):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+
+@st.composite
+def state_docs(draw):
+    """A state document of a random 1- or 2-party density matrix with float
+    entries, or of the basis state |0><0| with int entries."""
+    dims = draw(st.sampled_from([(2,), (3,), (2, 2), (2, 3)]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rank = draw(st.sampled_from([None, 1]))
+    matrix = entrywise_matrix(random_density(np.random.default_rng(seed), dims, rank).matrix)
+    if rank == 1 and draw(st.booleans()):
+        matrix = [[[int(i == j == 0), 0] for j in range(len(matrix))]
+                  for i in range(len(matrix))]
+    return {"schema": "blochsep/1", "kind": "state", "dims": list(dims), "matrix": matrix}
+
+
+JUNK = st.one_of(
+    st.sampled_from([True, False, None, "0.5", {}, math.nan, -math.nan, math.inf, -math.inf,
+                     2**53 + 1, -(2**63) - 1, 10**400, -(10**400), np.float64(0.25)]),
+    st.integers(), st.floats(), st.text(max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+@st.composite
+def broken_state_docs(draw):
+    """A state document broken in one of the ways a state file can be
+    wrong, or left whole."""
+    doc = draw(state_docs())
+    raw = doc["matrix"]
+    n = len(raw)
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    kind = draw(st.sampled_from(["none", "leaf", "leaf", "leaf", "pair", "rows", "ragged",
+                                 "row-type", "entry-type", "dims"]))
+    if kind == "leaf":
+        raw[i][j][draw(st.integers(0, 1))] = draw(JUNK)
+    elif kind == "pair":
+        raw[i][j] = draw(st.lists(st.floats(), min_size=1, max_size=3)
+                         .filter(lambda pair: len(pair) != 2))
+    elif kind == "rows":
+        doc["matrix"] = raw[:-1] if draw(st.booleans()) else raw + raw[:1]
+    elif kind == "ragged":
+        raw[i] = raw[i][:-1] if draw(st.booleans()) else raw[i] + [[0.0, 0.0]]
+    elif kind == "row-type":
+        raw[i] = draw(st.sampled_from([tuple(raw[i]), None, "row", {"0": 0}]))
+    elif kind == "entry-type":
+        raw[i][j] = draw(st.sampled_from([tuple(raw[i][j]), {0.5: 0.0, 1.0: 0.0}, "ab", 0.5,
+                                          None]))
+    elif kind == "dims":
+        doc["dims"] = draw(st.sampled_from(
+            [[65536, 65536], [], [2, True], [0], [-2], [1], [2, 2.0], "2", [2**70], [n]]))
+    return doc
+
+
+def pure_qubit_doc(entry=(1, 0), dims=(2,)):
+    """|0><0| on one qubit with ``entry`` as its [0, 0] pair."""
+    return {"schema": "blochsep/1", "kind": "state", "dims": list(dims),
+            "matrix": [[list(entry), [0, 0]], [[0, 0], [0, 0]]]}
+
+
+def read(reader, doc):
+    try:
+        return reader(doc).matrix.tobytes()
+    except InvalidStateError as exc:
+        return f"InvalidStateError: {exc}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=broken_state_docs())
+@example(doc=pure_qubit_doc())
+@example(doc=pure_qubit_doc((True, 0)))
+@example(doc=pure_qubit_doc((10**400, 0)))
+@example(doc=pure_qubit_doc((1, 2**53 + 1)))
+@example(doc=pure_qubit_doc((math.nan, 0)))
+@example(doc=pure_qubit_doc((1, 0, 0)))
+@example(doc=pure_qubit_doc(dims=(65536, 65536)))
+@example(doc={**pure_qubit_doc(), "matrix": [[[1, 0]] * 3, [[0, 0]] * 3]})
+def test_array_reader_matches_the_entrywise_walk(doc):
+    """Every document reads to the reference's matrix, bit for bit, or is
+    refused with the reference's message, bools, huge ints and huge dims
+    included; [65536, 65536] is refused by the row count, before any
+    allocation."""
+    assert read(state_from_jsonable, doc) == read(entrywise_state_from_jsonable, doc)
+
+
+def dumped(dump, doc):
+    try:
+        return dump(doc)
+    except (TypeError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def json_dumps(doc):
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+# floats whose repr is easy to get wrong: signed zero, the smallest subnormal,
+# tiny, exponent-form and largest finite values
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e16, -1e16,
+                  1.7976931348623157e308, -1.7976931348623157e308]
+NAMES = st.one_of(st.none(), st.text(max_size=8), st.sampled_from([
+    'x "matrix": null', '\n  "matrix": []', 'quote " and back\\slash', "\u00e9t\u00e9 \u6f22 \t"]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_state_documents_are_written_as_json_writes_them(data):
+    """``dump_json`` of a Hermitian unit-trace matrix gives the bytes of
+    ``json.dumps(indent=2)``.  ``state_to_jsonable`` and ``dump_json`` read
+    only ``dims`` and ``matrix`` and check neither, so the stand-in state
+    may carry entries no density matrix has."""
+    d = data.draw(st.sampled_from([1, 2, 3, 4, 6]), label="D")
+    value = st.one_of(st.sampled_from(SPECIAL_FLOATS),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    diag = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d)))
+    m = np.diag(diag / diag.sum() if diag.sum() > 0 else np.full(d, 1 / d)).astype(complex)
+    for i in range(d):
+        for j in range(i + 1, d):
+            m[i, j] = complex(data.draw(value), data.draw(value))
+            m[j, i] = m[i, j].conjugate()
+    rho = SimpleNamespace(dims=(d,), matrix=m)
+    doc = state_to_jsonable(rho, data.draw(NAMES, label="name"), data.draw(NAMES, label="source"))
+    assert json.dumps(doc["matrix"]) == json.dumps(entrywise_matrix(m))
+    assert dump_json(doc) == json_dumps(doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=broken_state_docs())
+@example(doc=pure_qubit_doc((0.5, math.inf)))
+@example(doc=pure_qubit_doc((0.5, False)))
+@example(doc=pure_qubit_doc((0.5, np.float64(0.25))))
+@example(doc=pure_qubit_doc((0.5,)))
+def test_state_documents_the_template_cannot_vouch_for_go_through_json(doc):
+    """Non-finite values, leaves that are not floats, ragged rows and odd
+    pairs give json's bytes or json's error, whatever the template does."""
+    assert dumped(dump_json, doc) == dumped(json_dumps, doc)
 
 
 def test_analyze_state_file_round_trip(tmp_path):

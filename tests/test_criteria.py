@@ -76,6 +76,14 @@ def test_necessary_test_rejects_single_subsystem():
         necessary_test(maximally_mixed((3,)))
 
 
+@pytest.mark.parametrize("selector", ["full", "all", "pairs", 2, [(0,)]],
+                         ids=["full", "all", "pairs", "k2", "explicit"])
+def test_subset_scan_refuses_a_single_party_under_every_selector(selector):
+    with pytest.raises(ValueError, match="^the necessary test needs at least 2 subsystems, "
+                                         "the state has 1$"):
+        subset_scan(maximally_mixed((4,)), selector)
+
+
 def test_borderline_flag_on_product_state():
     v0 = basis_ket((0,), (2,))
     rho = DensityMatrix((2, 2), projector(np.kron(v0, v0)))
