@@ -124,13 +124,20 @@ def _components(rho: DensityMatrix, subsets=None):
         yield subset, coeff[_slot(n, subset)]
 
 
-def _component(rho: DensityMatrix, subset, min_size: int) -> np.ndarray:
-    """A copy of the component of ``subset`` after checking the subset."""
+def _checked_subset(subset, n_parties: int, min_size: int) -> tuple:
+    """``subset`` as an ascending tuple of distinct indices, checked to name
+    at least ``min_size`` of the ``n_parties`` subsystems and no other."""
     subset = tuple(sorted({int(k) for k in subset}))
     if len(subset) < min_size:
         raise ValueError(f"subset {subset} too small (need at least {min_size} subsystems)")
-    if subset[0] < 0 or subset[-1] >= rho.n_parties:
-        raise ValueError(f"subset {subset} out of range for {rho.n_parties} parties")
+    if subset[0] < 0 or subset[-1] >= n_parties:
+        raise ValueError(f"subset {subset} out of range for {n_parties} parties")
+    return subset
+
+
+def _component(rho: DensityMatrix, subset, min_size: int) -> np.ndarray:
+    """A copy of the component of ``subset`` after checking the subset."""
+    subset = _checked_subset(subset, rho.n_parties, min_size)
     return _coefficients(rho)[_slot(rho.n_parties, subset)].copy()
 
 

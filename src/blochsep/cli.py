@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", help="write here instead of stdout")
 
     pa = sub.add_parser("analyze", help="run separability tests on a state")
-    pa.add_argument("state", help="state file path or zoo:FAMILY")
+    pa.add_argument("state", help="state file path or zoo:FAMILY").required = False
     pa.add_argument(
         "--subsets",
         default="full",
@@ -112,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd = sub.add_parser(
         "decompose", help="emit an explicit separable decomposition when certified"
     )
-    pd.add_argument("state", help="state file path or zoo:FAMILY")
+    pd.add_argument("state", help="state file path or zoo:FAMILY").required = False
     add_zoo_params(pd)
     add_output(pd)
 
@@ -293,14 +293,12 @@ def cmd_decompose(args) -> int:
         "input": descriptor,
         "dims": [int(d) for d in rho.dims],
         "identity_weight": float(dec.identity_weight),
-        "term_count": len(dec.terms),
+        "term_count": dec.terms.rank,
         "reconstruction_residual": residual,
         "terms": [
-            {
-                "weight": float(w),
-                "factors": [[float(x) for x in vec] for vec in factors],
-            }
-            for w, factors in dec.terms
+            {"weight": w, "factors": list(vecs)}
+            for w, vecs in zip(dec.terms.weights.tolist(),
+                               zip(*(f.T.tolist() for f in dec.terms.factors)))
         ],
     }
     _emit(args, dump_json(doc))
@@ -327,6 +325,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse would report a missing state before an unknown flag, so
+        # the state is not required while parsing and is checked here
+        if getattr(args, "state", "") is None:
+            parser.error("the following arguments are required: state")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

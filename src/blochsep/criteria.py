@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .bloch import _components, _from_coefficients, _subsets, ball_radii
+from .bloch import _checked_subset, _components, _from_coefficients, _subsets, ball_radii
 from .errors import CriterionUnavailableError
 from .states import DensityMatrix, ZooSpec
 from .tensors import (
@@ -39,7 +39,7 @@ from .tensors import (
     sign_table,
     tensor_kyfan,
 )
-from .tolerances import BOUND_GUARD, SUFFICIENCY_SLACK, ZERO_COMPONENT_TOL
+from .tolerances import BOUND_GUARD, SUFFICIENCY_SLACK, WEIGHT_CUTOFF, ZERO_COMPONENT_TOL
 
 __all__ = [
     "Decision",
@@ -86,15 +86,16 @@ class Verdict:
 class SeparableDecomposition:
     """Explicit mixture of product states plus a maximally mixed remainder.
 
-    Every term is a pair (weight, factor vectors), one coherence vector per
-    subsystem; a zero vector stands for the maximally mixed factor.  All
-    factor vectors lie inside their subsystem's inball, so each term is a
-    valid product state, and the weights together with ``identity_weight``
-    sum to one.
+    ``terms`` is a KruskalForm over coherence vectors: ``terms.weights[t]``
+    is the weight of product term t and column t of ``terms.factors[k]``,
+    of shape (d_k^2 - 1, R), is its coherence vector on subsystem k; a zero
+    column stands for the maximally mixed factor.  All factor vectors lie
+    inside their subsystem's inball, so each term is a valid product state,
+    and the weights together with ``identity_weight`` sum to one.
     """
 
     dims: tuple
-    terms: tuple
+    terms: KruskalForm
     identity_weight: float
 
 
@@ -125,25 +126,16 @@ def _select_subsets(n_parties: int, selector) -> list:
     if isinstance(selector, int):
         if not 2 <= selector <= n_parties:
             raise ValueError(f"subset size must lie in [2, {n_parties}], got {selector}")
-        subsets = [s for s in _subsets(n_parties) if len(s) == selector]
-    elif not isinstance(selector, str):
-        subsets = sorted(
-            {tuple(sorted(set(int(k) for k in s))) for s in selector},
-            key=lambda s: (len(s), s),
-        )
-    elif selector == "full":
-        subsets = [tuple(range(n_parties))]
-    elif selector in ("all", "pairs"):
+        return [s for s in _subsets(n_parties) if len(s) == selector]
+    if not isinstance(selector, str):
+        return sorted({_checked_subset(s, n_parties, 2) for s in selector},
+                      key=lambda s: (len(s), s))
+    if selector == "full":
+        return [tuple(range(n_parties))]
+    if selector in ("all", "pairs"):
         sizes = range(2, n_parties + 1) if selector == "all" else (2,)
-        subsets = [s for s in _subsets(n_parties) if len(s) in sizes]
-    else:
-        raise ValueError(f"unknown subset selector {selector!r}")
-    for s in subsets:
-        if len(s) < 2:
-            raise ValueError(f"subset {s} too small (need at least 2 subsystems)")
-        if s[0] < 0 or s[-1] >= n_parties:
-            raise ValueError(f"subset {s} out of range for {n_parties} parties")
-    return subsets
+        return [s for s in _subsets(n_parties) if len(s) in sizes]
+    raise ValueError(f"unknown subset selector {selector!r}")
 
 
 def subset_scan(rho: DensityMatrix, subsets="all") -> list:
@@ -237,9 +229,6 @@ def sufficiency_test(rho: DensityMatrix) -> Verdict:
     return Verdict(Decision.INCONCLUSIVE, total, 1.0, crit, reason="sum-exceeds-one")
 
 
-WEIGHT_CUTOFF = 1e-12
-
-
 def separable_decomposition(rho: DensityMatrix) -> SeparableDecomposition:
     """Materialize the mixture of product states promised by the sufficient
     criterion.
@@ -250,8 +239,9 @@ def separable_decomposition(rho: DensityMatrix) -> SeparableDecomposition:
     (M = 1) thus gives one term.  Terms of weight at most ``WEIGHT_CUTOFF``
     are dropped.  Factor vectors are rescaled onto the subsystem inball so
     each factor is a valid state, and the leftover weight goes to the
-    maximally mixed state.  Raises CriterionUnavailableError when the
-    criterion does not apply (sum above one or a decomposition missing).
+    maximally mixed state.  Terms run by component, then rank-1 term, then
+    sign row.  Raises CriterionUnavailableError when the criterion does not
+    apply (sum above one or a decomposition missing).
     """
     total, parts = _sufficiency_parts(rho)
     if total is None:
@@ -266,45 +256,40 @@ def separable_decomposition(rho: DensityMatrix) -> SeparableDecomposition:
         )
     dims = rho.dims
     inball = [ball_radii(d)[0] for d in dims]
-    terms = []
+    weights, blocks = [], [[] for _ in dims]
     for subset, coef, form in parts:
         table = sign_table(len(subset))
-        share = 1.0 / table.shape[0]
-        for j in range(form.rank):
-            weight = coef * float(form.weights[j]) * share
-            if weight <= WEIGHT_CUTOFF:
-                continue
-            base = [
-                inball[k] * form.factors[pos][:, j] for pos, k in enumerate(subset)
-            ]
-            for row in table:
-                factors = [np.zeros(d * d - 1) for d in dims]
-                for pos, k in enumerate(subset):
-                    factors[k] = row[pos] * base[pos]
-                terms.append((weight, tuple(factors)))
-    return SeparableDecomposition(
-        dims=dims, terms=tuple(terms), identity_weight=1.0 - total
-    )
+        w = coef * form.weights * (1.0 / len(table))
+        keep = w > WEIGHT_CUTOFF
+        weights.append(np.repeat(w[keep], len(table)))
+        for k, d in enumerate(dims):
+            # block[j, r] is the vector of rank-1 term j under sign row r
+            block = np.zeros((np.count_nonzero(keep), len(table), d * d - 1))
+            if k in subset:
+                pos = subset.index(k)
+                block = inball[k] * form.factors[pos][:, keep].T[:, None] * table[:, pos, None]
+            blocks[k].append(block.reshape(-1, d * d - 1))
+    # each factor is a term-major C-ordered block read transposed: the layout
+    # fixes the BLAS path of assembly, and with it the residual's last bits
+    terms = KruskalForm(np.concatenate(weights),
+                        [np.ascontiguousarray(np.concatenate(b)).T for b in blocks])
+    return SeparableDecomposition(dims=dims, terms=terms, identity_weight=1.0 - total)
 
 
 def assemble_decomposition(dec: SeparableDecomposition) -> DensityMatrix:
     """Turn a separable decomposition back into its density matrix.
 
     A product term (x)_k (I + v_k . g)/d_k has the rank-1 coefficient array
-    (x)_k (1, v_k), so the terms form one Kruskal form; the maximally mixed
+    (x)_k (1, v_k), so a row of ones on each factor matrix of ``dec.terms``
+    gives the Kruskal form of the coefficient array; the maximally mixed
     remainder adds ``identity_weight`` at index 0...0.  The inverse
     coefficient map turns the sum into a matrix.
     """
-    dims = dec.dims
-    rank = len(dec.terms)
-    factors = [
-        np.vstack([np.ones((1, rank)),
-                   np.reshape([f[k] for _, f in dec.terms], (rank, d * d - 1)).T])
-        for k, d in enumerate(dims)
-    ]
-    coeff = kruskal_to_tensor(KruskalForm([w for w, _ in dec.terms], factors))
-    coeff[(0,) * len(dims)] += dec.identity_weight
-    return _from_coefficients(dims, coeff)
+    form = dec.terms
+    coeff = kruskal_to_tensor(KruskalForm(
+        form.weights, [np.vstack([np.ones((1, form.rank)), f]) for f in form.factors]))
+    coeff[(0,) * len(dec.dims)] += dec.identity_weight
+    return _from_coefficients(dec.dims, coeff)
 
 
 _CRITERION_KEYS = ("t1", "c1", "c2", "p2")

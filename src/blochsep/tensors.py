@@ -175,7 +175,8 @@ def find_orthogonal_kruskal(tensor):
     if scale == 0.0:
         return KruskalForm(np.zeros(0), [np.zeros((n, 0)) for n in t.shape])
     if t.ndim == 1:
-        norm = np.linalg.norm(t)
+        # a zero norm of a nonzero vector means its squares underflowed
+        norm = np.linalg.norm(t) or scale * np.linalg.norm(t / scale)
         return KruskalForm([norm], [(t / norm)[:, None]])
     if t.ndim == 2:
         u, s, vt = np.linalg.svd(t, full_matrices=False)

@@ -27,3 +27,6 @@ ZERO_COMPONENT_TOL = 1e-9
 # the sufficiency sum may exceed one by this much and still certify
 # separability: it absorbs the rounding of a sum that is exactly one
 SUFFICIENCY_SLACK = 1e-10
+
+# a separable-decomposition term of weight at or below this is dropped
+WEIGHT_CUTOFF = 1e-12

@@ -3,22 +3,34 @@
 import itertools
 import math
 
+from hypothesis import strategies as st
 import numpy as np
 
 from blochsep import (
     BlochData,
+    CriterionUnavailableError,
     Decision,
     DensityMatrix,
     InvalidStateError,
+    KruskalForm,
+    ball_radii,
     build_basis,
     kron,
+    kruskal_to_tensor,
+    maximally_mixed,
     necessary_test,
+    noisy,
     qubit_exact_test,
     reconstruct,
+    sign_table,
     subset_scan,
     sufficiency_test,
+    zoo_state,
 )
+from blochsep.bloch import _from_coefficients
+from blochsep.criteria import _sufficiency_parts
 from blochsep.stateio import SCHEMA_VERSION
+from blochsep.tolerances import SUFFICIENCY_SLACK, WEIGHT_CUTOFF
 
 
 def random_density(rng, dims, rank=None):
@@ -194,3 +206,77 @@ def entrywise_state_from_jsonable(doc):
             except OverflowError:
                 raise InvalidStateError(f"matrix entry ({i}, {j}) is too large for a float")
     return DensityMatrix(tuple(dims), mat)
+
+
+def per_term_decomposition(rho):
+    """Reference for ``criteria.separable_decomposition``: the per-term loop
+    it replaced, kept verbatim, so the Kruskal-form construction can be
+    compared with it float for float and message for message.  Returns
+    (terms, identity_weight) with terms a tuple of (weight, factor vectors)."""
+    total, parts = _sufficiency_parts(rho)
+    if total is None:
+        raise CriterionUnavailableError(
+            f"correlation tensor of subset {parts} has no completely "
+            "orthogonal rank-1 decomposition"
+        )
+    if total > 1.0 + SUFFICIENCY_SLACK:
+        raise CriterionUnavailableError(
+            f"weighted component norm sum {total:.12g} exceeds 1; "
+            "the sufficient criterion does not apply"
+        )
+    dims = rho.dims
+    inball = [ball_radii(d)[0] for d in dims]
+    terms = []
+    for subset, coef, form in parts:
+        table = sign_table(len(subset))
+        share = 1.0 / table.shape[0]
+        for j in range(form.rank):
+            weight = coef * float(form.weights[j]) * share
+            if weight <= WEIGHT_CUTOFF:
+                continue
+            base = [
+                inball[k] * form.factors[pos][:, j] for pos, k in enumerate(subset)
+            ]
+            for row in table:
+                factors = [np.zeros(d * d - 1) for d in dims]
+                for pos, k in enumerate(subset):
+                    factors[k] = row[pos] * base[pos]
+                terms.append((weight, tuple(factors)))
+    return tuple(terms), 1.0 - total
+
+
+def per_term_assembly(dims, terms, identity_weight):
+    """Reference for ``criteria.assemble_decomposition``: the restack of
+    per-term tuples into factor matrices that it replaced, kept verbatim."""
+    rank = len(terms)
+    factors = [
+        np.vstack([np.ones((1, rank)),
+                   np.reshape([f[k] for _, f in terms], (rank, d * d - 1)).T])
+        for k, d in enumerate(dims)
+    ]
+    coeff = kruskal_to_tensor(KruskalForm([w for w, _ in terms], factors))
+    coeff[(0,) * len(dims)] += identity_weight
+    return _from_coefficients(dims, coeff)
+
+
+@st.composite
+def decomposition_candidates(draw):
+    """States whose decompositions the reports cover: noisy diagonal qubit
+    states whose sufficiency sum lies on either side of one, noisy random
+    products (those on three parties have no decomposition), Werner states
+    and maximally mixed states."""
+    kind = draw(st.sampled_from(["diagonal", "product", "werner", "mixed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "diagonal":
+        n = draw(st.integers(2, 5))
+        q = rng.random(2**n)
+        sigma = DensityMatrix((2,) * n, np.diag(q / q.sum()).astype(complex))
+        target = draw(st.floats(0.05, 1.3))
+        return noisy(sigma, min(1.0, target / sufficiency_test(sigma).norm_value))
+    if kind == "product":
+        dims = draw(st.sampled_from([(2, 3), (3, 3), (2, 3, 2)]))
+        return noisy(DensityMatrix(dims, random_pure_product(rng, dims)),
+                     draw(st.floats(0.0, 0.5)))
+    if kind == "werner":
+        return zoo_state("werner", noise=draw(st.floats(0.0, 1.0)))
+    return maximally_mixed(draw(st.sampled_from([(2,), (2, 2), (2, 3), (3, 3, 2)])))

@@ -226,7 +226,7 @@ def test_property_suites():
         worst_res = max(worst_res, np.abs(
             assemble_decomposition(dec).matrix - rho.matrix).max())
         worst_wsum = max(worst_wsum, abs(
-            sum(w for w, _ in dec.terms) + dec.identity_weight - 1.0))
+            sum(dec.terms.weights) + dec.identity_weight - 1.0))
     if worst_res > 1e-9 or worst_wsum > 1e-10:
         failures.append(f"decomposition residual {worst_res:.2e} "
                         f"weight drift {worst_wsum:.2e}")

@@ -426,16 +426,23 @@ def test_invalid_inputs_exit_2(tmp_path):
     assert len(err.splitlines()) == 1 and "matrix entry (0, 0)" in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["zoo", "nope"],
-    ["analyze", "zoo:ghz", "-N", "x"],
-    ["analyze", "--no-such-flag"],
-    [],
-], ids=["zoo-unknown-family", "analyze-bad-int", "analyze-unknown-flag", "no-command"])
-def test_usage_errors_take_one_line(argv):
+@pytest.mark.parametrize("argv, named", [
+    (["zoo", "nope"], "'nope'"),
+    (["analyze", "zoo:ghz", "-N", "x"], "-N/--parties"),
+    (["analyze", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
+    ([], "required: command"),
+    (["decompose", "--bogus"], "unrecognized arguments: --bogus"),
+    (["analyze", "zoo:werner", "-p", "0.3", "--bogus"], "unrecognized arguments: --bogus"),
+    (["decompose", "-p", "0.3"], "the following arguments are required: state"),
+], ids=["zoo-unknown-family", "analyze-bad-int", "analyze-unknown-flag", "no-command",
+        "decompose-unknown-flag", "unknown-flag-with-state", "missing-state"])
+def test_usage_errors_take_one_line(argv, named):
+    # the message names the argument at fault, and a missing state only
+    # when nothing else is wrong
     code, out, err = run(argv)
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert named in err
 
 
 def test_help_still_exits_0():

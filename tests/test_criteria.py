@@ -4,6 +4,7 @@ search."""
 from dataclasses import replace
 from functools import reduce
 
+from hypothesis import given, settings
 import numpy as np
 import pytest
 
@@ -40,7 +41,8 @@ from blochsep import (
     w_state,
     zoo_state,
 )
-from conftest import (bisect_threshold, diagonal_qubit_state, empty_bloch_data,
+from conftest import (bisect_threshold, decomposition_candidates, diagonal_qubit_state,
+                      empty_bloch_data, per_term_assembly, per_term_decomposition,
                       random_pure_product, random_separable, random_unitary)
 
 
@@ -209,8 +211,8 @@ def test_sufficiency_verdicts():
 def test_decomposition_werner():
     rho = zoo_state("werner", noise=0.3)
     dec = separable_decomposition(rho)
-    assert len(dec.terms) == 6
-    np.testing.assert_allclose([w for w, _ in dec.terms], 0.15, atol=1e-10)
+    assert dec.terms.rank == 6
+    np.testing.assert_allclose(dec.terms.weights, 0.15, atol=1e-10)
     assert dec.identity_weight == pytest.approx(0.1, abs=1e-10)
     residual = np.abs(assemble_decomposition(dec).matrix - rho.matrix).max()
     assert residual <= 1e-10
@@ -219,15 +221,15 @@ def test_decomposition_werner():
 def test_decomposition_diagonal_three_qubit():
     rho = diagonal_qubit_state(3, (0, 0, 0.8))
     dec = separable_decomposition(rho)
-    assert len(dec.terms) == 4
-    np.testing.assert_allclose([w for w, _ in dec.terms], 0.2, atol=1e-10)
+    assert dec.terms.rank == 4
+    np.testing.assert_allclose(dec.terms.weights, 0.2, atol=1e-10)
     assert dec.identity_weight == pytest.approx(0.2, abs=1e-10)
     assert np.abs(assemble_decomposition(dec).matrix - rho.matrix).max() <= 1e-9
 
 
 def test_decomposition_identity_only():
     dec = separable_decomposition(maximally_mixed((2, 2)))
-    assert len(dec.terms) == 0
+    assert dec.terms.rank == 0
     assert dec.identity_weight == pytest.approx(1.0)
 
 
@@ -259,9 +261,10 @@ def decomposition_grid():
 def test_decomposition_invariants():
     for rho in decomposition_grid():
         dec = separable_decomposition(rho)
-        total = sum(w for w, _ in dec.terms) + dec.identity_weight
+        total = sum(dec.terms.weights) + dec.identity_weight
         assert total == pytest.approx(1.0, abs=1e-10)
-        for weight, factors in dec.terms:
+        for t, weight in enumerate(dec.terms.weights):
+            factors = [f[:, t] for f in dec.terms.factors]
             assert weight > 0
             assert len(factors) == len(rho.dims)
             for d, vec in zip(rho.dims, factors):
@@ -275,11 +278,36 @@ def test_qudit_coherence_vectors_give_one_term_each():
     # one term per coherence vector (subsystem 0, then 1), then the
     # 2-term sign-balanced pair of the rank-1 correlation tensor
     dec = separable_decomposition(noisy_qubit_qutrit_product())
-    assert len(dec.terms) == 4
-    assert [w for w, _ in dec.terms] == pytest.approx([0.1, 0.2, 0.1, 0.1], abs=1e-15)
+    assert dec.terms.rank == 4
+    assert list(dec.terms.weights) == pytest.approx([0.1, 0.2, 0.1, 0.1], abs=1e-15)
     assert dec.identity_weight == pytest.approx(0.5, abs=1e-15)
-    assert [np.flatnonzero(f[0]).size for _, f in dec.terms] == [1, 0, 1, 1]
-    assert [np.flatnonzero(f[1]).size for _, f in dec.terms] == [0, 2, 2, 2]
+    columns = range(dec.terms.rank)
+    assert [np.flatnonzero(dec.terms.factors[0][:, t]).size for t in columns] == [1, 0, 1, 1]
+    assert [np.flatnonzero(dec.terms.factors[1][:, t]).size for t in columns] == [0, 2, 2, 2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rho=decomposition_candidates())
+def test_decomposition_matches_the_per_term_reference(rho):
+    # the Kruskal form holds the per-term loop's floats, bit for bit and in
+    # its order, and assembles to the same matrix bits as its restack
+    try:
+        terms, identity_weight = per_term_decomposition(rho)
+    except CriterionUnavailableError as exc:
+        with pytest.raises(CriterionUnavailableError) as got:
+            separable_decomposition(rho)
+        assert str(got.value) == str(exc)
+        return
+    dec = separable_decomposition(rho)
+    assert dec.dims == rho.dims
+    assert dec.identity_weight == identity_weight
+    assert dec.terms.rank == len(terms)
+    assert dec.terms.weights.tobytes() == np.array([w for w, _ in terms]).tobytes()
+    for t, (_, factors) in enumerate(terms):
+        for k, vec in enumerate(factors):
+            assert dec.terms.factors[k][:, t].tobytes() == vec.tobytes()
+    rebuilt = per_term_assembly(rho.dims, terms, identity_weight)
+    assert assemble_decomposition(dec).matrix.tobytes() == rebuilt.matrix.tobytes()
 
 
 def test_soundness_on_random_separable_states():

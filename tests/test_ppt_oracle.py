@@ -1,0 +1,104 @@
+"""Soundness of the verdicts against the partial-transpose (PPT) oracle.
+
+Every separable state has a positive partial transpose across every
+bipartite cut, and on 2x2 and 2x3 a positive partial transpose is also
+enough for separability.  So an Entangled verdict there must come with a
+negative eigenvalue of the partial transpose, and a Separable verdict must
+never come with one on any cut.
+"""
+
+from itertools import combinations
+
+from hypothesis import given, settings, strategies as st
+import numpy as np
+import pytest
+
+from blochsep import (
+    CriterionUnavailableError,
+    Decision,
+    DensityMatrix,
+    assemble_decomposition,
+    necessary_test,
+    noisy,
+    qubit_exact_test,
+    separable_decomposition,
+    subset_scan,
+    sufficiency_test,
+)
+from conftest import decomposition_candidates, random_density, random_separable
+
+
+def partial_transpose(rho, parties):
+    """rho with the row and column indices of ``parties`` swapped."""
+    n = rho.n_parties
+    axes = list(range(2 * n))
+    for k in parties:
+        axes[k], axes[n + k] = n + k, k
+    dim = rho.matrix.shape[0]
+    return rho.matrix.reshape(rho.dims * 2).transpose(axes).reshape(dim, dim)
+
+
+def min_pt_eigenvalue(rho, parties):
+    return float(np.linalg.eigvalsh(partial_transpose(rho, parties))[0])
+
+
+def cuts(n):
+    """One side of every bipartition of n parties (the other side's
+    partial transpose is the full transpose of this one)."""
+    return [(0, *rest) for m in range(n - 1) for rest in combinations(range(1, n), m)]
+
+
+@st.composite
+def noisy_states(draw, dims_choices):
+    """(1-p)/D I + p sigma for a random sigma of random rank."""
+    dims = draw(st.sampled_from(dims_choices))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank = draw(st.integers(1, int(np.prod(dims))))
+    return noisy(random_density(rng, dims, rank), draw(st.floats(0.0, 1.0)))
+
+
+def test_partial_transpose_oracle():
+    # the Bell state is NPT on its one cut and the identity PPT
+    bell = np.zeros((4, 4), complex)
+    bell[np.ix_([0, 3], [0, 3])] = 0.5
+    assert min_pt_eigenvalue(DensityMatrix((2, 2), bell), (0,)) == pytest.approx(-0.5)
+    assert min_pt_eigenvalue(DensityMatrix((2, 2), np.eye(4) / 4), (0,)) == 0.25
+    assert cuts(3) == [(0,), (0, 1), (0, 2)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rho=noisy_states([(2, 2), (2, 3)]))
+def test_norm_entangled_verdicts_are_npt(rho):
+    for v in [necessary_test(rho), *subset_scan(rho, "all")]:
+        if v.decision is Decision.ENTANGLED:
+            assert min_pt_eigenvalue(rho, (0,)) < 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(rho=st.one_of(noisy_states([(2, 2), (2, 3), (3, 3), (2, 4)]),
+                     decomposition_candidates()))
+def test_sufficiency_separable_verdicts_are_ppt(rho):
+    if sufficiency_test(rho).decision is Decision.SEPARABLE:
+        for parties in cuts(rho.n_parties):
+            assert min_pt_eigenvalue(rho, parties) >= -1e-10
+
+
+@settings(max_examples=150, deadline=None)
+@given(dims=st.sampled_from([(2, 2), (2, 3), (3, 3), (2, 2, 2), (3, 3, 2), (2, 2, 2, 2)]),
+       n_terms=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_mixtures_of_products_are_never_entangled(dims, n_terms, seed):
+    rho = random_separable(np.random.default_rng(seed), dims, n_terms)
+    verdicts = [necessary_test(rho), *subset_scan(rho, "all"),
+                qubit_exact_test(rho), sufficiency_test(rho)]
+    assert all(v.decision is not Decision.ENTANGLED for v in verdicts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rho=decomposition_candidates())
+def test_every_decomposition_rebuilds_its_state(rho):
+    try:
+        dec = separable_decomposition(rho)
+    except CriterionUnavailableError:
+        return
+    assert np.abs(assemble_decomposition(dec).matrix - rho.matrix).max() <= 1e-10
+    assert abs(dec.terms.weights.sum() + dec.identity_weight - 1.0) <= 1e-10

@@ -237,6 +237,15 @@ def test_orthogonal_form_for_vectors():
     np.testing.assert_array_equal(kruskal_to_tensor(zero), np.zeros(5))
 
 
+def test_orthogonal_form_for_a_vector_whose_squares_underflow():
+    # 1e-187 squared is below the smallest double; the form must still be
+    # the unit vector and the norm, not a division by zero
+    v = np.array([-3e-187, 0.0, 4e-187])
+    form = find_orthogonal_kruskal(v)
+    assert form.weights[0] == pytest.approx(5e-187, rel=1e-15)
+    np.testing.assert_allclose(form.factors[0][:, 0], [-0.6, 0.0, 0.8], rtol=1e-15)
+
+
 def test_sign_table_needs_a_column():
     with pytest.raises(ValueError):
         sign_table(0)
