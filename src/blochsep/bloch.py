@@ -115,13 +115,26 @@ def _coefficients(rho: DensityMatrix) -> np.ndarray:
     return coeff
 
 
-def _components(rho: DensityMatrix, subsets=None):
-    """(subset, read-only slice of the coefficient array) for each of the
-    ascending index tuples ``subsets``, or for every component when None,
-    coherence vectors being the order-1 case."""
+def _components(rho: DensityMatrix):
+    """(subset, read-only slice of the coefficient array) for every
+    component, coherence vectors being the order-1 case."""
     coeff, n = _coefficients(rho), rho.n_parties
-    for subset in _subsets(n) if subsets is None else subsets:
+    for subset in _subsets(n):
         yield subset, coeff[_slot(n, subset)]
+
+
+def _component_stacks(rho: DensityMatrix, subsets):
+    """(subsets of one component shape, stack of their components) for each
+    shape among the ascending index tuples ``subsets``, in order of first
+    appearance; stack[i] is a copy of the component of the group's i-th
+    subset.  For distinct subsets the stacks together hold no more than the
+    coefficient array."""
+    coeff, n = _coefficients(rho), rho.n_parties
+    groups = {}
+    for subset in subsets:
+        groups.setdefault(tuple(rho.dims[k] for k in subset), []).append(subset)
+    for group in groups.values():
+        yield group, np.stack([coeff[_slot(n, s)] for s in group])
 
 
 def _checked_subset(subset, n_parties: int, min_size: int) -> tuple:

@@ -29,15 +29,22 @@ import math
 
 import numpy as np
 
-from .bloch import _checked_subset, _components, _from_coefficients, _subsets, ball_radii
+from .bloch import (
+    _checked_subset,
+    _component_stacks,
+    _components,
+    _from_coefficients,
+    _subsets,
+    ball_radii,
+)
 from .errors import CriterionUnavailableError
-from .states import DensityMatrix, ZooSpec
+from .states import DensityMatrix, ZooSpec, _check_fits
 from .tensors import (
     KruskalForm,
+    _stack_kyfan,
     find_orthogonal_kruskal,
     kruskal_to_tensor,
     sign_table,
-    tensor_kyfan,
 )
 from .tolerances import BOUND_GUARD, SUFFICIENCY_SLACK, WEIGHT_CUTOFF, ZERO_COMPONENT_TOL
 
@@ -143,13 +150,20 @@ def subset_scan(rho: DensityMatrix, subsets="all") -> list:
     return the verdicts in selector order, each carrying its ``subset``.
 
     ``subsets`` may be "all" (every subset of size >= 2), "full", "pairs",
-    an integer size, or an explicit iterable of index tuples.  Every norm
-    verdict of the necessary criterion is made here, on tensors read in place.
+    an integer size, or an explicit iterable of index tuples.  Selector
+    order is by size, then lexicographic; an explicit list is normalised to
+    ascending tuples, deduplicated and put in that order.  Every norm
+    verdict of the necessary criterion is made here: the components of one
+    shape are stacked, and one SVD call per mode gives all their norms.
     A single-party state raises ``ValueError`` under every selector.
     """
+    subsets = _select_subsets(rho.n_parties, subsets)
+    norms = {}
+    for group, stack in _component_stacks(rho, subsets):
+        norms.update(zip(group, _stack_kyfan(stack).tolist()))
     verdicts = []
-    for subset, t in _components(rho, _select_subsets(rho.n_parties, subsets)):
-        norm = tensor_kyfan(t)
+    for subset in subsets:
+        norm = norms[subset]
         bound = separability_bound(tuple(rho.dims[k] for k in subset))
         entangled = norm > bound + BOUND_GUARD
         verdicts.append(Verdict(
@@ -360,7 +374,13 @@ def threshold_search(family, criterion: str = "t1", subsets="all") -> float | No
 def noise_threshold_table(max_parties: int = 6) -> list:
     """Entanglement thresholds of the white-noise GHZ and W families for
     3..max_parties qubits under the necessary norm test, each in closed
-    form.  Returns rows of (family, parties, threshold)."""
+    form.  Returns rows of (family, parties, threshold).  Raises ValueError
+    when max_parties is below 3 or its states would not fit in memory, before
+    any state is built."""
+    if max_parties < 3:
+        raise ValueError(f"max_parties must be at least 3, the size of the table's "
+                         f"first row (got {max_parties})")
+    _check_fits((2,), max_parties)
     rows = []
     for fam in ("ghz-noisy", "w-noisy"):
         for n in range(3, max_parties + 1):

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from functools import reduce
 import math
+import os
 
 import numpy as np
 
@@ -80,6 +81,41 @@ class DensityMatrix:
         return int(np.prod(self.dims))
 
 
+# bytes of working memory per entry of a D x D matrix: four complex matrices
+# (the state, its validated copy and the temporaries of validation) plus the
+# real coefficient array, whose prod_k d_k^2 entries number D^2 as well
+_BYTES_PER_ENTRY = 4 * 16 + 8
+
+
+def _scientific(log2_value: float) -> str:
+    """2^log2_value to three digits, also where the number overflows a float."""
+    if log2_value < 1000:
+        return f"{2.0 ** log2_value:.3g}"
+    exp10 = log2_value * math.log10(2.0)
+    e = math.floor(exp10)
+    return f"{10.0 ** (exp10 - e):.3g}e{e:+03d}"
+
+
+def _check_fits(dims, repeat: int = 1) -> None:
+    """Raise ValueError, before anything is allocated, when a state on the
+    subsystem dimensions ``dims`` repeated ``repeat`` times would not fit in
+    physical memory.  Sizes are compared as base-2 logarithms, so no size is
+    ever formed; dimensions below 1 are left to validation to refuse, and a
+    platform that does not report its memory is not checked."""
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return
+    log2_dim = repeat * sum(math.log2(max(d, 1)) for d in dims)
+    log2_need = 2.0 * log2_dim + math.log2(_BYTES_PER_ENTRY)
+    if log2_need > math.log2(have):
+        raise ValueError(
+            f"a state of dimension {_scientific(log2_dim)} needs about "
+            f"{_scientific(log2_need - 30)} GiB of working memory, more than the "
+            f"{have / 2**30:.3g} GiB of physical memory"
+        )
+
+
 def kron(*matrices) -> np.ndarray:
     """Kronecker product of one or more matrices, left to right."""
     if not matrices:
@@ -133,6 +169,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 
 def maximally_mixed(dims) -> DensityMatrix:
     dims = tuple(int(d) for d in dims)
+    _check_fits(dims)
     total = int(np.prod(dims))
     return DensityMatrix(dims, np.eye(total, dtype=complex) / total)
 
@@ -143,6 +180,7 @@ def ghz(n_parties: int, d: int = 2) -> DensityMatrix:
         raise ValueError("ghz needs at least 2 parties")
     if d < 2:
         raise ValueError("ghz needs local dimension at least 2")
+    _check_fits((d,), n_parties)
     dims = (d,) * n_parties
     vec = np.zeros(d**n_parties, dtype=complex)
     for k in range(d):
@@ -165,6 +203,7 @@ def w_state(n_parties: int) -> DensityMatrix:
     """Projector onto the equal superposition of single-excitation kets."""
     if n_parties < 2:
         raise ValueError("w_state needs at least 2 parties")
+    _check_fits((2,), n_parties)
     return DensityMatrix((2,) * n_parties, projector(_w_vector(n_parties)))
 
 
@@ -186,6 +225,7 @@ def _reduced_w(n_parties: int, n_removed: int) -> DensityMatrix:
             f"n_removed must satisfy 1 <= n < N, got n={n_removed}, N={n_parties}"
         )
     m_left = n_parties - n_removed
+    _check_fits((2,), m_left)
     dims = (2,) * m_left
     mat = (
         (n_removed / n_parties) * projector(basis_ket((0,) * m_left, dims))

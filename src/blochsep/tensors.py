@@ -42,6 +42,14 @@ def _as_tensor(tensor, min_order=2):
     return t
 
 
+def _unfoldings(stack: np.ndarray, mode: int) -> np.ndarray:
+    """Mode-``mode`` unfoldings of every tensor in ``stack``, whose axis 0
+    runs over the tensors, as one (C, I_mode, prod of the other I) array."""
+    order = stack.ndim - 1
+    axes = [0] + [1 + (mode + j) % order for j in range(order)]
+    return stack.transpose(axes).reshape(stack.shape[0], stack.shape[1 + mode], -1)
+
+
 def unfold(tensor, mode: int) -> np.ndarray:
     """Matricize ``tensor`` along ``mode`` (0-based).
 
@@ -51,14 +59,14 @@ def unfold(tensor, mode: int) -> np.ndarray:
     t = _as_tensor(tensor)
     if not 0 <= mode < t.ndim:
         raise ValueError(f"mode {mode} out of range for order-{t.ndim} tensor")
-    axes = np.roll(np.arange(t.ndim), -mode)
-    return t.transpose(axes).reshape(t.shape[mode], -1)
+    return _unfoldings(t[None], mode)[0]
 
 
 def singular_values(matrix) -> np.ndarray:
-    """Singular values of a real matrix, descending."""
+    """Singular values of a real matrix, descending; on a (..., m, n) stack,
+    those of each matrix along the last axis."""
     m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2:
+    if m.ndim < 2:
         raise ValueError("singular_values expects a matrix")
     if not np.isfinite(m).all():
         raise ValueError("matrix contains non-finite entries")
@@ -70,11 +78,21 @@ def matrix_kyfan(matrix) -> float:
     return float(singular_values(matrix).sum())
 
 
+def _stack_kyfan(stack: np.ndarray) -> np.ndarray:
+    """Ky Fan norms of the tensors in ``stack`` (axis 0 runs over tensors of
+    one shape): per tensor, the largest singular-value sum over its mode
+    unfoldings.  Each unfolding is entrywise the matrix :func:`unfold`
+    gives, and one SVD call per mode covers the whole stack."""
+    norms = singular_values(_unfoldings(stack, 0)).sum(axis=-1)
+    for mode in range(1, stack.ndim - 1):
+        np.maximum(norms, singular_values(_unfoldings(stack, mode)).sum(axis=-1), out=norms)
+    return norms
+
+
 def tensor_kyfan(tensor) -> float:
     """Ky Fan norm of a tensor: the largest singular-value sum over all mode
     unfoldings."""
-    t = _as_tensor(tensor)
-    return max(matrix_kyfan(unfold(t, m)) for m in range(t.ndim))
+    return float(_stack_kyfan(_as_tensor(tensor)[None])[0])
 
 
 def is_supersymmetric(tensor) -> bool:

@@ -15,6 +15,7 @@ from blochsep import (
     KruskalForm,
     ball_radii,
     build_basis,
+    correlation_tensor,
     kron,
     kruskal_to_tensor,
     maximally_mixed,
@@ -161,6 +162,23 @@ def bisect_threshold(family, criterion="t1", tol=1e-6, subsets="all"):
         else:
             lo = mid
     return 0.5 * (lo + hi)
+
+
+def per_matrix_kyfan(tensor):
+    """Reference for ``tensors.tensor_kyfan``: the per-unfolding loop it
+    replaced, one backward-cyclic unfolding and one SVD call per mode."""
+    t = np.asarray(tensor, dtype=float)
+    return max(
+        float(np.linalg.svd(t.transpose(np.roll(np.arange(t.ndim), -m)).reshape(t.shape[m], -1),
+                            compute_uv=False).sum())
+        for m in range(t.ndim)
+    )
+
+
+def per_tensor_norms(rho, subsets):
+    """Reference for the norms of ``subset_scan``: the per-tensor loop it
+    replaced, over ``correlation_tensor`` copies."""
+    return [per_matrix_kyfan(correlation_tensor(rho, s)) for s in subsets]
 
 
 def entrywise_state_from_jsonable(doc):

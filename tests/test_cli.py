@@ -434,8 +434,12 @@ def test_invalid_inputs_exit_2(tmp_path):
     (["decompose", "--bogus"], "unrecognized arguments: --bogus"),
     (["analyze", "zoo:werner", "-p", "0.3", "--bogus"], "unrecognized arguments: --bogus"),
     (["decompose", "-p", "0.3"], "the following arguments are required: state"),
+    (["threshold-table", "--max-parties", "2"], "max_parties must be at least 3"),
+    (["threshold-table", "--max-parties", "1"], "max_parties must be at least 3"),
+    (["threshold-table", "--max-parties", "-1"], "max_parties must be at least 3"),
 ], ids=["zoo-unknown-family", "analyze-bad-int", "analyze-unknown-flag", "no-command",
-        "decompose-unknown-flag", "unknown-flag-with-state", "missing-state"])
+        "decompose-unknown-flag", "unknown-flag-with-state", "missing-state",
+        "table-max-parties-2", "table-max-parties-1", "table-max-parties-negative"])
 def test_usage_errors_take_one_line(argv, named):
     # the message names the argument at fault, and a missing state only
     # when nothing else is wrong
@@ -443,6 +447,22 @@ def test_usage_errors_take_one_line(argv, named):
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert named in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "zoo:ghz", "-N", "40"],
+    ["threshold", "ghz-noisy", "-N", "40"],
+    ["threshold-table", "--max-parties", "40"],
+    ["zoo", "w", "-N", "40"],
+    ["analyze", "zoo:reduced-w-noisy", "-N", "42", "-n", "2", "-p", "0.5"],
+], ids=["analyze-ghz", "threshold-ghz-noisy", "threshold-table", "zoo-w", "reduced-w"])
+def test_states_too_large_to_build_are_refused(argv):
+    # the working-memory estimate refuses these before anything is allocated
+    code, out, err = run(argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: a state of dimension 1.1e+12 needs about ")
+    assert err.endswith("GiB of physical memory\n")
 
 
 def test_help_still_exits_0():
@@ -490,7 +510,8 @@ def test_analyze_expands_the_state_once(monkeypatch):
 
 
 def test_analyze_reads_tensors_in_place(monkeypatch):
-    # the norm test reads slices of the coefficient array, never copies
+    # the norm test stacks slices of the coefficient array; it never takes
+    # the checked per-subset copies of the public expansion API
     counts = {"component": 0}
     count_calls(monkeypatch, counts, "component", blochsep.bloch, "_component")
     doc = run_json(["analyze", "zoo:smolin", "--subsets", "all", "--criteria", "c1"])

@@ -3,8 +3,9 @@ search."""
 
 from dataclasses import replace
 from functools import reduce
+from itertools import combinations
 
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -42,8 +43,9 @@ from blochsep import (
     zoo_state,
 )
 from conftest import (bisect_threshold, decomposition_candidates, diagonal_qubit_state,
-                      empty_bloch_data, per_term_assembly, per_term_decomposition,
-                      random_pure_product, random_separable, random_unitary)
+                      empty_bloch_data, per_tensor_norms, per_term_assembly,
+                      per_term_decomposition, random_density, random_pure_product,
+                      random_separable, random_unitary)
 
 
 def test_separability_bound_values():
@@ -136,6 +138,28 @@ def test_subset_scan_reduced_noisy_w():
     rho = reduced_w_noisy(6, 2, 0.6)
     (v,) = subset_scan(rho, "full")
     assert v.decision == Decision.ENTANGLED
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.sampled_from([(2, 2, 2, 2), (2, 3, 4), (3, 2, 2, 3), (3, 3, 3), (2, 3, 2, 3)]),
+       seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 4), data=st.data())
+def test_subset_scan_norms_equal_the_per_tensor_reference(dims, seed, rank, data):
+    # stacking components by shape must hand LAPACK the very matrices the
+    # per-tensor loop did: norms compare with ==, not within a tolerance
+    rho = random_density(np.random.default_rng(seed), dims, rank)
+    n = len(dims)
+    every = [s for k in range(2, n + 1) for s in combinations(range(n), k)]
+    # mixed shapes, out of order, indices unsorted, duplicates allowed; on
+    # (2, 3, 2, 3) the pairs (0, 1) and (0, 3) share a stack that (0, 2) does
+    # not, so verdicts in stack order would be out of selector order
+    explicit = data.draw(st.lists(
+        st.sampled_from(every).flatmap(st.permutations), min_size=1, max_size=12))
+    selector_order = sorted({tuple(sorted(s)) for s in explicit}, key=lambda s: (len(s), s))
+    for selector, order in (("all", every), ("pairs", every[:n * (n - 1) // 2]),
+                            (explicit, selector_order)):
+        verdicts = subset_scan(rho, selector)
+        assert [v.subset for v in verdicts] == order
+        assert [v.norm_value for v in verdicts] == per_tensor_norms(rho, order)
 
 
 def test_subset_scan_product_state_inconclusive():
@@ -437,6 +461,22 @@ def test_closed_form_threshold_matches_bisection(spec, criterion):
 def test_werner_thresholds_are_one_third(criterion):
     assert threshold_search(ZooSpec(family="werner"), criterion) == pytest.approx(
         1 / 3, abs=1e-9)
+
+
+@pytest.mark.parametrize("max_parties", [2, 1, -1])
+def test_noise_threshold_table_starts_at_three_parties(max_parties):
+    with pytest.raises(ValueError, match="max_parties must be at least 3"):
+        noise_threshold_table(max_parties)
+
+
+def test_noise_threshold_table_refuses_a_size_that_does_not_fit(monkeypatch):
+    # the largest N is checked before any state is built
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a state was built")
+
+    monkeypatch.setattr("blochsep.criteria.threshold_search", unreachable)
+    with pytest.raises(ValueError, match="GiB of physical memory$"):
+        noise_threshold_table(40)
 
 
 def test_noise_threshold_table_small():

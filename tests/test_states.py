@@ -287,3 +287,24 @@ def test_werner_is_two_party_ghz_noisy():
         zoo_state("werner", noise=0.3).matrix,
         zoo_state("ghz-noisy", parties=2, noise=0.3).matrix,
         atol=1e-12)
+
+
+@pytest.mark.parametrize("pages, fits", [(1, False), (2, True)])
+def test_working_memory_estimate(monkeypatch, pages, fits):
+    # a 3-qubit state needs 72 bytes per entry of its 8 x 8 matrix: 4,608
+    # bytes, more than one 4,096-byte page and less than two
+    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}
+    monkeypatch.setattr("blochsep.states.os.sysconf", sizes.__getitem__)
+    if fits:
+        assert ghz(3).dims == (2, 2, 2)
+    else:
+        with pytest.raises(ValueError, match="^a state of dimension 8 needs about 4.29e-06 GiB"):
+            ghz(3)
+
+
+def test_working_memory_is_not_checked_where_it_is_not_reported(monkeypatch):
+    def unavailable(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    monkeypatch.setattr("blochsep.states.os.sysconf", unavailable)
+    assert maximally_mixed((2, 2)).dims == (2, 2)

@@ -18,6 +18,7 @@ from blochsep import (
     tensor_kyfan,
     unfold,
 )
+from conftest import per_matrix_kyfan
 
 # hand-checkable 3x2x3 example with integer entries
 EXAMPLE_ENTRIES = {
@@ -86,6 +87,36 @@ def test_singular_values_closed_form():
     sigma = singular_values(np.array([[1.0, 1.0], [0.0, 1.0]]))
     expected = np.array([(np.sqrt(5) + 1) / 2, (np.sqrt(5) - 1) / 2])
     np.testing.assert_allclose(sigma, expected, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(batch=st.lists(st.integers(1, 4), min_size=1, max_size=2),
+       rows=st.integers(1, 7), cols=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+def test_singular_values_of_a_stack_are_the_per_matrix_values(batch, rows, cols, seed):
+    stack = np.random.default_rng(seed).normal(size=(*batch, rows, cols))
+    values = singular_values(stack)
+    assert values.shape == (*batch, min(rows, cols))
+    for idx in np.ndindex(*batch):
+        assert singular_values(stack[idx]).tobytes() == values[idx].tobytes()
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.float64(1.0), "singular_values expects a matrix"),
+    (np.ones(3), "singular_values expects a matrix"),
+    (np.array([[1.0, np.nan]]), "matrix contains non-finite entries"),
+    (np.array([[[1.0, 0.0]], [[np.inf, 0.0]]]), "matrix contains non-finite entries"),
+], ids=["scalar", "vector", "nan-matrix", "inf-in-stack"])
+def test_singular_values_refusals_keep_their_messages(bad, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        singular_values(bad)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.lists(st.integers(1, 5), min_size=2, max_size=5),
+       seed=st.integers(0, 2**32 - 1))
+def test_tensor_kyfan_equals_the_per_matrix_reference(shape, seed):
+    t = np.random.default_rng(seed).normal(size=shape)
+    assert tensor_kyfan(t) == per_matrix_kyfan(t)
 
 
 def test_matrix_kyfan_matches_gram_route():
