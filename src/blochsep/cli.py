@@ -38,7 +38,7 @@ from .stateio import (
     format_number,
     load_state,
     records_to_csv,
-    state_to_jsonable,
+    state_text,
     write_text_atomic,
 )
 
@@ -179,10 +179,13 @@ def _verdict_dict(v: Verdict) -> dict:
 
 
 def _emit(args, text: str) -> None:
-    if getattr(args, "output", None):
-        write_text_atomic(args.output, text)
-    else:
+    if not getattr(args, "output", None):
         sys.stdout.write(text)
+        return
+    try:
+        write_text_atomic(args.output, text)
+    except OSError as exc:
+        raise OSError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
 
 
 def cmd_analyze(args) -> int:
@@ -192,6 +195,9 @@ def cmd_analyze(args) -> int:
     if selector != "full" and args.criteria not in ("c1", "all"):
         raise ValueError(f"--criteria {args.criteria} does not read --subsets "
                          f"(got {args.subsets!r}); only c1 and all do")
+    if args.format == "csv" and args.criteria in ("c2", "p2"):
+        raise ValueError(f"--format csv writes only norm records, which --criteria "
+                         f"{args.criteria} does not make; only t1, c1 and all do")
     records = subset_scan(rho, selector) if args.criteria in ("t1", "c1", "all") else []
     exact = qubit_exact_test(rho) if args.criteria in ("c2", "all") else None
     suff = sufficiency_test(rho) if args.criteria in ("p2", "all") else None
@@ -307,8 +313,7 @@ def cmd_decompose(args) -> int:
 
 def cmd_zoo(args) -> int:
     spec = _zoo_spec(args.family, args)
-    text = dump_json(state_to_jsonable(spec.build(), name=spec.family, source="zoo"))
-    _emit(args, text)
+    _emit(args, state_text(spec.build(), name=spec.family, source="zoo"))
     return 0
 
 
@@ -333,7 +338,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (InvalidStateError, ValueError) as exc:
+    except (InvalidStateError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CriterionUnavailableError as exc:

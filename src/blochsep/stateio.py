@@ -8,14 +8,15 @@ a sibling temporary file first and is moved into place.
 Both directions work on whole arrays.  The reader converts the matrix with
 one ``np.asarray`` call and checks its shape and leaf types; only a matrix
 that fails those checks goes through the entrywise walk, which exists to name
-the first bad row or entry.  The writer fills the matrix of a state document
-from a per-row ``%r`` template and leaves the rest to ``json``; its bytes are
-those of ``json.dumps(doc, indent=2, allow_nan=False)``, which it falls back
-to for any matrix it cannot vouch for (non-finite values, leaves that are not
-floats, ragged rows).
+the first bad row or entry.  The writer, ``state_text``, takes a
+``DensityMatrix``, whose matrix validation has made finite: ``json`` writes
+the head of the document and a per-row ``%r`` template fills in the matrix
+straight from the array, giving the bytes of ``json.dumps(doc, indent=2)``.
+Every other document goes through ``dump_json``, which is ``json`` alone.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 from itertools import chain
@@ -28,24 +29,6 @@ from .errors import InvalidStateError
 from .states import DensityMatrix
 
 SCHEMA_VERSION = "blochsep/1"
-
-
-def state_to_jsonable(rho: DensityMatrix, name: str | None = None, source: str | None = None) -> dict:
-    m = np.ascontiguousarray(rho.matrix, dtype=complex)
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "kind": "state",
-        "dims": [int(d) for d in rho.dims],
-        "matrix": m.view(float).reshape(*m.shape, 2).tolist(),
-    }
-    metadata = {}
-    if name is not None:
-        metadata["name"] = name
-    if source is not None:
-        metadata["source"] = source
-    if metadata:
-        doc["metadata"] = metadata
-    return doc
 
 
 def state_from_jsonable(doc) -> DensityMatrix:
@@ -119,62 +102,51 @@ def _matrix_entrywise(raw: list, total: int) -> np.ndarray:
     return mat
 
 
-def state_metadata(doc) -> dict:
-    meta = doc.get("metadata", {}) if isinstance(doc, dict) else {}
-    return meta if isinstance(meta, dict) else {}
+def dump_json(doc) -> str:
+    """A report as ``json.dumps(doc, indent=2, allow_nan=False)`` plus a
+    newline."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 # one [re, im] pair of a matrix row, at the depth ``indent=2`` puts it
 _PAIR = "      [\n        %r,\n        %r\n      ]"
+# a top-level key is the only line that starts with exactly two spaces and a
+# quote, so the placeholder occurs once
 _MATRIX_LINE = '\n  "matrix": '
 
 
-def dump_json(doc) -> str:
-    """``json.dumps(doc, indent=2, allow_nan=False)`` plus a newline; the
-    matrix of a state document is written from a template."""
-    body = _matrix_text(doc)
-    if body is None:
-        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    # a top-level key is the only line that starts with exactly two spaces
-    # and a quote, so the placeholder occurs once
-    head, _, tail = json.dumps({**doc, "matrix": []}, indent=2, allow_nan=False) \
-        .partition(_MATRIX_LINE + "[]")
-    return head + _MATRIX_LINE + body + tail + "\n"
-
-
-def _matrix_text(doc):
-    """The ``indent=2`` text of a state document's matrix, or None unless it
-    is a nonempty list of equal-length, nonempty lists of [re, im] lists of
-    finite floats, which is all the template writes as json would."""
-    if type(doc) is not dict or doc.get("kind") != "state":
-        return None
-    matrix = doc.get("matrix")
-    if type(matrix) is not list or set(map(type, matrix)) != {list}:
-        return None
-    n = len(matrix[0])
-    if (
-        set(map(len, matrix)) != {n}
-        or set(map(type, chain.from_iterable(matrix))) != {list}
-        or set(map(len, chain.from_iterable(matrix))) != {2}
-        or set(map(type, chain.from_iterable(chain.from_iterable(matrix)))) != {float}
-    ):
-        return None
-    row = "    [\n" + ",\n".join([_PAIR] * n) + "\n    ]"
-    body = ",\n".join(map(row.__mod__, map(tuple, map(chain.from_iterable, matrix))))
-    # the repr of a finite float has no "n"; "nan" and "inf" do, and json
-    # refuses them
-    return None if "n" in body else "[\n" + body + "\n  ]"
+def state_text(rho: DensityMatrix, name: str | None = None, source: str | None = None) -> str:
+    """The state document of ``rho`` as ``dump_json`` would write it, its
+    matrix filled in from the array; ``name`` and ``source`` go into
+    ``metadata`` when given."""
+    doc = {"schema": SCHEMA_VERSION, "kind": "state", "dims": list(rho.dims), "matrix": []}
+    metadata = {key: value for key, value in (("name", name), ("source", source))
+                if value is not None}
+    if metadata:
+        doc["metadata"] = metadata
+    head, _, tail = dump_json(doc).partition(_MATRIX_LINE + "[]")
+    rows = np.ascontiguousarray(rho.matrix).view(float).tolist()
+    row = "    [\n" + ",\n".join([_PAIR] * len(rows)) + "\n    ]"
+    body = ",\n".join(map(row.__mod__, map(tuple, rows)))
+    return head + _MATRIX_LINE + "[\n" + body + "\n  ]" + tail
 
 
 def write_text_atomic(path: str, text: str) -> None:
+    """Write ``text`` to a sibling temporary file and move it onto ``path``;
+    the temporary file is removed if either step fails."""
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def save_state(rho: DensityMatrix, path: str, name: str | None = None, source: str | None = None) -> None:
-    write_text_atomic(path, dump_json(state_to_jsonable(rho, name=name, source=source)))
+    write_text_atomic(path, state_text(rho, name=name, source=source))
 
 
 def load_state(path: str) -> tuple:
@@ -186,7 +158,13 @@ def load_state(path: str) -> tuple:
         raise InvalidStateError(f"cannot read state file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidStateError(f"state file {path} is not valid JSON: {exc}") from exc
-    return state_from_jsonable(doc), state_metadata(doc)
+    except UnicodeDecodeError as exc:
+        raise InvalidStateError(f"state file {path} is not UTF-8: {exc}") from exc
+    except RecursionError as exc:
+        raise InvalidStateError(f"state file {path} is nested too deeply to parse") from exc
+    rho = state_from_jsonable(doc)
+    metadata = doc.get("metadata", {})
+    return rho, metadata if isinstance(metadata, dict) else {}
 
 
 def format_number(x: float) -> str:

@@ -38,14 +38,18 @@ def validate_density(matrix, dims) -> None:
         )
     if not np.isfinite(m).all():
         raise InvalidStateError("matrix contains non-finite entries")
-    herm = np.abs(m - m.conj().T).max()
+    # finite entries near the float limit overflow these reductions into inf,
+    # or nan where infs of both signs meet; the checks read either as a
+    # failure, so a value that does not fit in a float is refused, not passed
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm = np.abs(m - m.conj().T).max()
+        tr = complex(np.trace(m))
     if herm > HERM_TOL:
         raise InvalidStateError(f"matrix is not Hermitian (max deviation {herm:.3e})")
-    tr = complex(np.trace(m))
-    if abs(tr - 1.0) > TRACE_TOL:
+    if not abs(tr - 1.0) <= TRACE_TOL:
         raise InvalidStateError(f"trace is {tr:.12g}, expected 1")
     evals = np.linalg.eigvalsh(m)
-    if evals[0] < -PSD_TOL:
+    if not evals[0] >= -PSD_TOL:
         raise InvalidStateError(
             f"matrix is not positive semidefinite (min eigenvalue {evals[0]:.3e})"
         )

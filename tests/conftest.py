@@ -181,6 +181,26 @@ def per_tensor_norms(rho, subsets):
     return [per_matrix_kyfan(correlation_tensor(rho, s)) for s in subsets]
 
 
+def entrywise_matrix(m):
+    """``m`` as a JSON matrix of [re, im] pairs, built entry by entry."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
+
+
+def entrywise_state_to_jsonable(rho, name=None, source=None):
+    """Reference for ``stateio.state_text``: the state document, built entry
+    by entry, whose ``json.dumps(indent=2)`` the writer must reproduce."""
+    doc = {"schema": SCHEMA_VERSION, "kind": "state", "dims": [int(d) for d in rho.dims],
+           "matrix": entrywise_matrix(rho.matrix)}
+    metadata = {}
+    if name is not None:
+        metadata["name"] = name
+    if source is not None:
+        metadata["source"] = source
+    if metadata:
+        doc["metadata"] = metadata
+    return doc
+
+
 def entrywise_state_from_jsonable(doc):
     """Reference for ``stateio.state_from_jsonable``: the entry-by-entry
     reader it replaced, kept verbatim so the array reader can be compared

@@ -24,8 +24,14 @@ from blochsep import (
     zoo_state,
 )
 from blochsep.cli import main
-from blochsep.stateio import dump_json, state_from_jsonable, state_to_jsonable
-from conftest import entrywise_state_from_jsonable, qutrit_ghz_threshold, random_density
+from blochsep.stateio import dump_json, state_from_jsonable, state_text
+from conftest import (
+    entrywise_matrix,
+    entrywise_state_from_jsonable,
+    entrywise_state_to_jsonable,
+    qutrit_ghz_threshold,
+    random_density,
+)
 
 
 def run(args):
@@ -136,6 +142,18 @@ def test_analyze_csv_format():
     assert fields[-3] == "entangled"
 
 
+@pytest.mark.parametrize("criteria", ["c2", "p2"])
+def test_analyze_csv_refuses_criteria_without_norm_records(tmp_path, criteria):
+    # the CSV holds only the norm records, which c2 and p2 do not make
+    target = tmp_path / "out.csv"
+    code, out, err = run(["analyze", "zoo:werner", "-p", "0.5", "--criteria", criteria,
+                          "--format", "csv", "-o", str(target)])
+    assert code == 2 and out == ""
+    assert err == (f"error: --format csv writes only norm records, which --criteria "
+                   f"{criteria} does not make; only t1, c1 and all do\n")
+    assert not target.exists()
+
+
 def test_threshold_reference_values():
     doc = run_json(["threshold", "ghz-noisy", "-N", "5"])
     assert doc["threshold"] == pytest.approx(0.17675, abs=5e-4)
@@ -243,10 +261,6 @@ def test_state_round_trip_is_byte_identical(tmp_path):
         assert first.read_bytes().endswith(b"\n")
 
 
-def entrywise_matrix(m):
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
 @st.composite
 def state_docs(draw):
     """A state document of a random 1- or 2-party density matrix with float
@@ -322,6 +336,7 @@ def read(reader, doc):
 @example(doc=pure_qubit_doc((1, 0, 0)))
 @example(doc=pure_qubit_doc(dims=(65536, 65536)))
 @example(doc={**pure_qubit_doc(), "matrix": [[[1, 0]] * 3, [[0, 0]] * 3]})
+@example(doc=pure_qubit_doc((0.12997710001554766, 8.98846567431158e+307)))
 def test_array_reader_matches_the_entrywise_walk(doc):
     """Every document reads to the reference's matrix, bit for bit, or is
     refused with the reference's message, bools, huge ints and huge dims
@@ -352,23 +367,29 @@ NAMES = st.one_of(st.none(), st.text(max_size=8), st.sampled_from([
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_state_documents_are_written_as_json_writes_them(data):
-    """``dump_json`` of a Hermitian unit-trace matrix gives the bytes of
-    ``json.dumps(indent=2)``.  ``state_to_jsonable`` and ``dump_json`` read
-    only ``dims`` and ``matrix`` and check neither, so the stand-in state
-    may carry entries no density matrix has."""
-    d = data.draw(st.sampled_from([1, 2, 3, 4, 6]), label="D")
-    value = st.one_of(st.sampled_from(SPECIAL_FLOATS),
-                      st.floats(allow_nan=False, allow_infinity=False))
-    diag = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d)))
-    m = np.diag(diag / diag.sum() if diag.sum() > 0 else np.full(d, 1 / d)).astype(complex)
-    for i in range(d):
-        for j in range(i + 1, d):
-            m[i, j] = complex(data.draw(value), data.draw(value))
-            m[j, i] = m[i, j].conjugate()
-    rho = SimpleNamespace(dims=(d,), matrix=m)
-    doc = state_to_jsonable(rho, data.draw(NAMES, label="name"), data.draw(NAMES, label="source"))
-    assert json.dumps(doc["matrix"]) == json.dumps(entrywise_matrix(m))
-    assert dump_json(doc) == json_dumps(doc)
+    """``state_text`` gives the bytes of ``json.dumps(indent=2)`` of the
+    document built entry by entry.  It reads only ``dims`` and ``matrix``,
+    so a single-party stand-in may carry entries no density matrix has;
+    real states on two and three parties vary the ``dims`` lists and the
+    row widths."""
+    dims = data.draw(st.sampled_from([(1,), (2,), (3,), (4,), (6,), (2, 3), (3, 3), (2, 3, 4)]),
+                     label="dims")
+    if len(dims) > 1:
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        rho = random_density(rng, dims, data.draw(st.sampled_from([None, 1, 2]), label="rank"))
+    else:
+        d = dims[0]
+        value = st.one_of(st.sampled_from(SPECIAL_FLOATS),
+                          st.floats(allow_nan=False, allow_infinity=False))
+        diag = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d)))
+        m = np.diag(diag / diag.sum() if diag.sum() > 0 else np.full(d, 1 / d)).astype(complex)
+        for i in range(d):
+            for j in range(i + 1, d):
+                m[i, j] = complex(data.draw(value), data.draw(value))
+                m[j, i] = m[i, j].conjugate()
+        rho = SimpleNamespace(dims=dims, matrix=m)
+    name, source = data.draw(NAMES, label="name"), data.draw(NAMES, label="source")
+    assert state_text(rho, name, source) == json_dumps(entrywise_state_to_jsonable(rho, name, source))
 
 
 @settings(max_examples=300, deadline=None)
@@ -378,8 +399,9 @@ def test_state_documents_are_written_as_json_writes_them(data):
 @example(doc=pure_qubit_doc((0.5, np.float64(0.25))))
 @example(doc=pure_qubit_doc((0.5,)))
 def test_state_documents_the_template_cannot_vouch_for_go_through_json(doc):
-    """Non-finite values, leaves that are not floats, ragged rows and odd
-    pairs give json's bytes or json's error, whatever the template does."""
+    """``dump_json`` is json's own writer, ``allow_nan=False`` included:
+    non-finite values, leaves that are not floats, ragged rows and odd pairs
+    give json's bytes or json's error."""
     assert dumped(dump_json, doc) == dumped(json_dumps, doc)
 
 
@@ -424,6 +446,62 @@ def test_invalid_inputs_exit_2(tmp_path):
     code, out, err = run(["analyze", str(huge)])
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and "matrix entry (0, 0)" in err
+
+
+NEAR_MAX = 1.7e308
+
+
+def diagonal(values):
+    return [[[v, 0] if i == j else [0, 0] for j in range(len(values))]
+            for i, v in enumerate(values)]
+
+
+@pytest.mark.parametrize("dims, matrix, message", [
+    ([2], pure_qubit_doc((0.12997710001554766, 8.98846567431158e+307))["matrix"],
+     "matrix is not Hermitian (max deviation inf)"),
+    ([2], diagonal([NEAR_MAX, NEAR_MAX]), "trace is inf+0j, expected 1"),
+    ([2, 2, 2], diagonal([NEAR_MAX, NEAR_MAX, -NEAR_MAX, -NEAR_MAX, 0.25, 0.25, 0.25, 0.25]),
+     "trace is nan+0j, expected 1"),
+    ([2], [[[0.5, 0], [1.5e308, 1.5e308]], [[1.5e308, -1.5e308], [0.5, 0]]],
+     "matrix is not positive semidefinite (min eigenvalue nan)"),
+], ids=["hermiticity-overflows", "trace-overflows", "trace-overflows-both-ways",
+        "eigenvalues-overflow"])
+def test_entries_near_the_float_limit_are_refused_in_one_line(tmp_path, dims, matrix, message):
+    # finite entries whose differences, sums or eigenvalues do not fit in a
+    # float
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"schema": "blochsep/1", "kind": "state", "dims": dims,
+                                "matrix": matrix}))
+    assert run(["analyze", str(path)]) == (2, "", f"error: {message}\n")
+
+
+def io_failure(tmp_path, case):
+    """The argv of one I/O failure and the start of its message."""
+    state = tmp_path / "state.json"
+    if case == "output-in-missing-directory":
+        target = tmp_path / "missing" / "out.json"
+        return (["zoo", "ghz", "-N", "2", "-o", str(target)],
+                f"error: cannot write {target}: No such file or directory")
+    if case == "output-onto-directory":
+        target = tmp_path / "out"
+        target.mkdir()
+        return (["analyze", "zoo:werner", "-p", "0.5", "-o", str(target)],
+                f"error: cannot write {target}: Is a directory")
+    if case == "nested-past-the-recursion-limit":
+        state.write_text("[" * 200000 + "]" * 200000)
+        return ["analyze", str(state)], f"error: state file {state} is nested too deeply to parse"
+    state.write_bytes(b'{"schema": "blochsep/1\xff"}')
+    return ["analyze", str(state)], f"error: state file {state} is not UTF-8: "
+
+
+@pytest.mark.parametrize("case", ["output-in-missing-directory", "output-onto-directory",
+                                  "nested-past-the-recursion-limit", "not-utf-8"])
+def test_io_failures_exit_2_in_one_line(tmp_path, case):
+    argv, message = io_failure(tmp_path, case)
+    code, out, err = run(argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(message)
+    assert not list(tmp_path.rglob("*.tmp*"))
 
 
 @pytest.mark.parametrize("argv, named", [
