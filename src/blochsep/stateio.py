@@ -8,16 +8,22 @@ a sibling temporary file first and is moved into place.
 Both directions work on whole arrays.  The reader converts the matrix with
 one ``np.asarray`` call and checks its shape and leaf types; only a matrix
 that fails those checks goes through the entrywise walk, which exists to name
-the first bad row or entry.  The writer, ``state_text``, takes a
-``DensityMatrix``, whose matrix validation has made finite: ``json`` writes
-the head of the document and a per-row ``%r`` template fills in the matrix
-straight from the array, giving the bytes of ``json.dumps(doc, indent=2)``.
-Every other document goes through ``dump_json``, which is ``json`` alone.
+the first bad row or entry.  ``load_state`` pauses the cyclic garbage
+collector while the parsed document, one list per row and per entry, is
+alive, and validation accepts positive semidefiniteness with a Cholesky
+factorization (see ``states.validate_density``).
+
+The writer, ``state_text``, takes a ``DensityMatrix``, whose matrix
+validation has made finite: ``json`` writes the head of the document and a
+per-row ``%r`` template fills in the matrix straight from the array, giving
+the bytes of ``json.dumps(doc, indent=2)``.  Every other document goes
+through ``dump_json``, which is ``json`` alone.
 """
 from __future__ import annotations
 
 import contextlib
 import csv
+import gc
 import io
 from itertools import chain
 import json
@@ -150,20 +156,34 @@ def save_state(rho: DensityMatrix, path: str, name: str | None = None, source: s
 
 
 def load_state(path: str) -> tuple:
-    """Read a state file; returns (DensityMatrix, metadata dict)."""
+    """Read a state file; returns (DensityMatrix, metadata dict).
+
+    The cyclic garbage collector is paused from the parse through the
+    conversion; on every path out it resumes if it was running on entry.
+    The parsed document, one list per row and per entry, is dropped before
+    it resumes: the collector would walk those lists again and again while
+    the parse allocates them and free none, and a list freed while it is
+    paused leaves no collection owed."""
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InvalidStateError(f"cannot read state file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InvalidStateError(f"state file {path} is not valid JSON: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise InvalidStateError(f"state file {path} is not UTF-8: {exc}") from exc
-    except RecursionError as exc:
-        raise InvalidStateError(f"state file {path} is nested too deeply to parse") from exc
-    rho = state_from_jsonable(doc)
-    metadata = doc.get("metadata", {})
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except OSError as exc:
+            raise InvalidStateError(f"cannot read state file {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise InvalidStateError(f"state file {path} is not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise InvalidStateError(f"state file {path} is not UTF-8: {exc}") from exc
+        except RecursionError as exc:
+            raise InvalidStateError(f"state file {path} is nested too deeply to parse") from exc
+        rho = state_from_jsonable(doc)
+        metadata = doc.get("metadata", {})
+        del doc
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return rho, metadata if isinstance(metadata, dict) else {}
 
 

@@ -20,8 +20,9 @@ HERM_TOL = EXACT_TOL
 TRACE_TOL = EXACT_TOL
 
 
-def validate_density(matrix, dims) -> None:
-    """Raise InvalidStateError naming the first violated requirement."""
+def _subsystem_dims(dims) -> tuple:
+    """``dims`` as a tuple of ints, each at least 2; raises InvalidStateError
+    naming the first violated requirement."""
     try:
         dims = tuple(int(d) for d in dims)
     except (TypeError, ValueError):
@@ -30,6 +31,19 @@ def validate_density(matrix, dims) -> None:
         raise InvalidStateError("dims must name at least one subsystem")
     if any(d < 2 for d in dims):
         raise InvalidStateError(f"every subsystem dimension must be at least 2, got {dims}")
+    return dims
+
+
+def validate_density(matrix, dims) -> None:
+    """Raise InvalidStateError naming the first violated requirement.
+
+    Positive semidefiniteness is accepted when m + (PSD_TOL/2) I has a
+    finite Cholesky factor; only a matrix that fails to factor goes to
+    ``eigvalsh``, whose least eigenvalue decides against -PSD_TOL and is
+    named in the message.  A factor exists only if every eigenvalue is above
+    -PSD_TOL/2, up to rounding far below PSD_TOL/2, so the factorization
+    accepts no state that the eigenvalue rule refuses."""
+    dims = _subsystem_dims(dims)
     m = np.asarray(matrix)
     total = int(np.prod(dims))
     if m.shape != (total, total):
@@ -48,11 +62,25 @@ def validate_density(matrix, dims) -> None:
         raise InvalidStateError(f"matrix is not Hermitian (max deviation {herm:.3e})")
     if not abs(tr - 1.0) <= TRACE_TOL:
         raise InvalidStateError(f"trace is {tr:.12g}, expected 1")
-    evals = np.linalg.eigvalsh(m)
-    if not evals[0] >= -PSD_TOL:
+    if _has_cholesky_factor(m, PSD_TOL / 2):
+        return
+    least = np.linalg.eigvalsh(m)[0]
+    if not least >= -PSD_TOL:
         raise InvalidStateError(
-            f"matrix is not positive semidefinite (min eigenvalue {evals[0]:.3e})"
+            f"matrix is not positive semidefinite (min eigenvalue {least:.3e})"
         )
+
+
+def _has_cholesky_factor(m: np.ndarray, shift: float) -> bool:
+    """Whether m + shift I factors with a finite Cholesky factor.  The
+    factor must be checked: entries near the float limit can overflow it
+    into inf or nan without the factorization failing."""
+    shifted = m.astype(complex)
+    shifted.flat[:: len(m) + 1] += shift
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(shifted)).all())
+    except np.linalg.LinAlgError:
+        return False
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +114,12 @@ class DensityMatrix:
 
 
 # bytes of working memory per entry of a D x D matrix: four complex matrices
-# (the state, its validated copy and the temporaries of validation) plus the
-# real coefficient array, whose prod_k d_k^2 entries number D^2 as well
+# plus the real coefficient array, whose prod_k d_k^2 entries number D^2 as
+# well.  Validation peaks at four: the state, the shifted copy that the
+# Cholesky test factors, numpy's working copy of it and the factor.  The
+# Hermiticity temporaries (m^H, m - m^H and its absolute value) are freed
+# before the shifted copy is made, and the shifted copy, its factor and
+# eigvalsh's working copy before the validated copy is made.
 _BYTES_PER_ENTRY = 4 * 16 + 8
 
 
@@ -172,7 +204,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 
 
 def maximally_mixed(dims) -> DensityMatrix:
-    dims = tuple(int(d) for d in dims)
+    dims = _subsystem_dims(dims)
     _check_fits(dims)
     total = int(np.prod(dims))
     return DensityMatrix(dims, np.eye(total, dtype=complex) / total)

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
@@ -9,7 +10,7 @@ import subprocess
 import sys
 from types import SimpleNamespace
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -21,10 +22,12 @@ from blochsep import (
     load_state,
     maximally_mixed,
     save_state,
+    zoo_families,
     zoo_state,
 )
 from blochsep.cli import main
-from blochsep.stateio import dump_json, state_from_jsonable, state_text
+from blochsep.states import _FAMILIES
+from blochsep.stateio import state_from_jsonable, state_text
 from conftest import (
     entrywise_matrix,
     entrywise_state_from_jsonable,
@@ -345,13 +348,6 @@ def test_array_reader_matches_the_entrywise_walk(doc):
     assert read(state_from_jsonable, doc) == read(entrywise_state_from_jsonable, doc)
 
 
-def dumped(dump, doc):
-    try:
-        return dump(doc)
-    except (TypeError, ValueError) as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
 def json_dumps(doc):
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
@@ -398,11 +394,16 @@ def test_state_documents_are_written_as_json_writes_them(data):
 @example(doc=pure_qubit_doc((0.5, False)))
 @example(doc=pure_qubit_doc((0.5, np.float64(0.25))))
 @example(doc=pure_qubit_doc((0.5,)))
-def test_state_documents_the_template_cannot_vouch_for_go_through_json(doc):
-    """``dump_json`` is json's own writer, ``allow_nan=False`` included:
-    non-finite values, leaves that are not floats, ragged rows and odd pairs
-    give json's bytes or json's error."""
-    assert dumped(dump_json, doc) == dumped(json_dumps, doc)
+def test_state_documents_are_refused_or_written_back_as_json_writes_them(doc):
+    """A document with non-finite values, leaves that are not floats, ragged
+    rows or odd pairs is refused by the reader; any document it accepts is
+    written back as ``json.dumps(indent=2)`` writes the entrywise document
+    of the state read."""
+    try:
+        rho = state_from_jsonable(doc)
+    except InvalidStateError:
+        return
+    assert state_text(rho) == json_dumps(entrywise_state_to_jsonable(rho))
 
 
 def test_analyze_state_file_round_trip(tmp_path):
@@ -504,6 +505,42 @@ def test_io_failures_exit_2_in_one_line(tmp_path, case):
     assert not list(tmp_path.rglob("*.tmp*"))
 
 
+def state_file(tmp_path, case):
+    """A state file that ``load_state`` reads, or fails to read in one way;
+    the "missing" one is never written."""
+    path = tmp_path / f"{case}.json"
+    if case == "valid":
+        save_state(zoo_state("w", parties=3), path)
+    elif case == "bad-json":
+        path.write_text("{not json")
+    elif case == "not-utf-8":
+        path.write_bytes(b'{"schema": "blochsep/1\xff"}')
+    elif case == "nested-too-deeply":
+        path.write_text("[" * 200000 + "]" * 200000)
+    elif case == "not-psd":
+        path.write_text(json.dumps({**pure_qubit_doc(), "matrix": diagonal([1.5, -0.5])}))
+    return path
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-enabled", "gc-disabled"])
+@pytest.mark.parametrize("case", ["valid", "missing", "bad-json", "not-utf-8",
+                                  "nested-too-deeply", "not-psd"])
+def test_load_state_leaves_the_collector_as_it_found_it(tmp_path, case, enabled):
+    # load_state pauses the cyclic collector while the parsed document lives
+    path = state_file(tmp_path, case)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if case == "valid":
+            load_state(path)
+        else:
+            with pytest.raises(InvalidStateError):
+                load_state(path)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
 @pytest.mark.parametrize("argv, named", [
     (["zoo", "nope"], "'nope'"),
     (["analyze", "zoo:ghz", "-N", "x"], "-N/--parties"),
@@ -515,9 +552,13 @@ def test_io_failures_exit_2_in_one_line(tmp_path, case):
     (["threshold-table", "--max-parties", "2"], "max_parties must be at least 3"),
     (["threshold-table", "--max-parties", "1"], "max_parties must be at least 3"),
     (["threshold-table", "--max-parties", "-1"], "max_parties must be at least 3"),
+    (["zoo", "mixed", "--dims", "2,-1"],
+     "every subsystem dimension must be at least 2, got (2, -1)"),
+    (["zoo", "mixed", "--dims", "-2"], "every subsystem dimension must be at least 2, got (-2,)"),
 ], ids=["zoo-unknown-family", "analyze-bad-int", "analyze-unknown-flag", "no-command",
         "decompose-unknown-flag", "unknown-flag-with-state", "missing-state",
-        "table-max-parties-2", "table-max-parties-1", "table-max-parties-negative"])
+        "table-max-parties-2", "table-max-parties-1", "table-max-parties-negative",
+        "mixed-negative-dimension", "mixed-negative-dimension-alone"])
 def test_usage_errors_take_one_line(argv, named):
     # the message names the argument at fault, and a missing state only
     # when nothing else is wrong
@@ -541,6 +582,90 @@ def test_states_too_large_to_build_are_refused(argv):
     assert len(err.splitlines()) == 1
     assert err.startswith("error: a state of dimension 1.1e+12 needs about ")
     assert err.endswith("GiB of physical memory\n")
+
+
+# the flags each subcommand takes; the fuzz draws each one or leaves it out,
+# and may add one flag the subcommand does not take
+ZOO_FLAGS = ("-N", "-d", "-p", "-n", "--dims")
+COMMAND_FLAGS = {
+    "analyze": ZOO_FLAGS + ("--subsets", "--criteria", "--format", "--timing"),
+    "threshold": ZOO_FLAGS + ("--criterion",),
+    "threshold-table": ("--max-parties", "--format"),
+    "decompose": ZOO_FLAGS,
+    "zoo": ZOO_FLAGS,
+}
+FLAG_VALUES = {
+    "-N": st.integers(-2, 6),
+    "-d": st.integers(-1, 4),
+    "-p": st.one_of(st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+                    st.sampled_from([math.nan, math.inf, -math.inf, -0.5, 1.5])),
+    "-n": st.integers(-2, 6),
+    "--dims": st.lists(st.integers(-2, 4), max_size=4).map(lambda ds: ",".join(map(str, ds))),
+    "--subsets": st.sampled_from(["full", "full", "all", "pairs", "k=2", "k=3", "k=0", "k=x"]),
+    "--criteria": st.sampled_from(["t1", "c1", "c2", "p2", "all", "t2"]),
+    "--criterion": st.sampled_from(["t1", "c1", "c2", "p2", "all"]),
+    "--format": st.sampled_from(["json", "json", "csv", "csv", "xml"]),
+    "--timing": st.none(),
+    "--max-parties": st.integers(-2, 6),
+}
+# none of these names a file
+JUNK_WORDS = ["nope", "zoo:", "zoo:nope", "-", "-x", "--"]
+PARAMETER_FLAGS = {"parties": "-N", "levels": "-d", "removed": "-n", "dims": "--dims"}
+
+
+def family_flags(command, family):
+    """The zoo flags that ``family`` reads under ``command``; a threshold
+    sweeps the noise weight, so it reads no ``-p``."""
+    if family not in _FAMILIES:
+        return ()
+    reads, noise_family, _ = _FAMILIES[family]
+    flags = [PARAMETER_FLAGS[name] for name in reads]
+    if noise_family and command != "threshold":
+        flags.append("-p")
+    return flags
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv of a subcommand or a junk word, a zoo family or a junk word,
+    and flags with small values, on states of dimension at most 256.  A zoo
+    flag the family reads is more often drawn than one it does not, so that
+    many argvs get past the family's parameter check."""
+    command = draw(st.sampled_from([*COMMAND_FLAGS, "nope"]))
+    argv = [command]
+    family = draw(st.sampled_from([*zoo_families(), *JUNK_WORDS]))
+    if command in ("analyze", "decompose"):
+        argv.append(f"zoo:{family}" if family in zoo_families() else family)
+    elif command != "threshold-table":
+        argv.append(family)
+    wanted = family_flags(command, family)
+    odds = {True: [True, True, True, False], False: [True, False, False, False]}
+    flags = [flag for flag in COMMAND_FLAGS.get(command, ())
+             if draw(st.sampled_from(odds[flag in wanted or flag not in ZOO_FLAGS]))]
+    if draw(st.sampled_from(odds[False])):
+        flags.append(draw(st.sampled_from(list(FLAG_VALUES))))
+    values = {flag: draw(FLAG_VALUES[flag]) for flag in flags}
+    levels = values.get("-d", 3 if family == "qutrit-ghz-noisy" else 2)
+    assume(max(levels, 1) ** max(values.get("-N", 0), 0) <= 256)
+    for flag, value in values.items():
+        if value is None:
+            argv.append(flag)
+        elif flag == "--dims":
+            # one token, so that a leading negative entry is not read as a flag
+            argv.append(f"--dims={value}")
+        else:
+            argv += [flag, str(value)]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=cli_argvs())
+def test_any_argv_exits_with_a_known_code_and_one_line(argv):
+    code, out, err = run(argv)
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    if code:
+        assert len(err.splitlines()) == 1
 
 
 def test_help_still_exits_0():

@@ -17,13 +17,16 @@ from blochsep import (
     CriterionUnavailableError,
     Decision,
     DensityMatrix,
+    ZooSpec,
     assemble_decomposition,
+    ghz,
     necessary_test,
     noisy,
     qubit_exact_test,
     separable_decomposition,
     subset_scan,
     sufficiency_test,
+    threshold_search,
 )
 from conftest import decomposition_candidates, random_density, random_separable
 
@@ -64,6 +67,25 @@ def test_partial_transpose_oracle():
     assert min_pt_eigenvalue(DensityMatrix((2, 2), bell), (0,)) == pytest.approx(-0.5)
     assert min_pt_eigenvalue(DensityMatrix((2, 2), np.eye(4) / 4), (0,)) == 0.25
     assert cuts(3) == [(0,), (0, 1), (0, 2)]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_noisy_ghz_meets_the_duer_cirac_threshold(n):
+    """(1-p)/D I + p GHZ_N is fully separable for p up to
+    p_DC = 1/(1 + 2^(N-1)) and NPT across every cut above it (Dür & Cirac,
+    Phys. Rev. A 61, 042314 (2000)).  So t1 and c1 may flip no lower than
+    p_DC, and c2 and p2 never say Separable above it."""
+    p_dc = 1 / (1 + 2 ** (n - 1))
+    below = noisy(ghz(n), p_dc * (1 - 1e-6))
+    for parties in cuts(n):
+        assert min_pt_eigenvalue(below, parties) >= 0.0
+    assert min_pt_eigenvalue(noisy(ghz(n), p_dc * (1 + 1e-6)), (0,)) < 0.0
+    for criterion in ("t1", "c1"):
+        assert threshold_search(ZooSpec("ghz-noisy", parties=n), criterion) >= p_dc
+    for p in np.linspace(p_dc * (1 + 1e-6), 1.0, 5):
+        rho = noisy(ghz(n), p)
+        assert qubit_exact_test(rho).decision is not Decision.SEPARABLE
+        assert sufficiency_test(rho).decision is not Decision.SEPARABLE
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -26,7 +27,8 @@ from blochsep import (
     zoo_families,
     zoo_state,
 )
-from conftest import random_density
+from blochsep.tolerances import PSD_TOL
+from conftest import random_density, random_unitary
 
 PAULI = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -91,6 +93,35 @@ def test_validation_rejects_negative_eigenvalue():
     mat = (1 + 1e-6) * projector(v0) - 1e-6 * projector(v1)
     with pytest.raises(InvalidStateError, match="positive semidefinite"):
         validate_density(mat, (2,))
+
+
+# least eigenvalues at, and 0.1 %, 1 % and 10 % either side of, -PSD_TOL
+# (where the eigenvalue rule decides) and -PSD_TOL/2 (where the Cholesky
+# factorization stops accepting), and at 0
+BOUNDARY_EIGENVALUES = [0.0] + [-edge * PSD_TOL * (1 + offset)
+                                for edge in (1.0, 0.5)
+                                for offset in (0.0, 1e-3, -1e-3, 1e-2, -1e-2, 0.1, -0.1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(dim=st.sampled_from([2, 3, 4, 8, 16, 64, 128]), least=st.sampled_from(BOUNDARY_EIGENVALUES),
+       seed=st.integers(0, 2**32 - 1))
+def test_psd_decision_is_the_eigenvalue_rule(dim, least, seed):
+    """``validate_density`` accepts a state exactly when ``eigvalsh`` puts
+    its least eigenvalue at or above -PSD_TOL, whichever of the Cholesky
+    factorization and ``eigvalsh`` decides."""
+    rng = np.random.default_rng(seed)
+    rest = rng.random(dim - 1) + 0.01
+    evals = np.concatenate([[least], rest * (1.0 - least) / rest.sum()])
+    u = random_unitary(rng, dim)
+    m = (u * evals) @ u.conj().T
+    try:
+        validate_density(m, (dim,))
+        accepted = True
+    except InvalidStateError as exc:
+        assert "positive semidefinite" in str(exc)
+        accepted = False
+    assert accepted == (np.linalg.eigvalsh(m)[0] >= -PSD_TOL)
 
 
 def test_validation_rejects_shape_and_dims():
