@@ -48,13 +48,11 @@ from .states import (
     noisy,
     partial_trace,
     projector,
-    reduced_w_noisy,
     smolin,
     state_234,
     validate_density,
     w_state,
     zoo_families,
-    zoo_state,
 )
 from .stateio import load_state, save_state
 from .su_basis import build_basis
@@ -63,7 +61,6 @@ from .tensors import (
     find_orthogonal_kruskal,
     is_supersymmetric,
     kruskal_to_tensor,
-    matrix_kyfan,
     sign_table,
     singular_values,
     tensor_kyfan,

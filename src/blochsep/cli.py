@@ -21,13 +21,10 @@ import sys
 import time
 
 from .criteria import (
-    Verdict,
+    _CRITERIA,
     assemble_decomposition,
     noise_threshold_table,
-    qubit_exact_test,
     separable_decomposition,
-    subset_scan,
-    sufficiency_test,
     threshold_search,
 )
 from .errors import CriterionUnavailableError, InvalidStateError, NumericIntegrityError
@@ -79,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument(
         "--criteria",
         default="all",
-        choices=["t1", "c1", "c2", "p2", "all"],
+        choices=[*_CRITERIA, "all"],
         help="t1: necessary norm test on the full tensor; c1: the same per "
         "subset; c2: exact qubit-class test; p2: sufficiency sum (default: all)",
     )
@@ -96,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pt.add_argument("family", help="zoo family with a free noise parameter")
     pt.add_argument(
-        "--criterion", default="t1", choices=["t1", "c1", "c2", "p2"]
+        "--criterion", default="t1", choices=list(_CRITERIA)
     )
     add_zoo_params(pt)
     add_output(pt)
@@ -147,6 +144,10 @@ def _resolve_state(args) -> tuple:
     if src.startswith("zoo:"):
         spec = _zoo_spec(src[len("zoo:") :], args)
         return spec.build(), {"source": src, "family": spec.family, **spec.parameters}
+    for name in ("parties", "levels", "noise", "removed", "dims"):
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name} applies only to zoo: states, not to the "
+                             f"state file {src}")
     rho, metadata = load_state(src)
     descriptor = {"source": src}
     if metadata.get("name"):
@@ -165,19 +166,6 @@ def _parse_subsets(text: str):
     raise InvalidStateError(f"cannot parse subset selector {text!r}")
 
 
-def _verdict_dict(v: Verdict) -> dict:
-    doc = {
-        "decision": v.decision.value,
-        "criterion": v.criterion,
-        "norm": None if v.norm_value is None else float(v.norm_value),
-        "bound": None if v.bound_value is None else float(v.bound_value),
-        "borderline": bool(v.borderline),
-    }
-    if v.reason:
-        doc["reason"] = v.reason
-    return doc
-
-
 def _emit(args, text: str) -> None:
     if not getattr(args, "output", None):
         sys.stdout.write(text)
@@ -192,62 +180,56 @@ def cmd_analyze(args) -> int:
     rho, descriptor = _resolve_state(args)
     start = time.perf_counter()
     selector = _parse_subsets(args.subsets)
-    if selector != "full" and args.criteria not in ("c1", "all"):
+    keys = ("c1", "c2", "p2") if args.criteria == "all" else (args.criteria,)
+    if selector != "full" and "c1" not in keys:
         raise ValueError(f"--criteria {args.criteria} does not read --subsets "
                          f"(got {args.subsets!r}); only c1 and all do")
-    if args.format == "csv" and args.criteria in ("c2", "p2"):
+    if args.format == "csv" and "t1" not in keys and "c1" not in keys:
         raise ValueError(f"--format csv writes only norm records, which --criteria "
                          f"{args.criteria} does not make; only t1, c1 and all do")
-    records = subset_scan(rho, selector) if args.criteria in ("t1", "c1", "all") else []
-    exact = qubit_exact_test(rho) if args.criteria in ("c2", "all") else None
-    suff = sufficiency_test(rho) if args.criteria in ("p2", "all") else None
+    if args.format == "csv" and args.timing:
+        raise ValueError("--format csv writes only norm records, not --timing; "
+                         "only json does")
+    verdicts = {key: _CRITERIA[key](rho, selector) for key in keys}
     elapsed = time.perf_counter() - start
+    fields = ["subset", "norm", "bound", "decision", "criterion", "borderline"]
+    records = [
+        dict(zip(fields, (v.subset, v.norm_value, v.bound_value, v.decision.value,
+                          v.criterion, v.borderline)))
+        for key in ("t1", "c1") if key in verdicts for v in verdicts[key]
+    ]
 
     if args.format == "csv":
         rows = [
-            (
-                ",".join(str(k) for k in v.subset),
-                format_number(v.norm_value),
-                format_number(v.bound_value),
-                v.decision.value,
-                v.criterion,
-                int(v.borderline),
-            )
-            for v in records
+            (",".join(map(str, r["subset"])), format_number(r["norm"]),
+             format_number(r["bound"]), r["decision"], r["criterion"], int(r["borderline"]))
+            for r in records
         ]
-        _emit(args, records_to_csv(rows, ["subset", "norm", "bound", "decision", "criterion", "borderline"]))
+        _emit(args, records_to_csv(rows, fields))
         return 0
 
     doc = {
         "schema": SCHEMA_VERSION,
         "kind": "analysis",
         "input": descriptor,
-        "dims": [int(d) for d in rho.dims],
+        "dims": rho.dims,
         "criteria": args.criteria,
         "subsets": args.subsets,
-        "records": [
-            {
-                "subset": [int(k) for k in v.subset],
-                "norm": float(v.norm_value),
-                "bound": float(v.bound_value),
-                "decision": v.decision.value,
-                "criterion": v.criterion,
-                "borderline": bool(v.borderline),
-            }
-            for v in records
-        ],
+        "records": records,
     }
-    if exact is not None:
-        doc["exact_qubit"] = _verdict_dict(exact)
-    if suff is not None:
-        entry = {
-            "lhs": None if suff.norm_value is None else float(suff.norm_value),
-            "available": suff.norm_value is not None,
-            "decision": suff.decision.value,
-        }
-        if suff.reason:
-            entry["reason"] = suff.reason
-        doc["sufficiency"] = entry
+    if "c2" in verdicts:
+        (v,) = verdicts["c2"]
+        doc["exact_qubit"] = {"decision": v.decision.value, "criterion": v.criterion,
+                              "norm": v.norm_value, "bound": v.bound_value,
+                              "borderline": v.borderline}
+        if v.reason:
+            doc["exact_qubit"]["reason"] = v.reason
+    if "p2" in verdicts:
+        (v,) = verdicts["p2"]
+        doc["sufficiency"] = {"lhs": v.norm_value, "available": v.norm_value is not None,
+                              "decision": v.decision.value}
+        if v.reason:
+            doc["sufficiency"]["reason"] = v.reason
     if args.timing:
         doc["timing"] = {"elapsed_seconds": elapsed}
     _emit(args, dump_json(doc))
@@ -297,8 +279,8 @@ def cmd_decompose(args) -> int:
         "schema": SCHEMA_VERSION,
         "kind": "separable-decomposition",
         "input": descriptor,
-        "dims": [int(d) for d in rho.dims],
-        "identity_weight": float(dec.identity_weight),
+        "dims": rho.dims,
+        "identity_weight": dec.identity_weight,
         "term_count": dec.terms.rank,
         "reconstruction_residual": residual,
         "terms": [

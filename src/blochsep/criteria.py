@@ -117,13 +117,12 @@ def separability_bound(dims) -> float:
     return math.sqrt(math.prod(d * (d - 1) / 2.0 for d in dims))
 
 
-def necessary_test(rho: DensityMatrix, subset=None) -> Verdict:
-    """Compare the Ky Fan norm of a correlation tensor with the separable
-    bound: the one-subset case of :func:`subset_scan`.  ``subset=None``
-    means the full system; a proper subset tests the reduced state, whose
-    entanglement also rules out full separability of ``rho``.  Never
-    returns Separable: the criterion is only necessary."""
-    return subset_scan(rho, "full" if subset is None else [subset])[0]
+def necessary_test(rho: DensityMatrix) -> Verdict:
+    """Compare the Ky Fan norm of the full correlation tensor with the
+    separable bound: the ``"full"`` case of :func:`subset_scan`.  A reduced
+    state is tested through :func:`subset_scan` with a list of subsets.
+    Never returns Separable: the criterion is only necessary."""
+    return subset_scan(rho, "full")[0]
 
 
 def _select_subsets(n_parties: int, selector) -> list:
@@ -306,29 +305,27 @@ def assemble_decomposition(dec: SeparableDecomposition) -> DensityMatrix:
     return _from_coefficients(dec.dims, coeff)
 
 
-_CRITERION_KEYS = ("t1", "c1", "c2", "p2")
+# Every criterion key and the verdicts it reads on a state under a subset
+# selector.  Each entry looks its function up by name when called, so a
+# wrapper rebound over the module attribute sees every call.
+_CRITERIA = {
+    "t1": lambda rho, subsets: [necessary_test(rho)],
+    "c1": lambda rho, subsets: subset_scan(rho, subsets),
+    "c2": lambda rho, subsets: [qubit_exact_test(rho)],
+    "p2": lambda rho, subsets: [sufficiency_test(rho)],
+}
 
 
-def _verdicts(rho: DensityMatrix, criterion: str, subsets) -> list:
-    """The verdicts one criterion key reads on ``rho``."""
-    if criterion == "t1":
-        return [necessary_test(rho)]
-    if criterion == "c1":
-        return subset_scan(rho, subsets)
-    if criterion == "c2":
-        return [qubit_exact_test(rho)]
-    return [sufficiency_test(rho)]
-
-
-def _closed_form_threshold(sigma: DensityMatrix, criterion: str, subsets) -> float | None:
+def _closed_form_threshold(sigma: DensityMatrix, criterion: str) -> float | None:
     """Flip point of a criterion on the family (1-p)/D I + p sigma.
 
     Every coherence vector and correlation tensor of the mixture is p times
     sigma's, so each norm and the sufficiency sum grow linearly in p and one
-    evaluation on sigma fixes where the verdict flips.
+    evaluation on sigma fixes where the verdict flips: the sum's where it
+    stops being Separable, the others' where a verdict turns Entangled.
     """
-    verdicts = _verdicts(sigma, criterion, subsets)
-    if criterion == "p2":
+    verdicts = _CRITERIA[criterion](sigma, "all")
+    if verdicts[0].criterion == "sufficiency-sum":
         (v,) = verdicts
         if v.decision is Decision.SEPARABLE:
             return None
@@ -347,19 +344,18 @@ def _closed_form_threshold(sigma: DensityMatrix, criterion: str, subsets) -> flo
     )
 
 
-def threshold_search(family, criterion: str = "t1", subsets="all") -> float | None:
+def threshold_search(family, criterion: str = "t1") -> float | None:
     """Locate the noise weight p in [0, 1] where a criterion's verdict flips.
 
     ``family`` is a ZooSpec of a noise family with ``noise`` left unset.
     Zoo families have the form (1-p)/D I + p sigma, so the flip is computed
     in closed form from one evaluation of the criterion on sigma (the state
-    at p = 1).  Returns
-    None when the verdict never flips on [0, 1], and 0.0 when the state is
-    flagged at every p > 0.
+    at p = 1).  Returns None when the verdict never flips on [0, 1], and 0.0
+    when the state is flagged at every p > 0.
     """
-    if criterion not in _CRITERION_KEYS:
+    if criterion not in _CRITERIA:
         raise ValueError(
-            f"unknown criterion {criterion!r} (known: {', '.join(_CRITERION_KEYS)})"
+            f"unknown criterion {criterion!r} (known: {', '.join(_CRITERIA)})"
         )
     if not isinstance(family, ZooSpec):
         raise TypeError("family must be a ZooSpec")
@@ -368,7 +364,7 @@ def threshold_search(family, criterion: str = "t1", subsets="all") -> float | No
     if family.noise is not None:
         raise ValueError("a threshold sweeps the noise weight itself; "
                          f"leave noise unset (got {family.noise})")
-    return _closed_form_threshold(family._state(), criterion, subsets)
+    return _closed_form_threshold(family._state(), criterion)
 
 
 def noise_threshold_table(max_parties: int = 6) -> list:
@@ -384,6 +380,6 @@ def noise_threshold_table(max_parties: int = 6) -> list:
     rows = []
     for fam in ("ghz-noisy", "w-noisy"):
         for n in range(3, max_parties + 1):
-            p_star = threshold_search(ZooSpec(fam, parties=n), "t1")
+            p_star = threshold_search(ZooSpec(fam, parties=n))
             rows.append((fam, n, p_star))
     return rows

@@ -253,9 +253,11 @@ def noisy(state: DensityMatrix, p: float) -> DensityMatrix:
 
 
 def _reduced_w(n_parties: int, n_removed: int) -> DensityMatrix:
-    """The state of :func:`reduced_w_noisy` at p = 1."""
+    """The W state of N = ``n_parties`` qubits with n = ``n_removed`` traced
+    out, (n/N) |0...0><0...0| + ((N-n)/N) |W_m><W_m| on the m = N - n left;
+    its noise family agrees with partially tracing ``noisy(w_state(N), p)``."""
     if n_parties < 2:
-        raise ValueError("reduced_w_noisy needs at least 2 parties")
+        raise ValueError("reduced-w-noisy needs at least 2 parties")
     if not 1 <= n_removed < n_parties:
         raise ValueError(
             f"n_removed must satisfy 1 <= n < N, got n={n_removed}, N={n_parties}"
@@ -268,18 +270,6 @@ def _reduced_w(n_parties: int, n_removed: int) -> DensityMatrix:
         + (m_left / n_parties) * projector(_w_vector(m_left))
     )
     return DensityMatrix(dims, mat)
-
-
-def reduced_w_noisy(n_parties: int, n_removed: int, p: float) -> DensityMatrix:
-    """White-noise W mixture after tracing out ``n_removed`` of ``n_parties``
-    qubits:
-
-        (1-p)/2^m I + (n/N) p |0...0><0...0| + ((N-n)/N) p |W_m><W_m|
-
-    with m = N - n remaining qubits.  Agrees with partially tracing
-    ``noisy(w_state(N), p)``.
-    """
-    return noisy(_reduced_w(n_parties, n_removed), p)
 
 
 def bell_states() -> list:
@@ -406,10 +396,3 @@ class ZooSpec:
 
 def zoo_families() -> tuple:
     return tuple(_FAMILIES)
-
-
-def zoo_state(family: str, **params) -> DensityMatrix:
-    """Convenience wrapper: build a zoo state from keyword parameters."""
-    if "dims" in params and params["dims"] is not None:
-        params["dims"] = tuple(params["dims"])
-    return ZooSpec(family=family, **params).build()

@@ -21,7 +21,6 @@ from .tolerances import RANK_CUTOFF
 __all__ = [
     "unfold",
     "singular_values",
-    "matrix_kyfan",
     "tensor_kyfan",
     "is_supersymmetric",
     "KruskalForm",
@@ -73,11 +72,6 @@ def singular_values(matrix) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def matrix_kyfan(matrix) -> float:
-    """Ky Fan norm of a matrix: the sum of its singular values."""
-    return float(singular_values(matrix).sum())
-
-
 def _stack_kyfan(stack: np.ndarray) -> np.ndarray:
     """Ky Fan norms of the tensors in ``stack`` (axis 0 runs over tensors of
     one shape): per tensor, the largest singular-value sum over its mode
@@ -91,7 +85,7 @@ def _stack_kyfan(stack: np.ndarray) -> np.ndarray:
 
 def tensor_kyfan(tensor) -> float:
     """Ky Fan norm of a tensor: the largest singular-value sum over all mode
-    unfoldings."""
+    unfoldings; for a matrix, the sum of its singular values."""
     return float(_stack_kyfan(_as_tensor(tensor)[None])[0])
 
 

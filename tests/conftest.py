@@ -13,6 +13,7 @@ from blochsep import (
     DensityMatrix,
     InvalidStateError,
     KruskalForm,
+    ZooSpec,
     ball_radii,
     build_basis,
     correlation_tensor,
@@ -26,7 +27,6 @@ from blochsep import (
     sign_table,
     subset_scan,
     sufficiency_test,
-    zoo_state,
 )
 from blochsep.bloch import _from_coefficients
 from blochsep.criteria import _sufficiency_parts
@@ -129,7 +129,7 @@ def qutrit_ghz_threshold(n):
     return 3 ** (n / 2) / qutrit_ghz_spectrum(n).sum()
 
 
-def bisect_threshold(family, criterion="t1", tol=1e-6, subsets="all"):
+def bisect_threshold(family, criterion="t1", tol=1e-6):
     """Reference for the closed-form thresholds: the noise weight where the
     verdict of the public criterion on ``family(p)`` flips.
 
@@ -142,7 +142,7 @@ def bisect_threshold(family, criterion="t1", tol=1e-6, subsets="all"):
         if criterion == "p2":
             return sufficiency_test(rho).decision is not Decision.SEPARABLE
         if criterion == "c1":
-            verdicts = subset_scan(rho, subsets)
+            verdicts = subset_scan(rho, "all")
         elif criterion == "c2":
             verdicts = [qubit_exact_test(rho)]
         else:
@@ -316,5 +316,5 @@ def decomposition_candidates(draw):
         return noisy(DensityMatrix(dims, random_pure_product(rng, dims)),
                      draw(st.floats(0.0, 0.5)))
     if kind == "werner":
-        return zoo_state("werner", noise=draw(st.floats(0.0, 1.0)))
+        return ZooSpec("werner", noise=draw(st.floats(0.0, 1.0))).build()
     return maximally_mixed(draw(st.sampled_from([(2,), (2, 2), (2, 3), (3, 3, 2)])))

@@ -42,7 +42,6 @@ from blochsep import (
     threshold_search,
     unfold,
     w_state,
-    zoo_state,
     load_state,
     Decision,
 )
@@ -216,7 +215,7 @@ def test_property_suites():
 
     # every emitted decomposition reconstructs its state
     worst_res, worst_wsum = 0.0, 0.0
-    grid = [zoo_state("werner", noise=p) for p in (0.05, 0.15, 0.25, 0.33)]
+    grid = [ZooSpec("werner", noise=p).build() for p in (0.05, 0.15, 0.25, 0.33)]
     grid += [diagonal_qubit_state(3, (0, 0, t)) for t in (0.2, 0.5, 0.9)]
     grid += [diagonal_qubit_state(4, (0.2, 0.2, 0.2))]
     v = np.kron(basis_ket((0,), (2,)), basis_ket((1,), (3,)))

@@ -15,15 +15,16 @@ import numpy as np
 import pytest
 
 import blochsep.bloch
+import blochsep.criteria
 import blochsep.states
 from blochsep import (
     InvalidStateError,
     NumericIntegrityError,
+    ZooSpec,
     load_state,
     maximally_mixed,
     save_state,
     zoo_families,
-    zoo_state,
 )
 from blochsep.cli import main
 from blochsep.states import _FAMILIES
@@ -252,8 +253,8 @@ def test_zoo_state_files(tmp_path):
 
 def test_state_round_trip_is_byte_identical(tmp_path):
     # an 11 MB file: 9 qubits is the largest N the benchmark's zoo ops write
-    for name, rho in [("werner", zoo_state("werner", noise=0.3)),
-                      ("w", zoo_state("w", parties=9))]:
+    for name, rho in [("werner", ZooSpec("werner", noise=0.3).build()),
+                      ("w", ZooSpec("w", parties=9).build())]:
         first = tmp_path / f"{name}-a.json"
         second = tmp_path / f"{name}-b.json"
         save_state(rho, first, name=name)
@@ -510,7 +511,7 @@ def state_file(tmp_path, case):
     the "missing" one is never written."""
     path = tmp_path / f"{case}.json"
     if case == "valid":
-        save_state(zoo_state("w", parties=3), path)
+        save_state(ZooSpec("w", parties=3).build(), path)
     elif case == "bad-json":
         path.write_text("{not json")
     elif case == "not-utf-8":
@@ -541,6 +542,24 @@ def test_load_state_leaves_the_collector_as_it_found_it(tmp_path, case, enabled)
         (gc.enable if was_enabled else gc.disable)()
 
 
+# stands for a real state file in argvs: a GHZ-3 state written once per session
+STATE_FILE = "<state file>"
+
+
+@pytest.fixture(scope="session")
+def ghz3_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("states") / "g3.json"
+    save_state(ZooSpec("ghz", parties=3).build(), path, name="ghz")
+    return str(path)
+
+
+def with_state_file(words, path):
+    return [word.replace(STATE_FILE, path) for word in words]
+
+
+ZOO_ONLY = "applies only to zoo: states, not to the state file " + STATE_FILE
+
+
 @pytest.mark.parametrize("argv, named", [
     (["zoo", "nope"], "'nope'"),
     (["analyze", "zoo:ghz", "-N", "x"], "-N/--parties"),
@@ -555,17 +574,28 @@ def test_load_state_leaves_the_collector_as_it_found_it(tmp_path, case, enabled)
     (["zoo", "mixed", "--dims", "2,-1"],
      "every subsystem dimension must be at least 2, got (2, -1)"),
     (["zoo", "mixed", "--dims", "-2"], "every subsystem dimension must be at least 2, got (-2,)"),
+    (["analyze", STATE_FILE, "-N", "5"], "--parties " + ZOO_ONLY),
+    (["analyze", STATE_FILE, "-d", "3"], "--levels " + ZOO_ONLY),
+    (["analyze", STATE_FILE, "-p", "0.3"], "--noise " + ZOO_ONLY),
+    (["analyze", STATE_FILE, "-n", "1"], "--removed " + ZOO_ONLY),
+    (["decompose", STATE_FILE, "--dims", "2,2"], "--dims " + ZOO_ONLY),
+    (["analyze", "zoo:ghz", "-N", "3", "--format", "csv", "--timing"],
+     "--format csv writes only norm records, not --timing"),
+    (["analyze", "zoo:reduced-w-noisy", "-N", "1", "-n", "1", "-p", "0.5"],
+     "reduced-w-noisy needs at least 2 parties"),
 ], ids=["zoo-unknown-family", "analyze-bad-int", "analyze-unknown-flag", "no-command",
         "decompose-unknown-flag", "unknown-flag-with-state", "missing-state",
         "table-max-parties-2", "table-max-parties-1", "table-max-parties-negative",
-        "mixed-negative-dimension", "mixed-negative-dimension-alone"])
-def test_usage_errors_take_one_line(argv, named):
+        "mixed-negative-dimension", "mixed-negative-dimension-alone",
+        "file-with-parties", "file-with-levels", "file-with-noise", "file-with-removed",
+        "decompose-file-with-dims", "csv-with-timing", "reduced-w-one-party"])
+def test_usage_errors_take_one_line(ghz3_file, argv, named):
     # the message names the argument at fault, and a missing state only
     # when nothing else is wrong
-    code, out, err = run(argv)
+    code, out, err = run(with_state_file(argv, ghz3_file))
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    assert named in err
+    assert named.replace(STATE_FILE, ghz3_file) in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -608,7 +638,7 @@ FLAG_VALUES = {
     "--timing": st.none(),
     "--max-parties": st.integers(-2, 6),
 }
-# none of these names a file
+# none of these names a file; STATE_FILE names one
 JUNK_WORDS = ["nope", "zoo:", "zoo:nope", "-", "-x", "--"]
 PARAMETER_FLAGS = {"parties": "-N", "levels": "-d", "removed": "-n", "dims": "--dims"}
 
@@ -627,13 +657,13 @@ def family_flags(command, family):
 
 @st.composite
 def cli_argvs(draw):
-    """An argv of a subcommand or a junk word, a zoo family or a junk word,
-    and flags with small values, on states of dimension at most 256.  A zoo
-    flag the family reads is more often drawn than one it does not, so that
-    many argvs get past the family's parameter check."""
+    """An argv of a subcommand or a junk word, a zoo family, a junk word or
+    the state file, and flags with small values, on states of dimension at
+    most 256.  A zoo flag the family reads is more often drawn than one it
+    does not, so that many argvs get past the family's parameter check."""
     command = draw(st.sampled_from([*COMMAND_FLAGS, "nope"]))
     argv = [command]
-    family = draw(st.sampled_from([*zoo_families(), *JUNK_WORDS]))
+    family = draw(st.sampled_from([*zoo_families(), *JUNK_WORDS, STATE_FILE]))
     if command in ("analyze", "decompose"):
         argv.append(f"zoo:{family}" if family in zoo_families() else family)
     elif command != "threshold-table":
@@ -660,8 +690,8 @@ def cli_argvs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(argv=cli_argvs())
-def test_any_argv_exits_with_a_known_code_and_one_line(argv):
-    code, out, err = run(argv)
+def test_any_argv_exits_with_a_known_code_and_one_line(ghz3_file, argv):
+    code, out, err = run(with_state_file(argv, ghz3_file))
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err
     if code:
@@ -678,7 +708,7 @@ def test_numeric_integrity_exits_4(monkeypatch):
     def explode(*args, **kwargs):
         raise NumericIntegrityError("imaginary residue out of range")
 
-    monkeypatch.setattr("blochsep.cli.subset_scan", explode)
+    monkeypatch.setattr("blochsep.criteria.subset_scan", explode)
     code, _, err = run(["analyze", "zoo:werner", "-p", "0.5"])
     assert code == 4
     assert "imaginary residue" in err
@@ -734,6 +764,46 @@ def test_thresholds_expand_one_state_each(monkeypatch, argv, expansions):
     count_calls(monkeypatch, counts, "validate", blochsep.states, "validate_density")
     run_json(argv)
     assert counts == {"transform": expansions, "validate": expansions}
+
+
+CRITERION_FUNCTIONS = ("necessary_test", "subset_scan", "qubit_exact_test", "sufficiency_test")
+# the criterion functions each criterion key calls; t1 reaches subset_scan
+# through necessary_test
+CALLED = {"t1": {"necessary_test", "subset_scan"}, "c1": {"subset_scan"},
+          "c2": {"qubit_exact_test"}, "p2": {"sufficiency_test"},
+          "all": {"subset_scan", "qubit_exact_test", "sufficiency_test"}}
+
+
+@pytest.mark.parametrize("argv, key", [
+    *(pytest.param(["analyze", "zoo:ghz", "-N", "3", "--criteria", key], key,
+                   id=f"analyze-{key}") for key in CALLED),
+    *(pytest.param(["threshold", "ghz-noisy", "-N", "3", "--criterion", key], key,
+                   id=f"threshold-{key}") for key in CALLED if key != "all"),
+])
+def test_criteria_are_reached_by_name(monkeypatch, argv, key):
+    # a wrapper rebound over a criterion function, as the benchmark's tracer
+    # rebinds them, must see the calls that analyze and threshold make
+    counts = dict.fromkeys(CRITERION_FUNCTIONS, 0)
+    for name in CRITERION_FUNCTIONS:
+        count_calls(monkeypatch, counts, name, blochsep.criteria, name)
+    run_json(argv)
+    assert {name for name, n in counts.items() if n} == CALLED[key]
+
+
+@pytest.mark.parametrize("subsets", ["full", "all"])
+@pytest.mark.parametrize("source", [
+    ["zoo:werner", "-p", "0.3"], ["zoo:smolin"], ["zoo:ghz", "-N", "4"], ["zoo:psi-234"],
+], ids=["werner", "smolin", "ghz-4", "psi-234"])
+def test_criteria_all_is_the_union_of_its_parts(source, subsets):
+    def report(criteria, subsets="full"):
+        return run_json(["analyze", *source, "--criteria", criteria, "--subsets", subsets])
+
+    whole = report("all", subsets)
+    assert whole["records"] == report("c1", subsets)["records"]
+    if subsets == "full":
+        assert whole["records"] == report("t1")["records"]
+    assert whole["exact_qubit"] == report("c2")["exact_qubit"]
+    assert whole["sufficiency"] == report("p2")["sufficiency"]
 
 
 def test_decompose_assembles_through_the_inverse_map(monkeypatch):

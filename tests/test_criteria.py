@@ -30,7 +30,6 @@ from blochsep import (
     projector,
     qubit_exact_test,
     reconstruct,
-    reduced_w_noisy,
     separability_bound,
     separable_decomposition,
     smolin,
@@ -40,7 +39,6 @@ from blochsep import (
     tensor_kyfan,
     threshold_search,
     w_state,
-    zoo_state,
 )
 from conftest import (bisect_threshold, decomposition_candidates, diagonal_qubit_state,
                       empty_bloch_data, per_tensor_norms, per_term_assembly,
@@ -69,7 +67,7 @@ def test_necessary_test_flags_bound_entangled_states():
 
 
 def test_necessary_test_never_claims_separable():
-    for rho in [maximally_mixed((2, 2, 2)), zoo_state("werner", noise=0.1),
+    for rho in [maximally_mixed((2, 2, 2)), ZooSpec("werner", noise=0.1).build(),
                 noisy(w_state(3), 0.2)]:
         v = necessary_test(rho)
         assert v.decision == Decision.INCONCLUSIVE
@@ -118,10 +116,10 @@ def test_subset_scan_selectors():
 def test_subset_scan_returns_the_necessary_verdicts():
     rho = state_234()
     verdicts = subset_scan(rho, "all")
-    assert verdicts == [necessary_test(rho, v.subset) for v in verdicts]
+    assert verdicts == [subset_scan(rho, [v.subset])[0] for v in verdicts]
     assert necessary_test(rho).subset == (0, 1, 2)
-    assert necessary_test(rho, [2, 0, 2]).subset == (0, 2)
-    assert necessary_test(rho, [2, 0]) == verdicts[1]
+    assert subset_scan(rho, [[2, 0, 2]])[0].subset == (0, 2)
+    assert subset_scan(rho, [[2, 0]])[0] == verdicts[1]
 
 
 def test_subset_scan_ghz_pairs_borderline():
@@ -135,7 +133,7 @@ def test_subset_scan_ghz_pairs_borderline():
 def test_subset_scan_reduced_noisy_w():
     # tracing two parties from a noisy six-party W leaves a four-party state
     # that the full-tensor test certifies at p = 0.6
-    rho = reduced_w_noisy(6, 2, 0.6)
+    rho = ZooSpec("reduced-w-noisy", parties=6, removed=2, noise=0.6).build()
     (v,) = subset_scan(rho, "full")
     assert v.decision == Decision.ENTANGLED
 
@@ -215,7 +213,7 @@ def test_sufficiency_lhs_closed_forms():
         return sufficiency_test(rho).norm_value
 
     for p in (0.1, 0.25, 0.33):
-        assert lhs(zoo_state("werner", noise=p)) == pytest.approx(3 * p, abs=1e-10)
+        assert lhs(ZooSpec("werner", noise=p).build()) == pytest.approx(3 * p, abs=1e-10)
     for t in (0.2, 0.7):
         assert lhs(diagonal_qubit_state(3, (0, 0, t))) == pytest.approx(t, abs=1e-10)
     assert lhs(noisy(ghz(3), 0.5)) is None
@@ -223,7 +221,7 @@ def test_sufficiency_lhs_closed_forms():
 
 def test_sufficiency_verdicts():
     assert sufficiency_test(maximally_mixed((2, 3))).decision == Decision.SEPARABLE
-    assert sufficiency_test(zoo_state("werner", noise=0.3)).decision == Decision.SEPARABLE
+    assert sufficiency_test(ZooSpec("werner", noise=0.3).build()).decision == Decision.SEPARABLE
     v = sufficiency_test(smolin())
     assert v.decision == Decision.INCONCLUSIVE
     assert v.reason == "sum-exceeds-one"
@@ -233,7 +231,7 @@ def test_sufficiency_verdicts():
 
 
 def test_decomposition_werner():
-    rho = zoo_state("werner", noise=0.3)
+    rho = ZooSpec("werner", noise=0.3).build()
     dec = separable_decomposition(rho)
     assert dec.terms.rank == 6
     np.testing.assert_allclose(dec.terms.weights, 0.15, atol=1e-10)
@@ -273,13 +271,13 @@ def noisy_qubit_qutrit_product():
 
 def decomposition_grid():
     rng = np.random.default_rng(25)
-    yield zoo_state("werner", noise=0.05)
-    yield zoo_state("werner", noise=0.25)
+    yield ZooSpec("werner", noise=0.05).build()
+    yield ZooSpec("werner", noise=0.25).build()
     yield diagonal_qubit_state(3, (0, 0.3, 0.4))
     yield diagonal_qubit_state(4, (0.2, 0.2, 0.2))
     yield noisy_qubit_qutrit_product()
-    yield zoo_state("qutrit-ghz-noisy", parties=2, noise=0.05)
-    yield zoo_state("ghz-noisy", parties=2, levels=4, noise=0.02)
+    yield ZooSpec("qutrit-ghz-noisy", parties=2, noise=0.05).build()
+    yield ZooSpec("ghz-noisy", parties=2, levels=4, noise=0.02).build()
 
 
 def test_decomposition_invariants():
@@ -347,7 +345,7 @@ def test_soundness_on_random_separable_states():
 
 def test_no_state_both_separable_and_entangled():
     rng = np.random.default_rng(27)
-    candidates = [zoo_state("werner", noise=p) for p in np.linspace(0, 1, 9)]
+    candidates = [ZooSpec("werner", noise=p).build() for p in np.linspace(0, 1, 9)]
     candidates += [diagonal_qubit_state(3, (0, 0, t)) for t in (0.3, 0.9, 1.0)]
     candidates += [random_separable(rng, (2, 2, 2)) for _ in range(5)]
     for rho in candidates:
@@ -358,7 +356,7 @@ def test_no_state_both_separable_and_entangled():
 
 def test_verdicts_invariant_under_local_unitaries():
     rng = np.random.default_rng(28)
-    for rho in [smolin(), zoo_state("werner", noise=0.8), noisy(ghz(3), 0.6)]:
+    for rho in [smolin(), ZooSpec("werner", noise=0.8).build(), noisy(ghz(3), 0.6)]:
         us = [random_unitary(rng, d) for d in rho.dims]
         big = kron(*us)
         rotated = DensityMatrix(rho.dims, big @ rho.matrix @ big.conj().T)

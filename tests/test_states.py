@@ -19,13 +19,11 @@ from blochsep import (
     noisy,
     partial_trace,
     projector,
-    reduced_w_noisy,
     smolin,
     state_234,
     validate_density,
     w_state,
     zoo_families,
-    zoo_state,
 )
 from blochsep.tolerances import PSD_TOL
 from conftest import random_density, random_unitary
@@ -59,15 +57,15 @@ def test_kron_matches_numpy():
 
 def test_validation_accepts_zoo_states():
     samples = [
-        zoo_state("ghz", parties=3),
-        zoo_state("werner", noise=0.4),
-        zoo_state("w", parties=4),
-        zoo_state("qutrit-ghz-noisy", parties=3, noise=0.5),
-        zoo_state("reduced-w-noisy", parties=5, removed=2, noise=0.3),
-        zoo_state("psi-234"),
-        zoo_state("smolin"),
-        zoo_state("duer4"),
-        zoo_state("mixed", dims=(2, 3)),
+        ZooSpec("ghz", parties=3).build(),
+        ZooSpec("werner", noise=0.4).build(),
+        ZooSpec("w", parties=4).build(),
+        ZooSpec("qutrit-ghz-noisy", parties=3, noise=0.5).build(),
+        ZooSpec("reduced-w-noisy", parties=5, removed=2, noise=0.3).build(),
+        ZooSpec("psi-234").build(),
+        ZooSpec("smolin").build(),
+        ZooSpec("duer4").build(),
+        ZooSpec("mixed", dims=(2, 3)).build(),
     ]
     for rho in samples:
         validate_density(rho.matrix, rho.dims)
@@ -134,7 +132,7 @@ def test_validation_rejects_shape_and_dims():
 
 
 def test_density_matrix_basics():
-    rho = zoo_state("werner", noise=0.5)
+    rho = ZooSpec("werner", noise=0.5).build()
     assert rho.n_parties == 2
     assert rho.dim == 4
     purity = np.vdot(rho.matrix, rho.matrix).real
@@ -227,7 +225,7 @@ def test_reduced_w_matches_direct_construction():
     kept = n_total - removed
     red = partial_trace(w_state(n_total), tuple(range(kept)))
     expected = (1 - p) * np.eye(2 ** kept) / 2 ** kept + p * red.matrix
-    got = reduced_w_noisy(n_total, removed, p)
+    got = ZooSpec("reduced-w-noisy", parties=n_total, removed=removed, noise=p).build()
     assert got.dims == (2,) * kept
     np.testing.assert_allclose(got.matrix, expected, atol=1e-12)
 
@@ -297,7 +295,7 @@ FAMILY_PARAMS = {
 def test_zoo_families_all_buildable():
     assert set(FAMILY_PARAMS) == set(zoo_families())
     for family, kwargs in FAMILY_PARAMS.items():
-        rho = zoo_state(family, **kwargs)
+        rho = ZooSpec(family, **kwargs).build()
         validate_density(rho.matrix, rho.dims)
 
 
@@ -315,8 +313,8 @@ def test_noise_families_mix_sigma_with_white_noise(family):
 
 def test_werner_is_two_party_ghz_noisy():
     np.testing.assert_allclose(
-        zoo_state("werner", noise=0.3).matrix,
-        zoo_state("ghz-noisy", parties=2, noise=0.3).matrix,
+        ZooSpec("werner", noise=0.3).build().matrix,
+        ZooSpec("ghz-noisy", parties=2, noise=0.3).build().matrix,
         atol=1e-12)
 
 

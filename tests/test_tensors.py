@@ -12,7 +12,6 @@ from blochsep import (
     find_orthogonal_kruskal,
     is_supersymmetric,
     kruskal_to_tensor,
-    matrix_kyfan,
     sign_table,
     singular_values,
     tensor_kyfan,
@@ -128,7 +127,7 @@ def test_matrix_kyfan_matches_gram_route():
         a = rng.normal(size=shape)
         gram = np.linalg.eigvalsh(a @ a.T)
         expected = np.sqrt(np.clip(gram, 0.0, None)).sum()
-        assert matrix_kyfan(a) == pytest.approx(expected, abs=1e-7)
+        assert tensor_kyfan(a) == pytest.approx(expected, abs=1e-7)
 
 
 def test_tensor_kyfan_picks_largest_mode():
@@ -146,7 +145,7 @@ def test_supersymmetric_shortcut_agrees():
     assert is_supersymmetric(sym)
     assert not is_supersymmetric(raw)
     # for a supersymmetric tensor the first unfolding already gives the norm
-    assert matrix_kyfan(unfold(sym, 0)) == pytest.approx(tensor_kyfan(sym), rel=1e-12)
+    assert tensor_kyfan(unfold(sym, 0)) == pytest.approx(tensor_kyfan(sym), rel=1e-12)
 
 
 def test_supersymmetric_spectra_equal_across_modes():
@@ -214,7 +213,7 @@ def test_orthogonal_form_for_matrices():
     assert form is not None
     assert_orthonormal_columns(form)
     np.testing.assert_allclose(kruskal_to_tensor(form), a, atol=1e-10)
-    assert form.weights.sum() == pytest.approx(matrix_kyfan(a), rel=1e-10)
+    assert form.weights.sum() == pytest.approx(tensor_kyfan(a), rel=1e-10)
 
 
 def test_orthogonal_form_for_diagonal_tensor():
