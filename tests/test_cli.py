@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import math
+import re
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 import blochsep.bloch
+import blochsep.cli
 import blochsep.criteria
 import blochsep.states
 from blochsep import (
@@ -132,8 +134,10 @@ def test_analyze_reports_are_deterministic():
     _, second, _ = run(args)
     assert first == second
     assert "timing" not in json.loads(first)
-    timed = run_json(args + ["--timing"])
-    assert "timing" in timed
+    timing = run_json(args + ["--timing"])["timing"]
+    assert set(timing) == {"elapsed_seconds", "state_seconds"}
+    for seconds in timing.values():
+        assert isinstance(seconds, float) and seconds >= 0
 
 
 def test_analyze_csv_format():
@@ -560,35 +564,43 @@ def with_state_file(words, path):
 ZOO_ONLY = "applies only to zoo: states, not to the state file " + STATE_FILE
 
 
-@pytest.mark.parametrize("argv, named", [
-    (["zoo", "nope"], "'nope'"),
-    (["analyze", "zoo:ghz", "-N", "x"], "-N/--parties"),
-    (["analyze", "--no-such-flag"], "unrecognized arguments: --no-such-flag"),
-    ([], "required: command"),
-    (["decompose", "--bogus"], "unrecognized arguments: --bogus"),
-    (["analyze", "zoo:werner", "-p", "0.3", "--bogus"], "unrecognized arguments: --bogus"),
-    (["decompose", "-p", "0.3"], "the following arguments are required: state"),
-    (["threshold-table", "--max-parties", "2"], "max_parties must be at least 3"),
-    (["threshold-table", "--max-parties", "1"], "max_parties must be at least 3"),
-    (["threshold-table", "--max-parties", "-1"], "max_parties must be at least 3"),
-    (["zoo", "mixed", "--dims", "2,-1"],
-     "every subsystem dimension must be at least 2, got (2, -1)"),
-    (["zoo", "mixed", "--dims", "-2"], "every subsystem dimension must be at least 2, got (-2,)"),
-    (["analyze", STATE_FILE, "-N", "5"], "--parties " + ZOO_ONLY),
-    (["analyze", STATE_FILE, "-d", "3"], "--levels " + ZOO_ONLY),
-    (["analyze", STATE_FILE, "-p", "0.3"], "--noise " + ZOO_ONLY),
-    (["analyze", STATE_FILE, "-n", "1"], "--removed " + ZOO_ONLY),
-    (["decompose", STATE_FILE, "--dims", "2,2"], "--dims " + ZOO_ONLY),
-    (["analyze", "zoo:ghz", "-N", "3", "--format", "csv", "--timing"],
-     "--format csv writes only norm records, not --timing"),
-    (["analyze", "zoo:reduced-w-noisy", "-N", "1", "-n", "1", "-p", "0.5"],
-     "reduced-w-noisy needs at least 2 parties"),
-], ids=["zoo-unknown-family", "analyze-bad-int", "analyze-unknown-flag", "no-command",
-        "decompose-unknown-flag", "unknown-flag-with-state", "missing-state",
-        "table-max-parties-2", "table-max-parties-1", "table-max-parties-negative",
-        "mixed-negative-dimension", "mixed-negative-dimension-alone",
-        "file-with-parties", "file-with-levels", "file-with-noise", "file-with-removed",
-        "decompose-file-with-dims", "csv-with-timing", "reduced-w-one-party"])
+# a usage error of each kind, by id: the argv, and what its one line names
+USAGE_ERRORS = {
+    "zoo-unknown-family": (["zoo", "nope"], "'nope'"),
+    "analyze-bad-int": (["analyze", "zoo:ghz", "-N", "x"], "-N/--parties"),
+    "analyze-unknown-flag": (["analyze", "--no-such-flag"],
+                             "unrecognized arguments: --no-such-flag"),
+    "no-command": ([], "required: command"),
+    "decompose-unknown-flag": (["decompose", "--bogus"], "unrecognized arguments: --bogus"),
+    "unknown-flag-with-state": (["analyze", "zoo:werner", "-p", "0.3", "--bogus"],
+                                "unrecognized arguments: --bogus"),
+    "missing-state": (["decompose", "-p", "0.3"],
+                      "the following arguments are required: state"),
+    "table-max-parties-2": (["threshold-table", "--max-parties", "2"],
+                            "max_parties must be at least 3"),
+    "table-max-parties-1": (["threshold-table", "--max-parties", "1"],
+                            "max_parties must be at least 3"),
+    "table-max-parties-negative": (["threshold-table", "--max-parties", "-1"],
+                                   "max_parties must be at least 3"),
+    "mixed-negative-dimension": (["zoo", "mixed", "--dims", "2,-1"],
+                                 "every subsystem dimension must be at least 2, got (2, -1)"),
+    "mixed-negative-dimension-alone": (["zoo", "mixed", "--dims", "-2"],
+                                       "every subsystem dimension must be at least 2, got (-2,)"),
+    "file-with-parties": (["analyze", STATE_FILE, "-N", "5"], "--parties " + ZOO_ONLY),
+    "file-with-levels": (["analyze", STATE_FILE, "-d", "3"], "--levels " + ZOO_ONLY),
+    "file-with-noise": (["analyze", STATE_FILE, "-p", "0.3"], "--noise " + ZOO_ONLY),
+    "file-with-removed": (["analyze", STATE_FILE, "-n", "1"], "--removed " + ZOO_ONLY),
+    "decompose-file-with-dims": (["decompose", STATE_FILE, "--dims", "2,2"],
+                                 "--dims " + ZOO_ONLY),
+    "csv-with-timing": (["analyze", "zoo:ghz", "-N", "3", "--format", "csv", "--timing"],
+                        "--format csv writes only norm records, not --timing"),
+    "reduced-w-one-party": (["analyze", "zoo:reduced-w-noisy", "-N", "1", "-n", "1",
+                             "-p", "0.5"], "reduced-w-noisy needs at least 2 parties"),
+}
+
+
+@pytest.mark.parametrize("argv, named", list(USAGE_ERRORS.values()),
+                         ids=list(USAGE_ERRORS))
 def test_usage_errors_take_one_line(ghz3_file, argv, named):
     # the message names the argument at fault, and a missing state only
     # when nothing else is wrong
@@ -704,6 +716,75 @@ def test_help_still_exits_0():
     assert "usage: blochsep" in out
 
 
+# every subcommand and its --help, each usage error, and a failing parse
+# right before a good one of the same subcommand, so that state one parse
+# left on a shared parser would change the next answer
+PARSER_SEQUENCE = [
+    ["--help"],
+    *([command, "--help"] for command in COMMAND_FLAGS),
+    ["analyze", "zoo:ghz", "-N", "x"],
+    ["analyze", "zoo:ghz", "-N", "3"],
+    ["analyze", "zoo:werner", "-p", "0.3", "--bogus"],
+    ["analyze", "zoo:werner", "-p", "0.3", "--criteria", "c1", "--format", "csv"],
+    ["analyze", "--criteria", "t2"],
+    ["analyze", STATE_FILE, "--criteria", "t1"],
+    ["threshold", "ghz-noisy", "-N", "3", "--criterion", "t2"],
+    ["threshold", "ghz-noisy", "-N", "3", "--criterion", "p2"],
+    ["threshold", "werner"],
+    ["threshold-table", "--max-parties", "x"],
+    ["threshold-table", "--max-parties", "4", "--format", "csv"],
+    ["decompose", "-p", "0.3"],
+    ["decompose", "zoo:werner", "-p", "0.3"],
+    ["zoo", "nope"],
+    ["zoo", "ghz", "-N", "2"],
+    *(argv for argv, _ in USAGE_ERRORS.values()),
+    ["analyze", "zoo:smolin"],
+]
+
+
+def answers(argvs, path):
+    """Exit code, stdout and stderr of each argv, with --timing's seconds masked."""
+    got = []
+    for argv in argvs:
+        code, out, err = run(with_state_file(argv, path))
+        got.append((code, re.sub(r'(_seconds": )[-+.e0-9]+', r"\1<masked>", out), err))
+    return got
+
+
+@settings(max_examples=40, deadline=None)
+@given(argvs=st.lists(cli_argvs(), min_size=1, max_size=6))
+@example(argvs=PARSER_SEQUENCE)
+def test_a_shared_parser_answers_like_a_fresh_one(ghz3_file, argvs):
+    shared = answers(argvs, ghz3_file)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(blochsep.cli, "build_parser", blochsep.cli.build_parser.__wrapped__)
+        fresh = answers(argvs, ghz3_file)
+    for argv, got, want in zip(argvs, shared, fresh):
+        assert got == want, argv
+
+
+def test_the_parser_is_built_once(monkeypatch):
+    # importing the module builds nothing; the first main call builds the
+    # top-level parser and one per subcommand, and later calls reuse them
+    probe = "import blochsep.cli as c; print(c.build_parser.cache_info().currsize)"
+    assert subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True).stdout == "0\n"
+    built = []
+    init = blochsep.cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(blochsep.cli._Parser, "__init__", counting_init)
+    blochsep.cli.build_parser.cache_clear()
+    argvs = [["threshold", "werner"], ["zoo", "nope"], ["analyze", "zoo:ghz", "-N", "3"],
+             ["threshold-table", "--max-parties", "3"]]
+    for i in range(20):
+        run(argvs[i % len(argvs)])
+    assert len(built) == 1 + len(COMMAND_FLAGS), built
+
+
 def test_numeric_integrity_exits_4(monkeypatch):
     def explode(*args, **kwargs):
         raise NumericIntegrityError("imaginary residue out of range")
@@ -716,10 +797,11 @@ def test_numeric_integrity_exits_4(monkeypatch):
 
 @pytest.mark.parametrize("tol", ["-2", "nan", "inf", "0"])
 def test_analyze_rejects_bad_guard(tol):
+    # the guard band is fixed; the flag that once set it is gone
     code, out, err = run(["analyze", "zoo:mixed", "--dims", "2,2", "--tol", tol])
     assert code == 2
     assert out == ""
-    assert len(err.splitlines()) == 1 and "--tol" in err
+    assert len(err.splitlines()) == 1 and "unrecognized arguments: --tol" in err
 
 
 def count_calls(monkeypatch, counts, key, module, name):

@@ -168,15 +168,6 @@ def test_subset_scan_product_state_inconclusive():
         assert v.norm_value <= v.bound_value + 1e-9
 
 
-@pytest.mark.parametrize("guard", [-2.0, float("nan"), float("inf")])
-def test_criteria_reject_bad_guard(guard):
-    # the guard parameter is gone, so any value passed for it is refused
-    rho = maximally_mixed((2, 2))
-    for test in (necessary_test, subset_scan, qubit_exact_test):
-        with pytest.raises(TypeError, match="guard"):
-            test(rho, guard=guard)
-
-
 def test_guard_band_is_fixed():
     # the band only absorbs rounding; no caller can narrow it into calling
     # separable states entangled
