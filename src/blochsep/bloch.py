@@ -26,18 +26,9 @@ import math
 import numpy as np
 
 from .errors import NumericIntegrityError
-from .states import DensityMatrix
+from .states import DensityMatrix, _subsystem_dims
 from .su_basis import build_basis
 from .tolerances import IMAG_TOL
-
-__all__ = [
-    "BlochData",
-    "bloch_vector",
-    "correlation_tensor",
-    "decompose",
-    "reconstruct",
-    "ball_radii",
-]
 
 
 @dataclass
@@ -179,10 +170,10 @@ def reconstruct(data: BlochData) -> DensityMatrix:
     """Rebuild the density matrix from a complete expansion.
 
     Inverse of :func:`decompose` up to rounding.  Raises ValueError on shape
-    mismatches and InvalidStateError if the coefficients do not describe a
-    physical state.
+    mismatches and InvalidStateError if the dimensions are not valid or the
+    coefficients do not describe a physical state.
     """
-    dims = tuple(int(d) for d in data.dims)
+    dims = _subsystem_dims(data.dims)
     n = len(dims)
     coeff = np.zeros(tuple(d * d for d in dims))
     coeff[(0,) * n] = 1.0

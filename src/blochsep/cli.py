@@ -17,6 +17,7 @@ numeric integrity failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import sys
 import time
@@ -128,21 +129,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the ZooSpec parameters, each set by the flag of the same name
+_ZOO_PARAMETERS = tuple(f.name for f in dataclasses.fields(ZooSpec)[1:])
+
+
 def _zoo_spec(family: str, args) -> ZooSpec:
-    dims = None
-    if args.dims:
+    values = {name: getattr(args, name) for name in _ZOO_PARAMETERS}
+    if args.dims is not None:
         try:
-            dims = tuple(int(x) for x in args.dims.split(","))
+            values["dims"] = tuple(int(x) for x in args.dims.split(","))
         except ValueError:
             raise InvalidStateError(f"cannot parse --dims {args.dims!r}")
-    return ZooSpec(
-        family=family,
-        parties=args.parties,
-        levels=args.levels,
-        noise=args.noise,
-        removed=args.removed,
-        dims=dims,
-    )
+    return ZooSpec(family, **values)
 
 
 def _resolve_state(args) -> tuple:
@@ -151,7 +149,7 @@ def _resolve_state(args) -> tuple:
     if src.startswith("zoo:"):
         spec = _zoo_spec(src[len("zoo:") :], args)
         return spec.build(), {"source": src, "family": spec.family, **spec.parameters}
-    for name in ("parties", "levels", "noise", "removed", "dims"):
+    for name in _ZOO_PARAMETERS:
         if getattr(args, name) is not None:
             raise ValueError(f"--{name} applies only to zoo: states, not to the "
                              f"state file {src}")
@@ -174,13 +172,13 @@ def _parse_subsets(text: str):
 
 
 def _emit(args, text: str) -> None:
-    if not getattr(args, "output", None):
+    if args.output is None:
         sys.stdout.write(text)
         return
     try:
         write_text_atomic(args.output, text)
     except OSError as exc:
-        raise OSError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
+        raise OSError(f"cannot write {args.output!r}: {exc.strerror or exc}") from exc
 
 
 def cmd_analyze(args) -> int:

@@ -38,7 +38,7 @@ from .bloch import (
     ball_radii,
 )
 from .errors import CriterionUnavailableError
-from .states import DensityMatrix, ZooSpec, _check_fits
+from .states import DensityMatrix, ZooSpec, _check_fits, _subsystem_dims
 from .tensors import (
     KruskalForm,
     _stack_kyfan,
@@ -47,21 +47,6 @@ from .tensors import (
     sign_table,
 )
 from .tolerances import BOUND_GUARD, SUFFICIENCY_SLACK, WEIGHT_CUTOFF, ZERO_COMPONENT_TOL
-
-__all__ = [
-    "Decision",
-    "Verdict",
-    "SeparableDecomposition",
-    "separability_bound",
-    "necessary_test",
-    "subset_scan",
-    "qubit_exact_test",
-    "sufficiency_test",
-    "separable_decomposition",
-    "assemble_decomposition",
-    "threshold_search",
-    "noise_threshold_table",
-]
 
 
 class Decision(str, Enum):
@@ -109,11 +94,9 @@ class SeparableDecomposition:
 def separability_bound(dims) -> float:
     """Largest full-tensor Ky Fan norm a fully separable state on ``dims``
     can reach: sqrt(prod_k d_k (d_k - 1) / 2^N).  Equals 1 for qubits."""
-    dims = tuple(int(d) for d in dims)
+    dims = _subsystem_dims(dims)
     if len(dims) < 2:
         raise ValueError("the bound concerns at least 2 subsystems")
-    if any(d < 2 for d in dims):
-        raise ValueError(f"every subsystem dimension must be at least 2, got {dims}")
     return math.sqrt(math.prod(d * (d - 1) / 2.0 for d in dims))
 
 

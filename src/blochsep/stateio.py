@@ -27,12 +27,13 @@ import gc
 import io
 from itertools import chain
 import json
+import math
 import os
 
 import numpy as np
 
 from .errors import InvalidStateError
-from .states import DensityMatrix
+from .states import DensityMatrix, _subsystem_dims
 
 SCHEMA_VERSION = "blochsep/1"
 
@@ -48,23 +49,16 @@ def state_from_jsonable(doc) -> DensityMatrix:
         )
     if doc.get("kind", "state") != "state":
         raise InvalidStateError(f"document kind {doc.get('kind')!r} is not a state")
-    dims = doc.get("dims")
-    if not isinstance(dims, list) or not dims:
-        raise InvalidStateError("dims must be a nonempty list of integers")
-    for d in dims:
-        if not isinstance(d, int) or isinstance(d, bool):
-            raise InvalidStateError(f"dims entries must be integers, got {d!r}")
+    dims = _subsystem_dims(doc.get("dims"))
     raw = doc.get("matrix")
-    total = 1
-    for d in dims:
-        total *= max(d, 1)
+    total = math.prod(dims)
     if not isinstance(raw, list) or len(raw) != total:
         raise InvalidStateError(f"matrix must be a list of {total} rows")
     mat = _matrix_array(raw, total)
     if mat is None:
         mat = _matrix_entrywise(raw, total)
     # dimension and matrix-content checks (Hermiticity, trace, positivity)
-    return DensityMatrix(tuple(dims), mat)
+    return DensityMatrix(dims, mat)
 
 
 def _matrix_array(raw: list, total: int):

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from functools import reduce
 import math
+import operator
 import os
 
 import numpy as np
@@ -16,16 +17,14 @@ import numpy as np
 from .errors import InvalidStateError
 from .tolerances import EXACT_TOL, PSD_TOL
 
-HERM_TOL = EXACT_TOL
-TRACE_TOL = EXACT_TOL
-
 
 def _subsystem_dims(dims) -> tuple:
     """``dims`` as a tuple of ints, each at least 2; raises InvalidStateError
-    naming the first violated requirement."""
+    naming the first violated requirement.  Entries must be integers, numpy's
+    included: a float such as 2.0 is refused, not truncated."""
     try:
-        dims = tuple(int(d) for d in dims)
-    except (TypeError, ValueError):
+        dims = tuple(map(operator.index, dims))
+    except TypeError:
         raise InvalidStateError("dims must be a sequence of integers")
     if len(dims) == 0:
         raise InvalidStateError("dims must name at least one subsystem")
@@ -58,9 +57,9 @@ def validate_density(matrix, dims) -> None:
     with np.errstate(over="ignore", invalid="ignore"):
         herm = np.abs(m - m.conj().T).max()
         tr = complex(np.trace(m))
-    if herm > HERM_TOL:
+    if herm > EXACT_TOL:
         raise InvalidStateError(f"matrix is not Hermitian (max deviation {herm:.3e})")
-    if not abs(tr - 1.0) <= TRACE_TOL:
+    if not abs(tr - 1.0) <= EXACT_TOL:
         raise InvalidStateError(f"trace is {tr:.12g}, expected 1")
     if _has_cholesky_factor(m, PSD_TOL / 2):
         return
@@ -97,7 +96,7 @@ class DensityMatrix:
     _coefficients: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+        dims = _subsystem_dims(self.dims)
         validate_density(self.matrix, dims)
         m = np.array(self.matrix, dtype=complex)
         m.flags.writeable = False
@@ -161,7 +160,7 @@ def kron(*matrices) -> np.ndarray:
 
 def basis_ket(levels, dims) -> np.ndarray:
     """Computational basis vector |levels> on subsystems of sizes ``dims``."""
-    dims = tuple(int(d) for d in dims)
+    dims = _subsystem_dims(dims)
     levels = tuple(int(x) for x in levels)
     if len(levels) != len(dims):
         raise ValueError("one level per subsystem required")

@@ -18,17 +18,6 @@ import numpy as np
 
 from .tolerances import RANK_CUTOFF
 
-__all__ = [
-    "unfold",
-    "singular_values",
-    "tensor_kyfan",
-    "is_supersymmetric",
-    "KruskalForm",
-    "kruskal_to_tensor",
-    "find_orthogonal_kruskal",
-    "sign_table",
-]
-
 
 def _as_tensor(tensor, min_order=2):
     t = np.asarray(tensor, dtype=float)

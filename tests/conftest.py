@@ -31,6 +31,7 @@ from blochsep import (
 from blochsep.bloch import _from_coefficients
 from blochsep.criteria import _sufficiency_parts
 from blochsep.stateio import SCHEMA_VERSION
+from blochsep.states import _subsystem_dims
 from blochsep.tolerances import SUFFICIENCY_SLACK, WEIGHT_CUTOFF
 
 
@@ -203,8 +204,9 @@ def entrywise_state_to_jsonable(rho, name=None, source=None):
 
 def entrywise_state_from_jsonable(doc):
     """Reference for ``stateio.state_from_jsonable``: the entry-by-entry
-    reader it replaced, kept verbatim so the array reader can be compared
-    with it value for value and message for message."""
+    reader it replaced, kept verbatim but for the one dims check that both
+    call, so the array reader can be compared with it value for value and
+    message for message."""
     if not isinstance(doc, dict):
         raise InvalidStateError("state document must be a JSON object")
     schema = doc.get("schema")
@@ -214,16 +216,9 @@ def entrywise_state_from_jsonable(doc):
         )
     if doc.get("kind", "state") != "state":
         raise InvalidStateError(f"document kind {doc.get('kind')!r} is not a state")
-    dims = doc.get("dims")
-    if not isinstance(dims, list) or not dims:
-        raise InvalidStateError("dims must be a nonempty list of integers")
-    for d in dims:
-        if not isinstance(d, int) or isinstance(d, bool):
-            raise InvalidStateError(f"dims entries must be integers, got {d!r}")
+    dims = _subsystem_dims(doc.get("dims"))
     raw = doc.get("matrix")
-    total = 1
-    for d in dims:
-        total *= max(d, 1)
+    total = math.prod(dims)
     if not isinstance(raw, list) or len(raw) != total:
         raise InvalidStateError(f"matrix must be a list of {total} rows")
     mat = np.empty((total, total), dtype=complex)
@@ -243,7 +238,7 @@ def entrywise_state_from_jsonable(doc):
                 mat[i, j] = complex(entry[0], entry[1])
             except OverflowError:
                 raise InvalidStateError(f"matrix entry ({i}, {j}) is too large for a float")
-    return DensityMatrix(tuple(dims), mat)
+    return DensityMatrix(dims, mat)
 
 
 def per_term_decomposition(rho):

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import gc
 import io
 import json
@@ -487,22 +488,28 @@ def io_failure(tmp_path, case):
     if case == "output-in-missing-directory":
         target = tmp_path / "missing" / "out.json"
         return (["zoo", "ghz", "-N", "2", "-o", str(target)],
-                f"error: cannot write {target}: No such file or directory")
+                f"error: cannot write {str(target)!r}: No such file or directory")
     if case == "output-onto-directory":
         target = tmp_path / "out"
         target.mkdir()
         return (["analyze", "zoo:werner", "-p", "0.5", "-o", str(target)],
-                f"error: cannot write {target}: Is a directory")
+                f"error: cannot write {str(target)!r}: Is a directory")
     if case == "nested-past-the-recursion-limit":
         state.write_text("[" * 200000 + "]" * 200000)
         return ["analyze", str(state)], f"error: state file {state} is nested too deeply to parse"
+    if case == "empty-output-path":
+        return (["analyze", "zoo:ghz", "-N", "3", "-o", ""],
+                "error: cannot write '': No such file or directory")
     state.write_bytes(b'{"schema": "blochsep/1\xff"}')
     return ["analyze", str(state)], f"error: state file {state} is not UTF-8: "
 
 
 @pytest.mark.parametrize("case", ["output-in-missing-directory", "output-onto-directory",
-                                  "nested-past-the-recursion-limit", "not-utf-8"])
-def test_io_failures_exit_2_in_one_line(tmp_path, case):
+                                  "nested-past-the-recursion-limit", "not-utf-8",
+                                  "empty-output-path"])
+def test_io_failures_exit_2_in_one_line(tmp_path, monkeypatch, case):
+    # from tmp_path, so that a temporary file left beside a relative path shows
+    monkeypatch.chdir(tmp_path)
     argv, message = io_failure(tmp_path, case)
     code, out, err = run(argv)
     assert code == 2 and out == ""
@@ -596,6 +603,9 @@ USAGE_ERRORS = {
                         "--format csv writes only norm records, not --timing"),
     "reduced-w-one-party": (["analyze", "zoo:reduced-w-noisy", "-N", "1", "-n", "1",
                              "-p", "0.5"], "reduced-w-noisy needs at least 2 parties"),
+    "zoo-empty-dims": (["zoo", "mixed", "--dims="], "cannot parse --dims ''"),
+    "analyze-zoo-empty-dims": (["analyze", "zoo:ghz", "-N", "3", "--dims="],
+                               "cannot parse --dims ''"),
 }
 
 
@@ -708,6 +718,17 @@ def test_any_argv_exits_with_a_known_code_and_one_line(ghz3_file, argv):
     assert "Traceback" not in err
     if code:
         assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["analyze", "zoo:ghz"], ["decompose", "zoo:ghz"],
+                                  ["threshold", "ghz-noisy"], ["zoo", "ghz"]],
+                         ids=["analyze", "decompose", "threshold", "zoo"])
+def test_every_zoo_parameter_has_a_flag(argv):
+    # the CLI sets each ZooSpec parameter from the flag of the same name,
+    # which is unset unless given
+    names = [f.name for f in dataclasses.fields(ZooSpec)[1:]]
+    parsed = vars(blochsep.cli.build_parser().parse_args(argv))
+    assert {name: parsed.get(name, "no flag") for name in names} == dict.fromkeys(names)
 
 
 def test_help_still_exits_0():

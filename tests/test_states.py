@@ -19,14 +19,18 @@ from blochsep import (
     noisy,
     partial_trace,
     projector,
+    reconstruct,
+    separability_bound,
     smolin,
     state_234,
     validate_density,
     w_state,
     zoo_families,
 )
+from blochsep.stateio import state_from_jsonable
+from blochsep.states import _subsystem_dims
 from blochsep.tolerances import PSD_TOL
-from conftest import random_density, random_unitary
+from conftest import empty_bloch_data, random_density, random_unitary
 
 PAULI = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -129,6 +133,40 @@ def test_validation_rejects_shape_and_dims():
         validate_density(np.eye(2) / 2, (2, 1))
     with pytest.raises(InvalidStateError):
         validate_density(np.full((2, 2), np.nan), (2,))
+
+
+def dims_entry_points(dims, zoo=True):
+    """What each entry point that takes subsystem dimensions makes of ``dims``."""
+    entries = {
+        "DensityMatrix": lambda: DensityMatrix(dims, np.eye(6) / 6).dims,
+        "validate_density": lambda: validate_density(np.eye(6) / 6, dims),
+        "reconstruct": lambda: reconstruct(replace(empty_bloch_data((2, 3)), dims=dims)).dims,
+        "separability_bound": lambda: separability_bound(dims),
+        "basis_ket": lambda: basis_ket((0, 0), dims).shape,
+        "state_from_jsonable": lambda: state_from_jsonable(
+            {"schema": "blochsep/1", "kind": "state", "dims": dims,
+             "matrix": [[[1 / 6 if i == j else 0, 0] for j in range(6)] for i in range(6)]}).dims,
+    }
+    if zoo:
+        entries["ZooSpec"] = lambda: ZooSpec("mixed", dims=dims).build().dims
+    return entries
+
+
+def test_dims_follow_one_rule():
+    # every entry point refuses bad dimensions with _subsystem_dims' message
+    # and accepts numpy integers as ints
+    for dims in [(2.7, 2.2), [2.0, 2.0], None, ("a",), (), (2, 1), (2, True)]:
+        with pytest.raises(InvalidStateError) as want:
+            _subsystem_dims(dims)
+        for name, call in dims_entry_points(dims, zoo=dims is not None).items():
+            with pytest.raises(InvalidStateError) as got:
+                call()
+            assert str(got.value) == str(want.value), (name, dims)
+    got = {name: call() for name, call in dims_entry_points((np.int64(2), np.int32(3))).items()}
+    assert got == {"DensityMatrix": (2, 3), "validate_density": None, "reconstruct": (2, 3),
+                   "separability_bound": pytest.approx(np.sqrt(3)), "basis_ket": (6,),
+                   "state_from_jsonable": (2, 3), "ZooSpec": (2, 3)}
+    assert all(type(d) is int for d in got["DensityMatrix"] + got["reconstruct"])
 
 
 def test_density_matrix_basics():
