@@ -198,7 +198,7 @@ def _from_coefficients(dims: tuple, coeff: np.ndarray) -> DensityMatrix:
     paired = _mode_products(coeff, [_stack(d, 1.0).T for d in dims])
     paired = paired.reshape(tuple(x for d in dims for x in (d, d)))
     mat = paired.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     return DensityMatrix(dims, mat.reshape(total, total) / total)
 
 

@@ -330,7 +330,8 @@ def _closed_form_threshold(sigma: DensityMatrix, criterion: str) -> float | None
 def threshold_search(family, criterion: str = "t1") -> float | None:
     """Locate the noise weight p in [0, 1] where a criterion's verdict flips.
 
-    ``family`` is a ZooSpec of a noise family with ``noise`` left unset.
+    ``family`` is a ZooSpec of a noise family with ``noise`` left unset; an
+    unknown family is named as such before the noise parameter is looked for.
     Zoo families have the form (1-p)/D I + p sigma, so the flip is computed
     in closed form from one evaluation of the criterion on sigma (the state
     at p = 1).  Returns None when the verdict never flips on [0, 1], and 0.0

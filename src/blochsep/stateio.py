@@ -5,12 +5,15 @@ through Python's shortest round-trip repr (up to 17 significant digits), so a
 save/load/save cycle is byte-identical.  Writes are atomic: content lands in
 a sibling temporary file first and is moved into place.
 
-Both directions work on whole arrays.  The reader converts the matrix with
-one ``np.asarray`` call and checks its shape and leaf types; only a matrix
-that fails those checks goes through the entrywise walk, which exists to name
-the first bad row or entry.  ``load_state`` pauses the cyclic garbage
-collector while the parsed document, one list per row and per entry, is
-alive, and validation accepts positive semidefiniteness with a Cholesky
+Both directions work on whole arrays.  The reader converts the matrix in one
+flat pass: it checks the types and lengths of the rows and of the entries,
+flattens the entries into one list of leaves, checks their types, and
+converts that list with one 1-D ``np.fromiter`` call.  Only a matrix that
+fails those checks goes through the entrywise walk, which exists to name the
+first bad row or entry.  ``load_state`` pauses the cyclic garbage collector
+while the parsed document, one list per row and per entry, is alive; the
+flat pass's two pointer lists, of entries and of leaves, are freed before it
+resumes.  Validation accepts positive semidefiniteness with a Cholesky
 factorization (see ``states.validate_density``).
 
 The writer, ``state_text``, takes a ``DensityMatrix``, whose matrix
@@ -64,19 +67,27 @@ def state_from_jsonable(doc) -> DensityMatrix:
 def _matrix_array(raw: list, total: int):
     """The complex matrix of a well-formed ``raw``: ``total`` lists of
     ``total`` [re, im] lists of ints and floats.  None for anything else,
-    bools included, which ``np.asarray`` would quietly read as 0 and 1."""
+    bools included, which numpy would quietly read as 0 and 1.
+
+    One flat pass: the rows' and the entries' types and lengths are checked
+    as sets, the leaves are flattened into one list whose types are checked
+    the same way, and one 1-D ``np.fromiter`` converts them, so numpy never
+    discovers a nested shape.  Checking every level's lengths, not only the
+    leaf count, refuses a short entry or row that a long one makes up for."""
+    if set(map(type, raw)) != {list} or set(map(len, raw)) != {total}:
+        return None
+    entries = list(chain.from_iterable(raw))
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        return None
+    leaves = list(chain.from_iterable(entries))
+    del entries
+    if not set(map(type, leaves)) <= {int, float}:
+        return None
     try:
-        arr = np.asarray(raw, dtype=float)
-    except (ValueError, TypeError, OverflowError):
+        flat = np.fromiter(leaves, dtype=float, count=len(leaves))
+    except OverflowError:
         return None
-    if (
-        arr.shape != (total, total, 2)
-        or set(map(type, raw)) != {list}
-        or set(map(type, chain.from_iterable(raw))) != {list}
-        or not set(map(type, chain.from_iterable(chain.from_iterable(raw)))) <= {int, float}
-    ):
-        return None
-    return arr.view(complex)[..., 0]
+    return flat.view(complex).reshape(total, total)
 
 
 def _matrix_entrywise(raw: list, total: int) -> np.ndarray:
@@ -155,9 +166,10 @@ def load_state(path: str) -> tuple:
     The cyclic garbage collector is paused from the parse through the
     conversion; on every path out it resumes if it was running on entry.
     The parsed document, one list per row and per entry, is dropped before
-    it resumes: the collector would walk those lists again and again while
-    the parse allocates them and free none, and a list freed while it is
-    paused leaves no collection owed."""
+    it resumes, and ``_matrix_array``'s lists of entries and of leaves are
+    freed when it returns: the collector would walk those lists again and
+    again while the parse allocates them and free none, and a list freed
+    while it is paused leaves no collection owed."""
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:

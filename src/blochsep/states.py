@@ -44,7 +44,7 @@ def validate_density(matrix, dims) -> None:
     accepts no state that the eigenvalue rule refuses."""
     dims = _subsystem_dims(dims)
     m = np.asarray(matrix)
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     if m.shape != (total, total):
         raise InvalidStateError(
             f"matrix shape {m.shape} does not match dims {dims} (need {total}x{total})"
@@ -109,7 +109,7 @@ class DensityMatrix:
 
     @property
     def dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
 
 # bytes of working memory per entry of a D x D matrix: four complex matrices
@@ -167,7 +167,7 @@ def basis_ket(levels, dims) -> np.ndarray:
     for x, d in zip(levels, dims):
         if not 0 <= x < d:
             raise ValueError(f"level {x} out of range for dimension {d}")
-    vec = np.zeros(int(np.prod(dims)), dtype=complex)
+    vec = np.zeros(math.prod(dims), dtype=complex)
     vec[np.ravel_multi_index(levels, dims)] = 1.0
     return vec
 
@@ -195,8 +195,8 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     dims = rho.dims
     t = rho.matrix.reshape(dims + dims)
     perm = keep + traced + [n + k for k in keep] + [n + k for k in traced]
-    dk = int(np.prod([dims[k] for k in keep]))
-    dt = int(np.prod([dims[k] for k in traced]))
+    dk = math.prod(dims[k] for k in keep)
+    dt = math.prod(dims[k] for k in traced)
     block = t.transpose(perm).reshape(dk, dt, dk, dt)
     reduced = np.einsum("itjt->ij", block)
     return DensityMatrix(tuple(dims[k] for k in keep), reduced)
@@ -205,7 +205,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 def maximally_mixed(dims) -> DensityMatrix:
     dims = _subsystem_dims(dims)
     _check_fits(dims)
-    total = int(np.prod(dims))
+    total = math.prod(dims)
     return DensityMatrix(dims, np.eye(total, dtype=complex) / total)
 
 
@@ -367,16 +367,24 @@ class ZooSpec:
         values = ((f.name, getattr(self, f.name)) for f in fields(self)[1:])
         return {name: value for name, value in values if value is not None}
 
+    def _entry(self) -> tuple:
+        """The family's (reads, noise family, builder); refuses an unknown
+        family."""
+        if self.family not in _FAMILIES:
+            raise ValueError(f"unknown state family {self.family!r} "
+                             f"(known: {', '.join(_FAMILIES)})")
+        return _FAMILIES[self.family]
+
     @property
     def noise_parameterized(self) -> bool:
-        return self.family in _FAMILIES and _FAMILIES[self.family][1]
+        """Whether the family has a noise weight; raises ValueError naming an
+        unknown family."""
+        return self._entry()[1]
 
     def _state(self) -> DensityMatrix:
         """The state, or sigma for a noise family; refuses unread parameters."""
         fam = self.family
-        if fam not in _FAMILIES:
-            raise ValueError(f"unknown state family {fam!r} (known: {', '.join(_FAMILIES)})")
-        reads, noise_family, builder = _FAMILIES[fam]
+        reads, noise_family, builder = self._entry()
         for name in self.parameters:
             if name not in reads and not (noise_family and name == "noise"):
                 raise ValueError(f"family {fam!r} takes no parameter {name!r}")

@@ -301,7 +301,7 @@ def broken_state_docs(draw):
     n = len(raw)
     i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
     kind = draw(st.sampled_from(["none", "leaf", "leaf", "leaf", "pair", "rows", "ragged",
-                                 "row-type", "entry-type", "dims"]))
+                                 "row-type", "entry-type", "dims", "compensating"]))
     if kind == "leaf":
         raw[i][j][draw(st.integers(0, 1))] = draw(JUNK)
     elif kind == "pair":
@@ -319,6 +319,18 @@ def broken_state_docs(draw):
     elif kind == "dims":
         doc["dims"] = draw(st.sampled_from(
             [[65536, 65536], [], [2, True], [0], [-2], [1], [2, 2.0], "2", [2**70], [n]]))
+    elif kind == "compensating":
+        # two breaks that keep the number of leaves: a short and a long pair
+        # in one row, a short and a long row, or an entry whose one leaf is
+        # its own pair
+        k = (j + 1) % n
+        how = draw(st.sampled_from(["pairs", "rows", "nested"]))
+        if how == "pairs":
+            raw[i][j], raw[i][k] = raw[i][j][:1], raw[i][k] + raw[i][j][1:]
+        elif how == "rows":
+            raw[i], raw[k] = raw[i][:-1], raw[k] + raw[i][-1:]
+        else:
+            raw[i][j] = [raw[i][j]]
     return doc
 
 
@@ -346,11 +358,15 @@ def read(reader, doc):
 @example(doc=pure_qubit_doc(dims=(65536, 65536)))
 @example(doc={**pure_qubit_doc(), "matrix": [[[1, 0]] * 3, [[0, 0]] * 3]})
 @example(doc=pure_qubit_doc((0.12997710001554766, 8.98846567431158e+307)))
+@example(doc={**pure_qubit_doc(), "matrix": [[[1], [0, 0, 0]], [[0, 0], [0, 0]]]})
+@example(doc={**pure_qubit_doc(), "matrix": [[[1, 0]], [[0, 0], [0, 0], [0, 0]]]})
+@example(doc={**pure_qubit_doc(), "matrix": [[[[1, 0]], [0, 0]], [[0, 0], [0, 0]]]})
 def test_array_reader_matches_the_entrywise_walk(doc):
     """Every document reads to the reference's matrix, bit for bit, or is
     refused with the reference's message, bools, huge ints and huge dims
     included; [65536, 65536] is refused by the row count, before any
-    allocation."""
+    allocation.  The compensating breaks keep the number of leaves, so a
+    reader that checks only that number accepts them."""
     assert read(state_from_jsonable, doc) == read(entrywise_state_from_jsonable, doc)
 
 
@@ -569,6 +585,7 @@ def with_state_file(words, path):
 
 
 ZOO_ONLY = "applies only to zoo: states, not to the state file " + STATE_FILE
+KNOWN = ", ".join(zoo_families())
 
 
 # a usage error of each kind, by id: the argv, and what its one line names
@@ -606,6 +623,10 @@ USAGE_ERRORS = {
     "zoo-empty-dims": (["zoo", "mixed", "--dims="], "cannot parse --dims ''"),
     "analyze-zoo-empty-dims": (["analyze", "zoo:ghz", "-N", "3", "--dims="],
                                "cannot parse --dims ''"),
+    "threshold-unknown-family": (["threshold", "nope"],
+                                 f"unknown state family 'nope' (known: {KNOWN})"),
+    "threshold-zoo-unknown-family": (["threshold", "zoo:nope"],
+                                     f"unknown state family 'zoo:nope' (known: {KNOWN})"),
 }
 
 

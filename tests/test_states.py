@@ -169,6 +169,18 @@ def test_dims_follow_one_rule():
     assert all(type(d) is int for d in got["DensityMatrix"] + got["reconstruct"])
 
 
+@pytest.mark.parametrize("dims, need", [
+    ((2**32, 2**32), f"{2**64}x{2**64}"),
+    ((2**21,) * 3, f"{2**63}x{2**63}"),
+])
+def test_huge_dims_are_named_without_wrapping(dims, need):
+    # the dimension product is a Python int, not an int64 that wraps to 0 or
+    # to a negative number
+    with pytest.raises(InvalidStateError) as got:
+        validate_density(np.eye(2) / 2, dims)
+    assert str(got.value) == f"matrix shape (2, 2) does not match dims {dims} (need {need})"
+
+
 def test_density_matrix_basics():
     rho = ZooSpec("werner", noise=0.5).build()
     assert rho.n_parties == 2
@@ -310,6 +322,8 @@ def test_zoo_spec_missing_parameters():
         ZooSpec(family="werner").build()
     with pytest.raises(ValueError, match="unknown state family"):
         ZooSpec(family="nope").build()
+    with pytest.raises(ValueError, match="unknown state family 'nope'"):
+        ZooSpec(family="nope").noise_parameterized
     with pytest.raises(ValueError, match="takes no parameter"):
         ZooSpec("smolin", parties=3).build()
 
