@@ -51,6 +51,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+def _family(text: str) -> str:
+    """A zoo family named as ``FAMILY`` or as ``zoo:FAMILY``, the form a state
+    argument takes; argparse converts before it checks ``choices``."""
+    return text.removeprefix("zoo:")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built on the first call and shared by every later one.
@@ -99,7 +105,8 @@ def build_parser() -> argparse.ArgumentParser:
         "threshold",
         help="noise weight where a criterion's verdict flips, in closed form",
     )
-    pt.add_argument("family", help="zoo family with a free noise parameter")
+    pt.add_argument("family", type=_family,
+                    help="zoo family with a free noise parameter, as FAMILY or zoo:FAMILY")
     pt.add_argument(
         "--criterion", default="t1", choices=list(_CRITERIA)
     )
@@ -122,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_output(pd)
 
     pz = sub.add_parser("zoo", help="write a bundled example state")
-    pz.add_argument("family", choices=list(zoo_families()))
+    pz.add_argument("family", type=_family, choices=list(zoo_families()))
     add_zoo_params(pz)
     add_output(pz)
 
@@ -147,7 +154,7 @@ def _resolve_state(args) -> tuple:
     """Return (DensityMatrix, input descriptor dict)."""
     src = args.state
     if src.startswith("zoo:"):
-        spec = _zoo_spec(src[len("zoo:") :], args)
+        spec = _zoo_spec(_family(src), args)
         return spec.build(), {"source": src, "family": spec.family, **spec.parameters}
     for name in _ZOO_PARAMETERS:
         if getattr(args, name) is not None:

@@ -17,10 +17,15 @@ resumes.  Validation accepts positive semidefiniteness with a Cholesky
 factorization (see ``states.validate_density``).
 
 The writer, ``state_text``, takes a ``DensityMatrix``, whose matrix
-validation has made finite: ``json`` writes the head of the document and a
-per-row ``%r`` template fills in the matrix straight from the array, giving
-the bytes of ``json.dumps(doc, indent=2)``.  Every other document goes
-through ``dump_json``, which is ``json`` alone.
+validation has made finite: ``json`` writes the head of the document and the
+matrix is written row by row, straight from the array, giving the bytes of
+``json.dumps(doc, indent=2)``.  A pair whose two leaves are +0.0, bit for
+bit, is one constant text; each row's template puts that constant at its
+zero pairs and a ``%r`` pair at the rest, and one ``%`` call fills it with
+the row's nonzero leaves.  So float formatting costs as many pairs as are
+nonzero, and every row with no zero pair shares one template of ``_PAIR``
+alone, built once.  Every other document goes through ``dump_json``, which
+is ``json`` alone.
 """
 from __future__ import annotations
 
@@ -121,6 +126,10 @@ def dump_json(doc) -> str:
 
 # one [re, im] pair of a matrix row, at the depth ``indent=2`` puts it
 _PAIR = "      [\n        %r,\n        %r\n      ]"
+# a pair of +0.0 leaves, the same text for every zero pair; ``_PIECES`` is
+# indexed by whether a pair is nonzero
+_ZERO = _PAIR % (0.0, 0.0)
+_PIECES = np.array([_ZERO, _PAIR], dtype=object)
 # a top-level key is the only line that starts with exactly two spaces and a
 # quote, so the placeholder occurs once
 _MATRIX_LINE = '\n  "matrix": '
@@ -129,17 +138,34 @@ _MATRIX_LINE = '\n  "matrix": '
 def state_text(rho: DensityMatrix, name: str | None = None, source: str | None = None) -> str:
     """The state document of ``rho`` as ``dump_json`` would write it, its
     matrix filled in from the array; ``name`` and ``source`` go into
-    ``metadata`` when given."""
+    ``metadata`` when given.
+
+    Each row is a template of ``_ZERO`` at its zero pairs, both leaves +0.0
+    by their bits, and ``_PAIR`` at the rest, filled by one ``%`` call with
+    the row's other leaves; rows with no zero pair share one template.  A
+    -0.0 leaf has its sign bit set, so its pair goes through ``repr`` as
+    ``json`` writes it."""
     doc = {"schema": SCHEMA_VERSION, "kind": "state", "dims": list(rho.dims), "matrix": []}
     metadata = {key: value for key, value in (("name", name), ("source", source))
                 if value is not None}
     if metadata:
         doc["metadata"] = metadata
     head, _, tail = dump_json(doc).partition(_MATRIX_LINE + "[]")
-    rows = np.ascontiguousarray(rho.matrix).view(float).tolist()
-    row = "    [\n" + ",\n".join([_PAIR] * len(rows)) + "\n    ]"
-    body = ",\n".join(map(row.__mod__, map(tuple, rows)))
-    return head + _MATRIX_LINE + "[\n" + body + "\n  ]" + tail
+    m = np.ascontiguousarray(rho.matrix)
+    bits = m.view(np.uint64).reshape(*m.shape, 2)
+    nonzero = (bits[..., 0] | bits[..., 1]) != 0
+    dense = _row_template([_PAIR] * len(m))
+    rows = [dense % tuple(row.view(float).tolist()) if full
+            else _row_template(_PIECES[keep.view(np.uint8)].tolist())
+            % tuple(row[keep].view(float).tolist())
+            for row, keep, full in zip(m, nonzero, nonzero.all(axis=1).tolist())]
+    return head + _MATRIX_LINE + "[\n" + ",\n".join(rows) + "\n  ]" + tail
+
+
+def _row_template(pairs: list) -> str:
+    """A matrix row of the pair texts ``pairs``, at the depth ``indent=2``
+    puts it."""
+    return "    [\n" + ",\n".join(pairs) + "\n    ]"
 
 
 def write_text_atomic(path: str, text: str) -> None:

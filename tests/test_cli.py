@@ -172,6 +172,15 @@ def test_threshold_reference_values():
     assert doc["threshold"] == pytest.approx(1 / 3, abs=2e-6)
 
 
+@pytest.mark.parametrize("argv", [
+    ["ghz-noisy", "-N", "3"],
+    ["w-noisy", "-N", "4", "--criterion", "p2"],
+    ["werner"],
+])
+def test_threshold_takes_the_zoo_prefix(argv):
+    assert run(["threshold", f"zoo:{argv[0]}", *argv[1:]]) == run(["threshold", *argv])
+
+
 def test_threshold_unknown_family():
     code, _, err = run(["threshold", "nope"])
     assert code == 2
@@ -242,18 +251,45 @@ def test_decompose_inapplicable_exits_3():
     assert code == 3
 
 
+# one small setting of each zoo family, by the ZooSpec parameter each flag sets
+ZOO_SETTINGS = {
+    "ghz": {"parties": 3, "levels": 3},
+    "ghz-noisy": {"parties": 3, "noise": 0.3},
+    "qutrit-ghz-noisy": {"parties": 2, "noise": 0.5},
+    "werner": {"noise": 0.3},
+    "w": {"parties": 3},
+    "w-noisy": {"parties": 3, "noise": 0.5},
+    "reduced-w-noisy": {"parties": 6, "removed": 2, "noise": 0.5},
+    "psi-234": {},
+    "state-234-noisy": {"noise": 0.5},
+    "smolin": {},
+    "duer4": {},
+    "mixed": {"dims": (2, 3)},
+}
+
+
+def zoo_flags(parameters):
+    return [arg for name, value in parameters.items()
+            for arg in (f"--{name}", ",".join(map(str, value)) if name == "dims" else str(value))]
+
+
 def test_zoo_state_files(tmp_path):
-    for family, args, dim in [
-        ("w-noisy", ["-N", "3", "-p", "0.5"], 8),
-        ("reduced-w-noisy", ["-N", "6", "-n", "2", "-p", "0.5"], 16),
-        ("psi-234", [], 24),
-    ]:
+    """Every family writes with -o the bytes of ``json.dumps(indent=2)`` of
+    its state built entry by entry, prints the same text to stdout, and
+    writes the same bytes when named as zoo:FAMILY."""
+    assert list(ZOO_SETTINGS) == list(zoo_families())
+    for family, parameters in ZOO_SETTINGS.items():
+        rho = ZooSpec(family, **parameters).build()
         path = tmp_path / f"{family}.json"
-        code, _, err = run(["zoo", family, *args, "-o", str(path)])
-        assert code == 0, err
-        rho, meta = load_state(path)
-        assert rho.dim == dim
-        assert meta["name"] == family
+        code, out, err = run(["zoo", family, *zoo_flags(parameters), "-o", str(path)])
+        assert (code, out, err) == (0, "", "")
+        text = path.read_text(encoding="utf-8")
+        assert text == json_dumps(entrywise_state_to_jsonable(rho, family, "zoo"))
+        assert run(["zoo", family, *zoo_flags(parameters)]) == (0, text, "")
+        assert run(["zoo", f"zoo:{family}", *zoo_flags(parameters)]) == (0, text, "")
+        loaded, meta = load_state(path)
+        assert loaded.matrix.tobytes() == rho.matrix.tobytes()
+        assert meta == {"name": family, "source": "zoo"}
 
 
 def test_state_round_trip_is_byte_identical(tmp_path):
@@ -416,11 +452,22 @@ def test_state_documents_are_written_as_json_writes_them(data):
 @example(doc=pure_qubit_doc((0.5, False)))
 @example(doc=pure_qubit_doc((0.5, np.float64(0.25))))
 @example(doc=pure_qubit_doc((0.5,)))
+@example(doc={"schema": "blochsep/1", "kind": "state", "dims": [4], "matrix": [
+    [[0.25, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]],
+    [[-0.0, -0.0], [0.25, 0.0], [0.0, 0.0], [-0.0, 0.0]],
+    [[0.0, 0.0], [0.0, 0.0], [0.25, -0.0], [0.0, -0.0]],
+    [[-0.0, 0.0], [-0.0, -0.0], [0.0, 0.0], [0.25, 0.0]]]})
+@example(doc={"schema": "blochsep/1", "kind": "state", "dims": [3], "matrix": [
+    [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0]],
+    [[0.0, 0.0], [0.5, 0.0], [0.0, 0.0]],
+    [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]]})
 def test_state_documents_are_refused_or_written_back_as_json_writes_them(doc):
     """A document with non-finite values, leaves that are not floats, ragged
     rows or odd pairs is refused by the reader; any document it accepts is
     written back as ``json.dumps(indent=2)`` writes the entrywise document
-    of the state read."""
+    of the state read.  The examples put pairs with a -0.0 leaf beside
+    +0.0 pairs, in a row with no +0.0 pair and in rows with some, and one
+    row of +0.0 pairs only."""
     try:
         rho = state_from_jsonable(doc)
     except InvalidStateError:
@@ -626,7 +673,7 @@ USAGE_ERRORS = {
     "threshold-unknown-family": (["threshold", "nope"],
                                  f"unknown state family 'nope' (known: {KNOWN})"),
     "threshold-zoo-unknown-family": (["threshold", "zoo:nope"],
-                                     f"unknown state family 'zoo:nope' (known: {KNOWN})"),
+                                     f"unknown state family 'nope' (known: {KNOWN})"),
 }
 
 
