@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .errors import NumericIntegrityError
-from .states import DensityMatrix, _subsystem_dims
+from .states import DensityMatrix, _check_memory, _checked_subset, _subsystem_dims
 from .su_basis import build_basis
 from .tolerances import IMAG_TOL
 
@@ -47,7 +47,12 @@ class BlochData:
 
 @lru_cache(maxsize=None)
 def _stack(d: int, scale: float) -> np.ndarray:
-    """[I, scale g_1, ...] as a (d^2, d^2) matrix: row a is A_a flattened."""
+    """[I, scale g_1, ...] as a (d^2, d^2) matrix: row a is A_a flattened.
+    Refuses, before building anything, a d whose stacks would not fit in
+    memory: the expansion holds four complex (d^2, d^2) arrays per d, the
+    generators, both scaled stacks and the conjugate of the scaled one."""
+    _check_memory(math.log2(4 * 16 * d**4),
+                  f"the generator stacks of a subsystem of dimension {d} need")
     gens = scale * build_basis(d)
     arr = np.concatenate([np.eye(d, dtype=complex)[None], gens]).reshape(d * d, d * d)
     arr.flags.writeable = False
@@ -126,17 +131,6 @@ def _component_stacks(rho: DensityMatrix, subsets):
         groups.setdefault(tuple(rho.dims[k] for k in subset), []).append(subset)
     for group in groups.values():
         yield group, np.stack([coeff[_slot(n, s)] for s in group])
-
-
-def _checked_subset(subset, n_parties: int, min_size: int) -> tuple:
-    """``subset`` as an ascending tuple of distinct indices, checked to name
-    at least ``min_size`` of the ``n_parties`` subsystems and no other."""
-    subset = tuple(sorted({int(k) for k in subset}))
-    if len(subset) < min_size:
-        raise ValueError(f"subset {subset} too small (need at least {min_size} subsystems)")
-    if subset[0] < 0 or subset[-1] >= n_parties:
-        raise ValueError(f"subset {subset} out of range for {n_parties} parties")
-    return subset
 
 
 def _component(rho: DensityMatrix, subset, min_size: int) -> np.ndarray:

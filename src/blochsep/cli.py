@@ -194,7 +194,8 @@ def cmd_analyze(args) -> int:
     state_seconds = time.perf_counter() - start
     start = time.perf_counter()
     selector = _parse_subsets(args.subsets)
-    keys = ("c1", "c2", "p2") if args.criteria == "all" else (args.criteria,)
+    keys = [key for key, (_, in_all) in _CRITERIA.items()
+            if key == args.criteria or in_all and args.criteria == "all"]
     if selector != "full" and "c1" not in keys:
         raise ValueError(f"--criteria {args.criteria} does not read --subsets "
                          f"(got {args.subsets!r}); only c1 and all do")
@@ -204,13 +205,14 @@ def cmd_analyze(args) -> int:
     if args.format == "csv" and args.timing:
         raise ValueError("--format csv writes only norm records, not --timing; "
                          "only json does")
-    verdicts = {key: _CRITERIA[key](rho, selector) for key in keys}
+    verdicts = {key: _CRITERIA[key][0](rho, selector) for key in keys}
     elapsed = time.perf_counter() - start
     fields = ["subset", "norm", "bound", "decision", "criterion", "borderline"]
+    # the norm verdicts, which make the records, are those that read a subset
     records = [
         dict(zip(fields, (v.subset, v.norm_value, v.bound_value, v.decision.value,
                           v.criterion, v.borderline)))
-        for key in ("t1", "c1") if key in verdicts for v in verdicts[key]
+        for vs in verdicts.values() for v in vs if v.subset is not None
     ]
 
     if args.format == "csv":

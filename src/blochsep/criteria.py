@@ -30,7 +30,6 @@ import math
 import numpy as np
 
 from .bloch import (
-    _checked_subset,
     _component_stacks,
     _components,
     _from_coefficients,
@@ -38,7 +37,7 @@ from .bloch import (
     ball_radii,
 )
 from .errors import CriterionUnavailableError
-from .states import DensityMatrix, ZooSpec, _check_fits, _subsystem_dims
+from .states import DensityMatrix, ZooSpec, _check_fits, _checked_subset, _subsystem_dims
 from .tensors import (
     KruskalForm,
     _stack_kyfan,
@@ -117,8 +116,11 @@ def _select_subsets(n_parties: int, selector) -> list:
             raise ValueError(f"subset size must lie in [2, {n_parties}], got {selector}")
         return [s for s in _subsets(n_parties) if len(s) == selector]
     if not isinstance(selector, str):
-        return sorted({_checked_subset(s, n_parties, 2) for s in selector},
-                      key=lambda s: (len(s), s))
+        try:
+            subsets = {_checked_subset(s, n_parties, 2) for s in selector}
+        except TypeError:
+            raise ValueError(f"unknown subset selector {selector!r}") from None
+        return sorted(subsets, key=lambda s: (len(s), s))
     if selector == "full":
         return [tuple(range(n_parties))]
     if selector in ("all", "pairs"):
@@ -288,14 +290,14 @@ def assemble_decomposition(dec: SeparableDecomposition) -> DensityMatrix:
     return _from_coefficients(dec.dims, coeff)
 
 
-# Every criterion key and the verdicts it reads on a state under a subset
-# selector.  Each entry looks its function up by name when called, so a
-# wrapper rebound over the module attribute sees every call.
+# Every criterion key: its verdicts on a state under a subset selector, and
+# whether ``--criteria all`` runs it.  Each entry looks its function up by
+# name when called, so a wrapper rebound over the module attribute sees every call.
 _CRITERIA = {
-    "t1": lambda rho, subsets: [necessary_test(rho)],
-    "c1": lambda rho, subsets: subset_scan(rho, subsets),
-    "c2": lambda rho, subsets: [qubit_exact_test(rho)],
-    "p2": lambda rho, subsets: [sufficiency_test(rho)],
+    "t1": (lambda rho, subsets: [necessary_test(rho)], False),
+    "c1": (lambda rho, subsets: subset_scan(rho, subsets), True),
+    "c2": (lambda rho, subsets: [qubit_exact_test(rho)], True),
+    "p2": (lambda rho, subsets: [sufficiency_test(rho)], True),
 }
 
 
@@ -307,7 +309,7 @@ def _closed_form_threshold(sigma: DensityMatrix, criterion: str) -> float | None
     evaluation on sigma fixes where the verdict flips: the sum's where it
     stops being Separable, the others' where a verdict turns Entangled.
     """
-    verdicts = _CRITERIA[criterion](sigma, "all")
+    verdicts = _CRITERIA[criterion][0](sigma, "all")
     if verdicts[0].criterion == "sufficiency-sum":
         (v,) = verdicts
         if v.decision is Decision.SEPARABLE:

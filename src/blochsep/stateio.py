@@ -22,10 +22,9 @@ matrix is written row by row, straight from the array, giving the bytes of
 ``json.dumps(doc, indent=2)``.  A pair whose two leaves are +0.0, bit for
 bit, is one constant text; each row's template puts that constant at its
 zero pairs and a ``%r`` pair at the rest, and one ``%`` call fills it with
-the row's nonzero leaves.  So float formatting costs as many pairs as are
-nonzero, and every row with no zero pair shares one template of ``_PAIR``
-alone, built once.  Every other document goes through ``dump_json``, which
-is ``json`` alone.
+the row's nonzero leaves.  Every row, dense or not, is built by that one
+rule, so float formatting costs as many pairs as are nonzero.  Every other
+document goes through ``dump_json``, which is ``json`` alone.
 """
 from __future__ import annotations
 
@@ -140,11 +139,11 @@ def state_text(rho: DensityMatrix, name: str | None = None, source: str | None =
     matrix filled in from the array; ``name`` and ``source`` go into
     ``metadata`` when given.
 
-    Each row is a template of ``_ZERO`` at its zero pairs, both leaves +0.0
-    by their bits, and ``_PAIR`` at the rest, filled by one ``%`` call with
-    the row's other leaves; rows with no zero pair share one template.  A
-    -0.0 leaf has its sign bit set, so its pair goes through ``repr`` as
-    ``json`` writes it."""
+    Every row is written by one rule: a template of ``_ZERO`` at its zero
+    pairs, both leaves +0.0 by their bits, and ``_PAIR`` at the rest, at
+    the depth ``indent=2`` puts a row, filled by one ``%`` call with the
+    row's other leaves.  A -0.0 leaf has its sign bit set, so its pair goes
+    through ``repr`` as ``json`` writes it."""
     doc = {"schema": SCHEMA_VERSION, "kind": "state", "dims": list(rho.dims), "matrix": []}
     metadata = {key: value for key, value in (("name", name), ("source", source))
                 if value is not None}
@@ -154,18 +153,10 @@ def state_text(rho: DensityMatrix, name: str | None = None, source: str | None =
     m = np.ascontiguousarray(rho.matrix)
     bits = m.view(np.uint64).reshape(*m.shape, 2)
     nonzero = (bits[..., 0] | bits[..., 1]) != 0
-    dense = _row_template([_PAIR] * len(m))
-    rows = [dense % tuple(row.view(float).tolist()) if full
-            else _row_template(_PIECES[keep.view(np.uint8)].tolist())
+    rows = [("    [\n" + ",\n".join(_PIECES[keep.view(np.uint8)].tolist()) + "\n    ]")
             % tuple(row[keep].view(float).tolist())
-            for row, keep, full in zip(m, nonzero, nonzero.all(axis=1).tolist())]
+            for row, keep in zip(m, nonzero)]
     return head + _MATRIX_LINE + "[\n" + ",\n".join(rows) + "\n  ]" + tail
-
-
-def _row_template(pairs: list) -> str:
-    """A matrix row of the pair texts ``pairs``, at the depth ``indent=2``
-    puts it."""
-    return "    [\n" + ",\n".join(pairs) + "\n    ]"
 
 
 def write_text_atomic(path: str, text: str) -> None:

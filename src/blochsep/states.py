@@ -33,6 +33,23 @@ def _subsystem_dims(dims) -> tuple:
     return dims
 
 
+def _checked_subset(subset, n_parties: int, min_size: int) -> tuple:
+    """``subset`` as an ascending tuple of distinct indices, checked to name
+    at least ``min_size`` of the ``n_parties`` subsystems and no other.
+    Indices are read as dims are: a float such as 1.0 is refused, not
+    truncated, and so is a string or a lone index."""
+    try:
+        subset = tuple(sorted(set(map(operator.index, subset))))
+    except TypeError:
+        raise ValueError(f"subsystem indices must be an iterable of integers, "
+                         f"got {subset!r}") from None
+    if len(subset) < min_size:
+        raise ValueError(f"subset {subset} too small (need at least {min_size} subsystems)")
+    if subset[0] < 0 or subset[-1] >= n_parties:
+        raise ValueError(f"subset {subset} out of range for {n_parties} parties")
+    return subset
+
+
 def validate_density(matrix, dims) -> None:
     """Raise InvalidStateError naming the first violated requirement.
 
@@ -135,19 +152,24 @@ def _check_fits(dims, repeat: int = 1) -> None:
     """Raise ValueError, before anything is allocated, when a state on the
     subsystem dimensions ``dims`` repeated ``repeat`` times would not fit in
     physical memory.  Sizes are compared as base-2 logarithms, so no size is
-    ever formed; dimensions below 1 are left to validation to refuse, and a
-    platform that does not report its memory is not checked."""
+    ever formed; dimensions below 1 are left to validation to refuse."""
+    log2_dim = repeat * sum(math.log2(max(d, 1)) for d in dims)
+    _check_memory(2.0 * log2_dim + math.log2(_BYTES_PER_ENTRY),
+                  f"a state of dimension {_scientific(log2_dim)} needs")
+
+
+def _check_memory(log2_need: float, subject: str) -> None:
+    """Raise ValueError, opening with ``subject``, when 2^log2_need bytes of
+    working memory exceed physical memory; a platform that does not report
+    its memory is not checked."""
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
         return
-    log2_dim = repeat * sum(math.log2(max(d, 1)) for d in dims)
-    log2_need = 2.0 * log2_dim + math.log2(_BYTES_PER_ENTRY)
     if log2_need > math.log2(have):
         raise ValueError(
-            f"a state of dimension {_scientific(log2_dim)} needs about "
-            f"{_scientific(log2_need - 30)} GiB of working memory, more than the "
-            f"{have / 2**30:.3g} GiB of physical memory"
+            f"{subject} about {_scientific(log2_need - 30)} GiB of working memory, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory"
         )
 
 
@@ -161,7 +183,10 @@ def kron(*matrices) -> np.ndarray:
 def basis_ket(levels, dims) -> np.ndarray:
     """Computational basis vector |levels> on subsystems of sizes ``dims``."""
     dims = _subsystem_dims(dims)
-    levels = tuple(int(x) for x in levels)
+    try:
+        levels = tuple(map(operator.index, levels))
+    except TypeError:
+        raise ValueError(f"levels must be an iterable of integers, got {levels!r}") from None
     if len(levels) != len(dims):
         raise ValueError("one level per subsystem required")
     for x, d in zip(levels, dims):
@@ -183,18 +208,14 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 
     The kept subsystems appear in ascending index order in the result.
     """
-    keep = sorted({int(k) for k in keep})
     n = rho.n_parties
-    if not keep:
-        raise ValueError("keep must name at least one subsystem")
-    if keep[0] < 0 or keep[-1] >= n:
-        raise ValueError(f"subsystem index out of range in {keep} for {n} parties")
+    keep = _checked_subset(keep, n, 1)
     if len(keep) == n:
         return rho
-    traced = [k for k in range(n) if k not in keep]
+    traced = tuple(k for k in range(n) if k not in keep)
     dims = rho.dims
     t = rho.matrix.reshape(dims + dims)
-    perm = keep + traced + [n + k for k in keep] + [n + k for k in traced]
+    perm = keep + traced + tuple(n + k for k in keep + traced)
     dk = math.prod(dims[k] for k in keep)
     dt = math.prod(dims[k] for k in traced)
     block = t.transpose(perm).reshape(dk, dt, dk, dt)

@@ -30,7 +30,7 @@ from blochsep import (
     unfold,
     w_state,
 )
-from blochsep.bloch import _real_part
+from blochsep.bloch import _real_part, _stack
 from conftest import (brute_correlation, empty_bloch_data, qutrit_ghz_spectrum,
                       random_density, random_pure_product, random_unitary)
 
@@ -224,6 +224,8 @@ def test_reconstruct_rejects_malformed_data():
         reconstruct(BlochData((2, 2), data.singles, bad_tensors))
     with pytest.raises(ValueError):
         reconstruct(BlochData((2, 2), data.singles, {}))
+    with pytest.raises(ValueError, match="^singles must hold exactly one vector per subsystem$"):
+        reconstruct(BlochData((2, 2), {0: data.singles[0]}, data.tensors))
 
 
 def test_marginal_consistency():
@@ -296,3 +298,26 @@ def test_inball_vectors_give_states(d):
         v *= r / np.linalg.norm(v)
         mat = (np.eye(d) + np.tensordot(v, gens, axes=1)) / d
         assert np.linalg.eigvalsh(mat).min() >= -1e-12
+
+
+@pytest.mark.parametrize("pages, fits", [(9, False), (10, True)])
+def test_generator_stacks_are_budgeted(monkeypatch, pages, fits):
+    # the stacks of d = 5 take 4 x 16 bytes per entry of a 25 x 25 array:
+    # 40,000 bytes, more than nine 4,096-byte pages and less than ten.  Both
+    # directions build stacks, and a cached stack would skip the check.
+    rho = DensityMatrix((5,), np.eye(5) / 5)
+    data = decompose(rho)
+    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}
+    monkeypatch.setattr("blochsep.states.os.sysconf", sizes.__getitem__)
+    _stack.cache_clear()
+    calls = [lambda: bloch_vector(DensityMatrix((5,), np.eye(5) / 5), 0),
+             lambda: reconstruct(data)]
+    for call in calls:
+        if fits:
+            call()
+        else:
+            with pytest.raises(ValueError) as got:
+                call()
+            assert str(got.value) == (
+                "the generator stacks of a subsystem of dimension 5 need about 3.73e-05 GiB "
+                "of working memory, more than the 3.43e-05 GiB of physical memory")

@@ -518,6 +518,29 @@ def test_invalid_inputs_exit_2(tmp_path):
     assert len(err.splitlines()) == 1 and "matrix entry (0, 0)" in err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ([], "state document must be a JSON object"),
+    ({"schema": "blochsep/1", "kind": "analysis"}, "document kind 'analysis' is not a state"),
+], ids=["not-an-object", "not-a-state"])
+def test_documents_that_are_not_states_are_refused(doc, message):
+    with pytest.raises(InvalidStateError) as got:
+        state_from_jsonable(doc)
+    assert str(got.value) == message
+
+
+def test_a_state_whose_generator_stacks_do_not_fit_is_refused_in_one_line(monkeypatch):
+    # two 4,096-byte pages hold the 10 x 10 state on dims (5, 2), 7,200
+    # bytes, but not the 40,000 bytes of the d = 5 generator stacks
+    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2}
+    monkeypatch.setattr("blochsep.states.os.sysconf", sizes.__getitem__)
+    blochsep.bloch._stack.cache_clear()
+    code, out, err = run(["analyze", "zoo:mixed", "--dims", "5,2", "--criteria", "t1"])
+    assert (code, out) == (2, "")
+    assert err == ("error: the generator stacks of a subsystem of dimension 5 need about "
+                   "3.73e-05 GiB of working memory, more than the 7.63e-06 GiB of physical "
+                   "memory\n")
+
+
 NEAR_MAX = 1.7e308
 
 
@@ -674,6 +697,12 @@ USAGE_ERRORS = {
                                  f"unknown state family 'nope' (known: {KNOWN})"),
     "threshold-zoo-unknown-family": (["threshold", "zoo:nope"],
                                      f"unknown state family 'nope' (known: {KNOWN})"),
+    "analyze-subset-size-1": (["analyze", "zoo:ghz", "-N", "3", "--criteria", "c1",
+                               "--subsets", "k=1"], "subset size must lie in [2, 3], got 1"),
+    # 2^100000 overflows a float, and the estimate is still named
+    "analyze-dimension-beyond-float": (["analyze", "zoo:ghz", "-N", "100000"],
+                                       "a state of dimension 9.99e+30102 needs about "
+                                       "6.69e+60198 GiB of working memory, more than the "),
 }
 
 

@@ -12,6 +12,8 @@ from blochsep import (
     ZooSpec,
     basis_ket,
     bell_states,
+    bloch_vector,
+    correlation_tensor,
     duer_be4,
     ghz,
     kron,
@@ -23,6 +25,7 @@ from blochsep import (
     separability_bound,
     smolin,
     state_234,
+    subset_scan,
     validate_density,
     w_state,
     zoo_families,
@@ -206,6 +209,80 @@ def test_partial_trace_of_product_state():
                                atol=1e-12)
     np.testing.assert_allclose(partial_trace(joint, (1,)).matrix, b.matrix,
                                atol=1e-12)
+
+
+def index_entry_points(indices):
+    """What each entry point that takes a list of subsystem indices makes of
+    ``indices`` on a GHZ state of three qubits."""
+    rho = ghz(3)
+    return {
+        "partial_trace": lambda: partial_trace(rho, indices).dims,
+        "correlation_tensor": lambda: correlation_tensor(rho, indices).shape,
+        "subset_scan": lambda: [v.subset for v in subset_scan(rho, [indices])],
+    }
+
+
+@pytest.mark.parametrize("indices", [(0, 1.7), [0.9, 1], (2.0, 1), (0, np.float64(1)),
+                                     "01", (0, "1"), 5, None])
+def test_subsystem_indices_follow_one_rule(indices):
+    # a float, a string or a lone index is refused with one message, never
+    # truncated or read character by character
+    want = f"subsystem indices must be an iterable of integers, got {indices!r}"
+    for name, call in index_entry_points(indices).items():
+        with pytest.raises(ValueError) as got:
+            call()
+        assert str(got.value) == want, name
+
+
+def test_index_refusals_keep_their_messages():
+    rho = ghz(3)
+    refusals = {
+        "bloch_vector(1.9)": (lambda: bloch_vector(rho, 1.9),
+                              "subsystem indices must be an iterable of integers, got (1.9,)"),
+        "subset_scan(2.0)": (lambda: subset_scan(rho, 2.0), "unknown subset selector 2.0"),
+        "partial_trace-empty": (lambda: partial_trace(rho, []),
+                                "subset () too small (need at least 1 subsystems)"),
+        "partial_trace-out-of-range": (lambda: partial_trace(rho, [0, 3]),
+                                       "subset (0, 3) out of range for 3 parties"),
+        "partial_trace-negative": (lambda: partial_trace(rho, [-1]),
+                                   "subset (-1,) out of range for 3 parties"),
+        "correlation_tensor-one": (lambda: correlation_tensor(rho, (1, 1)),
+                                   "subset (1,) too small (need at least 2 subsystems)"),
+    }
+    for name, (call, message) in refusals.items():
+        with pytest.raises(ValueError) as got:
+            call()
+        assert str(got.value) == message, name
+
+
+def test_integer_indices_of_every_kind_are_read_alike():
+    # numpy integers, unsorted and repeated indices name the same subset
+    rho = ghz(3)
+    want = {"partial_trace": (2, 2), "correlation_tensor": (3, 3), "subset_scan": [(0, 2)]}
+    for indices in [(0, 2), (np.int64(2), np.int32(0)), [2, 0, 2], np.array([2, 0])]:
+        got = {name: call() for name, call in index_entry_points(indices).items()}
+        assert got == want, indices
+        assert all(type(k) is int for k in got["subset_scan"][0])
+    assert bloch_vector(rho, np.int64(1)).tobytes() == bloch_vector(rho, 1).tobytes()
+    assert partial_trace(rho, range(3)) is rho
+    assert basis_ket(np.array([1, 0]), (2, 2)).tobytes() == basis_ket((1, 0), (2, 2)).tobytes()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: basis_ket((0.5, 1), (2, 2)), "levels must be an iterable of integers, got (0.5, 1)"),
+    (lambda: basis_ket("01", (2, 2)), "levels must be an iterable of integers, got '01'"),
+    (lambda: basis_ket((0,), (2, 2)), "one level per subsystem required"),
+    (lambda: basis_ket((0, 2), (2, 2)), "level 2 out of range for dimension 2"),
+    (lambda: basis_ket((-1, 0), (2, 2)), "level -1 out of range for dimension 2"),
+    (lambda: kron(), "kron needs at least one operand"),
+    (lambda: ghz(1), "ghz needs at least 2 parties"),
+    (lambda: separability_bound((2,)), "the bound concerns at least 2 subsystems"),
+], ids=["basis_ket-float", "basis_ket-string", "basis_ket-count", "basis_ket-range",
+        "basis_ket-negative", "kron-empty", "ghz-one-party", "bound-one-party"])
+def test_refusals_keep_their_messages(call, message):
+    with pytest.raises(ValueError) as got:
+        call()
+    assert str(got.value) == message
 
 
 def test_partial_trace_composes():

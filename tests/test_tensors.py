@@ -167,6 +167,27 @@ def test_kruskal_form_validation():
         KruskalForm(weights=np.ones((2, 2)), factors=(np.ones((3, 2)),))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: tensor_kyfan(np.ones(3)),
+     r"tensor of order 1 not supported here \(need order >= 2\)"),
+    (lambda: unfold(np.float64(2.0), 0),
+     r"tensor of order 0 not supported here \(need order >= 2\)"),
+    (lambda: find_orthogonal_kruskal(np.float64(2.0)),
+     r"tensor of order 0 not supported here \(need order >= 1\)"),
+    (lambda: tensor_kyfan(np.array([[1.0, np.inf]])), "tensor contains non-finite entries"),
+    (lambda: find_orthogonal_kruskal(np.array([1.0, np.nan])),
+     "tensor contains non-finite entries"),
+    (lambda: unfold(np.ones((2, 2, 2)), 3), "mode 3 out of range for order-3 tensor"),
+    (lambda: unfold(np.ones((2, 2)), -1), "mode -1 out of range for order-2 tensor"),
+    (lambda: KruskalForm([1.0, -0.5], [np.ones((3, 2))]), "term weights must be nonnegative"),
+    (lambda: KruskalForm([1.0], []), "a Kruskal form needs at least one mode"),
+], ids=["order-1", "order-0-unfold", "order-0-kruskal", "inf", "nan", "mode-too-large",
+        "mode-negative", "negative-weight", "no-mode"])
+def test_tensor_refusals_keep_their_messages(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 @pytest.mark.parametrize("shape", [(3, 4), (3, 4, 2), (2, 3, 2, 3), (5,), (2, 3, 2, 3, 2)])
 def test_kruskal_to_tensor_matches_outer_sum(shape):
     rng = np.random.default_rng(10)
