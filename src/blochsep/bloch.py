@@ -6,11 +6,12 @@ generators, giving the real coefficient array (cached on the state)
 
     C_{a_0...a_{N-1}} = Tr(rho (A^(0)_{a_0} x ... x A^(N-1)_{a_{N-1}})).
 
-Every component is a slice of C with index 0 in the traced-out modes.  As an
-identity factor traces its mode out, these slices are the coherence vectors
-s^(k)_a = (d_k / 2) Tr(rho_k g_a) and, for each subset S with |S| >= 2, the
-correlation tensors t_{a_1...a_M} = (prod_{k in S} d_k / 2^M)
-Tr(rho_S (g_{a_1} x ... x g_{a_M})) of the reduced states.  C_{0...0} = 1
+Every component is a slice of C with index 0 in the traced-out modes;
+:func:`_components` is the only reader of these slices and :func:`reconstruct`
+the only writer.  As an identity factor traces its mode out, the slices are
+the coherence vectors s^(k)_a = (d_k / 2) Tr(rho_k g_a) and, for each subset
+S with |S| >= 2, the correlation tensors t_{a_1...a_M} = (prod_{k in S} d_k /
+2^M) Tr(rho_S (g_{a_1} x ... x g_{a_M})) of the reduced states.  C_{0...0} = 1
 completes the parameterization: :func:`_from_coefficients` runs the
 contraction in reverse with the unscaled stacks and divides by D = prod_k d_k.
 It is the only map from coefficients back to a matrix; :func:`reconstruct`
@@ -111,32 +112,20 @@ def _coefficients(rho: DensityMatrix) -> np.ndarray:
     return coeff
 
 
-def _components(rho: DensityMatrix):
-    """(subset, read-only slice of the coefficient array) for every
-    component, coherence vectors being the order-1 case."""
+def _components(rho: DensityMatrix, subsets=None):
+    """(subset, read-only view of its slice of the coefficient array) for
+    each of the ascending index tuples ``subsets``, or for every component
+    when ``subsets`` is left out, coherence vectors being the order-1 case.
+    Every read of a component goes through here."""
     coeff, n = _coefficients(rho), rho.n_parties
-    for subset in _subsets(n):
+    for subset in _subsets(n) if subsets is None else subsets:
         yield subset, coeff[_slot(n, subset)]
-
-
-def _component_stacks(rho: DensityMatrix, subsets):
-    """(subsets of one component shape, stack of their components) for each
-    shape among the ascending index tuples ``subsets``, in order of first
-    appearance; stack[i] is a copy of the component of the group's i-th
-    subset.  For distinct subsets the stacks together hold no more than the
-    coefficient array."""
-    coeff, n = _coefficients(rho), rho.n_parties
-    groups = {}
-    for subset in subsets:
-        groups.setdefault(tuple(rho.dims[k] for k in subset), []).append(subset)
-    for group in groups.values():
-        yield group, np.stack([coeff[_slot(n, s)] for s in group])
 
 
 def _component(rho: DensityMatrix, subset, min_size: int) -> np.ndarray:
     """A copy of the component of ``subset`` after checking the subset."""
-    subset = _checked_subset(subset, rho.n_parties, min_size)
-    return _coefficients(rho)[_slot(rho.n_parties, subset)].copy()
+    ((_, c),) = _components(rho, [_checked_subset(subset, rho.n_parties, min_size)])
+    return c.copy()
 
 
 def bloch_vector(rho: DensityMatrix, k: int) -> np.ndarray:

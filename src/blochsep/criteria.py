@@ -26,21 +26,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 import math
+import operator
 
 import numpy as np
 
-from .bloch import (
-    _component_stacks,
-    _components,
-    _from_coefficients,
-    _subsets,
-    ball_radii,
-)
+from .bloch import _components, _from_coefficients, _subsets, ball_radii
 from .errors import CriterionUnavailableError
 from .states import DensityMatrix, ZooSpec, _check_fits, _checked_subset, _subsystem_dims
 from .tensors import (
     KruskalForm,
-    _stack_kyfan,
+    _kyfan_norms,
     find_orthogonal_kruskal,
     kruskal_to_tensor,
     sign_table,
@@ -111,21 +106,26 @@ def _select_subsets(n_parties: int, selector) -> list:
     if n_parties < 2:
         raise ValueError(
             f"the necessary test needs at least 2 subsystems, the state has {n_parties}")
-    if isinstance(selector, int):
-        if not 2 <= selector <= n_parties:
-            raise ValueError(f"subset size must lie in [2, {n_parties}], got {selector}")
-        return [s for s in _subsets(n_parties) if len(s) == selector]
-    if not isinstance(selector, str):
+    if isinstance(selector, str):
+        if selector == "full":
+            return [tuple(range(n_parties))]
+        if selector in ("all", "pairs"):
+            sizes = range(2, n_parties + 1) if selector == "all" else (2,)
+            return [s for s in _subsets(n_parties) if len(s) in sizes]
+    elif not isinstance(selector, bool):
+        try:
+            size = operator.index(selector)
+        except TypeError:
+            pass
+        else:
+            if not 2 <= size <= n_parties:
+                raise ValueError(f"subset size must lie in [2, {n_parties}], got {size}")
+            return [s for s in _subsets(n_parties) if len(s) == size]
         try:
             subsets = {_checked_subset(s, n_parties, 2) for s in selector}
         except TypeError:
             raise ValueError(f"unknown subset selector {selector!r}") from None
         return sorted(subsets, key=lambda s: (len(s), s))
-    if selector == "full":
-        return [tuple(range(n_parties))]
-    if selector in ("all", "pairs"):
-        sizes = range(2, n_parties + 1) if selector == "all" else (2,)
-        return [s for s in _subsets(n_parties) if len(s) in sizes]
     raise ValueError(f"unknown subset selector {selector!r}")
 
 
@@ -137,17 +137,15 @@ def subset_scan(rho: DensityMatrix, subsets="all") -> list:
     an integer size, or an explicit iterable of index tuples.  Selector
     order is by size, then lexicographic; an explicit list is normalised to
     ascending tuples, deduplicated and put in that order.  Every norm
-    verdict of the necessary criterion is made here: the components of one
-    shape are stacked, and one SVD call per mode gives all their norms.
+    verdict of the necessary criterion is made here, from components read
+    through ``_components`` and norms from ``_kyfan_norms``, which takes one
+    SVD call per component shape and mode.
     A single-party state raises ``ValueError`` under every selector.
     """
     subsets = _select_subsets(rho.n_parties, subsets)
-    norms = {}
-    for group, stack in _component_stacks(rho, subsets):
-        norms.update(zip(group, _stack_kyfan(stack).tolist()))
+    norms = _kyfan_norms([c for _, c in _components(rho, subsets)])
     verdicts = []
-    for subset in subsets:
-        norm = norms[subset]
+    for subset, norm in zip(subsets, norms):
         bound = separability_bound(tuple(rho.dims[k] for k in subset))
         entangled = norm > bound + BOUND_GUARD
         verdicts.append(Verdict(
@@ -359,6 +357,10 @@ def noise_threshold_table(max_parties: int = 6) -> list:
     form.  Returns rows of (family, parties, threshold).  Raises ValueError
     when max_parties is below 3 or its states would not fit in memory, before
     any state is built."""
+    try:
+        max_parties = operator.index(max_parties)
+    except TypeError:
+        raise ValueError(f"max_parties must be an integer, got {max_parties!r}") from None
     if max_parties < 3:
         raise ValueError(f"max_parties must be at least 3, the size of the table's "
                          f"first row (got {max_parties})")

@@ -37,9 +37,12 @@ def _checked_subset(subset, n_parties: int, min_size: int) -> tuple:
     """``subset`` as an ascending tuple of distinct indices, checked to name
     at least ``min_size`` of the ``n_parties`` subsystems and no other.
     Indices are read as dims are: a float such as 1.0 is refused, not
-    truncated, and so is a string or a lone index."""
+    truncated, and so is a bool, a string or a lone index."""
     try:
-        subset = tuple(sorted(set(map(operator.index, subset))))
+        indices = tuple(subset)
+        if any(isinstance(k, bool) for k in indices):
+            raise TypeError
+        subset = tuple(sorted(set(map(operator.index, indices))))
     except TypeError:
         raise ValueError(f"subsystem indices must be an iterable of integers, "
                          f"got {subset!r}") from None
@@ -364,6 +367,7 @@ _FAMILIES = {
     "mixed": (("dims",), False, maximally_mixed),
 }
 _DEFAULTS = {"levels": 2}
+_INTEGERS = ("parties", "levels", "removed")
 
 
 @dataclass(frozen=True)
@@ -415,6 +419,11 @@ class ZooSpec:
         value = self.parameters.get(name, _DEFAULTS.get(name))
         if value is None:
             raise ValueError(f"family {self.family!r} needs parameter {name!r}")
+        if name in _INTEGERS:
+            try:
+                return operator.index(value)
+            except TypeError:
+                raise ValueError(f"parameter {name!r} must be an integer, got {value!r}") from None
         return value
 
     def build(self) -> DensityMatrix:

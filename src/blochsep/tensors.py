@@ -9,6 +9,10 @@ order ``(n+1, ..., M-1, 0, ..., n-1)`` with the last of these varying
 fastest.  All mode unfoldings of one tensor are column permutations of each
 other across conventions, so the norms computed here do not depend on that
 choice; the entrywise layout does, and it is pinned by the tests.
+
+:func:`_kyfan_norms` is the one home of shape batching: every Ky Fan norm,
+one tensor's or a whole subset scan's, stacks the tensors of one shape and
+takes one SVD call per mode of the stack.
 """
 from __future__ import annotations
 
@@ -61,21 +65,29 @@ def singular_values(matrix) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def _stack_kyfan(stack: np.ndarray) -> np.ndarray:
-    """Ky Fan norms of the tensors in ``stack`` (axis 0 runs over tensors of
-    one shape): per tensor, the largest singular-value sum over its mode
-    unfoldings.  Each unfolding is entrywise the matrix :func:`unfold`
-    gives, and one SVD call per mode covers the whole stack."""
-    norms = singular_values(_unfoldings(stack, 0)).sum(axis=-1)
-    for mode in range(1, stack.ndim - 1):
-        np.maximum(norms, singular_values(_unfoldings(stack, mode)).sum(axis=-1), out=norms)
-    return norms
+def _kyfan_norms(tensors) -> list:
+    """Ky Fan norms of ``tensors``, in input order: per tensor, the largest
+    singular-value sum over its mode unfoldings.  The tensors of one shape
+    are stacked, in order of first appearance, and one SVD call per mode
+    covers the stack; each unfolding is entrywise the matrix :func:`unfold`
+    gives."""
+    groups = {}
+    for i, t in enumerate(tensors):
+        groups.setdefault(t.shape, []).append(i)
+    norms = np.empty(len(tensors))
+    for shape, members in groups.items():
+        stack = np.stack([tensors[i] for i in members])
+        best = singular_values(_unfoldings(stack, 0)).sum(axis=-1)
+        for mode in range(1, len(shape)):
+            np.maximum(best, singular_values(_unfoldings(stack, mode)).sum(axis=-1), out=best)
+        norms[members] = best
+    return norms.tolist()
 
 
 def tensor_kyfan(tensor) -> float:
     """Ky Fan norm of a tensor: the largest singular-value sum over all mode
     unfoldings; for a matrix, the sum of its singular values."""
-    return float(_stack_kyfan(_as_tensor(tensor)[None])[0])
+    return _kyfan_norms([_as_tensor(tensor)])[0]
 
 
 def is_supersymmetric(tensor) -> bool:

@@ -165,6 +165,17 @@ def bisect_threshold(family, criterion="t1", tol=1e-6):
     return 0.5 * (lo + hi)
 
 
+def count_calls(monkeypatch, counts, key, module, name):
+    """Count the calls of ``module.name`` into ``counts[key]``."""
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 def per_matrix_kyfan(tensor):
     """Reference for ``tensors.tensor_kyfan``: the per-unfolding loop it
     replaced, one backward-cyclic unfolding and one SVD call per mode."""

@@ -33,6 +33,7 @@ from blochsep.cli import main
 from blochsep.states import _FAMILIES
 from blochsep.stateio import state_from_jsonable, state_text
 from conftest import (
+    count_calls,
     entrywise_matrix,
     entrywise_state_from_jsonable,
     entrywise_state_to_jsonable,
@@ -922,17 +923,6 @@ def test_analyze_rejects_bad_guard(tol):
     assert len(err.splitlines()) == 1 and "unrecognized arguments: --tol" in err
 
 
-def count_calls(monkeypatch, counts, key, module, name):
-    """Count the calls of ``module.name`` into ``counts[key]``."""
-    fn = getattr(module, name)
-
-    def wrapper(*args, **kwargs):
-        counts[key] += 1
-        return fn(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, wrapper)
-
-
 def test_analyze_expands_the_state_once(monkeypatch):
     counts = {"transform": 0, "validate": 0}
     count_calls(monkeypatch, counts, "transform", blochsep.bloch, "_mode_products")
@@ -943,8 +933,9 @@ def test_analyze_expands_the_state_once(monkeypatch):
 
 
 def test_analyze_reads_tensors_in_place(monkeypatch):
-    # the norm test stacks slices of the coefficient array; it never takes
-    # the checked per-subset copies of the public expansion API
+    # the norm test reads views of the coefficient array through
+    # _components; it never takes the checked per-subset copies of the
+    # public expansion API
     counts = {"component": 0}
     count_calls(monkeypatch, counts, "component", blochsep.bloch, "_component")
     doc = run_json(["analyze", "zoo:smolin", "--subsets", "all", "--criteria", "c1"])

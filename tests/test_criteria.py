@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+import blochsep.tensors
 from blochsep import (
     CriterionUnavailableError,
     Decision,
@@ -40,8 +41,8 @@ from blochsep import (
     threshold_search,
     w_state,
 )
-from conftest import (bisect_threshold, decomposition_candidates, diagonal_qubit_state,
-                      empty_bloch_data, per_tensor_norms, per_term_assembly,
+from conftest import (bisect_threshold, count_calls, decomposition_candidates,
+                      diagonal_qubit_state, empty_bloch_data, per_tensor_norms, per_term_assembly,
                       per_term_decomposition, random_density, random_pure_product,
                       random_separable, random_unitary)
 
@@ -158,6 +159,26 @@ def test_subset_scan_norms_equal_the_per_tensor_reference(dims, seed, rank, data
         verdicts = subset_scan(rho, selector)
         assert [v.subset for v in verdicts] == order
         assert [v.norm_value for v in verdicts] == per_tensor_norms(rho, order)
+
+
+def test_norms_take_one_svd_call_per_shape_and_mode(monkeypatch):
+    # components of one shape share a stack, so a scan costs one SVD call
+    # per (shape, mode) pair, not one per subset and mode: GHZ-6 has one
+    # shape per size m = 2..6, each with m modes (20 calls where the 57
+    # subsets have 186 unfoldings), and psi-234's three pairs and full set
+    # all differ in shape (2 + 2 + 2 + 3 calls)
+    cases = {
+        "ghz-6": (lambda: subset_scan(ghz(6), "all"), 20),
+        "psi-234": (lambda: subset_scan(state_234(), "all"), 9),
+        "order-4": (lambda: tensor_kyfan(np.ones((3, 3, 3, 3))), 4),
+        "matrix": (lambda: tensor_kyfan(np.eye(3)), 2),
+    }
+    for name, (call, want) in cases.items():
+        counts = {"svd": 0}
+        with monkeypatch.context() as patch:
+            count_calls(patch, counts, "svd", blochsep.tensors, "singular_values")
+            call()
+        assert counts["svd"] == want, name
 
 
 def test_subset_scan_product_state_inconclusive():

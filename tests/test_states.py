@@ -18,6 +18,7 @@ from blochsep import (
     ghz,
     kron,
     maximally_mixed,
+    noise_threshold_table,
     noisy,
     partial_trace,
     projector,
@@ -223,10 +224,11 @@ def index_entry_points(indices):
 
 
 @pytest.mark.parametrize("indices", [(0, 1.7), [0.9, 1], (2.0, 1), (0, np.float64(1)),
-                                     "01", (0, "1"), 5, None])
+                                     "01", (0, "1"), 5, None, (0, True), [True, False],
+                                     (0, np.True_), True])
 def test_subsystem_indices_follow_one_rule(indices):
-    # a float, a string or a lone index is refused with one message, never
-    # truncated or read character by character
+    # a float, a bool, a string or a lone index is refused with one message,
+    # never truncated, read as 0 or 1 or read character by character
     want = f"subsystem indices must be an iterable of integers, got {indices!r}"
     for name, call in index_entry_points(indices).items():
         with pytest.raises(ValueError) as got:
@@ -264,6 +266,17 @@ def test_integer_indices_of_every_kind_are_read_alike():
         assert got == want, indices
         assert all(type(k) is int for k in got["subset_scan"][0])
     assert bloch_vector(rho, np.int64(1)).tobytes() == bloch_vector(rho, 1).tobytes()
+    # an integer selector of subset_scan is a subset size of any integer type,
+    # and a bool is no size
+    for size in (np.int64(2), np.int32(3), np.array(2)):
+        assert subset_scan(rho, size) == subset_scan(rho, int(size))
+    for refused in (True, False, np.True_):
+        with pytest.raises(ValueError) as got:
+            subset_scan(rho, refused)
+        assert str(got.value) == f"unknown subset selector {refused!r}"
+    with pytest.raises(ValueError) as got:
+        bloch_vector(rho, True)
+    assert str(got.value) == "subsystem indices must be an iterable of integers, got (True,)"
     assert partial_trace(rho, range(3)) is rho
     assert basis_ket(np.array([1, 0]), (2, 2)).tobytes() == basis_ket((1, 0), (2, 2)).tobytes()
 
@@ -277,8 +290,19 @@ def test_integer_indices_of_every_kind_are_read_alike():
     (lambda: kron(), "kron needs at least one operand"),
     (lambda: ghz(1), "ghz needs at least 2 parties"),
     (lambda: separability_bound((2,)), "the bound concerns at least 2 subsystems"),
+    (lambda: ZooSpec("ghz", parties=3.0).build(), "parameter 'parties' must be an integer, got 3.0"),
+    (lambda: ZooSpec("w", parties=3.0).build(), "parameter 'parties' must be an integer, got 3.0"),
+    (lambda: ZooSpec("ghz", parties=3, levels=2.0).build(),
+     "parameter 'levels' must be an integer, got 2.0"),
+    (lambda: ZooSpec("reduced-w-noisy", parties=3, removed=1.0, noise=0.5).build(),
+     "parameter 'removed' must be an integer, got 1.0"),
+    (lambda: ZooSpec("w-noisy", parties="3", noise=0.5).build(),
+     "parameter 'parties' must be an integer, got '3'"),
+    (lambda: noise_threshold_table(3.5), "max_parties must be an integer, got 3.5"),
 ], ids=["basis_ket-float", "basis_ket-string", "basis_ket-count", "basis_ket-range",
-        "basis_ket-negative", "kron-empty", "ghz-one-party", "bound-one-party"])
+        "basis_ket-negative", "kron-empty", "ghz-one-party", "bound-one-party",
+        "zoo-ghz-float-parties", "zoo-w-float-parties", "zoo-float-levels",
+        "zoo-float-removed", "zoo-string-parties", "threshold-table-float-parties"])
 def test_refusals_keep_their_messages(call, message):
     with pytest.raises(ValueError) as got:
         call()
