@@ -60,9 +60,10 @@ def _stack(d: int, scale: float) -> np.ndarray:
     return arr
 
 
-def _subsets(n: int):
+@lru_cache(maxsize=None)
+def _subsets(n: int) -> tuple:
     """Nonempty subsets of range(n), by size and then lexicographically."""
-    return (s for m in range(1, n + 1) for s in combinations(range(n), m))
+    return tuple(s for m in range(1, n + 1) for s in combinations(range(n), m))
 
 
 def _name(subset) -> str:
@@ -71,6 +72,7 @@ def _name(subset) -> str:
             else f"correlation tensor of subset {subset}")
 
 
+@lru_cache(maxsize=None)
 def _slot(n: int, subset) -> tuple:
     """Index of a component in the coefficient array of an n-party state."""
     return tuple(slice(1, None) if k in subset else 0 for k in range(n))

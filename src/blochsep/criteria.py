@@ -26,16 +26,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 import math
-import operator
 
 import numpy as np
 
 from .bloch import _components, _from_coefficients, _subsets, ball_radii
 from .errors import CriterionUnavailableError
-from .states import DensityMatrix, ZooSpec, _check_fits, _checked_subset, _subsystem_dims
+from .states import (
+    DensityMatrix,
+    ZooSpec,
+    _check_fits,
+    _checked_subset,
+    _integer,
+    _subsystem_dims,
+)
 from .tensors import (
     KruskalForm,
     _kyfan_norms,
+    _orthogonal_forms,
     find_orthogonal_kruskal,
     kruskal_to_tensor,
     sign_table,
@@ -112,9 +119,9 @@ def _select_subsets(n_parties: int, selector) -> list:
         if selector in ("all", "pairs"):
             sizes = range(2, n_parties + 1) if selector == "all" else (2,)
             return [s for s in _subsets(n_parties) if len(s) in sizes]
-    elif not isinstance(selector, bool):
+    else:
         try:
-            size = operator.index(selector)
+            size = _integer(selector)
         except TypeError:
             pass
         else:
@@ -139,14 +146,16 @@ def subset_scan(rho: DensityMatrix, subsets="all") -> list:
     ascending tuples, deduplicated and put in that order.  Every norm
     verdict of the necessary criterion is made here, from components read
     through ``_components`` and norms from ``_kyfan_norms``, which takes one
-    SVD call per component shape and mode.
+    SVD call per component shape, or per shape and mode where the subset's
+    dimensions differ.  The bound is computed once per tuple of dimensions.
     A single-party state raises ``ValueError`` under every selector.
     """
     subsets = _select_subsets(rho.n_parties, subsets)
     norms = _kyfan_norms([c for _, c in _components(rho, subsets)])
+    dims = [tuple(rho.dims[k] for k in s) for s in subsets]
+    bounds = {d: separability_bound(d) for d in set(dims)}
     verdicts = []
-    for subset, norm in zip(subsets, norms):
-        bound = separability_bound(tuple(rho.dims[k] for k in subset))
+    for subset, norm, bound in zip(subsets, norms, map(bounds.get, dims)):
         entangled = norm > bound + BOUND_GUARD
         verdicts.append(Verdict(
             Decision.ENTANGLED if entangled else Decision.INCONCLUSIVE, norm, bound,
@@ -191,14 +200,17 @@ def _sufficiency_parts(rho: DensityMatrix):
 
     Returns (lhs, [(subset, c_S, form)]) with one completely orthogonal
     Kruskal form per component, coherence vectors included, or
-    (None, failing_subset) when some order >= 3 tensor has none.
+    (None, failing_subset) for the first component, in component order,
+    whose order >= 3 tensor has none.
     """
-    dims, total, parts = rho.dims, 0.0, []
-    for subset, c in _components(rho):
-        form = find_orthogonal_kruskal(c)
-        if form is None:
-            return None, subset
-        coef = math.sqrt(math.prod(2.0 * (dims[k] - 1) / dims[k] for k in subset))
+    subsets, views = zip(*_components(rho))
+    forms, failed = _orthogonal_forms(views)
+    if forms is None:
+        return None, subsets[failed]
+    dims = [tuple(rho.dims[k] for k in s) for s in subsets]
+    coefs = {ds: math.sqrt(math.prod(2.0 * (d - 1) / d for d in ds)) for ds in set(dims)}
+    total, parts = 0.0, []
+    for subset, form, coef in zip(subsets, forms, map(coefs.get, dims)):
         total += coef * float(form.weights.sum())
         parts.append((subset, coef, form))
     return total, parts
@@ -313,7 +325,7 @@ def _closed_form_threshold(sigma: DensityMatrix, criterion: str) -> float | None
         if v.decision is Decision.SEPARABLE:
             return None
         if v.norm_value is None:
-            # find_orthogonal_kruskal's cutoff is relative to the tensor's
+            # the orthogonal-form cutoff is relative to the tensor's
             # scale, so the sum is unavailable at every p > 0 as well
             return 0.0
         return (1.0 + SUFFICIENCY_SLACK) / v.norm_value
@@ -358,7 +370,7 @@ def noise_threshold_table(max_parties: int = 6) -> list:
     when max_parties is below 3 or its states would not fit in memory, before
     any state is built."""
     try:
-        max_parties = operator.index(max_parties)
+        max_parties = _integer(max_parties)
     except TypeError:
         raise ValueError(f"max_parties must be an integer, got {max_parties!r}") from None
     if max_parties < 3:

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from functools import reduce
 import math
+import numbers
 import operator
 import os
 
@@ -18,12 +19,21 @@ from .errors import InvalidStateError
 from .tolerances import EXACT_TOL, PSD_TOL
 
 
+def _integer(value) -> int:
+    """``value`` as an int, read by ``operator.index``, so that numpy's
+    integers are read and a float such as 2.0 is refused, not truncated; a
+    bool is refused as well.  Raises TypeError."""
+    if isinstance(value, bool):
+        raise TypeError(f"a bool is not read as an integer, got {value!r}")
+    return operator.index(value)
+
+
 def _subsystem_dims(dims) -> tuple:
     """``dims`` as a tuple of ints, each at least 2; raises InvalidStateError
-    naming the first violated requirement.  Entries must be integers, numpy's
-    included: a float such as 2.0 is refused, not truncated."""
+    naming the first violated requirement.  Entries are read by
+    :func:`_integer`."""
     try:
-        dims = tuple(map(operator.index, dims))
+        dims = tuple(map(_integer, dims))
     except TypeError:
         raise InvalidStateError("dims must be a sequence of integers")
     if len(dims) == 0:
@@ -36,13 +46,10 @@ def _subsystem_dims(dims) -> tuple:
 def _checked_subset(subset, n_parties: int, min_size: int) -> tuple:
     """``subset`` as an ascending tuple of distinct indices, checked to name
     at least ``min_size`` of the ``n_parties`` subsystems and no other.
-    Indices are read as dims are: a float such as 1.0 is refused, not
-    truncated, and so is a bool, a string or a lone index."""
+    Indices are read by :func:`_integer`; a string or a lone index is
+    refused too."""
     try:
-        indices = tuple(subset)
-        if any(isinstance(k, bool) for k in indices):
-            raise TypeError
-        subset = tuple(sorted(set(map(operator.index, indices))))
+        subset = tuple(sorted(set(map(_integer, subset))))
     except TypeError:
         raise ValueError(f"subsystem indices must be an iterable of integers, "
                          f"got {subset!r}") from None
@@ -187,7 +194,7 @@ def basis_ket(levels, dims) -> np.ndarray:
     """Computational basis vector |levels> on subsystems of sizes ``dims``."""
     dims = _subsystem_dims(dims)
     try:
-        levels = tuple(map(operator.index, levels))
+        levels = tuple(map(_integer, levels))
     except TypeError:
         raise ValueError(f"levels must be an iterable of integers, got {levels!r}") from None
     if len(levels) != len(dims):
@@ -421,9 +428,11 @@ class ZooSpec:
             raise ValueError(f"family {self.family!r} needs parameter {name!r}")
         if name in _INTEGERS:
             try:
-                return operator.index(value)
+                return _integer(value)
             except TypeError:
                 raise ValueError(f"parameter {name!r} must be an integer, got {value!r}") from None
+        if name == "noise" and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+            raise ValueError(f"parameter 'noise' must be a real number, got {value!r}")
         return value
 
     def build(self) -> DensityMatrix:

@@ -10,9 +10,14 @@ fastest.  All mode unfoldings of one tensor are column permutations of each
 other across conventions, so the norms computed here do not depend on that
 choice; the entrywise layout does, and it is pinned by the tests.
 
-:func:`_kyfan_norms` is the one home of shape batching: every Ky Fan norm,
-one tensor's or a whole subset scan's, stacks the tensors of one shape and
-takes one SVD call per mode of the stack.
+Two functions batch by shape, and each is the one home of its rule:
+:func:`_kyfan_norms` computes every Ky Fan norm, one tensor's or a whole
+subset scan's, and :func:`_orthogonal_forms` makes every search for a
+completely orthogonal form.  Both stack the tensors of one shape.  The
+norms take one SVD call per shape whose modes share one dimension, and one
+per shape and mode otherwise; the search takes one diagonal test per shape
+of order >= 3 and, when every tensor passes, one SVD call per shape of
+matrices.
 """
 from __future__ import annotations
 
@@ -29,17 +34,24 @@ def _as_tensor(tensor, min_order=2):
         raise ValueError(
             f"tensor of order {t.ndim} not supported here (need order >= {min_order})"
         )
+    if t.size == 0:
+        raise ValueError(f"tensor of shape {t.shape} has no entries")
     if not np.isfinite(t).all():
         raise ValueError("tensor contains non-finite entries")
     return t
 
 
+def _rotated(stack: np.ndarray, mode: int) -> np.ndarray:
+    """``stack``, whose axis 0 runs over tensors, with each tensor's modes in
+    the cyclic order that starts at ``mode``: a view."""
+    order = stack.ndim - 1
+    return stack.transpose([0] + [1 + (mode + j) % order for j in range(order)])
+
+
 def _unfoldings(stack: np.ndarray, mode: int) -> np.ndarray:
     """Mode-``mode`` unfoldings of every tensor in ``stack``, whose axis 0
     runs over the tensors, as one (C, I_mode, prod of the other I) array."""
-    order = stack.ndim - 1
-    axes = [0] + [1 + (mode + j) % order for j in range(order)]
-    return stack.transpose(axes).reshape(stack.shape[0], stack.shape[1 + mode], -1)
+    return _rotated(stack, mode).reshape(stack.shape[0], stack.shape[1 + mode], -1)
 
 
 def unfold(tensor, mode: int) -> np.ndarray:
@@ -65,22 +77,45 @@ def singular_values(matrix) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def _kyfan_norms(tensors) -> list:
-    """Ky Fan norms of ``tensors``, in input order: per tensor, the largest
-    singular-value sum over its mode unfoldings.  The tensors of one shape
-    are stacked, in order of first appearance, and one SVD call per mode
-    covers the stack; each unfolding is entrywise the matrix :func:`unfold`
-    gives."""
+def _shape_groups(tensors) -> dict:
+    """The input positions of ``tensors`` per shape, shapes in order of first
+    appearance."""
     groups = {}
     for i, t in enumerate(tensors):
         groups.setdefault(t.shape, []).append(i)
+    return groups
+
+
+def _stacked(tensors, members) -> np.ndarray:
+    """The tensors at positions ``members`` along a new axis 0; a lone tensor
+    is given a view, not a copy."""
+    if len(members) == 1:
+        return tensors[members[0]][None]
+    return np.stack([tensors[i] for i in members])
+
+
+def _kyfan_norms(tensors) -> list:
+    """Ky Fan norms of ``tensors``, in input order: per tensor, the largest
+    singular-value sum over its mode unfoldings.  The tensors of one shape
+    are stacked and their unfoldings go to SVD calls together: one call per
+    shape when every mode has the same dimension, so every unfolding has
+    the same matrix shape, and one per shape and mode otherwise.  Each
+    unfolding is entrywise the matrix :func:`unfold` gives."""
     norms = np.empty(len(tensors))
-    for shape, members in groups.items():
-        stack = np.stack([tensors[i] for i in members])
-        best = singular_values(_unfoldings(stack, 0)).sum(axis=-1)
-        for mode in range(1, len(shape)):
-            np.maximum(best, singular_values(_unfoldings(stack, mode)).sum(axis=-1), out=best)
-        norms[members] = best
+    for shape, members in _shape_groups(tensors).items():
+        stack = _stacked(tensors, members)
+        order = len(shape)
+        if len(set(shape)) == 1:
+            # each mode's rotation has the stack's shape: one array holds them all
+            rotations = np.empty((order,) + stack.shape)
+            for mode in range(order):
+                rotations[mode] = _rotated(stack, mode)
+            unfoldings = rotations.reshape(order * len(members), shape[0], -1)
+            sums = singular_values(unfoldings).sum(axis=-1)
+        else:
+            sums = np.concatenate([singular_values(_unfoldings(stack, mode)).sum(axis=-1)
+                                   for mode in range(order)])
+        norms[members] = sums.reshape(order, len(members)).max(axis=0)
     return norms.tolist()
 
 
@@ -170,6 +205,77 @@ def kruskal_to_tensor(form: KruskalForm) -> np.ndarray:
     return (left @ right.T).reshape(form.shape)
 
 
+def _max_abs(stack: np.ndarray) -> np.ndarray:
+    """The largest absolute entry of each tensor in ``stack``, whose axis 0
+    runs over the tensors."""
+    return np.abs(stack).reshape(stack.shape[0], -1).max(axis=1)
+
+
+def _orthogonal_forms(tensors) -> tuple:
+    """Completely orthogonal Kruskal forms of ``tensors`` by
+    :func:`find_orthogonal_kruskal`'s rule: (forms, None), one form per
+    tensor in input order, when every tensor has one, and otherwise
+    (None, i) for the first tensor i, in input order, that has none.
+
+    The tensors of one shape are searched together.  Only a tensor of order
+    >= 3 can lack a form, so the shapes of order >= 3 are tested first, in
+    order of first appearance, with one stacked diagonal test each; a shape
+    whose first tensor comes after a tensor already found to have no form
+    is not tested.  Forms are built only when every tensor has one, which
+    no caller reads otherwise, with one SVD call per shape of matrices.
+    """
+    groups = _shape_groups(tensors)
+    stop, tested = len(tensors), {}
+    for shape, members in groups.items():
+        if members[0] >= stop:
+            break
+        if len(shape) < 3:
+            continue
+        stack = _stacked(tensors, members)
+        scales = _max_abs(stack)
+        if len(set(shape)) == 1:
+            idx = (slice(None),) + (np.arange(shape[0]),) * len(shape)
+            diag = stack[idx]
+            off = stack.copy()
+            off[idx] = 0.0
+            failed = _max_abs(off) > RANK_CUTOFF * scales
+        else:
+            diag, failed = None, scales > 0.0
+        if failed.any():
+            stop = min(stop, members[int(np.argmax(failed))])
+        tested[shape] = (scales, diag)
+    if stop < len(tensors):
+        return None, stop
+    forms = [None] * len(tensors)
+    for shape, members in groups.items():
+        order = len(shape)
+        if order >= 3:
+            scales, diag = tested[shape]
+        else:
+            stack = _stacked(tensors, members)
+            scales = _max_abs(stack)
+        if order == 2:
+            u, s, vt = np.linalg.svd(stack, full_matrices=False)
+        for j, i in enumerate(members):
+            if scales[j] == 0.0:
+                forms[i] = KruskalForm(np.zeros(0), [np.zeros((n, 0)) for n in shape])
+            elif order == 1:
+                t = stack[j]
+                # a zero norm of a nonzero vector means its squares underflowed
+                norm = np.linalg.norm(t) or scales[j] * np.linalg.norm(t / scales[j])
+                forms[i] = KruskalForm([norm], [(t / norm)[:, None]])
+            elif order == 2:
+                keep = s[j] > RANK_CUTOFF * s[j, 0]
+                forms[i] = KruskalForm(s[j, keep], [u[j][:, keep], vt[j, keep].T])
+            else:
+                keep = np.flatnonzero(np.abs(diag[j]) > RANK_CUTOFF * scales[j])
+                # np.diag keeps the zeros at +0.0; np.eye(d) * sign gives -0.0 that reports print
+                factors = ([np.diag(np.sign(diag[j]))[:, keep]]
+                           + [np.eye(shape[0])[:, keep]] * (order - 1))
+                forms[i] = KruskalForm(np.abs(diag[j, keep]), factors)
+    return forms, None
+
+
 def find_orthogonal_kruskal(tensor):
     """Return a completely orthogonal Kruskal form of ``tensor`` or None.
 
@@ -183,31 +289,8 @@ def find_orthogonal_kruskal(tensor):
     factor columns in every mode and strictly positive weights, so its weight
     sum is the tensor's Ky Fan norm (for a vector, its Euclidean norm).
     """
-    t = _as_tensor(tensor, min_order=1)
-    scale = float(np.abs(t).max())
-    if scale == 0.0:
-        return KruskalForm(np.zeros(0), [np.zeros((n, 0)) for n in t.shape])
-    if t.ndim == 1:
-        # a zero norm of a nonzero vector means its squares underflowed
-        norm = np.linalg.norm(t) or scale * np.linalg.norm(t / scale)
-        return KruskalForm([norm], [(t / norm)[:, None]])
-    if t.ndim == 2:
-        u, s, vt = np.linalg.svd(t, full_matrices=False)
-        keep = s > RANK_CUTOFF * s[0]
-        return KruskalForm(s[keep], [u[:, keep], vt[keep].T])
-    if len(set(t.shape)) != 1:
-        return None
-    d = t.shape[0]
-    idx = (np.arange(d),) * t.ndim
-    diag = t[idx]
-    off = t.copy()
-    off[idx] = 0.0
-    if np.abs(off).max() > RANK_CUTOFF * scale:
-        return None
-    keep = np.flatnonzero(np.abs(diag) > RANK_CUTOFF * scale)
-    # np.diag keeps the zeros at +0.0; np.eye(d) * sign gives -0.0 that reports print
-    factors = [np.diag(np.sign(diag))[:, keep]] + [np.eye(d)[:, keep]] * (t.ndim - 1)
-    return KruskalForm(np.abs(diag[keep]), factors)
+    forms, _ = _orthogonal_forms([_as_tensor(tensor, min_order=1)])
+    return None if forms is None else forms[0]
 
 
 def sign_table(n_parties: int) -> np.ndarray:

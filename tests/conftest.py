@@ -28,11 +28,10 @@ from blochsep import (
     subset_scan,
     sufficiency_test,
 )
-from blochsep.bloch import _from_coefficients
-from blochsep.criteria import _sufficiency_parts
+from blochsep.bloch import _components, _from_coefficients
 from blochsep.stateio import SCHEMA_VERSION
 from blochsep.states import _subsystem_dims
-from blochsep.tolerances import SUFFICIENCY_SLACK, WEIGHT_CUTOFF
+from blochsep.tolerances import RANK_CUTOFF, SUFFICIENCY_SLACK, WEIGHT_CUTOFF
 
 
 def random_density(rng, dims, rank=None):
@@ -252,12 +251,70 @@ def entrywise_state_from_jsonable(doc):
     return DensityMatrix(dims, mat)
 
 
+def per_tensor_form(tensor):
+    """Reference for ``tensors._orthogonal_forms``: the one-tensor search
+    that ``find_orthogonal_kruskal`` made before the search was batched by
+    shape, kept verbatim but for taking an array, so the batched forms can
+    be compared with it bit for bit."""
+    t = np.asarray(tensor, dtype=float)
+    scale = float(np.abs(t).max())
+    if scale == 0.0:
+        return KruskalForm(np.zeros(0), [np.zeros((n, 0)) for n in t.shape])
+    if t.ndim == 1:
+        # a zero norm of a nonzero vector means its squares underflowed
+        norm = np.linalg.norm(t) or scale * np.linalg.norm(t / scale)
+        return KruskalForm([norm], [(t / norm)[:, None]])
+    if t.ndim == 2:
+        u, s, vt = np.linalg.svd(t, full_matrices=False)
+        keep = s > RANK_CUTOFF * s[0]
+        return KruskalForm(s[keep], [u[:, keep], vt[keep].T])
+    if len(set(t.shape)) != 1:
+        return None
+    d = t.shape[0]
+    idx = (np.arange(d),) * t.ndim
+    diag = t[idx]
+    off = t.copy()
+    off[idx] = 0.0
+    if np.abs(off).max() > RANK_CUTOFF * scale:
+        return None
+    keep = np.flatnonzero(np.abs(diag) > RANK_CUTOFF * scale)
+    # np.diag keeps the zeros at +0.0; np.eye(d) * sign gives -0.0 that reports print
+    factors = [np.diag(np.sign(diag))[:, keep]] + [np.eye(d)[:, keep]] * (t.ndim - 1)
+    return KruskalForm(np.abs(diag[keep]), factors)
+
+
+def per_component_forms(rho):
+    """Reference for ``criteria._sufficiency_parts``: the loop it replaced,
+    one :func:`per_tensor_form` per component in component order, kept
+    verbatim.  Returns (lhs, [(subset, c_S, form)]), or (None, subset) for
+    the first component without a form."""
+    dims, total, parts = rho.dims, 0.0, []
+    for subset, c in _components(rho):
+        form = per_tensor_form(c)
+        if form is None:
+            return None, subset
+        coef = math.sqrt(math.prod(2.0 * (dims[k] - 1) / dims[k] for k in subset))
+        total += coef * float(form.weights.sum())
+        parts.append((subset, coef, form))
+    return total, parts
+
+
+def same_form(a, b):
+    """Whether two Kruskal forms hold bit-equal weights and factors: equal
+    under ``np.array_equal``, and with the same bytes, so that the sign of
+    a zero counts too."""
+    pairs = list(zip([a.weights, *a.factors], [b.weights, *b.factors]))
+    return len(a.factors) == len(b.factors) and all(
+        np.array_equal(x, y) and x.tobytes() == y.tobytes() for x, y in pairs)
+
+
 def per_term_decomposition(rho):
     """Reference for ``criteria.separable_decomposition``: the per-term loop
-    it replaced, kept verbatim, so the Kruskal-form construction can be
+    it replaced, kept verbatim but for reading the forms from
+    :func:`per_component_forms`, so the Kruskal-form construction can be
     compared with it float for float and message for message.  Returns
     (terms, identity_weight) with terms a tuple of (weight, factor vectors)."""
-    total, parts = _sufficiency_parts(rho)
+    total, parts = per_component_forms(rho)
     if total is None:
         raise CriterionUnavailableError(
             f"correlation tensor of subset {parts} has no completely "

@@ -10,6 +10,9 @@ import numpy as np
 import pytest
 
 import blochsep.tensors
+from blochsep.bloch import _components
+from blochsep.criteria import _sufficiency_parts
+from blochsep.tensors import _orthogonal_forms
 from blochsep import (
     CriterionUnavailableError,
     Decision,
@@ -42,9 +45,10 @@ from blochsep import (
     w_state,
 )
 from conftest import (bisect_threshold, count_calls, decomposition_candidates,
-                      diagonal_qubit_state, empty_bloch_data, per_tensor_norms, per_term_assembly,
+                      diagonal_qubit_state, empty_bloch_data, per_component_forms,
+                      per_tensor_form, per_tensor_norms, per_term_assembly,
                       per_term_decomposition, random_density, random_pure_product,
-                      random_separable, random_unitary)
+                      random_separable, random_unitary, same_form)
 
 
 def test_separability_bound_values():
@@ -161,17 +165,18 @@ def test_subset_scan_norms_equal_the_per_tensor_reference(dims, seed, rank, data
         assert [v.norm_value for v in verdicts] == per_tensor_norms(rho, order)
 
 
-def test_norms_take_one_svd_call_per_shape_and_mode(monkeypatch):
-    # components of one shape share a stack, so a scan costs one SVD call
-    # per (shape, mode) pair, not one per subset and mode: GHZ-6 has one
-    # shape per size m = 2..6, each with m modes (20 calls where the 57
-    # subsets have 186 unfoldings), and psi-234's three pairs and full set
-    # all differ in shape (2 + 2 + 2 + 3 calls)
+def test_norms_take_one_svd_call_per_shape(monkeypatch):
+    # components of one shape share a stack, and when every mode of the
+    # shape has one dimension, every unfolding has one matrix shape, so the
+    # stack's unfoldings of all modes go to one SVD call: GHZ-6 has one
+    # shape per size m = 2..6 (5 calls where the 57 subsets have 186
+    # unfoldings).  A shape with unequal dimensions takes one call per mode:
+    # psi-234's three pairs and full set all differ in shape (2 + 2 + 2 + 3)
     cases = {
-        "ghz-6": (lambda: subset_scan(ghz(6), "all"), 20),
+        "ghz-6": (lambda: subset_scan(ghz(6), "all"), 5),
         "psi-234": (lambda: subset_scan(state_234(), "all"), 9),
-        "order-4": (lambda: tensor_kyfan(np.ones((3, 3, 3, 3))), 4),
-        "matrix": (lambda: tensor_kyfan(np.eye(3)), 2),
+        "order-4": (lambda: tensor_kyfan(np.ones((3, 3, 3, 3))), 1),
+        "matrix": (lambda: tensor_kyfan(np.eye(3)), 1),
     }
     for name, (call, want) in cases.items():
         counts = {"svd": 0}
@@ -179,6 +184,80 @@ def test_norms_take_one_svd_call_per_shape_and_mode(monkeypatch):
             count_calls(patch, counts, "svd", blochsep.tensors, "singular_values")
             call()
         assert counts["svd"] == want, name
+
+
+def test_sufficiency_takes_one_svd_call_for_its_pair_matrices(monkeypatch):
+    # the 15 pair tensors of six qubits share one shape, so one SVD call
+    # gives all their forms, and coherence vectors and higher tensors take
+    # none.  GHZ-6's full tensor has no form, which the diagonal tests find
+    # before any form is built, so it takes no SVD call at all
+    q = np.random.default_rng(43).random(64)
+    classical = DensityMatrix((2,) * 6, np.diag(q / q.sum()).astype(complex))
+    for rho, reason, want in ((classical, "sum-exceeds-one", 1),
+                              (ghz(6), "no-orthogonal-decomposition:(0, 1, 2, 3, 4, 5)", 0)):
+        counts = {"svd": 0}
+        with monkeypatch.context() as patch:
+            count_calls(patch, counts, "svd", np.linalg, "svd")
+            assert sufficiency_test(rho).reason == reason
+        assert counts["svd"] == want
+
+
+def sufficiency_candidates() -> dict:
+    """Random states on mixed dims, whose first order-3 tensor has no form,
+    random diagonal qubit states, all of whose tensors have one, and states
+    with zero components, by name."""
+    rng = np.random.default_rng(41)
+    states = {}
+    for dims in [(2, 3), (3, 3), (2, 4), (3, 4), (2, 3, 2), (2, 2, 3), (3, 2, 2, 2)]:
+        name = "x".join(map(str, dims))
+        for k in range(4):
+            states[f"random-{name}-{k}"] = random_density(rng, dims, rank=int(rng.integers(1, 4)))
+        states[f"mixed-{name}"] = maximally_mixed(dims)
+    for n in (3, 4, 5):
+        q = rng.random(2**n)
+        states[f"diagonal-{n}"] = DensityMatrix((2,) * n, np.diag(q / q.sum()).astype(complex))
+    return {**states, "ghz-noisy-4": noisy(ghz(4), 0.1), "smolin": smolin(), "psi-234": state_234()}
+
+
+@pytest.mark.parametrize("rho", [pytest.param(rho, id=name)
+                                 for name, rho in sufficiency_candidates().items()])
+def test_orthogonal_forms_match_the_per_component_reference(rho):
+    # the batched search gives the one-tensor search's forms bit for bit, or
+    # names the first component without one, and the sufficiency parts
+    # match the per-component loop's
+    views = [c for _, c in _components(rho)]
+    want = [per_tensor_form(c) for c in views]
+    forms, failed = _orthogonal_forms(views)
+    if None in want:
+        assert (forms, failed) == (None, want.index(None))
+    else:
+        assert failed is None and len(forms) == len(want)
+        assert all(same_form(f, w) for f, w in zip(forms, want))
+    total, parts = _sufficiency_parts(rho)
+    want_total, want_parts = per_component_forms(rho)
+    assert total == want_total
+    if total is None:
+        assert parts == want_parts
+        return
+    assert [(s, c) for s, c, _ in parts] == [(s, c) for s, c, _ in want_parts]
+    assert all(same_form(f, w) for (_, _, f), (_, _, w) in zip(parts, want_parts))
+
+
+def test_the_first_component_without_a_form_is_named_in_component_order():
+    # on dims (2, 2, 2, 2, 3) the shapes interleave: the (3, 3, 3) group is
+    # met first, at (0, 1, 2), and its first failure is (0, 2, 3), which is
+    # not diagonal; (0, 1, 4), of shape (3, 3, 8), is nonzero with unequal
+    # dims and comes first in component order, though its group is met second
+    data = empty_bloch_data((2, 2, 2, 2, 3))
+    data.tensors[(0, 2, 3)][0, 1, 2] = 0.05
+    data.tensors[(0, 1, 4)][2, 2, 7] = 0.05
+    rho = reconstruct(data)
+    assert per_component_forms(rho) == (None, (0, 1, 4))
+    assert sufficiency_test(rho).reason == "no-orthogonal-decomposition:(0, 1, 4)"
+    with pytest.raises(CriterionUnavailableError) as got:
+        separable_decomposition(rho)
+    assert str(got.value) == ("correlation tensor of subset (0, 1, 4) has no completely "
+                              "orthogonal rank-1 decomposition")
 
 
 def test_subset_scan_product_state_inconclusive():

@@ -279,6 +279,14 @@ def test_integer_indices_of_every_kind_are_read_alike():
     assert str(got.value) == "subsystem indices must be an iterable of integers, got (True,)"
     assert partial_trace(rho, range(3)) is rho
     assert basis_ket(np.array([1, 0]), (2, 2)).tobytes() == basis_ket((1, 0), (2, 2)).tobytes()
+    # zoo parameters and the table size read numpy integers as ints, and noise
+    # takes any real number, numpy's and integers included
+    built = ZooSpec("ghz-noisy", parties=np.int64(3), levels=np.int32(2), noise=np.float64(0.5))
+    want = ZooSpec("ghz-noisy", parties=3, noise=0.5).build()
+    assert built.build().matrix.tobytes() == want.matrix.tobytes()
+    assert (ZooSpec("w-noisy", parties=3, noise=1).build().matrix.tobytes()
+            == ZooSpec("w-noisy", parties=3, noise=1.0).build().matrix.tobytes())
+    assert noise_threshold_table(np.int64(3)) == noise_threshold_table(3)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -299,10 +307,33 @@ def test_integer_indices_of_every_kind_are_read_alike():
     (lambda: ZooSpec("w-noisy", parties="3", noise=0.5).build(),
      "parameter 'parties' must be an integer, got '3'"),
     (lambda: noise_threshold_table(3.5), "max_parties must be an integer, got 3.5"),
+    # a bool is no integer anywhere an integer is read
+    (lambda: basis_ket((True, 0), (2, 2)),
+     "levels must be an iterable of integers, got (True, 0)"),
+    (lambda: _subsystem_dims((2, True)), "dims must be a sequence of integers"),
+    (lambda: ZooSpec("ghz", parties=True).build(),
+     "parameter 'parties' must be an integer, got True"),
+    (lambda: ZooSpec("ghz", parties=3, levels=True).build(),
+     "parameter 'levels' must be an integer, got True"),
+    (lambda: ZooSpec("reduced-w-noisy", parties=3, removed=True, noise=0.5).build(),
+     "parameter 'removed' must be an integer, got True"),
+    (lambda: noise_threshold_table(True), "max_parties must be an integer, got True"),
+    # noise is a real number and no bool
+    (lambda: ZooSpec("ghz-noisy", parties=3, noise="0.5").build(),
+     "parameter 'noise' must be a real number, got '0.5'"),
+    (lambda: ZooSpec("ghz-noisy", parties=3, noise=True).build(),
+     "parameter 'noise' must be a real number, got True"),
+    (lambda: ZooSpec("werner", noise=np.True_).build(),
+     f"parameter 'noise' must be a real number, got {np.True_!r}"),
+    (lambda: ZooSpec("werner", noise=0.5j).build(),
+     "parameter 'noise' must be a real number, got 0.5j"),
 ], ids=["basis_ket-float", "basis_ket-string", "basis_ket-count", "basis_ket-range",
         "basis_ket-negative", "kron-empty", "ghz-one-party", "bound-one-party",
         "zoo-ghz-float-parties", "zoo-w-float-parties", "zoo-float-levels",
-        "zoo-float-removed", "zoo-string-parties", "threshold-table-float-parties"])
+        "zoo-float-removed", "zoo-string-parties", "threshold-table-float-parties",
+        "basis_ket-bool", "dims-bool", "zoo-bool-parties", "zoo-bool-levels", "zoo-bool-removed",
+        "threshold-table-bool-parties", "zoo-string-noise", "zoo-bool-noise",
+        "zoo-numpy-bool-noise", "zoo-complex-noise"])
 def test_refusals_keep_their_messages(call, message):
     with pytest.raises(ValueError) as got:
         call()

@@ -17,7 +17,9 @@ from blochsep import (
     tensor_kyfan,
     unfold,
 )
-from conftest import per_matrix_kyfan
+from blochsep.tensors import _orthogonal_forms
+from blochsep.tolerances import RANK_CUTOFF
+from conftest import per_matrix_kyfan, per_tensor_form, same_form
 
 # hand-checkable 3x2x3 example with integer entries
 EXAMPLE_ENTRIES = {
@@ -181,8 +183,10 @@ def test_kruskal_form_validation():
     (lambda: unfold(np.ones((2, 2)), -1), "mode -1 out of range for order-2 tensor"),
     (lambda: KruskalForm([1.0, -0.5], [np.ones((3, 2))]), "term weights must be nonnegative"),
     (lambda: KruskalForm([1.0], []), "a Kruskal form needs at least one mode"),
+    (lambda: tensor_kyfan(np.zeros((3, 0))), r"tensor of shape \(3, 0\) has no entries"),
+    (lambda: find_orthogonal_kruskal(np.zeros(0)), r"tensor of shape \(0,\) has no entries"),
 ], ids=["order-1", "order-0-unfold", "order-0-kruskal", "inf", "nan", "mode-too-large",
-        "mode-negative", "negative-weight", "no-mode"])
+        "mode-negative", "negative-weight", "no-mode", "empty-kyfan", "empty-kruskal"])
 def test_tensor_refusals_keep_their_messages(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
@@ -295,6 +299,45 @@ def test_orthogonal_form_for_a_vector_whose_squares_underflow():
     form = find_orthogonal_kruskal(v)
     assert form.weights[0] == pytest.approx(5e-187, rel=1e-15)
     np.testing.assert_allclose(form.factors[0][:, 0], [-0.6, 0.0, 0.8], rtol=1e-15)
+
+
+def diagonal_tensor(values, off=0.0):
+    """The (3, 3, 3) tensor with ``values`` on its diagonal and ``off`` at
+    the off-diagonal position (0, 1, 2)."""
+    t = np.zeros((3, 3, 3))
+    t[(np.arange(3),) * 3] = values
+    t[0, 1, 2] = off
+    return t
+
+
+def test_orthogonal_forms_match_the_per_tensor_search():
+    # the largest entry is 2, so entries at or below RANK_CUTOFF * 2 count
+    # as zero: an off-diagonal entry there leaves the tensor diagonal, and a
+    # diagonal entry there is no term; one ulp above, it counts
+    rng = np.random.default_rng(32)
+    cutoff = RANK_CUTOFF * 2.0
+    above = np.nextafter(cutoff, np.inf)
+    tensors = [
+        np.zeros(3), np.array([-3e-187, 0.0, 4e-187]), rng.normal(size=3), np.zeros(8),
+        np.zeros((3, 3)), rng.normal(size=(3, 3)), rng.normal(size=(3, 8)),
+        rng.normal(size=(3, 3)), np.zeros((3, 3, 8)), np.zeros((3, 3, 3)),
+        diagonal_tensor([0.5, -0.2, 0.0]), diagonal_tensor([-2.0, 0.0, 1.0]),
+        diagonal_tensor([2.0, -1.0, 0.5], off=cutoff),
+        diagonal_tensor([2.0, -1.0, 0.5], off=-np.nextafter(cutoff, 0.0)),
+        diagonal_tensor([2.0, cutoff, -above]), np.array([5e-324, 0.0, -5e-324]),
+    ]
+    want = [per_tensor_form(t) for t in tensors]
+    assert None not in want
+    forms, failed = _orthogonal_forms(tensors)
+    assert failed is None and len(forms) == len(tensors)
+    assert all(same_form(f, w) for f, w in zip(forms, want))
+    assert all(same_form(find_orthogonal_kruskal(t), w) for t, w in zip(tensors, want))
+    # a tensor without a form is named wherever it stands, and no form is given
+    for bad in (diagonal_tensor([2.0, -1.0, 0.5], off=above), rng.normal(size=(3, 3, 8))):
+        assert per_tensor_form(bad) is None and find_orthogonal_kruskal(bad) is None
+        for position in range(len(tensors) + 1):
+            batch = tensors[:position] + [bad] + tensors[position:]
+            assert _orthogonal_forms(batch) == (None, position)
 
 
 def test_sign_table_needs_a_column():
