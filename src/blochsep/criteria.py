@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .bloch import _components, _from_coefficients, _subsets, ball_radii
+from .bloch import _components, _from_coefficients, _name, _subsets, ball_radii
 from .errors import CriterionUnavailableError
 from .states import (
     DensityMatrix,
@@ -113,27 +113,25 @@ def _select_subsets(n_parties: int, selector) -> list:
     if n_parties < 2:
         raise ValueError(
             f"the necessary test needs at least 2 subsystems, the state has {n_parties}")
+    # every named and integer selector picks the subsets of some sizes
+    named = {"full": (n_parties,), "pairs": (2,), "all": range(2, n_parties + 1)}
     if isinstance(selector, str):
-        if selector == "full":
-            return [tuple(range(n_parties))]
-        if selector in ("all", "pairs"):
-            sizes = range(2, n_parties + 1) if selector == "all" else (2,)
-            return [s for s in _subsets(n_parties) if len(s) in sizes]
+        if selector not in named:
+            raise ValueError(f"unknown subset selector {selector!r}")
+        sizes = named[selector]
     else:
         try:
             size = _integer(selector)
         except TypeError:
-            pass
-        else:
-            if not 2 <= size <= n_parties:
-                raise ValueError(f"subset size must lie in [2, {n_parties}], got {size}")
-            return [s for s in _subsets(n_parties) if len(s) == size]
-        try:
-            subsets = {_checked_subset(s, n_parties, 2) for s in selector}
-        except TypeError:
-            raise ValueError(f"unknown subset selector {selector!r}") from None
-        return sorted(subsets, key=lambda s: (len(s), s))
-    raise ValueError(f"unknown subset selector {selector!r}")
+            try:
+                subsets = {_checked_subset(s, n_parties, 2) for s in selector}
+            except TypeError:
+                raise ValueError(f"unknown subset selector {selector!r}") from None
+            return sorted(subsets, key=lambda s: (len(s), s))
+        if not 2 <= size <= n_parties:
+            raise ValueError(f"subset size must lie in [2, {n_parties}], got {size}")
+        sizes = (size,)
+    return [s for s in _subsets(n_parties) if len(s) in sizes]
 
 
 def subset_scan(rho: DensityMatrix, subsets="all") -> list:
@@ -254,9 +252,7 @@ def separable_decomposition(rho: DensityMatrix) -> SeparableDecomposition:
     total, parts = _sufficiency_parts(rho)
     if total is None:
         raise CriterionUnavailableError(
-            f"correlation tensor of subset {parts} has no completely "
-            "orthogonal rank-1 decomposition"
-        )
+            f"{_name(parts)} has no completely orthogonal rank-1 decomposition")
     if total > 1.0 + SUFFICIENCY_SLACK:
         raise CriterionUnavailableError(
             f"weighted component norm sum {total:.12g} exceeds 1; "
@@ -311,34 +307,6 @@ _CRITERIA = {
 }
 
 
-def _closed_form_threshold(sigma: DensityMatrix, criterion: str) -> float | None:
-    """Flip point of a criterion on the family (1-p)/D I + p sigma.
-
-    Every coherence vector and correlation tensor of the mixture is p times
-    sigma's, so each norm and the sufficiency sum grow linearly in p and one
-    evaluation on sigma fixes where the verdict flips: the sum's where it
-    stops being Separable, the others' where a verdict turns Entangled.
-    """
-    verdicts = _CRITERIA[criterion][0](sigma, "all")
-    if verdicts[0].criterion == "sufficiency-sum":
-        (v,) = verdicts
-        if v.decision is Decision.SEPARABLE:
-            return None
-        if v.norm_value is None:
-            # the orthogonal-form cutoff is relative to the tensor's
-            # scale, so the sum is unavailable at every p > 0 as well
-            return 0.0
-        return (1.0 + SUFFICIENCY_SLACK) / v.norm_value
-    return min(
-        (
-            (v.bound_value + BOUND_GUARD) / v.norm_value
-            for v in verdicts
-            if v.decision is Decision.ENTANGLED
-        ),
-        default=None,
-    )
-
-
 def threshold_search(family, criterion: str = "t1") -> float | None:
     """Locate the noise weight p in [0, 1] where a criterion's verdict flips.
 
@@ -360,7 +328,21 @@ def threshold_search(family, criterion: str = "t1") -> float | None:
     if family.noise is not None:
         raise ValueError("a threshold sweeps the noise weight itself; "
                          f"leave noise unset (got {family.noise})")
-    return _closed_form_threshold(family._state(), criterion)
+    # every coherence vector and correlation tensor of the mixture is p times
+    # sigma's, so each norm and the sufficiency sum grow linearly in p: the sum
+    # flips where it stops being Separable, the others where one turns Entangled
+    verdicts = _CRITERIA[criterion][0](family._state(), "all")
+    if criterion == "p2":
+        (v,) = verdicts
+        if v.decision is Decision.SEPARABLE:
+            return None
+        if v.norm_value is None:
+            # the orthogonal-form cutoff is relative to the tensor's
+            # scale, so the sum is unavailable at every p > 0 as well
+            return 0.0
+        return (1.0 + SUFFICIENCY_SLACK) / v.norm_value
+    return min(((v.bound_value + BOUND_GUARD) / v.norm_value
+                for v in verdicts if v.decision is Decision.ENTANGLED), default=None)
 
 
 def noise_threshold_table(max_parties: int = 6) -> list:
@@ -369,10 +351,7 @@ def noise_threshold_table(max_parties: int = 6) -> list:
     form.  Returns rows of (family, parties, threshold).  Raises ValueError
     when max_parties is below 3 or its states would not fit in memory, before
     any state is built."""
-    try:
-        max_parties = _integer(max_parties)
-    except TypeError:
-        raise ValueError(f"max_parties must be an integer, got {max_parties!r}") from None
+    max_parties = _integer(max_parties, "max_parties")
     if max_parties < 3:
         raise ValueError(f"max_parties must be at least 3, the size of the table's "
                          f"first row (got {max_parties})")

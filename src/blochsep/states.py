@@ -19,13 +19,19 @@ from .errors import InvalidStateError
 from .tolerances import EXACT_TOL, PSD_TOL
 
 
-def _integer(value) -> int:
+def _integer(value, name: str | None = None) -> int:
     """``value`` as an int, read by ``operator.index``, so that numpy's
     integers are read and a float such as 2.0 is refused, not truncated; a
-    bool is refused as well.  Raises TypeError."""
-    if isinstance(value, bool):
-        raise TypeError(f"a bool is not read as an integer, got {value!r}")
-    return operator.index(value)
+    bool is refused as well.  Raises TypeError, or, given the ``name`` of the
+    argument, ValueError saying that it must be an integer."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError(f"a bool is not read as an integer, got {value!r}")
+        return operator.index(value)
+    except TypeError:
+        if name is None:
+            raise
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _subsystem_dims(dims) -> tuple:
@@ -274,7 +280,10 @@ def w_state(n_parties: int) -> DensityMatrix:
 
 
 def noisy(state: DensityMatrix, p: float) -> DensityMatrix:
-    """Mix a state with white noise: (1-p)/D * I + p * state."""
+    """Mix a state with white noise: (1-p)/D * I + p * state.  ``p`` is a real
+    number in [0, 1] and no bool; raises ValueError otherwise."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Real):
+        raise ValueError(f"noise weight p must be a real number, got {p!r}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"noise weight p must lie in [0, 1], got {p}")
     total = state.dim
@@ -426,14 +435,7 @@ class ZooSpec:
         value = self.parameters.get(name, _DEFAULTS.get(name))
         if value is None:
             raise ValueError(f"family {self.family!r} needs parameter {name!r}")
-        if name in _INTEGERS:
-            try:
-                return _integer(value)
-            except TypeError:
-                raise ValueError(f"parameter {name!r} must be an integer, got {value!r}") from None
-        if name == "noise" and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
-            raise ValueError(f"parameter 'noise' must be a real number, got {value!r}")
-        return value
+        return _integer(value, f"parameter {name!r}") if name in _INTEGERS else value
 
     def build(self) -> DensityMatrix:
         state = self._state()

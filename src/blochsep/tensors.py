@@ -25,11 +25,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .states import _integer
 from .tolerances import RANK_CUTOFF
 
 
+def _real(array, what: str) -> np.ndarray:
+    """``array`` as a float array; a complex one is refused, not truncated."""
+    a = np.asarray(array)
+    if a.dtype.kind == "c":
+        raise ValueError(f"{what} has complex dtype {a.dtype}; only real entries are read")
+    return a.astype(float, copy=False)
+
+
 def _as_tensor(tensor, min_order=2):
-    t = np.asarray(tensor, dtype=float)
+    t = _real(tensor, "tensor")
     if t.ndim < min_order:
         raise ValueError(
             f"tensor of order {t.ndim} not supported here (need order >= {min_order})"
@@ -61,6 +70,7 @@ def unfold(tensor, mode: int) -> np.ndarray:
     cyclic order starting after ``mode``, last index fastest.
     """
     t = _as_tensor(tensor)
+    mode = _integer(mode, "mode")
     if not 0 <= mode < t.ndim:
         raise ValueError(f"mode {mode} out of range for order-{t.ndim} tensor")
     return _unfoldings(t[None], mode)[0]
@@ -69,7 +79,7 @@ def unfold(tensor, mode: int) -> np.ndarray:
 def singular_values(matrix) -> np.ndarray:
     """Singular values of a real matrix, descending; on a (..., m, n) stack,
     those of each matrix along the last axis."""
-    m = np.asarray(matrix, dtype=float)
+    m = _real(matrix, "matrix")
     if m.ndim < 2:
         raise ValueError("singular_values expects a matrix")
     if not np.isfinite(m).all():
@@ -303,6 +313,7 @@ def sign_table(n_parties: int) -> np.ndarray:
     lower-order terms when the table drives a product-state average.  For
     N = 1 the table is [[1]]: a coherence vector needs no balancing.
     """
+    n_parties = _integer(n_parties, "n_parties")
     if n_parties < 1:
         raise ValueError("sign tables are defined for at least 1 column")
     rows = 1 << (n_parties - 1)

@@ -24,9 +24,11 @@ from blochsep import (
     projector,
     reconstruct,
     separability_bound,
+    sign_table,
     smolin,
     state_234,
     subset_scan,
+    unfold,
     validate_density,
     w_state,
     zoo_families,
@@ -287,6 +289,19 @@ def test_integer_indices_of_every_kind_are_read_alike():
     assert (ZooSpec("w-noisy", parties=3, noise=1).build().matrix.tobytes()
             == ZooSpec("w-noisy", parties=3, noise=1.0).build().matrix.tobytes())
     assert noise_threshold_table(np.int64(3)) == noise_threshold_table(3)
+    # a tensor mode and a sign table's width read numpy integers as ints too,
+    # and refuse a bool or a float
+    t = np.arange(24.0).reshape(2, 3, 4)
+    for mode in (np.int64(1), np.int32(2), np.array(0)):
+        assert unfold(t, mode).tobytes() == unfold(t, int(mode)).tobytes()
+    assert sign_table(np.int64(3)).tobytes() == sign_table(3).tobytes()
+    for refused in (True, np.True_, 1.0):
+        with pytest.raises(ValueError) as got:
+            unfold(t, refused)
+        assert str(got.value) == f"mode must be an integer, got {refused!r}"
+        with pytest.raises(ValueError) as got:
+            sign_table(refused)
+        assert str(got.value) == f"n_parties must be an integer, got {refused!r}"
 
 
 @pytest.mark.parametrize("call, message", [
@@ -318,15 +333,15 @@ def test_integer_indices_of_every_kind_are_read_alike():
     (lambda: ZooSpec("reduced-w-noisy", parties=3, removed=True, noise=0.5).build(),
      "parameter 'removed' must be an integer, got True"),
     (lambda: noise_threshold_table(True), "max_parties must be an integer, got True"),
-    # noise is a real number and no bool
+    # noise is a real number and no bool, refused by noisy itself
     (lambda: ZooSpec("ghz-noisy", parties=3, noise="0.5").build(),
-     "parameter 'noise' must be a real number, got '0.5'"),
+     "noise weight p must be a real number, got '0.5'"),
     (lambda: ZooSpec("ghz-noisy", parties=3, noise=True).build(),
-     "parameter 'noise' must be a real number, got True"),
+     "noise weight p must be a real number, got True"),
     (lambda: ZooSpec("werner", noise=np.True_).build(),
-     f"parameter 'noise' must be a real number, got {np.True_!r}"),
+     f"noise weight p must be a real number, got {np.True_!r}"),
     (lambda: ZooSpec("werner", noise=0.5j).build(),
-     "parameter 'noise' must be a real number, got 0.5j"),
+     "noise weight p must be a real number, got 0.5j"),
 ], ids=["basis_ket-float", "basis_ket-string", "basis_ket-count", "basis_ket-range",
         "basis_ket-negative", "kron-empty", "ghz-one-party", "bound-one-party",
         "zoo-ghz-float-parties", "zoo-w-float-parties", "zoo-float-levels",
@@ -400,6 +415,13 @@ def test_noisy_rejects_out_of_range():
         noisy(ghz(2), 1.5)
     with pytest.raises(ValueError):
         noisy(ghz(2), -0.1)
+
+
+@pytest.mark.parametrize("p", ["0.5", True, np.True_, 0.5j], ids=repr)
+def test_noisy_refuses_a_weight_that_is_no_real_number(p):
+    with pytest.raises(ValueError) as got:
+        noisy(ghz(2), p)
+    assert str(got.value) == f"noise weight p must be a real number, got {p!r}"
 
 
 def test_reduced_w_matches_direct_construction():

@@ -185,8 +185,24 @@ def test_kruskal_form_validation():
     (lambda: KruskalForm([1.0], []), "a Kruskal form needs at least one mode"),
     (lambda: tensor_kyfan(np.zeros((3, 0))), r"tensor of shape \(3, 0\) has no entries"),
     (lambda: find_orthogonal_kruskal(np.zeros(0)), r"tensor of shape \(0,\) has no entries"),
+    # a complex tensor is refused, not truncated to its real part
+    (lambda: tensor_kyfan(np.array([[1j, 0], [0, 1]])),
+     "tensor has complex dtype complex128; only real entries are read"),
+    (lambda: singular_values(np.array([[1j, 0], [0, 1]])),
+     "matrix has complex dtype complex128; only real entries are read"),
+    (lambda: unfold([[1j, 0], [0, 1]], 0),
+     "tensor has complex dtype complex128; only real entries are read"),
+    (lambda: find_orthogonal_kruskal(np.array([1j, 1.0])),
+     "tensor has complex dtype complex128; only real entries are read"),
+    # a mode and a table width are integers and no bool
+    (lambda: unfold(np.ones((2, 2)), True), "mode must be an integer, got True"),
+    (lambda: unfold(np.ones((2, 2)), 1.0), r"mode must be an integer, got 1\.0"),
+    (lambda: sign_table(2.0), r"n_parties must be an integer, got 2\.0"),
+    (lambda: sign_table(True), "n_parties must be an integer, got True"),
 ], ids=["order-1", "order-0-unfold", "order-0-kruskal", "inf", "nan", "mode-too-large",
-        "mode-negative", "negative-weight", "no-mode", "empty-kyfan", "empty-kruskal"])
+        "mode-negative", "negative-weight", "no-mode", "empty-kyfan", "empty-kruskal",
+        "complex-kyfan", "complex-singular-values", "complex-unfold", "complex-kruskal",
+        "bool-mode", "float-mode", "float-sign-table", "bool-sign-table"])
 def test_tensor_refusals_keep_their_messages(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
