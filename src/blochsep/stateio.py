@@ -16,24 +16,38 @@ flat pass's two pointer lists, of entries and of leaves, are freed before it
 resumes.  Validation accepts positive semidefiniteness with a Cholesky
 factorization (see ``states.validate_density``).
 
-The writer, ``state_text``, takes a ``DensityMatrix``, whose matrix
-validation has made finite: ``json`` writes the head of the document and the
-matrix is written row by row, straight from the array, giving the bytes of
-``json.dumps(doc, indent=2)``.  A pair whose two leaves are +0.0, bit for
-bit, is one constant text; each row's template puts that constant at its
-zero pairs and a ``%r`` pair at the rest, and one ``%`` call fills it with
-the row's nonzero leaves.  Every row, dense or not, is built by that one
-rule, so float formatting costs as many pairs as are nonzero.  Every other
-document goes through ``dump_json``, which is ``json`` alone.
+Every document is written with the bytes of ``json.dumps(doc, indent=2,
+allow_nan=False)``.  Reports go through ``dump_json``, a template writer.
+An object fills one ``%`` template of its keys, cached per tuple of keys and
+depth, and a list of objects with one tuple of keys, such as a report's
+records, fills that one template per object, its values encoded column by
+column.  Scalars are encoded by their exact type: strings by
+``json.encoder.encode_basestring_ascii``, ints and floats by
+``int.__repr__`` and ``float.__repr__``, and a list or column of one scalar
+type by one ``map``.  Anything else, a subclass such as a ``str`` enum or
+``np.float64``, a key that is not a ``str``, or a float that is not finite,
+gets the text ``json`` itself gives it, errors included.
+
+The state writer, ``state_text``, takes a ``DensityMatrix``, whose matrix
+validation has made finite: ``dump_json`` writes the head of the document and
+the matrix is written row by row, straight from the array.  A pair whose two
+leaves are +0.0, bit for bit, is one constant text; each row's template puts
+that constant at its zero pairs and a ``%r`` pair at the rest, and one ``%``
+call fills it with the row's nonzero leaves.  Every row, dense or not, is
+built by that one rule, so float formatting costs as many pairs as are
+nonzero, and a row whose zero pairs sit where the previous row's do reuses
+that row's template.
 """
 from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import gc
 import io
 from itertools import chain
 import json
+from json.encoder import encode_basestring_ascii
 import math
 import os
 
@@ -119,8 +133,80 @@ def _matrix_entrywise(raw: list, total: int) -> np.ndarray:
 
 def dump_json(doc) -> str:
     """A report as ``json.dumps(doc, indent=2, allow_nan=False)`` plus a
-    newline."""
-    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    newline, byte for byte, raising what ``json`` raises."""
+    try:
+        return _encode(doc, "\n") + "\n"
+    except RecursionError:
+        # a cycle, which json names, or nesting too deep for json too
+        return _json(doc, "\n") + "\n"
+
+
+def _json(value, newline: str) -> str:
+    """``value`` as ``json`` writes it at the depth whose line break and
+    indent are ``newline``: no string it writes holds a raw line break."""
+    return json.dumps(value, indent=2, allow_nan=False).replace("\n", newline)
+
+
+# the text of a scalar by its exact type; a subclass, a ``str`` enum or
+# ``np.float64``, goes to ``json``, and so does a float that is not finite
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: float.__repr__,
+    bool: ("false", "true").__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+@functools.lru_cache(maxsize=64)
+def _template(keys: tuple, newline: str):
+    """The ``%`` template of an object with ``keys`` at the depth of
+    ``newline``, one ``%s`` per value; None for no keys, or for a key that
+    is not a ``str``, which ``json`` converts or refuses."""
+    if not keys or not all(type(k) is str for k in keys):
+        return None
+    inner = newline + "  "
+    lines = [inner + encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys]
+    return "{" + ",".join(lines) + newline + "}"
+
+
+def _texts(items, newline: str) -> list:
+    """The texts of ``items``, a list or tuple, at the depth of ``newline``.
+
+    Items of one scalar type are encoded by one ``map``; floats so only when
+    their sum is finite, so that each one is.  Objects with one tuple of
+    ``str`` keys, a report's records, fill one template, their values
+    encoded column by column."""
+    kinds = set(map(type, items))
+    if len(kinds) == 1:
+        kind = kinds.pop()
+        scalar = _SCALARS.get(kind)
+        if scalar is not None and (kind is not float or math.isfinite(sum(items))):
+            return list(map(scalar, items))
+        if kind is dict and len(set(map(tuple, items))) == 1:
+            template = _template(tuple(items[0]), newline)
+            if template is not None:
+                columns = [_texts(c, newline + "  ") for c in zip(*map(dict.values, items))]
+                return [template % row for row in zip(*columns)]
+    return [_encode(v, newline) for v in items]
+
+
+def _encode(value, newline: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2)`` writes it at the depth
+    whose line break and indent are ``newline``."""
+    kind = type(value)
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join(_texts(value, inner)) + newline + "]"
+    if kind is dict:
+        template = _template(tuple(value), newline)
+        if template is not None:
+            return template % tuple(_texts(tuple(value.values()), newline + "  "))
+    elif kind in _SCALARS and (kind is not float or math.isfinite(value)):
+        return _SCALARS[kind](value)
+    return _json(value, newline)
 
 
 # one [re, im] pair of a matrix row, at the depth ``indent=2`` puts it
@@ -142,8 +228,9 @@ def state_text(rho: DensityMatrix, name: str | None = None, source: str | None =
     Every row is written by one rule: a template of ``_ZERO`` at its zero
     pairs, both leaves +0.0 by their bits, and ``_PAIR`` at the rest, at
     the depth ``indent=2`` puts a row, filled by one ``%`` call with the
-    row's other leaves.  A -0.0 leaf has its sign bit set, so its pair goes
-    through ``repr`` as ``json`` writes it."""
+    row's other leaves.  A row whose zero pairs sit where the previous
+    row's do reuses that row's template.  A -0.0 leaf has its sign bit set,
+    so its pair goes through ``repr`` as ``json`` writes it."""
     doc = {"schema": SCHEMA_VERSION, "kind": "state", "dims": list(rho.dims), "matrix": []}
     metadata = {key: value for key, value in (("name", name), ("source", source))
                 if value is not None}
@@ -153,9 +240,13 @@ def state_text(rho: DensityMatrix, name: str | None = None, source: str | None =
     m = np.ascontiguousarray(rho.matrix)
     bits = m.view(np.uint64).reshape(*m.shape, 2)
     nonzero = (bits[..., 0] | bits[..., 1]) != 0
-    rows = [("    [\n" + ",\n".join(_PIECES[keep.view(np.uint8)].tolist()) + "\n    ]")
-            % tuple(row[keep].view(float).tolist())
-            for row, keep in zip(m, nonzero)]
+    rows, last = [], None
+    for row, keep in zip(m, nonzero):
+        pattern = keep.tobytes()
+        if pattern != last:
+            template = "    [\n" + ",\n".join(_PIECES[keep.view(np.uint8)].tolist()) + "\n    ]"
+            last = pattern
+        rows.append(template % tuple(row[keep].view(float).tolist()))
     return head + _MATRIX_LINE + "[\n" + ",\n".join(rows) + "\n  ]" + tail
 
 
@@ -201,6 +292,10 @@ def load_state(path: str) -> tuple:
             raise InvalidStateError(f"state file {path} is not UTF-8: {exc}") from exc
         except RecursionError as exc:
             raise InvalidStateError(f"state file {path} is nested too deeply to parse") from exc
+        except ValueError as exc:
+            # after its subclasses above: json raises a plain ValueError for
+            # an integer longer than sys.get_int_max_str_digits() allows
+            raise InvalidStateError(f"state file {path} cannot be read: {exc}") from exc
         rho = state_from_jsonable(doc)
         metadata = doc.get("metadata", {})
         del doc

@@ -8,7 +8,12 @@ by mode ``n`` and columns running over the remaining modes in the cyclic
 order ``(n+1, ..., M-1, 0, ..., n-1)`` with the last of these varying
 fastest.  All mode unfoldings of one tensor are column permutations of each
 other across conventions, so the norms computed here do not depend on that
-choice; the entrywise layout does, and it is pinned by the tests.
+choice; the entrywise layout does, and it is pinned by the tests.  The
+Ky Fan norms hand LAPACK each unfolding transposed, as a tall matrix with
+one row per column of the unfolding, because numpy's SVD of a tall matrix
+takes about half the time of its wide transpose (OpenBLAS, one thread, on
+stacks such as (56, 729, 3)).  The singular values are those of the
+unfolding, to rounding.
 
 Two functions batch by shape, and each is the one home of its rule:
 :func:`_kyfan_norms` computes every Ky Fan norm, one tensor's or a whole
@@ -57,10 +62,13 @@ def _rotated(stack: np.ndarray, mode: int) -> np.ndarray:
     return stack.transpose([0] + [1 + (mode + j) % order for j in range(order)])
 
 
-def _unfoldings(stack: np.ndarray, mode: int) -> np.ndarray:
-    """Mode-``mode`` unfoldings of every tensor in ``stack``, whose axis 0
-    runs over the tensors, as one (C, I_mode, prod of the other I) array."""
-    return _rotated(stack, mode).reshape(stack.shape[0], stack.shape[1 + mode], -1)
+def _transposed_unfoldings(stack: np.ndarray, mode: int) -> np.ndarray:
+    """Transposed mode-``mode`` unfoldings of every tensor in ``stack``,
+    whose axis 0 runs over the tensors, as one (C, prod of the other I,
+    I_mode) array: the rotation that starts after ``mode`` puts ``mode``
+    last."""
+    order = stack.ndim - 1
+    return _rotated(stack, (mode + 1) % order).reshape(stack.shape[0], -1, stack.shape[1 + mode])
 
 
 def unfold(tensor, mode: int) -> np.ndarray:
@@ -73,7 +81,7 @@ def unfold(tensor, mode: int) -> np.ndarray:
     mode = _integer(mode, "mode")
     if not 0 <= mode < t.ndim:
         raise ValueError(f"mode {mode} out of range for order-{t.ndim} tensor")
-    return _unfoldings(t[None], mode)[0]
+    return _transposed_unfoldings(t[None], mode)[0].T
 
 
 def singular_values(matrix) -> np.ndarray:
@@ -109,21 +117,26 @@ def _kyfan_norms(tensors) -> list:
     singular-value sum over its mode unfoldings.  The tensors of one shape
     are stacked and their unfoldings go to SVD calls together: one call per
     shape when every mode has the same dimension, so every unfolding has
-    the same matrix shape, and one per shape and mode otherwise.  Each
-    unfolding is entrywise the matrix :func:`unfold` gives."""
+    the same matrix shape, and one per shape and mode otherwise.
+
+    Each unfolding goes to LAPACK transposed, tall and narrow, entrywise the
+    transpose of the matrix :func:`unfold` gives: the singular values are
+    the same, and numpy's SVD of a tall n x I matrix takes about half the
+    time of its wide I x n transpose."""
     norms = np.empty(len(tensors))
     for shape, members in _shape_groups(tensors).items():
         stack = _stacked(tensors, members)
         order = len(shape)
         if len(set(shape)) == 1:
-            # each mode's rotation has the stack's shape: one array holds them all
+            # each mode's rotation has the stack's shape: one array holds
+            # them all, index m holding the rotation that puts mode m last
             rotations = np.empty((order,) + stack.shape)
             for mode in range(order):
-                rotations[mode] = _rotated(stack, mode)
-            unfoldings = rotations.reshape(order * len(members), shape[0], -1)
+                rotations[mode] = _rotated(stack, (mode + 1) % order)
+            unfoldings = rotations.reshape(order * len(members), -1, shape[0])
             sums = singular_values(unfoldings).sum(axis=-1)
         else:
-            sums = np.concatenate([singular_values(_unfoldings(stack, mode)).sum(axis=-1)
+            sums = np.concatenate([singular_values(_transposed_unfoldings(stack, mode)).sum(axis=-1)
                                    for mode in range(order)])
         norms[members] = sums.reshape(order, len(members)).max(axis=0)
     return norms.tolist()

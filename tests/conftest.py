@@ -177,10 +177,12 @@ def count_calls(monkeypatch, counts, key, module, name):
 
 def per_matrix_kyfan(tensor):
     """Reference for ``tensors.tensor_kyfan``: the per-unfolding loop it
-    replaced, one backward-cyclic unfolding and one SVD call per mode."""
+    replaced, one SVD call per mode on the transpose of the backward-cyclic
+    unfolding, the orientation in which the stacked calls hand it to
+    LAPACK."""
     t = np.asarray(tensor, dtype=float)
     return max(
-        float(np.linalg.svd(t.transpose(np.roll(np.arange(t.ndim), -m)).reshape(t.shape[m], -1),
+        float(np.linalg.svd(t.transpose(np.roll(np.arange(t.ndim), -m)).reshape(t.shape[m], -1).T,
                             compute_uv=False).sum())
         for m in range(t.ndim)
     )

@@ -21,6 +21,7 @@ import blochsep.cli
 import blochsep.criteria
 import blochsep.states
 from blochsep import (
+    Decision,
     InvalidStateError,
     NumericIntegrityError,
     ZooSpec,
@@ -31,7 +32,7 @@ from blochsep import (
 )
 from blochsep.cli import main
 from blochsep.states import _FAMILIES
-from blochsep.stateio import state_from_jsonable, state_text
+from blochsep.stateio import dump_json, state_from_jsonable, state_text
 from conftest import (
     count_calls,
     entrywise_matrix,
@@ -476,6 +477,90 @@ def test_state_documents_are_refused_or_written_back_as_json_writes_them(doc):
     assert state_text(rho) == json_dumps(entrywise_state_to_jsonable(rho))
 
 
+# every scalar json writes, subclasses included: a ``str`` enum and
+# ``np.float64``, control, non-ASCII and astral characters, ``%`` signs,
+# and ints past 2**64
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2**80, 2**80),
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(SPECIAL_FLOATS),
+    st.text(max_size=6),
+    st.sampled_from([Decision.ENTANGLED, np.float64(0.1), np.float64(-0.0), "%", "%s", "%(x)s",
+                     "100%", "\x00\x1f\x7f\n", "\u00e9\U0001f600", 'quote " and back\\slash']),
+)
+# keys json converts (ints, floats, bools, None, a str enum) beside str keys
+# that are easy to get wrong in a template
+KEYS = st.one_of(st.text(max_size=6), st.sampled_from(["%", "%s", "%%d", "\n", "\u6f22"]))
+ANY_KEYS = st.one_of(KEYS, st.integers(), st.booleans(), st.none(),
+                     st.floats(allow_nan=False, allow_infinity=False), st.just(Decision.SEPARABLE))
+
+
+def json_values(keys=ANY_KEYS):
+    """Arbitrary JSON values, tuples and empty containers included."""
+    return st.recursive(JSON_SCALARS, lambda children: st.one_of(
+        st.lists(children, max_size=5), st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(keys, children, max_size=5)), max_leaves=25)
+
+
+@st.composite
+def report_docs(draw):
+    """A document shaped like a report: records with one tuple of keys,
+    each key's values of one kind, such as ``subset`` tuples, norms and
+    flags, or of mixed kinds, beside top-level scalars and objects."""
+    columns = st.sampled_from([
+        st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(SPECIAL_FLOATS),
+        st.integers(), st.booleans(), st.none(), st.text(max_size=4), JSON_SCALARS,
+        st.lists(st.integers(0, 9), max_size=4).map(tuple),
+        st.lists(st.lists(st.floats(-1, 1), max_size=3), max_size=3), json_values(KEYS),
+    ])
+    keys = draw(st.lists(KEYS, max_size=6, unique=True), label="keys")
+    kinds = [draw(columns) for _ in keys]
+    records = [dict(zip(keys, (draw(kind) for kind in kinds)))
+               for _ in range(draw(st.integers(0, 5), label="records"))]
+    if records and draw(st.booleans(), label="odd record"):
+        records.insert(draw(st.integers(0, len(records))), draw(st.dictionaries(KEYS, JSON_SCALARS)))
+    doc = {"schema": "blochsep/1", "dims": draw(st.lists(st.integers(2, 4), max_size=3).map(tuple)),
+           "records": records}
+    doc.update(draw(st.dictionaries(KEYS, json_values(KEYS), max_size=3), label="others"))
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=st.one_of(json_values(), report_docs()))
+@example(doc=[1.7976931348623157e308, 1.7976931348623157e308])
+@example(doc={"records": [{"subset": (0, 1), "norm": 1.5, "decision": Decision.ENTANGLED,
+                           "borderline": False}] * 2, "empty": [{}, {}, [], ()]})
+def test_reports_are_written_as_json_writes_them(doc):
+    """``dump_json`` gives the bytes of ``json.dumps(indent=2,
+    allow_nan=False)``, down to the depth of every line, to floats as
+    ``repr`` writes them and to bools that are not ints; the first example
+    is a run of finite floats whose sum overflows."""
+    assert dump_json(doc) == json_dumps(doc)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf, np.float64("-inf")]
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=json_values(), bad=st.sampled_from(NON_FINITE))
+def test_reports_with_non_finite_floats_are_refused_as_json_refuses_them(doc, bad):
+    """NaN and infinities raise json's ``ValueError``, alone, in a run of
+    floats, in a record column and as a key."""
+    for where in (bad, [doc, bad], [1.0, bad, 2.0], {"x": (doc, bad)}, {bad: doc},
+                  {"records": [{"norm": 1.0}, {"norm": bad}]}):
+        with pytest.raises(ValueError) as expected:
+            json_dumps(where)
+        with pytest.raises(ValueError) as got:
+            dump_json(where)
+        assert str(got.value) == str(expected.value)
+
+
+def test_reports_with_a_cycle_are_refused_as_json_refuses_them():
+    cycle = {"records": []}
+    cycle["records"].append(cycle)
+    with pytest.raises(ValueError, match="^Circular reference detected$"):
+        dump_json(cycle)
+
+
 def test_analyze_state_file_round_trip(tmp_path):
     path = tmp_path / "state.json"
     code, _, _ = run(["zoo", "ghz", "-N", "3", "-o", str(path)])
@@ -587,13 +672,23 @@ def io_failure(tmp_path, case):
     if case == "empty-output-path":
         return (["analyze", "zoo:ghz", "-N", "3", "-o", ""],
                 "error: cannot write '': No such file or directory")
+    if case == "integer-past-the-digit-limit":
+        # json refuses it with a plain ValueError, not a JSONDecodeError
+        digits = sys.get_int_max_str_digits() + 1
+        state.write_text('{"schema": "blochsep/1", "dims": [' + "1" * digits + "]}")
+        return (["analyze", str(state)],
+                f"error: state file {state} cannot be read: Exceeds the limit")
     state.write_bytes(b'{"schema": "blochsep/1\xff"}')
     return ["analyze", str(state)], f"error: state file {state} is not UTF-8: "
 
 
-@pytest.mark.parametrize("case", ["output-in-missing-directory", "output-onto-directory",
-                                  "nested-past-the-recursion-limit", "not-utf-8",
-                                  "empty-output-path"])
+@pytest.mark.parametrize("case", [
+    "output-in-missing-directory", "output-onto-directory", "nested-past-the-recursion-limit",
+    "not-utf-8", "empty-output-path",
+    pytest.param("integer-past-the-digit-limit", marks=pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="this interpreter sets no limit on integer digits")),
+])
 def test_io_failures_exit_2_in_one_line(tmp_path, monkeypatch, case):
     # from tmp_path, so that a temporary file left beside a relative path shows
     monkeypatch.chdir(tmp_path)

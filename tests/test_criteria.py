@@ -36,14 +36,17 @@ from blochsep import (
     reconstruct,
     separability_bound,
     separable_decomposition,
+    singular_values,
     smolin,
     state_234,
     subset_scan,
     sufficiency_test,
     tensor_kyfan,
     threshold_search,
+    unfold,
     w_state,
 )
+from blochsep.tolerances import BOUND_GUARD
 from conftest import (bisect_threshold, count_calls, decomposition_candidates,
                       diagonal_qubit_state, empty_bloch_data, per_component_forms,
                       per_tensor_form, per_tensor_norms, per_term_assembly,
@@ -163,6 +166,29 @@ def test_subset_scan_norms_equal_the_per_tensor_reference(dims, seed, rank, data
         verdicts = subset_scan(rho, selector)
         assert [v.subset for v in verdicts] == order
         assert [v.norm_value for v in verdicts] == per_tensor_norms(rho, order)
+
+
+def test_norms_agree_with_svds_of_the_row_oriented_unfoldings():
+    # the norms take SVDs of transposed unfoldings; the singular values of
+    # each unfolding as ``unfold`` gives it agree to rounding, and the
+    # verdicts they give are the same.  Werner at p = 1/3 sits on its bound
+    states = [random_density(np.random.default_rng(seed), dims, rank=1 + seed % 3)
+              for dims in [(2, 2), (3, 3), (2, 3, 4), (2, 2, 2, 2), (3, 3, 3), (2,) * 6]
+              for seed in range(4)]
+    states.append(ZooSpec("werner", noise=1 / 3).build())
+    seen = set()
+    for rho in states:
+        for v in subset_scan(rho, "all"):
+            t = correlation_tensor(rho, v.subset)
+            norm = max(singular_values(unfold(t, m)).sum() for m in range(t.ndim))
+            assert v.norm_value == pytest.approx(norm, rel=1e-15, abs=0)
+            entangled = norm > v.bound_value + BOUND_GUARD
+            borderline = not entangled and norm > v.bound_value - BOUND_GUARD
+            assert (v.decision, v.borderline) == (
+                Decision.ENTANGLED if entangled else Decision.INCONCLUSIVE, borderline)
+            seen.add((v.decision, v.borderline))
+    assert seen == {(Decision.ENTANGLED, False), (Decision.INCONCLUSIVE, False),
+                    (Decision.INCONCLUSIVE, True)}
 
 
 def test_norms_take_one_svd_call_per_shape(monkeypatch):
