@@ -5,16 +5,28 @@ through Python's shortest round-trip repr (up to 17 significant digits), so a
 save/load/save cycle is byte-identical.  Writes are atomic: content lands in
 a sibling temporary file first and is moved into place.
 
-Both directions work on whole arrays.  The reader converts the matrix in one
-flat pass: it checks the types and lengths of the rows and of the entries,
-flattens the entries into one list of leaves, checks their types, and
-converts that list with one 1-D ``np.fromiter`` call.  Only a matrix that
-fails those checks goes through the entrywise walk, which exists to name the
-first bad row or entry.  ``load_state`` pauses the cyclic garbage collector
-while the parsed document, one list per row and per entry, is alive; the
-flat pass's two pointer lists, of entries and of leaves, are freed before it
-resumes.  Validation accepts positive semidefiniteness with a Cholesky
-factorization (see ``states.validate_density``).
+Both directions work on whole arrays.  ``load_state`` reads the file once
+and walks its top-level object key by key with ``json``'s own decoder, so
+every key but ``"matrix"`` is read as ``json.loads`` reads it, the last of
+duplicate keys winning.  The text of the matrix is not parsed as nested
+lists: the reader checks it as it stands and parses it as one flat array.
+It is accepted only if, with JSON whitespace dropped, dropping its number
+characters leaves exactly the brackets and commas of ``T`` rows of ``T``
+[re, im] pairs (T = prod(dims)), so no other character is in it; and if no
+pair has an empty slot, which is where a number moved out of its pair, right
+after a ``]`` or right before a ``[``, would leave one.  Its brackets are
+then turned into spaces and one ``json.loads`` call parses what is left:
+json checks every number's grammar and refuses whitespace inside a number,
+and the commas make the count exactly 2T^2.  One ``np.fromiter`` call
+converts those numbers.  The length of the text is checked against T^2
+before anything of that size is built.  A document that fails any check,
+or whose ``schema``, ``kind`` or ``dims`` is wrong, whose matrix holds an
+int too large for a float or appears twice, goes through ``json.loads`` of
+the whole text and ``state_from_jsonable``, whose messages name what is
+wrong.  There ``_matrix_array`` converts the parsed matrix in one flat pass
+and only a matrix it refuses goes through the entrywise walk, which names
+the first bad row or entry.  Validation accepts positive semidefiniteness
+with a Cholesky factorization (see ``states.validate_density``).
 
 Every document is written with the bytes of ``json.dumps(doc, indent=2,
 allow_nan=False)``.  Reports go through ``dump_json``, a template writer.
@@ -43,7 +55,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
-import gc
 import io
 from itertools import chain
 import json
@@ -268,40 +279,147 @@ def save_state(rho: DensityMatrix, path: str, name: str | None = None, source: s
     write_text_atomic(path, state_text(rho, name=name, source=source))
 
 
+# JSON whitespace and the characters of JSON numbers, which the matrix check
+# drops, and the table that turns brackets into spaces for the flat parse
+_JSON_SPACE = b" \t\n\r"
+_NUMBER_CHARACTERS = b"0123456789+-.eE"
+_UNBRACKET = str.maketrans("[]", "  ")
+# "[," and ",]", each as one little-endian 16-bit word: a pair's slot left empty
+_EMPTY_FIRST, _EMPTY_SECOND = np.frombuffer(b"[,,]", dtype="<u2").tolist()
+_DECODER = json.JSONDecoder()
+_SPACE = json.decoder.WHITESPACE.match
+
+
+def _fields(text: str):
+    """The top-level object of ``text`` as ``json.loads`` reads it, but for
+    the value of ``"matrix"``, which is not parsed: (the other keys' values,
+    start, end) of that value's text.  None where ``text`` is no such
+    object, or its ``"matrix"`` is missing, given twice or not an array.
+
+    The matrix text ends at its last ``]`` before the next ``"`` or ``}``,
+    neither of which a matrix holds; if it ends elsewhere, the matrix check
+    refuses the text."""
+    fields, span = {}, None
+    i = _SPACE(text).end()
+    if text[i:i + 1] != "{":
+        return None
+    i = _SPACE(text, i + 1).end()
+    try:
+        while text[i:i + 1] == '"':
+            key, i = _DECODER.raw_decode(text, i)
+            i = _SPACE(text, i).end()
+            if text[i:i + 1] != ":":
+                return None
+            i = _SPACE(text, i + 1).end()
+            if key != "matrix":
+                fields[key], i = _DECODER.raw_decode(text, i)
+            elif span is None and text[i:i + 1] == "[":
+                stop = min((k for k in (text.find('"', i), text.find("}", i)) if k >= 0),
+                           default=len(text))
+                end = text.rfind("]", i, stop) + 1
+                if not end:
+                    return None
+                span, i = (i, end), end
+            else:
+                return None
+            i = _SPACE(text, i).end()
+            if text[i:i + 1] == "}":
+                if span is None or _SPACE(text, i + 1).end() != len(text):
+                    return None
+                return fields, *span
+            if text[i:i + 1] != ",":
+                return None
+            i = _SPACE(text, i + 1).end()
+    except (ValueError, RecursionError):
+        pass  # json's errors, an int past the digit limit, nesting too deep
+    return None
+
+
+def _flat_matrix(text: str, start: int, end: int, total: int):
+    """The complex ``total`` x ``total`` matrix written in ``text[start:end]``
+    as rows of [re, im] pairs of JSON numbers; None for any other text."""
+    # the shortest such text has 4T^2 + 2T + 1 brackets and commas and 2T^2
+    # numbers, so a short text is refused before anything of size T^2 is built
+    if end - start < 6 * total * total:
+        return None
+    # as ASCII bytes, which ``translate`` drops characters from faster than
+    # from a str; any other character becomes "?", which the layout refuses
+    dense = text[start:end].encode("ascii", "replace").translate(None, _JSON_SPACE)
+    row = b"[" + b",".join([b"[,]"] * total) + b"]"
+    if dense.translate(None, _NUMBER_CHARACTERS) != b"[" + b",".join([row] * total) + b"]":
+        return None
+    # a number moved out of its pair leaves a slot empty, and json, which
+    # sees no brackets, would read it in that slot's place.  Every two
+    # adjacent bytes are one 16-bit word, at an even or at an odd offset
+    for offset in (0, 1):
+        words = np.frombuffer(dense, dtype="<u2", count=(len(dense) - offset) // 2,
+                              offset=offset)
+        if ((words == _EMPTY_FIRST) | (words == _EMPTY_SECOND)).any():
+            return None
+    del dense, words  # words is a view of dense
+    try:
+        leaves = json.loads(f"[{text[start:end].translate(_UNBRACKET)}]")
+    except ValueError:
+        # a malformed number, or an int past the digit limit
+        return None
+    try:
+        flat = np.fromiter(leaves, dtype=float, count=len(leaves))
+    except OverflowError:
+        return None
+    return flat.view(complex).reshape(total, total)
+
+
+def _flat_state(text: str):
+    """(dims, matrix, metadata) of a state document read by the flat parse,
+    or None where the document must go through ``state_from_jsonable``."""
+    found = _fields(text)
+    if found is None:
+        return None
+    fields, start, end = found
+    if fields.get("schema") != SCHEMA_VERSION or fields.get("kind", "state") != "state":
+        return None
+    try:
+        dims = _subsystem_dims(fields.get("dims"))
+    except InvalidStateError:
+        return None
+    mat = _flat_matrix(text, start, end, math.prod(dims))
+    if mat is None:
+        return None
+    return dims, mat, fields.get("metadata", {})
+
+
 def load_state(path: str) -> tuple:
     """Read a state file; returns (DensityMatrix, metadata dict).
 
-    The cyclic garbage collector is paused from the parse through the
-    conversion; on every path out it resumes if it was running on entry.
-    The parsed document, one list per row and per entry, is dropped before
-    it resumes, and ``_matrix_array``'s lists of entries and of leaves are
-    freed when it returns: the collector would walk those lists again and
-    again while the parse allocates them and free none, and a list freed
-    while it is paused leaves no collection owed."""
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
+    A well-formed file is read by the flat parse; any other goes through
+    ``json.loads`` and ``state_from_jsonable``, so it gets the messages
+    that name what is wrong with it."""
     try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise InvalidStateError(f"cannot read state file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidStateError(f"state file {path} is not UTF-8: {exc}") from exc
+    found = _flat_state(text)
+    if found is not None:
+        del text
+        dims, mat, metadata = found
+        rho = DensityMatrix(dims, mat)
+    else:
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise InvalidStateError(f"cannot read state file {path}: {exc}") from exc
+            doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise InvalidStateError(f"state file {path} is not valid JSON: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise InvalidStateError(f"state file {path} is not UTF-8: {exc}") from exc
         except RecursionError as exc:
             raise InvalidStateError(f"state file {path} is nested too deeply to parse") from exc
         except ValueError as exc:
-            # after its subclasses above: json raises a plain ValueError for
-            # an integer longer than sys.get_int_max_str_digits() allows
+            # after its subclass above: json raises a plain ValueError for an
+            # integer longer than sys.get_int_max_str_digits() allows
             raise InvalidStateError(f"state file {path} cannot be read: {exc}") from exc
+        del text
         rho = state_from_jsonable(doc)
         metadata = doc.get("metadata", {})
-        del doc
-    finally:
-        if gc_was_enabled:
-            gc.enable()
     return rho, metadata if isinstance(metadata, dict) else {}
 
 

@@ -1,6 +1,8 @@
 """Shared helpers for the test suite."""
 
+import gc
 import itertools
+import json
 import math
 
 from hypothesis import strategies as st
@@ -29,7 +31,7 @@ from blochsep import (
     sufficiency_test,
 )
 from blochsep.bloch import _components, _from_coefficients
-from blochsep.stateio import SCHEMA_VERSION
+from blochsep.stateio import SCHEMA_VERSION, state_from_jsonable
 from blochsep.states import _subsystem_dims
 from blochsep.tolerances import RANK_CUTOFF, SUFFICIENCY_SLACK, WEIGHT_CUTOFF
 
@@ -251,6 +253,38 @@ def entrywise_state_from_jsonable(doc):
             except OverflowError:
                 raise InvalidStateError(f"matrix entry ({i}, {j}) is too large for a float")
     return DensityMatrix(dims, mat)
+
+
+def reference_load_state(path: str) -> tuple:
+    """Reference for ``stateio.load_state``: the reader that parsed the
+    whole document with ``json`` and converted it with
+    ``state_from_jsonable``, kept verbatim, so the flat parse can be
+    compared with it bit for bit and message for message."""
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except OSError as exc:
+            raise InvalidStateError(f"cannot read state file {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise InvalidStateError(f"state file {path} is not valid JSON: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise InvalidStateError(f"state file {path} is not UTF-8: {exc}") from exc
+        except RecursionError as exc:
+            raise InvalidStateError(f"state file {path} is nested too deeply to parse") from exc
+        except ValueError as exc:
+            # after its subclasses above: json raises a plain ValueError for
+            # an integer longer than sys.get_int_max_str_digits() allows
+            raise InvalidStateError(f"state file {path} cannot be read: {exc}") from exc
+        rho = state_from_jsonable(doc)
+        metadata = doc.get("metadata", {})
+        del doc
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+    return rho, metadata if isinstance(metadata, dict) else {}
 
 
 def per_tensor_form(tensor):

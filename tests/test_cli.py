@@ -40,6 +40,7 @@ from conftest import (
     entrywise_state_to_jsonable,
     qutrit_ghz_threshold,
     random_density,
+    reference_load_state,
 )
 
 
@@ -408,6 +409,115 @@ def test_array_reader_matches_the_entrywise_walk(doc):
     assert read(state_from_jsonable, doc) == read(entrywise_state_from_jsonable, doc)
 
 
+def spaced_json(value, rng):
+    """``value``, a document as ``json.loads`` gives it, as JSON text with
+    random JSON whitespace around every token."""
+    def space():
+        return rng.choice(["", "", " ", "\n", "\t", "\r\n  ", " \n\t "])
+    if isinstance(value, dict):
+        items = [f"{space()}{json.dumps(k)}{space()}:{space()}{spaced_json(v, rng)}{space()}"
+                 for k, v in value.items()]
+    elif isinstance(value, list):
+        items = [f"{space()}{spaced_json(v, rng)}{space()}" for v in value]
+    else:
+        return json.dumps(value)
+    opening, closing = "{}" if isinstance(value, dict) else "[]"
+    return opening + (",".join(items) or space()) + closing
+
+
+def state_file_text(doc, layout, rng):
+    """``doc`` as ``json.dumps`` writes it in its compact layout, as
+    ``indent=2`` writes it, or with random whitespace."""
+    if layout == "compact":
+        return json.dumps(doc)
+    if layout == "indent":
+        return json.dumps(doc, indent=2)
+    return spaced_json(json.loads(json.dumps(doc)), rng)
+
+
+NUMBER = r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?"
+# the text-level breaks of a state file: each pattern, searched from the
+# "matrix" key on, and what one of its matches becomes
+TEXT_BREAKS = {
+    "moved-past-close": (rf"({NUMBER})(\s*)\]", r"\2]\1"),
+    "moved-before-open": (rf"\[(\s*)({NUMBER})", r"\2[\1"),
+    "empty-slot": (rf"\[(\s*){NUMBER}", r"[\1"),
+    "trailing-comma": (r"(\s*)\]", r",\1]"),
+    "space-in-number": (r"(\d)(\d|\.)", r"\1 \2"),
+}
+LEAVES = ["+1", ".5", "1.", "01", "true", "null", '"0.5"', "1" + "0" * 400, "1e400", "-0.0",
+          "-", "1e", "0x1", "Infinity", "NaN"]
+BREAKS = ["none", *TEXT_BREAKS, "leaf", "matrix-twice", "matrix-in-metadata", "non-ascii", "bom"]
+
+
+def break_text(text, kind, at, leaf):
+    """``text`` with one break of ``kind``; ``at`` picks the place."""
+    start = max(text.find('"matrix"'), 0)
+    if kind in TEXT_BREAKS or kind == "leaf":
+        pattern, replacement = TEXT_BREAKS.get(kind, (NUMBER, leaf))
+        matches = list(re.finditer(pattern, text[start:]))
+        if not matches:
+            return text
+        m = matches[at % len(matches)]
+        return (text[:start + m.start()] + m.expand(replacement)
+                + text[start + m.end():])
+    if kind == "matrix-twice":
+        first = ["0", "null", '"matrix"', "{}", "true"][at % 5]
+        return text.replace("{", '{"matrix": ' + first + ",", 1)
+    if kind in ("matrix-in-metadata", "non-ascii"):
+        metadata = ('{"matrix": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, 0]]], "name": "m"}'
+                    if kind == "matrix-in-metadata" else '{"name": "\u00e9t\u00e9 \u6f22"}')
+        end = text.rindex("}")
+        return text[:end] + ', "metadata": ' + metadata + text[end:]
+    if kind == "bom":
+        return "\ufeff" + text
+    return text
+
+
+def loaded(reader, path):
+    try:
+        rho, metadata = reader(path)
+    except InvalidStateError as exc:
+        return f"InvalidStateError: {exc}"
+    return rho.matrix.tobytes(), metadata
+
+
+@pytest.fixture(scope="module")
+def state_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("flat") / "state.json"
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=st.one_of(state_docs(), broken_state_docs()),
+       layout=st.sampled_from(["compact", "indent", "spaced"]),
+       kind=st.sampled_from(BREAKS), at=st.integers(0, 10**6), leaf=st.sampled_from(LEAVES),
+       rng=st.randoms(use_true_random=False))
+@example(doc=pure_qubit_doc(dims=[2] * 40), layout="compact", kind="none", at=0, leaf="1",
+         rng=None)
+@example(doc=pure_qubit_doc(dims=(65536, 65536)), layout="indent", kind="none", at=0, leaf="1",
+         rng=None)
+@example(doc=pure_qubit_doc(), layout="compact", kind="moved-past-close", at=1, leaf="1",
+         rng=None)
+@example(doc=pure_qubit_doc(), layout="compact", kind="moved-before-open", at=1, leaf="1",
+         rng=None)
+@example(doc=pure_qubit_doc(), layout="indent", kind="leaf", at=0, leaf="+1", rng=None)
+@example(doc=pure_qubit_doc((True, 0)), layout="compact", kind="none", at=0, leaf="1", rng=None)
+def test_load_state_matches_the_whole_document_parse(state_path, doc, layout, kind, at, leaf,
+                                                     rng):
+    """Every state file, whole or broken as a document or in its text, in
+    three layouts, loads to the matrix bits and metadata of the reader that
+    parses the whole document, or is refused with its message: numbers
+    moved out of their pairs, empty slots, trailing commas, whitespace
+    inside a number, leaves json or the reader refuses, ints past the float
+    range, a "matrix" key given twice or inside metadata, non-ASCII
+    metadata and a byte order mark.  Two examples give dims whose T^2
+    entries would not fit in memory beside a 2 x 2 matrix: they get the row
+    count's message before anything of size T^2 is built."""
+    state_path.write_text(break_text(state_file_text(doc, layout, rng), kind, at, leaf),
+                          encoding="utf-8")
+    assert loaded(load_state, state_path) == loaded(reference_load_state, state_path)
+
+
 def json_dumps(doc):
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
@@ -720,7 +830,8 @@ def state_file(tmp_path, case):
 @pytest.mark.parametrize("case", ["valid", "missing", "bad-json", "not-utf-8",
                                   "nested-too-deeply", "not-psd"])
 def test_load_state_leaves_the_collector_as_it_found_it(tmp_path, case, enabled):
-    # load_state pauses the cyclic collector while the parsed document lives
+    # every path through load_state, the flat parse, the whole-document parse
+    # and each refusal, leaves the cyclic collector on or off as it found it
     path = state_file(tmp_path, case)
     was_enabled = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
