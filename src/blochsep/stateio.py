@@ -10,20 +10,29 @@ and walks its top-level object key by key with ``json``'s own decoder, so
 every key but ``"matrix"`` is read as ``json.loads`` reads it, the last of
 duplicate keys winning.  The text of the matrix is not parsed as nested
 lists: the reader checks it as it stands and parses it as one flat array.
-It is accepted only if, with JSON whitespace dropped, dropping its number
-characters leaves exactly the brackets and commas of ``T`` rows of ``T``
-[re, im] pairs (T = prod(dims)), so no other character is in it; and if no
-pair has an empty slot, which is where a number moved out of its pair, right
-after a ``]`` or right before a ``[``, would leave one.  Its brackets are
-then turned into spaces and one ``json.loads`` call parses what is left:
-json checks every number's grammar and refuses whitespace inside a number,
-and the commas make the count exactly 2T^2.  One ``np.fromiter`` call
-converts those numbers.  The length of the text is checked against T^2
-before anything of that size is built.  A document that fails any check,
-or whose ``schema``, ``kind`` or ``dims`` is wrong, whose matrix holds an
-int too large for a float or appears twice, goes through ``json.loads`` of
-the whole text and ``state_from_jsonable``, whose messages name what is
-wrong.  There ``_matrix_array`` converts the parsed matrix in one flat pass
+The length of the text is checked against T^2 (T = prod(dims)) before
+anything of that size is built.  Rows of zero pairs are then cut unparsed.
+If the matrix opens as ``indent=2`` writes it, the layout of
+``state_text``, or as ``json.dumps`` writes it by default, a row whose text
+is exactly ``T`` [0.0, 0.0] pairs in that layout is recognised by one
+comparison at the start of its row, and replaced by ``[0]``; one search for
+that row's text passes over a file that holds none.  Every other row, and
+every file of another layout, goes through the same checks and the same
+json call as before.  In those checks each cut row stands in for one row:
+the text is accepted only if, with JSON whitespace dropped, dropping its
+number characters leaves exactly the brackets and commas of ``T`` rows of
+``T`` [re, im] pairs, with ``[]`` in place of each cut row, so no other
+character is in it; and if no pair has an empty slot, which is where a
+number moved out of its pair, right after a ``]`` or right before a ``[``,
+would leave one.  Its brackets are then turned into spaces and one
+``json.loads`` call parses what is left: json checks every number's
+grammar and refuses whitespace inside a number, and the commas make the
+count exactly 2T for each row that is not cut and one for each that is.
+One ``np.fromiter`` call converts those numbers, and the rows not cut land
+in order in a zero-filled array.  A document that fails any check, or
+whose ``schema``, ``kind`` or ``dims`` is wrong, whose matrix holds an int
+too large for a float or appears twice, goes through ``json.loads`` of the
+whole text and ``state_from_jsonable``, whose messages name what is wrong.  There ``_matrix_array`` converts the parsed matrix in one flat pass
 and only a matrix it refuses goes through the entrywise walk, which names
 the first bad row or entry.  Validation accepts positive semidefiniteness
 with a Cholesky factorization (see ``states.validate_density``).
@@ -335,6 +344,56 @@ def _fields(text: str):
     return None
 
 
+# the two layouts whose rows of zero pairs are cut before the matrix check:
+# (the matrix's opening, a pair of +0.0 leaves, the text between pairs, a
+# row's opening and closing, the text between rows).  The first is
+# ``indent=2``, as ``state_text`` writes it, the second ``json.dumps``'s
+# default
+_ZERO_LAYOUTS = (
+    ("[\n", _ZERO, ",\n", "    [\n", "\n    ]", ",\n"),
+    ("[", "[0.0, 0.0]", ", ", "[", "]", ", "),
+)
+# what a cut row leaves in the matrix text: the layout check reads "[]",
+# which no row of pairs holds, and json reads one number
+_CUT = "[0]"
+
+
+def _cut_zero_rows(text: str, start: int, end: int, total: int):
+    """(``text[start:end]`` with ``_CUT`` in place of each cut row, the
+    indices of the cut rows), or None where no row is cut.
+
+    A row is cut where its text, found where the walk over the rows puts
+    its start, is exactly a row of zero pairs in the layout the matrix
+    opens with.  Another row is stepped over by one ``find`` of its end.
+    Where the walk goes wrong, on text of some other layout, a ``[]`` lands
+    where the matrix check expects a row, so the check refuses the text and
+    the whole document is read by ``json``: a cut changes how fast a file
+    is read, never what it reads to."""
+    for opening, pair, between_pairs, row_open, row_close, between_rows in _ZERO_LAYOUTS:
+        if text.startswith(opening + row_open, start, end):
+            break
+    else:
+        return None
+    zero = row_open + between_pairs.join([pair] * total) + row_close
+    if text.find(zero, start, end) < 0:
+        return None
+    row_end = pair[-1] + row_close
+    rows, pieces, pos, last = [], [], start + len(opening), start
+    for i in range(total):
+        if text.startswith(zero, pos, end):
+            rows.append(i)
+            pieces.append(text[last:pos])
+            pos = last = pos + len(zero)
+        else:
+            pos = text.find(row_end, pos, end)
+            if pos < 0:
+                break
+            pos += len(row_end)
+        pos += len(between_rows)
+    pieces.append(text[last:end])
+    return (_CUT.join(pieces), rows) if rows else None
+
+
 def _flat_matrix(text: str, start: int, end: int, total: int):
     """The complex ``total`` x ``total`` matrix written in ``text[start:end]``
     as rows of [re, im] pairs of JSON numbers; None for any other text."""
@@ -342,11 +401,20 @@ def _flat_matrix(text: str, start: int, end: int, total: int):
     # numbers, so a short text is refused before anything of size T^2 is built
     if end - start < 6 * total * total:
         return None
+    # each cut row of zero pairs stands in for one row in every check below,
+    # and ``_CUT``'s edges are brackets, as a row's are
+    found = _cut_zero_rows(text, start, end, total)
+    cut = []
+    if found is not None:
+        text, cut = found
+        start, end = 0, len(text)
+    layout = [b"[" + b",".join([b"[,]"] * total) + b"]"] * total
+    for i in cut:
+        layout[i] = b"[]"
     # as ASCII bytes, which ``translate`` drops characters from faster than
     # from a str; any other character becomes "?", which the layout refuses
     dense = text[start:end].encode("ascii", "replace").translate(None, _JSON_SPACE)
-    row = b"[" + b",".join([b"[,]"] * total) + b"]"
-    if dense.translate(None, _NUMBER_CHARACTERS) != b"[" + b",".join([row] * total) + b"]":
+    if dense.translate(None, _NUMBER_CHARACTERS) != b"[" + b",".join(layout) + b"]":
         return None
     # a number moved out of its pair leaves a slot empty, and json, which
     # sees no brackets, would read it in that slot's place.  Every two
@@ -366,6 +434,13 @@ def _flat_matrix(text: str, start: int, end: int, total: int):
         flat = np.fromiter(leaves, dtype=float, count=len(leaves))
     except OverflowError:
         return None
+    if cut:
+        # a cut row left one 0 in ``flat``, every other row its 2T leaves
+        zero = np.zeros(total, dtype=bool)
+        zero[cut] = True
+        pairs = np.zeros((total, 2 * total))
+        pairs[~zero] = flat[np.repeat(~zero, np.where(zero, 1, 2 * total))].reshape(-1, 2 * total)
+        flat = pairs
     return flat.view(complex).reshape(total, total)
 
 

@@ -32,7 +32,13 @@ from blochsep import (
 )
 from blochsep.cli import main
 from blochsep.states import _FAMILIES
-from blochsep.stateio import dump_json, state_from_jsonable, state_text
+from blochsep.stateio import (
+    _cut_zero_rows,
+    _fields,
+    dump_json,
+    state_from_jsonable,
+    state_text,
+)
 from conftest import (
     count_calls,
     entrywise_matrix,
@@ -312,12 +318,27 @@ def test_state_round_trip_is_byte_identical(tmp_path):
 @st.composite
 def state_docs(draw):
     """A state document of a random 1- or 2-party density matrix with float
-    entries, or of the basis state |0><0| with int entries."""
+    entries, dense or with rows of zero pairs, or of the basis state |0><0|
+    with int entries.  The zero rows come first, last, between the first
+    and the last row, or everywhere but one row."""
     dims = draw(st.sampled_from([(2,), (3,), (2, 2), (2, 3)]))
     seed = draw(st.integers(0, 2**32 - 1))
     rank = draw(st.sampled_from([None, 1]))
-    matrix = entrywise_matrix(random_density(np.random.default_rng(seed), dims, rank).matrix)
-    if rank == 1 and draw(st.booleans()):
+    total = math.prod(dims)
+    count, row = draw(st.integers(1, total - 1)), draw(st.integers(0, total - 1))
+    zero = {"dense": [], "first": range(count), "last": range(total - count, total),
+            "inner": range(1, total - 1),
+            "all-but-one": [i for i in range(total) if i != row]}[draw(st.sampled_from(
+                ["dense", "first", "last", "inner", "all-but-one"]))]
+    kept = [i for i in range(total) if i not in zero]
+    m = np.zeros((total, total), dtype=complex)
+    if len(kept) == 1:
+        m[kept[0], kept[0]] = 1.0
+    else:
+        sub = random_density(np.random.default_rng(seed), (len(kept),), rank).matrix
+        m[np.ix_(kept, kept)] = sub
+    matrix = entrywise_matrix(m)
+    if rank == 1 and not zero and draw(st.booleans()):
         matrix = [[[int(i == j == 0), 0] for j in range(len(matrix))]
                   for i in range(len(matrix))]
     return {"schema": "blochsep/1", "kind": "state", "dims": list(dims), "matrix": matrix}
@@ -371,6 +392,10 @@ def broken_state_docs(draw):
         else:
             raw[i][j] = [raw[i][j]]
     return doc
+
+
+# rows 1 and 2 are zero pairs, between two rows that are not
+GHZ2_DOC = entrywise_state_to_jsonable(ZooSpec("ghz", parties=2).build())
 
 
 def pure_qubit_doc(entry=(1, 0), dims=(2,)):
@@ -447,11 +472,52 @@ TEXT_BREAKS = {
 }
 LEAVES = ["+1", ".5", "1.", "01", "true", "null", '"0.5"', "1" + "0" * 400, "1e400", "-0.0",
           "-", "1e", "0x1", "Infinity", "NaN"]
-BREAKS = ["none", *TEXT_BREAKS, "leaf", "matrix-twice", "matrix-in-metadata", "non-ascii", "bom"]
+ZERO_PAIR = r"\[\s*0\.0\s*,\s*0\.0\s*\]"
+# a row of zero pairs in any layout; no other part of a matrix matches it
+ZERO_ROW = rf"\[\s*{ZERO_PAIR}(?:\s*,\s*{ZERO_PAIR})*\s*\]"
+# the breaks of one row of zero pairs, which the reader may cut unparsed:
+# a space inside a 0.0, a 0.0 written otherwise, a pair added or dropped,
+# the row as indent=4 writes it, and the text a cut row leaves ("[0]") as a
+# leaf or as a row of its own
+ZERO_BREAKS = ["zero-space", "zero-leaf", "zero-pair-added", "zero-pair-dropped",
+               "zero-indent-4", "zero-stray"]
+ZERO_LEAVES = ["-0.0", "0", "0.00"]
+BREAKS = ["none", *TEXT_BREAKS, "leaf", "matrix-twice", "matrix-in-metadata", "non-ascii", "bom",
+          *ZERO_BREAKS]
+
+
+def break_zero_row(text, kind, at):
+    """``text`` with one of its rows of zero pairs broken by ``kind``;
+    ``at`` picks the row and the place in it."""
+    rows = list(re.finditer(ZERO_ROW, text))
+    if not rows:
+        return text
+    m = rows[at % len(rows)]
+    row = m.group()
+    leaves = [k.start() for k in re.finditer(r"0\.0", row)]
+    k = leaves[at // len(rows) % len(leaves)]
+    if kind == "zero-space":
+        row = row[:leaves[1]] + "0. 0" + row[leaves[1] + 3:]
+    elif kind == "zero-leaf":
+        row = row[:k] + ZERO_LEAVES[at % 3] + row[k + 3:]
+    elif kind == "zero-pair-added":
+        first = row.index("[", 1)
+        row = row[:first] + "[0.0, 0.0], " + row[first:]
+    elif kind == "zero-pair-dropped":
+        # the first pair and the text between it and the second, if any
+        pair = re.search(ZERO_PAIR + r"(?:\s*,\s*)?", row)
+        row = row[:pair.start()] + row[pair.end():]
+    elif kind == "zero-indent-4":
+        row = json.dumps(json.loads(row), indent=4).replace("\n", "\n        ")
+    else:
+        row = "[0], " + row if at % 2 else row[:k] + "[0]" + row[k + 3:]
+    return text[:m.start()] + row + text[m.end():]
 
 
 def break_text(text, kind, at, leaf):
     """``text`` with one break of ``kind``; ``at`` picks the place."""
+    if kind in ZERO_BREAKS:
+        return break_zero_row(text, kind, at)
     start = max(text.find('"matrix"'), 0)
     if kind in TEXT_BREAKS or kind == "leaf":
         pattern, replacement = TEXT_BREAKS.get(kind, (NUMBER, leaf))
@@ -502,6 +568,10 @@ def state_path(tmp_path_factory):
          rng=None)
 @example(doc=pure_qubit_doc(), layout="indent", kind="leaf", at=0, leaf="+1", rng=None)
 @example(doc=pure_qubit_doc((True, 0)), layout="compact", kind="none", at=0, leaf="1", rng=None)
+@example(doc=GHZ2_DOC, layout="indent", kind="zero-pair-dropped", at=0, leaf="1", rng=None)
+@example(doc=GHZ2_DOC, layout="compact", kind="zero-stray", at=0, leaf="1", rng=None)
+@example(doc=GHZ2_DOC, layout="indent", kind="zero-leaf", at=0, leaf="1", rng=None)
+@example(doc=GHZ2_DOC, layout="compact", kind="zero-space", at=1, leaf="1", rng=None)
 def test_load_state_matches_the_whole_document_parse(state_path, doc, layout, kind, at, leaf,
                                                      rng):
     """Every state file, whole or broken as a document or in its text, in
@@ -510,12 +580,33 @@ def test_load_state_matches_the_whole_document_parse(state_path, doc, layout, ki
     moved out of their pairs, empty slots, trailing commas, whitespace
     inside a number, leaves json or the reader refuses, ints past the float
     range, a "matrix" key given twice or inside metadata, non-ASCII
-    metadata and a byte order mark.  Two examples give dims whose T^2
+    metadata and a byte order mark.  Rows of zero pairs, which the reader
+    cuts unparsed where they are written exactly as a writer writes them,
+    are broken by a space inside a 0.0, a -0.0, 0 or 0.00 in place of one
+    0.0, a pair added or dropped, another indent, or the text a cut row
+    leaves put in as a leaf or a row.  Two examples give dims whose T^2
     entries would not fit in memory beside a 2 x 2 matrix: they get the row
     count's message before anything of size T^2 is built."""
     state_path.write_text(break_text(state_file_text(doc, layout, rng), kind, at, leaf),
                           encoding="utf-8")
     assert loaded(load_state, state_path) == loaded(reference_load_state, state_path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=state_docs(), layout=st.sampled_from(["compact", "indent"]))
+@example(doc=GHZ2_DOC, layout="indent")
+@example(doc=entrywise_state_to_jsonable(ZooSpec("w", parties=4).build()), layout="indent")
+@example(doc=entrywise_state_to_jsonable(ZooSpec("ghz", parties=4).build()), layout="compact")
+def test_rows_of_zero_pairs_are_cut_as_the_writers_write_them(doc, layout):
+    """In the layouts of ``state_text`` and of ``json.dumps``, the reader
+    cuts every row whose pairs are all [0.0, 0.0], each at its own place,
+    and no other row, so such rows are never parsed."""
+    text = state_file_text(doc, layout, None)
+    _, start, end = _fields(text)
+    found = _cut_zero_rows(text, start, end, len(doc["matrix"]))
+    zero = [i for i, row in enumerate(doc["matrix"])
+            if all(json.dumps(pair) == "[0.0, 0.0]" for pair in row)]
+    assert (found[1] if found else []) == zero
 
 
 def json_dumps(doc):
