@@ -12,19 +12,18 @@ duplicate keys winning.  The text of the matrix is not parsed as nested
 lists: the reader checks it as it stands and parses it as one flat array.
 The length of the text is checked against T^2 (T = prod(dims)) before
 anything of that size is built.  Rows of zero pairs are then cut unparsed.
-If the matrix opens as ``indent=2`` writes it, the layout of
-``state_text``, or as ``json.dumps`` writes it by default, a row whose text
-is exactly ``T`` [0.0, 0.0] pairs in that layout is recognised by one
-comparison at the start of its row, and replaced by ``[0]``; one search for
-that row's text passes over a file that holds none.  Every other row, and
-every file of another layout, goes through the same checks and the same
-json call as before.  In those checks each cut row stands in for one row:
-the text is accepted only if, with JSON whitespace dropped, dropping its
-number characters leaves exactly the brackets and commas of ``T`` rows of
-``T`` [re, im] pairs, with ``[]`` in place of each cut row, so no other
-character is in it; and if no pair has an empty slot, which is where a
-number moved out of its pair, right after a ``]`` or right before a ``[``,
-would leave one.  Its brackets are then turned into spaces and one
+If the matrix opens as ``state_text`` writes it, at ``indent=2``, a row
+whose text is exactly ``T`` [0.0, 0.0] pairs in that layout is recognised
+by one comparison at the start of its row, and replaced by ``[0]``; one
+search for that row's text passes over a file that holds none.  Every other
+row, and every file of another layout, goes through the same checks and
+the same json call as before.  In those checks each cut row stands in for
+one row: the text is accepted only if, with JSON whitespace dropped,
+dropping its number characters leaves exactly the brackets and commas of
+``T`` rows of ``T`` [re, im] pairs, with ``[]`` in place of each cut row,
+so no other character is in it; and if no pair has an empty slot, which is
+where a number moved out of its pair, right after a ``]`` or right before a
+``[``, would leave one.  Its brackets are then turned into spaces and one
 ``json.loads`` call parses what is left: json checks every number's
 grammar and refuses whitespace inside a number, and the commas make the
 count exactly 2T for each row that is not cut and one for each that is.
@@ -32,9 +31,10 @@ One ``np.fromiter`` call converts those numbers, and the rows not cut land
 in order in a zero-filled array.  A document that fails any check, or
 whose ``schema``, ``kind`` or ``dims`` is wrong, whose matrix holds an int
 too large for a float or appears twice, goes through ``json.loads`` of the
-whole text and ``state_from_jsonable``, whose messages name what is wrong.  There ``_matrix_array`` converts the parsed matrix in one flat pass
-and only a matrix it refuses goes through the entrywise walk, which names
-the first bad row or entry.  Validation accepts positive semidefiniteness
+whole text and ``state_from_jsonable``, whose messages name what is wrong.
+There ``_matrix_array`` converts the parsed matrix in one flat pass and
+only a matrix it refuses goes through the entrywise walk, which names the
+first bad row or entry.  Validation accepts positive semidefiniteness
 with a Cholesky factorization (see ``states.validate_density``).
 
 Every document is written with the bytes of ``json.dumps(doc, indent=2,
@@ -235,6 +235,9 @@ _PAIR = "      [\n        %r,\n        %r\n      ]"
 # indexed by whether a pair is nonzero
 _ZERO = _PAIR % (0.0, 0.0)
 _PIECES = np.array([_ZERO, _PAIR], dtype=object)
+# a row's opening and closing at that depth; rows, and the pairs of a row,
+# are joined by ",\n"
+_ROW_OPEN, _ROW_CLOSE = "    [\n", "\n    ]"
 # a top-level key is the only line that starts with exactly two spaces and a
 # quote, so the placeholder occurs once
 _MATRIX_LINE = '\n  "matrix": '
@@ -264,7 +267,7 @@ def state_text(rho: DensityMatrix, name: str | None = None, source: str | None =
     for row, keep in zip(m, nonzero):
         pattern = keep.tobytes()
         if pattern != last:
-            template = "    [\n" + ",\n".join(_PIECES[keep.view(np.uint8)].tolist()) + "\n    ]"
+            template = _ROW_OPEN + ",\n".join(_PIECES[keep.view(np.uint8)].tolist()) + _ROW_CLOSE
             last = pattern
         rows.append(template % tuple(row[keep].view(float).tolist()))
     return head + _MATRIX_LINE + "[\n" + ",\n".join(rows) + "\n  ]" + tail
@@ -344,15 +347,9 @@ def _fields(text: str):
     return None
 
 
-# the two layouts whose rows of zero pairs are cut before the matrix check:
-# (the matrix's opening, a pair of +0.0 leaves, the text between pairs, a
-# row's opening and closing, the text between rows).  The first is
-# ``indent=2``, as ``state_text`` writes it, the second ``json.dumps``'s
-# default
-_ZERO_LAYOUTS = (
-    ("[\n", _ZERO, ",\n", "    [\n", "\n    ]", ",\n"),
-    ("[", "[0.0, 0.0]", ", ", "[", "]", ", "),
-)
+# the matrix as ``state_text`` writes it opens with this text, its first
+# row's opening; only then are rows of zero pairs cut before the check
+_MATRIX_OPEN = "[\n" + _ROW_OPEN
 # what a cut row leaves in the matrix text: the layout check reads "[]",
 # which no row of pairs holds, and json reads one number
 _CUT = "[0]"
@@ -363,22 +360,19 @@ def _cut_zero_rows(text: str, start: int, end: int, total: int):
     indices of the cut rows), or None where no row is cut.
 
     A row is cut where its text, found where the walk over the rows puts
-    its start, is exactly a row of zero pairs in the layout the matrix
-    opens with.  Another row is stepped over by one ``find`` of its end.
+    its start, is exactly a row of ``total`` zero pairs as ``state_text``
+    writes it.  Another row is stepped over by one ``find`` of its end.
     Where the walk goes wrong, on text of some other layout, a ``[]`` lands
     where the matrix check expects a row, so the check refuses the text and
     the whole document is read by ``json``: a cut changes how fast a file
     is read, never what it reads to."""
-    for opening, pair, between_pairs, row_open, row_close, between_rows in _ZERO_LAYOUTS:
-        if text.startswith(opening + row_open, start, end):
-            break
-    else:
+    if not text.startswith(_MATRIX_OPEN, start, end):
         return None
-    zero = row_open + between_pairs.join([pair] * total) + row_close
+    zero = _ROW_OPEN + ",\n".join([_ZERO] * total) + _ROW_CLOSE
     if text.find(zero, start, end) < 0:
         return None
-    row_end = pair[-1] + row_close
-    rows, pieces, pos, last = [], [], start + len(opening), start
+    row_end = "]" + _ROW_CLOSE
+    rows, pieces, pos, last = [], [], start + len("[\n"), start
     for i in range(total):
         if text.startswith(zero, pos, end):
             rows.append(i)
@@ -389,7 +383,7 @@ def _cut_zero_rows(text: str, start: int, end: int, total: int):
             if pos < 0:
                 break
             pos += len(row_end)
-        pos += len(between_rows)
+        pos += len(",\n")
     pieces.append(text[last:end])
     return (_CUT.join(pieces), rows) if rows else None
 
