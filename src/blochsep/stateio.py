@@ -28,14 +28,14 @@ where a number moved out of its pair, right after a ``]`` or right before a
 grammar and refuses whitespace inside a number, and the commas make the
 count exactly 2T for each row that is not cut and one for each that is.
 One ``np.fromiter`` call converts those numbers, and the rows not cut land
-in order in a zero-filled array.  A document that fails any check, or
+in order in a zero-filled array.  Both readers check ``schema``, ``kind``
+and ``dims`` by one rule, ``_head``.  A document that fails any check, or
 whose ``schema``, ``kind`` or ``dims`` is wrong, whose matrix holds an int
 too large for a float or appears twice, goes through ``json.loads`` of the
-whole text and ``state_from_jsonable``, whose messages name what is wrong.
-There ``_matrix_array`` converts the parsed matrix in one flat pass and
-only a matrix it refuses goes through the entrywise walk, which names the
-first bad row or entry.  Validation accepts positive semidefiniteness
-with a Cholesky factorization (see ``states.validate_density``).
+whole text and ``state_from_jsonable``, which converts the parsed matrix
+by one walk, entry by entry, and names the first bad row or entry.
+Validation accepts positive semidefiniteness with a Cholesky
+factorization (see ``states.validate_density``).
 
 Every document is written with the bytes of ``json.dumps(doc, indent=2,
 allow_nan=False)``.  Reports go through ``dump_json``, a template writer.
@@ -65,7 +65,6 @@ import contextlib
 import csv
 import functools
 import io
-from itertools import chain
 import json
 from json.encoder import encode_basestring_ascii
 import math
@@ -79,10 +78,10 @@ from .states import DensityMatrix, _subsystem_dims
 SCHEMA_VERSION = "blochsep/1"
 
 
-def state_from_jsonable(doc) -> DensityMatrix:
-    """Parse and validate a state document, naming the first problem found."""
-    if not isinstance(doc, dict):
-        raise InvalidStateError("state document must be a JSON object")
+def _head(doc) -> tuple:
+    """(dims, T) of a state document, T = prod(dims), after its ``schema``,
+    ``kind`` and ``dims`` are checked; raises InvalidStateError naming the
+    first that is wrong."""
     schema = doc.get("schema")
     if schema != SCHEMA_VERSION:
         raise InvalidStateError(
@@ -91,46 +90,19 @@ def state_from_jsonable(doc) -> DensityMatrix:
     if doc.get("kind", "state") != "state":
         raise InvalidStateError(f"document kind {doc.get('kind')!r} is not a state")
     dims = _subsystem_dims(doc.get("dims"))
+    return dims, math.prod(dims)
+
+
+def state_from_jsonable(doc) -> DensityMatrix:
+    """Parse and validate a state document, naming the first problem found:
+    the matrix is converted entry by entry, and the first malformed row or
+    entry raises."""
+    if not isinstance(doc, dict):
+        raise InvalidStateError("state document must be a JSON object")
+    dims, total = _head(doc)
     raw = doc.get("matrix")
-    total = math.prod(dims)
     if not isinstance(raw, list) or len(raw) != total:
         raise InvalidStateError(f"matrix must be a list of {total} rows")
-    mat = _matrix_array(raw, total)
-    if mat is None:
-        mat = _matrix_entrywise(raw, total)
-    # dimension and matrix-content checks (Hermiticity, trace, positivity)
-    return DensityMatrix(dims, mat)
-
-
-def _matrix_array(raw: list, total: int):
-    """The complex matrix of a well-formed ``raw``: ``total`` lists of
-    ``total`` [re, im] lists of ints and floats.  None for anything else,
-    bools included, which numpy would quietly read as 0 and 1.
-
-    One flat pass: the rows' and the entries' types and lengths are checked
-    as sets, the leaves are flattened into one list whose types are checked
-    the same way, and one 1-D ``np.fromiter`` converts them, so numpy never
-    discovers a nested shape.  Checking every level's lengths, not only the
-    leaf count, refuses a short entry or row that a long one makes up for."""
-    if set(map(type, raw)) != {list} or set(map(len, raw)) != {total}:
-        return None
-    entries = list(chain.from_iterable(raw))
-    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
-        return None
-    leaves = list(chain.from_iterable(entries))
-    del entries
-    if not set(map(type, leaves)) <= {int, float}:
-        return None
-    try:
-        flat = np.fromiter(leaves, dtype=float, count=len(leaves))
-    except OverflowError:
-        return None
-    return flat.view(complex).reshape(total, total)
-
-
-def _matrix_entrywise(raw: list, total: int) -> np.ndarray:
-    """Entry-by-entry conversion that raises on the first malformed row or
-    entry; reached only when ``_matrix_array`` refuses ``raw``."""
     mat = np.empty((total, total), dtype=complex)
     for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != total:
@@ -148,7 +120,8 @@ def _matrix_entrywise(raw: list, total: int) -> np.ndarray:
                 mat[i, j] = complex(entry[0], entry[1])
             except OverflowError:
                 raise InvalidStateError(f"matrix entry ({i}, {j}) is too large for a float")
-    return mat
+    # dimension and matrix-content checks (Hermiticity, trace, positivity)
+    return DensityMatrix(dims, mat)
 
 
 def dump_json(doc) -> str:
@@ -445,13 +418,11 @@ def _flat_state(text: str):
     if found is None:
         return None
     fields, start, end = found
-    if fields.get("schema") != SCHEMA_VERSION or fields.get("kind", "state") != "state":
-        return None
     try:
-        dims = _subsystem_dims(fields.get("dims"))
+        dims, total = _head(fields)
     except InvalidStateError:
         return None
-    mat = _flat_matrix(text, start, end, math.prod(dims))
+    mat = _flat_matrix(text, start, end, total)
     if mat is None:
         return None
     return dims, mat, fields.get("metadata", {})

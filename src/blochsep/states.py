@@ -248,6 +248,7 @@ def maximally_mixed(dims) -> DensityMatrix:
 
 def ghz(n_parties: int, d: int = 2) -> DensityMatrix:
     """Projector onto (1/sqrt(d)) sum_k |k...k> on n_parties systems."""
+    n_parties, d = _integer(n_parties, "n_parties"), _integer(d, "d")
     if n_parties < 2:
         raise ValueError("ghz needs at least 2 parties")
     if d < 2:
@@ -273,6 +274,7 @@ def _w_vector(n_parties: int) -> np.ndarray:
 
 def w_state(n_parties: int) -> DensityMatrix:
     """Projector onto the equal superposition of single-excitation kets."""
+    n_parties = _integer(n_parties, "n_parties")
     if n_parties < 2:
         raise ValueError("w_state needs at least 2 parties")
     _check_fits((2,), n_parties)

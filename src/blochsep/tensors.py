@@ -180,7 +180,7 @@ class KruskalForm:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=float).reshape(-1)
-        if self.weights.size and self.weights.min() < 0:
+        if not (self.weights >= 0).all():
             raise ValueError("term weights must be nonnegative")
         self.factors = [np.asarray(f, dtype=float) for f in self.factors]
         if not self.factors:

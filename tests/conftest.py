@@ -218,9 +218,9 @@ def entrywise_state_to_jsonable(rho, name=None, source=None):
 
 def entrywise_state_from_jsonable(doc):
     """Reference for ``stateio.state_from_jsonable``: the entry-by-entry
-    reader it replaced, kept verbatim but for the one dims check that both
-    call, so the array reader can be compared with it value for value and
-    message for message."""
+    reader, kept verbatim but for the one dims check that both call, so the
+    reader can be compared with it value for value and message for
+    message."""
     if not isinstance(doc, dict):
         raise InvalidStateError("state document must be a JSON object")
     schema = doc.get("schema")

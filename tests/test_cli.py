@@ -363,7 +363,7 @@ def broken_state_docs(draw):
     n = len(raw)
     i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
     kind = draw(st.sampled_from(["none", "leaf", "leaf", "leaf", "pair", "rows", "ragged",
-                                 "row-type", "entry-type", "dims", "compensating"]))
+                                 "row-type", "entry-type", "dims", "head", "compensating"]))
     if kind == "leaf":
         raw[i][j][draw(st.integers(0, 1))] = draw(JUNK)
     elif kind == "pair":
@@ -381,6 +381,16 @@ def broken_state_docs(draw):
     elif kind == "dims":
         doc["dims"] = draw(st.sampled_from(
             [[65536, 65536], [], [2, True], [0], [-2], [1], [2, 2.0], "2", [2**70], [n]]))
+    elif kind == "head":
+        # a wrong or a missing (...) schema, a kind that is not "state", or
+        # a missing kind, which reads as a state
+        key, value = draw(st.sampled_from(
+            [("schema", "blochsep/2"), ("schema", ...), ("kind", "analysis"), ("kind", 1),
+             ("kind", None), ("kind", ...)]))
+        if value is ...:
+            del doc[key]
+        else:
+            doc[key] = value
     elif kind == "compensating":
         # two breaks that keep the number of leaves: a short and a long pair
         # in one row, a short and a long row, or an entry whose one leaf is
@@ -422,6 +432,7 @@ def read(reader, doc):
 @example(doc=pure_qubit_doc((math.nan, 0)))
 @example(doc=pure_qubit_doc((1, 0, 0)))
 @example(doc=pure_qubit_doc(dims=(65536, 65536)))
+@example(doc={key: value for key, value in pure_qubit_doc().items() if key != "kind"})
 @example(doc={**pure_qubit_doc(), "matrix": [[[1, 0]] * 3, [[0, 0]] * 3]})
 @example(doc=pure_qubit_doc((0.12997710001554766, 8.98846567431158e+307)))
 @example(doc={**pure_qubit_doc(), "matrix": [[[1], [0, 0, 0]], [[0, 0], [0, 0]]]})

@@ -312,6 +312,10 @@ def test_integer_indices_of_every_kind_are_read_alike():
     (lambda: basis_ket((-1, 0), (2, 2)), "level -1 out of range for dimension 2"),
     (lambda: kron(), "kron needs at least one operand"),
     (lambda: ghz(1), "ghz needs at least 2 parties"),
+    (lambda: ghz(3.0), "n_parties must be an integer, got 3.0"),
+    (lambda: w_state(3.0), "n_parties must be an integer, got 3.0"),
+    (lambda: ghz(3, 2.0), "d must be an integer, got 2.0"),
+    (lambda: ghz(True), "n_parties must be an integer, got True"),
     (lambda: separability_bound((2,)), "the bound concerns at least 2 subsystems"),
     (lambda: ZooSpec("ghz", parties=3.0).build(), "parameter 'parties' must be an integer, got 3.0"),
     (lambda: ZooSpec("w", parties=3.0).build(), "parameter 'parties' must be an integer, got 3.0"),
@@ -343,7 +347,8 @@ def test_integer_indices_of_every_kind_are_read_alike():
     (lambda: ZooSpec("werner", noise=0.5j).build(),
      "noise weight p must be a real number, got 0.5j"),
 ], ids=["basis_ket-float", "basis_ket-string", "basis_ket-count", "basis_ket-range",
-        "basis_ket-negative", "kron-empty", "ghz-one-party", "bound-one-party",
+        "basis_ket-negative", "kron-empty", "ghz-one-party", "ghz-float-parties",
+        "w-float-parties", "ghz-float-d", "ghz-bool-parties", "bound-one-party",
         "zoo-ghz-float-parties", "zoo-w-float-parties", "zoo-float-levels",
         "zoo-float-removed", "zoo-string-parties", "threshold-table-float-parties",
         "basis_ket-bool", "dims-bool", "zoo-bool-parties", "zoo-bool-levels", "zoo-bool-removed",

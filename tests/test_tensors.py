@@ -182,6 +182,7 @@ def test_kruskal_form_validation():
     (lambda: unfold(np.ones((2, 2, 2)), 3), "mode 3 out of range for order-3 tensor"),
     (lambda: unfold(np.ones((2, 2)), -1), "mode -1 out of range for order-2 tensor"),
     (lambda: KruskalForm([1.0, -0.5], [np.ones((3, 2))]), "term weights must be nonnegative"),
+    (lambda: KruskalForm([np.nan], [np.ones((3, 1))]), "term weights must be nonnegative"),
     (lambda: KruskalForm([1.0], []), "a Kruskal form needs at least one mode"),
     (lambda: tensor_kyfan(np.zeros((3, 0))), r"tensor of shape \(3, 0\) has no entries"),
     (lambda: find_orthogonal_kruskal(np.zeros(0)), r"tensor of shape \(0,\) has no entries"),
@@ -200,9 +201,9 @@ def test_kruskal_form_validation():
     (lambda: sign_table(2.0), r"n_parties must be an integer, got 2\.0"),
     (lambda: sign_table(True), "n_parties must be an integer, got True"),
 ], ids=["order-1", "order-0-unfold", "order-0-kruskal", "inf", "nan", "mode-too-large",
-        "mode-negative", "negative-weight", "no-mode", "empty-kyfan", "empty-kruskal",
-        "complex-kyfan", "complex-singular-values", "complex-unfold", "complex-kruskal",
-        "bool-mode", "float-mode", "float-sign-table", "bool-sign-table"])
+        "mode-negative", "negative-weight", "nan-weight", "no-mode", "empty-kyfan",
+        "empty-kruskal", "complex-kyfan", "complex-singular-values", "complex-unfold",
+        "complex-kruskal", "bool-mode", "float-mode", "float-sign-table", "bool-sign-table"])
 def test_tensor_refusals_keep_their_messages(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
