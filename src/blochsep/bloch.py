@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .errors import NumericIntegrityError
-from .states import DensityMatrix, _check_memory, _checked_subset, _subsystem_dims
+from .states import DensityMatrix, _check_memory, _checked_subset, _integer, _subsystem_dims
 from .su_basis import build_basis
 from .tolerances import IMAG_TOL
 
@@ -192,6 +192,7 @@ def ball_radii(d: int) -> tuple:
     the set of coherence vectors of single-system states: every vector with
     norm <= r gives a positive semidefinite (1/d)(I + v . g), and every state
     has norm <= R.  Both equal 1 exactly when d = 2."""
+    d = _integer(d, "d")
     if d < 2:
         raise ValueError(f"subsystem dimension must be at least 2, got {d}")
     return math.sqrt(d / (2.0 * (d - 1))), math.sqrt(d * (d - 1) / 2.0)

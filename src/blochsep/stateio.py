@@ -34,8 +34,10 @@ whose ``schema``, ``kind`` or ``dims`` is wrong, whose matrix holds an int
 too large for a float or appears twice, goes through ``json.loads`` of the
 whole text and ``state_from_jsonable``, which converts the parsed matrix
 by one walk, entry by entry, and names the first bad row or entry.
-Validation accepts positive semidefiniteness with a Cholesky
-factorization (see ``states.validate_density``).
+Validation checks finiteness, Hermiticity and positive semidefiniteness,
+by a Cholesky factorization, on the block of the rows and columns that hold
+a nonzero entry, so a sparse state such as GHZ-9 is checked on its 2 x 2
+block (see ``states.validate_density``).
 
 Every document is written with the bytes of ``json.dumps(doc, indent=2,
 allow_nan=False)``.  Reports go through ``dump_json``, a template writer.

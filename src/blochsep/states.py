@@ -69,12 +69,24 @@ def _checked_subset(subset, n_parties: int, min_size: int) -> tuple:
 def validate_density(matrix, dims) -> None:
     """Raise InvalidStateError naming the first violated requirement.
 
-    Positive semidefiniteness is accepted when m + (PSD_TOL/2) I has a
-    finite Cholesky factor; only a matrix that fails to factor goes to
-    ``eigvalsh``, whose least eigenvalue decides against -PSD_TOL and is
-    named in the message.  A factor exists only if every eigenvalue is above
-    -PSD_TOL/2, up to rounding far below PSD_TOL/2, so the factorization
-    accepts no state that the eigenvalue rule refuses."""
+    The matrix must be of a numeric dtype: integer, float or complex.  Every
+    index whose row and column are all zero is then set aside: such a row
+    and column hold no non-finite entry (NaN and infinities compare
+    nonzero), no deviation from Hermiticity and, after a permutation, only
+    the block s I of m + s I.  The finiteness check, the Hermiticity maximum
+    and the Cholesky test run on the block of the other indices, which is
+    the whole matrix when none is set aside.  The trace and the ``eigvalsh``
+    fallback run on the whole matrix, so every refusal and its message are
+    those of a check of the whole matrix.
+
+    Positive semidefiniteness is accepted when the block plus (PSD_TOL/2) I
+    has a finite Cholesky factor; only a block that fails to factor sends
+    the whole matrix to ``eigvalsh``, whose least eigenvalue decides against
+    -PSD_TOL and is named in the message.  A factor exists only if every
+    eigenvalue is above -PSD_TOL/2, up to rounding far below PSD_TOL/2, so
+    the factorization accepts no state that the eigenvalue rule refuses, and
+    the block and the whole matrix can factor differently only where
+    ``eigvalsh`` accepts either way."""
     dims = _subsystem_dims(dims)
     m = np.asarray(matrix)
     total = math.prod(dims)
@@ -82,19 +94,30 @@ def validate_density(matrix, dims) -> None:
         raise InvalidStateError(
             f"matrix shape {m.shape} does not match dims {dims} (need {total}x{total})"
         )
-    if not np.isfinite(m).all():
+    if m.dtype.kind not in "iufc":
+        raise InvalidStateError(f"matrix entries must be numbers, got dtype {m.dtype}")
+    # a nonzero diagonal keeps every index, as in any state of full rank, and
+    # then no mask is made
+    block = m
+    if not m.diagonal().all():
+        nonzero = m != 0
+        keep = np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))
+        if len(keep) < total:
+            block = m[np.ix_(keep, keep)]
+    if not np.isfinite(block).all():
         raise InvalidStateError("matrix contains non-finite entries")
     # finite entries near the float limit overflow these reductions into inf,
     # or nan where infs of both signs meet; the checks read either as a
     # failure, so a value that does not fit in a float is refused, not passed
     with np.errstate(over="ignore", invalid="ignore"):
-        herm = np.abs(m - m.conj().T).max()
+        herm = np.abs(block - block.conj().T).max(initial=0.0)
         tr = complex(np.trace(m))
     if herm > EXACT_TOL:
         raise InvalidStateError(f"matrix is not Hermitian (max deviation {herm:.3e})")
     if not abs(tr - 1.0) <= EXACT_TOL:
         raise InvalidStateError(f"trace is {tr:.12g}, expected 1")
-    if _has_cholesky_factor(m, PSD_TOL / 2):
+    # a gathered block is a copy already, and the test may shift it in place
+    if _has_cholesky_factor(block.astype(complex, copy=block is m), PSD_TOL / 2):
         return
     least = np.linalg.eigvalsh(m)[0]
     if not least >= -PSD_TOL:
@@ -104,13 +127,13 @@ def validate_density(matrix, dims) -> None:
 
 
 def _has_cholesky_factor(m: np.ndarray, shift: float) -> bool:
-    """Whether m + shift I factors with a finite Cholesky factor.  The
-    factor must be checked: entries near the float limit can overflow it
-    into inf or nan without the factorization failing."""
-    shifted = m.astype(complex)
-    shifted.flat[:: len(m) + 1] += shift
+    """Whether m + shift I factors with a finite Cholesky factor, for a
+    complex matrix ``m``, to which the shift is added in place.  The factor
+    must be checked: entries near the float limit can overflow it into inf
+    or nan without the factorization failing."""
+    m.flat[:: len(m) + 1] += shift
     try:
-        return bool(np.isfinite(np.linalg.cholesky(shifted)).all())
+        return bool(np.isfinite(np.linalg.cholesky(m)).all())
     except np.linalg.LinAlgError:
         return False
 
@@ -147,11 +170,16 @@ class DensityMatrix:
 
 # bytes of working memory per entry of a D x D matrix: four complex matrices
 # plus the real coefficient array, whose prod_k d_k^2 entries number D^2 as
-# well.  Validation peaks at four: the state, the shifted copy that the
-# Cholesky test factors, numpy's working copy of it and the factor.  The
-# Hermiticity temporaries (m^H, m - m^H and its absolute value) are freed
-# before the shifted copy is made, and the shifted copy, its factor and
-# eigvalsh's working copy before the validated copy is made.
+# well.  Validation peaks at the state, a one-byte mask of its nonzero
+# entries and three complex k x k matrices, k being the number of indices
+# whose row or column holds a nonzero entry: the shifted block that the
+# Cholesky test factors, numpy's working copy of it and the factor.  A
+# gathered block (k < D) is itself the shifted copy, and a dense state is its
+# own block, so the dense state, k = D, is the worst case the budget covers.
+# The Hermiticity temporaries (the block's conjugate transpose, the
+# difference and its absolute value) are freed before the shifted copy is
+# made, and the shifted copy, its factor and eigvalsh's working copy before
+# the validated copy is made.
 _BYTES_PER_ENTRY = 4 * 16 + 8
 
 

@@ -33,7 +33,7 @@ from blochsep import (
 from blochsep.bloch import _components, _from_coefficients
 from blochsep.stateio import SCHEMA_VERSION, state_from_jsonable
 from blochsep.states import _subsystem_dims
-from blochsep.tolerances import RANK_CUTOFF, SUFFICIENCY_SLACK, WEIGHT_CUTOFF
+from blochsep.tolerances import EXACT_TOL, PSD_TOL, RANK_CUTOFF, SUFFICIENCY_SLACK, WEIGHT_CUTOFF
 
 
 def random_density(rng, dims, rank=None):
@@ -194,6 +194,51 @@ def per_tensor_norms(rho, subsets):
     """Reference for the norms of ``subset_scan``: the per-tensor loop it
     replaced, over ``correlation_tensor`` copies."""
     return [per_matrix_kyfan(correlation_tensor(rho, s)) for s in subsets]
+
+
+def whole_matrix_validate_density(matrix, dims) -> None:
+    """Reference for ``states.validate_density``: the check of the whole
+    matrix, kept verbatim, so the check of the block of nonzero rows and
+    columns can be compared with it outcome for outcome and message for
+    message."""
+    dims = _subsystem_dims(dims)
+    m = np.asarray(matrix)
+    total = math.prod(dims)
+    if m.shape != (total, total):
+        raise InvalidStateError(
+            f"matrix shape {m.shape} does not match dims {dims} (need {total}x{total})"
+        )
+    if not np.isfinite(m).all():
+        raise InvalidStateError("matrix contains non-finite entries")
+    # finite entries near the float limit overflow these reductions into inf,
+    # or nan where infs of both signs meet; the checks read either as a
+    # failure, so a value that does not fit in a float is refused, not passed
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm = np.abs(m - m.conj().T).max()
+        tr = complex(np.trace(m))
+    if herm > EXACT_TOL:
+        raise InvalidStateError(f"matrix is not Hermitian (max deviation {herm:.3e})")
+    if not abs(tr - 1.0) <= EXACT_TOL:
+        raise InvalidStateError(f"trace is {tr:.12g}, expected 1")
+    if _whole_has_cholesky_factor(m, PSD_TOL / 2):
+        return
+    least = np.linalg.eigvalsh(m)[0]
+    if not least >= -PSD_TOL:
+        raise InvalidStateError(
+            f"matrix is not positive semidefinite (min eigenvalue {least:.3e})"
+        )
+
+
+def _whole_has_cholesky_factor(m: np.ndarray, shift: float) -> bool:
+    """Whether m + shift I factors with a finite Cholesky factor.  The
+    factor must be checked: entries near the float limit can overflow it
+    into inf or nan without the factorization failing."""
+    shifted = m.astype(complex)
+    shifted.flat[:: len(m) + 1] += shift
+    try:
+        return bool(np.isfinite(np.linalg.cholesky(shifted)).all())
+    except np.linalg.LinAlgError:
+        return False
 
 
 def entrywise_matrix(m):

@@ -10,6 +10,7 @@ from blochsep import (
     DensityMatrix,
     InvalidStateError,
     ZooSpec,
+    ball_radii,
     basis_ket,
     bell_states,
     bloch_vector,
@@ -36,7 +37,12 @@ from blochsep import (
 from blochsep.stateio import state_from_jsonable
 from blochsep.states import _subsystem_dims
 from blochsep.tolerances import PSD_TOL
-from conftest import empty_bloch_data, random_density, random_unitary
+from conftest import (
+    empty_bloch_data,
+    random_density,
+    random_unitary,
+    whole_matrix_validate_density,
+)
 
 PAULI = [
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -93,6 +99,10 @@ def test_validation_rejects_bad_trace():
     mat[0, 0] += 1e-6
     with pytest.raises(InvalidStateError, match="trace"):
         validate_density(mat, (2, 2))
+    # the all-zero matrix has an empty block, and its trace refuses it
+    with pytest.raises(InvalidStateError) as got:
+        validate_density(np.zeros((4, 4)), (2, 2))
+    assert str(got.value) == "trace is 0+0j, expected 1"
 
 
 def test_validation_rejects_negative_eigenvalue():
@@ -111,25 +121,117 @@ BOUNDARY_EIGENVALUES = [0.0] + [-edge * PSD_TOL * (1 + offset)
                                 for offset in (0.0, 1e-3, -1e-3, 1e-2, -1e-2, 0.1, -0.1)]
 
 
-@settings(max_examples=300, deadline=None)
-@given(dim=st.sampled_from([2, 3, 4, 8, 16, 64, 128]), least=st.sampled_from(BOUNDARY_EIGENVALUES),
-       seed=st.integers(0, 2**32 - 1))
-def test_psd_decision_is_the_eigenvalue_rule(dim, least, seed):
-    """``validate_density`` accepts a state exactly when ``eigvalsh`` puts
-    its least eigenvalue at or above -PSD_TOL, whichever of the Cholesky
-    factorization and ``eigvalsh`` decides."""
-    rng = np.random.default_rng(seed)
+def boundary_state(rng, dim, least, real=False):
+    """A dim x dim matrix of trace 1 with least eigenvalue ``least``, its
+    other eigenvalues positive and its eigenvectors random, real ones if
+    ``real``."""
     rest = rng.random(dim - 1) + 0.01
     evals = np.concatenate([[least], rest * (1.0 - least) / rest.sum()])
-    u = random_unitary(rng, dim)
-    m = (u * evals) @ u.conj().T
+    u = np.linalg.qr(rng.normal(size=(dim, dim)))[0] if real else random_unitary(rng, dim)
+    return (u * evals) @ u.conj().T
+
+
+def embedded(rng, block, total):
+    """A total x total matrix of zeros with ``block`` at the rows and
+    columns of ``len(block)`` random indices, in random order."""
+    at = rng.choice(total, len(block), replace=False)
+    m = np.zeros((total, total), dtype=block.dtype)
+    m[np.ix_(at, at)] = block
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(dim=st.sampled_from([2, 3, 4, 8, 16, 64, 128]), least=st.sampled_from(BOUNDARY_EIGENVALUES),
+       pad=st.sampled_from([0, 1, 7, 64]), seed=st.integers(0, 2**32 - 1))
+def test_psd_decision_is_the_eigenvalue_rule(dim, least, pad, seed):
+    """``validate_density`` accepts a state exactly when ``eigvalsh`` puts
+    its least eigenvalue at or above -PSD_TOL, whichever of the Cholesky
+    factorization and ``eigvalsh`` decides, also when ``pad`` zero rows and
+    columns lie among the state's, so that only its block is factored."""
+    rng = np.random.default_rng(seed)
+    m = embedded(rng, boundary_state(rng, dim, least), dim + pad)
     try:
-        validate_density(m, (dim,))
+        validate_density(m, (dim + pad,))
         accepted = True
     except InvalidStateError as exc:
         assert "positive semidefinite" in str(exc)
         accepted = False
     assert accepted == (np.linalg.eigvalsh(m)[0] >= -PSD_TOL)
+
+
+@st.composite
+def validation_inputs(draw):
+    """A square matrix for ``validate_density``: a state block, real or
+    complex, with least eigenvalue one of BOUNDARY_EIGENVALUES, at drawn
+    indices among zero rows and columns, or at every index.  Then, as drawn:
+    a lone entry, Hermitian or not, in a zero row or column; NaN or an
+    infinity there; or every entry zero.  Zero entries may be -0.0."""
+    total = draw(st.sampled_from([2, 3, 4, 8, 16, 64]))
+    k = draw(st.one_of(st.just(total), st.integers(1, total)))
+    least = draw(st.sampled_from(BOUNDARY_EIGENVALUES))
+    real = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block = boundary_state(rng, k, least, real) if k > 1 else np.ones((1, 1))
+    m = embedded(rng, block if real else block.astype(complex), total)
+    zero_rows = np.flatnonzero(~(m != 0).any(axis=1))
+    change = draw(st.sampled_from(["none", "lone", "lone hermitian", "nonfinite", "all zero"]))
+    if change == "all zero":
+        m[:] = 0
+    elif change != "none" and len(zero_rows):
+        i, j = rng.choice(zero_rows), rng.integers(total)
+        if change == "nonfinite":
+            value = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        else:
+            value = draw(st.sampled_from([1e-12, 1e-6, 0.01, -0.5]))
+        if not real:
+            value *= draw(st.sampled_from([1, 1j]))
+        if draw(st.booleans()):
+            i, j = j, i
+        m[i, j] = value
+        if change == "lone hermitian":
+            m[j, i] = np.conj(value)
+    if draw(st.booleans()):
+        m[(m == 0) & (rng.random(m.shape) < 0.5)] = -0.0 if real else complex(-0.0, -0.0)
+    return m
+
+
+def validation_outcome(validate, m):
+    """None if ``validate`` accepts ``m``, else the type and message of what
+    it raises."""
+    try:
+        validate(m, (len(m),))
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(m=validation_inputs())
+def test_block_validation_matches_the_whole_matrix_check(m):
+    """Checking the block of nonzero rows and columns accepts what the
+    check of the whole matrix accepts, and refuses the rest with the same
+    error and message; the matrix is left as it was."""
+    before = m.copy()
+    got = validation_outcome(validate_density, m)
+    assert m.tobytes() == before.tobytes()
+    assert got == validation_outcome(whole_matrix_validate_density, m)
+
+
+@pytest.mark.parametrize("matrix, dtype", [
+    (np.eye(2, dtype=bool), "bool"),
+    ([[True, False], [False, False]], "bool"),
+    (np.array([["0.5", "0"], ["0", "0.5"]]), "<U3"),
+    (np.array([[0.5, 0], [0, 0.5]], dtype=object), "object"),
+])
+def test_validation_refuses_non_numeric_dtypes(matrix, dtype):
+    # numpy's own TypeError ("numpy boolean subtract ...", "ufunc 'isfinite'
+    # not supported ...") does not escape; integers are numbers
+    for call in (lambda: validate_density(matrix, (2,)), lambda: DensityMatrix((2,), matrix)):
+        with pytest.raises(InvalidStateError) as got:
+            call()
+        assert str(got.value) == f"matrix entries must be numbers, got dtype {dtype}"
+    for integers in (np.diag([1, 0]), np.diag([0, 1]).astype(np.uint8)):
+        validate_density(integers, (2,))
 
 
 def test_validation_rejects_shape_and_dims():
@@ -317,6 +419,8 @@ def test_integer_indices_of_every_kind_are_read_alike():
     (lambda: ghz(3, 2.0), "d must be an integer, got 2.0"),
     (lambda: ghz(True), "n_parties must be an integer, got True"),
     (lambda: separability_bound((2,)), "the bound concerns at least 2 subsystems"),
+    (lambda: ball_radii(2.0), "d must be an integer, got 2.0"),
+    (lambda: ball_radii("3"), "d must be an integer, got '3'"),
     (lambda: ZooSpec("ghz", parties=3.0).build(), "parameter 'parties' must be an integer, got 3.0"),
     (lambda: ZooSpec("w", parties=3.0).build(), "parameter 'parties' must be an integer, got 3.0"),
     (lambda: ZooSpec("ghz", parties=3, levels=2.0).build(),
@@ -349,6 +453,7 @@ def test_integer_indices_of_every_kind_are_read_alike():
 ], ids=["basis_ket-float", "basis_ket-string", "basis_ket-count", "basis_ket-range",
         "basis_ket-negative", "kron-empty", "ghz-one-party", "ghz-float-parties",
         "w-float-parties", "ghz-float-d", "ghz-bool-parties", "bound-one-party",
+        "ball_radii-float-d", "ball_radii-string-d",
         "zoo-ghz-float-parties", "zoo-w-float-parties", "zoo-float-levels",
         "zoo-float-removed", "zoo-string-parties", "threshold-table-float-parties",
         "basis_ket-bool", "dims-bool", "zoo-bool-parties", "zoo-bool-levels", "zoo-bool-removed",
