@@ -1,65 +1,25 @@
 """JSON state files and report serialization.
 
-State files carry the density matrix entrywise as [re, im] pairs.  Floats go
-through Python's shortest round-trip repr (up to 17 significant digits), so a
-save/load/save cycle is byte-identical.  Writes are atomic: content lands in
-a sibling temporary file first and is moved into place.
+- Round trips are bit-exact.  Every document, a state file or a report, is
+  written with the bytes of ``json.dumps(doc, indent=2, allow_nan=False)``
+  plus a newline, floats by their shortest round-trip repr, so a
+  save/load/save cycle gives the same bytes.  Writes are atomic.
+- Every JSON layout is read, the writer's ``indent=2``, ``json.dumps``'s
+  compact one or any other whitespace, to the bits ``json.loads`` gives,
+  the last of duplicate keys winning.
+- A refusal names the head, ``schema``, ``kind`` or ``dims``, when it
+  reads and is wrong, or else the first bad row or entry of the matrix;
+  text that is not JSON gets json's own message.
 
-Both directions work on whole arrays.  ``load_state`` reads the file once
-and walks its top-level object key by key with ``json``'s own decoder, so
-every key but ``"matrix"`` is read as ``json.loads`` reads it, the last of
-duplicate keys winning.  The text of the matrix is not parsed as nested
-lists: the reader checks it as it stands and parses it as one flat array.
-The length of the text is checked against T^2 (T = prod(dims)) before
-anything of that size is built.  Rows of zero pairs are then cut unparsed.
-If the matrix opens as ``state_text`` writes it, at ``indent=2``, a row
-whose text is exactly ``T`` [0.0, 0.0] pairs in that layout is recognised
-by one comparison at the start of its row, and replaced by ``[0]``; one
-search for that row's text passes over a file that holds none.  Every other
-row, and every file of another layout, goes through the same checks and
-the same json call as before.  In those checks each cut row stands in for
-one row: the text is accepted only if, with JSON whitespace dropped,
-dropping its number characters leaves exactly the brackets and commas of
-``T`` rows of ``T`` [re, im] pairs, with ``[]`` in place of each cut row,
-so no other character is in it; and if no pair has an empty slot, which is
-where a number moved out of its pair, right after a ``]`` or right before a
-``[``, would leave one.  Its brackets are then turned into spaces and one
-``json.loads`` call parses what is left: json checks every number's
-grammar and refuses whitespace inside a number, and the commas make the
-count exactly 2T for each row that is not cut and one for each that is.
-One ``np.fromiter`` call converts those numbers, and the rows not cut land
-in order in a zero-filled array.  Both readers check ``schema``, ``kind``
-and ``dims`` by one rule, ``_head``.  A document that fails any check, or
-whose ``schema``, ``kind`` or ``dims`` is wrong, whose matrix holds an int
-too large for a float or appears twice, goes through ``json.loads`` of the
-whole text and ``state_from_jsonable``, which converts the parsed matrix
-by one walk, entry by entry, and names the first bad row or entry.
-Validation checks finiteness, Hermiticity and positive semidefiniteness,
-by a Cholesky factorization, on the block of the rows and columns that hold
-a nonzero entry, so a sparse state such as GHZ-9 is checked on its 2 x 2
-block (see ``states.validate_density``).
-
-Every document is written with the bytes of ``json.dumps(doc, indent=2,
-allow_nan=False)``.  Reports go through ``dump_json``, a template writer.
-An object fills one ``%`` template of its keys, cached per tuple of keys and
-depth, and a list of objects with one tuple of keys, such as a report's
-records, fills that one template per object, its values encoded column by
-column.  Scalars are encoded by their exact type: strings by
-``json.encoder.encode_basestring_ascii``, ints and floats by
-``int.__repr__`` and ``float.__repr__``, and a list or column of one scalar
-type by one ``map``.  Anything else, a subclass such as a ``str`` enum or
-``np.float64``, a key that is not a ``str``, or a float that is not finite,
-gets the text ``json`` itself gives it, errors included.
-
-The state writer, ``state_text``, takes a ``DensityMatrix``, whose matrix
-validation has made finite: ``dump_json`` writes the head of the document and
-the matrix is written row by row, straight from the array.  A pair whose two
-leaves are +0.0, bit for bit, is one constant text; each row's template puts
-that constant at its zero pairs and a ``%r`` pair at the rest, and one ``%``
-call fills it with the row's nonzero leaves.  Every row, dense or not, is
-built by that one rule, so float formatting costs as many pairs as are
-nonzero, and a row whose zero pairs sit where the previous row's do reuses
-that row's template.
+Map: ``dump_json`` writes reports by ``%`` templates (``_encode``), and
+``state_text`` writes a state's matrix row by row from the array.
+``load_state`` reads a file by ``_fields`` (the top-level object, the
+matrix left as text), ``_head`` (the head, checked once) and
+``_flat_matrix`` (the matrix as one flat array, the writer's rows of zero
+pairs cut unparsed by ``_cut_zero_rows``).  Text that ``_fields`` or
+``_flat_matrix`` refuses goes through ``json.loads`` and
+``state_from_jsonable``, whose walk names the first bad row or entry.
+Validation is ``DensityMatrix``'s.
 """
 from __future__ import annotations
 
@@ -87,8 +47,7 @@ def _head(doc) -> tuple:
     schema = doc.get("schema")
     if schema != SCHEMA_VERSION:
         raise InvalidStateError(
-            f"unsupported schema {schema!r} (this reader understands {SCHEMA_VERSION!r})"
-        )
+            f"unsupported schema {schema!r} (this reader understands {SCHEMA_VERSION!r})")
     if doc.get("kind", "state") != "state":
         raise InvalidStateError(f"document kind {doc.get('kind')!r} is not a state")
     dims = _subsystem_dims(doc.get("dims"))
@@ -115,14 +74,11 @@ def state_from_jsonable(doc) -> DensityMatrix:
                 or len(entry) != 2
                 or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
             ):
-                raise InvalidStateError(
-                    f"matrix entry ({i}, {j}) must be a [re, im] number pair"
-                )
+                raise InvalidStateError(f"matrix entry ({i}, {j}) must be a [re, im] number pair")
             try:
                 mat[i, j] = complex(entry[0], entry[1])
             except OverflowError:
                 raise InvalidStateError(f"matrix entry ({i}, {j}) is too large for a float")
-    # dimension and matrix-content checks (Hermiticity, trace, positivity)
     return DensityMatrix(dims, mat)
 
 
@@ -142,8 +98,6 @@ def _json(value, newline: str) -> str:
     return json.dumps(value, indent=2, allow_nan=False).replace("\n", newline)
 
 
-# the text of a scalar by its exact type; a subclass, a ``str`` enum or
-# ``np.float64``, goes to ``json``, and so does a float that is not finite
 _SCALARS = {
     str: encode_basestring_ascii,
     int: int.__repr__,
@@ -204,17 +158,12 @@ def _encode(value, newline: str) -> str:
     return _json(value, newline)
 
 
-# one [re, im] pair of a matrix row, at the depth ``indent=2`` puts it
+# a pair and a row's ends at the depth ``indent=2`` puts them
 _PAIR = "      [\n        %r,\n        %r\n      ]"
-# a pair of +0.0 leaves, the same text for every zero pair; ``_PIECES`` is
-# indexed by whether a pair is nonzero
 _ZERO = _PAIR % (0.0, 0.0)
 _PIECES = np.array([_ZERO, _PAIR], dtype=object)
-# a row's opening and closing at that depth; rows, and the pairs of a row,
-# are joined by ",\n"
 _ROW_OPEN, _ROW_CLOSE = "    [\n", "\n    ]"
-# a top-level key is the only line that starts with exactly two spaces and a
-# quote, so the placeholder occurs once
+# the only line that starts with exactly two spaces and a quote
 _MATRIX_LINE = '\n  "matrix": '
 
 
@@ -223,12 +172,10 @@ def state_text(rho: DensityMatrix, name: str | None = None, source: str | None =
     matrix filled in from the array; ``name`` and ``source`` go into
     ``metadata`` when given.
 
-    Every row is written by one rule: a template of ``_ZERO`` at its zero
-    pairs, both leaves +0.0 by their bits, and ``_PAIR`` at the rest, at
-    the depth ``indent=2`` puts a row, filled by one ``%`` call with the
-    row's other leaves.  A row whose zero pairs sit where the previous
-    row's do reuses that row's template.  A -0.0 leaf has its sign bit set,
-    so its pair goes through ``repr`` as ``json`` writes it."""
+    A row's template puts ``_ZERO`` at its pairs whose leaves are both +0.0
+    by their bits, so a -0.0 goes through ``repr``, and ``_PAIR`` at the
+    rest; one ``%`` call fills it, and the next row reuses it when its zero
+    pairs sit in the same places."""
     doc = {"schema": SCHEMA_VERSION, "kind": "state", "dims": list(rho.dims), "matrix": []}
     metadata = {key: value for key, value in (("name", name), ("source", source))
                 if value is not None}
@@ -266,12 +213,10 @@ def save_state(rho: DensityMatrix, path: str, name: str | None = None, source: s
     write_text_atomic(path, state_text(rho, name=name, source=source))
 
 
-# JSON whitespace and the characters of JSON numbers, which the matrix check
-# drops, and the table that turns brackets into spaces for the flat parse
 _JSON_SPACE = b" \t\n\r"
 _NUMBER_CHARACTERS = b"0123456789+-.eE"
 _UNBRACKET = str.maketrans("[]", "  ")
-# "[," and ",]", each as one little-endian 16-bit word: a pair's slot left empty
+# "[," and ",]" as little-endian 16-bit words
 _EMPTY_FIRST, _EMPTY_SECOND = np.frombuffer(b"[,,]", dtype="<u2").tolist()
 _DECODER = json.JSONDecoder()
 _SPACE = json.decoder.WHITESPACE.match
@@ -282,10 +227,9 @@ def _fields(text: str):
     the value of ``"matrix"``, which is not parsed: (the other keys' values,
     start, end) of that value's text.  None where ``text`` is no such
     object, or its ``"matrix"`` is missing, given twice or not an array.
-
     The matrix text ends at its last ``]`` before the next ``"`` or ``}``,
-    neither of which a matrix holds; if it ends elsewhere, the matrix check
-    refuses the text."""
+    neither of which a matrix holds; an end put elsewhere the layout check
+    of ``_flat_matrix`` refuses."""
     fields, span = {}, None
     i = _SPACE(text).end()
     if text[i:i + 1] != "{":
@@ -322,11 +266,7 @@ def _fields(text: str):
     return None
 
 
-# the matrix as ``state_text`` writes it opens with this text, its first
-# row's opening; only then are rows of zero pairs cut before the check
 _MATRIX_OPEN = "[\n" + _ROW_OPEN
-# what a cut row leaves in the matrix text: the layout check reads "[]",
-# which no row of pairs holds, and json reads one number
 _CUT = "[0]"
 
 
@@ -334,13 +274,11 @@ def _cut_zero_rows(text: str, start: int, end: int, total: int):
     """(``text[start:end]`` with ``_CUT`` in place of each cut row, the
     indices of the cut rows), or None where no row is cut.
 
-    A row is cut where its text, found where the walk over the rows puts
-    its start, is exactly a row of ``total`` zero pairs as ``state_text``
-    writes it.  Another row is stepped over by one ``find`` of its end.
-    Where the walk goes wrong, on text of some other layout, a ``[]`` lands
-    where the matrix check expects a row, so the check refuses the text and
-    the whole document is read by ``json``: a cut changes how fast a file
-    is read, never what it reads to."""
+    A row is cut where its text, where the walk over the rows puts its
+    start, is exactly a row of ``total`` zero pairs as ``state_text`` writes
+    it; another row is stepped over by one ``find`` of its end.  A walk gone
+    wrong leaves a ``[]`` where ``_flat_matrix``'s layout check expects a
+    row, so a cut changes how fast a file is read, never what it reads to."""
     if not text.startswith(_MATRIX_OPEN, start, end):
         return None
     zero = _ROW_OPEN + ",\n".join([_ZERO] * total) + _ROW_CLOSE
@@ -365,13 +303,17 @@ def _cut_zero_rows(text: str, start: int, end: int, total: int):
 
 def _flat_matrix(text: str, start: int, end: int, total: int):
     """The complex ``total`` x ``total`` matrix written in ``text[start:end]``
-    as rows of [re, im] pairs of JSON numbers; None for any other text."""
-    # the shortest such text has 4T^2 + 2T + 1 brackets and commas and 2T^2
-    # numbers, so a short text is refused before anything of size T^2 is built
+    as rows of [re, im] pairs of JSON numbers; None for any other text.
+
+    Text shorter than the 6T^2 characters the shortest such matrix takes is
+    refused before anything of size T^2 is built.  With each row cut by
+    ``_cut_zero_rows`` standing in for one row, as ``[]``, and JSON
+    whitespace dropped, dropping the number characters must leave exactly
+    the brackets and commas of the layout, and no slot of a pair may be
+    empty: a number moved out of its pair leaves one.  The brackets then
+    become spaces, and one ``json.loads`` checks every number's grammar."""
     if end - start < 6 * total * total:
         return None
-    # each cut row of zero pairs stands in for one row in every check below,
-    # and ``_CUT``'s edges are brackets, as a row's are
     found = _cut_zero_rows(text, start, end, total)
     cut = []
     if found is not None:
@@ -380,14 +322,10 @@ def _flat_matrix(text: str, start: int, end: int, total: int):
     layout = [b"[" + b",".join([b"[,]"] * total) + b"]"] * total
     for i in cut:
         layout[i] = b"[]"
-    # as ASCII bytes, which ``translate`` drops characters from faster than
-    # from a str; any other character becomes "?", which the layout refuses
+    # any character that is not ASCII becomes "?", which the layout refuses
     dense = text[start:end].encode("ascii", "replace").translate(None, _JSON_SPACE)
     if dense.translate(None, _NUMBER_CHARACTERS) != b"[" + b",".join(layout) + b"]":
         return None
-    # a number moved out of its pair leaves a slot empty, and json, which
-    # sees no brackets, would read it in that slot's place.  Every two
-    # adjacent bytes are one 16-bit word, at an even or at an odd offset
     for offset in (0, 1):
         words = np.frombuffer(dense, dtype="<u2", count=(len(dense) - offset) // 2,
                               offset=offset)
@@ -396,13 +334,9 @@ def _flat_matrix(text: str, start: int, end: int, total: int):
     del dense, words  # words is a view of dense
     try:
         leaves = json.loads(f"[{text[start:end].translate(_UNBRACKET)}]")
-    except ValueError:
-        # a malformed number, or an int past the digit limit
-        return None
-    try:
         flat = np.fromiter(leaves, dtype=float, count=len(leaves))
-    except OverflowError:
-        return None
+    except (ValueError, OverflowError):
+        return None  # a malformed number, or an int past the digit limit or float range
     if cut:
         # a cut row left one 0 in ``flat``, every other row its 2T leaves
         zero = np.zeros(total, dtype=bool)
@@ -413,29 +347,12 @@ def _flat_matrix(text: str, start: int, end: int, total: int):
     return flat.view(complex).reshape(total, total)
 
 
-def _flat_state(text: str):
-    """(dims, matrix, metadata) of a state document read by the flat parse,
-    or None where the document must go through ``state_from_jsonable``."""
-    found = _fields(text)
-    if found is None:
-        return None
-    fields, start, end = found
-    try:
-        dims, total = _head(fields)
-    except InvalidStateError:
-        return None
-    mat = _flat_matrix(text, start, end, total)
-    if mat is None:
-        return None
-    return dims, mat, fields.get("metadata", {})
-
-
-def load_state(path: str) -> tuple:
-    """Read a state file; returns (DensityMatrix, metadata dict).
-
-    A well-formed file is read by the flat parse; any other goes through
-    ``json.loads`` and ``state_from_jsonable``, so it gets the messages
-    that name what is wrong with it."""
+def load_state(path) -> tuple:
+    """Read a state file; returns (DensityMatrix, metadata dict).  A path
+    that is not a ``str`` or ``os.PathLike`` is refused: ``open`` would read
+    an int as a file descriptor, and close it."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise InvalidStateError(f"a state file path must be a str or os.PathLike, got {path!r}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -443,10 +360,13 @@ def load_state(path: str) -> tuple:
         raise InvalidStateError(f"cannot read state file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InvalidStateError(f"state file {path} is not UTF-8: {exc}") from exc
-    found = _flat_state(text)
+    found, mat = _fields(text), None
     if found is not None:
+        doc, start, end = found
+        dims, total = _head(doc)
+        mat = _flat_matrix(text, start, end, total)
+    if mat is not None:
         del text
-        dims, mat, metadata = found
         rho = DensityMatrix(dims, mat)
     else:
         try:
@@ -456,12 +376,11 @@ def load_state(path: str) -> tuple:
         except RecursionError as exc:
             raise InvalidStateError(f"state file {path} is nested too deeply to parse") from exc
         except ValueError as exc:
-            # after its subclass above: json raises a plain ValueError for an
-            # integer longer than sys.get_int_max_str_digits() allows
+            # after its subclass above: an int past sys.get_int_max_str_digits()
             raise InvalidStateError(f"state file {path} cannot be read: {exc}") from exc
         del text
         rho = state_from_jsonable(doc)
-        metadata = doc.get("metadata", {})
+    metadata = doc.get("metadata", {})
     return rho, metadata if isinstance(metadata, dict) else {}
 
 

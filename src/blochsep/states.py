@@ -69,13 +69,13 @@ def _checked_subset(subset, n_parties: int, min_size: int) -> tuple:
 def validate_density(matrix, dims) -> None:
     """Raise InvalidStateError naming the first violated requirement.
 
-    The matrix must be of a numeric dtype: integer, float or complex.  Every
-    index whose row and column are all zero is then set aside: such a row
-    and column hold no non-finite entry (NaN and infinities compare
-    nonzero), no deviation from Hermiticity and, after a permutation, only
-    the block s I of m + s I.  The finiteness check, the Hermiticity maximum
-    and the Cholesky test run on the block of the other indices, which is
-    the whole matrix when none is set aside.  The trace and the ``eigvalsh``
+    The matrix must be of a numeric dtype: integer, read as float, float or
+    complex.  Every index whose row and column are all zero is then set
+    aside: such a row and column hold no non-finite entry (NaN and
+    infinities compare nonzero), no deviation from Hermiticity and, after a
+    permutation, only the block s I of m + s I.  The finiteness check, the
+    Hermiticity maximum and the Cholesky test run on the block of the other
+    indices, which is the whole matrix when none is set aside.  The trace and the ``eigvalsh``
     fallback run on the whole matrix, so every refusal and its message are
     those of a check of the whole matrix.
 
@@ -96,6 +96,9 @@ def validate_density(matrix, dims) -> None:
         )
     if m.dtype.kind not in "iufc":
         raise InvalidStateError(f"matrix entries must be numbers, got dtype {m.dtype}")
+    if m.dtype.kind in "iu":
+        # so that differences are taken in float, not wrapped in the int dtype
+        m = m.astype(float)
     # a nonzero diagonal keeps every index, as in any state of full rank, and
     # then no mask is made
     block = m

@@ -27,10 +27,11 @@ matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
-from .states import _integer
+from .states import _check_memory, _integer
 from .tolerances import RANK_CUTOFF
 
 
@@ -329,6 +330,9 @@ def sign_table(n_parties: int) -> np.ndarray:
     n_parties = _integer(n_parties, "n_parties")
     if n_parties < 1:
         raise ValueError("sign tables are defined for at least 1 column")
+    # the table and three int64 temporaries of one entry per row
+    _check_memory(n_parties - 1 + math.log2(8 * (n_parties + 3)),
+                  f"a sign table of {n_parties} columns needs")
     rows = 1 << (n_parties - 1)
     table = np.ones((rows, n_parties), dtype=int)
     for c in range(n_parties - 1):

@@ -7,6 +7,7 @@ import gc
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -553,6 +554,19 @@ def break_text(text, kind, at, leaf):
     return text
 
 
+# the breaks that change the matrix text only: in these documents the
+# matrix is the last key
+MATRIX_BREAKS = [*TEXT_BREAKS, "leaf", *ZERO_BREAKS]
+
+
+def head_refusal(doc):
+    """The entrywise reader's refusal of ``doc``'s head, or None where its
+    head is right: with no matrix, a document with a right head is refused
+    for its matrix."""
+    found = read(entrywise_state_from_jsonable, {**doc, "matrix": None})
+    return None if found.startswith("InvalidStateError: matrix must be") else found
+
+
 def loaded(reader, path):
     try:
         rho, metadata = reader(path)
@@ -585,6 +599,10 @@ def state_path(tmp_path_factory):
 @example(doc=GHZ2_DOC, layout="indent", kind="zero-stray", at=0, leaf="1", rng=None)
 @example(doc=GHZ2_DOC, layout="indent", kind="zero-leaf", at=0, leaf="1", rng=None)
 @example(doc=GHZ2_DOC, layout="indent", kind="zero-space", at=1, leaf="1", rng=None)
+@example(doc={**pure_qubit_doc(), "dims": []}, layout="compact", kind="moved-past-close", at=1,
+         leaf="1", rng=None)
+@example(doc={**pure_qubit_doc(), "schema": "blochsep/2"}, layout="indent", kind="bom", at=0,
+         leaf="1", rng=None)
 def test_load_state_matches_the_whole_document_parse(state_path, doc, layout, kind, at, leaf,
                                                      rng):
     """Every state file, whole or broken as a document or in its text, in
@@ -599,10 +617,53 @@ def test_load_state_matches_the_whole_document_parse(state_path, doc, layout, ki
     0.0, a pair added or dropped, another indent, or the text a cut row
     leaves put in as a leaf or a row.  Two examples give dims whose T^2
     entries would not fit in memory beside a 2 x 2 matrix: they get the row
-    count's message before anything of size T^2 is built."""
+    count's message before anything of size T^2 is built.
+
+    One case differs on purpose: the reader checks the head before anything
+    in the matrix.  Where a break of the matrix text makes the reference
+    refuse the text as JSON and the unbroken document's head is wrong, the
+    expected refusal is that head's message.  A byte order mark, which
+    breaks the text outside the matrix, keeps json's message."""
     state_path.write_text(break_text(state_file_text(doc, layout, rng), kind, at, leaf),
                           encoding="utf-8")
-    assert loaded(load_state, state_path) == loaded(reference_load_state, state_path)
+    want = loaded(reference_load_state, state_path)
+    if kind in MATRIX_BREAKS and str(want).startswith(f"InvalidStateError: state file {state_path} "):
+        want = head_refusal(doc) or want
+    assert loaded(load_state, state_path) == want
+
+
+def test_load_state_refuses_a_path_that_is_no_path():
+    """``open`` reads an int, a bool included, as a file descriptor and
+    closes it; such a path is refused first, and fds 0-2 stay open."""
+    for path in (True, 0, 1):
+        with pytest.raises(InvalidStateError) as got:
+            load_state(path)
+        assert str(got.value) == f"a state file path must be a str or os.PathLike, got {path!r}"
+    for fd in (0, 1, 2):
+        os.fstat(fd)
+
+
+def test_a_wrong_head_is_refused_by_the_flat_parse(tmp_path, monkeypatch):
+    """GHZ-9 as the zoo writes it, with a wrong schema, kind or dims, is
+    refused with the head's message, and the whole-document parse is never
+    reached."""
+    def unreachable(doc):
+        raise AssertionError("the whole-document parse was reached")
+
+    monkeypatch.setattr("blochsep.stateio.state_from_jsonable", unreachable)
+    text = state_text(ZooSpec("ghz", parties=9).build(), "ghz", "zoo")
+    path = tmp_path / "ghz9.json"
+    for old, new, message in [
+        ('"schema": "blochsep/1"', '"schema": "blochsep/2"',
+         "unsupported schema 'blochsep/2' (this reader understands 'blochsep/1')"),
+        ('"kind": "state"', '"kind": "analysis"', "document kind 'analysis' is not a state"),
+        ('"dims": [', '"dims": [\n    1,',
+         "every subsystem dimension must be at least 2, got (1, 2, 2, 2, 2, 2, 2, 2, 2, 2)"),
+    ]:
+        path.write_text(text.replace(old, new, 1), encoding="utf-8")
+        with pytest.raises(InvalidStateError) as got:
+            load_state(path)
+        assert str(got.value) == message
 
 
 @settings(max_examples=100, deadline=None)

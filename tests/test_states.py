@@ -14,6 +14,7 @@ from blochsep import (
     basis_ket,
     bell_states,
     bloch_vector,
+    build_basis,
     correlation_tensor,
     duer_be4,
     ghz,
@@ -421,6 +422,13 @@ def test_integer_indices_of_every_kind_are_read_alike():
     (lambda: separability_bound((2,)), "the bound concerns at least 2 subsystems"),
     (lambda: ball_radii(2.0), "d must be an integer, got 2.0"),
     (lambda: ball_radii("3"), "d must be an integer, got '3'"),
+    (lambda: build_basis(2.0), "d must be an integer, got 2.0"),
+    # an integer difference must not wrap: 1 - 2 is -1, not 255, and 0 - -128
+    # is 128, not -128, which hid the deviation and accepted the matrix
+    (lambda: validate_density(np.array([[1, 1], [2, 0]], np.uint8), (2,)),
+     "matrix is not Hermitian (max deviation 1.000e+00)"),
+    (lambda: validate_density(np.array([[1, -128], [0, 0]], np.int8), (2,)),
+     "matrix is not Hermitian (max deviation 1.280e+02)"),
     (lambda: ZooSpec("ghz", parties=3.0).build(), "parameter 'parties' must be an integer, got 3.0"),
     (lambda: ZooSpec("w", parties=3.0).build(), "parameter 'parties' must be an integer, got 3.0"),
     (lambda: ZooSpec("ghz", parties=3, levels=2.0).build(),
@@ -453,7 +461,8 @@ def test_integer_indices_of_every_kind_are_read_alike():
 ], ids=["basis_ket-float", "basis_ket-string", "basis_ket-count", "basis_ket-range",
         "basis_ket-negative", "kron-empty", "ghz-one-party", "ghz-float-parties",
         "w-float-parties", "ghz-float-d", "ghz-bool-parties", "bound-one-party",
-        "ball_radii-float-d", "ball_radii-string-d",
+        "ball_radii-float-d", "ball_radii-string-d", "build_basis-float-d", "uint8-hermiticity",
+        "int8-hermiticity",
         "zoo-ghz-float-parties", "zoo-w-float-parties", "zoo-float-levels",
         "zoo-float-removed", "zoo-string-parties", "threshold-table-float-parties",
         "basis_ket-bool", "dims-bool", "zoo-bool-parties", "zoo-bool-levels", "zoo-bool-removed",

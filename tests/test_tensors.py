@@ -209,6 +209,19 @@ def test_tensor_refusals_keep_their_messages(call, message):
         call()
 
 
+def test_a_sign_table_too_large_is_refused_before_it_is_sized(monkeypatch):
+    """10**30 columns overflowed sizing the table; on 4 GiB of memory, 40
+    columns are refused in one line too, and 10 fit."""
+    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**20}
+    monkeypatch.setattr("blochsep.states.os.sysconf", sizes.__getitem__)
+    for n, need in [(10**30, "1e+301029995663981202120128856064"), (40, "1.76e+05")]:
+        with pytest.raises(ValueError) as got:
+            sign_table(n)
+        assert str(got.value) == (f"a sign table of {n} columns needs about {need} GiB of "
+                                  "working memory, more than the 4 GiB of physical memory")
+    assert sign_table(10).shape == (512, 10)
+
+
 @pytest.mark.parametrize("shape", [(3, 4), (3, 4, 2), (2, 3, 2, 3), (5,), (2, 3, 2, 3, 2)])
 def test_kruskal_to_tensor_matches_outer_sum(shape):
     rng = np.random.default_rng(10)
