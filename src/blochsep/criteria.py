@@ -261,8 +261,9 @@ def separable_decomposition(rho: DensityMatrix) -> SeparableDecomposition:
     dims = rho.dims
     inball = [ball_radii(d)[0] for d in dims]
     weights, blocks = [], [[] for _ in dims]
+    tables = {m: sign_table(m) for m in {len(subset) for subset, _, _ in parts}}
     for subset, coef, form in parts:
-        table = sign_table(len(subset))
+        table = tables[len(subset)]
         w = coef * form.weights * (1.0 / len(table))
         keep = w > WEIGHT_CUTOFF
         weights.append(np.repeat(w[keep], len(table)))

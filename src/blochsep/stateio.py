@@ -124,7 +124,8 @@ def _texts(items, newline: str) -> list:
 
     Items of one scalar type are encoded by one ``map``; floats so only when
     their sum is finite, so that each one is.  Objects with one tuple of
-    ``str`` keys, a report's records, fill one template, their values
+    ``str`` keys, a report's records, and lists (or tuples) of one nonzero
+    length, such as a term's factors, fill one template, their values
     encoded column by column."""
     kinds = set(map(type, items))
     if len(kinds) == 1:
@@ -132,11 +133,15 @@ def _texts(items, newline: str) -> list:
         scalar = _SCALARS.get(kind)
         if scalar is not None and (kind is not float or math.isfinite(sum(items))):
             return list(map(scalar, items))
+        template, values = None, items
         if kind is dict and len(set(map(tuple, items))) == 1:
-            template = _template(tuple(items[0]), newline)
-            if template is not None:
-                columns = [_texts(c, newline + "  ") for c in zip(*map(dict.values, items))]
-                return [template % row for row in zip(*columns)]
+            template, values = _template(tuple(items[0]), newline), map(dict.values, items)
+        elif (kind is list or kind is tuple) and items[0] and len(set(map(len, items))) == 1:
+            inner = newline + "  "
+            template = "[" + inner + ("," + inner).join(["%s"] * len(items[0])) + newline + "]"
+        if template is not None:
+            columns = [_texts(c, newline + "  ") for c in zip(*values)]
+            return [template % row for row in zip(*columns)]
     return [_encode(v, newline) for v in items]
 
 
@@ -175,7 +180,7 @@ def state_text(rho: DensityMatrix, name: str | None = None, source: str | None =
     A row's template puts ``_ZERO`` at its pairs whose leaves are both +0.0
     by their bits, so a -0.0 goes through ``repr``, and ``_PAIR`` at the
     rest; one ``%`` call fills it, and the next row reuses it when its zero
-    pairs sit in the same places."""
+    pairs sit in the same places.  A row of zero pairs only is its template."""
     doc = {"schema": SCHEMA_VERSION, "kind": "state", "dims": list(rho.dims), "matrix": []}
     metadata = {key: value for key, value in (("name", name), ("source", source))
                 if value is not None}
@@ -186,13 +191,13 @@ def state_text(rho: DensityMatrix, name: str | None = None, source: str | None =
     bits = m.view(np.uint64).reshape(*m.shape, 2)
     nonzero = (bits[..., 0] | bits[..., 1]) != 0
     rows, last = [], None
-    for row, keep in zip(m, nonzero):
+    for row, keep, blank in zip(m, nonzero, ~nonzero.any(axis=1)):
         pattern = keep.tobytes()
         if pattern != last:
             template = _ROW_OPEN + ",\n".join(_PIECES[keep.view(np.uint8)].tolist()) + _ROW_CLOSE
             last = pattern
-        rows.append(template % tuple(row[keep].view(float).tolist()))
-    return head + _MATRIX_LINE + "[\n" + ",\n".join(rows) + "\n  ]" + tail
+        rows.append(template if blank else template % tuple(row[keep].view(float).tolist()))
+    return "".join([head, _MATRIX_LINE, "[\n", ",\n".join(rows), "\n  ]", tail])
 
 
 def write_text_atomic(path: str, text: str) -> None:

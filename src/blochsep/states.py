@@ -187,10 +187,14 @@ _BYTES_PER_ENTRY = 4 * 16 + 8
 
 
 def _scientific(log2_value: float) -> str:
-    """2^log2_value to three digits, also where the number overflows a float."""
+    """2^log2_value to three digits, also where the number overflows a float;
+    as a power of two, such as 2^1e+30, where the float fraction of its
+    base-10 logarithm no longer holds three true digits."""
     if log2_value < 1000:
         return f"{2.0 ** log2_value:.3g}"
     exp10 = log2_value * math.log10(2.0)
+    if math.ulp(exp10) > 1e-6:
+        return f"2^{log2_value:.3g}"
     e = math.floor(exp10)
     return f"{10.0 ** (exp10 - e):.3g}e{e:+03d}"
 

@@ -19,14 +19,17 @@ import numpy as np
 from .states import _integer
 
 
-@lru_cache(maxsize=None, typed=True)
 def build_basis(d: int) -> np.ndarray:
     """The (d^2 - 1, d, d) complex array of SU(d) generators, in basis order.
 
-    ``d`` is read by ``states._integer``; the cache is typed, so that 2.0 is
-    refused, not served the entry of 2.  Results are read-only.
+    ``d`` is read by ``states._integer`` before the cache is asked, so that
+    2.0 and [2] are refused, not served or hashed.  Results are read-only.
     """
-    d = _integer(d, "d")
+    return _build_basis(_integer(d, "d"))
+
+
+@lru_cache(maxsize=None)
+def _build_basis(d: int) -> np.ndarray:
     if d < 2:
         raise ValueError(f"subsystem dimension must be at least 2, got {d}")
     mats = []

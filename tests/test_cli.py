@@ -723,6 +723,48 @@ def test_state_documents_are_written_as_json_writes_them(data):
     assert state_text(rho, name, source) == json_dumps(entrywise_state_to_jsonable(rho, name, source))
 
 
+@st.composite
+def sparse_states(draw):
+    """A stand-in state whose rows are each all +0.0 pairs, +0.0 pairs with at
+    least one -0.0 leaf among them, the previous row's nonzero pattern with
+    new values, or a random pattern: the rows ``state_text`` writes as their
+    template, fills from a new template or fills from a reused one."""
+    dims = draw(st.sampled_from([(2,), (3,), (4,), (2, 2), (2, 3), (2, 2, 2)]), label="dims")
+    total = math.prod(dims)
+    value = st.one_of(st.sampled_from(SPECIAL_FLOATS),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    leaves = np.zeros((total, 2 * total))
+    keep = np.zeros(total, dtype=bool)
+    for row in leaves:
+        kind = draw(st.sampled_from(["zero", "signed-zero", "repeat", "random"]))
+        if kind == "signed-zero":
+            row[:] = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=2 * total,
+                                   max_size=2 * total))
+            row[draw(st.integers(0, 2 * total - 1))] = -0.0
+        elif kind != "zero":
+            if kind == "random":
+                keep = np.array(draw(st.lists(st.booleans(), min_size=total, max_size=total)))
+            for j in np.flatnonzero(keep):
+                # a nonzero real part keeps the pattern
+                row[2 * j] = draw(value.filter(bool))
+                row[2 * j + 1] = draw(value)
+    return SimpleNamespace(dims=dims, matrix=leaves.view(complex))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rho=st.one_of(sparse_states(), st.sampled_from(
+    [ZooSpec(family, parties=n) for family in ("ghz", "w") for n in (2, 3, 5)]
+    + [ZooSpec("psi-234")]).map(ZooSpec.build)))
+@example(rho=SimpleNamespace(dims=(2,), matrix=np.array([[0.0, 0.0], [-0.0, complex(0.0, -0.0)]])))
+@example(rho=SimpleNamespace(dims=(3,), matrix=np.array(
+    [[0.5, 0.0, 0.25j], [0.25, 0.0, 0.5j], [0.0, 0.0, 0.0]])))
+def test_sparse_state_documents_are_written_as_json_writes_them(rho):
+    """``state_text`` of zoo states, of all-zero rows beside rows of signed
+    zeros, and of rows that repeat the previous row's nonzero pattern gives
+    the bytes of ``json.dumps(indent=2)`` of the entrywise document."""
+    assert state_text(rho, "sparse") == json_dumps(entrywise_state_to_jsonable(rho, "sparse"))
+
+
 @settings(max_examples=300, deadline=None)
 @given(doc=broken_state_docs())
 @example(doc=pure_qubit_doc((0.5, math.inf)))
@@ -769,11 +811,23 @@ ANY_KEYS = st.one_of(KEYS, st.integers(), st.booleans(), st.none(),
                      st.floats(allow_nan=False, allow_infinity=False), st.just(Decision.SEPARABLE))
 
 
+def equal_length_lists(children):
+    """Lists of lists of one length, empty ones included, as lists or as
+    tuples, some with one ragged member."""
+    rows = st.integers(0, 3).flatmap(lambda n: st.lists(
+        st.lists(children, min_size=n, max_size=n), min_size=1, max_size=4))
+    rows = st.one_of(rows, st.tuples(rows, st.lists(children, max_size=4)).map(
+        lambda pair: pair[0] + [pair[1]]))
+    return st.one_of(rows, rows.map(lambda r: tuple(map(tuple, r))))
+
+
 def json_values(keys=ANY_KEYS):
-    """Arbitrary JSON values, tuples and empty containers included."""
+    """Arbitrary JSON values, tuples, empty containers and lists of
+    equal-length lists included."""
     return st.recursive(JSON_SCALARS, lambda children: st.one_of(
         st.lists(children, max_size=5), st.lists(children, max_size=5).map(tuple),
-        st.dictionaries(keys, children, max_size=5)), max_leaves=25)
+        st.dictionaries(keys, children, max_size=5), equal_length_lists(children)),
+        max_leaves=25)
 
 
 @st.composite
@@ -786,6 +840,9 @@ def report_docs(draw):
         st.integers(), st.booleans(), st.none(), st.text(max_size=4), JSON_SCALARS,
         st.lists(st.integers(0, 9), max_size=4).map(tuple),
         st.lists(st.lists(st.floats(-1, 1), max_size=3), max_size=3), json_values(KEYS),
+        # a decompose term's factors: one vector per mode, nested two deep
+        st.lists(st.lists(st.floats(-1, 1), min_size=3, max_size=3), min_size=2, max_size=2),
+        equal_length_lists(JSON_SCALARS),
     ])
     keys = draw(st.lists(KEYS, max_size=6, unique=True), label="keys")
     kinds = [draw(columns) for _ in keys]
@@ -804,11 +861,19 @@ def report_docs(draw):
 @example(doc=[1.7976931348623157e308, 1.7976931348623157e308])
 @example(doc={"records": [{"subset": (0, 1), "norm": 1.5, "decision": Decision.ENTANGLED,
                            "borderline": False}] * 2, "empty": [{}, {}, [], ()]})
+@example(doc={"schema": "blochsep/1", "kind": "decomposition", "dims": [2, 2],
+              "identity_weight": 0.5, "term_count": 2, "terms": [
+                  {"weight": 0.25, "factors": [[0.0, 0.0, 1.0], [-0.0, 0.5, -1.0]]},
+                  {"weight": 0.25, "factors": [[0.0, 0.0, -1.0], [0.0, -0.5, 1.0]]}],
+              "nested": ((("%s", "100%"), ("%(x)s", "%%")), (("a", "b"), ("c", "d"))),
+              "ragged": [[], [], [1, 2]]})
 def test_reports_are_written_as_json_writes_them(doc):
     """``dump_json`` gives the bytes of ``json.dumps(indent=2,
     allow_nan=False)``, down to the depth of every line, to floats as
     ``repr`` writes them and to bools that are not ints; the first example
-    is a run of finite floats whose sum overflows."""
+    is a run of finite floats whose sum overflows, the third is shaped like
+    a decompose report, whose terms' factors are lists of equal-length
+    lists."""
     assert dump_json(doc) == json_dumps(doc)
 
 
@@ -819,9 +884,12 @@ NON_FINITE = [math.nan, math.inf, -math.inf, np.float64("-inf")]
 @given(doc=json_values(), bad=st.sampled_from(NON_FINITE))
 def test_reports_with_non_finite_floats_are_refused_as_json_refuses_them(doc, bad):
     """NaN and infinities raise json's ``ValueError``, alone, in a run of
-    floats, in a record column and as a key."""
+    floats, in a record column, as a key and as a leaf of a list of
+    equal-length lists."""
     for where in (bad, [doc, bad], [1.0, bad, 2.0], {"x": (doc, bad)}, {bad: doc},
-                  {"records": [{"norm": 1.0}, {"norm": bad}]}):
+                  {"records": [{"norm": 1.0}, {"norm": bad}]}, [[1.0, 2.0], [3.0, bad]],
+                  {"terms": [{"factors": [[0.0, 1.0], [0.5, 0.5]]},
+                             {"factors": [[0.0, 1.0], [bad, 0.5]]}]}):
         with pytest.raises(ValueError) as expected:
             json_dumps(where)
         with pytest.raises(ValueError) as got:

@@ -423,6 +423,7 @@ def test_integer_indices_of_every_kind_are_read_alike():
     (lambda: ball_radii(2.0), "d must be an integer, got 2.0"),
     (lambda: ball_radii("3"), "d must be an integer, got '3'"),
     (lambda: build_basis(2.0), "d must be an integer, got 2.0"),
+    (lambda: build_basis([2]), "d must be an integer, got [2]"),
     # an integer difference must not wrap: 1 - 2 is -1, not 255, and 0 - -128
     # is 128, not -128, which hid the deviation and accepted the matrix
     (lambda: validate_density(np.array([[1, 1], [2, 0]], np.uint8), (2,)),
@@ -461,7 +462,8 @@ def test_integer_indices_of_every_kind_are_read_alike():
 ], ids=["basis_ket-float", "basis_ket-string", "basis_ket-count", "basis_ket-range",
         "basis_ket-negative", "kron-empty", "ghz-one-party", "ghz-float-parties",
         "w-float-parties", "ghz-float-d", "ghz-bool-parties", "bound-one-party",
-        "ball_radii-float-d", "ball_radii-string-d", "build_basis-float-d", "uint8-hermiticity",
+        "ball_radii-float-d", "ball_radii-string-d", "build_basis-float-d", "build_basis-list-d",
+        "uint8-hermiticity",
         "int8-hermiticity",
         "zoo-ghz-float-parties", "zoo-w-float-parties", "zoo-float-levels",
         "zoo-float-removed", "zoo-string-parties", "threshold-table-float-parties",
