@@ -146,7 +146,9 @@ class DensityMatrix:
     """An N-partite density matrix together with its subsystem dimensions.
 
     Validated on construction (Hermitian, unit trace, positive semidefinite
-    within tolerance).  The stored array is a read-only copy.
+    within tolerance).  The stored array is a read-only copy.  The states
+    the package builds from a formula, the zoo and ``noisy``, are made by
+    :meth:`_built` instead, which neither validates nor copies.
     """
 
     dims: tuple
@@ -161,6 +163,21 @@ class DensityMatrix:
         m.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _built(cls, dims: tuple, matrix: np.ndarray) -> DensityMatrix:
+        """The state of checked ``dims`` whose ``matrix`` the package has
+        just computed from a formula that makes it a density matrix, frozen
+        without validation.  The fresh array is taken as complex,
+        C-contiguous and read-only, and copied only if it is not complex and
+        C-contiguous already."""
+        m = np.ascontiguousarray(matrix, dtype=complex)
+        m.flags.writeable = False
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "dims", dims)
+        object.__setattr__(rho, "matrix", m)
+        object.__setattr__(rho, "_coefficients", None)
+        return rho
 
     @property
     def n_parties(self) -> int:
@@ -278,7 +295,7 @@ def maximally_mixed(dims) -> DensityMatrix:
     dims = _subsystem_dims(dims)
     _check_fits(dims)
     total = math.prod(dims)
-    return DensityMatrix(dims, np.eye(total, dtype=complex) / total)
+    return DensityMatrix._built(dims, np.eye(total, dtype=complex) / total)
 
 
 def ghz(n_parties: int, d: int = 2) -> DensityMatrix:
@@ -294,7 +311,7 @@ def ghz(n_parties: int, d: int = 2) -> DensityMatrix:
     for k in range(d):
         vec += basis_ket((k,) * n_parties, dims)
     vec /= math.sqrt(d)
-    return DensityMatrix(dims, projector(vec))
+    return DensityMatrix._built(dims, projector(vec))
 
 
 def _w_vector(n_parties: int) -> np.ndarray:
@@ -313,19 +330,29 @@ def w_state(n_parties: int) -> DensityMatrix:
     if n_parties < 2:
         raise ValueError("w_state needs at least 2 parties")
     _check_fits((2,), n_parties)
-    return DensityMatrix((2,) * n_parties, projector(_w_vector(n_parties)))
+    return DensityMatrix._built((2,) * n_parties, projector(_w_vector(n_parties)))
 
 
 def noisy(state: DensityMatrix, p: float) -> DensityMatrix:
-    """Mix a state with white noise: (1-p)/D * I + p * state.  ``p`` is a real
-    number in [0, 1] and no bool; raises ValueError otherwise."""
+    """Mix a state with white noise: (1-p)/D * I + p * state.  ``state`` is a
+    DensityMatrix and ``p`` a real number in [0, 1] and no bool; raises
+    ValueError otherwise.
+
+    The mixture is not validated again: ``state`` was validated, or built
+    from a formula, when it was made, and a convex combination of it with
+    I/D is Hermitian with unit trace and no eigenvalue below ``state``'s
+    least, to rounding.  ``p`` is read as a float, so that the mixture is
+    computed in double precision whatever real type it came as."""
+    if not isinstance(state, DensityMatrix):
+        raise ValueError(f"state must be a DensityMatrix, got {type(state).__name__}")
     if isinstance(p, bool) or not isinstance(p, numbers.Real):
         raise ValueError(f"noise weight p must be a real number, got {p!r}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"noise weight p must lie in [0, 1], got {p}")
+    p = float(p)
     total = state.dim
     m = (1.0 - p) / total * np.eye(total) + p * state.matrix
-    return DensityMatrix(state.dims, m)
+    return DensityMatrix._built(state.dims, m)
 
 
 def _reduced_w(n_parties: int, n_removed: int) -> DensityMatrix:
@@ -345,7 +372,7 @@ def _reduced_w(n_parties: int, n_removed: int) -> DensityMatrix:
         (n_removed / n_parties) * projector(basis_ket((0,) * m_left, dims))
         + (m_left / n_parties) * projector(_w_vector(m_left))
     )
-    return DensityMatrix(dims, mat)
+    return DensityMatrix._built(dims, mat)
 
 
 def bell_states() -> list:
@@ -367,7 +394,7 @@ def smolin() -> DensityMatrix:
     for b in bell_states():
         pb = projector(b)
         mat += np.kron(pb, pb)
-    return DensityMatrix((2, 2, 2, 2), mat / 4.0)
+    return DensityMatrix._built((2, 2, 2, 2), mat / 4.0)
 
 
 def duer_be4() -> DensityMatrix:
@@ -380,7 +407,7 @@ def duer_be4() -> DensityMatrix:
         one[k] = 1
         hole = [1 - x for x in one]
         mat = mat + 0.5 * (projector(basis_ket(one, dims)) + projector(basis_ket(hole, dims)))
-    return DensityMatrix(dims, mat / 5.0)
+    return DensityMatrix._built(dims, mat / 5.0)
 
 
 def state_234() -> DensityMatrix:
@@ -397,7 +424,7 @@ def state_234() -> DensityMatrix:
         + basis_ket((1, 0, 3), dims)
         + basis_ket((1, 2, 3), dims)
     )
-    return DensityMatrix(dims, projector(vec))
+    return DensityMatrix._built(dims, projector(vec))
 
 
 # Every zoo family: the ZooSpec fields it reads, in the order its builder

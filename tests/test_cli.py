@@ -1363,12 +1363,42 @@ def test_analyze_rejects_bad_guard(tol):
 
 
 def test_analyze_expands_the_state_once(monkeypatch):
+    # a zoo state is built from its formula and not validated
     counts = {"transform": 0, "validate": 0}
     count_calls(monkeypatch, counts, "transform", blochsep.bloch, "_mode_products")
     count_calls(monkeypatch, counts, "validate", blochsep.states, "validate_density")
     doc = run_json(["analyze", "zoo:smolin", "--subsets", "all", "--criteria", "all"])
     assert len(doc["records"]) == 11
-    assert counts == {"transform": 1, "validate": 1}
+    assert counts == {"transform": 1, "validate": 0}
+
+
+def test_a_state_from_outside_is_validated_once(monkeypatch, tmp_path):
+    # a state file is validated where it is read, and a state rebuilt from
+    # its expansion or from a separable decomposition where it is rebuilt
+    path = str(tmp_path / "smolin.json")
+    save_state(blochsep.smolin(), path)
+    werner = str(tmp_path / "werner.json")
+    save_state(ZooSpec("werner", noise=0.3).build(), werner)
+    counts = {"validate": 0}
+    count_calls(monkeypatch, counts, "validate", blochsep.states, "validate_density")
+    doc = run_json(["analyze", path, "--subsets", "all", "--criteria", "all"])
+    assert len(doc["records"]) == 11
+    assert counts == {"validate": 1}
+    counts["validate"] = 0
+    code, _, _ = run(["decompose", path])
+    # Smolin's sufficiency sum is 3, so decompose stops after the load
+    assert code == 3 and counts == {"validate": 1}
+    counts["validate"] = 0
+    run_json(["decompose", werner])
+    # the load, and the assembled mixture whose residual the report gives
+    assert counts == {"validate": 2}
+    counts["validate"] = 0
+    run_json(["decompose", "zoo:werner", "-p", "0.3"])
+    assert counts == {"validate": 1}
+    rho, _ = load_state(path)
+    counts["validate"] = 0
+    blochsep.reconstruct(blochsep.decompose(rho))
+    assert counts == {"validate": 1}
 
 
 def test_analyze_reads_tensors_in_place(monkeypatch):
@@ -1388,12 +1418,13 @@ def test_analyze_reads_tensors_in_place(monkeypatch):
     (["threshold-table", "--max-parties", "4"], 4),
 ])
 def test_thresholds_expand_one_state_each(monkeypatch, argv, expansions):
-    # each threshold builds and validates sigma once, and expands it once
+    # each threshold builds sigma once from its formula, without validating
+    # it, and expands it once
     counts = {"transform": 0, "validate": 0}
     count_calls(monkeypatch, counts, "transform", blochsep.bloch, "_mode_products")
     count_calls(monkeypatch, counts, "validate", blochsep.states, "validate_density")
     run_json(argv)
-    assert counts == {"transform": expansions, "validate": expansions}
+    assert counts == {"transform": expansions, "validate": 0}
 
 
 CRITERION_FUNCTIONS = ("necessary_test", "subset_scan", "qubit_exact_test", "sufficiency_test")

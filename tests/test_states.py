@@ -1,6 +1,8 @@
 """Tests for density-matrix utilities and the bundled example states."""
 
 from dataclasses import replace
+import json
+import math
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -9,22 +11,28 @@ import pytest
 from blochsep import (
     DensityMatrix,
     InvalidStateError,
+    KruskalForm,
+    SeparableDecomposition,
     ZooSpec,
+    assemble_decomposition,
     ball_radii,
     basis_ket,
     bell_states,
     bloch_vector,
     build_basis,
     correlation_tensor,
+    decompose,
     duer_be4,
     ghz,
     kron,
+    load_state,
     maximally_mixed,
     noise_threshold_table,
     noisy,
     partial_trace,
     projector,
     reconstruct,
+    save_state,
     separability_bound,
     sign_table,
     smolin,
@@ -36,7 +44,7 @@ from blochsep import (
     zoo_families,
 )
 from blochsep.stateio import state_from_jsonable
-from blochsep.states import _subsystem_dims
+from blochsep.states import _FAMILIES, _subsystem_dims
 from blochsep.tolerances import PSD_TOL
 from conftest import (
     empty_bloch_data,
@@ -459,6 +467,10 @@ def test_integer_indices_of_every_kind_are_read_alike():
      f"noise weight p must be a real number, got {np.True_!r}"),
     (lambda: ZooSpec("werner", noise=0.5j).build(),
      "noise weight p must be a real number, got 0.5j"),
+    # noisy does not validate its mixture, so it takes only a validated state
+    (lambda: noisy(np.eye(2) / 2, 0.5), "state must be a DensityMatrix, got ndarray"),
+    (lambda: noisy(None, 0.5), "state must be a DensityMatrix, got NoneType"),
+    (lambda: noisy("ghz", 0.5), "state must be a DensityMatrix, got str"),
 ], ids=["basis_ket-float", "basis_ket-string", "basis_ket-count", "basis_ket-range",
         "basis_ket-negative", "kron-empty", "ghz-one-party", "ghz-float-parties",
         "w-float-parties", "ghz-float-d", "ghz-bool-parties", "bound-one-party",
@@ -469,7 +481,8 @@ def test_integer_indices_of_every_kind_are_read_alike():
         "zoo-float-removed", "zoo-string-parties", "threshold-table-float-parties",
         "basis_ket-bool", "dims-bool", "zoo-bool-parties", "zoo-bool-levels", "zoo-bool-removed",
         "threshold-table-bool-parties", "zoo-string-noise", "zoo-bool-noise",
-        "zoo-numpy-bool-noise", "zoo-complex-noise"])
+        "zoo-numpy-bool-noise", "zoo-complex-noise", "noisy-array-state",
+        "noisy-none-state", "noisy-string-state"])
 def test_refusals_keep_their_messages(call, message):
     with pytest.raises(ValueError) as got:
         call()
@@ -543,6 +556,92 @@ def test_noisy_refuses_a_weight_that_is_no_real_number(p):
     with pytest.raises(ValueError) as got:
         noisy(ghz(2), p)
     assert str(got.value) == f"noise weight p must be a real number, got {p!r}"
+
+
+@settings(max_examples=100, deadline=None)
+@given(dims=st.sampled_from([(2,), (3,), (2, 2), (2, 3), (3, 2, 2), (2, 2, 2)]),
+       rank=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       p=st.floats(0.0, 1.0) | st.floats(0.0, 1.0, width=32).map(np.float32))
+def test_noisy_of_a_valid_state_is_valid(dims, rank, seed, p):
+    """``noisy`` does not validate its mixture; it passes the check all the
+    same, and is the mixture its formula names, in double precision also
+    for a float32 weight."""
+    rho = random_density(np.random.default_rng(seed), dims, rank=rank)
+    mixed = noisy(rho, p)
+    validate_density(mixed.matrix, mixed.dims)
+    total, p = math.prod(dims), float(p)
+    assert mixed.dims == rho.dims
+    np.testing.assert_allclose(mixed.matrix, (1 - p) / total * np.eye(total) + p * rho.matrix,
+                               rtol=0, atol=1e-15)
+
+
+NOISE = (0.0, 0.37, 1.0)
+# GHZ states of dimension up to 1024, so N = 2..8 on qubits, 2..6 on qutrits
+# and 2..5 on ququarts
+GHZ_GRID = [{"parties": n, "levels": d} for d in (2, 3, 4) for n in range(2, 9) if d**n <= 1024]
+# the parameters every zoo family is built on below: N = 2..8 where a family
+# reads N, every valid ``removed``, and each weight of NOISE on a noise family
+ZOO_GRID = {
+    "ghz": GHZ_GRID,
+    "ghz-noisy": [{**g, "noise": p} for g in GHZ_GRID for p in NOISE],
+    "qutrit-ghz-noisy": [{"parties": n, "noise": p} for n in range(2, 7) for p in NOISE],
+    "werner": [{"noise": p} for p in NOISE],
+    "w": [{"parties": n} for n in range(2, 9)],
+    "w-noisy": [{"parties": n, "noise": p} for n in range(2, 9) for p in NOISE],
+    "reduced-w-noisy": [{"parties": n, "removed": r, "noise": p}
+                        for n in range(2, 9) for r in range(1, n) for p in NOISE],
+    "psi-234": [{}],
+    "state-234-noisy": [{"noise": p} for p in NOISE],
+    "smolin": [{}],
+    "duer4": [{}],
+    "mixed": [{"dims": dims} for dims in [(2,), (2, 3), (3, 2), (3, 2, 2), (2, 3, 4), (2,) * 8]],
+}
+
+
+@pytest.mark.parametrize("family", list(_FAMILIES))
+def test_every_zoo_state_is_valid(family):
+    """The zoo builds its states from formulas and does not validate them;
+    each passes the check, and is, bit for bit, what the validating
+    constructor makes of its matrix."""
+    assert set(ZOO_GRID) == set(_FAMILIES), "every zoo family needs a row in ZOO_GRID"
+    for params in ZOO_GRID[family]:
+        rho = ZooSpec(family, **params).build()
+        validate_density(rho.matrix, rho.dims)
+        checked = DensityMatrix(rho.dims, rho.matrix)
+        assert rho.dims == checked.dims and all(type(d) is int for d in rho.dims)
+        assert rho.matrix.dtype == checked.matrix.dtype
+        assert rho.matrix.flags.c_contiguous and not rho.matrix.flags.writeable
+        assert rho.matrix.tobytes() == checked.matrix.tobytes()
+        if "noise" in params:
+            # the noise weight is the weight of sigma, not of I/D
+            total = rho.dim
+            sigma = ZooSpec(family, **{k: v for k, v in params.items() if k != "noise"})._state()
+            want = {0.0: np.eye(total) / total, 1.0: sigma.matrix}.get(params["noise"])
+            if want is not None:
+                assert np.array_equal(rho.matrix, want)
+
+
+def test_a_state_from_outside_is_still_validated(tmp_path):
+    """Every path that takes a matrix from outside the package refuses one
+    that is not positive semidefinite: here diag(2, -1), or its expansion."""
+    message = "matrix is not positive semidefinite (min eigenvalue -1.000e+00)"
+    bad = np.diag([2.0, -1.0])
+    path = tmp_path / "bad.json"
+    save_state(maximally_mixed((2,)), str(path))
+    doc = json.loads(path.read_text())
+    doc["matrix"] = [[[float(x), 0.0] for x in row] for row in bad]
+    path.write_text(json.dumps(doc, indent=2))
+    pure = decompose(DensityMatrix((2,), np.diag([1.0, 0.0])))
+    terms = KruskalForm(np.array([1.0]), [3.0 * pure.singles[0][:, None]])
+    for call in (
+        lambda: DensityMatrix((2,), bad),
+        lambda: load_state(str(path)),
+        lambda: reconstruct(replace(pure, singles={0: 3.0 * pure.singles[0]})),
+        lambda: assemble_decomposition(SeparableDecomposition((2,), terms, 0.0)),
+    ):
+        with pytest.raises(InvalidStateError) as got:
+            call()
+        assert str(got.value) == message
 
 
 def test_reduced_w_matches_direct_construction():
