@@ -6,16 +6,18 @@ generators, giving the real coefficient array (cached on the state)
 
     C_{a_0...a_{N-1}} = Tr(rho (A^(0)_{a_0} x ... x A^(N-1)_{a_{N-1}})).
 
-Every component is a slice of C with index 0 in the traced-out modes;
-:func:`_components` is the only reader of these slices and :func:`reconstruct`
-the only writer.  As an identity factor traces its mode out, the slices are
-the coherence vectors s^(k)_a = (d_k / 2) Tr(rho_k g_a) and, for each subset
-S with |S| >= 2, the correlation tensors t_{a_1...a_M} = (prod_{k in S} d_k /
-2^M) Tr(rho_S (g_{a_1} x ... x g_{a_M})) of the reduced states.  C_{0...0} = 1
-completes the parameterization: :func:`_from_coefficients` runs the
-contraction in reverse with the unscaled stacks and divides by D = prod_k d_k.
-It is the only map from coefficients back to a matrix; :func:`reconstruct`
-and the assembly of separable decompositions both end in it.
+Every component is a slice of C with index 0 in the traced-out modes.
+:func:`_components` reads them one by one as views, and :func:`_groups`
+stacks those of one shape by one gather through a cached index plan;
+:func:`reconstruct` is the only writer.  As an identity factor traces its
+mode out, the slices are the coherence vectors s^(k)_a = (d_k / 2)
+Tr(rho_k g_a) and, for each subset S with |S| >= 2, the correlation tensors
+t_{a_1...a_M} = (prod_{k in S} d_k / 2^M) Tr(rho_S (g_{a_1} x ... x g_{a_M}))
+of the reduced states.  C_{0...0} = 1 completes the parameterization:
+:func:`_from_coefficients` runs the contraction in reverse with the unscaled
+stacks and divides by D = prod_k d_k.  It is the only map from coefficients
+back to a matrix; :func:`reconstruct` and the assembly of separable
+decompositions both end in it.
 """
 from __future__ import annotations
 
@@ -80,9 +82,11 @@ def _slot(n: int, subset) -> tuple:
 
 def _mode_products(arr: np.ndarray, mats) -> np.ndarray:
     """Contract axis k of ``arr`` with axis 1 of ``mats[k]`` for every k; each
-    step takes the leading axis and appends the new one, keeping axis order."""
+    step takes the leading axis and appends the new one, keeping axis order.
+    A step is the matrix product ``np.tensordot`` makes of it, without its
+    bookkeeping: the leading axis as the columns of a transposed view."""
     for m in mats:
-        arr = np.tensordot(arr, m, axes=([0], [1]))
+        arr = (arr.reshape(m.shape[1], -1).T @ m.T).reshape(arr.shape[1:] + m.shape[:1])
     return arr
 
 
@@ -117,11 +121,57 @@ def _coefficients(rho: DensityMatrix) -> np.ndarray:
 def _components(rho: DensityMatrix, subsets=None):
     """(subset, read-only view of its slice of the coefficient array) for
     each of the ascending index tuples ``subsets``, or for every component
-    when ``subsets`` is left out, coherence vectors being the order-1 case.
-    Every read of a component goes through here."""
+    when ``subsets`` is left out, coherence vectors being the order-1 case."""
     coeff, n = _coefficients(rho), rho.n_parties
     for subset in _subsets(n) if subsets is None else subsets:
         yield subset, coeff[_slot(n, subset)]
+
+
+@lru_cache(maxsize=64)
+def _plan(dims: tuple, subsets: tuple) -> tuple:
+    """Where the components of ``subsets`` sit in the flat coefficient array
+    of a state on ``dims``: per component shape, in order of first
+    appearance, (positions, idx), the read-only ``intp`` arrays of the
+    positions in ``subsets`` of the components of that shape and of their
+    flat indices, of shape (members,) + shape.  The plan holds structure
+    only, no coefficients.
+
+    Entry (a_1, ..., a_M) of the component of (k_1, ..., k_M) sits at flat
+    index sum_j (a_j + 1) s_{k_j}, s_k being the stride of mode k, so each
+    mode of a group adds one broadcast term.  The terms are added from the
+    last mode back, so that each broadcast runs along the modes after it,
+    which hold the most entries."""
+    sizes = [d * d for d in dims]
+    strides = np.array([math.prod(sizes[k + 1:]) for k in range(len(dims))], dtype=np.intp)
+    axes = [size - 1 for size in sizes]
+    groups = {}
+    for i, subset in enumerate(subsets):
+        positions, members = groups.setdefault(tuple(map(axes.__getitem__, subset)), ([], []))
+        positions.append(i)
+        members.append(subset)
+    plan = []
+    for shape, (positions, members) in groups.items():
+        mode_strides = strides[np.array(members, dtype=np.intp)]
+        idx = np.zeros((len(members), 1), dtype=np.intp)
+        for j in reversed(range(len(shape))):
+            steps = mode_strides[:, j, None] * np.arange(1, shape[j] + 1)
+            idx = (steps[:, :, None] + idx[:, None]).reshape(len(members), -1)
+        idx = idx.reshape((len(members),) + shape)
+        positions = np.array(positions, dtype=np.intp)
+        positions.flags.writeable = idx.flags.writeable = False
+        plan.append((positions, idx))
+    return tuple(plan)
+
+
+def _groups(rho: DensityMatrix, subsets=None) -> list:
+    """The components of ``subsets`` (ascending index tuples; every
+    component when left out) stacked by shape: (positions, stack) per shape
+    of :func:`_plan`, ``stack`` a fresh copy of the components at
+    ``positions``, one gather per shape.  The batched counterpart of
+    :func:`_components`, whose views it copies entry for entry."""
+    coeff = _coefficients(rho).ravel()
+    subsets = _subsets(rho.n_parties) if subsets is None else tuple(subsets)
+    return [(positions, coeff[idx]) for positions, idx in _plan(rho.dims, subsets)]
 
 
 def _component(rho: DensityMatrix, subset, min_size: int) -> np.ndarray:

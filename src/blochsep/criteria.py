@@ -29,13 +29,14 @@ import math
 
 import numpy as np
 
-from .bloch import _components, _from_coefficients, _name, _subsets, ball_radii
+from .bloch import _components, _from_coefficients, _groups, _name, _subsets, ball_radii
 from .errors import CriterionUnavailableError
 from .states import (
     DensityMatrix,
     ZooSpec,
     _check_fits,
     _checked_subset,
+    _density,
     _integer,
     _subsystem_dims,
 )
@@ -142,14 +143,17 @@ def subset_scan(rho: DensityMatrix, subsets="all") -> list:
     an integer size, or an explicit iterable of index tuples.  Selector
     order is by size, then lexicographic; an explicit list is normalised to
     ascending tuples, deduplicated and put in that order.  Every norm
-    verdict of the necessary criterion is made here, from components read
-    through ``_components`` and norms from ``_kyfan_norms``, which takes one
-    SVD call per component shape, or per shape and mode where the subset's
-    dimensions differ.  The bound is computed once per tuple of dimensions.
-    A single-party state raises ``ValueError`` under every selector.
+    verdict of the necessary criterion is made here, from components
+    stacked by shape through ``_groups`` and norms from ``_kyfan_norms``,
+    which takes one SVD call per component shape, or per shape and mode
+    where the subset's dimensions differ.  The bound is computed once per
+    tuple of dimensions.  A single-party state raises ``ValueError`` under
+    every selector, and a ``rho`` that is not a DensityMatrix under every
+    one too.
     """
+    _density(rho, "rho")
     subsets = _select_subsets(rho.n_parties, subsets)
-    norms = _kyfan_norms([c for _, c in _components(rho, subsets)])
+    norms = _kyfan_norms(_groups(rho, subsets), len(subsets))
     dims = [tuple(rho.dims[k] for k in s) for s in subsets]
     bounds = {d: separability_bound(d) for d in set(dims)}
     verdicts = []
@@ -173,6 +177,7 @@ def qubit_exact_test(rho: DensityMatrix) -> Verdict:
     preconditions yield Inconclusive with a reason code.
     """
     crit = "qubit-exact"
+    _density(rho, "rho")
     if rho.n_parties < 2 or any(d != 2 for d in rho.dims):
         return Verdict(Decision.INCONCLUSIVE, None, 1.0, crit, reason="not-a-multiqubit-state")
     *proper, (_, full) = _components(rho)
@@ -201,8 +206,9 @@ def _sufficiency_parts(rho: DensityMatrix):
     (None, failing_subset) for the first component, in component order,
     whose order >= 3 tensor has none.
     """
-    subsets, views = zip(*_components(rho))
-    forms, failed = _orthogonal_forms(views)
+    _density(rho, "rho")
+    subsets = _subsets(rho.n_parties)
+    forms, failed = _orthogonal_forms(_groups(rho), len(subsets))
     if forms is None:
         return None, subsets[failed]
     dims = [tuple(rho.dims[k] for k in s) for s in subsets]

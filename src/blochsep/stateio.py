@@ -27,6 +27,7 @@ import contextlib
 import csv
 import functools
 import io
+import itertools
 import json
 from json.encoder import encode_basestring_ascii
 import math
@@ -126,7 +127,9 @@ def _texts(items, newline: str) -> list:
     their sum is finite, so that each one is.  Objects with one tuple of
     ``str`` keys, a report's records, and lists (or tuples) of one nonzero
     length, such as a term's factors, fill one template, their values
-    encoded column by column."""
+    encoded column by column.  Non-empty lists (or tuples) of unequal
+    lengths that hold ints only, such as a report's subsets, take one join
+    each."""
     kinds = set(map(type, items))
     if len(kinds) == 1:
         kind = kinds.pop()
@@ -136,9 +139,13 @@ def _texts(items, newline: str) -> list:
         template, values = None, items
         if kind is dict and len(set(map(tuple, items))) == 1:
             template, values = _template(tuple(items[0]), newline), map(dict.values, items)
-        elif (kind is list or kind is tuple) and items[0] and len(set(map(len, items))) == 1:
+        elif kind is list or kind is tuple:
             inner = newline + "  "
-            template = "[" + inner + ("," + inner).join(["%s"] * len(items[0])) + newline + "]"
+            if items[0] and len(set(map(len, items))) == 1:
+                template = "[" + inner + ("," + inner).join(["%s"] * len(items[0])) + newline + "]"
+            elif all(items) and set(map(type, itertools.chain.from_iterable(items))) == {int}:
+                head, sep, tail = "[" + inner, "," + inner, newline + "]"
+                return [head + sep.join(map(int.__repr__, item)) + tail for item in items]
         if template is not None:
             columns = [_texts(c, newline + "  ") for c in zip(*values)]
             return [template % row for row in zip(*columns)]

@@ -188,6 +188,14 @@ class DensityMatrix:
         return math.prod(self.dims)
 
 
+def _density(value, name: str) -> DensityMatrix:
+    """``value``, checked to be a DensityMatrix; raises ValueError naming
+    the parameter ``name`` and the type it got otherwise."""
+    if not isinstance(value, DensityMatrix):
+        raise ValueError(f"{name} must be a DensityMatrix, got {type(value).__name__}")
+    return value
+
+
 # bytes of working memory per entry of a D x D matrix: four complex matrices
 # plus the real coefficient array, whose prod_k d_k^2 entries number D^2 as
 # well.  Validation peaks at the state, a one-byte mask of its nonzero
@@ -306,21 +314,17 @@ def ghz(n_parties: int, d: int = 2) -> DensityMatrix:
     if d < 2:
         raise ValueError("ghz needs local dimension at least 2")
     _check_fits((d,), n_parties)
-    dims = (d,) * n_parties
     vec = np.zeros(d**n_parties, dtype=complex)
-    for k in range(d):
-        vec += basis_ket((k,) * n_parties, dims)
+    # |k...k> sits at k (d^N - 1) / (d - 1), the repunit of N digits in base d
+    vec[np.arange(d) * ((d**n_parties - 1) // (d - 1))] = 1.0
     vec /= math.sqrt(d)
-    return DensityMatrix._built(dims, projector(vec))
+    return DensityMatrix._built((d,) * n_parties, projector(vec))
 
 
 def _w_vector(n_parties: int) -> np.ndarray:
-    dims = (2,) * n_parties
     vec = np.zeros(2**n_parties, dtype=complex)
-    for k in range(n_parties):
-        levels = [0] * n_parties
-        levels[k] = 1
-        vec += basis_ket(levels, dims)
+    # the excitation of qubit k sits at 2^(N - 1 - k)
+    vec[1 << np.arange(n_parties)] = 1.0
     return vec / math.sqrt(n_parties)
 
 
@@ -343,8 +347,7 @@ def noisy(state: DensityMatrix, p: float) -> DensityMatrix:
     I/D is Hermitian with unit trace and no eigenvalue below ``state``'s
     least, to rounding.  ``p`` is read as a float, so that the mixture is
     computed in double precision whatever real type it came as."""
-    if not isinstance(state, DensityMatrix):
-        raise ValueError(f"state must be a DensityMatrix, got {type(state).__name__}")
+    _density(state, "state")
     if isinstance(p, bool) or not isinstance(p, numbers.Real):
         raise ValueError(f"noise weight p must be a real number, got {p!r}")
     if not 0.0 <= p <= 1.0:
@@ -367,22 +370,19 @@ def _reduced_w(n_parties: int, n_removed: int) -> DensityMatrix:
         )
     m_left = n_parties - n_removed
     _check_fits((2,), m_left)
-    dims = (2,) * m_left
+    zero = np.zeros(2**m_left, dtype=complex)
+    zero[0] = 1.0
     mat = (
-        (n_removed / n_parties) * projector(basis_ket((0,) * m_left, dims))
+        (n_removed / n_parties) * projector(zero)
         + (m_left / n_parties) * projector(_w_vector(m_left))
     )
-    return DensityMatrix._built(dims, mat)
+    return DensityMatrix._built((2,) * m_left, mat)
 
 
 def bell_states() -> list:
     """The four Bell vectors on two qubits, in the order phi+, phi-, psi+,
     psi-."""
-    dims = (2, 2)
-    k00 = basis_ket((0, 0), dims)
-    k01 = basis_ket((0, 1), dims)
-    k10 = basis_ket((1, 0), dims)
-    k11 = basis_ket((1, 1), dims)
+    k00, k01, k10, k11 = np.eye(4, dtype=complex)
     s = math.sqrt(0.5)
     return [s * (k00 + k11), s * (k00 - k11), s * (k01 + k10), s * (k01 - k10)]
 
@@ -400,14 +400,12 @@ def smolin() -> DensityMatrix:
 def duer_be4() -> DensityMatrix:
     """Four-qubit bound entangled state of Duer: a GHZ projector mixed with
     the eight single-excitation / single-hole basis projectors."""
-    dims = (2, 2, 2, 2)
     mat = np.array(ghz(4).matrix)
-    for k in range(4):
-        one = [0, 0, 0, 0]
-        one[k] = 1
-        hole = [1 - x for x in one]
-        mat = mat + 0.5 * (projector(basis_ket(one, dims)) + projector(basis_ket(hole, dims)))
-    return DensityMatrix._built(dims, mat / 5.0)
+    # the excitation of qubit k sits at 2^(3 - k) and its hole at 15 - 2^(3 - k)
+    ones = 1 << np.arange(4)
+    diag = np.r_[ones, 15 - ones]
+    mat[diag, diag] += 0.5
+    return DensityMatrix._built((2, 2, 2, 2), mat / 5.0)
 
 
 def state_234() -> DensityMatrix:
@@ -418,12 +416,8 @@ def state_234() -> DensityMatrix:
     spectrum {(3 - sqrt 5)/8, 1/4, (3 + sqrt 5)/8} and subsystem 2 has
     {0, 1/4, 1/4, 1/2}."""
     dims = (2, 3, 4)
-    vec = 0.5 * (
-        basis_ket((0, 0, 1), dims)
-        + basis_ket((0, 1, 2), dims)
-        + basis_ket((1, 0, 3), dims)
-        + basis_ket((1, 2, 3), dims)
-    )
+    vec = np.zeros(24, dtype=complex)
+    vec[np.ravel_multi_index(([0, 0, 1, 1], [0, 1, 0, 2], [1, 2, 3, 3]), dims)] = 0.5
     return DensityMatrix._built(dims, projector(vec))
 
 
@@ -496,7 +490,9 @@ class ZooSpec:
         return builder(*map(self._read, reads))
 
     def _read(self, name):
-        value = self.parameters.get(name, _DEFAULTS.get(name))
+        value = getattr(self, name)
+        if value is None:
+            value = _DEFAULTS.get(name)
         if value is None:
             raise ValueError(f"family {self.family!r} needs parameter {name!r}")
         return _integer(value, f"parameter {name!r}") if name in _INTEGERS else value

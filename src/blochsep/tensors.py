@@ -18,11 +18,13 @@ unfolding, to rounding.
 Two functions batch by shape, and each is the one home of its rule:
 :func:`_kyfan_norms` computes every Ky Fan norm, one tensor's or a whole
 subset scan's, and :func:`_orthogonal_forms` makes every search for a
-completely orthogonal form.  Both stack the tensors of one shape.  The
-norms take one SVD call per shape whose modes share one dimension, and one
-per shape and mode otherwise; the search takes one diagonal test per shape
-of order >= 3 and, when every tensor passes, one SVD call per shape of
-matrices.
+completely orthogonal form.  Both take their tensors already stacked by
+shape, as (positions, stack) groups: a subset scan's come from
+``bloch._groups``, one gather per shape, and a lone tensor's from
+:func:`_groups_of`.  The norms take one SVD call per shape whose modes
+share one dimension, and one per shape and mode otherwise; the search
+takes one diagonal test per shape of order >= 3 and, when every tensor
+passes, one SVD call per shape of matrices.
 """
 from __future__ import annotations
 
@@ -96,37 +98,33 @@ def singular_values(matrix) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def _shape_groups(tensors) -> dict:
-    """The input positions of ``tensors`` per shape, shapes in order of first
-    appearance."""
+def _groups_of(tensors) -> list:
+    """``tensors`` stacked by shape, as :func:`_kyfan_norms` and
+    :func:`_orthogonal_forms` take them: (positions, stack) per shape, in
+    order of first appearance, ``positions`` the input positions of the
+    tensors along the stack's axis 0."""
     groups = {}
     for i, t in enumerate(tensors):
         groups.setdefault(t.shape, []).append(i)
-    return groups
+    return [(np.array(members, dtype=np.intp), np.stack([tensors[i] for i in members]))
+            for members in groups.values()]
 
 
-def _stacked(tensors, members) -> np.ndarray:
-    """The tensors at positions ``members`` along a new axis 0; a lone tensor
-    is given a view, not a copy."""
-    if len(members) == 1:
-        return tensors[members[0]][None]
-    return np.stack([tensors[i] for i in members])
-
-
-def _kyfan_norms(tensors) -> list:
-    """Ky Fan norms of ``tensors``, in input order: per tensor, the largest
-    singular-value sum over its mode unfoldings.  The tensors of one shape
-    are stacked and their unfoldings go to SVD calls together: one call per
-    shape when every mode has the same dimension, so every unfolding has
-    the same matrix shape, and one per shape and mode otherwise.
+def _kyfan_norms(groups, count: int) -> list:
+    """Ky Fan norms of ``count`` tensors given as ``groups``, (positions,
+    stack) per shape in the layout of :func:`_groups_of`, in input order:
+    per tensor, the largest singular-value sum over its mode unfoldings.
+    The unfoldings of a stack go to SVD calls together: one call per shape
+    when every mode has the same dimension, so every unfolding has the same
+    matrix shape, and one per shape and mode otherwise.
 
     Each unfolding goes to LAPACK transposed, tall and narrow, entrywise the
     transpose of the matrix :func:`unfold` gives: the singular values are
     the same, and numpy's SVD of a tall n x I matrix takes about half the
     time of its wide I x n transpose."""
-    norms = np.empty(len(tensors))
-    for shape, members in _shape_groups(tensors).items():
-        stack = _stacked(tensors, members)
+    norms = np.empty(count)
+    for members, stack in groups:
+        shape = stack.shape[1:]
         order = len(shape)
         if len(set(shape)) == 1:
             # each mode's rotation has the stack's shape: one array holds
@@ -146,7 +144,7 @@ def _kyfan_norms(tensors) -> list:
 def tensor_kyfan(tensor) -> float:
     """Ky Fan norm of a tensor: the largest singular-value sum over all mode
     unfoldings; for a matrix, the sum of its singular values."""
-    return _kyfan_norms([_as_tensor(tensor)])[0]
+    return _kyfan_norms(_groups_of([_as_tensor(tensor)]), 1)[0]
 
 
 def is_supersymmetric(tensor) -> bool:
@@ -235,27 +233,28 @@ def _max_abs(stack: np.ndarray) -> np.ndarray:
     return np.abs(stack).reshape(stack.shape[0], -1).max(axis=1)
 
 
-def _orthogonal_forms(tensors) -> tuple:
-    """Completely orthogonal Kruskal forms of ``tensors`` by
-    :func:`find_orthogonal_kruskal`'s rule: (forms, None), one form per
-    tensor in input order, when every tensor has one, and otherwise
-    (None, i) for the first tensor i, in input order, that has none.
+def _orthogonal_forms(groups, count: int) -> tuple:
+    """Completely orthogonal Kruskal forms of ``count`` tensors given as
+    ``groups``, (positions, stack) per shape in the layout of
+    :func:`_groups_of`, by :func:`find_orthogonal_kruskal`'s rule:
+    (forms, None), one form per tensor in input order, when every tensor
+    has one, and otherwise (None, i) for the first tensor i, in input order,
+    that has none.
 
-    The tensors of one shape are searched together.  Only a tensor of order
-    >= 3 can lack a form, so the shapes of order >= 3 are tested first, in
-    order of first appearance, with one stacked diagonal test each; a shape
-    whose first tensor comes after a tensor already found to have no form
-    is not tested.  Forms are built only when every tensor has one, which
-    no caller reads otherwise, with one SVD call per shape of matrices.
+    Only a tensor of order >= 3 can lack a form, so the shapes of order
+    >= 3 are tested first, in order of first appearance, with one stacked
+    diagonal test each; a shape whose first tensor comes after a tensor
+    already found to have no form is not tested.  Forms are built only when
+    every tensor has one, which no caller reads otherwise, with one SVD call
+    per shape of matrices.
     """
-    groups = _shape_groups(tensors)
-    stop, tested = len(tensors), {}
-    for shape, members in groups.items():
+    stop, tested = count, {}
+    for members, stack in groups:
+        shape = stack.shape[1:]
         if members[0] >= stop:
             break
         if len(shape) < 3:
             continue
-        stack = _stacked(tensors, members)
         scales = _max_abs(stack)
         if len(set(shape)) == 1:
             idx = (slice(None),) + (np.arange(shape[0]),) * len(shape)
@@ -266,21 +265,21 @@ def _orthogonal_forms(tensors) -> tuple:
         else:
             diag, failed = None, scales > 0.0
         if failed.any():
-            stop = min(stop, members[int(np.argmax(failed))])
+            stop = min(stop, int(members[int(np.argmax(failed))]))
         tested[shape] = (scales, diag)
-    if stop < len(tensors):
+    if stop < count:
         return None, stop
-    forms = [None] * len(tensors)
-    for shape, members in groups.items():
+    forms = [None] * count
+    for members, stack in groups:
+        shape = stack.shape[1:]
         order = len(shape)
         if order >= 3:
             scales, diag = tested[shape]
         else:
-            stack = _stacked(tensors, members)
             scales = _max_abs(stack)
         if order == 2:
             u, s, vt = np.linalg.svd(stack, full_matrices=False)
-        for j, i in enumerate(members):
+        for j, i in enumerate(members.tolist()):
             if scales[j] == 0.0:
                 forms[i] = KruskalForm(np.zeros(0), [np.zeros((n, 0)) for n in shape])
             elif order == 1:
@@ -313,7 +312,7 @@ def find_orthogonal_kruskal(tensor):
     factor columns in every mode and strictly positive weights, so its weight
     sum is the tensor's Ky Fan norm (for a vector, its Euclidean norm).
     """
-    forms, _ = _orthogonal_forms([_as_tensor(tensor, min_order=1)])
+    forms, _ = _orthogonal_forms(_groups_of([_as_tensor(tensor, min_order=1)]), 1)
     return None if forms is None else forms[0]
 
 

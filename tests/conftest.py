@@ -17,6 +17,7 @@ from blochsep import (
     KruskalForm,
     ZooSpec,
     ball_radii,
+    basis_ket,
     build_basis,
     correlation_tensor,
     kron,
@@ -24,13 +25,14 @@ from blochsep import (
     maximally_mixed,
     necessary_test,
     noisy,
+    projector,
     qubit_exact_test,
     reconstruct,
     sign_table,
     subset_scan,
     sufficiency_test,
 )
-from blochsep.bloch import _components, _from_coefficients
+from blochsep.bloch import _components, _from_coefficients, _stack
 from blochsep.stateio import SCHEMA_VERSION, state_from_jsonable
 from blochsep.states import _subsystem_dims
 from blochsep.tolerances import EXACT_TOL, PSD_TOL, RANK_CUTOFF, SUFFICIENCY_SLACK, WEIGHT_CUTOFF
@@ -330,6 +332,158 @@ def reference_load_state(path: str) -> tuple:
         if gc_was_enabled:
             gc.enable()
     return rho, metadata if isinstance(metadata, dict) else {}
+
+
+def _ket_ghz(parties, levels=2):
+    dims = (levels,) * parties
+    vec = np.zeros(levels**parties, dtype=complex)
+    for k in range(levels):
+        vec += basis_ket((k,) * parties, dims)
+    vec /= math.sqrt(levels)
+    return dims, projector(vec)
+
+
+def _ket_w_vector(n_parties):
+    dims = (2,) * n_parties
+    vec = np.zeros(2**n_parties, dtype=complex)
+    for k in range(n_parties):
+        levels = [0] * n_parties
+        levels[k] = 1
+        vec += basis_ket(levels, dims)
+    return vec / math.sqrt(n_parties)
+
+
+def _ket_w(parties):
+    return (2,) * parties, projector(_ket_w_vector(parties))
+
+
+def _ket_reduced_w(parties, removed):
+    m_left = parties - removed
+    dims = (2,) * m_left
+    return dims, ((removed / parties) * projector(basis_ket((0,) * m_left, dims))
+                  + (m_left / parties) * projector(_ket_w_vector(m_left)))
+
+
+def _ket_bell_states():
+    dims = (2, 2)
+    k00 = basis_ket((0, 0), dims)
+    k01 = basis_ket((0, 1), dims)
+    k10 = basis_ket((1, 0), dims)
+    k11 = basis_ket((1, 1), dims)
+    s = math.sqrt(0.5)
+    return [s * (k00 + k11), s * (k00 - k11), s * (k01 + k10), s * (k01 - k10)]
+
+
+def _ket_smolin():
+    mat = np.zeros((16, 16), dtype=complex)
+    for b in _ket_bell_states():
+        pb = projector(b)
+        mat += np.kron(pb, pb)
+    return (2, 2, 2, 2), mat / 4.0
+
+
+def _ket_duer_be4():
+    dims = (2, 2, 2, 2)
+    mat = np.array(_ket_ghz(4)[1])
+    for k in range(4):
+        one = [0, 0, 0, 0]
+        one[k] = 1
+        hole = [1 - x for x in one]
+        mat = mat + 0.5 * (projector(basis_ket(one, dims)) + projector(basis_ket(hole, dims)))
+    return dims, mat / 5.0
+
+
+def _ket_state_234():
+    dims = (2, 3, 4)
+    vec = 0.5 * (
+        basis_ket((0, 0, 1), dims)
+        + basis_ket((0, 1, 2), dims)
+        + basis_ket((1, 0, 3), dims)
+        + basis_ket((1, 2, 3), dims)
+    )
+    return dims, projector(vec)
+
+
+def _ket_mixed(dims):
+    total = math.prod(dims)
+    return tuple(dims), np.eye(total, dtype=complex) / total
+
+
+# each zoo family's (dims, matrix) of its state, or of sigma for a noise family
+_KET_FAMILIES = {
+    "ghz": _ket_ghz,
+    "ghz-noisy": _ket_ghz,
+    "qutrit-ghz-noisy": lambda parties: _ket_ghz(parties, 3),
+    "werner": lambda: _ket_ghz(2),
+    "w": _ket_w,
+    "w-noisy": _ket_w,
+    "reduced-w-noisy": _ket_reduced_w,
+    "psi-234": _ket_state_234,
+    "state-234-noisy": _ket_state_234,
+    "smolin": _ket_smolin,
+    "duer4": _ket_duer_be4,
+    "mixed": _ket_mixed,
+}
+
+
+def basis_ket_zoo_state(family, params):
+    """Reference for the zoo builders: the state of ``family`` on the
+    ZooSpec fields ``params``, its kets summed from public, fully checked
+    ``basis_ket`` calls as the builders once made them, kept verbatim, and
+    made by the validating constructor; a noise family mixes it by
+    ``noisy``.  The builders must give it bit for bit."""
+    params = dict(params)
+    noise = params.pop("noise", None)
+    rho = DensityMatrix(*_KET_FAMILIES[family](**params))
+    return rho if noise is None else noisy(rho, noise)
+
+
+NOISE = (0.0, 0.37, 1.0)
+# GHZ states of dimension up to 1024, so N = 2..8 on qubits, 2..6 on qutrits
+# and 2..5 on ququarts
+GHZ_GRID = [{"parties": n, "levels": d} for d in (2, 3, 4) for n in range(2, 9) if d**n <= 1024]
+# the parameters every zoo family is built on in the tests: N = 2..8 where a family
+# reads N, every valid ``removed``, and each weight of NOISE on a noise family
+ZOO_GRID = {
+    "ghz": GHZ_GRID,
+    "ghz-noisy": [{**g, "noise": p} for g in GHZ_GRID for p in NOISE],
+    "qutrit-ghz-noisy": [{"parties": n, "noise": p} for n in range(2, 7) for p in NOISE],
+    "werner": [{"noise": p} for p in NOISE],
+    "w": [{"parties": n} for n in range(2, 9)],
+    "w-noisy": [{"parties": n, "noise": p} for n in range(2, 9) for p in NOISE],
+    "reduced-w-noisy": [{"parties": n, "removed": r, "noise": p}
+                        for n in range(2, 9) for r in range(1, n) for p in NOISE],
+    "psi-234": [{}],
+    "state-234-noisy": [{"noise": p} for p in NOISE],
+    "smolin": [{}],
+    "duer4": [{}],
+    "mixed": [{"dims": dims} for dims in [(2,), (2, 3), (3, 2), (3, 2, 2), (2, 3, 4), (2,) * 8]],
+}
+
+
+def tensordot_mode_products(arr, mats):
+    """Reference for ``bloch._mode_products``: the ``np.tensordot`` steps it
+    replaced, kept verbatim, so the expansion can be compared with it bit for
+    bit."""
+    for m in mats:
+        arr = np.tensordot(arr, m, axes=([0], [1]))
+    return arr
+
+
+def tensordot_expansion(rho):
+    """Reference for the expansion and its inverse: (coefficient array, the
+    matrix the inverse map makes of it) of ``rho``, each contraction by
+    :func:`tensordot_mode_products` on the inputs ``bloch`` gives it."""
+    dims, n = rho.dims, rho.n_parties
+    pairs = [a for k in range(n) for a in (k, n + k)]
+    paired = rho.matrix.reshape(dims + dims).transpose(pairs).reshape([d * d for d in dims])
+    forward = tensordot_mode_products(paired, [_stack(d, d / 2).conj() for d in dims])
+    coeff = np.ascontiguousarray(forward.real)
+    paired = tensordot_mode_products(coeff, [_stack(d, 1.0).T for d in dims])
+    paired = paired.reshape(tuple(x for d in dims for x in (d, d)))
+    mat = paired.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
+    total = math.prod(dims)
+    return coeff, mat.reshape(total, total) / total
 
 
 def per_tensor_form(tensor):

@@ -2,8 +2,10 @@
 tensors, and reconstruction."""
 
 import itertools
+import math
 import re
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from blochsep import (
     BlochData,
     DensityMatrix,
     NumericIntegrityError,
+    ZooSpec,
     ball_radii,
     basis_ket,
     bloch_vector,
@@ -30,9 +33,12 @@ from blochsep import (
     unfold,
     w_state,
 )
-from blochsep.bloch import _real_part, _stack
-from conftest import (brute_correlation, empty_bloch_data, qutrit_ghz_spectrum,
-                      random_density, random_pure_product, random_unitary)
+from blochsep.bloch import (_coefficients, _components, _from_coefficients, _groups, _plan,
+                            _real_part, _stack, _subsets)
+from blochsep.criteria import _select_subsets
+from blochsep.stateio import _template
+from conftest import (ZOO_GRID, brute_correlation, empty_bloch_data, qutrit_ghz_spectrum,
+                      random_density, random_pure_product, random_unitary, tensordot_expansion)
 
 SIX_PROFILES = [(2, 2), (2, 3), (2, 2, 2), (3, 3), (2, 3, 4), (2, 2, 2, 2)]
 
@@ -321,3 +327,69 @@ def test_generator_stacks_are_budgeted(monkeypatch, pages, fits):
             assert str(got.value) == (
                 "the generator stacks of a subsystem of dimension 5 need about 3.73e-05 GiB "
                 "of working memory, more than the 3.43e-05 GiB of physical memory")
+
+
+def assert_expansion_is_the_tensordot_one(rho):
+    coeff, matrix = tensordot_expansion(rho)
+    assert _coefficients(rho).tobytes() == coeff.tobytes()
+    assert _from_coefficients(rho.dims, coeff).matrix.tobytes() == matrix.tobytes()
+
+
+@pytest.mark.parametrize("family", list(ZOO_GRID))
+def test_expansion_is_the_tensordot_contraction_on_the_zoo(family):
+    # each mode step is the matrix product tensordot makes, so the
+    # coefficients and the inverse map's matrix keep its bits
+    for params in ZOO_GRID[family]:
+        assert_expansion_is_the_tensordot_one(ZooSpec(family, **params).build())
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.lists(st.integers(2, 4), min_size=1, max_size=4).filter(
+           lambda dims: math.prod(dims) <= 64),
+       seed=st.integers(0, 2**32 - 1), rank=st.integers(1, 3))
+def test_expansion_is_the_tensordot_contraction_on_random_states(dims, seed, rank):
+    assert_expansion_is_the_tensordot_one(random_density(np.random.default_rng(seed), dims, rank))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.lists(st.integers(2, 3), min_size=2, max_size=5).filter(
+           lambda dims: math.prod(dims) <= 243),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_groups_are_the_components_stacked_by_shape(dims, seed, data):
+    # qubits, qutrits and mixed dims under every selector, and explicit lists
+    # of components out of order and repeated: each group's stack is the
+    # components' views at its positions, bit for bit, and the shapes come
+    # in order of first appearance
+    rho = random_density(np.random.default_rng(seed), tuple(dims), rank=2)
+    n = len(dims)
+    every = [s for s in _subsets(n) if len(s) > 1]
+    unsorted = data.draw(st.lists(st.sampled_from(every).flatmap(st.permutations),
+                                  min_size=1, max_size=12), label="unsorted")
+    repeated = data.draw(st.lists(st.sampled_from(_subsets(n)), min_size=1, max_size=12),
+                         label="repeated")
+    selectors = ["full", "all", "pairs", *range(2, n + 1), unsorted]
+    for subsets in [*(_select_subsets(n, s) for s in selectors), repeated, None]:
+        views = [c for _, c in _components(rho, subsets)]
+        groups = _groups(rho, subsets)
+        assert [stack.shape[1:] for _, stack in groups] == list(dict.fromkeys(
+            v.shape for v in views))
+        assert sorted(i for positions, _ in groups for i in positions) == list(range(len(views)))
+        for positions, stack in groups:
+            want = np.stack([views[i] for i in positions])
+            assert positions.dtype == np.intp
+            assert stack.shape == want.shape and stack.tobytes() == want.tobytes()
+
+
+def test_index_plans_are_cached_per_selection_and_bounded():
+    # a plan is built once per (dims, selection) and holds read-only index
+    # arrays only; the cache is bounded as the report templates' is
+    assert _plan.cache_info().maxsize == _template.cache_info().maxsize == 64
+    _plan.cache_clear()
+    for rho in (ghz(4), w_state(4)):
+        for subsets in ("all", "pairs", "all"):
+            _groups(rho, _select_subsets(4, subsets))
+    info = _plan.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
+    for positions, idx in _plan((2, 2, 2, 2), tuple(_select_subsets(4, "all"))):
+        assert positions.dtype == idx.dtype == np.intp
+        assert not positions.flags.writeable and not idx.flags.writeable

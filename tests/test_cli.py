@@ -821,6 +821,17 @@ def equal_length_lists(children):
     return st.one_of(rows, rows.map(lambda r: tuple(map(tuple, r))))
 
 
+def ragged_int_lists():
+    """Lists of non-empty int lists of unequal lengths, as lists or as
+    tuples, such as a report's subsets, and the near misses: a bool among
+    the ints, an empty inner list."""
+    ints = st.lists(st.lists(st.integers(-2**70, 2**70), min_size=1, max_size=4),
+                    min_size=2, max_size=5)
+    near = st.lists(st.lists(st.one_of(st.integers(0, 9), st.booleans()), max_size=4),
+                    min_size=2, max_size=5)
+    return st.one_of(ints, ints.map(lambda r: tuple(map(tuple, r))), near)
+
+
 def json_values(keys=ANY_KEYS):
     """Arbitrary JSON values, tuples, empty containers and lists of
     equal-length lists included."""
@@ -842,7 +853,7 @@ def report_docs(draw):
         st.lists(st.lists(st.floats(-1, 1), max_size=3), max_size=3), json_values(KEYS),
         # a decompose term's factors: one vector per mode, nested two deep
         st.lists(st.lists(st.floats(-1, 1), min_size=3, max_size=3), min_size=2, max_size=2),
-        equal_length_lists(JSON_SCALARS),
+        equal_length_lists(JSON_SCALARS), ragged_int_lists(),
     ])
     keys = draw(st.lists(KEYS, max_size=6, unique=True), label="keys")
     kinds = [draw(columns) for _ in keys]
@@ -857,7 +868,7 @@ def report_docs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(doc=st.one_of(json_values(), report_docs()))
+@given(doc=st.one_of(json_values(), report_docs(), ragged_int_lists()))
 @example(doc=[1.7976931348623157e308, 1.7976931348623157e308])
 @example(doc={"records": [{"subset": (0, 1), "norm": 1.5, "decision": Decision.ENTANGLED,
                            "borderline": False}] * 2, "empty": [{}, {}, [], ()]})
@@ -867,13 +878,21 @@ def report_docs(draw):
                   {"weight": 0.25, "factors": [[0.0, 0.0, -1.0], [0.0, -0.5, 1.0]]}],
               "nested": ((("%s", "100%"), ("%(x)s", "%%")), (("a", "b"), ("c", "d"))),
               "ragged": [[], [], [1, 2]]})
+@example(doc={"records": [{"subset": (0, 1), "norm": 1.5}, {"subset": (0, 1, 2), "norm": 2.5}],
+              "lists": [[3], [-1, 10**20], [0, 1, 2]], "tuples": ((1,), (2, 3))})
+@example(doc={"bools": [[True, 1], [2, 3, 4]], "bool-alone": [[1, 2], [False]],
+              "empty": [[1], [], [2, 3]], "floats": [[1, 2.0], [3]], "nested": [[[1]], [2, 3]],
+              "mixed-kinds": [(1,), [2, 3]]})
 def test_reports_are_written_as_json_writes_them(doc):
     """``dump_json`` gives the bytes of ``json.dumps(indent=2,
     allow_nan=False)``, down to the depth of every line, to floats as
     ``repr`` writes them and to bools that are not ints; the first example
     is a run of finite floats whose sum overflows, the third is shaped like
     a decompose report, whose terms' factors are lists of equal-length
-    lists."""
+    lists, the fourth holds lists of int lists of unequal lengths, such as
+    an analyze report's subsets, and the fifth near misses of those: a bool
+    among the ints, an empty list, a float, a nested list, a list beside a
+    tuple."""
     assert dump_json(doc) == json_dumps(doc)
 
 
@@ -1465,6 +1484,16 @@ def test_criteria_all_is_the_union_of_its_parts(source, subsets):
         assert whole["records"] == report("t1")["records"]
     assert whole["exact_qubit"] == report("c2")["exact_qubit"]
     assert whole["sufficiency"] == report("p2")["sufficiency"]
+
+
+def test_all_subsets_are_the_subsets_of_each_size_in_turn():
+    # selections on one dims share nothing but the state: the records of
+    # every size, asked for one after another, are those of "all"
+    argv = ["analyze", "zoo:w", "-N", "5", "--criteria", "c1", "--subsets"]
+    whole = run_json([*argv, "all"])["records"]
+    parts = [r for k in range(2, 6) for r in run_json([*argv, f"k={k}"])["records"]]
+    assert len(whole) == 26 and whole == parts
+    assert whole == run_json([*argv, "all"])["records"]
 
 
 def test_decompose_assembles_through_the_inverse_map(monkeypatch):

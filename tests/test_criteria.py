@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import blochsep.tensors
-from blochsep.bloch import _components
-from blochsep.criteria import _sufficiency_parts
-from blochsep.tensors import _orthogonal_forms
+from blochsep.bloch import _components, _plan
+from blochsep.criteria import _select_subsets, _sufficiency_parts
+from blochsep.tensors import _groups_of, _orthogonal_forms
 from blochsep import (
     CriterionUnavailableError,
     Decision,
@@ -168,6 +168,22 @@ def test_subset_scan_norms_equal_the_per_tensor_reference(dims, seed, rank, data
         assert [v.norm_value for v in verdicts] == per_tensor_norms(rho, order)
 
 
+def test_selections_on_one_dims_give_their_own_records():
+    # index plans are cached per (dims, selection): selections made one after
+    # another, and again, on two states of one dims each give their own
+    # subsets and norms
+    _plan.cache_clear()
+    rng = np.random.default_rng(34)
+    states = [random_density(rng, (2, 3, 2, 2), rank=2) for _ in range(2)]
+    selectors = ["all", "pairs", 3, "full", [(3, 1), (0, 2, 1), (1, 3)], 2, "all", 4]
+    for rho in states:
+        for selector in selectors:
+            order = _select_subsets(4, selector)
+            verdicts = subset_scan(rho, selector)
+            assert [v.subset for v in verdicts] == order
+            assert [v.norm_value for v in verdicts] == per_tensor_norms(rho, order)
+
+
 def test_norms_agree_with_svds_of_the_row_oriented_unfoldings():
     # the norms take SVDs of transposed unfoldings; the singular values of
     # each unfolding as ``unfold`` gives it agree to rounding, and the
@@ -253,7 +269,7 @@ def test_orthogonal_forms_match_the_per_component_reference(rho):
     # match the per-component loop's
     views = [c for _, c in _components(rho)]
     want = [per_tensor_form(c) for c in views]
-    forms, failed = _orthogonal_forms(views)
+    forms, failed = _orthogonal_forms(_groups_of(views), len(views))
     if None in want:
         assert (forms, failed) == (None, want.index(None))
     else:

@@ -27,17 +27,21 @@ from blochsep import (
     kron,
     load_state,
     maximally_mixed,
+    necessary_test,
     noise_threshold_table,
     noisy,
     partial_trace,
     projector,
+    qubit_exact_test,
     reconstruct,
     save_state,
     separability_bound,
+    separable_decomposition,
     sign_table,
     smolin,
     state_234,
     subset_scan,
+    sufficiency_test,
     unfold,
     validate_density,
     w_state,
@@ -47,6 +51,8 @@ from blochsep.stateio import state_from_jsonable
 from blochsep.states import _FAMILIES, _subsystem_dims
 from blochsep.tolerances import PSD_TOL
 from conftest import (
+    ZOO_GRID,
+    basis_ket_zoo_state,
     empty_bloch_data,
     random_density,
     random_unitary,
@@ -471,6 +477,13 @@ def test_integer_indices_of_every_kind_are_read_alike():
     (lambda: noisy(np.eye(2) / 2, 0.5), "state must be a DensityMatrix, got ndarray"),
     (lambda: noisy(None, 0.5), "state must be a DensityMatrix, got NoneType"),
     (lambda: noisy("ghz", 0.5), "state must be a DensityMatrix, got str"),
+    # every criterion names its state parameter by the same rule
+    (lambda: subset_scan(np.eye(2) / 2, "all"), "rho must be a DensityMatrix, got ndarray"),
+    (lambda: necessary_test(np.eye(4) / 4), "rho must be a DensityMatrix, got ndarray"),
+    (lambda: qubit_exact_test(np.eye(4) / 4), "rho must be a DensityMatrix, got ndarray"),
+    (lambda: sufficiency_test(np.eye(4) / 4), "rho must be a DensityMatrix, got ndarray"),
+    (lambda: separable_decomposition(np.eye(4) / 4), "rho must be a DensityMatrix, got ndarray"),
+    (lambda: subset_scan(None, "pairs"), "rho must be a DensityMatrix, got NoneType"),
 ], ids=["basis_ket-float", "basis_ket-string", "basis_ket-count", "basis_ket-range",
         "basis_ket-negative", "kron-empty", "ghz-one-party", "ghz-float-parties",
         "w-float-parties", "ghz-float-d", "ghz-bool-parties", "bound-one-party",
@@ -482,7 +495,9 @@ def test_integer_indices_of_every_kind_are_read_alike():
         "basis_ket-bool", "dims-bool", "zoo-bool-parties", "zoo-bool-levels", "zoo-bool-removed",
         "threshold-table-bool-parties", "zoo-string-noise", "zoo-bool-noise",
         "zoo-numpy-bool-noise", "zoo-complex-noise", "noisy-array-state",
-        "noisy-none-state", "noisy-string-state"])
+        "noisy-none-state", "noisy-string-state", "subset_scan-array-rho",
+        "necessary_test-array-rho", "qubit_exact_test-array-rho", "sufficiency_test-array-rho",
+        "separable_decomposition-array-rho", "subset_scan-none-rho"])
 def test_refusals_keep_their_messages(call, message):
     with pytest.raises(ValueError) as got:
         call()
@@ -575,34 +590,12 @@ def test_noisy_of_a_valid_state_is_valid(dims, rank, seed, p):
                                rtol=0, atol=1e-15)
 
 
-NOISE = (0.0, 0.37, 1.0)
-# GHZ states of dimension up to 1024, so N = 2..8 on qubits, 2..6 on qutrits
-# and 2..5 on ququarts
-GHZ_GRID = [{"parties": n, "levels": d} for d in (2, 3, 4) for n in range(2, 9) if d**n <= 1024]
-# the parameters every zoo family is built on below: N = 2..8 where a family
-# reads N, every valid ``removed``, and each weight of NOISE on a noise family
-ZOO_GRID = {
-    "ghz": GHZ_GRID,
-    "ghz-noisy": [{**g, "noise": p} for g in GHZ_GRID for p in NOISE],
-    "qutrit-ghz-noisy": [{"parties": n, "noise": p} for n in range(2, 7) for p in NOISE],
-    "werner": [{"noise": p} for p in NOISE],
-    "w": [{"parties": n} for n in range(2, 9)],
-    "w-noisy": [{"parties": n, "noise": p} for n in range(2, 9) for p in NOISE],
-    "reduced-w-noisy": [{"parties": n, "removed": r, "noise": p}
-                        for n in range(2, 9) for r in range(1, n) for p in NOISE],
-    "psi-234": [{}],
-    "state-234-noisy": [{"noise": p} for p in NOISE],
-    "smolin": [{}],
-    "duer4": [{}],
-    "mixed": [{"dims": dims} for dims in [(2,), (2, 3), (3, 2), (3, 2, 2), (2, 3, 4), (2,) * 8]],
-}
-
-
 @pytest.mark.parametrize("family", list(_FAMILIES))
 def test_every_zoo_state_is_valid(family):
     """The zoo builds its states from formulas and does not validate them;
     each passes the check, and is, bit for bit, what the validating
-    constructor makes of its matrix."""
+    constructor makes of its matrix and the state that sums of checked
+    ``basis_ket`` calls give."""
     assert set(ZOO_GRID) == set(_FAMILIES), "every zoo family needs a row in ZOO_GRID"
     for params in ZOO_GRID[family]:
         rho = ZooSpec(family, **params).build()
@@ -612,6 +605,7 @@ def test_every_zoo_state_is_valid(family):
         assert rho.matrix.dtype == checked.matrix.dtype
         assert rho.matrix.flags.c_contiguous and not rho.matrix.flags.writeable
         assert rho.matrix.tobytes() == checked.matrix.tobytes()
+        assert rho.matrix.tobytes() == basis_ket_zoo_state(family, params).matrix.tobytes()
         if "noise" in params:
             # the noise weight is the weight of sigma, not of I/D
             total = rho.dim

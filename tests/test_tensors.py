@@ -17,7 +17,7 @@ from blochsep import (
     tensor_kyfan,
     unfold,
 )
-from blochsep.tensors import _orthogonal_forms
+from blochsep.tensors import _groups_of, _orthogonal_forms
 from blochsep.tolerances import RANK_CUTOFF
 from conftest import per_matrix_kyfan, per_tensor_form, same_form
 
@@ -360,7 +360,7 @@ def test_orthogonal_forms_match_the_per_tensor_search():
     ]
     want = [per_tensor_form(t) for t in tensors]
     assert None not in want
-    forms, failed = _orthogonal_forms(tensors)
+    forms, failed = _orthogonal_forms(_groups_of(tensors), len(tensors))
     assert failed is None and len(forms) == len(tensors)
     assert all(same_form(f, w) for f, w in zip(forms, want))
     assert all(same_form(find_orthogonal_kruskal(t), w) for t, w in zip(tensors, want))
@@ -369,7 +369,7 @@ def test_orthogonal_forms_match_the_per_tensor_search():
         assert per_tensor_form(bad) is None and find_orthogonal_kruskal(bad) is None
         for position in range(len(tensors) + 1):
             batch = tensors[:position] + [bad] + tensors[position:]
-            assert _orthogonal_forms(batch) == (None, position)
+            assert _orthogonal_forms(_groups_of(batch), len(batch)) == (None, position)
 
 
 def test_sign_table_needs_a_column():
