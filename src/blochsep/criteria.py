@@ -146,24 +146,24 @@ def subset_scan(rho: DensityMatrix, subsets="all") -> list:
     verdict of the necessary criterion is made here, from components
     stacked by shape through ``_groups`` and norms from ``_kyfan_norms``,
     which takes one SVD call per component shape, or per shape and mode
-    where the subset's dimensions differ.  The bound is computed once per
-    tuple of dimensions.  A single-party state raises ``ValueError`` under
-    every selector, and a ``rho`` that is not a DensityMatrix under every
-    one too.
+    where the subset's dimensions differ.  The bound and its comparisons
+    are made once per stack, whose shape fixes its subsets' dimensions.  A
+    single-party state raises ``ValueError`` under every selector, and a
+    ``rho`` that is not a DensityMatrix under every one too.
     """
     _density(rho, "rho")
     subsets = _select_subsets(rho.n_parties, subsets)
-    norms = _kyfan_norms(_groups(rho, subsets), len(subsets))
-    dims = [tuple(rho.dims[k] for k in s) for s in subsets]
-    bounds = {d: separability_bound(d) for d in set(dims)}
-    verdicts = []
-    for subset, norm, bound in zip(subsets, norms, map(bounds.get, dims)):
-        entangled = norm > bound + BOUND_GUARD
-        verdicts.append(Verdict(
-            Decision.ENTANGLED if entangled else Decision.INCONCLUSIVE, norm, bound,
-            "necessary-norm", not entangled and norm > bound - BOUND_GUARD, subset=subset,
-        ))
-    return verdicts
+    groups = _groups(rho, subsets)
+    norms = _kyfan_norms(groups, len(subsets))
+    values, tests = np.array(norms), [None] * len(subsets)
+    for positions, _ in groups:
+        bound = separability_bound([rho.dims[k] for k in subsets[positions[0]]])
+        entangled = (values[positions] > bound + BOUND_GUARD).tolist()
+        borderline = (values[positions] > bound - BOUND_GUARD).tolist()
+        for i, e, b in zip(positions.tolist(), entangled, borderline):
+            tests[i] = (Decision.ENTANGLED if e else Decision.INCONCLUSIVE, bound, not e and b)
+    return [Verdict(decision, norm, bound, "necessary-norm", borderline, subset=subset)
+            for subset, norm, (decision, bound, borderline) in zip(subsets, norms, tests)]
 
 
 def qubit_exact_test(rho: DensityMatrix) -> Verdict:

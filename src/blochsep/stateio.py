@@ -127,9 +127,10 @@ def _texts(items, newline: str) -> list:
     their sum is finite, so that each one is.  Objects with one tuple of
     ``str`` keys, a report's records, and lists (or tuples) of one nonzero
     length, such as a term's factors, fill one template, their values
-    encoded column by column.  Non-empty lists (or tuples) of unequal
-    lengths that hold ints only, such as a report's subsets, take one join
-    each."""
+    encoded column by column; a lone list, such as the one value of a
+    one-key object, is not a column of one-value rows and is encoded whole.
+    Non-empty lists (or tuples) of unequal lengths that hold ints only, such
+    as a report's subsets, take one join each."""
     kinds = set(map(type, items))
     if len(kinds) == 1:
         kind = kinds.pop()
@@ -141,7 +142,7 @@ def _texts(items, newline: str) -> list:
             template, values = _template(tuple(items[0]), newline), map(dict.values, items)
         elif kind is list or kind is tuple:
             inner = newline + "  "
-            if items[0] and len(set(map(len, items))) == 1:
+            if len(items) > 1 and items[0] and len(set(map(len, items))) == 1:
                 template = "[" + inner + ("," + inner).join(["%s"] * len(items[0])) + newline + "]"
             elif all(items) and set(map(type, itertools.chain.from_iterable(items))) == {int}:
                 head, sep, tail = "[" + inner, "," + inner, newline + "]"

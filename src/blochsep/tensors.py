@@ -24,7 +24,10 @@ shape, as (positions, stack) groups: a subset scan's come from
 :func:`_groups_of`.  The norms take one SVD call per shape whose modes
 share one dimension, and one per shape and mode otherwise; the search
 takes one diagonal test per shape of order >= 3 and, when every tensor
-passes, one SVD call per shape of matrices.
+passes, one SVD call per shape of matrices.  The norms send each distinct
+unfolding to LAPACK once: a tensor equal bit for bit to an earlier one of
+its stack shares that one's SVDs, and a tensor equal bit for bit to its
+cyclic mode shift takes one SVD for all its modes (:func:`_sharing`).
 """
 from __future__ import annotations
 
@@ -110,6 +113,64 @@ def _groups_of(tensors) -> list:
             for members in groups.values()]
 
 
+def _is_fixed(stack: np.ndarray, r: int) -> bool:
+    """Whether tensor ``r`` of ``stack`` equals its cyclic mode shift bit
+    for bit: then every rotation of it is itself, and all its unfoldings
+    are one matrix."""
+    return stack[r].tobytes() == _rotated(stack[r:r + 1], 1).tobytes()
+
+
+def _sharing(stack: np.ndarray, cyclic: bool):
+    """Which tensors of ``stack``, whose axis 0 runs over them, share their
+    unfoldings: None when none does, and otherwise (distinct, loose,
+    inverse).  ``distinct`` stacks the distinct tensors, each the first of
+    its equals, the ``loose`` ones that differ from their cyclic mode shift
+    before the fixed ones that equal it; ``inverse`` gives for each tensor
+    the index in ``distinct`` of its equal, and is None when there is one
+    distinct tensor.  Shifts are compared only when ``cyclic``, the modes
+    sharing one dimension.
+
+    Equal means equal bit for bit, so that a shared SVD gives each tensor
+    the bits of its own.  Entry (1, 0, ..., 0) is the probe: tensors whose
+    probes differ as floats differ, and so does a tensor whose probe
+    differs from its entry (0, 1, 0, ..., 0), which the shift moves onto
+    the probe.  The bytes of the tensors decide every candidate, so a stack
+    of generic tensors costs two column reads."""
+    count, shape = len(stack), stack.shape[1:]
+    p = math.prod(shape[1:]) if shape[0] > 1 else 0
+    q = p // shape[1]
+    if count == 1:
+        if cyclic and stack.item(p) == stack.item(q) and _is_fixed(stack, 0):
+            return stack, 0, None
+        return None
+    flat = stack.reshape(count, -1)
+    probe = flat[:, p].tolist()
+    first = None
+    if len(set(probe)) < count:
+        raw = stack.tobytes()
+        size = len(raw) // count
+        if raw == raw[:size] * count:
+            first = [0] * count
+        else:
+            seen = {}
+            first = [seen.setdefault(raw[i * size:(i + 1) * size], i) for i in range(count)]
+    reps = range(count) if first is None else list(dict.fromkeys(first))
+    fixed = []
+    if cyclic:
+        image = flat[:, q].tolist()
+        fixed = [r for r in reps if probe[r] == image[r] and _is_fixed(stack, r)]
+    if not fixed and len(reps) == count:
+        return None
+    if len(reps) == 1:
+        return stack[:1], 1 - len(fixed), None
+    fixed_set = set(fixed)
+    loose = [r for r in reps if r not in fixed_set]
+    reps = loose + fixed
+    where = {r: j for j, r in enumerate(reps)}
+    inverse = np.array([where[r] for r in first or range(count)], dtype=np.intp)
+    return stack[reps], len(loose), inverse
+
+
 def _kyfan_norms(groups, count: int) -> list:
     """Ky Fan norms of ``count`` tensors given as ``groups``, (positions,
     stack) per shape in the layout of :func:`_groups_of`, in input order:
@@ -117,6 +178,13 @@ def _kyfan_norms(groups, count: int) -> list:
     The unfoldings of a stack go to SVD calls together: one call per shape
     when every mode has the same dimension, so every unfolding has the same
     matrix shape, and one per shape and mode otherwise.
+
+    Each distinct unfolding goes to LAPACK once (:func:`_sharing`): a
+    tensor equal bit for bit to an earlier one of its stack takes that
+    one's norm, and a tensor equal bit for bit to its cyclic mode shift,
+    all of whose unfoldings are then one matrix, takes one SVD instead of
+    one per mode.  The matrices are those the tensor's own unfoldings
+    give, so every norm keeps its bits.
 
     Each unfolding goes to LAPACK transposed, tall and narrow, entrywise the
     transpose of the matrix :func:`unfold` gives: the singular values are
@@ -126,18 +194,29 @@ def _kyfan_norms(groups, count: int) -> list:
     for members, stack in groups:
         shape = stack.shape[1:]
         order = len(shape)
-        if len(set(shape)) == 1:
-            # each mode's rotation has the stack's shape: one array holds
-            # them all, index m holding the rotation that puts mode m last
-            rotations = np.empty((order,) + stack.shape)
-            for mode in range(order):
-                rotations[mode] = _rotated(stack, (mode + 1) % order)
-            unfoldings = rotations.reshape(order * len(members), -1, shape[0])
-            sums = singular_values(unfoldings).sum(axis=-1)
+        cyclic = len(set(shape)) == 1
+        distinct, loose, inverse = _sharing(stack, cyclic) or (stack, len(stack), None)
+        if cyclic:
+            # every unfolding has one matrix shape: the loose tensors'
+            # rotations, index mode * loose + j holding the one of tensor j
+            # that puts mode last, then the fixed tensors, each of which is
+            # its own rotation for every mode
+            matrices = distinct
+            if loose:
+                rotations = np.empty((order, loose) + shape)
+                for mode in range(order):
+                    rotations[mode] = _rotated(distinct[:loose], (mode + 1) % order)
+                matrices = rotations.reshape((order * loose,) + shape)
+                if loose < len(distinct):
+                    matrices = np.concatenate([matrices, distinct[loose:]])
+            sums = singular_values(matrices.reshape(len(matrices), -1, shape[0])).sum(axis=-1)
         else:
-            sums = np.concatenate([singular_values(_transposed_unfoldings(stack, mode)).sum(axis=-1)
+            sums = np.concatenate([singular_values(_transposed_unfoldings(distinct, mode)).sum(axis=-1)
                                    for mode in range(order)])
-        norms[members] = sums.reshape(order, len(members)).max(axis=0)
+        best = sums[:order * loose].reshape(order, loose).max(axis=0)
+        if loose < len(distinct):
+            best = np.concatenate([best, sums[order * loose:]])
+        norms[members] = best if inverse is None else best[inverse]
     return norms.tolist()
 
 

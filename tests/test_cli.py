@@ -21,6 +21,7 @@ import blochsep.bloch
 import blochsep.cli
 import blochsep.criteria
 import blochsep.states
+import blochsep.stateio
 from blochsep import (
     Decision,
     InvalidStateError,
@@ -883,6 +884,9 @@ def report_docs(draw):
 @example(doc={"bools": [[True, 1], [2, 3, 4]], "bool-alone": [[1, 2], [False]],
               "empty": [[1], [], [2, 3]], "floats": [[1, 2.0], [3]], "nested": [[[1]], [2, 3]],
               "mixed-kinds": [(1,), [2, 3]]})
+@example(doc={"records": [{"subset": (0, 1), "norm": 1.5, "borderline": False},
+                          {"subset": (0, 1, 2), "norm": -0.0, "borderline": True}]})
+@example(doc=[[[1.0, 2.0], [3.0, -0.0]]])
 def test_reports_are_written_as_json_writes_them(doc):
     """``dump_json`` gives the bytes of ``json.dumps(indent=2,
     allow_nan=False)``, down to the depth of every line, to floats as
@@ -892,8 +896,27 @@ def test_reports_are_written_as_json_writes_them(doc):
     lists, the fourth holds lists of int lists of unequal lengths, such as
     an analyze report's subsets, and the fifth near misses of those: a bool
     among the ints, an empty list, a float, a nested list, a list beside a
-    tuple."""
+    tuple.  The last two each hold one list alone, as the one value of an
+    object and of a list."""
     assert dump_json(doc) == json_dumps(doc)
+
+
+def test_a_lone_list_of_records_is_encoded_whole(monkeypatch):
+    """The records of W-7's ``--subsets all`` report, alone in an object,
+    make as many ``_texts`` calls as beside a second key: a one-item list of
+    lists is not a template of one column per entry of its item, each
+    column one value long."""
+    code, out, _ = run(["analyze", "zoo:w", "-N", "7", "--subsets", "all"])
+    assert code == 0
+    records = [dict(r, subset=tuple(r["subset"])) for r in json.loads(out)["records"]]
+    assert len(records) == 120
+    for doc, want in (({"records": records}, 8), ({"records": records, "kind": "analysis"}, 8),
+                      ([records], 8)):
+        counts = {"texts": 0}
+        with monkeypatch.context() as patch:
+            count_calls(patch, counts, "texts", blochsep.stateio, "_texts")
+            assert dump_json(doc) == json_dumps(doc)
+        assert counts["texts"] == want
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf, np.float64("-inf")]

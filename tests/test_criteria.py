@@ -3,7 +3,7 @@ search."""
 
 from dataclasses import replace
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, permutations
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -12,7 +12,7 @@ import pytest
 import blochsep.tensors
 from blochsep.bloch import _components, _plan
 from blochsep.criteria import _select_subsets, _sufficiency_parts
-from blochsep.tensors import _groups_of, _orthogonal_forms
+from blochsep.tensors import _groups_of, _kyfan_norms, _orthogonal_forms
 from blochsep import (
     CriterionUnavailableError,
     Decision,
@@ -49,7 +49,7 @@ from blochsep import (
 from blochsep.tolerances import BOUND_GUARD
 from conftest import (bisect_threshold, count_calls, decomposition_candidates,
                       diagonal_qubit_state, empty_bloch_data, per_component_forms,
-                      per_tensor_form, per_tensor_norms, per_term_assembly,
+                      per_matrix_kyfan, per_tensor_form, per_tensor_norms, per_term_assembly,
                       per_term_decomposition, random_density, random_pure_product,
                       random_separable, random_unitary, same_form)
 
@@ -226,6 +226,145 @@ def test_norms_take_one_svd_call_per_shape(monkeypatch):
             count_calls(patch, counts, "svd", blochsep.tensors, "singular_values")
             call()
         assert counts["svd"] == want, name
+
+
+def count_matrices(call) -> int:
+    """How many matrices ``call`` hands to LAPACK through
+    ``tensors.singular_values``."""
+    counts = {"matrices": 0}
+    svd = blochsep.tensors.singular_values
+
+    def counted(matrix):
+        counts["matrices"] += int(np.prod(np.shape(matrix)[:-2]))
+        return svd(matrix)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(blochsep.tensors, "singular_values", counted)
+        call()
+    return counts["matrices"]
+
+
+def test_norms_send_each_distinct_unfolding_to_lapack_once():
+    # the reduced states of a permutation-symmetric state coincide, and so,
+    # bit for bit, do most of their correlation tensors and unfoldings:
+    # GHZ-7 sends one matrix per shape where its 120 subsets have 441
+    # unfoldings.  psi-234's shapes all differ, and a random state's tensors
+    # differ from each other and from their cyclic shifts, so neither shares
+    rng = np.random.default_rng(35)
+    cases = {
+        "ghz-6": (ghz(6), 186, 5),
+        "ghz-7": (ghz(7), 441, 6),
+        "w-7": (w_state(7), 441, 10),
+        "w-8": (w_state(8), 1016, 13),
+        "smolin": (smolin(), 28, 3),
+        "psi-234": (state_234(), 9, 9),
+        "random-6": (random_density(rng, (2,) * 6, rank=2), 186, 186),
+    }
+    for name, (rho, unfoldings, want) in cases.items():
+        subsets = _select_subsets(rho.n_parties, "all")
+        assert sum(len(s) for s in subsets) == unfoldings, name
+        assert count_matrices(lambda: subset_scan(rho, "all")) == want, name
+
+
+def symmetrized(rho: DensityMatrix) -> DensityMatrix:
+    """``rho`` averaged over every permutation of its parties, whose
+    dimensions are equal."""
+    dims, n = rho.dims, rho.n_parties
+    blocks = rho.matrix.reshape(dims + dims)
+    perms = list(permutations(range(n)))
+    mat = sum(blocks.transpose(list(p) + [n + k for k in p]) for p in perms) / len(perms)
+    return DensityMatrix(dims, mat.reshape(rho.matrix.shape))
+
+
+def shifted(t: np.ndarray) -> np.ndarray:
+    """``t`` with its modes in the cyclic order that starts at mode 1."""
+    return t.transpose(list(range(1, t.ndim)) + [0])
+
+
+@st.composite
+def near_duplicate_stacks(draw):
+    """Tensors of one shape, some repeated exactly, some copies differing
+    from an earlier one in one entry by one ulp or by the sign of a zero,
+    and some equal bit for bit to their cyclic shifts."""
+    order = draw(st.integers(2, 4), label="order")
+    dims = draw(st.sampled_from([(d,) * order for d in (1, 2, 3)] + [(2, 3, 3)[:order], (3, 2)]),
+                label="dims")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    base = rng.normal(size=dims)
+    if len(set(dims)) == 1 and draw(st.booleans(), label="supersymmetric"):
+        # each entry is read at its sorted multi-index, so the tensor equals
+        # every permutation of its modes bit for bit
+        index = np.sort(np.indices(dims).reshape(order, -1), axis=0)
+        base = base.ravel()[np.ravel_multi_index(index, dims)].reshape(dims)
+    tensors = [base]
+    for _ in range(draw(st.integers(1, 6), label="copies")):
+        t = tensors[draw(st.integers(0, len(tensors) - 1))].copy()
+        change = draw(st.sampled_from(["same", "ulp", "zero"]))
+        at = tuple(draw(st.integers(0, d - 1)) for d in dims)
+        if change == "ulp":
+            t[at] = np.nextafter(t[at], np.inf)
+        elif change == "zero":
+            # a +0.0 and a -0.0 copy, equal as floats but not bit for bit;
+            # the entry's permutations are zeroed too, so that a tensor equal
+            # to its shifts stays so in the +0.0 copy
+            for i in set(permutations(at)) if len(set(dims)) == 1 else [at]:
+                t[i] = 0.0
+            tensors.append(t.copy())
+            t[at] = -0.0
+        tensors.append(t)
+    return tensors
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_shared_norms_are_the_per_tensor_norms_bit_for_bit(data):
+    # sharing an SVD between equal tensors, or between the unfoldings of a
+    # tensor equal to its cyclic shift, must hand LAPACK the matrices each
+    # tensor gives alone: norms compare with ==.  Tensors that differ in one
+    # bit, such as an ulp or the sign of a zero, are not merged
+    kind = data.draw(st.sampled_from(["zoo", "symmetrized", "stack"]), label="kind")
+    if kind == "stack":
+        tensors = data.draw(near_duplicate_stacks(), label="tensors")
+        norms = []
+        matrices = count_matrices(lambda: norms.extend(_kyfan_norms(_groups_of(tensors), len(tensors))))
+        assert norms == [per_matrix_kyfan(t) for t in tensors]
+        distinct = {t.tobytes(): t for t in tensors}.values()
+        cyclic = len(set(tensors[0].shape)) == 1
+        assert matrices == sum(1 if cyclic and t.tobytes() == shifted(t).tobytes() else t.ndim
+                               for t in distinct)
+        return
+    if kind == "zoo":
+        family = data.draw(st.sampled_from(["ghz", "w", "ghz-noisy", "w-noisy", "qutrit-ghz-noisy"]),
+                           label="family")
+        # qutrit GHZ tensors differ from their shifts and from each other in a
+        # few entries by rounding, so their stacks share only in part
+        top = 4 if family.startswith("qutrit") else 7
+        params = {"parties": data.draw(st.integers(2, top), label="parties")}
+        if family.endswith("noisy"):
+            params["noise"] = data.draw(st.sampled_from([0.0, 0.37, 0.5, 1.0]), label="noise")
+        rho = ZooSpec(family, **params).build()
+    else:
+        dims = data.draw(st.sampled_from([(2, 2), (2, 2, 2), (2,) * 4, (3, 3, 3)]), label="dims")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rho = symmetrized(random_density(np.random.default_rng(seed), dims, rank=2))
+    subsets = _select_subsets(rho.n_parties, "all")
+    assert [v.norm_value for v in subset_scan(rho, "all")] == per_tensor_norms(rho, subsets)
+
+
+def test_a_signed_zero_is_not_shared():
+    # a supersymmetric tensor and its copy with one zero negated are equal
+    # as floats, and the copy equals its cyclic shift as floats: neither is
+    # shared, so the copy takes all three unfoldings and the tensor one
+    index = np.sort(np.indices((3, 3, 3)).reshape(3, -1), axis=0)
+    t = np.arange(1.0, 28.0)[np.ravel_multi_index(index, (3, 3, 3))].reshape(3, 3, 3)
+    t[0, 0, 1] = t[0, 1, 0] = t[1, 0, 0] = 0.0
+    u = t.copy()
+    u[0, 1, 0] = -0.0
+    for tensors, want in (([t, u], 1 + 3), ([u, t, u], 3 + 1), ([t, t], 1)):
+        norms = []
+        matrices = count_matrices(lambda: norms.extend(_kyfan_norms(_groups_of(tensors), len(tensors))))
+        assert norms == [per_matrix_kyfan(x) for x in tensors]
+        assert matrices == want
 
 
 def test_sufficiency_takes_one_svd_call_for_its_pair_matrices(monkeypatch):

@@ -17,7 +17,7 @@ from blochsep import (
     tensor_kyfan,
     unfold,
 )
-from blochsep.tensors import _groups_of, _orthogonal_forms
+from blochsep.tensors import _groups_of, _kyfan_norms, _orthogonal_forms
 from blochsep.tolerances import RANK_CUTOFF
 from conftest import per_matrix_kyfan, per_tensor_form, same_form
 
@@ -200,10 +200,17 @@ def test_kruskal_form_validation():
     (lambda: unfold(np.ones((2, 2)), 1.0), r"mode must be an integer, got 1\.0"),
     (lambda: sign_table(2.0), r"n_parties must be an integer, got 2\.0"),
     (lambda: sign_table(True), "n_parties must be an integer, got True"),
+    # shared unfoldings still reach the SVD's check: two equal tensors, and
+    # one equal to its cyclic shift, whose one unfolding stands for all
+    (lambda: _kyfan_norms(_groups_of([np.array([[1.0, np.nan]])] * 2), 2),
+     "matrix contains non-finite entries"),
+    (lambda: _kyfan_norms(_groups_of([np.full((2, 2, 2), np.inf)]), 1),
+     "matrix contains non-finite entries"),
 ], ids=["order-1", "order-0-unfold", "order-0-kruskal", "inf", "nan", "mode-too-large",
         "mode-negative", "negative-weight", "nan-weight", "no-mode", "empty-kyfan",
         "empty-kruskal", "complex-kyfan", "complex-singular-values", "complex-unfold",
-        "complex-kruskal", "bool-mode", "float-mode", "float-sign-table", "bool-sign-table"])
+        "complex-kruskal", "bool-mode", "float-mode", "float-sign-table", "bool-sign-table",
+        "nan-repeated", "inf-cyclic"])
 def test_tensor_refusals_keep_their_messages(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
