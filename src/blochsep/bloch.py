@@ -7,17 +7,19 @@ generators, giving the real coefficient array (cached on the state)
     C_{a_0...a_{N-1}} = Tr(rho (A^(0)_{a_0} x ... x A^(N-1)_{a_{N-1}})).
 
 Every component is a slice of C with index 0 in the traced-out modes.
-:func:`_components` reads them one by one as views, and :func:`_groups`
-stacks those of one shape by one gather through a cached index plan;
-:func:`reconstruct` is the only writer.  As an identity factor traces its
-mode out, the slices are the coherence vectors s^(k)_a = (d_k / 2)
-Tr(rho_k g_a) and, for each subset S with |S| >= 2, the correlation tensors
+:func:`_plan` is the one map from subsets to the positions of their entries
+in C: :func:`_groups`, the one reader, gathers the components of each shape
+through it into one stack, and :func:`reconstruct`, the one writer, scatters
+them through it.  As an identity factor traces its mode out, the slices are
+the coherence vectors s^(k)_a = (d_k / 2) Tr(rho_k g_a) and, for each
+subset S with |S| >= 2, the correlation tensors
 t_{a_1...a_M} = (prod_{k in S} d_k / 2^M) Tr(rho_S (g_{a_1} x ... x g_{a_M}))
 of the reduced states.  C_{0...0} = 1 completes the parameterization:
 :func:`_from_coefficients` runs the contraction in reverse with the unscaled
 stacks and divides by D = prod_k d_k.  It is the only map from coefficients
 back to a matrix; :func:`reconstruct` and the assembly of separable
-decompositions both end in it.
+decompositions both end in it.  It does not validate the matrix it gives:
+:func:`reconstruct` and ``criteria.assemble_decomposition`` do.
 """
 from __future__ import annotations
 
@@ -29,7 +31,8 @@ import math
 import numpy as np
 
 from .errors import NumericIntegrityError
-from .states import DensityMatrix, _check_memory, _checked_subset, _integer, _subsystem_dims
+from .states import (DensityMatrix, _check_memory, _checked_subset, _instance, _integer,
+                     _subsystem_dims)
 from .su_basis import build_basis
 from .tolerances import IMAG_TOL
 
@@ -74,12 +77,6 @@ def _name(subset) -> str:
             else f"correlation tensor of subset {subset}")
 
 
-@lru_cache(maxsize=None)
-def _slot(n: int, subset) -> tuple:
-    """Index of a component in the coefficient array of an n-party state."""
-    return tuple(slice(1, None) if k in subset else 0 for k in range(n))
-
-
 def _mode_products(arr: np.ndarray, mats) -> np.ndarray:
     """Contract axis k of ``arr`` with axis 1 of ``mats[k]`` for every k; each
     step takes the leading axis and appends the new one, keeping axis order.
@@ -116,15 +113,6 @@ def _coefficients(rho: DensityMatrix) -> np.ndarray:
         coeff.flags.writeable = False
         object.__setattr__(rho, "_coefficients", coeff)
     return coeff
-
-
-def _components(rho: DensityMatrix, subsets=None):
-    """(subset, read-only view of its slice of the coefficient array) for
-    each of the ascending index tuples ``subsets``, or for every component
-    when ``subsets`` is left out, coherence vectors being the order-1 case."""
-    coeff, n = _coefficients(rho), rho.n_parties
-    for subset in _subsets(n) if subsets is None else subsets:
-        yield subset, coeff[_slot(n, subset)]
 
 
 @lru_cache(maxsize=64)
@@ -167,17 +155,17 @@ def _groups(rho: DensityMatrix, subsets=None) -> list:
     """The components of ``subsets`` (ascending index tuples; every
     component when left out) stacked by shape: (positions, stack) per shape
     of :func:`_plan`, ``stack`` a fresh copy of the components at
-    ``positions``, one gather per shape.  The batched counterpart of
-    :func:`_components`, whose views it copies entry for entry."""
+    ``positions``, one gather per shape."""
     coeff = _coefficients(rho).ravel()
     subsets = _subsets(rho.n_parties) if subsets is None else tuple(subsets)
     return [(positions, coeff[idx]) for positions, idx in _plan(rho.dims, subsets)]
 
 
 def _component(rho: DensityMatrix, subset, min_size: int) -> np.ndarray:
-    """A copy of the component of ``subset`` after checking the subset."""
-    ((_, c),) = _components(rho, [_checked_subset(subset, rho.n_parties, min_size)])
-    return c.copy()
+    """A copy of the component of ``subset``, state and subset checked."""
+    _instance(rho, DensityMatrix, "rho")
+    ((_, (c,)),) = _groups(rho, [_checked_subset(subset, rho.n_parties, min_size)])
+    return c
 
 
 def bloch_vector(rho: DensityMatrix, k: int) -> np.ndarray:
@@ -196,9 +184,12 @@ def correlation_tensor(rho: DensityMatrix, subset) -> np.ndarray:
 
 def decompose(rho: DensityMatrix) -> BlochData:
     """Full expansion: every coherence vector and every subset tensor."""
-    parts = [(s, c.copy()) for s, c in _components(rho)]
-    singles = {s[0]: c for s, c in parts if len(s) == 1}
-    return BlochData(rho.dims, singles, {s: c for s, c in parts if len(s) > 1})
+    _instance(rho, DensityMatrix, "rho")
+    subsets = _subsets(rho.n_parties)
+    parts = {subsets[i]: c for positions, stack in _groups(rho)
+             for i, c in zip(positions.tolist(), stack)}
+    return BlochData(rho.dims, {s[0]: parts[s] for s in subsets if len(s) == 1},
+                     {s: parts[s] for s in subsets if len(s) > 1})
 
 
 def reconstruct(data: BlochData) -> DensityMatrix:
@@ -208,33 +199,40 @@ def reconstruct(data: BlochData) -> DensityMatrix:
     mismatches and InvalidStateError if the dimensions are not valid or the
     coefficients do not describe a physical state.
     """
+    _instance(data, BlochData, "data")
     dims = _subsystem_dims(data.dims)
     n = len(dims)
-    coeff = np.zeros(tuple(d * d for d in dims))
-    coeff[(0,) * n] = 1.0
+    subsets = _subsets(n)
     if sorted(data.singles) != list(range(n)):
         raise ValueError("singles must hold exactly one vector per subsystem")
-    if sorted(data.tensors) != sorted(s for s in _subsets(n) if len(s) > 1):
+    if sorted(data.tensors) != sorted(s for s in subsets if len(s) > 1):
         raise ValueError("tensors must hold exactly one entry per subset of size >= 2")
-    for subset in _subsets(n):
+    parts = []
+    for subset in subsets:
         part = data.singles[subset[0]] if len(subset) == 1 else data.tensors[subset]
         part = np.asarray(part, dtype=float)
         want = tuple(dims[k] ** 2 - 1 for k in subset)
         if part.shape != want:
             raise ValueError(f"{_name(subset)} has shape {part.shape}, expected {want}")
-        coeff[_slot(n, subset)] = part
-    return _from_coefficients(dims, coeff)
+        parts.append(part)
+    coeff = np.zeros(math.prod(d * d for d in dims))
+    coeff[0] = 1.0
+    for positions, idx in _plan(dims, subsets):
+        for i, at in zip(positions.tolist(), idx):
+            coeff[at] = parts[i]
+    return DensityMatrix(dims, _from_coefficients(dims, coeff.reshape([d * d for d in dims])))
 
 
-def _from_coefficients(dims: tuple, coeff: np.ndarray) -> DensityMatrix:
-    """The density matrix whose coefficient array is ``coeff``: the expansion
-    contraction run in reverse with the unscaled stacks, divided by D."""
+def _from_coefficients(dims: tuple, coeff: np.ndarray) -> np.ndarray:
+    """The matrix whose coefficient array is ``coeff``, not validated: the
+    expansion contraction run in reverse with the unscaled stacks, divided
+    by D."""
     n = len(dims)
     paired = _mode_products(coeff, [_stack(d, 1.0).T for d in dims])
     paired = paired.reshape(tuple(x for d in dims for x in (d, d)))
     mat = paired.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2)))
     total = math.prod(dims)
-    return DensityMatrix(dims, mat.reshape(total, total) / total)
+    return mat.reshape(total, total) / total
 
 
 def ball_radii(d: int) -> tuple:

@@ -24,7 +24,7 @@ import time
 
 from .criteria import (
     _CRITERIA,
-    assemble_decomposition,
+    _mixture_matrix,
     noise_threshold_table,
     separable_decomposition,
     threshold_search,
@@ -288,9 +288,8 @@ def cmd_threshold_table(args) -> int:
 def cmd_decompose(args) -> int:
     rho, descriptor = _resolve_state(args)
     dec = separable_decomposition(rho)
-    residual = float(
-        np.linalg.norm(assemble_decomposition(dec).matrix - rho.matrix)
-    )
+    # the mixture was built here from a validated state, so it is not validated again
+    residual = float(np.linalg.norm(_mixture_matrix(dec) - rho.matrix))
     doc = {
         "schema": SCHEMA_VERSION,
         "kind": "separable-decomposition",

@@ -25,18 +25,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import groupby
 import math
 
 import numpy as np
 
-from .bloch import _components, _from_coefficients, _groups, _name, _subsets, ball_radii
+from .bloch import _from_coefficients, _groups, _name, _subsets, ball_radii
 from .errors import CriterionUnavailableError
 from .states import (
     DensityMatrix,
     ZooSpec,
     _check_fits,
     _checked_subset,
-    _density,
+    _instance,
     _integer,
     _subsystem_dims,
 )
@@ -44,7 +45,6 @@ from .tensors import (
     KruskalForm,
     _kyfan_norms,
     _orthogonal_forms,
-    find_orthogonal_kruskal,
     kruskal_to_tensor,
     sign_table,
 )
@@ -151,10 +151,10 @@ def subset_scan(rho: DensityMatrix, subsets="all") -> list:
     single-party state raises ``ValueError`` under every selector, and a
     ``rho`` that is not a DensityMatrix under every one too.
     """
-    _density(rho, "rho")
+    _instance(rho, DensityMatrix, "rho")
     subsets = _select_subsets(rho.n_parties, subsets)
     groups = _groups(rho, subsets)
-    norms = _kyfan_norms(groups, len(subsets))
+    norms = _kyfan_norms(groups)
     values, tests = np.array(norms), [None] * len(subsets)
     for positions, _ in groups:
         bound = separability_bound([rho.dims[k] for k in subsets[positions[0]]])
@@ -174,23 +174,26 @@ def qubit_exact_test(rho: DensityMatrix) -> Verdict:
     tensors all vanish and whose full tensor admits a completely orthogonal
     rank-1 decomposition.  On that class the state is separable exactly when
     the Ky Fan norm (the decomposition's weight sum) is at most 1.  Unmet
-    preconditions yield Inconclusive with a reason code.
+    preconditions yield Inconclusive with a reason code; the proper
+    components are read one order at a time, up to the first order that
+    holds a nonzero one.
     """
     crit = "qubit-exact"
-    _density(rho, "rho")
-    if rho.n_parties < 2 or any(d != 2 for d in rho.dims):
+    _instance(rho, DensityMatrix, "rho")
+    n = rho.n_parties
+    if n < 2 or any(d != 2 for d in rho.dims):
         return Verdict(Decision.INCONCLUSIVE, None, 1.0, crit, reason="not-a-multiqubit-state")
-    *proper, (_, full) = _components(rho)
-    for subset, c in proper:
-        if np.linalg.norm(c) > ZERO_COMPONENT_TOL:
-            reason = ("coherence-vectors-nonzero" if len(subset) == 1
-                      else "lower-order-tensors-nonzero")
+    # the subsets of one size are a contiguous run of the component order
+    for size, run in groupby(_subsets(n)[:-1], len):
+        ((_, stack),) = _groups(rho, run)
+        if any(np.linalg.norm(c) > ZERO_COMPONENT_TOL for c in stack):
+            reason = "coherence-vectors-nonzero" if size == 1 else "lower-order-tensors-nonzero"
             return Verdict(Decision.INCONCLUSIVE, None, 1.0, crit, reason=reason)
-    form = find_orthogonal_kruskal(full)
-    if form is None:
+    forms, _ = _orthogonal_forms(_groups(rho, _subsets(n)[-1:]))
+    if forms is None:
         reason = "no-orthogonal-decomposition"
         return Verdict(Decision.INCONCLUSIVE, None, 1.0, crit, reason=reason)
-    norm = float(form.weights.sum())
+    norm = float(forms[0].weights.sum())
     if norm > 1.0 + BOUND_GUARD:
         return Verdict(Decision.ENTANGLED, norm, 1.0, crit)
     if norm < 1.0 - BOUND_GUARD:
@@ -206,9 +209,9 @@ def _sufficiency_parts(rho: DensityMatrix):
     (None, failing_subset) for the first component, in component order,
     whose order >= 3 tensor has none.
     """
-    _density(rho, "rho")
+    _instance(rho, DensityMatrix, "rho")
     subsets = _subsets(rho.n_parties)
-    forms, failed = _orthogonal_forms(_groups(rho), len(subsets))
+    forms, failed = _orthogonal_forms(_groups(rho))
     if forms is None:
         return None, subsets[failed]
     dims = [tuple(rho.dims[k] for k in s) for s in subsets]
@@ -287,8 +290,8 @@ def separable_decomposition(rho: DensityMatrix) -> SeparableDecomposition:
     return SeparableDecomposition(dims=dims, terms=terms, identity_weight=1.0 - total)
 
 
-def assemble_decomposition(dec: SeparableDecomposition) -> DensityMatrix:
-    """Turn a separable decomposition back into its density matrix.
+def _mixture_matrix(dec: SeparableDecomposition) -> np.ndarray:
+    """The matrix of the mixture ``dec`` describes, not validated.
 
     A product term (x)_k (I + v_k . g)/d_k has the rank-1 coefficient array
     (x)_k (1, v_k), so a row of ones on each factor matrix of ``dec.terms``
@@ -301,6 +304,13 @@ def assemble_decomposition(dec: SeparableDecomposition) -> DensityMatrix:
         form.weights, [np.vstack([np.ones((1, form.rank)), f]) for f in form.factors]))
     coeff[(0,) * len(dec.dims)] += dec.identity_weight
     return _from_coefficients(dec.dims, coeff)
+
+
+def assemble_decomposition(dec: SeparableDecomposition) -> DensityMatrix:
+    """Turn a separable decomposition back into its density matrix, which is
+    validated: ``dec`` may come from outside the package."""
+    _instance(dec, SeparableDecomposition, "dec")
+    return DensityMatrix(dec.dims, _mixture_matrix(dec))
 
 
 # Every criterion key: its verdicts on a state under a subset selector, and

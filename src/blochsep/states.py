@@ -188,11 +188,11 @@ class DensityMatrix:
         return math.prod(self.dims)
 
 
-def _density(value, name: str) -> DensityMatrix:
-    """``value``, checked to be a DensityMatrix; raises ValueError naming
-    the parameter ``name`` and the type it got otherwise."""
-    if not isinstance(value, DensityMatrix):
-        raise ValueError(f"{name} must be a DensityMatrix, got {type(value).__name__}")
+def _instance(value, cls: type, name: str):
+    """``value``, checked to be an instance of ``cls``; raises ValueError
+    naming the parameter ``name``, the class and the type it got otherwise."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
     return value
 
 
@@ -347,7 +347,7 @@ def noisy(state: DensityMatrix, p: float) -> DensityMatrix:
     I/D is Hermitian with unit trace and no eigenvalue below ``state``'s
     least, to rounding.  ``p`` is read as a float, so that the mixture is
     computed in double precision whatever real type it came as."""
-    _density(state, "state")
+    _instance(state, DensityMatrix, "state")
     if isinstance(p, bool) or not isinstance(p, numbers.Real):
         raise ValueError(f"noise weight p must be a real number, got {p!r}")
     if not 0.0 <= p <= 1.0:

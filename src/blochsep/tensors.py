@@ -19,15 +19,17 @@ Two functions batch by shape, and each is the one home of its rule:
 :func:`_kyfan_norms` computes every Ky Fan norm, one tensor's or a whole
 subset scan's, and :func:`_orthogonal_forms` makes every search for a
 completely orthogonal form.  Both take their tensors already stacked by
-shape, as (positions, stack) groups: a subset scan's come from
-``bloch._groups``, one gather per shape, and a lone tensor's from
-:func:`_groups_of`.  The norms take one SVD call per shape whose modes
-share one dimension, and one per shape and mode otherwise; the search
-takes one diagonal test per shape of order >= 3 and, when every tensor
-passes, one SVD call per shape of matrices.  The norms send each distinct
-unfolding to LAPACK once: a tensor equal bit for bit to an earlier one of
-its stack shares that one's SVDs, and a tensor equal bit for bit to its
-cyclic mode shift takes one SVD for all its modes (:func:`_sharing`).
+shape, as (positions, stack) groups, ``positions`` the input positions of
+the tensors along the stack's axis 0.  A state's groups come from
+``bloch._groups``, one gather per shape through the state's index plan,
+and a lone tensor is a group of one.  The norms take one SVD call per
+shape whose modes share one dimension, and one per shape and mode
+otherwise; the search takes one diagonal test per shape of order >= 3
+and, when every tensor passes, one SVD call per shape of matrices.  The
+norms send each distinct unfolding to LAPACK once: a tensor equal bit for
+bit to an earlier one of its stack shares that one's SVDs, and a tensor
+equal bit for bit to its cyclic mode shift takes one SVD for all its modes
+(:func:`_sharing`).
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ import math
 
 import numpy as np
 
-from .states import _check_memory, _integer
+from .states import _check_memory, _instance, _integer
 from .tolerances import RANK_CUTOFF
 
 
@@ -101,18 +103,6 @@ def singular_values(matrix) -> np.ndarray:
     return np.linalg.svd(m, compute_uv=False)
 
 
-def _groups_of(tensors) -> list:
-    """``tensors`` stacked by shape, as :func:`_kyfan_norms` and
-    :func:`_orthogonal_forms` take them: (positions, stack) per shape, in
-    order of first appearance, ``positions`` the input positions of the
-    tensors along the stack's axis 0."""
-    groups = {}
-    for i, t in enumerate(tensors):
-        groups.setdefault(t.shape, []).append(i)
-    return [(np.array(members, dtype=np.intp), np.stack([tensors[i] for i in members]))
-            for members in groups.values()]
-
-
 def _is_fixed(stack: np.ndarray, r: int) -> bool:
     """Whether tensor ``r`` of ``stack`` equals its cyclic mode shift bit
     for bit: then every rotation of it is itself, and all its unfoldings
@@ -171,10 +161,10 @@ def _sharing(stack: np.ndarray, cyclic: bool):
     return stack[reps], len(loose), inverse
 
 
-def _kyfan_norms(groups, count: int) -> list:
-    """Ky Fan norms of ``count`` tensors given as ``groups``, (positions,
-    stack) per shape in the layout of :func:`_groups_of`, in input order:
-    per tensor, the largest singular-value sum over its mode unfoldings.
+def _kyfan_norms(groups) -> list:
+    """Ky Fan norms of the tensors given as ``groups``, (positions, stack)
+    per shape, in input order: per tensor, the largest singular-value sum
+    over its mode unfoldings.
     The unfoldings of a stack go to SVD calls together: one call per shape
     when every mode has the same dimension, so every unfolding has the same
     matrix shape, and one per shape and mode otherwise.
@@ -190,7 +180,7 @@ def _kyfan_norms(groups, count: int) -> list:
     transpose of the matrix :func:`unfold` gives: the singular values are
     the same, and numpy's SVD of a tall n x I matrix takes about half the
     time of its wide I x n transpose."""
-    norms = np.empty(count)
+    norms = np.empty(sum(len(members) for members, _ in groups))
     for members, stack in groups:
         shape = stack.shape[1:]
         order = len(shape)
@@ -223,7 +213,7 @@ def _kyfan_norms(groups, count: int) -> list:
 def tensor_kyfan(tensor) -> float:
     """Ky Fan norm of a tensor: the largest singular-value sum over all mode
     unfoldings; for a matrix, the sum of its singular values."""
-    return _kyfan_norms(_groups_of([_as_tensor(tensor)]), 1)[0]
+    return _kyfan_norms([(np.zeros(1, dtype=np.intp), _as_tensor(tensor)[None])])[0]
 
 
 def is_supersymmetric(tensor) -> bool:
@@ -300,6 +290,7 @@ def kruskal_to_tensor(form: KruskalForm) -> np.ndarray:
     matrix, and one matrix product joins them, so no intermediate holds
     more than one half's entries per term.
     """
+    _instance(form, KruskalForm, "form")
     half = form.order // 2
     left = _khatri_rao(form.factors[:half], form.rank) * form.weights
     right = _khatri_rao(form.factors[half:], form.rank)
@@ -312,13 +303,12 @@ def _max_abs(stack: np.ndarray) -> np.ndarray:
     return np.abs(stack).reshape(stack.shape[0], -1).max(axis=1)
 
 
-def _orthogonal_forms(groups, count: int) -> tuple:
-    """Completely orthogonal Kruskal forms of ``count`` tensors given as
-    ``groups``, (positions, stack) per shape in the layout of
-    :func:`_groups_of`, by :func:`find_orthogonal_kruskal`'s rule:
-    (forms, None), one form per tensor in input order, when every tensor
-    has one, and otherwise (None, i) for the first tensor i, in input order,
-    that has none.
+def _orthogonal_forms(groups) -> tuple:
+    """Completely orthogonal Kruskal forms of the tensors given as
+    ``groups``, (positions, stack) per shape, by
+    :func:`find_orthogonal_kruskal`'s rule: (forms, None), one form per
+    tensor in input order, when every tensor has one, and otherwise
+    (None, i) for the first tensor i, in input order, that has none.
 
     Only a tensor of order >= 3 can lack a form, so the shapes of order
     >= 3 are tested first, in order of first appearance, with one stacked
@@ -327,6 +317,7 @@ def _orthogonal_forms(groups, count: int) -> tuple:
     every tensor has one, which no caller reads otherwise, with one SVD call
     per shape of matrices.
     """
+    count = sum(len(members) for members, _ in groups)
     stop, tested = count, {}
     for members, stack in groups:
         shape = stack.shape[1:]
@@ -391,7 +382,8 @@ def find_orthogonal_kruskal(tensor):
     factor columns in every mode and strictly positive weights, so its weight
     sum is the tensor's Ky Fan norm (for a vector, its Euclidean norm).
     """
-    forms, _ = _orthogonal_forms(_groups_of([_as_tensor(tensor, min_order=1)]), 1)
+    t = _as_tensor(tensor, min_order=1)
+    forms, _ = _orthogonal_forms([(np.zeros(1, dtype=np.intp), t[None])])
     return None if forms is None else forms[0]
 
 

@@ -15,6 +15,7 @@ from blochsep import (
     DensityMatrix,
     InvalidStateError,
     KruskalForm,
+    Verdict,
     ZooSpec,
     ball_radii,
     basis_ket,
@@ -32,10 +33,11 @@ from blochsep import (
     subset_scan,
     sufficiency_test,
 )
-from blochsep.bloch import _components, _from_coefficients, _stack
+from blochsep.bloch import _coefficients, _from_coefficients, _stack, _subsets
 from blochsep.stateio import SCHEMA_VERSION, state_from_jsonable
 from blochsep.states import _subsystem_dims
-from blochsep.tolerances import EXACT_TOL, PSD_TOL, RANK_CUTOFF, SUFFICIENCY_SLACK, WEIGHT_CUTOFF
+from blochsep.tolerances import (BOUND_GUARD, EXACT_TOL, PSD_TOL, RANK_CUTOFF, SUFFICIENCY_SLACK,
+                                 WEIGHT_CUTOFF, ZERO_COMPONENT_TOL)
 
 
 def random_density(rng, dims, rank=None):
@@ -190,6 +192,29 @@ def per_matrix_kyfan(tensor):
                             compute_uv=False).sum())
         for m in range(t.ndim)
     )
+
+
+def component_views(rho, subsets=None):
+    """Reference for ``bloch._groups``: the view reader it replaced, kept
+    verbatim.  (subset, read-only view of its slice of the coefficient
+    array) for each of the ascending index tuples ``subsets``, or for every
+    component when ``subsets`` is left out, coherence vectors being the
+    order-1 case."""
+    coeff, n = _coefficients(rho), rho.n_parties
+    for subset in _subsets(n) if subsets is None else subsets:
+        yield subset, coeff[tuple(slice(1, None) if k in subset else 0 for k in range(n))]
+
+
+def shape_groups(tensors):
+    """``tensors`` stacked by shape, as ``tensors._kyfan_norms`` and
+    ``tensors._orthogonal_forms`` take them: (positions, stack) per shape,
+    in order of first appearance, ``positions`` the input positions of the
+    tensors along the stack's axis 0."""
+    groups = {}
+    for i, t in enumerate(tensors):
+        groups.setdefault(t.shape, []).append(i)
+    return [(np.array(members, dtype=np.intp), np.stack([tensors[i] for i in members]))
+            for members in groups.values()]
 
 
 def per_tensor_norms(rho, subsets):
@@ -524,7 +549,7 @@ def per_component_forms(rho):
     verbatim.  Returns (lhs, [(subset, c_S, form)]), or (None, subset) for
     the first component without a form."""
     dims, total, parts = rho.dims, 0.0, []
-    for subset, c in _components(rho):
+    for subset, c in component_views(rho):
         form = per_tensor_form(c)
         if form is None:
             return None, subset
@@ -532,6 +557,32 @@ def per_component_forms(rho):
         total += coef * float(form.weights.sum())
         parts.append((subset, coef, form))
     return total, parts
+
+
+def per_component_exact_test(rho):
+    """Reference for ``criteria.qubit_exact_test``: the test as it was
+    before it read the components order by order, kept verbatim but for
+    reading every component through :func:`component_views` and the full
+    tensor's form from :func:`per_tensor_form`."""
+    crit = "qubit-exact"
+    if rho.n_parties < 2 or any(d != 2 for d in rho.dims):
+        return Verdict(Decision.INCONCLUSIVE, None, 1.0, crit, reason="not-a-multiqubit-state")
+    *proper, (_, full) = component_views(rho)
+    for subset, c in proper:
+        if np.linalg.norm(c) > ZERO_COMPONENT_TOL:
+            reason = ("coherence-vectors-nonzero" if len(subset) == 1
+                      else "lower-order-tensors-nonzero")
+            return Verdict(Decision.INCONCLUSIVE, None, 1.0, crit, reason=reason)
+    form = per_tensor_form(full)
+    if form is None:
+        reason = "no-orthogonal-decomposition"
+        return Verdict(Decision.INCONCLUSIVE, None, 1.0, crit, reason=reason)
+    norm = float(form.weights.sum())
+    if norm > 1.0 + BOUND_GUARD:
+        return Verdict(Decision.ENTANGLED, norm, 1.0, crit)
+    if norm < 1.0 - BOUND_GUARD:
+        return Verdict(Decision.SEPARABLE, norm, 1.0, crit)
+    return Verdict(Decision.INCONCLUSIVE, norm, 1.0, crit, borderline=True)
 
 
 def same_form(a, b):
@@ -592,7 +643,7 @@ def per_term_assembly(dims, terms, identity_weight):
     ]
     coeff = kruskal_to_tensor(KruskalForm([w for w, _ in terms], factors))
     coeff[(0,) * len(dims)] += identity_weight
-    return _from_coefficients(dims, coeff)
+    return DensityMatrix(dims, _from_coefficients(dims, coeff))
 
 
 @st.composite

@@ -33,12 +33,13 @@ from blochsep import (
     unfold,
     w_state,
 )
-from blochsep.bloch import (_coefficients, _components, _from_coefficients, _groups, _plan,
-                            _real_part, _stack, _subsets)
+from blochsep.bloch import (_coefficients, _from_coefficients, _groups, _plan, _real_part,
+                            _stack, _subsets)
 from blochsep.criteria import _select_subsets
 from blochsep.stateio import _template
-from conftest import (ZOO_GRID, brute_correlation, empty_bloch_data, qutrit_ghz_spectrum,
-                      random_density, random_pure_product, random_unitary, tensordot_expansion)
+from conftest import (ZOO_GRID, brute_correlation, component_views, empty_bloch_data,
+                      qutrit_ghz_spectrum, random_density, random_pure_product, random_unitary,
+                      tensordot_expansion)
 
 SIX_PROFILES = [(2, 2), (2, 3), (2, 2, 2), (3, 3), (2, 3, 4), (2, 2, 2, 2)]
 
@@ -332,7 +333,7 @@ def test_generator_stacks_are_budgeted(monkeypatch, pages, fits):
 def assert_expansion_is_the_tensordot_one(rho):
     coeff, matrix = tensordot_expansion(rho)
     assert _coefficients(rho).tobytes() == coeff.tobytes()
-    assert _from_coefficients(rho.dims, coeff).matrix.tobytes() == matrix.tobytes()
+    assert _from_coefficients(rho.dims, coeff).tobytes() == matrix.tobytes()
 
 
 @pytest.mark.parametrize("family", list(ZOO_GRID))
@@ -369,7 +370,7 @@ def test_groups_are_the_components_stacked_by_shape(dims, seed, data):
                          label="repeated")
     selectors = ["full", "all", "pairs", *range(2, n + 1), unsorted]
     for subsets in [*(_select_subsets(n, s) for s in selectors), repeated, None]:
-        views = [c for _, c in _components(rho, subsets)]
+        views = [c for _, c in component_views(rho, subsets)]
         groups = _groups(rho, subsets)
         assert [stack.shape[1:] for _, stack in groups] == list(dict.fromkeys(
             v.shape for v in views))

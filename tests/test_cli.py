@@ -1416,7 +1416,8 @@ def test_analyze_expands_the_state_once(monkeypatch):
 
 def test_a_state_from_outside_is_validated_once(monkeypatch, tmp_path):
     # a state file is validated where it is read, and a state rebuilt from
-    # its expansion or from a separable decomposition where it is rebuilt
+    # its expansion where it is rebuilt; the mixture that decompose assembles
+    # for its residual is built from the validated state and not validated
     path = str(tmp_path / "smolin.json")
     save_state(blochsep.smolin(), path)
     werner = str(tmp_path / "werner.json")
@@ -1432,11 +1433,12 @@ def test_a_state_from_outside_is_validated_once(monkeypatch, tmp_path):
     assert code == 3 and counts == {"validate": 1}
     counts["validate"] = 0
     run_json(["decompose", werner])
-    # the load, and the assembled mixture whose residual the report gives
-    assert counts == {"validate": 2}
+    # the load only
+    assert counts == {"validate": 1}
     counts["validate"] = 0
     run_json(["decompose", "zoo:werner", "-p", "0.3"])
-    assert counts == {"validate": 1}
+    # a zoo state is built from its formula, so nothing is validated
+    assert counts == {"validate": 0}
     rho, _ = load_state(path)
     counts["validate"] = 0
     blochsep.reconstruct(blochsep.decompose(rho))
@@ -1444,8 +1446,8 @@ def test_a_state_from_outside_is_validated_once(monkeypatch, tmp_path):
 
 
 def test_analyze_reads_tensors_in_place(monkeypatch):
-    # the norm test reads views of the coefficient array through
-    # _components; it never takes the checked per-subset copies of the
+    # the norm test reads the components stacked by shape through
+    # bloch._groups; it never takes the checked per-subset copies of the
     # public expansion API
     counts = {"component": 0}
     count_calls(monkeypatch, counts, "component", blochsep.bloch, "_component")

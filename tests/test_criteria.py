@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+import blochsep.criteria
 import blochsep.tensors
-from blochsep.bloch import _components, _plan
+from blochsep.bloch import _plan
 from blochsep.criteria import _select_subsets, _sufficiency_parts
-from blochsep.tensors import _groups_of, _kyfan_norms, _orthogonal_forms
+from blochsep.tensors import _kyfan_norms, _orthogonal_forms
 from blochsep import (
     CriterionUnavailableError,
     Decision,
@@ -47,11 +48,12 @@ from blochsep import (
     w_state,
 )
 from blochsep.tolerances import BOUND_GUARD
-from conftest import (bisect_threshold, count_calls, decomposition_candidates,
-                      diagonal_qubit_state, empty_bloch_data, per_component_forms,
-                      per_matrix_kyfan, per_tensor_form, per_tensor_norms, per_term_assembly,
+from conftest import (ZOO_GRID, bisect_threshold, component_views, count_calls,
+                      decomposition_candidates, diagonal_qubit_state, empty_bloch_data,
+                      per_component_exact_test, per_component_forms, per_matrix_kyfan,
+                      per_tensor_form, per_tensor_norms, per_term_assembly,
                       per_term_decomposition, random_density, random_pure_product,
-                      random_separable, random_unitary, same_form)
+                      random_separable, random_unitary, same_form, shape_groups)
 
 
 def test_separability_bound_values():
@@ -326,7 +328,7 @@ def test_shared_norms_are_the_per_tensor_norms_bit_for_bit(data):
     if kind == "stack":
         tensors = data.draw(near_duplicate_stacks(), label="tensors")
         norms = []
-        matrices = count_matrices(lambda: norms.extend(_kyfan_norms(_groups_of(tensors), len(tensors))))
+        matrices = count_matrices(lambda: norms.extend(_kyfan_norms(shape_groups(tensors))))
         assert norms == [per_matrix_kyfan(t) for t in tensors]
         distinct = {t.tobytes(): t for t in tensors}.values()
         cyclic = len(set(tensors[0].shape)) == 1
@@ -362,7 +364,7 @@ def test_a_signed_zero_is_not_shared():
     u[0, 1, 0] = -0.0
     for tensors, want in (([t, u], 1 + 3), ([u, t, u], 3 + 1), ([t, t], 1)):
         norms = []
-        matrices = count_matrices(lambda: norms.extend(_kyfan_norms(_groups_of(tensors), len(tensors))))
+        matrices = count_matrices(lambda: norms.extend(_kyfan_norms(shape_groups(tensors))))
         assert norms == [per_matrix_kyfan(x) for x in tensors]
         assert matrices == want
 
@@ -406,9 +408,9 @@ def test_orthogonal_forms_match_the_per_component_reference(rho):
     # the batched search gives the one-tensor search's forms bit for bit, or
     # names the first component without one, and the sufficiency parts
     # match the per-component loop's
-    views = [c for _, c in _components(rho)]
+    views = [c for _, c in component_views(rho)]
     want = [per_tensor_form(c) for c in views]
-    forms, failed = _orthogonal_forms(_groups_of(views), len(views))
+    forms, failed = _orthogonal_forms(shape_groups(views))
     if None in want:
         assert (forms, failed) == (None, want.index(None))
     else:
@@ -478,6 +480,80 @@ def test_qubit_exact_reason_codes():
     data.tensors[(0, 1, 2)] = arr
     rho = reconstruct(data)
     assert qubit_exact_test(rho).reason == "no-orthogonal-decomposition"
+
+
+def test_the_exact_test_reads_one_order_at_a_time(monkeypatch):
+    # the proper components are gathered one order at a time, and the test
+    # stops at the first order that holds a nonzero one: W's coherence
+    # vectors, GHZ's pair tensors.  Smolin's proper components all vanish,
+    # so its three proper orders are read and then its full tensor
+    for rho, reason, want in ((w_state(10), "coherence-vectors-nonzero", 1),
+                              (ghz(10), "lower-order-tensors-nonzero", 2),
+                              (smolin(), None, 4)):
+        counts = {"groups": 0}
+        with monkeypatch.context() as patch:
+            count_calls(patch, counts, "groups", blochsep.criteria, "_groups")
+            assert qubit_exact_test(rho).reason == reason
+        assert counts["groups"] == want
+
+
+# zoo states on at most 6 parties; those that are not multiqubit states
+# check the refusal
+SMALL_ZOO = {family: [p for p in grid if p.get("parties", 2) <= 6 and len(p.get("dims", ())) <= 6]
+             for family, grid in ZOO_GRID.items()}
+
+
+@st.composite
+def exact_test_candidates(draw):
+    """States for the exact test on N = 2..6 qubits: random rank-r states,
+    zoo states, and states with full correlations only, mixed with white
+    noise so that their Ky Fan norm lands on either side of the bound or
+    inside the guard band.  The latter are sum_a w_a sigma_a^(x N), whose
+    norm is sum_a |w_a|, as they are or under local unitaries that keep or
+    break their diagonal form, Smolin's state and Werner's, both of norm 3
+    at p = 1."""
+    kind = draw(st.sampled_from(["random", "zoo", "diagonal", "smolin", "werner"]), label="kind")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    if kind == "random":
+        n = draw(st.integers(2, 6), label="parties")
+        return random_density(rng, (2,) * n, rank=draw(st.integers(1, 3), label="rank"))
+    if kind == "zoo":
+        family = draw(st.sampled_from(sorted(SMALL_ZOO)), label="family")
+        return ZooSpec(family, **draw(st.sampled_from(SMALL_ZOO[family]), label="params")).build()
+    target = draw(st.one_of(st.floats(0.2, 2.0),
+                            st.sampled_from([1.0 + k * BOUND_GUARD / 2 for k in range(-3, 4)])),
+                  label="target")
+    if kind == "smolin":
+        return noisy(smolin(), min(1.0, target / 3.0))
+    if kind == "werner":
+        return ZooSpec("werner", noise=min(1.0, target / 3.0)).build()
+    # |w_a| <= 1/2 keeps (1/2^N)(I + sum_a w_a sigma_a^(x N)) positive.  On
+    # odd N the three terms anticommute, so its eigenvalues are
+    # (1 +- |w|) / 2^N.  On even N they commute, and its eigenvalues are
+    # (1 + w . s) / 2^N over the sign patterns s whose product is
+    # (-1)^(N/2); the signs of w are made one of those patterns
+    n = draw(st.integers(2, 6), label="parties")
+    signs = rng.choice([-1.0, 1.0], size=3)
+    if n % 2 == 0:
+        signs[2] = (-1) ** (n // 2) * signs[0] * signs[1]
+    weights = signs * rng.uniform(0.0, 0.5, size=3)
+    sigma = diagonal_qubit_state(n, weights)
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    local = draw(st.sampled_from(["none", "hadamard", "random"]), label="local")
+    if local != "none":
+        u = reduce(np.kron, [random_unitary(rng, 2) if local == "random"
+                             else hadamard if rng.random() < 0.5 else np.eye(2)
+                             for _ in range(n)])
+        sigma = DensityMatrix(sigma.dims, u @ sigma.matrix @ u.conj().T)
+    return noisy(sigma, min(1.0, target / np.abs(weights).sum()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rho=exact_test_candidates())
+def test_exact_test_matches_the_per_component_reference(rho):
+    # decision, reason, borderline flag and norm, the last bit for bit:
+    # repr shows a float's shortest round-trip form
+    assert repr(qubit_exact_test(rho)) == repr(per_component_exact_test(rho))
 
 
 def test_sufficiency_lhs_closed_forms():

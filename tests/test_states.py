@@ -25,6 +25,7 @@ from blochsep import (
     duer_be4,
     ghz,
     kron,
+    kruskal_to_tensor,
     load_state,
     maximally_mixed,
     necessary_test,
@@ -484,6 +485,13 @@ def test_integer_indices_of_every_kind_are_read_alike():
     (lambda: sufficiency_test(np.eye(4) / 4), "rho must be a DensityMatrix, got ndarray"),
     (lambda: separable_decomposition(np.eye(4) / 4), "rho must be a DensityMatrix, got ndarray"),
     (lambda: subset_scan(None, "pairs"), "rho must be a DensityMatrix, got NoneType"),
+    # and so does every function that takes one of the package's classes
+    (lambda: bloch_vector(None, 0), "rho must be a DensityMatrix, got NoneType"),
+    (lambda: correlation_tensor(np.eye(4) / 4, (0, 1)), "rho must be a DensityMatrix, got ndarray"),
+    (lambda: decompose("ghz"), "rho must be a DensityMatrix, got str"),
+    (lambda: reconstruct(None), "data must be a BlochData, got NoneType"),
+    (lambda: assemble_decomposition(1), "dec must be a SeparableDecomposition, got int"),
+    (lambda: kruskal_to_tensor("x"), "form must be a KruskalForm, got str"),
 ], ids=["basis_ket-float", "basis_ket-string", "basis_ket-count", "basis_ket-range",
         "basis_ket-negative", "kron-empty", "ghz-one-party", "ghz-float-parties",
         "w-float-parties", "ghz-float-d", "ghz-bool-parties", "bound-one-party",
@@ -497,7 +505,9 @@ def test_integer_indices_of_every_kind_are_read_alike():
         "zoo-numpy-bool-noise", "zoo-complex-noise", "noisy-array-state",
         "noisy-none-state", "noisy-string-state", "subset_scan-array-rho",
         "necessary_test-array-rho", "qubit_exact_test-array-rho", "sufficiency_test-array-rho",
-        "separable_decomposition-array-rho", "subset_scan-none-rho"])
+        "separable_decomposition-array-rho", "subset_scan-none-rho", "bloch_vector-none-rho",
+        "correlation_tensor-array-rho", "decompose-string-rho", "reconstruct-none-data",
+        "assemble_decomposition-int-dec", "kruskal_to_tensor-string-form"])
 def test_refusals_keep_their_messages(call, message):
     with pytest.raises(ValueError) as got:
         call()

@@ -17,9 +17,9 @@ from blochsep import (
     tensor_kyfan,
     unfold,
 )
-from blochsep.tensors import _groups_of, _kyfan_norms, _orthogonal_forms
+from blochsep.tensors import _kyfan_norms, _orthogonal_forms
 from blochsep.tolerances import RANK_CUTOFF
-from conftest import per_matrix_kyfan, per_tensor_form, same_form
+from conftest import per_matrix_kyfan, per_tensor_form, same_form, shape_groups
 
 # hand-checkable 3x2x3 example with integer entries
 EXAMPLE_ENTRIES = {
@@ -202,9 +202,9 @@ def test_kruskal_form_validation():
     (lambda: sign_table(True), "n_parties must be an integer, got True"),
     # shared unfoldings still reach the SVD's check: two equal tensors, and
     # one equal to its cyclic shift, whose one unfolding stands for all
-    (lambda: _kyfan_norms(_groups_of([np.array([[1.0, np.nan]])] * 2), 2),
+    (lambda: _kyfan_norms(shape_groups([np.array([[1.0, np.nan]])] * 2)),
      "matrix contains non-finite entries"),
-    (lambda: _kyfan_norms(_groups_of([np.full((2, 2, 2), np.inf)]), 1),
+    (lambda: _kyfan_norms(shape_groups([np.full((2, 2, 2), np.inf)])),
      "matrix contains non-finite entries"),
 ], ids=["order-1", "order-0-unfold", "order-0-kruskal", "inf", "nan", "mode-too-large",
         "mode-negative", "negative-weight", "nan-weight", "no-mode", "empty-kyfan",
@@ -367,7 +367,7 @@ def test_orthogonal_forms_match_the_per_tensor_search():
     ]
     want = [per_tensor_form(t) for t in tensors]
     assert None not in want
-    forms, failed = _orthogonal_forms(_groups_of(tensors), len(tensors))
+    forms, failed = _orthogonal_forms(shape_groups(tensors))
     assert failed is None and len(forms) == len(tensors)
     assert all(same_form(f, w) for f, w in zip(forms, want))
     assert all(same_form(find_orthogonal_kruskal(t), w) for t, w in zip(tensors, want))
@@ -376,7 +376,7 @@ def test_orthogonal_forms_match_the_per_tensor_search():
         assert per_tensor_form(bad) is None and find_orthogonal_kruskal(bad) is None
         for position in range(len(tensors) + 1):
             batch = tensors[:position] + [bad] + tensors[position:]
-            assert _orthogonal_forms(_groups_of(batch), len(batch)) == (None, position)
+            assert _orthogonal_forms(shape_groups(batch)) == (None, position)
 
 
 def test_sign_table_needs_a_column():
