@@ -8,11 +8,17 @@ generators, giving the real coefficient array (cached on the state)
 
 Every component is a slice of C with index 0 in the traced-out modes.
 :func:`_plan` is the one map from subsets to the positions of their entries
-in C: :func:`_groups`, the one reader, gathers the components of each shape
-through it into one stack, and :func:`reconstruct`, the one writer, scatters
-them through it.  As an identity factor traces its mode out, the slices are
-the coherence vectors s^(k)_a = (d_k / 2) Tr(rho_k g_a) and, for each
-subset S with |S| >= 2, the correlation tensors
+in C, cached per selection: :func:`_groups`, the one reader, gathers the
+components of each shape through it into one stack, and
+:func:`reconstruct`, the one writer, scatters them through it.  The public
+one-subset readers gather through an uncached plan of their subset.  The
+full tensor alone, all the necessary test reads, is the slice of C with no
+index 0; :func:`_full_tensor` gathers it from a cached C, and otherwise
+contracts the stacks without their identity rows, which gives its entries
+with the same bits and caches nothing.  As an identity factor traces its
+mode out, the slices are the coherence vectors
+s^(k)_a = (d_k / 2) Tr(rho_k g_a) and, for each subset S with |S| >= 2,
+the correlation tensors
 t_{a_1...a_M} = (prod_{k in S} d_k / 2^M) Tr(rho_S (g_{a_1} x ... x g_{a_M}))
 of the reduced states.  C_{0...0} = 1 completes the parameterization:
 :func:`_from_coefficients` runs the contraction in reverse with the unscaled
@@ -87,13 +93,15 @@ def _mode_products(arr: np.ndarray, mats) -> np.ndarray:
     return arr
 
 
-def _real_part(coeff: np.ndarray) -> np.ndarray:
-    """Real part of a coefficient array; an imaginary residue above IMAG_TOL
-    raises, naming the component that holds the largest one."""
+def _real_part(coeff: np.ndarray, full: bool = False) -> np.ndarray:
+    """Real part of a coefficient array, or with ``full`` of the full
+    tensor, every entry of which belongs to the full set; an imaginary
+    residue above IMAG_TOL raises, naming the component that holds the
+    largest one."""
     imag = np.abs(coeff.imag)
     pos = np.unravel_index(int(np.argmax(imag)), imag.shape)
     if imag[pos] > IMAG_TOL:
-        subset = tuple(k for k, a in enumerate(pos) if a)
+        subset = tuple(k for k, a in enumerate(pos) if a or full)
         raise NumericIntegrityError(
             f"{_name(subset)} carries imaginary residue {imag[pos]:.3e} "
             f"above tolerance {IMAG_TOL:g}"
@@ -101,22 +109,42 @@ def _real_part(coeff: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(coeff.real)
 
 
+def _paired(rho: DensityMatrix) -> np.ndarray:
+    """``rho.matrix`` with the row and column index of each mode paired into
+    one axis of d_k^2 entries, the layout the expansion contracts."""
+    dims, n = rho.dims, rho.n_parties
+    pairs = [a for k in range(n) for a in (k, n + k)]
+    return rho.matrix.reshape(dims + dims).transpose(pairs).reshape([d * d for d in dims])
+
+
 def _coefficients(rho: DensityMatrix) -> np.ndarray:
     """The read-only coefficient array of ``rho``, built on first use.  The
     conjugated stack row is A_a^T flattened, so each step gives Tr(. A_a)."""
     coeff = rho._coefficients
     if coeff is None:
-        dims, n = rho.dims, rho.n_parties
-        pairs = [a for k in range(n) for a in (k, n + k)]
-        paired = rho.matrix.reshape(dims + dims).transpose(pairs).reshape([d * d for d in dims])
-        coeff = _real_part(_mode_products(paired, [_stack(d, d / 2).conj() for d in dims]))
+        mats = [_stack(d, d / 2).conj() for d in rho.dims]
+        coeff = _real_part(_mode_products(_paired(rho), mats))
         coeff.flags.writeable = False
         object.__setattr__(rho, "_coefficients", coeff)
     return coeff
 
 
-@lru_cache(maxsize=64)
-def _plan(dims: tuple, subsets: tuple) -> tuple:
+def _full_tensor(rho: DensityMatrix) -> np.ndarray:
+    """The full correlation tensor of ``rho``, a fresh array: gathered from
+    the coefficient array when that is cached, and otherwise contracted
+    against the generator rows of each stack alone, without the identity
+    row, and not cached.  That contraction makes each entry from the same
+    products as the whole array's, with its bits, at a fraction of its
+    cost: prod (d_k^2 - 1) entries of prod d_k^2.  Only its own imaginary
+    residue is checked, not that of the lower-order components."""
+    if rho._coefficients is not None:
+        ((_, (tensor,)),) = _groups(rho, _subsets(rho.n_parties)[-1:])
+        return tensor
+    mats = [_stack(d, d / 2).conj()[1:] for d in rho.dims]
+    return _real_part(_mode_products(_paired(rho), mats), full=True)
+
+
+def _build_plan(dims: tuple, subsets: tuple) -> tuple:
     """Where the components of ``subsets`` sit in the flat coefficient array
     of a state on ``dims``: per component shape, in order of first
     appearance, (positions, idx), the read-only ``intp`` arrays of the
@@ -151,6 +179,11 @@ def _plan(dims: tuple, subsets: tuple) -> tuple:
     return tuple(plan)
 
 
+# a caller that walks many subsets one at a time goes to _build_plan, so as
+# not to push the plans of whole selections out of this cache
+_plan = lru_cache(maxsize=64)(_build_plan)
+
+
 def _groups(rho: DensityMatrix, subsets=None) -> list:
     """The components of ``subsets`` (ascending index tuples; every
     component when left out) stacked by shape: (positions, stack) per shape
@@ -164,8 +197,9 @@ def _groups(rho: DensityMatrix, subsets=None) -> list:
 def _component(rho: DensityMatrix, subset, min_size: int) -> np.ndarray:
     """A copy of the component of ``subset``, state and subset checked."""
     _instance(rho, DensityMatrix, "rho")
-    ((_, (c,)),) = _groups(rho, [_checked_subset(subset, rho.n_parties, min_size)])
-    return c
+    subset = _checked_subset(subset, rho.n_parties, min_size)
+    ((_, (idx,)),) = _build_plan(rho.dims, (subset,))
+    return _coefficients(rho).ravel()[idx]
 
 
 def bloch_vector(rho: DensityMatrix, k: int) -> np.ndarray:

@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .bloch import _from_coefficients, _groups, _name, _subsets, ball_radii
+from .bloch import _from_coefficients, _full_tensor, _groups, _name, _subsets, ball_radii
 from .errors import CriterionUnavailableError
 from .states import (
     DensityMatrix,
@@ -45,8 +45,8 @@ from .tensors import (
     KruskalForm,
     _kyfan_norms,
     _orthogonal_forms,
+    _sign_table,
     kruskal_to_tensor,
-    sign_table,
 )
 from .tolerances import BOUND_GUARD, SUFFICIENCY_SLACK, WEIGHT_CUTOFF, ZERO_COMPONENT_TOL
 
@@ -104,10 +104,14 @@ def separability_bound(dims) -> float:
 
 def necessary_test(rho: DensityMatrix) -> Verdict:
     """Compare the Ky Fan norm of the full correlation tensor with the
-    separable bound: the ``"full"`` case of :func:`subset_scan`.  A reduced
+    separable bound: the verdict of :func:`subset_scan` under ``"full"``.
+    The tensor alone is read (``bloch._full_tensor``), so a state whose
+    coefficient array is not cached is not expanded whole.  A reduced
     state is tested through :func:`subset_scan` with a list of subsets.
     Never returns Separable: the criterion is only necessary."""
-    return subset_scan(rho, "full")[0]
+    _instance(rho, DensityMatrix, "rho")
+    full = _select_subsets(rho.n_parties, "full")
+    return _norm_verdicts(rho, full, [(np.zeros(1, dtype=np.intp), _full_tensor(rho)[None])])[0]
 
 
 def _select_subsets(n_parties: int, selector) -> list:
@@ -153,7 +157,13 @@ def subset_scan(rho: DensityMatrix, subsets="all") -> list:
     """
     _instance(rho, DensityMatrix, "rho")
     subsets = _select_subsets(rho.n_parties, subsets)
-    groups = _groups(rho, subsets)
+    return _norm_verdicts(rho, subsets, _groups(rho, subsets))
+
+
+def _norm_verdicts(rho: DensityMatrix, subsets: list, groups: list) -> list:
+    """The necessary criterion's verdicts on ``subsets``, whose components
+    ``groups`` holds stacked by shape, in the order of ``subsets``: the one
+    home of its bound and guard-band rules."""
     norms = _kyfan_norms(groups)
     values, tests = np.array(norms), [None] * len(subsets)
     for positions, _ in groups:
@@ -270,9 +280,8 @@ def separable_decomposition(rho: DensityMatrix) -> SeparableDecomposition:
     dims = rho.dims
     inball = [ball_radii(d)[0] for d in dims]
     weights, blocks = [], [[] for _ in dims]
-    tables = {m: sign_table(m) for m in {len(subset) for subset, _, _ in parts}}
     for subset, coef, form in parts:
-        table = tables[len(subset)]
+        table = _sign_table(len(subset))
         w = coef * form.weights * (1.0 / len(table))
         keep = w > WEIGHT_CUTOFF
         weights.append(np.repeat(w[keep], len(table)))

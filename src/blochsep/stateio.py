@@ -13,10 +13,13 @@
 
 Map: ``dump_json`` writes reports by ``%`` templates (``_encode``), and
 ``state_text`` writes a state's matrix row by row from the array.
-``load_state`` reads a file by ``_fields`` (the top-level object, the
-matrix left as text), ``_head`` (the head, checked once) and
-``_flat_matrix`` (the matrix as one flat array, the writer's rows of zero
-pairs cut unparsed by ``_cut_zero_rows``).  Text that ``_fields`` or
+``load_state`` reads a file's bytes once.  ``_fields`` reads the top-level
+object, the matrix left unparsed: of an ASCII file with no CR, which is
+its own text, only the head and tail around the matrix, which
+``_byte_fields`` finds, and of any other file the whole text, decoded as
+text mode decodes it.  ``_head`` checks the head once, and ``_flat_matrix``
+parses the matrix bytes as one flat array, the writer's rows of zero pairs
+cut unparsed by ``_cut_zero_rows``.  A file that ``_fields`` or
 ``_flat_matrix`` refuses goes through ``json.loads`` and
 ``state_from_jsonable``, whose walk names the first bad row or entry.
 Validation is ``DensityMatrix``'s.
@@ -32,6 +35,7 @@ import json
 from json.encoder import encode_basestring_ascii
 import math
 import os
+import re
 
 import numpy as np
 
@@ -228,7 +232,7 @@ def save_state(rho: DensityMatrix, path: str, name: str | None = None, source: s
 
 _JSON_SPACE = b" \t\n\r"
 _NUMBER_CHARACTERS = b"0123456789+-.eE"
-_UNBRACKET = str.maketrans("[]", "  ")
+_UNBRACKET = bytes.maketrans(b"[]", b"  ")
 # "[," and ",]" as little-endian 16-bit words
 _EMPTY_FIRST, _EMPTY_SECOND = np.frombuffer(b"[,,]", dtype="<u2").tolist()
 _DECODER = json.JSONDecoder()
@@ -279,11 +283,43 @@ def _fields(text: str):
     return None
 
 
-_MATRIX_OPEN = "[\n" + _ROW_OPEN
-_CUT = "[0]"
+_MATRIX_KEY = b'"matrix"'
+_BYTE_SPACE = re.compile(rb"[ \t\n\r]*").match
 
 
-def _cut_zero_rows(text: str, start: int, end: int, total: int):
+def _byte_fields(data: bytes):
+    """What :func:`_fields` gives for ``data``, an ASCII document with no
+    CR, found from its head and tail only; None where the guess below
+    fails, which says nothing of the document.
+
+    The matrix is guessed to be the array after the first ``"matrix"``
+    followed by a colon, and to end where :func:`_fields` ends it.
+    :func:`_fields` then reads the document with that span replaced by
+    ``[]``, and the guess holds when it puts the matrix there: the walk
+    over the head and tail is the one it makes over the whole text."""
+    key = data.find(_MATRIX_KEY)
+    if key < 0:
+        return None
+    i = _BYTE_SPACE(data, key + len(_MATRIX_KEY)).end()
+    if data[i:i + 1] != b":":
+        return None
+    start = _BYTE_SPACE(data, i + 1).end()
+    if data[start:start + 1] != b"[":
+        return None
+    stop = min((k for k in (data.find(b'"', start), data.find(b"}", start)) if k >= 0),
+               default=len(data))
+    end = data.rfind(b"]", start, stop) + 1
+    found = _fields((data[:start] + b"[]" + data[end:]).decode("ascii"))
+    if found is None or found[1:] != (start, start + 2):
+        return None
+    return found[0], start, end
+
+
+_MATRIX_OPEN = ("[\n" + _ROW_OPEN).encode()
+_CUT = b"[0]"
+
+
+def _cut_zero_rows(text: bytes, start: int, end: int, total: int):
     """(``text[start:end]`` with ``_CUT`` in place of each cut row, the
     indices of the cut rows), or None where no row is cut.
 
@@ -294,10 +330,10 @@ def _cut_zero_rows(text: str, start: int, end: int, total: int):
     row, so a cut changes how fast a file is read, never what it reads to."""
     if not text.startswith(_MATRIX_OPEN, start, end):
         return None
-    zero = _ROW_OPEN + ",\n".join([_ZERO] * total) + _ROW_CLOSE
+    zero = (_ROW_OPEN + ",\n".join([_ZERO] * total) + _ROW_CLOSE).encode()
     if text.find(zero, start, end) < 0:
         return None
-    row_end = "]" + _ROW_CLOSE
+    row_end = ("]" + _ROW_CLOSE).encode()
     rows, pieces, pos, last = [], [], start + len("[\n"), start
     for i in range(total):
         if text.startswith(zero, pos, end):
@@ -314,7 +350,7 @@ def _cut_zero_rows(text: str, start: int, end: int, total: int):
     return (_CUT.join(pieces), rows) if rows else None
 
 
-def _flat_matrix(text: str, start: int, end: int, total: int):
+def _flat_matrix(text: bytes, start: int, end: int, total: int):
     """The complex ``total`` x ``total`` matrix written in ``text[start:end]``
     as rows of [re, im] pairs of JSON numbers; None for any other text.
 
@@ -335,8 +371,9 @@ def _flat_matrix(text: str, start: int, end: int, total: int):
     layout = [b"[" + b",".join([b"[,]"] * total) + b"]"] * total
     for i in cut:
         layout[i] = b"[]"
-    # any character that is not ASCII becomes "?", which the layout refuses
-    dense = text[start:end].encode("ascii", "replace").translate(None, _JSON_SPACE)
+    # the span's one copy; it becomes json's input below
+    body = bytearray(memoryview(text)[start:end])
+    dense = body.translate(None, _JSON_SPACE)
     if dense.translate(None, _NUMBER_CHARACTERS) != b"[" + b",".join(layout) + b"]":
         return None
     for offset in (0, 1):
@@ -345,8 +382,12 @@ def _flat_matrix(text: str, start: int, end: int, total: int):
         if ((words == _EMPTY_FIRST) | (words == _EMPTY_SECOND)).any():
             return None
     del dense, words  # words is a view of dense
+    # the span starts at the matrix's "[" and ends at its "]", kept as the list's
+    body = body.translate(_UNBRACKET)
+    body[0], body[-1] = b"[]"
     try:
-        leaves = json.loads(f"[{text[start:end].translate(_UNBRACKET)}]")
+        leaves = json.loads(body)
+        del body
         flat = np.fromiter(leaves, dtype=float, count=len(leaves))
     except (ValueError, OverflowError):
         return None  # a malformed number, or an int past the digit limit or float range
@@ -363,25 +404,44 @@ def _flat_matrix(text: str, start: int, end: int, total: int):
 def load_state(path) -> tuple:
     """Read a state file; returns (DensityMatrix, metadata dict).  A path
     that is not a ``str`` or ``os.PathLike`` is refused: ``open`` would read
-    an int as a file descriptor, and close it."""
+    an int as a file descriptor, and close it.
+
+    The file is read as bytes.  An ASCII file with no CR is the text that
+    text mode would give, and is parsed in place (:func:`_byte_fields`).
+    Any other file, and one whose matrix the guess does not find, is
+    decoded as UTF-8 with CRLF and CR read as LF, as text mode reads it,
+    and its matrix is parsed from the text encoded ASCII, each other
+    character a ``?`` that the layout check refuses."""
     if not isinstance(path, (str, os.PathLike)):
         raise InvalidStateError(f"a state file path must be a str or os.PathLike, got {path!r}")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise InvalidStateError(f"cannot read state file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise InvalidStateError(f"state file {path} is not UTF-8: {exc}") from exc
-    found, mat = _fields(text), None
+    text, mat = None, None
+    found = _byte_fields(data) if data.isascii() and b"\r" not in data else None
+    if found is None:
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise InvalidStateError(f"state file {path} is not UTF-8: {exc}") from exc
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        found = _fields(text)
+        # one byte per character, so the span's indices stay
+        data = text.encode("ascii", "replace") if found is not None else None
     if found is not None:
         doc, start, end = found
         dims, total = _head(doc)
-        mat = _flat_matrix(text, start, end, total)
+        mat = _flat_matrix(data, start, end, total)
     if mat is not None:
-        del text
+        del data, text
         rho = DensityMatrix(dims, mat)
     else:
+        if text is None:
+            text = data.decode("ascii")
+        del data
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -34,7 +34,7 @@ from blochsep import (
     sufficiency_test,
 )
 from blochsep.bloch import _coefficients, _from_coefficients, _stack, _subsets
-from blochsep.stateio import SCHEMA_VERSION, state_from_jsonable
+from blochsep.stateio import SCHEMA_VERSION, _fields, _flat_matrix, _head, state_from_jsonable
 from blochsep.states import _subsystem_dims
 from blochsep.tolerances import (BOUND_GUARD, EXACT_TOL, PSD_TOL, RANK_CUTOFF, SUFFICIENCY_SLACK,
                                  WEIGHT_CUTOFF, ZERO_COMPONENT_TOL)
@@ -356,6 +356,41 @@ def reference_load_state(path: str) -> tuple:
     finally:
         if gc_was_enabled:
             gc.enable()
+    return rho, metadata if isinstance(metadata, dict) else {}
+
+
+def text_mode_load_state(path: str) -> tuple:
+    """Reference for how ``stateio.load_state`` reads a file's bytes: the
+    reader that read the file in text mode and parsed its text, kept
+    verbatim but for the text's ASCII encoding for ``_flat_matrix``, which
+    takes bytes, so the in-place parse of ASCII files and the decoding of
+    every other file can be compared with it result for result and message
+    for message."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise InvalidStateError(f"cannot read state file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidStateError(f"state file {path} is not UTF-8: {exc}") from exc
+    found, mat = _fields(text), None
+    if found is not None:
+        doc, start, end = found
+        dims, total = _head(doc)
+        mat = _flat_matrix(text.encode("ascii", "replace"), start, end, total)
+    if mat is not None:
+        rho = DensityMatrix(dims, mat)
+    else:
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InvalidStateError(f"state file {path} is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise InvalidStateError(f"state file {path} is nested too deeply to parse") from exc
+        except ValueError as exc:
+            raise InvalidStateError(f"state file {path} cannot be read: {exc}") from exc
+        rho = state_from_jsonable(doc)
+    metadata = doc.get("metadata", {})
     return rho, metadata if isinstance(metadata, dict) else {}
 
 

@@ -33,9 +33,9 @@ from blochsep import (
     unfold,
     w_state,
 )
-from blochsep.bloch import (_coefficients, _from_coefficients, _groups, _plan, _real_part,
-                            _stack, _subsets)
-from blochsep.criteria import _select_subsets
+from blochsep.bloch import (_coefficients, _from_coefficients, _full_tensor, _groups, _plan,
+                            _real_part, _stack, _subsets)
+from blochsep.criteria import _select_subsets, necessary_test
 from blochsep.stateio import _template
 from conftest import (ZOO_GRID, brute_correlation, component_views, empty_bloch_data,
                       qutrit_ghz_spectrum, random_density, random_pure_product, random_unitary,
@@ -150,6 +150,15 @@ def test_imaginary_residue_names_its_component(pos, name):
     coeff[pos] += 1e-6j
     with pytest.raises(NumericIntegrityError, match=r"^" + re.escape(name) + " "):
         _real_part(coeff)
+
+
+def test_imaginary_residue_of_the_full_tensor_names_the_full_set():
+    # every entry of the full tensor belongs to the full set, index 0 included
+    coeff = np.ones((3, 3, 3), dtype=complex)
+    coeff[0, 2, 0] += 1e-6j
+    with pytest.raises(NumericIntegrityError,
+                       match=r"^correlation tensor of subset \(0, 1, 2\) carries "):
+        _real_part(coeff, full=True)
 
 
 def test_returned_components_are_copies():
@@ -394,3 +403,35 @@ def test_index_plans_are_cached_per_selection_and_bounded():
     for positions, idx in _plan((2, 2, 2, 2), tuple(_select_subsets(4, "all"))):
         assert positions.dtype == idx.dtype == np.intp
         assert not positions.flags.writeable and not idx.flags.writeable
+
+
+def test_one_subset_reads_leave_the_plan_cache_alone():
+    # the public one-subset readers build their plans uncached, so a walk
+    # over many subsets does not push the analyze path's plans out
+    rho = w_state(10)
+    _groups(rho, _select_subsets(10, "all"))
+    before = _plan.cache_info()
+    for subset in itertools.islice(itertools.combinations(range(10), 3), 99):
+        correlation_tensor(rho, subset)
+    bloch_vector(rho, 4)
+    after = _plan.cache_info()
+    assert after.currsize == before.currsize and after.misses == before.misses
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.lists(st.integers(2, 4), min_size=2, max_size=7)
+       .filter(lambda dims: math.prod(dims) <= 128).map(tuple),
+       seed=st.integers(0, 2**32 - 1), rank=st.sampled_from([None, 1, 2]))
+def test_the_full_tensor_contracted_alone_has_the_gathered_bits(dims, seed, rank):
+    """Contracted against the generator rows alone, the full tensor has the
+    bits of the one gathered from the cached coefficient array, and the
+    necessary test gives one Verdict whether or not the array was cached."""
+    made = random_density(np.random.default_rng(seed), dims, rank)
+    fresh = DensityMatrix._built(made.dims, made.matrix)
+    alone, verdict = _full_tensor(fresh), necessary_test(fresh)
+    assert fresh._coefficients is None
+    _coefficients(fresh)
+    gathered = _full_tensor(fresh)
+    assert alone.shape == gathered.shape == tuple(d * d - 1 for d in dims)
+    assert alone.tobytes() == gathered.tobytes()
+    assert necessary_test(fresh) == verdict

@@ -49,6 +49,7 @@ from conftest import (
     qutrit_ghz_threshold,
     random_density,
     reference_load_state,
+    text_mode_load_state,
 )
 
 
@@ -633,6 +634,63 @@ def test_load_state_matches_the_whole_document_parse(state_path, doc, layout, ki
     assert loaded(load_state, state_path) == want
 
 
+# a file's bytes other than ASCII text with LF line ends, and a "matrix"
+# put in before the matrix, as a string value and as the key of a decoy
+# matrix in an earlier object, where the reader's guess of the matrix's
+# place fails
+BYTE_KINDS = ["lf", "crlf", "cr", "bom", "non-ascii", "invalid-utf8", "truncated-utf8",
+              "matrix-value", "matrix-nested"]
+
+
+def file_bytes(text, kind, at, rows):
+    """``text`` as the bytes of a file of ``kind``; ``at`` picks the place,
+    and ``rows`` is the size of the decoy matrix, I/rows."""
+    if kind in ("matrix-value", "matrix-nested"):
+        decoy = [[[1 / rows if i == j else 0.0, 0.0] for j in range(rows)] for i in range(rows)]
+        first = ('"note": "matrix"' if kind == "matrix-value"
+                 else '"note": {"matrix": ' + json.dumps(decoy) + "}")
+        text = text.replace("{", "{" + first + ", ", 1)
+    elif kind == "non-ascii":
+        end = text.rindex("}")
+        text = text[:end] + ', "metadata": {"name": "\u00e9t\u00e9 \u6f22"}' + text[end:]
+    data = text.encode("utf-8")
+    if kind == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    if kind == "cr":
+        return data.replace(b"\n", b"\r")
+    if kind == "bom":
+        return b"\xef\xbb\xbf" + data
+    if kind in ("invalid-utf8", "truncated-utf8"):
+        k = at % (len(data) + 1)
+        return data[:k] + (b"\xff" if kind == "invalid-utf8" else b"\xc3") + data[k:]
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=st.one_of(state_docs(), broken_state_docs()),
+       layout=st.sampled_from(["compact", "indent", "spaced"]),
+       kind=st.sampled_from(BYTE_KINDS), at=st.integers(0, 10**6),
+       text_break=st.sampled_from(["none", "none", *TEXT_BREAKS]),
+       rng=st.randoms(use_true_random=False))
+@example(doc=GHZ2_DOC, layout="indent", kind="crlf", at=0, text_break="none", rng=None)
+@example(doc=GHZ2_DOC, layout="indent", kind="cr", at=5, text_break="trailing-comma", rng=None)
+@example(doc=GHZ2_DOC, layout="indent", kind="matrix-nested", at=0, text_break="none", rng=None)
+@example(doc=pure_qubit_doc(), layout="compact", kind="truncated-utf8", at=10**6,
+         text_break="none", rng=None)
+def test_load_state_reads_bytes_as_text_mode_reads_text(state_path, doc, layout, kind, at,
+                                                        text_break, rng):
+    """A file's bytes load to what the text-mode reader gives, matrix bits,
+    metadata and refusal messages alike, json's line and column included:
+    ASCII with LF line ends, parsed in place, and CRLF, lone CR, a byte
+    order mark, non-ASCII metadata, invalid or truncated UTF-8 and a
+    "matrix" before the matrix, each of which goes through the decoded
+    text; any of them with its matrix text broken, or whole."""
+    text = break_text(state_file_text(doc, layout, rng), text_break, at, "1")
+    rows = len(doc["matrix"]) if isinstance(doc.get("matrix"), list) and doc["matrix"] else 2
+    state_path.write_bytes(file_bytes(text, kind, at, rows))
+    assert loaded(load_state, state_path) == loaded(text_mode_load_state, state_path)
+
+
 def test_load_state_refuses_a_path_that_is_no_path():
     """``open`` reads an int, a bool included, as a file descriptor and
     closes it; such a path is refused first, and fds 0-2 stay open."""
@@ -678,7 +736,7 @@ def test_rows_of_zero_pairs_are_cut_as_the_writer_writes_them(doc):
     row, so such rows are never parsed."""
     text = state_file_text(doc, "indent", None)
     _, start, end = _fields(text)
-    found = _cut_zero_rows(text, start, end, len(doc["matrix"]))
+    found = _cut_zero_rows(text.encode("ascii"), start, end, len(doc["matrix"]))
     zero = [i for i, row in enumerate(doc["matrix"])
             if all(json.dumps(pair) == "[0.0, 0.0]" for pair in row)]
     assert (found[1] if found else []) == zero
@@ -1471,10 +1529,57 @@ def test_thresholds_expand_one_state_each(monkeypatch, argv, expansions):
     assert counts == {"transform": expansions, "validate": 0}
 
 
+@pytest.mark.parametrize("criteria, rows", [("all", 4), ("t1", 3)])
+def test_analyze_contracts_once(monkeypatch, criteria, rows):
+    # the default analyze expands the state once, against the whole stacks,
+    # and every criterion reads that array; t1 alone contracts the full
+    # tensor against the generator rows only
+    calls = []
+    contract = blochsep.bloch._mode_products
+
+    def recording(arr, mats):
+        calls.append([m.shape[0] for m in mats])
+        return contract(arr, mats)
+
+    monkeypatch.setattr(blochsep.bloch, "_mode_products", recording)
+    run_json(["analyze", "zoo:ghz", "-N", "6", "--criteria", criteria])
+    assert calls == [[rows] * 6]
+
+
+def test_t1_checks_the_imaginary_residue_of_the_full_tensor_only(tmp_path):
+    """A 9-qubit state whose matrix deviates from Hermitian by 8e-11, within
+    tolerance, at the 256 entries that pair qubit 0's levels: coherence
+    vector 0 collects an imaginary residue of 2e-8 from them, above
+    IMAG_TOL, and the full tensor none.  t1 reads the full tensor alone
+    and gives its verdict; c1 expands the whole state and is refused.  A
+    residue in the full tensor itself is refused under t1 too."""
+    m = np.eye(512, dtype=complex) / 512
+    r = np.arange(256)
+    m[r, 256 + r] = m[256 + r, r] = 4e-11j
+    path = tmp_path / "residue.json"
+    save_state(blochsep.states.DensityMatrix((2,) * 9, m), str(path))
+    code, out, err = run(["analyze", str(path), "--criteria", "t1"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["records"][0]["decision"] == "inconclusive"
+    code, out, err = run(["analyze", str(path), "--criteria", "c1", "--subsets", "all"])
+    assert (code, out) == (4, "")
+    assert err.startswith("numeric integrity failure: coherence vector of subsystem 0 "
+                          "carries imaginary residue 2.048e-08 above tolerance 1e-08")
+    # the same deviation on the antidiagonal gives the full tensor's X...X
+    # entry the residue, and t1 names the full set
+    m = np.eye(512, dtype=complex) / 512
+    m[np.arange(512), 511 - np.arange(512)] = 4e-11j
+    save_state(blochsep.states.DensityMatrix((2,) * 9, m), str(path))
+    code, out, err = run(["analyze", str(path), "--criteria", "t1"])
+    assert (code, out) == (4, "")
+    assert err.startswith("numeric integrity failure: correlation tensor of subset "
+                          "(0, 1, 2, 3, 4, 5, 6, 7, 8) carries imaginary residue 2.048e-08 ")
+
+
 CRITERION_FUNCTIONS = ("necessary_test", "subset_scan", "qubit_exact_test", "sufficiency_test")
-# the criterion functions each criterion key calls; t1 reaches subset_scan
-# through necessary_test
-CALLED = {"t1": {"necessary_test", "subset_scan"}, "c1": {"subset_scan"},
+# the criterion functions each criterion key calls; t1 reads the full tensor
+# alone, not through subset_scan
+CALLED = {"t1": {"necessary_test"}, "c1": {"subset_scan"},
           "c2": {"qubit_exact_test"}, "p2": {"sufficiency_test"},
           "all": {"subset_scan", "qubit_exact_test", "sufficiency_test"}}
 
