@@ -13,12 +13,11 @@ components of each shape through it into one stack, and
 :func:`reconstruct`, the one writer, scatters them through it.  The public
 one-subset readers gather through an uncached plan of their subset.  The
 full tensor alone, all the necessary test reads, is the slice of C with no
-index 0; :func:`_full_tensor` gathers it from a cached C, and otherwise
-contracts the stacks without their identity rows, which gives its entries
-with the same bits and caches nothing.  As an identity factor traces its
-mode out, the slices are the coherence vectors
-s^(k)_a = (d_k / 2) Tr(rho_k g_a) and, for each subset S with |S| >= 2,
-the correlation tensors
+index 0; :func:`_full_tensor` contracts the stacks without their identity
+rows, which gives its entries with the same bits, and caches nothing.  As
+an identity factor traces its mode out, the slices are the coherence
+vectors s^(k)_a = (d_k / 2) Tr(rho_k g_a) and, for each subset S with
+|S| >= 2, the correlation tensors
 t_{a_1...a_M} = (prod_{k in S} d_k / 2^M) Tr(rho_S (g_{a_1} x ... x g_{a_M}))
 of the reduced states.  C_{0...0} = 1 completes the parameterization:
 :func:`_from_coefficients` runs the contraction in reverse with the unscaled
@@ -130,16 +129,12 @@ def _coefficients(rho: DensityMatrix) -> np.ndarray:
 
 
 def _full_tensor(rho: DensityMatrix) -> np.ndarray:
-    """The full correlation tensor of ``rho``, a fresh array: gathered from
-    the coefficient array when that is cached, and otherwise contracted
+    """The full correlation tensor of ``rho``, a fresh array contracted
     against the generator rows of each stack alone, without the identity
     row, and not cached.  That contraction makes each entry from the same
-    products as the whole array's, with its bits, at a fraction of its
-    cost: prod (d_k^2 - 1) entries of prod d_k^2.  Only its own imaginary
-    residue is checked, not that of the lower-order components."""
-    if rho._coefficients is not None:
-        ((_, (tensor,)),) = _groups(rho, _subsets(rho.n_parties)[-1:])
-        return tensor
+    products as the whole coefficient array's, with its bits, at a fraction
+    of its cost: prod (d_k^2 - 1) entries of prod d_k^2.  Only its own
+    imaginary residue is checked, not that of the lower-order components."""
     mats = [_stack(d, d / 2).conj()[1:] for d in rho.dims]
     return _real_part(_mode_products(_paired(rho), mats), full=True)
 

@@ -45,8 +45,8 @@ from .tensors import (
     KruskalForm,
     _kyfan_norms,
     _orthogonal_forms,
-    _sign_table,
     kruskal_to_tensor,
+    sign_table,
 )
 from .tolerances import BOUND_GUARD, SUFFICIENCY_SLACK, WEIGHT_CUTOFF, ZERO_COMPONENT_TOL
 
@@ -105,10 +105,10 @@ def separability_bound(dims) -> float:
 def necessary_test(rho: DensityMatrix) -> Verdict:
     """Compare the Ky Fan norm of the full correlation tensor with the
     separable bound: the verdict of :func:`subset_scan` under ``"full"``.
-    The tensor alone is read (``bloch._full_tensor``), so a state whose
-    coefficient array is not cached is not expanded whole.  A reduced
-    state is tested through :func:`subset_scan` with a list of subsets.
-    Never returns Separable: the criterion is only necessary."""
+    The tensor alone is contracted (``bloch._full_tensor``), so the state is
+    not expanded whole.  A reduced state is tested through
+    :func:`subset_scan` with a list of subsets.  Never returns Separable:
+    the criterion is only necessary."""
     _instance(rho, DensityMatrix, "rho")
     full = _select_subsets(rho.n_parties, "full")
     return _norm_verdicts(rho, full, [(np.zeros(1, dtype=np.intp), _full_tensor(rho)[None])])[0]
@@ -280,8 +280,9 @@ def separable_decomposition(rho: DensityMatrix) -> SeparableDecomposition:
     dims = rho.dims
     inball = [ball_radii(d)[0] for d in dims]
     weights, blocks = [], [[] for _ in dims]
+    tables = {m: sign_table(m) for m in {len(subset) for subset, _, _ in parts}}
     for subset, coef, form in parts:
-        table = _sign_table(len(subset))
+        table = tables[len(subset)]
         w = coef * form.weights * (1.0 / len(table))
         keep = w > WEIGHT_CUTOFF
         weights.append(np.repeat(w[keep], len(table)))

@@ -35,7 +35,6 @@ import json
 from json.encoder import encode_basestring_ascii
 import math
 import os
-import re
 
 import numpy as np
 
@@ -244,9 +243,8 @@ def _fields(text: str):
     the value of ``"matrix"``, which is not parsed: (the other keys' values,
     start, end) of that value's text.  None where ``text`` is no such
     object, or its ``"matrix"`` is missing, given twice or not an array.
-    The matrix text ends at its last ``]`` before the next ``"`` or ``}``,
-    neither of which a matrix holds; an end put elsewhere the layout check
-    of ``_flat_matrix`` refuses."""
+    The matrix text ends where :func:`_matrix_end` ends it; an end put
+    elsewhere the layout check of ``_flat_matrix`` refuses."""
     fields, span = {}, None
     i = _SPACE(text).end()
     if text[i:i + 1] != "{":
@@ -262,9 +260,7 @@ def _fields(text: str):
             if key != "matrix":
                 fields[key], i = _DECODER.raw_decode(text, i)
             elif span is None and text[i:i + 1] == "[":
-                stop = min((k for k in (text.find('"', i), text.find("}", i)) if k >= 0),
-                           default=len(text))
-                end = text.rfind("]", i, stop) + 1
+                end = _matrix_end(text, i)
                 if not end:
                     return None
                 span, i = (i, end), end
@@ -283,32 +279,34 @@ def _fields(text: str):
     return None
 
 
-_MATRIX_KEY = b'"matrix"'
-_BYTE_SPACE = re.compile(rb"[ \t\n\r]*").match
+def _matrix_end(text, start: int) -> int:
+    """Where the matrix text that starts at ``start`` ends, a str or ASCII
+    bytes: after its last ``]`` before the next ``"`` or ``}``, neither of
+    which a matrix holds; 0 where there is no ``]``."""
+    quote, brace, close = ('"', "}", "]") if isinstance(text, str) else (b'"', b"}", b"]")
+    stop = min((k for k in (text.find(quote, start), text.find(brace, start)) if k >= 0),
+               default=len(text))
+    return text.rfind(close, start, stop) + 1
 
 
 def _byte_fields(data: bytes):
     """What :func:`_fields` gives for ``data``, an ASCII document with no
-    CR, found from its head and tail only; None where the guess below
+    CR, read from its head and tail only; None where the guess below
     fails, which says nothing of the document.
 
-    The matrix is guessed to be the array after the first ``"matrix"``
-    followed by a colon, and to end where :func:`_fields` ends it.
-    :func:`_fields` then reads the document with that span replaced by
-    ``[]``, and the guess holds when it puts the matrix there: the walk
-    over the head and tail is the one it makes over the whole text."""
-    key = data.find(_MATRIX_KEY)
-    if key < 0:
+    The matrix is guessed to start at the first ``[`` after the first
+    ``"matrix"``, and ends where :func:`_matrix_end` ends it.
+    :func:`_fields` reads the document with that span replaced by ``[]``,
+    and the guess holds where it puts the matrix there: the walk up to the
+    span is then the one it makes over the whole text, and the same rule
+    ends the span, so the walk after it is the same too."""
+    key = data.find(b'"matrix"')
+    start = data.find(b"[", key) if key >= 0 else -1
+    if start < 0:
         return None
-    i = _BYTE_SPACE(data, key + len(_MATRIX_KEY)).end()
-    if data[i:i + 1] != b":":
+    end = _matrix_end(data, start)
+    if not end:
         return None
-    start = _BYTE_SPACE(data, i + 1).end()
-    if data[start:start + 1] != b"[":
-        return None
-    stop = min((k for k in (data.find(b'"', start), data.find(b"}", start)) if k >= 0),
-               default=len(data))
-    end = data.rfind(b"]", start, stop) + 1
     found = _fields((data[:start] + b"[]" + data[end:]).decode("ascii"))
     if found is None or found[1:] != (start, start + 2):
         return None

@@ -34,7 +34,6 @@ equal bit for bit to its cyclic mode shift takes one SVD for all its modes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-import functools
 import math
 
 import numpy as np
@@ -261,15 +260,6 @@ class KruskalForm:
                     f"(expected {self.rank} columns, got shape {f.shape})"
                 )
 
-    @classmethod
-    def _built(cls, weights: np.ndarray, factors: list) -> KruskalForm:
-        """The form the package has just computed, a 1-D float ``weights``
-        and 2-D float ``factors`` of one column per weight, made without
-        the checks and conversions of the constructor."""
-        form = object.__new__(cls)
-        form.weights, form.factors = weights, factors
-        return form
-
     @property
     def rank(self) -> int:
         return int(self.weights.size)
@@ -361,21 +351,21 @@ def _orthogonal_forms(groups) -> tuple:
             u, s, vt = np.linalg.svd(stack, full_matrices=False)
         for j, i in enumerate(members.tolist()):
             if scales[j] == 0.0:
-                forms[i] = KruskalForm._built(np.zeros(0), [np.zeros((n, 0)) for n in shape])
+                forms[i] = KruskalForm(np.zeros(0), [np.zeros((n, 0)) for n in shape])
             elif order == 1:
                 t = stack[j]
                 # a zero norm of a nonzero vector means its squares underflowed
                 norm = np.linalg.norm(t) or scales[j] * np.linalg.norm(t / scales[j])
-                forms[i] = KruskalForm._built(np.array([norm]), [(t / norm)[:, None]])
+                forms[i] = KruskalForm([norm], [(t / norm)[:, None]])
             elif order == 2:
                 keep = s[j] > RANK_CUTOFF * s[j, 0]
-                forms[i] = KruskalForm._built(s[j, keep], [u[j][:, keep], vt[j, keep].T])
+                forms[i] = KruskalForm(s[j, keep], [u[j][:, keep], vt[j, keep].T])
             else:
                 keep = np.flatnonzero(np.abs(diag[j]) > RANK_CUTOFF * scales[j])
                 # np.diag keeps the zeros at +0.0; np.eye(d) * sign gives -0.0 that reports print
                 factors = ([np.diag(np.sign(diag[j]))[:, keep]]
                            + [np.eye(shape[0])[:, keep]] * (order - 1))
-                forms[i] = KruskalForm._built(np.abs(diag[j, keep]), factors)
+                forms[i] = KruskalForm(np.abs(diag[j, keep]), factors)
     return forms, None
 
 
@@ -410,23 +400,6 @@ def sign_table(n_parties: int) -> np.ndarray:
     n_parties = _integer(n_parties, "n_parties")
     if n_parties < 1:
         raise ValueError("sign tables are defined for at least 1 column")
-    return _build_sign_table(n_parties)
-
-
-@functools.lru_cache(maxsize=None)
-def _sign_table(n_parties: int) -> np.ndarray:
-    """The read-only sign table of a checked ``n_parties``, built once per
-    size.  The package asks only for sizes up to a state's party count; a
-    table asked for through :func:`sign_table` is built for its caller and
-    not kept here."""
-    table = _build_sign_table(n_parties)
-    table.flags.writeable = False
-    return table
-
-
-def _build_sign_table(n_parties: int) -> np.ndarray:
-    """The sign table of a checked ``n_parties``, refused before it is built
-    when it would not fit in memory."""
     # the table and three int64 temporaries of one entry per row
     _check_memory(n_parties - 1 + math.log2(8 * (n_parties + 3)),
                   f"a sign table of {n_parties} columns needs")

@@ -35,7 +35,7 @@ from blochsep import (
 )
 from blochsep.bloch import (_coefficients, _from_coefficients, _full_tensor, _groups, _plan,
                             _real_part, _stack, _subsets)
-from blochsep.criteria import _select_subsets, necessary_test
+from blochsep.criteria import _select_subsets, necessary_test, subset_scan
 from blochsep.stateio import _template
 from conftest import (ZOO_GRID, brute_correlation, component_views, empty_bloch_data,
                       qutrit_ghz_spectrum, random_density, random_pure_product, random_unitary,
@@ -424,14 +424,14 @@ def test_one_subset_reads_leave_the_plan_cache_alone():
        seed=st.integers(0, 2**32 - 1), rank=st.sampled_from([None, 1, 2]))
 def test_the_full_tensor_contracted_alone_has_the_gathered_bits(dims, seed, rank):
     """Contracted against the generator rows alone, the full tensor has the
-    bits of the one gathered from the cached coefficient array, and the
-    necessary test gives one Verdict whether or not the array was cached."""
+    bits of the one gathered from the whole coefficient array, and the
+    necessary test gives one Verdict whether or not the array was cached,
+    the Verdict that subset_scan gives under "full"."""
     made = random_density(np.random.default_rng(seed), dims, rank)
     fresh = DensityMatrix._built(made.dims, made.matrix)
     alone, verdict = _full_tensor(fresh), necessary_test(fresh)
     assert fresh._coefficients is None
-    _coefficients(fresh)
-    gathered = _full_tensor(fresh)
+    ((_, (gathered,)),) = _groups(fresh, _subsets(len(dims))[-1:])
     assert alone.shape == gathered.shape == tuple(d * d - 1 for d in dims)
     assert alone.tobytes() == gathered.tobytes()
-    assert necessary_test(fresh) == verdict
+    assert necessary_test(fresh) == verdict == subset_scan(fresh, "full")[0]

@@ -17,7 +17,7 @@ from blochsep import (
     tensor_kyfan,
     unfold,
 )
-from blochsep.tensors import _kyfan_norms, _orthogonal_forms, _sign_table
+from blochsep.tensors import _kyfan_norms, _orthogonal_forms
 from blochsep.tolerances import RANK_CUTOFF
 from conftest import per_matrix_kyfan, per_tensor_form, same_form, shape_groups
 
@@ -229,30 +229,6 @@ def test_a_sign_table_too_large_is_refused_before_it_is_sized(monkeypatch):
         assert str(got.value) == (f"a sign table of {n} columns needs about {need} GiB of "
                                   "working memory, more than the 4 GiB of physical memory")
     assert sign_table(10).shape == (512, 10)
-
-
-def test_sign_tables_are_built_once_per_size_and_handed_out_fresh():
-    # decompositions share one read-only table per size; a table asked for
-    # by name is its caller's own, and writing to it reaches no other
-    shared = _sign_table(4)
-    assert _sign_table(4) is shared and not shared.flags.writeable
-    table = sign_table(4)
-    assert table.flags.writeable and table.tobytes() == shared.tobytes()
-    table[:] = 0
-    assert sign_table(4).tobytes() == shared.tobytes() and shared.all()
-
-
-def test_orthogonal_forms_are_the_forms_the_constructor_makes():
-    # the search builds its forms unchecked; each is what KruskalForm makes
-    # of its weights and factors, with their dtypes and bits
-    rng = np.random.default_rng(3)
-    diagonal = np.zeros((3, 3, 3))
-    diagonal[[0, 2], [0, 2], [0, 2]] = [0.5, -0.25]
-    for tensor in (rng.normal(size=4), rng.normal(size=(3, 5)), diagonal, np.zeros((2, 2, 2))):
-        (form,), _ = _orthogonal_forms([(np.zeros(1, dtype=np.intp), tensor[None])])
-        checked = KruskalForm(form.weights, form.factors)
-        assert same_form(form, checked)
-        assert form.weights.dtype == float and form.weights.ndim == 1
 
 
 @pytest.mark.parametrize("shape", [(3, 4), (3, 4, 2), (2, 3, 2, 3), (5,), (2, 3, 2, 3, 2)])
