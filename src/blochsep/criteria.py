@@ -279,24 +279,25 @@ def separable_decomposition(rho: DensityMatrix) -> SeparableDecomposition:
         )
     dims = rho.dims
     inball = [ball_radii(d)[0] for d in dims]
-    weights, blocks = [], [[] for _ in dims]
     tables = {m: sign_table(m) for m in {len(subset) for subset, _, _ in parts}}
+    weights, kept = [], []
     for subset, coef, form in parts:
+        signs = len(tables[len(subset)])
+        w = coef * form.weights * (1.0 / signs)
+        kept.append(w > WEIGHT_CUTOFF)
+        weights.append(np.repeat(w[kept[-1]], signs))
+    ends = np.cumsum([len(w) for w in weights]).tolist()
+    # each factor is a term-major C-ordered matrix read transposed: the layout
+    # fixes the BLAS path of assembly, and with it the residual's last bits;
+    # a component's rows are zero on the subsystems it does not hold
+    factors = [np.zeros((ends[-1], d * d - 1)) for d in dims]
+    for (subset, _, form), keep, start, end in zip(parts, kept, [0, *ends], ends):
         table = tables[len(subset)]
-        w = coef * form.weights * (1.0 / len(table))
-        keep = w > WEIGHT_CUTOFF
-        weights.append(np.repeat(w[keep], len(table)))
-        for k, d in enumerate(dims):
-            # block[j, r] is the vector of rank-1 term j under sign row r
-            block = np.zeros((np.count_nonzero(keep), len(table), d * d - 1))
-            if k in subset:
-                pos = subset.index(k)
-                block = inball[k] * form.factors[pos][:, keep].T[:, None] * table[:, pos, None]
-            blocks[k].append(block.reshape(-1, d * d - 1))
-    # each factor is a term-major C-ordered block read transposed: the layout
-    # fixes the BLAS path of assembly, and with it the residual's last bits
-    terms = KruskalForm(np.concatenate(weights),
-                        [np.ascontiguousarray(np.concatenate(b)).T for b in blocks])
+        for pos, k in enumerate(subset):
+            # row (j, r) is the vector of rank-1 term j under sign row r
+            block = inball[k] * form.factors[pos][:, keep].T[:, None] * table[:, pos, None]
+            factors[k][start:end] = block.reshape(-1, block.shape[-1])
+    terms = KruskalForm(np.concatenate(weights), [f.T for f in factors])
     return SeparableDecomposition(dims=dims, terms=terms, identity_weight=1.0 - total)
 
 

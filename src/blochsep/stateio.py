@@ -13,14 +13,14 @@
 
 Map: ``dump_json`` writes reports by ``%`` templates (``_encode``), and
 ``state_text`` writes a state's matrix row by row from the array.
-``load_state`` reads a file's bytes once.  ``_fields`` reads the top-level
-object, the matrix left unparsed: of an ASCII file with no CR, which is
-its own text, only the head and tail around the matrix, which
-``_byte_fields`` finds, and of any other file the whole text, decoded as
-text mode decodes it.  ``_head`` checks the head once, and ``_flat_matrix``
-parses the matrix bytes as one flat array, the writer's rows of zero pairs
-cut unparsed by ``_cut_zero_rows``.  A file that ``_fields`` or
-``_flat_matrix`` refuses goes through ``json.loads`` and
+``load_state`` reads a file's bytes once and reads them as text mode would:
+it checks bytes that are not ASCII to be UTF-8 and reads CRLF and CR as LF.
+``_fields`` walks the top-level object in the bytes, each value but the
+matrix decoded from a window after it (``_value``), and the matrix stepped
+over unparsed.  ``_head`` checks the head once, and ``_flat_matrix`` parses
+the matrix bytes as one flat array, the writer's rows of zero pairs cut
+unparsed by ``_cut_zero_rows``.  A file that ``_fields`` or
+``_flat_matrix`` refuses is decoded and goes through ``json.loads`` and
 ``state_from_jsonable``, whose walk names the first bad row or entry.
 Validation is ``DensityMatrix``'s.
 """
@@ -35,11 +35,12 @@ import json
 from json.encoder import encode_basestring_ascii
 import math
 import os
+import re
 
 import numpy as np
 
 from .errors import InvalidStateError
-from .states import DensityMatrix, _subsystem_dims
+from .states import DensityMatrix, _instance, _subsystem_dims
 
 SCHEMA_VERSION = "blochsep/1"
 
@@ -192,6 +193,7 @@ def state_text(rho: DensityMatrix, name: str | None = None, source: str | None =
     by their bits, so a -0.0 goes through ``repr``, and ``_PAIR`` at the
     rest; one ``%`` call fills it, and the next row reuses it when its zero
     pairs sit in the same places.  A row of zero pairs only is its template."""
+    _instance(rho, DensityMatrix, "rho")
     doc = {"schema": SCHEMA_VERSION, "kind": "state", "dims": list(rho.dims), "matrix": []}
     metadata = {key: value for key, value in (("name", name), ("source", source))
                 if value is not None}
@@ -235,82 +237,77 @@ _UNBRACKET = bytes.maketrans(b"[]", b"  ")
 # "[," and ",]" as little-endian 16-bit words
 _EMPTY_FIRST, _EMPTY_SECOND = np.frombuffer(b"[,,]", dtype="<u2").tolist()
 _DECODER = json.JSONDecoder()
-_SPACE = json.decoder.WHITESPACE.match
+_SPACE = re.compile(rb"[ \t\n\r]*").match
+# the bytes of the first window a value other than the matrix is decoded from
+_WINDOW = 256
 
 
-def _fields(text: str):
-    """The top-level object of ``text`` as ``json.loads`` reads it, but for
-    the value of ``"matrix"``, which is not parsed: (the other keys' values,
-    start, end) of that value's text.  None where ``text`` is no such
-    object, or its ``"matrix"`` is missing, given twice or not an array.
-    The matrix text ends where :func:`_matrix_end` ends it; an end put
-    elsewhere the layout check of ``_flat_matrix`` refuses."""
+def _value(data: bytes, i: int):
+    """(the JSON value that starts at byte ``i`` of ``data``, valid UTF-8, as
+    ``json.loads`` reads it, the byte where it ends), decoded from a window
+    of the bytes after ``i`` that doubles until the value ends strictly
+    inside it, before a character that cannot continue a number, or until
+    it reaches the end of ``data``.  So a value cut at the window's end,
+    such as ``1.5`` read as the ``1`` of ``1.``, is never taken, and a
+    character cut there is dropped.  Raises what ``json`` raises."""
+    size = _WINDOW
+    while True:
+        whole = i + size >= len(data)
+        chunk = data[i:i + size].decode("utf-8", "ignore")
+        try:
+            value, k = _DECODER.raw_decode(chunk)
+        except ValueError:  # json's errors, an int past the digit limit
+            if whole:
+                raise
+        else:
+            end = i + len(chunk[:k].encode())
+            if whole or k < len(chunk) and data[end] not in _NUMBER_CHARACTERS:
+                return value, end
+        size *= 2
+
+
+def _fields(data: bytes):
+    """The top-level object of ``data``, valid UTF-8 with LF line ends, as
+    ``json.loads`` reads it, but for the value of ``"matrix"``, which is not
+    parsed: (the other keys' values, start, end) of that value's bytes.
+    None where ``data`` is no such object, or its ``"matrix"`` is missing,
+    given twice or not an array.  The matrix ends after its last ``]``
+    before the next ``"`` or ``}``, neither of which a matrix holds; an end
+    put elsewhere the layout check of ``_flat_matrix`` refuses."""
     fields, span = {}, None
-    i = _SPACE(text).end()
-    if text[i:i + 1] != "{":
+    i = _SPACE(data).end()
+    if data[i:i + 1] != b"{":
         return None
-    i = _SPACE(text, i + 1).end()
+    i = _SPACE(data, i + 1).end()
     try:
-        while text[i:i + 1] == '"':
-            key, i = _DECODER.raw_decode(text, i)
-            i = _SPACE(text, i).end()
-            if text[i:i + 1] != ":":
+        while data[i:i + 1] == b'"':
+            key, i = _value(data, i)
+            i = _SPACE(data, i).end()
+            if data[i:i + 1] != b":":
                 return None
-            i = _SPACE(text, i + 1).end()
+            i = _SPACE(data, i + 1).end()
             if key != "matrix":
-                fields[key], i = _DECODER.raw_decode(text, i)
-            elif span is None and text[i:i + 1] == "[":
-                end = _matrix_end(text, i)
+                fields[key], i = _value(data, i)
+            elif span is None and data[i:i + 1] == b"[":
+                stop = min(k for k in (data.find(b'"', i), data.find(b"}", i), len(data))
+                           if k >= 0)
+                end = data.rfind(b"]", i, stop) + 1
                 if not end:
                     return None
                 span, i = (i, end), end
             else:
                 return None
-            i = _SPACE(text, i).end()
-            if text[i:i + 1] == "}":
-                if span is None or _SPACE(text, i + 1).end() != len(text):
+            i = _SPACE(data, i).end()
+            if data[i:i + 1] == b"}":
+                if span is None or _SPACE(data, i + 1).end() != len(data):
                     return None
                 return fields, *span
-            if text[i:i + 1] != ",":
+            if data[i:i + 1] != b",":
                 return None
-            i = _SPACE(text, i + 1).end()
+            i = _SPACE(data, i + 1).end()
     except (ValueError, RecursionError):
         pass  # json's errors, an int past the digit limit, nesting too deep
     return None
-
-
-def _matrix_end(text, start: int) -> int:
-    """Where the matrix text that starts at ``start`` ends, a str or ASCII
-    bytes: after its last ``]`` before the next ``"`` or ``}``, neither of
-    which a matrix holds; 0 where there is no ``]``."""
-    quote, brace, close = ('"', "}", "]") if isinstance(text, str) else (b'"', b"}", b"]")
-    stop = min((k for k in (text.find(quote, start), text.find(brace, start)) if k >= 0),
-               default=len(text))
-    return text.rfind(close, start, stop) + 1
-
-
-def _byte_fields(data: bytes):
-    """What :func:`_fields` gives for ``data``, an ASCII document with no
-    CR, read from its head and tail only; None where the guess below
-    fails, which says nothing of the document.
-
-    The matrix is guessed to start at the first ``[`` after the first
-    ``"matrix"``, and ends where :func:`_matrix_end` ends it.
-    :func:`_fields` reads the document with that span replaced by ``[]``,
-    and the guess holds where it puts the matrix there: the walk up to the
-    span is then the one it makes over the whole text, and the same rule
-    ends the span, so the walk after it is the same too."""
-    key = data.find(b'"matrix"')
-    start = data.find(b"[", key) if key >= 0 else -1
-    if start < 0:
-        return None
-    end = _matrix_end(data, start)
-    if not end:
-        return None
-    found = _fields((data[:start] + b"[]" + data[end:]).decode("ascii"))
-    if found is None or found[1:] != (start, start + 2):
-        return None
-    return found[0], start, end
 
 
 _MATRIX_OPEN = ("[\n" + _ROW_OPEN).encode()
@@ -404,12 +401,12 @@ def load_state(path) -> tuple:
     that is not a ``str`` or ``os.PathLike`` is refused: ``open`` would read
     an int as a file descriptor, and close it.
 
-    The file is read as bytes.  An ASCII file with no CR is the text that
-    text mode would give, and is parsed in place (:func:`_byte_fields`).
-    Any other file, and one whose matrix the guess does not find, is
-    decoded as UTF-8 with CRLF and CR read as LF, as text mode reads it,
-    and its matrix is parsed from the text encoded ASCII, each other
-    character a ``?`` that the layout check refuses."""
+    The file is read as bytes and parsed in place, as text mode would read
+    it.  Bytes that are not ASCII are checked to be UTF-8 once, before the
+    CR mapping, so a decode error names text mode's byte position.  CRLF
+    and CR then become LF in the bytes: no multi-byte UTF-8 sequence holds
+    either byte.  A file that the walk or the flat parse refuses is decoded
+    and goes to the refusal route, whose text is text mode's."""
     if not isinstance(path, (str, os.PathLike)):
         raise InvalidStateError(f"a state file path must be a str or os.PathLike, got {path!r}")
     try:
@@ -417,28 +414,24 @@ def load_state(path) -> tuple:
             data = fh.read()
     except OSError as exc:
         raise InvalidStateError(f"cannot read state file {path}: {exc}") from exc
-    text, mat = None, None
-    found = _byte_fields(data) if data.isascii() and b"\r" not in data else None
-    if found is None:
+    if not data.isascii():
         try:
-            text = data.decode("utf-8")
+            data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise InvalidStateError(f"state file {path} is not UTF-8: {exc}") from exc
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        found = _fields(text)
-        # one byte per character, so the span's indices stay
-        data = text.encode("ascii", "replace") if found is not None else None
+    if b"\r" in data:
+        # a scan for CR is 25 times faster than a replace that finds no CRLF
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    found, mat = _fields(data), None
     if found is not None:
         doc, start, end = found
         dims, total = _head(doc)
         mat = _flat_matrix(data, start, end, total)
     if mat is not None:
-        del data, text
+        del data
         rho = DensityMatrix(dims, mat)
     else:
-        if text is None:
-            text = data.decode("ascii")
+        text = data.decode("utf-8")
         del data
         try:
             doc = json.loads(text)

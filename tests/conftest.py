@@ -34,7 +34,7 @@ from blochsep import (
     sufficiency_test,
 )
 from blochsep.bloch import _coefficients, _from_coefficients, _stack, _subsets
-from blochsep.stateio import SCHEMA_VERSION, _fields, _flat_matrix, _head, state_from_jsonable
+from blochsep.stateio import SCHEMA_VERSION, _flat_matrix, _head, state_from_jsonable
 from blochsep.states import _subsystem_dims
 from blochsep.tolerances import (BOUND_GUARD, EXACT_TOL, PSD_TOL, RANK_CUTOFF, SUFFICIENCY_SLACK,
                                  WEIGHT_CUTOFF, ZERO_COMPONENT_TOL)
@@ -359,13 +359,67 @@ def reference_load_state(path: str) -> tuple:
     return rho, metadata if isinstance(metadata, dict) else {}
 
 
+_TEXT_DECODER = json.JSONDecoder()
+_TEXT_SPACE = json.decoder.WHITESPACE.match
+
+
+def text_fields(text: str):
+    """The walk of ``text_mode_load_state``: the top-level object of
+    ``text`` as ``json.loads`` reads it, but for the value of ``"matrix"``,
+    which is not parsed: (the other keys' values, start, end) of that
+    value's text.  None where ``text`` is no such object, or its
+    ``"matrix"`` is missing, given twice or not an array.  The matrix text
+    ends where :func:`text_matrix_end` ends it; an end put elsewhere the
+    layout check of ``_flat_matrix`` refuses."""
+    fields, span = {}, None
+    i = _TEXT_SPACE(text).end()
+    if text[i:i + 1] != "{":
+        return None
+    i = _TEXT_SPACE(text, i + 1).end()
+    try:
+        while text[i:i + 1] == '"':
+            key, i = _TEXT_DECODER.raw_decode(text, i)
+            i = _TEXT_SPACE(text, i).end()
+            if text[i:i + 1] != ":":
+                return None
+            i = _TEXT_SPACE(text, i + 1).end()
+            if key != "matrix":
+                fields[key], i = _TEXT_DECODER.raw_decode(text, i)
+            elif span is None and text[i:i + 1] == "[":
+                end = text_matrix_end(text, i)
+                if not end:
+                    return None
+                span, i = (i, end), end
+            else:
+                return None
+            i = _TEXT_SPACE(text, i).end()
+            if text[i:i + 1] == "}":
+                if span is None or _TEXT_SPACE(text, i + 1).end() != len(text):
+                    return None
+                return fields, *span
+            if text[i:i + 1] != ",":
+                return None
+            i = _TEXT_SPACE(text, i + 1).end()
+    except (ValueError, RecursionError):
+        pass  # json's errors, an int past the digit limit, nesting too deep
+    return None
+
+
+def text_matrix_end(text: str, start: int) -> int:
+    """Where the matrix text that starts at ``start`` ends: after its last
+    ``]`` before the next ``"`` or ``}``, neither of which a matrix holds; 0
+    where there is no ``]``."""
+    stop = min((k for k in (text.find('"', start), text.find("}", start)) if k >= 0),
+               default=len(text))
+    return text.rfind("]", start, stop) + 1
+
+
 def text_mode_load_state(path: str) -> tuple:
     """Reference for how ``stateio.load_state`` reads a file's bytes: the
-    reader that read the file in text mode and parsed its text, kept
-    verbatim but for the text's ASCII encoding for ``_flat_matrix``, which
-    takes bytes, so the in-place parse of ASCII files and the decoding of
-    every other file can be compared with it result for result and message
-    for message."""
+    reader that read the file in text mode and walked its whole text with
+    :func:`text_fields`, kept verbatim but for the text's ASCII encoding for
+    ``_flat_matrix``, which takes bytes, so the walk over a file's bytes can
+    be compared with it result for result and message for message."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -373,7 +427,7 @@ def text_mode_load_state(path: str) -> tuple:
         raise InvalidStateError(f"cannot read state file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InvalidStateError(f"state file {path} is not UTF-8: {exc}") from exc
-    found, mat = _fields(text), None
+    found, mat = text_fields(text), None
     if found is not None:
         doc, start, end = found
         dims, total = _head(doc)

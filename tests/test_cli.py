@@ -11,7 +11,6 @@ import os
 import re
 import subprocess
 import sys
-from types import SimpleNamespace
 
 from hypothesis import assume, example, given, settings, strategies as st
 import numpy as np
@@ -24,6 +23,7 @@ import blochsep.states
 import blochsep.stateio
 from blochsep import (
     Decision,
+    DensityMatrix,
     InvalidStateError,
     NumericIntegrityError,
     ZooSpec,
@@ -35,6 +35,7 @@ from blochsep import (
 from blochsep.cli import main
 from blochsep.states import _FAMILIES
 from blochsep.stateio import (
+    _WINDOW,
     _cut_zero_rows,
     _fields,
     dump_json,
@@ -636,8 +637,7 @@ def test_load_state_matches_the_whole_document_parse(state_path, doc, layout, ki
 
 # a file's bytes other than ASCII text with LF line ends, and a "matrix"
 # put in before the matrix, as a string value and as the key of a decoy
-# matrix in an earlier object, where the reader's guess of the matrix's
-# place fails
+# matrix in an earlier object, which the walk steps over
 BYTE_KINDS = ["lf", "crlf", "cr", "bom", "non-ascii", "invalid-utf8", "truncated-utf8",
               "matrix-value", "matrix-nested"]
 
@@ -679,12 +679,12 @@ def file_bytes(text, kind, at, rows):
          text_break="none", rng=None)
 def test_load_state_reads_bytes_as_text_mode_reads_text(state_path, doc, layout, kind, at,
                                                         text_break, rng):
-    """A file's bytes load to what the text-mode reader gives, matrix bits,
-    metadata and refusal messages alike, json's line and column included:
-    ASCII with LF line ends, parsed in place, and CRLF, lone CR, a byte
-    order mark, non-ASCII metadata, invalid or truncated UTF-8 and a
-    "matrix" before the matrix, each of which goes through the decoded
-    text; any of them with its matrix text broken, or whole."""
+    """A file's bytes load to what the text-mode reader, which walks the
+    whole decoded text, gives, matrix bits, metadata and refusal messages
+    alike, json's line and column included: ASCII with LF line ends, CRLF,
+    lone CR, a byte order mark, non-ASCII metadata, invalid or truncated
+    UTF-8 and a "matrix" before the matrix, each walked in its bytes; any
+    of them with its matrix text broken, or whole."""
     text = break_text(state_file_text(doc, layout, rng), text_break, at, "1")
     rows = len(doc["matrix"]) if isinstance(doc.get("matrix"), list) and doc["matrix"] else 2
     state_path.write_bytes(file_bytes(text, kind, at, rows))
@@ -706,9 +706,6 @@ def test_a_wrong_head_is_refused_by_the_flat_parse(tmp_path, monkeypatch):
     """GHZ-9 as the zoo writes it, with a wrong schema, kind or dims, is
     refused with the head's message, and the whole-document parse is never
     reached."""
-    def unreachable(doc):
-        raise AssertionError("the whole-document parse was reached")
-
     monkeypatch.setattr("blochsep.stateio.state_from_jsonable", unreachable)
     text = state_text(ZooSpec("ghz", parties=9).build(), "ghz", "zoo")
     path = tmp_path / "ghz9.json"
@@ -725,6 +722,84 @@ def test_a_wrong_head_is_refused_by_the_flat_parse(tmp_path, monkeypatch):
         assert str(got.value) == message
 
 
+def unreachable(doc):
+    raise AssertionError("the whole-document parse was reached")
+
+
+def test_the_walk_decodes_values_across_window_edges(tmp_path, monkeypatch):
+    """A value is decoded from windows of the bytes after it until it ends
+    strictly inside one: a metadata name longer than the first window, a
+    number whose last digit is the window's last byte, and a name whose
+    three-byte character the first window cuts all load by the flat parse,
+    as json reads them."""
+    monkeypatch.setattr("blochsep.stateio.state_from_jsonable", unreachable)
+    text = state_text(ZooSpec("ghz", parties=3).build())
+    end = text.rindex("}")
+    path = tmp_path / "edges.json"
+    for key, value in [("name", "x" * (3 * _WINDOW)), ("note", int("9" * _WINDOW)),
+                       ("name", "x" * (_WINDOW - 3) + "漢 é")]:
+        metadata = f', "metadata": {{"{key}": {json.dumps(value, ensure_ascii=False)}}}'
+        path.write_text(text[:end] + metadata + text[end:], encoding="utf-8")
+        assert load_state(path)[1] == {key: value}
+
+
+@pytest.mark.parametrize("window", range(1, 24))
+def test_the_walk_reads_what_json_reads_at_every_window_size(window, monkeypatch):
+    """With first windows of 1 to 23 bytes, every value of a head is cut at
+    every place: numbers end at a window's edge or are cut after their
+    ``.`` or ``e``, and multi-byte characters are cut.  The walk still reads
+    the values json reads, and the matrix's span."""
+    monkeypatch.setattr("blochsep.stateio._WINDOW", window)
+    head = {"schema": "blochsep/1", "x": 1.5, "y": 12345, "z": 2e-7, "w": -0.25, "v": [1.5, 2],
+            "name": "été 漢", "dims": [2], "kind": "state", "t": True, "u": None}
+    for text in (json.dumps(head)[:-1] + ', "matrix": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]]}',
+                 json.dumps(head, indent=2, ensure_ascii=False)[:-2] + ',\n  "matrix": [[]]\n}'):
+        data = text.encode("utf-8")
+        fields, start, end = _fields(data)
+        assert fields == head
+        assert json.loads(data[start:end]) == json.loads(text)["matrix"]
+
+
+def test_every_byte_kind_takes_the_flat_parse(tmp_path, monkeypatch):
+    """W-4 as the zoo writes it, with CRLF or lone-CR line ends, non-ASCII
+    metadata or a "matrix" before its matrix, as a value, as the key of a
+    nested decoy matrix or 10,000 times, loads by the walk and the flat
+    parse to W-4's bits; the whole-document parse is never reached."""
+    rho = ZooSpec("w", parties=4).build()
+    text = state_text(rho, "w", "zoo")
+    files = {kind: file_bytes(text, kind, 0, 2)
+             for kind in ("crlf", "cr", "non-ascii", "matrix-value", "matrix-nested")}
+    files["matrix-10000"] = text.replace(
+        "{", '{"notes": ' + json.dumps(["matrix"] * 10_000) + ", ", 1).encode()
+    monkeypatch.setattr("blochsep.stateio.state_from_jsonable", unreachable)
+    path = tmp_path / "w4.json"
+    for kind, data in files.items():
+        path.write_bytes(data)
+        got, metadata = load_state(path)
+        assert got.matrix.tobytes() == rho.matrix.tobytes(), kind
+        assert metadata == ({"name": "été 漢"} if kind == "non-ascii"
+                            else {"name": "w", "source": "zoo"}), kind
+
+
+def test_files_with_cr_line_ends_get_their_zero_rows_cut(tmp_path, monkeypatch):
+    """CR and CRLF line ends read as LF, so every row of zero pairs of
+    GHZ-4 is cut unparsed."""
+    cuts = []
+
+    def cut(*args):
+        found = _cut_zero_rows(*args)
+        cuts.append(found and found[1])
+        return found
+
+    monkeypatch.setattr("blochsep.stateio._cut_zero_rows", cut)
+    text = state_text(ZooSpec("ghz", parties=4).build())
+    path = tmp_path / "ghz4.json"
+    for kind in ("crlf", "cr"):
+        path.write_bytes(file_bytes(text, kind, 0, 2))
+        load_state(path)
+    assert cuts == [list(range(1, 15))] * 2
+
+
 @settings(max_examples=100, deadline=None)
 @given(doc=state_docs())
 @example(doc=GHZ2_DOC)
@@ -734,9 +809,9 @@ def test_rows_of_zero_pairs_are_cut_as_the_writer_writes_them(doc):
     """In the ``indent=2`` layout of ``state_text``, the reader cuts every
     row whose pairs are all [0.0, 0.0], each at its own place, and no other
     row, so such rows are never parsed."""
-    text = state_file_text(doc, "indent", None)
-    _, start, end = _fields(text)
-    found = _cut_zero_rows(text.encode("ascii"), start, end, len(doc["matrix"]))
+    data = state_file_text(doc, "indent", None).encode("ascii")
+    _, start, end = _fields(data)
+    found = _cut_zero_rows(data, start, end, len(doc["matrix"]))
     zero = [i for i, row in enumerate(doc["matrix"])
             if all(json.dumps(pair) == "[0.0, 0.0]" for pair in row)]
     assert (found[1] if found else []) == zero
@@ -759,7 +834,8 @@ NAMES = st.one_of(st.none(), st.text(max_size=8), st.sampled_from([
 def test_state_documents_are_written_as_json_writes_them(data):
     """``state_text`` gives the bytes of ``json.dumps(indent=2)`` of the
     document built entry by entry.  It reads only ``dims`` and ``matrix``,
-    so a single-party stand-in may carry entries no density matrix has;
+    so a single-party stand-in, built unvalidated by
+    ``DensityMatrix._built``, may carry entries no density matrix has;
     real states on two and three parties vary the ``dims`` lists and the
     row widths."""
     dims = data.draw(st.sampled_from([(1,), (2,), (3,), (4,), (6,), (2, 3), (3, 3), (2, 3, 4)]),
@@ -777,7 +853,7 @@ def test_state_documents_are_written_as_json_writes_them(data):
             for j in range(i + 1, d):
                 m[i, j] = complex(data.draw(value), data.draw(value))
                 m[j, i] = m[i, j].conjugate()
-        rho = SimpleNamespace(dims=dims, matrix=m)
+        rho = DensityMatrix._built(dims, m)
     name, source = data.draw(NAMES, label="name"), data.draw(NAMES, label="source")
     assert state_text(rho, name, source) == json_dumps(entrywise_state_to_jsonable(rho, name, source))
 
@@ -807,15 +883,15 @@ def sparse_states(draw):
                 # a nonzero real part keeps the pattern
                 row[2 * j] = draw(value.filter(bool))
                 row[2 * j + 1] = draw(value)
-    return SimpleNamespace(dims=dims, matrix=leaves.view(complex))
+    return DensityMatrix._built(dims, leaves.view(complex))
 
 
 @settings(max_examples=150, deadline=None)
 @given(rho=st.one_of(sparse_states(), st.sampled_from(
     [ZooSpec(family, parties=n) for family in ("ghz", "w") for n in (2, 3, 5)]
     + [ZooSpec("psi-234")]).map(ZooSpec.build)))
-@example(rho=SimpleNamespace(dims=(2,), matrix=np.array([[0.0, 0.0], [-0.0, complex(0.0, -0.0)]])))
-@example(rho=SimpleNamespace(dims=(3,), matrix=np.array(
+@example(rho=DensityMatrix._built((2,), np.array([[0.0, 0.0], [-0.0, complex(0.0, -0.0)]])))
+@example(rho=DensityMatrix._built((3,), np.array(
     [[0.5, 0.0, 0.25j], [0.25, 0.0, 0.5j], [0.0, 0.0, 0.0]])))
 def test_sparse_state_documents_are_written_as_json_writes_them(rho):
     """``state_text`` of zoo states, of all-zero rows beside rows of signed

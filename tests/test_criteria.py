@@ -4,6 +4,7 @@ search."""
 from dataclasses import replace
 from functools import reduce
 from itertools import combinations, permutations
+import math
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -710,6 +711,82 @@ def test_verdicts_invariant_under_local_unitaries():
         rotated = DensityMatrix(rho.dims, big @ rho.matrix @ big.conj().T)
         a, b = necessary_test(rho), necessary_test(rotated)
         assert a.decision == b.decision
+        assert a.norm_value == pytest.approx(b.norm_value, abs=1e-8)
+
+
+def permuted(rho, perm):
+    """``rho`` with its parties listed in the order ``perm``: party j of the
+    result is party ``perm[j]`` of ``rho``."""
+    n = rho.n_parties
+    m = rho.matrix.reshape(rho.dims * 2).transpose([*perm, *(n + k for k in perm)])
+    return DensityMatrix(tuple(rho.dims[k] for k in perm), m.reshape(rho.dim, rho.dim))
+
+
+# every zoo spec of ZOO_GRID on two to four parties and at most 81 levels
+INVARIANCE_ZOO = [spec for spec, rho in ((spec, spec.build()) for spec in (
+    ZooSpec(family, **params) for family, grid in ZOO_GRID.items() for params in grid))
+    if 2 <= rho.n_parties <= 4 and rho.dim <= 81]
+
+
+@st.composite
+def invariance_states(draw):
+    """A random rank-r state or a mixture of products on two to four qubits
+    or qudits, at most 81 levels in all, or a zoo state of ``INVARIANCE_ZOO``."""
+    kind = draw(st.sampled_from(["random", "products", "zoo"]))
+    if kind == "zoo":
+        return draw(st.sampled_from(INVARIANCE_ZOO)).build()
+    dims = draw(st.one_of(
+        st.lists(st.just(2), min_size=2, max_size=4),
+        st.lists(st.sampled_from([2, 3, 4]), min_size=2, max_size=4).filter(
+            lambda ds: math.prod(ds) <= 81)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        return random_density(rng, dims, draw(st.sampled_from([1, 2, None])))
+    return random_separable(rng, dims, draw(st.integers(1, 4)))
+
+
+def close(a, b, rel):
+    """``a`` and ``b``, norms or None, equal within ``rel`` relative; a norm
+    of a zero component is rounding, 1e-14 absolute on these states."""
+    return a is b if a is None or b is None else a == pytest.approx(b, rel=rel, abs=1e-14)
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_verdicts_invariant_under_party_permutations(data):
+    """Listing the parties in another order π changes no verdict: t1, c2
+    and p2 keep their decision, borderline flag and reason, c1's record for
+    a subset S equals its record for π(S), the norm within 1e-10 relative,
+    and so do t1's norm and p2's sum."""
+    rho = data.draw(invariance_states(), label="rho")
+    perm = data.draw(st.permutations(range(rho.n_parties)), label="perm")
+    moved = permuted(rho, perm)
+    where = np.argsort(perm).tolist()  # party k of rho is party where[k] of moved
+
+    def same(a, b):
+        assert (a.decision, a.borderline, a.reason, a.bound_value) == (
+            b.decision, b.borderline, b.reason, b.bound_value)
+        assert close(a.norm_value, b.norm_value, 1e-10), (a, b)
+
+    for test in (necessary_test, qubit_exact_test, sufficiency_test):
+        same(test(rho), test(moved))
+    records = {v.subset: v for v in subset_scan(moved, "all")}
+    for v in subset_scan(rho, "all"):
+        same(v, records[tuple(sorted(where[k] for k in v.subset))])
+
+
+@settings(max_examples=80, deadline=None)
+@given(rho=invariance_states(), seed=st.integers(0, 2**32 - 1))
+def test_verdicts_invariant_under_haar_local_unitaries(rho, seed):
+    """A Haar local unitary on every party keeps the decisions of t1 and of
+    each c1 record, their norms within 1e-8."""
+    rng = np.random.default_rng(seed)
+    big = kron(*(random_unitary(rng, d) for d in rho.dims))
+    rotated = DensityMatrix(rho.dims, big @ rho.matrix @ big.conj().T)
+    pairs = [(necessary_test(rho), necessary_test(rotated)),
+             *zip(subset_scan(rho, "all"), subset_scan(rotated, "all"))]
+    for a, b in pairs:
+        assert a.subset == b.subset and a.decision == b.decision
         assert a.norm_value == pytest.approx(b.norm_value, abs=1e-8)
 
 

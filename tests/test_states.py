@@ -48,7 +48,7 @@ from blochsep import (
     w_state,
     zoo_families,
 )
-from blochsep.stateio import state_from_jsonable
+from blochsep.stateio import state_from_jsonable, state_text
 from blochsep.states import _FAMILIES, _subsystem_dims
 from blochsep.tolerances import PSD_TOL
 from conftest import (
@@ -492,6 +492,10 @@ def test_integer_indices_of_every_kind_are_read_alike():
     (lambda: reconstruct(None), "data must be a BlochData, got NoneType"),
     (lambda: assemble_decomposition(1), "dec must be a SeparableDecomposition, got int"),
     (lambda: kruskal_to_tensor("x"), "form must be a KruskalForm, got str"),
+    # the writers read rho's dims and matrix, so they refuse it before a
+    # file or its temporary sibling is made
+    (lambda: save_state("x", "state.json"), "rho must be a DensityMatrix, got str"),
+    (lambda: state_text(None), "rho must be a DensityMatrix, got NoneType"),
 ], ids=["basis_ket-float", "basis_ket-string", "basis_ket-count", "basis_ket-range",
         "basis_ket-negative", "kron-empty", "ghz-one-party", "ghz-float-parties",
         "w-float-parties", "ghz-float-d", "ghz-bool-parties", "bound-one-party",
@@ -507,11 +511,15 @@ def test_integer_indices_of_every_kind_are_read_alike():
         "necessary_test-array-rho", "qubit_exact_test-array-rho", "sufficiency_test-array-rho",
         "separable_decomposition-array-rho", "subset_scan-none-rho", "bloch_vector-none-rho",
         "correlation_tensor-array-rho", "decompose-string-rho", "reconstruct-none-data",
-        "assemble_decomposition-int-dec", "kruskal_to_tensor-string-form"])
-def test_refusals_keep_their_messages(call, message):
+        "assemble_decomposition-int-dec", "kruskal_to_tensor-string-form",
+        "save_state-string-rho", "state_text-none-rho"])
+def test_refusals_keep_their_messages(call, message, tmp_path, monkeypatch):
+    # each call runs in an empty directory, which a refusal leaves empty
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(ValueError) as got:
         call()
     assert str(got.value) == message
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_partial_trace_composes():
