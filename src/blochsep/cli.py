@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+from json.encoder import encode_basestring_ascii
 import sys
 import time
 
@@ -33,6 +34,10 @@ from .errors import CriterionUnavailableError, InvalidStateError, NumericIntegri
 from .states import DensityMatrix, ZooSpec, zoo_families
 from .stateio import (
     SCHEMA_VERSION,
+    _check_finite,
+    _encode,
+    _list,
+    _template,
     dump_json,
     format_number,
     load_state,
@@ -207,21 +212,16 @@ def cmd_analyze(args) -> int:
                          "only json does")
     verdicts = {key: _CRITERIA[key][0](rho, selector) for key in keys}
     elapsed = time.perf_counter() - start
-    fields = ["subset", "norm", "bound", "decision", "criterion", "borderline"]
     # the norm verdicts, which make the records, are those that read a subset
-    records = [
-        dict(zip(fields, (v.subset, v.norm_value, v.bound_value, v.decision.value,
-                          v.criterion, v.borderline)))
-        for vs in verdicts.values() for v in vs if v.subset is not None
-    ]
+    norms = [v for vs in verdicts.values() for v in vs if v.subset is not None]
 
     if args.format == "csv":
         rows = [
-            (",".join(map(str, r["subset"])), format_number(r["norm"]),
-             format_number(r["bound"]), r["decision"], r["criterion"], int(r["borderline"]))
-            for r in records
+            (",".join(map(str, v.subset)), format_number(v.norm_value),
+             format_number(v.bound_value), v.decision.value, v.criterion, int(v.borderline))
+            for v in norms
         ]
-        _emit(args, records_to_csv(rows, fields))
+        _emit(args, records_to_csv(rows, _FIELDS))
         return 0
 
     doc = {
@@ -231,7 +231,7 @@ def cmd_analyze(args) -> int:
         "dims": rho.dims,
         "criteria": args.criteria,
         "subsets": args.subsets,
-        "records": records,
+        "records": [],
     }
     if "c2" in verdicts:
         (v,) = verdicts["c2"]
@@ -248,8 +248,34 @@ def cmd_analyze(args) -> int:
             doc["sufficiency"]["reason"] = v.reason
     if args.timing:
         doc["timing"] = {"elapsed_seconds": elapsed, "state_seconds": state_seconds}
-    _emit(args, dump_json(doc))
+    _emit(args, dump_json(doc, {"records": _record_texts(norms)}))
     return 0
+
+
+# a norm record's keys, and its text as an item of a report's "records", one
+# %s per value
+_FIELDS = ("subset", "norm", "bound", "decision", "criterion", "borderline")
+_RECORD = _template(_FIELDS, "\n    ")
+_BOOLS = ("false", "true")
+
+
+@functools.lru_cache(maxsize=4096)
+def _subset_text(subset: tuple) -> str:
+    """A record's subset as ``dump_json`` writes it in the record."""
+    return _encode(subset, "\n      ")
+
+
+def _record_texts(verdicts: list) -> list:
+    """The records of the norm ``verdicts`` as ``dump_json`` writes them in
+    a report, each one ``_RECORD`` filled: ``%s`` writes a float as its
+    ``repr``, as json does.  A norm or bound that is not finite raises
+    json's ``ValueError``."""
+    _check_finite(sum(v.norm_value + v.bound_value for v in verdicts),
+                  [x for v in verdicts for x in (v.norm_value, v.bound_value)])
+    quoted = encode_basestring_ascii
+    return [_RECORD % (_subset_text(v.subset), v.norm_value, v.bound_value,
+                       quoted(v.decision), quoted(v.criterion), _BOOLS[v.borderline])
+            for v in verdicts]
 
 
 def cmd_threshold(args) -> int:
@@ -298,14 +324,26 @@ def cmd_decompose(args) -> int:
         "identity_weight": dec.identity_weight,
         "term_count": dec.terms.rank,
         "reconstruction_residual": residual,
-        "terms": [
-            {"weight": w, "factors": list(vecs)}
-            for w, vecs in zip(dec.terms.weights.tolist(),
-                               zip(*(f.T.tolist() for f in dec.terms.factors)))
-        ],
+        "terms": [],
     }
-    _emit(args, dump_json(doc))
+    # one row per term: its weight, then its factors' coherence vectors
+    table = np.column_stack([dec.terms.weights, *(f.T for f in dec.terms.factors)])
+    rows = table.tolist()
+    template = _term_template(rho.dims)
+    text = dump_json(doc, {"terms": [template % tuple(row) for row in rows]})
+    # checked after the rest of the report, as json, which reaches the terms last
+    _check_finite(float(table.sum()), rows)
+    _emit(args, text)
     return 0
+
+
+@functools.lru_cache(maxsize=64)
+def _term_template(dims: tuple) -> str:
+    """A decompose term on ``dims`` as ``dump_json`` writes it in the
+    report, one ``%s`` per value: the weight, then the entries of each
+    factor's coherence vector."""
+    factors = [_list(["%s"] * (d * d - 1), "\n        ") for d in dims]
+    return _template(("weight", "factors"), "\n    ") % ("%s", _list(factors, "\n      "))
 
 
 def cmd_zoo(args) -> int:

@@ -75,6 +75,18 @@ class Verdict:
     reason: str | None = None
     subset: tuple | None = None
 
+    @classmethod
+    def _of_norm(cls, decision: Decision, norm: float, bound: float, borderline: bool,
+                 subset: tuple) -> Verdict:
+        """The necessary criterion's verdict on ``subset``, frozen by one
+        ``__dict__`` fill instead of ``__init__``'s ``object.__setattr__``
+        per field: the package makes one per tested subset."""
+        verdict = object.__new__(cls)
+        verdict.__dict__.update(decision=decision, norm_value=norm, bound_value=bound,
+                                criterion="necessary-norm", borderline=borderline,
+                                reason=None, subset=subset)
+        return verdict
+
 
 @dataclass(frozen=True)
 class SeparableDecomposition:
@@ -172,7 +184,8 @@ def _norm_verdicts(rho: DensityMatrix, subsets: list, groups: list) -> list:
         borderline = (values[positions] > bound - BOUND_GUARD).tolist()
         for i, e, b in zip(positions.tolist(), entangled, borderline):
             tests[i] = (Decision.ENTANGLED if e else Decision.INCONCLUSIVE, bound, not e and b)
-    return [Verdict(decision, norm, bound, "necessary-norm", borderline, subset=subset)
+    made = Verdict._of_norm
+    return [made(decision, norm, bound, borderline, subset)
             for subset, norm, (decision, bound, borderline) in zip(subsets, norms, tests)]
 
 
@@ -349,8 +362,7 @@ def threshold_search(family, criterion: str = "t1") -> float | None:
         raise ValueError(
             f"unknown criterion {criterion!r} (known: {', '.join(_CRITERIA)})"
         )
-    if not isinstance(family, ZooSpec):
-        raise TypeError("family must be a ZooSpec")
+    _instance(family, ZooSpec, "family")
     if not family.noise_parameterized:
         raise ValueError(f"family {family.family!r} has no noise parameter to sweep")
     if family.noise is not None:

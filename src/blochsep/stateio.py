@@ -11,15 +11,20 @@
   reads and is wrong, or else the first bad row or entry of the matrix;
   text that is not JSON gets json's own message.
 
-Map: ``dump_json`` writes reports by ``%`` templates (``_encode``), and
-``state_text`` writes a state's matrix row by row from the array.
+Map: ``dump_json`` writes a document by ``%`` templates (``_encode``),
+and splices in the sections that its caller rendered from arrays and
+results, each in place of an empty list: ``state_text``'s matrix, written
+row by row from the array, and the CLI's analyze ``records`` and decompose
+``terms``, one template filled per record or term.  The bytes are still
+``json.dumps(indent=2)``'s.
 ``load_state`` reads a file's bytes once and reads them as text mode would:
 it checks bytes that are not ASCII to be UTF-8 and reads CRLF and CR as LF.
 ``_fields`` walks the top-level object in the bytes, each value but the
-matrix decoded from a window after it (``_value``), and the matrix stepped
-over unparsed.  ``_head`` checks the head once, and ``_flat_matrix`` parses
-the matrix bytes as one flat array, the writer's rows of zero pairs cut
-unparsed by ``_cut_zero_rows``.  A file that ``_fields`` or
+matrix decoded from a window after it (``_value``), widened only on an
+error the cut can have made, and the matrix stepped over unparsed.
+``_head`` checks the head once, and ``_flat_matrix`` parses the matrix
+bytes as one flat array, the writer's rows of zero pairs cut unparsed by
+``_cut_zero_rows``.  A file that ``_fields`` or
 ``_flat_matrix`` refuses is decoded and goes through ``json.loads`` and
 ``state_from_jsonable``, whose walk names the first bad row or entry.
 Validation is ``DensityMatrix``'s.
@@ -30,7 +35,6 @@ import contextlib
 import csv
 import functools
 import io
-import itertools
 import json
 from json.encoder import encode_basestring_ascii
 import math
@@ -87,14 +91,36 @@ def state_from_jsonable(doc) -> DensityMatrix:
     return DensityMatrix(dims, mat)
 
 
-def dump_json(doc) -> str:
+def dump_json(doc, sections=None) -> str:
     """A report as ``json.dumps(doc, indent=2, allow_nan=False)`` plus a
-    newline, byte for byte, raising what ``json`` raises."""
+    newline, byte for byte, raising what ``json`` raises.
+
+    ``sections`` maps top-level keys of ``doc``, each of which holds ``[]``
+    there, to the texts of the items that list stands for, each as
+    ``_encode`` writes an item of a top-level list: a caller renders its
+    large sections so, from the arrays and results it holds, and their items
+    are spliced in place of the ``[]`` by one join.  A top-level key is the
+    one text that starts a line with exactly two spaces and a quote:
+    ``json`` writes no raw line break inside a string."""
     try:
-        return _encode(doc, "\n") + "\n"
+        text = _encode(doc, "\n") + "\n"
     except RecursionError:
         # a cycle, which json names, or nesting too deep for json too
-        return _json(doc, "\n") + "\n"
+        text = _json(doc, "\n") + "\n"
+    for key, items in (sections or {}).items():
+        if items:
+            line = "\n  " + encode_basestring_ascii(key) + ": ["
+            head, _, tail = text.partition(line + "]")
+            text = "".join([head, line, "\n    ", ",\n    ".join(items), "\n  ]", tail])
+    return text
+
+
+def _check_finite(total: float, values) -> None:
+    """Raise what ``dump_json`` raises for the first float of ``values``, a
+    list, that is not finite, where ``total``, the sum of its floats, is not
+    finite; a sum that merely overflows passes."""
+    if not math.isfinite(total):
+        _json(values, "\n")
 
 
 def _json(value, newline: str) -> str:
@@ -124,36 +150,33 @@ def _template(keys: tuple, newline: str):
     return "{" + ",".join(lines) + newline + "}"
 
 
+def _list(texts, newline: str) -> str:
+    """The list whose items' texts are ``texts``, at the depth of
+    ``newline``."""
+    if not texts:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(texts) + newline + "]"
+
+
 def _texts(items, newline: str) -> list:
     """The texts of ``items``, a list or tuple, at the depth of ``newline``.
 
     Items of one scalar type are encoded by one ``map``; floats so only when
     their sum is finite, so that each one is.  Objects with one tuple of
-    ``str`` keys, a report's records, and lists (or tuples) of one nonzero
-    length, such as a term's factors, fill one template, their values
-    encoded column by column; a lone list, such as the one value of a
-    one-key object, is not a column of one-value rows and is encoded whole.
-    Non-empty lists (or tuples) of unequal lengths that hold ints only, such
-    as a report's subsets, take one join each."""
+    ``str`` keys, such as a threshold table's records, fill one template,
+    their values encoded column by column."""
     kinds = set(map(type, items))
     if len(kinds) == 1:
         kind = kinds.pop()
         scalar = _SCALARS.get(kind)
         if scalar is not None and (kind is not float or math.isfinite(sum(items))):
             return list(map(scalar, items))
-        template, values = None, items
         if kind is dict and len(set(map(tuple, items))) == 1:
-            template, values = _template(tuple(items[0]), newline), map(dict.values, items)
-        elif kind is list or kind is tuple:
-            inner = newline + "  "
-            if len(items) > 1 and items[0] and len(set(map(len, items))) == 1:
-                template = "[" + inner + ("," + inner).join(["%s"] * len(items[0])) + newline + "]"
-            elif all(items) and set(map(type, itertools.chain.from_iterable(items))) == {int}:
-                head, sep, tail = "[" + inner, "," + inner, newline + "]"
-                return [head + sep.join(map(int.__repr__, item)) + tail for item in items]
-        if template is not None:
-            columns = [_texts(c, newline + "  ") for c in zip(*values)]
-            return [template % row for row in zip(*columns)]
+            template = _template(tuple(items[0]), newline)
+            if template is not None:
+                columns = [_texts(c, newline + "  ") for c in zip(*map(dict.values, items))]
+                return [template % row for row in zip(*columns)]
     return [_encode(v, newline) for v in items]
 
 
@@ -162,10 +185,7 @@ def _encode(value, newline: str) -> str:
     whose line break and indent are ``newline``."""
     kind = type(value)
     if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        return "[" + inner + ("," + inner).join(_texts(value, inner)) + newline + "]"
+        return _list(_texts(value, newline + "  "), newline)
     if kind is dict:
         template = _template(tuple(value), newline)
         if template is not None:
@@ -175,19 +195,18 @@ def _encode(value, newline: str) -> str:
     return _json(value, newline)
 
 
-# a pair and a row's ends at the depth ``indent=2`` puts them
+# a pair, and the ends of a row as an item of the matrix, at the depth
+# ``indent=2`` puts them
 _PAIR = "      [\n        %r,\n        %r\n      ]"
 _ZERO = _PAIR % (0.0, 0.0)
 _PIECES = np.array([_ZERO, _PAIR], dtype=object)
-_ROW_OPEN, _ROW_CLOSE = "    [\n", "\n    ]"
-# the only line that starts with exactly two spaces and a quote
-_MATRIX_LINE = '\n  "matrix": '
+_ROW_OPEN, _ROW_CLOSE = "[\n", "\n    ]"
 
 
 def state_text(rho: DensityMatrix, name: str | None = None, source: str | None = None) -> str:
     """The state document of ``rho`` as ``dump_json`` would write it, its
-    matrix filled in from the array; ``name`` and ``source`` go into
-    ``metadata`` when given.
+    matrix's rows rendered from the array and spliced in by ``dump_json``;
+    ``name`` and ``source`` go into ``metadata`` when given.
 
     A row's template puts ``_ZERO`` at its pairs whose leaves are both +0.0
     by their bits, so a -0.0 goes through ``repr``, and ``_PAIR`` at the
@@ -199,7 +218,6 @@ def state_text(rho: DensityMatrix, name: str | None = None, source: str | None =
                 if value is not None}
     if metadata:
         doc["metadata"] = metadata
-    head, _, tail = dump_json(doc).partition(_MATRIX_LINE + "[]")
     m = np.ascontiguousarray(rho.matrix)
     bits = m.view(np.uint64).reshape(*m.shape, 2)
     nonzero = (bits[..., 0] | bits[..., 1]) != 0
@@ -210,7 +228,7 @@ def state_text(rho: DensityMatrix, name: str | None = None, source: str | None =
             template = _ROW_OPEN + ",\n".join(_PIECES[keep.view(np.uint8)].tolist()) + _ROW_CLOSE
             last = pattern
         rows.append(template if blank else template % tuple(row[keep].view(float).tolist()))
-    return "".join([head, _MATRIX_LINE, "[\n", ",\n".join(rows), "\n  ]", tail])
+    return dump_json(doc, {"matrix": rows})
 
 
 def write_text_atomic(path: str, text: str) -> None:
@@ -240,6 +258,7 @@ _DECODER = json.JSONDecoder()
 _SPACE = re.compile(rb"[ \t\n\r]*").match
 # the bytes of the first window a value other than the matrix is decoded from
 _WINDOW = 256
+_CUT_REACH = len("-Infinity")
 
 
 def _value(data: bytes, i: int):
@@ -249,15 +268,22 @@ def _value(data: bytes, i: int):
     inside it, before a character that cannot continue a number, or until
     it reaches the end of ``data``.  So a value cut at the window's end,
     such as ``1.5`` read as the ``1`` of ``1.``, is never taken, and a
-    character cut there is dropped.  Raises what ``json`` raises."""
+    character cut there is dropped.  Raises what ``json`` raises.
+
+    The window widens on an error only where the cut can have made it: a
+    string left open, or an error within ``_CUT_REACH`` characters of the
+    window's end, the length of ``-Infinity``, json's longest token other
+    than a string or number.  Any other error is the value's own, and is
+    raised from the first window."""
     size = _WINDOW
     while True:
         whole = i + size >= len(data)
         chunk = data[i:i + size].decode("utf-8", "ignore")
         try:
             value, k = _DECODER.raw_decode(chunk)
-        except ValueError:  # json's errors, an int past the digit limit
-            if whole:
+        except json.JSONDecodeError as exc:
+            if whole or not (exc.msg.startswith("Unterminated string")
+                             or exc.pos >= len(chunk) - _CUT_REACH):
                 raise
         else:
             end = i + len(chunk[:k].encode())
@@ -310,7 +336,7 @@ def _fields(data: bytes):
     return None
 
 
-_MATRIX_OPEN = ("[\n" + _ROW_OPEN).encode()
+_MATRIX_OPEN = ("[\n    " + _ROW_OPEN).encode()
 _CUT = b"[0]"
 
 
@@ -325,7 +351,7 @@ def _cut_zero_rows(text: bytes, start: int, end: int, total: int):
     row, so a cut changes how fast a file is read, never what it reads to."""
     if not text.startswith(_MATRIX_OPEN, start, end):
         return None
-    zero = (_ROW_OPEN + ",\n".join([_ZERO] * total) + _ROW_CLOSE).encode()
+    zero = ("    " + _ROW_OPEN + ",\n".join([_ZERO] * total) + _ROW_CLOSE).encode()
     if text.find(zero, start, end) < 0:
         return None
     row_end = ("]" + _ROW_CLOSE).encode()

@@ -43,11 +43,17 @@ from .tolerances import RANK_CUTOFF
 
 
 def _real(array, what: str) -> np.ndarray:
-    """``array`` as a float array; a complex one is refused, not truncated."""
+    """``array`` as a float array; a complex one is refused, not truncated,
+    and one whose entries do not convert to floats in one line naming
+    ``what``."""
     a = np.asarray(array)
     if a.dtype.kind == "c":
         raise ValueError(f"{what} has complex dtype {a.dtype}; only real entries are read")
-    return a.astype(float, copy=False)
+    try:
+        return a.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} has dtype {a.dtype}, whose entries are not all "
+                         "real numbers") from None
 
 
 def _as_tensor(tensor, min_order=2):

@@ -17,18 +17,21 @@ from blochsep import (
     KruskalForm,
     Verdict,
     ZooSpec,
+    assemble_decomposition,
     ball_radii,
     basis_ket,
     build_basis,
     correlation_tensor,
     kron,
     kruskal_to_tensor,
+    load_state,
     maximally_mixed,
     necessary_test,
     noisy,
     projector,
     qubit_exact_test,
     reconstruct,
+    separable_decomposition,
     sign_table,
     subset_scan,
     sufficiency_test,
@@ -756,3 +759,81 @@ def decomposition_candidates(draw):
     if kind == "werner":
         return ZooSpec("werner", noise=draw(st.floats(0.0, 1.0))).build()
     return maximally_mixed(draw(st.sampled_from([(2,), (2, 2), (2, 3), (3, 3, 2)])))
+
+
+def report_json(doc) -> str:
+    """``doc`` as ``json`` writes a report: ``indent=2``, no NaN, a newline."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def _descriptor(path) -> dict:
+    _, metadata = load_state(path)
+    descriptor = {"source": str(path)}
+    if metadata.get("name"):
+        descriptor["name"] = metadata["name"]
+    return descriptor
+
+
+def reference_analysis(path, criteria="all", subsets="full", timing=None) -> str:
+    """Reference for ``blochsep analyze PATH --criteria CRITERIA --subsets
+    SUBSETS``: the report built as dicts from the public API, records from
+    ``necessary_test`` and ``subset_scan``, and written by ``json``;
+    ``timing``, when given, is its ``timing`` object.  The CLI refuses a
+    selector other than ``full`` under t1, c2 and p2, so none is passed."""
+    rho, _ = load_state(path)
+    keys = ["c1", "c2", "p2"] if criteria == "all" else [criteria]
+    selector = subsets if subsets in ("full", "all", "pairs") else int(subsets[2:])
+    verdicts = ([necessary_test(rho)] if "t1" in keys else []) + (
+        subset_scan(rho, selector) if "c1" in keys else [])
+    doc = {
+        "schema": SCHEMA_VERSION,
+        "kind": "analysis",
+        "input": _descriptor(path),
+        "dims": list(rho.dims),
+        "criteria": criteria,
+        "subsets": subsets,
+        "records": [{"subset": list(v.subset), "norm": v.norm_value, "bound": v.bound_value,
+                     "decision": v.decision.value, "criterion": v.criterion,
+                     "borderline": v.borderline} for v in verdicts],
+    }
+    if "c2" in keys:
+        v = qubit_exact_test(rho)
+        doc["exact_qubit"] = {"decision": v.decision.value, "criterion": v.criterion,
+                              "norm": v.norm_value, "bound": v.bound_value,
+                              "borderline": v.borderline}
+        if v.reason:
+            doc["exact_qubit"]["reason"] = v.reason
+    if "p2" in keys:
+        v = sufficiency_test(rho)
+        doc["sufficiency"] = {"lhs": v.norm_value, "available": v.norm_value is not None,
+                              "decision": v.decision.value}
+        if v.reason:
+            doc["sufficiency"]["reason"] = v.reason
+    if timing is not None:
+        doc["timing"] = timing
+    return report_json(doc)
+
+
+def reference_decomposition(path) -> tuple:
+    """Reference for ``blochsep decompose PATH``: (exit code, stdout,
+    stderr), the report built as dicts from ``separable_decomposition`` and
+    written by ``json``, or the refusal of a state it does not apply to."""
+    rho, _ = load_state(path)
+    try:
+        dec = separable_decomposition(rho)
+    except CriterionUnavailableError as exc:
+        return 3, "", f"not applicable: {exc}\n"
+    factors = [f.T.tolist() for f in dec.terms.factors]
+    doc = {
+        "schema": SCHEMA_VERSION,
+        "kind": "separable-decomposition",
+        "input": _descriptor(path),
+        "dims": list(rho.dims),
+        "identity_weight": dec.identity_weight,
+        "term_count": dec.terms.rank,
+        "reconstruction_residual": float(np.linalg.norm(
+            assemble_decomposition(dec).matrix - rho.matrix)),
+        "terms": [{"weight": w, "factors": [f[t] for f in factors]}
+                  for t, w in enumerate(dec.terms.weights.tolist())],
+    }
+    return 0, report_json(doc), ""

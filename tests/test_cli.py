@@ -27,8 +27,11 @@ from blochsep import (
     InvalidStateError,
     NumericIntegrityError,
     ZooSpec,
+    basis_ket,
     load_state,
     maximally_mixed,
+    noisy,
+    projector,
     save_state,
     zoo_families,
 )
@@ -38,17 +41,23 @@ from blochsep.stateio import (
     _WINDOW,
     _cut_zero_rows,
     _fields,
+    _value,
     dump_json,
     state_from_jsonable,
     state_text,
 )
 from conftest import (
     count_calls,
+    diagonal_qubit_state,
     entrywise_matrix,
     entrywise_state_from_jsonable,
     entrywise_state_to_jsonable,
+    per_tensor_norms,
     qutrit_ghz_threshold,
     random_density,
+    random_pure_product,
+    reference_analysis,
+    reference_decomposition,
     reference_load_state,
     text_mode_load_state,
 )
@@ -760,6 +769,79 @@ def test_the_walk_reads_what_json_reads_at_every_window_size(window, monkeypatch
         assert json.loads(data[start:end]) == json.loads(text)["matrix"]
 
 
+class CountingDecoder:
+    """json's decoder, counting the windows it decodes."""
+
+    def __init__(self):
+        self.windows = []
+
+    def raw_decode(self, text):
+        self.windows.append(len(text))
+        return json.JSONDecoder().raw_decode(text)
+
+
+@pytest.mark.parametrize("bad", ["nope", "[1, 2,, 3]", '"a\x01b"'])
+def test_a_bad_head_value_is_decoded_from_one_window(bad, tmp_path, monkeypatch):
+    """GHZ-6 as the zoo writes it, with a schema that json refuses far from
+    the first window's end, takes one window for its key and one for the
+    value: the error is the value's own, so the window does not widen to
+    the end of the file.  The file is refused with json's message."""
+    text = state_text(ZooSpec("ghz", parties=6).build())
+    path = tmp_path / "ghz6.json"
+    path.write_text(text.replace('"blochsep/1"', bad, 1), encoding="utf-8")
+    decoder = CountingDecoder()
+    monkeypatch.setattr("blochsep.stateio._DECODER", decoder)
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(path.read_text(encoding="utf-8"))
+    with pytest.raises(InvalidStateError) as got:
+        load_state(path)
+    assert str(got.value) == f"state file {path} is not valid JSON: {expected.value}"
+    assert decoder.windows == [_WINDOW, _WINDOW]
+
+
+# JSON values, NaN and the infinities included, which json writes as NaN,
+# Infinity and -Infinity, its longest tokens other than strings and numbers
+CUT_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6)),
+    lambda children: st.one_of(st.lists(children, max_size=4),
+                               st.dictionaries(st.text(max_size=4), children, max_size=4)),
+    max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=CUT_VALUES, indent=st.sampled_from([None, 2]),
+       edit=st.none() | st.tuples(st.integers(0, 10**6), st.sampled_from(
+           ["", "x", ",", "]", "}", '"', "\\", "\\u12", "-Infinit", "tru", "1e", ".", "\u00e9"])),
+       tail=st.sampled_from([', "matrix": []}', "}", "   ", ""]))
+@example(value=[1.5, -math.inf, "\u6f22"], indent=None, edit=None, tail="}")
+@example(value={"a": [True, None]}, indent=2, edit=(12, "-Infinit"), tail="")
+def test_a_value_cut_at_every_offset_reads_as_json_reads_it(value, indent, edit, tail):
+    """A value, valid or with one character replaced by an edit, before the
+    bytes that follow it in a head, read from first windows of every size
+    from one byte to past its end: ``_value`` gives the value and end that
+    json's ``raw_decode`` gives on the whole text, or refuses what it
+    refuses.  A window widened only on the errors a cut can make reads as
+    the whole does."""
+    text = json.dumps(value, indent=indent, ensure_ascii=False)
+    if edit is not None:
+        at = edit[0] % (len(text) + 1)
+        text = text[:at] + edit[1] + text[at + 1:]
+    data = (text + tail).encode()
+    try:
+        want, k = json.JSONDecoder().raw_decode(data.decode())
+        want = (want, len(data.decode()[:k].encode()))
+    except ValueError:
+        want = None
+    with pytest.MonkeyPatch.context() as patch:
+        for window in range(1, len(data) + 2):
+            patch.setattr("blochsep.stateio._WINDOW", window)
+            try:
+                got = _value(data, 0)
+            except ValueError:
+                got = None
+            assert repr(got) == repr(want), window
+
+
 def test_every_byte_kind_takes_the_flat_parse(tmp_path, monkeypatch):
     """W-4 as the zoo writes it, with CRLF or lone-CR line ends, non-ASCII
     metadata or a "matrix" before its matrix, as a value, as the key of a
@@ -1035,24 +1117,6 @@ def test_reports_are_written_as_json_writes_them(doc):
     assert dump_json(doc) == json_dumps(doc)
 
 
-def test_a_lone_list_of_records_is_encoded_whole(monkeypatch):
-    """The records of W-7's ``--subsets all`` report, alone in an object,
-    make as many ``_texts`` calls as beside a second key: a one-item list of
-    lists is not a template of one column per entry of its item, each
-    column one value long."""
-    code, out, _ = run(["analyze", "zoo:w", "-N", "7", "--subsets", "all"])
-    assert code == 0
-    records = [dict(r, subset=tuple(r["subset"])) for r in json.loads(out)["records"]]
-    assert len(records) == 120
-    for doc, want in (({"records": records}, 8), ({"records": records, "kind": "analysis"}, 8),
-                      ([records], 8)):
-        counts = {"texts": 0}
-        with monkeypatch.context() as patch:
-            count_calls(patch, counts, "texts", blochsep.stateio, "_texts")
-            assert dump_json(doc) == json_dumps(doc)
-        assert counts["texts"] == want
-
-
 NON_FINITE = [math.nan, math.inf, -math.inf, np.float64("-inf")]
 
 
@@ -1078,6 +1142,115 @@ def test_reports_with_a_cycle_are_refused_as_json_refuses_them():
     cycle["records"].append(cycle)
     with pytest.raises(ValueError, match="^Circular reference detected$"):
         dump_json(cycle)
+
+
+# a metadata name and a file name that hold a top-level key line's text,
+# a quote and non-ASCII text
+ODD_NAME = 'a\n  "records": [] and "terms": [] \u00e9t\u00e9 \u6f22'
+ODD_FILE = 'odd "records": [] \u00e9.json'
+
+
+@st.composite
+def report_states(draw):
+    """Qubit and qudit states on N = 2..6 subsystems of 2 or 3 levels, 64
+    levels in all at most: Wishart draws of rank 1, 2 or full."""
+    dims = draw(st.lists(st.sampled_from([2, 3]), min_size=2, max_size=6).filter(
+        lambda dims: math.prod(dims) <= 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_density(rng, tuple(dims), rank=draw(st.sampled_from([1, 2, None])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rho=report_states(), criteria=st.sampled_from(["t1", "c1", "c2", "p2", "all"]),
+       subsets=st.sampled_from(["full", "all", "pairs", "k=2", "k=3", "k=4", "k=5", "k=6"]),
+       timing=st.booleans(), name=st.sampled_from([None, "ghz", ODD_NAME]),
+       file=st.sampled_from(["state.json", ODD_FILE]))
+@example(rho=ZooSpec("ghz", parties=3).build(), criteria="c2", subsets="full", timing=False,
+         name=None, file="state.json")
+@example(rho=ZooSpec("ghz", parties=3).build(), criteria="p2", subsets="full", timing=False,
+         name=None, file="state.json")
+@example(rho=ZooSpec("w", parties=4).build(), criteria="t1", subsets="full", timing=False,
+         name=None, file="state.json")
+@example(rho=ZooSpec("w", parties=5).build(), criteria="all", subsets="all", timing=True,
+         name=None, file="state.json")
+@example(rho=ZooSpec("smolin").build(), criteria="all", subsets="all", timing=False,
+         name=ODD_NAME, file=ODD_FILE)
+@example(rho=random_density(np.random.default_rng(6), (2,) * 6), criteria="c1", subsets="k=3",
+         timing=False, name=None, file="state.json")
+def test_analyze_reports_are_the_dicts_json_writes(rho, criteria, subsets, timing, name, file,
+                                                   tmp_path_factory):
+    """An analyze report is, byte for byte, the report built as dicts from
+    the public API and written by ``json.dumps(indent=2)``, under every
+    selector and criteria key: with no records (c2 or p2 alone), with t1's
+    one, with ``--timing``, whose values are taken from the report, and
+    from a file whose path and name hold ``"records": []``.  A selector
+    that the state has no subsets of is refused with subset_scan's
+    message."""
+    path = str(tmp_path_factory.mktemp("analyze") / file)
+    save_state(rho, path, name=name)
+    if criteria not in ("c1", "all"):
+        subsets = "full"
+    argv = ["analyze", path, "--criteria", criteria, "--subsets", subsets]
+    code, out, err = run(argv + ["--timing"] * timing)
+    try:
+        want = reference_analysis(path, criteria, subsets,
+                                  json.loads(out)["timing"] if timing and code == 0 else None)
+    except ValueError as exc:
+        assert (code, out, err) == (2, "", f"error: {exc}\n")
+    else:
+        assert (code, err) == (0, "")
+        assert out == want
+
+
+@st.composite
+def decomposable_states(draw):
+    """States the sufficient criterion often applies to: diagonal qubit
+    states on N = 2..6, whose weights sum to at most 1 in magnitude, and
+    white noise mixed with a random pure product state on N = 1..4
+    subsystems of 2, 3 or 4 levels."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        weights = rng.uniform(-1, 1, 3)
+        return diagonal_qubit_state(draw(st.integers(2, 6)),
+                                    weights * draw(st.floats(0, 1)) / np.abs(weights).sum())
+    dims = tuple(draw(st.lists(st.sampled_from([2, 3, 4]), min_size=1, max_size=4).filter(
+        lambda dims: math.prod(dims) <= 48)))
+    return noisy(DensityMatrix(dims, random_pure_product(rng, dims)), draw(st.floats(0, 1)))
+
+
+def noisy_product(dims, p):
+    return noisy(DensityMatrix(dims, projector(basis_ket(range(len(dims)), dims))), p)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rho=decomposable_states(), name=st.sampled_from([None, ODD_NAME]),
+       file=st.sampled_from(["state.json", ODD_FILE]))
+@example(rho=maximally_mixed((2, 2)), name=None, file="state.json")
+@example(rho=maximally_mixed((2, 3, 4)), name=ODD_NAME, file=ODD_FILE)
+@example(rho=noisy_product((2, 3, 4), 0.05), name=None, file="state.json")
+@example(rho=noisy_product((3, 3), 0.2), name=None, file="state.json")
+@example(rho=noisy_product((3, 3, 3), 0.05), name=None, file="state.json")
+@example(rho=ZooSpec("werner", noise=0.3).build(), name=None, file="state.json")
+def test_decompose_reports_are_the_dicts_json_writes(rho, name, file, tmp_path_factory):
+    """A decompose report is, byte for byte, the report built as dicts from
+    ``separable_decomposition`` and written by ``json.dumps(indent=2)``, or
+    the same refusal: rank 0 on the maximally mixed states, terms on
+    (2, 3, 4) and on qutrits, and Werner's factors, which hold -0.0."""
+    path = str(tmp_path_factory.mktemp("decompose") / file)
+    save_state(rho, path, name=name)
+    assert run(["decompose", path]) == reference_decomposition(path)
+
+
+def test_a_nan_norm_is_refused_as_json_refuses_it(monkeypatch):
+    """A record's norm that is not finite is refused with json's message
+    and exit 2, not written as NaN."""
+    monkeypatch.setattr(blochsep.criteria, "_kyfan_norms",
+                        lambda groups: [math.nan] * sum(len(p) for p, _ in groups))
+    with pytest.raises(ValueError) as expected:
+        json_dumps([math.nan])
+    for criteria in ("t1", "c1", "all"):
+        assert run(["analyze", "zoo:ghz", "-N", "3", "--criteria", criteria]) == (
+            2, "", f"error: {expected.value}\n")
 
 
 def test_analyze_state_file_round_trip(tmp_path):
@@ -1820,3 +1993,84 @@ def test_analyze_report_layout_is_pinned(source, layout):
         assert float(row[1]) == pytest.approx(norm, rel=1e-11, abs=1e-12)
         assert float(row[2]) == pytest.approx(bound, rel=1e-11)
         assert row[3:] == [decision, criterion, str(int(borderline))]
+
+
+def report(argv, tmp_path) -> dict:
+    """The report of ``blochsep ARGV``, written with ``-o`` under
+    ``tmp_path`` and checked to be the bytes ``json.dumps(indent=2)``
+    writes."""
+    out = tmp_path / "report.json"
+    assert main([*argv, "-o", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n", \
+        f"blochsep {' '.join(argv)} is not what json.dumps(indent=2) writes"
+    return json.loads(text)
+
+
+def test_reports_with_records_and_term_lists_are_what_json_dumps_writes(tmp_path):
+    """Reports, one of 120 records and two of nested term lists, the second
+    the 1,093 terms of a separable diagonal 7-qubit state, and GHZ-8, whose
+    254 all-zero rows are written as their template, are the bytes
+    json.dumps(indent=2) writes.  Werner's decomposition at p = 0.3 is a
+    6-term mixture that rebuilds the state, and its factors hold -0.0."""
+    q = np.random.default_rng(1).random(128)
+    p = 0.9 / 127
+    diag7 = str(tmp_path / "diag7.json")
+    save_state(DensityMatrix((2,) * 7, np.diag((1 - p) / 128 + p * q / q.sum()).astype(complex)),
+               diag7)
+    assert report(["decompose", diag7], tmp_path)["term_count"] == 1093, \
+        "blochsep decompose diag7.json does not write 1,093 terms"
+    assert len(report(["analyze", "zoo:w", "-N", "7", "--subsets", "all"], tmp_path)["records"]) == 120
+    assert report(["zoo", "ghz", "-N", "8"], tmp_path)["dims"] == [2] * 8
+    d = report(["decompose", "zoo:werner", "-p", "0.3"], tmp_path)
+    total = sum(t["weight"] for t in d["terms"]) + d["identity_weight"]
+    assert d["term_count"] == 6 and abs(total - 1) <= 1e-12 and d["reconstruction_residual"] <= 1e-12, \
+        "blochsep decompose zoo:werner -p 0.3 is not a 6-term mixture that rebuilds the state"
+    assert "-0.0" in (tmp_path / "report.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("family", ["ghz", "w"])
+def test_every_subset_of_10_qubit_states_has_its_per_unfolding_norm(family, tmp_path):
+    """The largest component stacks: 1,013 subsets, one SVD call per shape.
+    Equal tensors, and tensors equal to their cyclic mode shift, share their
+    SVDs, so every record's norm must be, bit for bit, the one that an SVD
+    of each tall unfolding of its own correlation tensor gives."""
+    rho = ZooSpec(family, parties=10).build()
+    records = report(["analyze", f"zoo:{family}", "-N", "10", "--subsets", "all"], tmp_path)["records"]
+    norms = per_tensor_norms(rho, [tuple(r["subset"]) for r in records])
+    bad = [r["subset"] for r, norm in zip(records, norms) if r["norm"] != norm]
+    assert len(records) == 1013 and not bad, (
+        f"blochsep analyze zoo:{family} -N 10 --subsets all gives norms that are not the "
+        f"per-unfolding ones bit for bit: {len(bad)} of {len(records)} differ: {bad[:5]}")
+
+
+def test_ghz10_all_subsets_have_one_entangled_full_set(tmp_path):
+    """Only GHZ-10's full set exceeds its bound, with norm 33.  The
+    orthogonal-form search walks all 1,023 components and names the last,
+    the full set, and the exact test stops at the pair tensors, the first
+    order that holds a nonzero component."""
+    d = report(["analyze", "zoo:ghz", "-N", "10", "--subsets", "all"], tmp_path)
+    r = d["records"]
+    full = [x["norm"] for x in r if len(x["subset"]) == 10]
+    assert (len(r) == 1013 and len(full) == 1 and abs(full[0] - 33) <= 1e-9
+            and sum(x["decision"] == "entangled" for x in r) == 1
+            and d["sufficiency"]["reason"] == "no-orthogonal-decomposition:(0, 1, 2, 3, 4, 5, 6, 7, 8, 9)"
+            and d["exact_qubit"]["reason"] == "lower-order-tensors-nonzero"), (
+        "blochsep analyze zoo:ghz -N 10 --subsets all does not give 1,013 records with one "
+        "entangled full set of norm 33, a sufficiency sum stopped at the full set and an exact "
+        "test stopped at the lower-order tensors")
+
+
+def test_w10_all_subsets_are_its_sizes_in_turn(tmp_path):
+    """W-10's exact test stops at its coherence vectors.  Index plans are
+    cached per (dims, selection), so W-10's selections of one size each,
+    made in turn, must give the records of all sizes at once."""
+    d = report(["analyze", "zoo:w", "-N", "10", "--subsets", "all"], tmp_path)
+    assert d["exact_qubit"]["reason"] == "coherence-vectors-nonzero", \
+        "blochsep analyze zoo:w -N 10 --subsets all does not give an exact test stopped at the coherence vectors"
+    parts = [r for k in range(2, 11)
+             for r in report(["analyze", "zoo:w", "-N", "10", "--subsets", f"k={k}"], tmp_path)["records"]]
+    assert len(d["records"]) == 1013 and d["records"] == parts, (
+        "the records of blochsep analyze zoo:w -N 10 --subsets all are not those of "
+        "--subsets k=2 ... k=10 in turn")
+

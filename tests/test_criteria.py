@@ -840,9 +840,10 @@ def test_threshold_search_edge_cases():
     assert bisect_threshold(lambda p: noisy(ghz(2), 0.9)) == 0.0
     assert bisect_threshold(lambda p: noisy(ghz(2), p)) == pytest.approx(
         1 / 3, abs=2e-6)
-    for family in ("werner", lambda p: noisy(ghz(2), p)):
-        with pytest.raises(TypeError):
+    for family, kind in (("werner", "str"), (lambda p: noisy(ghz(2), p), "function")):
+        with pytest.raises(ValueError) as got:
             threshold_search(family)
+        assert str(got.value) == f"family must be a ZooSpec, got {kind}"
     with pytest.raises(ValueError, match="unknown criterion"):
         threshold_search(ZooSpec(family="werner"), criterion="t2")
     with pytest.raises(ValueError, match="no noise parameter"):

@@ -23,6 +23,7 @@ from blochsep import (
     correlation_tensor,
     decompose,
     duer_be4,
+    find_orthogonal_kruskal,
     ghz,
     kron,
     kruskal_to_tensor,
@@ -39,10 +40,13 @@ from blochsep import (
     separability_bound,
     separable_decomposition,
     sign_table,
+    singular_values,
     smolin,
     state_234,
     subset_scan,
     sufficiency_test,
+    tensor_kyfan,
+    threshold_search,
     unfold,
     validate_density,
     w_state,
@@ -496,6 +500,15 @@ def test_integer_indices_of_every_kind_are_read_alike():
     # file or its temporary sibling is made
     (lambda: save_state("x", "state.json"), "rho must be a DensityMatrix, got str"),
     (lambda: state_text(None), "rho must be a DensityMatrix, got NoneType"),
+    (lambda: threshold_search(True), "family must be a ZooSpec, got bool"),
+    # an array whose entries do not convert to floats names its parameter
+    (lambda: singular_values("x"), "matrix has dtype <U1, whose entries are not all real numbers"),
+    (lambda: tensor_kyfan("x"), "tensor has dtype <U1, whose entries are not all real numbers"),
+    (lambda: unfold("x", 0), "tensor has dtype <U1, whose entries are not all real numbers"),
+    (lambda: find_orthogonal_kruskal([["x", "y"], ["z", "w"]]),
+     "tensor has dtype <U1, whose entries are not all real numbers"),
+    (lambda: singular_values(np.array([[10**400, 1], [1, 1]], dtype=object)),
+     "matrix has dtype object, whose entries are not all real numbers"),
 ], ids=["basis_ket-float", "basis_ket-string", "basis_ket-count", "basis_ket-range",
         "basis_ket-negative", "kron-empty", "ghz-one-party", "ghz-float-parties",
         "w-float-parties", "ghz-float-d", "ghz-bool-parties", "bound-one-party",
@@ -512,7 +525,9 @@ def test_integer_indices_of_every_kind_are_read_alike():
         "separable_decomposition-array-rho", "subset_scan-none-rho", "bloch_vector-none-rho",
         "correlation_tensor-array-rho", "decompose-string-rho", "reconstruct-none-data",
         "assemble_decomposition-int-dec", "kruskal_to_tensor-string-form",
-        "save_state-string-rho", "state_text-none-rho"])
+        "save_state-string-rho", "state_text-none-rho", "threshold_search-bool-family",
+        "singular_values-string", "tensor_kyfan-string", "unfold-string",
+        "find_orthogonal_kruskal-strings", "singular_values-huge-int"])
 def test_refusals_keep_their_messages(call, message, tmp_path, monkeypatch):
     # each call runs in an empty directory, which a refusal leaves empty
     monkeypatch.chdir(tmp_path)
