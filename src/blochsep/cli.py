@@ -34,15 +34,17 @@ from .errors import CriterionUnavailableError, InvalidStateError, NumericIntegri
 from .states import DensityMatrix, ZooSpec, zoo_families
 from .stateio import (
     SCHEMA_VERSION,
+    _batches,
     _check_finite,
     _encode,
     _list,
+    _pieces,
+    _state_pieces,
     _template,
     dump_json,
     format_number,
     load_state,
     records_to_csv,
-    state_text,
     write_text_atomic,
 )
 
@@ -183,9 +185,12 @@ def _parse_subsets(text: str):
     raise InvalidStateError(f"cannot parse subset selector {text!r}")
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, text) -> None:
+    """Write ``text``, a ``str`` or a list of pieces whose join it is, to
+    ``-o`` or else to stdout, pieces in joined batches."""
     if args.output is None:
-        sys.stdout.write(text)
+        for batch in _batches(text):
+            sys.stdout.write(batch)
         return
     try:
         write_text_atomic(args.output, text)
@@ -326,15 +331,29 @@ def cmd_decompose(args) -> int:
         "reconstruction_residual": residual,
         "terms": [],
     }
-    # one row per term: its weight, then its factors' coherence vectors
+    # one row per term: its weight, then its factors' coherence vectors.  Most
+    # entries are 0.0 or a factor's +-inball radius, so each distinct float,
+    # told apart by its bits so that -0.0 stays itself, is rendered once; %s
+    # writes a float as its repr, as json does.  A table too small to repay
+    # the sort is rendered float by float
     table = np.column_stack([dec.terms.weights, *(f.T for f in dec.terms.factors)])
-    rows = table.tolist()
+    if table.size < _RENDER_BY_BITS:
+        rows = table.tolist()
+    else:
+        distinct, where = np.unique(table.view(np.uint64), return_inverse=True)
+        texts = np.array(list(map(float.__repr__, distinct.view(float).tolist())), dtype=object)
+        rows = texts[where.reshape(table.shape)].tolist()
     template = _term_template(rho.dims)
-    text = dump_json(doc, {"terms": [template % tuple(row) for row in rows]})
+    pieces = _pieces(doc, {"terms": [template % tuple(row) for row in rows]})
     # checked after the rest of the report, as json, which reaches the terms last
-    _check_finite(float(table.sum()), rows)
-    _emit(args, text)
+    _check_finite(float(table.sum()), table)
+    _emit(args, pieces)
     return 0
+
+
+# the entries of a term table from which ``cmd_decompose`` renders each
+# distinct float once: below it, a sort costs more than the repeated reprs
+_RENDER_BY_BITS = 128
 
 
 @functools.lru_cache(maxsize=64)
@@ -348,7 +367,7 @@ def _term_template(dims: tuple) -> str:
 
 def cmd_zoo(args) -> int:
     spec = _zoo_spec(args.family, args)
-    _emit(args, state_text(spec.build(), name=spec.family, source="zoo"))
+    _emit(args, _state_pieces(spec.build(), name=spec.family, source="zoo"))
     return 0
 
 

@@ -212,11 +212,11 @@ def qubit_exact_test(rho: DensityMatrix) -> Verdict:
         if any(np.linalg.norm(c) > ZERO_COMPONENT_TOL for c in stack):
             reason = "coherence-vectors-nonzero" if size == 1 else "lower-order-tensors-nonzero"
             return Verdict(Decision.INCONCLUSIVE, None, 1.0, crit, reason=reason)
-    forms, _ = _orthogonal_forms(_groups(rho, _subsets(n)[-1:]))
-    if forms is None:
+    stacks, _ = _orthogonal_forms(_groups(rho, _subsets(n)[-1:]))
+    if stacks is None:
         reason = "no-orthogonal-decomposition"
         return Verdict(Decision.INCONCLUSIVE, None, 1.0, crit, reason=reason)
-    norm = float(forms[0].weights.sum())
+    norm = float(stacks[0].sums()[0])
     if norm > 1.0 + BOUND_GUARD:
         return Verdict(Decision.ENTANGLED, norm, 1.0, crit)
     if norm < 1.0 - BOUND_GUARD:
@@ -227,22 +227,27 @@ def qubit_exact_test(rho: DensityMatrix) -> Verdict:
 def _sufficiency_parts(rho: DensityMatrix):
     """Shared workhorse for the sufficiency sum and the decomposition.
 
-    Returns (lhs, [(subset, c_S, form)]) with one completely orthogonal
-    Kruskal form per component, coherence vectors included, or
-    (None, failing_subset) for the first component, in component order,
-    whose order >= 3 tensor has none.
+    Returns (lhs, [(c_S, stack)]), the completely orthogonal forms of every
+    component, coherence vectors included, as ``tensors._FormStack`` stacks
+    by shape, each with the c_S of its subsets' dims, which its shape
+    fixes; or (None, failing_subset) for the first component, in component
+    order, whose order >= 3 tensor has none.  lhs adds each component's
+    c_S times its weight sum in component order.
     """
     _instance(rho, DensityMatrix, "rho")
     subsets = _subsets(rho.n_parties)
-    forms, failed = _orthogonal_forms(_groups(rho))
-    if forms is None:
+    stacks, failed = _orthogonal_forms(_groups(rho))
+    if stacks is None:
         return None, subsets[failed]
-    dims = [tuple(rho.dims[k] for k in s) for s in subsets]
-    coefs = {ds: math.sqrt(math.prod(2.0 * (d - 1) / d for d in ds)) for ds in set(dims)}
-    total, parts = 0.0, []
-    for subset, form, coef in zip(subsets, forms, map(coefs.get, dims)):
-        total += coef * float(form.weights.sum())
-        parts.append((subset, coef, form))
+    parts, terms = [], np.empty(len(subsets))
+    for stack in stacks:
+        dims = [rho.dims[k] for k in subsets[stack.members[0]]]
+        coef = math.sqrt(math.prod(2.0 * (d - 1) / d for d in dims))
+        terms[stack.members] = coef * stack.sums()
+        parts.append((coef, stack))
+    total = 0.0
+    for term in terms.tolist():
+        total += term
     return total, parts
 
 
@@ -290,27 +295,48 @@ def separable_decomposition(rho: DensityMatrix) -> SeparableDecomposition:
             f"weighted component norm sum {total:.12g} exceeds 1; "
             "the sufficient criterion does not apply"
         )
-    dims = rho.dims
+    dims, subsets = rho.dims, _subsets(rho.n_parties)
     inball = [ball_radii(d)[0] for d in dims]
-    tables = {m: sign_table(m) for m in {len(subset) for subset, _, _ in parts}}
-    weights, kept = [], []
-    for subset, coef, form in parts:
-        signs = len(tables[len(subset)])
-        w = coef * form.weights * (1.0 / signs)
-        kept.append(w > WEIGHT_CUTOFF)
-        weights.append(np.repeat(w[kept[-1]], signs))
-    ends = np.cumsum([len(w) for w in weights]).tolist()
+    tables = {m: sign_table(m) for m in {len(stack.factors) for _, stack in parts}}
+    # per stack: its weights shared out over 2^(M-1) sign rows, which of
+    # them make terms, and each term's rank among its component's, from 1
+    plans = []
+    counts = np.zeros(len(subsets), dtype=np.intp)
+    for coef, stack in parts:
+        if not stack.keep.any():
+            continue  # zero components, such as vanishing coherence vectors
+        table = tables[len(stack.factors)]
+        w = coef * stack.weights * (1.0 / len(table))
+        kept = stack.keep & (w > WEIGHT_CUTOFF)
+        if kept.any():
+            ranks = np.cumsum(kept, axis=1)
+            counts[stack.members] = ranks[:, -1] * len(table)
+            plans.append((stack, table, w, kept, ranks))
+    ends = np.cumsum(counts)
+    starts, rank = ends - counts, int(ends[-1])
     # each factor is a term-major C-ordered matrix read transposed: the layout
     # fixes the BLAS path of assembly, and with it the residual's last bits;
-    # a component's rows are zero on the subsystems it does not hold
-    factors = [np.zeros((ends[-1], d * d - 1)) for d in dims]
-    for (subset, _, form), keep, start, end in zip(parts, kept, [0, *ends], ends):
-        table = tables[len(subset)]
-        for pos, k in enumerate(subset):
-            # row (j, r) is the vector of rank-1 term j under sign row r
-            block = inball[k] * form.factors[pos][:, keep].T[:, None] * table[:, pos, None]
-            factors[k][start:end] = block.reshape(-1, block.shape[-1])
-    terms = KruskalForm(np.concatenate(weights), [f.T for f in factors])
+    # a component's rows are zero on the subsystems it does not hold.  The
+    # matrices of the subsystems of one dimension are slices of one array,
+    # so a stack fills each position's with one scatter
+    blocks = {d: np.zeros((dims.count(d), rank, d * d - 1)) for d in set(dims)}
+    slots = np.array([dims[:k].count(d) for k, d in enumerate(dims)])
+    weights = np.empty(rank)
+    for stack, table, w, kept, ranks in plans:
+        c, j = np.nonzero(kept)
+        # row (c, j, r) is term j of component c under sign row r: a
+        # component's terms run from its start, each over its sign rows
+        signs = len(table)
+        rows = (starts[stack.members[c]] + (ranks[c, j] - 1) * signs)[:, None] + np.arange(signs)
+        weights[rows] = w[c, j][:, None]
+        # the slot of each term's subsystem at each position; a position's
+        # subsystems share one dimension, that of the first member's
+        held = slots[np.array([subsets[i] for i in stack.members.tolist()])[c]]
+        for pos, (factor, k) in enumerate(zip(stack.factors, subsets[stack.members[0]])):
+            block = inball[k] * factor[c, :, j][:, None] * table[:, pos, None]
+            blocks[dims[k]][held[:, pos, None], rows] = block
+    factors = [blocks[d][slot] for d, slot in zip(dims, slots.tolist())]
+    terms = KruskalForm(weights, [f.T for f in factors])
     return SeparableDecomposition(dims=dims, terms=terms, identity_weight=1.0 - total)
 
 

@@ -11,12 +11,17 @@
   reads and is wrong, or else the first bad row or entry of the matrix;
   text that is not JSON gets json's own message.
 
-Map: ``dump_json`` writes a document by ``%`` templates (``_encode``),
-and splices in the sections that its caller rendered from arrays and
-results, each in place of an empty list: ``state_text``'s matrix, written
-row by row from the array, and the CLI's analyze ``records`` and decompose
-``terms``, one template filled per record or term.  The bytes are still
-``json.dumps(indent=2)``'s.
+Map: ``_pieces`` writes a document by ``%`` templates (``_encode``), as
+a list of pieces whose join is its text: the sections that its caller
+rendered from arrays and results stand in place of an empty list, item by
+item, a separator between items.  They are ``_state_pieces``'s matrix,
+rendered row by row from the array, and the CLI's analyze ``records`` and
+decompose ``terms``, one template filled per record or term.  The bytes are
+still ``json.dumps(indent=2)``'s.  ``dump_json`` and ``state_text`` are the
+joins of those pieces; ``write_text_atomic`` (``save_state``, the CLI's
+``zoo`` and ``decompose``) and the CLI's stdout take the pieces and write
+them in joined batches (``_batches``), so a large document is never held
+whole.
 ``load_state`` reads a file's bytes once and reads them as text mode would:
 it checks bytes that are not ASCII to be UTF-8 and reads CRLF and CR as LF.
 ``_fields`` walks the top-level object in the bytes, each value but the
@@ -88,39 +93,77 @@ def state_from_jsonable(doc) -> DensityMatrix:
                 mat[i, j] = complex(entry[0], entry[1])
             except OverflowError:
                 raise InvalidStateError(f"matrix entry ({i}, {j}) is too large for a float")
-    return DensityMatrix(dims, mat)
+    return DensityMatrix._parsed(dims, mat)
 
 
 def dump_json(doc, sections=None) -> str:
     """A report as ``json.dumps(doc, indent=2, allow_nan=False)`` plus a
-    newline, byte for byte, raising what ``json`` raises.
+    newline, byte for byte, raising what ``json`` raises: the join of
+    :func:`_pieces`.
 
     ``sections`` maps top-level keys of ``doc``, each of which holds ``[]``
     there, to the texts of the items that list stands for, each as
     ``_encode`` writes an item of a top-level list: a caller renders its
     large sections so, from the arrays and results it holds, and their items
-    are spliced in place of the ``[]`` by one join.  A top-level key is the
-    one text that starts a line with exactly two spaces and a quote:
-    ``json`` writes no raw line break inside a string."""
+    are spliced in place of the ``[]``."""
+    return "".join(_pieces(doc, sections))
+
+
+def _pieces(doc, sections=None) -> list:
+    """The text of ``dump_json(doc, sections)`` as a list of pieces whose
+    join it is: the text around the sections, and each section's items,
+    the separators between them pieces of their own.  A writer writes the
+    pieces in batches (``_batches``), so no copy of a large document is
+    made whole.  A top-level key is the one text that starts a line with
+    exactly two spaces and a quote: ``json`` writes no raw line break
+    inside a string."""
     try:
         text = _encode(doc, "\n") + "\n"
     except RecursionError:
         # a cycle, which json names, or nesting too deep for json too
         text = _json(doc, "\n") + "\n"
+    spans = []
     for key, items in (sections or {}).items():
         if items:
             line = "\n  " + encode_basestring_ascii(key) + ": ["
-            head, _, tail = text.partition(line + "]")
-            text = "".join([head, line, "\n    ", ",\n    ".join(items), "\n  ]", tail])
-    return text
+            spans.append((text.index(line + "]"), line, items))
+    pieces, start, lead = [], 0, ""
+    for at, line, items in sorted(spans):
+        pieces.append(lead + text[start:at] + line + "\n    ")
+        run = [",\n    "] * (2 * len(items) - 1)
+        run[::2] = items
+        pieces += run
+        # the list's "]" starts the text after it
+        start, lead = at + len(line), "\n  "
+    pieces.append(lead + text[start:])
+    return pieces
+
+
+# the characters of a batch that ``_batches`` joins
+_BATCH = 1 << 17
+
+
+def _batches(text):
+    """The texts of ``text``, a ``str`` or a list of pieces, joined in runs
+    of about ``_BATCH`` characters: one piece at least, and more until the
+    run reaches it."""
+    run, size = [], 0
+    for piece in [text] if isinstance(text, str) else text:
+        run.append(piece)
+        size += len(piece)
+        if size >= _BATCH:
+            yield "".join(run)
+            run, size = [], 0
+    if run:
+        yield "".join(run)
 
 
 def _check_finite(total: float, values) -> None:
     """Raise what ``dump_json`` raises for the first float of ``values``, a
-    list, that is not finite, where ``total``, the sum of its floats, is not
-    finite; a sum that merely overflows passes."""
+    list or an array, that is not finite, where ``total``, the sum of its
+    floats, is not finite; a sum that merely overflows passes."""
     if not math.isfinite(total):
-        _json(values, "\n")
+        _json(values.tolist() if isinstance(values, np.ndarray) else values, "\n")
 
 
 def _json(value, newline: str) -> str:
@@ -204,14 +247,21 @@ _ROW_OPEN, _ROW_CLOSE = "[\n", "\n    ]"
 
 
 def state_text(rho: DensityMatrix, name: str | None = None, source: str | None = None) -> str:
-    """The state document of ``rho`` as ``dump_json`` would write it, its
-    matrix's rows rendered from the array and spliced in by ``dump_json``;
-    ``name`` and ``source`` go into ``metadata`` when given.
+    """The state document of ``rho`` as ``dump_json`` would write it: the
+    join of :func:`_state_pieces`.  ``name`` and ``source`` go into
+    ``metadata`` when given."""
+    return "".join(_state_pieces(rho, name, source))
+
+
+def _state_pieces(rho: DensityMatrix, name: str | None = None, source: str | None = None) -> list:
+    """The state document of ``rho`` as the :func:`_pieces` of its head,
+    matrix rows and tail, the rows rendered from the array.
 
     A row's template puts ``_ZERO`` at its pairs whose leaves are both +0.0
     by their bits, so a -0.0 goes through ``repr``, and ``_PAIR`` at the
     rest; one ``%`` call fills it, and the next row reuses it when its zero
-    pairs sit in the same places.  A row of zero pairs only is its template."""
+    pairs sit in the same places.  A row of zero pairs only is its template,
+    one string for every such row."""
     _instance(rho, DensityMatrix, "rho")
     doc = {"schema": SCHEMA_VERSION, "kind": "state", "dims": list(rho.dims), "matrix": []}
     metadata = {key: value for key, value in (("name", name), ("source", source))
@@ -220,7 +270,7 @@ def state_text(rho: DensityMatrix, name: str | None = None, source: str | None =
         doc["metadata"] = metadata
     m = np.ascontiguousarray(rho.matrix)
     bits = m.view(np.uint64).reshape(*m.shape, 2)
-    nonzero = (bits[..., 0] | bits[..., 1]) != 0
+    nonzero = np.logical_or(bits[..., 0], bits[..., 1])
     rows, last = [], None
     for row, keep, blank in zip(m, nonzero, ~nonzero.any(axis=1)):
         pattern = keep.tobytes()
@@ -228,16 +278,22 @@ def state_text(rho: DensityMatrix, name: str | None = None, source: str | None =
             template = _ROW_OPEN + ",\n".join(_PIECES[keep.view(np.uint8)].tolist()) + _ROW_CLOSE
             last = pattern
         rows.append(template if blank else template % tuple(row[keep].view(float).tolist()))
-    return dump_json(doc, {"matrix": rows})
+    return _pieces(doc, {"matrix": rows})
 
 
-def write_text_atomic(path: str, text: str) -> None:
-    """Write ``text`` to a sibling temporary file and move it onto ``path``;
-    the temporary file is removed if either step fails."""
+def write_text_atomic(path: str, text) -> None:
+    """Write ``text``, a ``str`` or a list of pieces whose join it is, to a
+    sibling temporary file and move that onto ``path``; on any exception
+    the temporary file is removed and ``path`` is left as it was.
+
+    The temporary file is opened once, in text mode, and pieces are written
+    in joined batches of about ``_BATCH`` characters (``_batches``), so a
+    large document is never joined or encoded whole."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for batch in _batches(text):
+                fh.write(batch)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -246,7 +302,7 @@ def write_text_atomic(path: str, text: str) -> None:
 
 
 def save_state(rho: DensityMatrix, path: str, name: str | None = None, source: str | None = None) -> None:
-    write_text_atomic(path, state_text(rho, name=name, source=source))
+    write_text_atomic(path, _state_pieces(rho, name=name, source=source))
 
 
 _JSON_SPACE = b" \t\n\r"
@@ -455,7 +511,7 @@ def load_state(path) -> tuple:
         mat = _flat_matrix(data, start, end, total)
     if mat is not None:
         del data
-        rho = DensityMatrix(dims, mat)
+        rho = DensityMatrix._parsed(dims, mat)
     else:
         text = data.decode("utf-8")
         del data

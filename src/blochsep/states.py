@@ -148,7 +148,9 @@ class DensityMatrix:
     Validated on construction (Hermitian, unit trace, positive semidefinite
     within tolerance).  The stored array is a read-only copy.  The states
     the package builds from a formula, the zoo and ``noisy``, are made by
-    :meth:`_built` instead, which neither validates nor copies.
+    :meth:`_built` instead, which neither validates nor copies, and the
+    states the readers parse by :meth:`_parsed`, which validates but does
+    not copy.
     """
 
     dims: tuple
@@ -163,6 +165,16 @@ class DensityMatrix:
         m.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _parsed(cls, dims: tuple, matrix: np.ndarray) -> DensityMatrix:
+        """The state of ``dims`` whose ``matrix`` a reader has just parsed
+        into a fresh array: validated as the constructor validates, then
+        adopted by :meth:`_built`, so a complex C-contiguous array is not
+        copied."""
+        dims = _subsystem_dims(dims)
+        validate_density(matrix, dims)
+        return cls._built(dims, matrix)
 
     @classmethod
     def _built(cls, dims: tuple, matrix: np.ndarray) -> DensityMatrix:

@@ -88,6 +88,21 @@ def empty_bloch_data(dims):
     return BlochData(tuple(dims), singles, tensors)
 
 
+def low_rank_pair(seed, dims, rank, scale):
+    """The state on ``dims``, two subsystems, whose coherence vectors vanish
+    and whose correlation tensor is ``scale`` times a random matrix of
+    ``rank`` singular values in [0.5, 1): so of a qutrit's 8 or a ququart's
+    15 weights per row, the SVD keeps ``rank``."""
+    rng = np.random.default_rng(seed)
+    e0, e1 = (d * d - 1 for d in dims)
+    u, _ = np.linalg.qr(rng.normal(size=(e0, e0)))
+    v, _ = np.linalg.qr(rng.normal(size=(e1, e1)))
+    s = np.zeros(min(e0, e1))
+    s[:rank] = rng.uniform(0.5, 1.0, rank)
+    tensor = scale * (u[:, :len(s)] * s) @ v[:, :len(s)].T
+    return reconstruct(BlochData(tuple(dims), {0: np.zeros(e0), 1: np.zeros(e1)}, {(0, 1): tensor}))
+
+
 def diagonal_qubit_state(n_parties, weights):
     """(1/2^n)(I + sum_i w_i sigma_i^xn) via Bloch reconstruction."""
     dims = (2,) * n_parties
@@ -677,6 +692,13 @@ def per_component_exact_test(rho):
     return Verdict(Decision.INCONCLUSIVE, norm, 1.0, crit, borderline=True)
 
 
+def stacked_forms(stacks):
+    """The forms that ``tensors._orthogonal_forms`` gives as stacks by
+    shape, one ``KruskalForm`` per tensor in input order."""
+    forms = {int(i): stack.form(c) for stack in stacks for c, i in enumerate(stack.members)}
+    return [forms[i] for i in range(len(forms))]
+
+
 def same_form(a, b):
     """Whether two Kruskal forms hold bit-equal weights and factors: equal
     under ``np.array_equal``, and with the same bytes, so that the sign of
@@ -742,10 +764,15 @@ def per_term_assembly(dims, terms, identity_weight):
 def decomposition_candidates(draw):
     """States whose decompositions the reports cover: noisy diagonal qubit
     states whose sufficiency sum lies on either side of one, noisy random
-    products (those on three parties have no decomposition), Werner states
-    and maximally mixed states."""
-    kind = draw(st.sampled_from(["diagonal", "product", "werner", "mixed"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    products (those on three parties have no decomposition), Werner states,
+    maximally mixed states, and qutrit and ququart pairs whose correlation
+    tensor has low rank (:func:`low_rank_pair`)."""
+    kind = draw(st.sampled_from(["diagonal", "product", "werner", "mixed", "low-rank"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if kind == "low-rank":
+        dims = draw(st.sampled_from([(3, 3), (4, 4), (3, 4)]))
+        return low_rank_pair(seed, dims, draw(st.integers(1, 8)), draw(st.floats(0.01, 0.08)))
     if kind == "diagonal":
         n = draw(st.integers(2, 5))
         q = rng.random(2**n)

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 from hypothesis import assume, example, given, settings, strategies as st
 import numpy as np
@@ -52,6 +53,7 @@ from conftest import (
     entrywise_matrix,
     entrywise_state_from_jsonable,
     entrywise_state_to_jsonable,
+    low_rank_pair,
     per_tensor_norms,
     qutrit_ghz_threshold,
     random_density,
@@ -326,6 +328,119 @@ def test_state_round_trip_is_byte_identical(tmp_path):
         save_state(loaded, second, name=meta["name"])
         assert first.read_bytes() == second.read_bytes()
         assert first.read_bytes().endswith(b"\n")
+
+
+def dense_8_qubit_state():
+    """A full-rank 8-qubit state, which has no zero pair."""
+    g = np.random.default_rng(8).normal(size=(256, 512)).view(complex)
+    m = g @ g.conj().T
+    return DensityMatrix((2,) * 8, m / np.trace(m).real)
+
+
+@pytest.mark.parametrize("argv", [
+    ["zoo", "w", "-N", "9"], ["zoo", "ghz-noisy", "-N", "9", "-p", "0.3"], "dense-8",
+    ["zoo", "ghz", "-N", "9"], ["zoo", "psi-234"],
+], ids=["w-9", "ghz-noisy-9", "dense-8", "ghz-9", "psi-234"])
+def test_state_files_at_full_size_are_what_json_dumps_writes(argv, tmp_path):
+    """The writer's state files, written in batches of pieces, are the bytes
+    json.dumps(indent=2) writes across every batch boundary: W-9, rows of
+    one nonzero diagonal pair between runs of zero pairs (noisy GHZ-9), a
+    dense 8-qubit state, GHZ-9, whose 510 all-zero rows are the writer's
+    commonest row, and psi-234's mixed dimensions.  Stdout gets the bytes
+    of the file."""
+    path = tmp_path / "state.json"
+    if argv == "dense-8":
+        save_state(dense_8_qubit_state(), path)
+    else:
+        assert run([*argv, "-o", str(path)]) == (0, "", "")
+        assert run(argv) == (0, path.read_text(encoding="utf-8"), "")
+    text = path.read_text(encoding="utf-8")
+    assert text == json_dumps(json.loads(text)), f"{argv} is not what json.dumps(indent=2) writes"
+
+
+def test_writing_a_large_state_file_takes_a_fraction_of_its_size(tmp_path):
+    """Writing W-9, an 11 MB file, through save_state and through zoo -o
+    holds no more than an eighth of its size in new memory at a time, as
+    traced by tracemalloc, beside the state that zoo builds: its rows are
+    pieces, mostly one shared zero row, written in joined batches of about
+    128 KB.  Joining and encoding the document whole held about twice its
+    size."""
+    rho = ZooSpec("w", parties=9).build()
+    path = tmp_path / "w9.json"
+    tracemalloc.start()
+    try:
+        save_state(rho, path)
+        _, saved = tracemalloc.get_traced_memory()
+        size = path.stat().st_size
+        tracemalloc.reset_peak()
+        ZooSpec("w", parties=9).build()
+        _, built = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        assert main(["zoo", "w", "-N", "9", "-o", str(path)]) == 0
+        _, written = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size > 11_000_000
+    assert saved < size // 8
+    assert written < built + size // 8
+
+
+class FailingWrites:
+    """A text file whose ``write`` raises OSError from call ``fail`` on,
+    and counts the characters of the writes before it."""
+
+    def __init__(self, fh, fail):
+        self.fh, self.fail, self.sizes = fh, fail, []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        if len(self.sizes) + 1 >= self.fail:
+            raise OSError(28, "No space left on device")
+        self.sizes.append(len(text))
+        return self.fh.write(text)
+
+
+def failing_open(handles, fail):
+    """An ``open`` whose files are ``FailingWrites`` from call ``fail`` on,
+    each appended to ``handles``."""
+    def opener(path, mode="r", **kwargs):
+        handles.append(FailingWrites(open(path, mode, **kwargs), fail))
+        return handles[-1]
+    return opener
+
+
+@pytest.mark.parametrize("writer", ["save_state", "zoo"])
+def test_a_failed_batch_leaves_the_target_as_it_was(writer, tmp_path, monkeypatch):
+    """An OSError from the second batch write leaves the target with its
+    old bytes and no temporary sibling; zoo reports it in one line with
+    exit 2.  Without the failure, the batches of W-9 are each about 128 KB:
+    at least that, and less than that plus one row."""
+    target = tmp_path / "w9.json"
+    target.write_bytes(b"old contents")
+    handles = []
+    monkeypatch.setattr(blochsep.stateio, "open", failing_open(handles, 2), raising=False)
+    if writer == "save_state":
+        with pytest.raises(OSError, match="No space left on device"):
+            save_state(ZooSpec("w", parties=9).build(), target)
+    else:
+        assert run(["zoo", "w", "-N", "9", "-o", str(target)]) == (
+            2, "", f"error: cannot write {str(target)!r}: No space left on device\n")
+    assert [len(h.sizes) for h in handles] == [1]
+    assert target.read_bytes() == b"old contents"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["w9.json"]
+    handles.clear()
+    monkeypatch.setattr(blochsep.stateio, "open", failing_open(handles, math.inf), raising=False)
+    save_state(ZooSpec("w", parties=9).build(), target)
+    ((*batches, last),) = [h.sizes for h in handles]
+    row = len(state_text(ZooSpec("w", parties=9).build()).split("\n    ],\n")[1])
+    assert len(batches) > 60 and last < blochsep.stateio._BATCH + row
+    assert all(blochsep.stateio._BATCH <= size < blochsep.stateio._BATCH + row for size in batches)
+    assert sum(batches) + last == target.stat().st_size
 
 
 @st.composite
@@ -1205,11 +1320,17 @@ def test_analyze_reports_are_the_dicts_json_writes(rho, criteria, subsets, timin
 @st.composite
 def decomposable_states(draw):
     """States the sufficient criterion often applies to: diagonal qubit
-    states on N = 2..6, whose weights sum to at most 1 in magnitude, and
-    white noise mixed with a random pure product state on N = 1..4
-    subsystems of 2, 3 or 4 levels."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
+    states on N = 2..6, whose weights sum to at most 1 in magnitude, white
+    noise mixed with a random pure product state on N = 1..4 subsystems of
+    2, 3 or 4 levels, and qutrit and ququart pairs whose correlation tensor
+    has low rank (:func:`low_rank_pair`)."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    kind = draw(st.sampled_from(["diagonal", "product", "low-rank"]))
+    if kind == "low-rank":
+        dims = draw(st.sampled_from([(3, 3), (4, 4), (3, 4)]))
+        return low_rank_pair(seed, dims, draw(st.integers(1, 8)), draw(st.floats(0.01, 0.08)))
+    if kind == "diagonal":
         weights = rng.uniform(-1, 1, 3)
         return diagonal_qubit_state(draw(st.integers(2, 6)),
                                     weights * draw(st.floats(0, 1)) / np.abs(weights).sum())
@@ -1231,11 +1352,19 @@ def noisy_product(dims, p):
 @example(rho=noisy_product((3, 3), 0.2), name=None, file="state.json")
 @example(rho=noisy_product((3, 3, 3), 0.05), name=None, file="state.json")
 @example(rho=ZooSpec("werner", noise=0.3).build(), name=None, file="state.json")
+@example(rho=low_rank_pair(1, (3, 3), 5, 0.05), name=None, file="state.json")
+@example(rho=low_rank_pair(0, (4, 4), 6, 0.05), name=None, file="state.json")
+@example(rho=low_rank_pair(0, (3, 4), 5, 0.05), name=None, file="state.json")
+@example(rho=diagonal_qubit_state(6, (0.3, -0.3, 0.3)), name=None, file="state.json")
 def test_decompose_reports_are_the_dicts_json_writes(rho, name, file, tmp_path_factory):
     """A decompose report is, byte for byte, the report built as dicts from
     ``separable_decomposition`` and written by ``json.dumps(indent=2)``, or
     the same refusal: rank 0 on the maximally mixed states, terms on
-    (2, 3, 4) and on qutrits, and Werner's factors, which hold -0.0."""
+    (2, 3, 4) and on qutrits, Werner's factors, which hold -0.0, qutrit and
+    ququart pairs whose SVD keeps 5 or 6 of a row's 8 or 15 weights, where
+    the kept weights' sum is not the sum of the row with zeros in place of
+    the others, and a 6-qubit diagonal state, whose 96 terms are rendered
+    each distinct float once."""
     path = str(tmp_path_factory.mktemp("decompose") / file)
     save_state(rho, path, name=name)
     assert run(["decompose", path]) == reference_decomposition(path)
@@ -1749,6 +1878,23 @@ def test_a_state_from_outside_is_validated_once(monkeypatch, tmp_path):
     rho, _ = load_state(path)
     counts["validate"] = 0
     blochsep.reconstruct(blochsep.decompose(rho))
+    assert counts == {"validate": 1}
+
+
+def test_a_loaded_state_holds_the_array_its_parse_built(tmp_path, monkeypatch):
+    """load_state validates the array that the flat parse has just built
+    and keeps it, read-only, without a copy."""
+    path = tmp_path / "state.json"
+    save_state(ZooSpec("w", parties=4).build(), path)
+    built = []
+    parse = blochsep.stateio._flat_matrix
+    monkeypatch.setattr(blochsep.stateio, "_flat_matrix",
+                        lambda *args: built.append(parse(*args)) or built[-1])
+    counts = {"validate": 0}
+    count_calls(monkeypatch, counts, "validate", blochsep.states, "validate_density")
+    rho, _ = load_state(path)
+    assert np.shares_memory(rho.matrix, built[0]) and not rho.matrix.flags.writeable
+    assert rho.matrix.tobytes() == ZooSpec("w", parties=4).build().matrix.tobytes()
     assert counts == {"validate": 1}
 
 

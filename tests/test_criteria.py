@@ -6,13 +6,13 @@ from functools import reduce
 from itertools import combinations, permutations
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
 import blochsep.criteria
 import blochsep.tensors
-from blochsep.bloch import _plan
+from blochsep.bloch import _plan, _subsets
 from blochsep.criteria import _select_subsets, _sufficiency_parts
 from blochsep.tensors import _kyfan_norms, _orthogonal_forms
 from blochsep import (
@@ -51,10 +51,12 @@ from blochsep import (
 from blochsep.tolerances import BOUND_GUARD
 from conftest import (ZOO_GRID, bisect_threshold, component_views, count_calls,
                       decomposition_candidates, diagonal_qubit_state, empty_bloch_data,
-                      per_component_exact_test, per_component_forms, per_matrix_kyfan,
+                      low_rank_pair, per_component_exact_test, per_component_forms,
+                      per_matrix_kyfan,
                       per_tensor_form, per_tensor_norms, per_term_assembly,
                       per_term_decomposition, random_density, random_pure_product,
-                      random_separable, random_unitary, same_form, shape_groups)
+                      random_separable, random_unitary, same_form, shape_groups,
+                      stacked_forms)
 
 
 def test_separability_bound_values():
@@ -400,6 +402,15 @@ def sufficiency_candidates() -> dict:
     for n in (3, 4, 5):
         q = rng.random(2**n)
         states[f"diagonal-{n}"] = DensityMatrix((2,) * n, np.diag(q / q.sum()).astype(complex))
+    # rows of 8 and 15 weights of which the SVD keeps 5 to 7: there the kept
+    # weights' sum differs from a sum with zeros in place of the dropped ones
+    # (qutrits, ququarts, and a qutrit beside a ququart); and SVD factors
+    # that hold -0.0 (Werner, qutrit GHZ)
+    for dims, rank, seed in [((3, 3), 5, 1), ((3, 3), 6, 3), ((4, 4), 6, 0), ((4, 4), 7, 2),
+                             ((3, 4), 5, 0)]:
+        states[f"low-rank-{'x'.join(map(str, dims))}-{rank}"] = low_rank_pair(seed, dims, rank, 0.05)
+    states["werner"] = ZooSpec("werner", noise=0.3).build()
+    states["qutrit-ghz-noisy-2"] = ZooSpec("qutrit-ghz-noisy", parties=2, noise=0.05).build()
     return {**states, "ghz-noisy-4": noisy(ghz(4), 0.1), "smolin": smolin(), "psi-234": state_234()}
 
 
@@ -411,10 +422,11 @@ def test_orthogonal_forms_match_the_per_component_reference(rho):
     # match the per-component loop's
     views = [c for _, c in component_views(rho)]
     want = [per_tensor_form(c) for c in views]
-    forms, failed = _orthogonal_forms(shape_groups(views))
+    stacks, failed = _orthogonal_forms(shape_groups(views))
     if None in want:
-        assert (forms, failed) == (None, want.index(None))
+        assert (stacks, failed) == (None, want.index(None))
     else:
+        forms = stacked_forms(stacks)
         assert failed is None and len(forms) == len(want)
         assert all(same_form(f, w) for f, w in zip(forms, want))
     total, parts = _sufficiency_parts(rho)
@@ -423,6 +435,11 @@ def test_orthogonal_forms_match_the_per_component_reference(rho):
     if total is None:
         assert parts == want_parts
         return
+    # each component's (subset, c_S, form), from the stacks in component order
+    subsets = _subsets(rho.n_parties)
+    coefs = {int(i): coef for coef, stack in parts for i in stack.members}
+    forms = stacked_forms([stack for _, stack in parts])
+    parts = [(subsets[i], coefs[i], form) for i, form in enumerate(forms)]
     assert [(s, c) for s, c, _ in parts] == [(s, c) for s, c, _ in want_parts]
     assert all(same_form(f, w) for (_, _, f), (_, _, w) in zip(parts, want_parts))
 
@@ -659,6 +676,9 @@ def test_qudit_coherence_vectors_give_one_term_each():
 
 @settings(max_examples=150, deadline=None)
 @given(rho=decomposition_candidates())
+@example(rho=low_rank_pair(1, (3, 3), 5, 0.05))
+@example(rho=low_rank_pair(0, (4, 4), 6, 0.05))
+@example(rho=low_rank_pair(0, (3, 4), 5, 0.05))
 def test_decomposition_matches_the_per_term_reference(rho):
     # the Kruskal form holds the per-term loop's floats, bit for bit and in
     # its order, and assembles to the same matrix bits as its restack

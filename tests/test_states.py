@@ -509,6 +509,16 @@ def test_integer_indices_of_every_kind_are_read_alike():
      "tensor has dtype <U1, whose entries are not all real numbers"),
     (lambda: singular_values(np.array([[10**400, 1], [1, 1]], dtype=object)),
      "matrix has dtype object, whose entries are not all real numbers"),
+    # strings that parse as numbers, bools and bytes are refused too, not
+    # read as the numbers astype makes of them
+    (lambda: singular_values([["1.5", "0"], ["0", "2"]]),
+     "matrix has dtype <U3, whose entries are not all real numbers"),
+    (lambda: tensor_kyfan(np.eye(2, dtype=bool)),
+     "tensor has dtype bool, whose entries are not all real numbers"),
+    (lambda: unfold(np.array([[b"1", b"0"], [b"0", b"1"]]), 0),
+     "tensor has dtype |S1, whose entries are not all real numbers"),
+    (lambda: find_orthogonal_kruskal([True, False]),
+     "tensor has dtype bool, whose entries are not all real numbers"),
 ], ids=["basis_ket-float", "basis_ket-string", "basis_ket-count", "basis_ket-range",
         "basis_ket-negative", "kron-empty", "ghz-one-party", "ghz-float-parties",
         "w-float-parties", "ghz-float-d", "ghz-bool-parties", "bound-one-party",
@@ -527,7 +537,9 @@ def test_integer_indices_of_every_kind_are_read_alike():
         "assemble_decomposition-int-dec", "kruskal_to_tensor-string-form",
         "save_state-string-rho", "state_text-none-rho", "threshold_search-bool-family",
         "singular_values-string", "tensor_kyfan-string", "unfold-string",
-        "find_orthogonal_kruskal-strings", "singular_values-huge-int"])
+        "find_orthogonal_kruskal-strings", "singular_values-huge-int",
+        "singular_values-number-strings", "tensor_kyfan-bool", "unfold-bytes",
+        "find_orthogonal_kruskal-bool-vector"])
 def test_refusals_keep_their_messages(call, message, tmp_path, monkeypatch):
     # each call runs in an empty directory, which a refusal leaves empty
     monkeypatch.chdir(tmp_path)

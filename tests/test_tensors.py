@@ -19,7 +19,8 @@ from blochsep import (
 )
 from blochsep.tensors import _kyfan_norms, _orthogonal_forms
 from blochsep.tolerances import RANK_CUTOFF
-from conftest import per_matrix_kyfan, per_tensor_form, same_form, shape_groups
+from conftest import (per_matrix_kyfan, per_tensor_form, same_form, shape_groups,
+                      stacked_forms)
 
 # hand-checkable 3x2x3 example with integer entries
 EXAMPLE_ENTRIES = {
@@ -216,6 +217,16 @@ def test_tensor_refusals_keep_their_messages(call, message):
         call()
 
 
+def test_object_arrays_of_numbers_are_still_read():
+    """Bools and strings are refused, but an object array whose entries are
+    numbers converts as before."""
+    m = np.array([[2, 0], [0, 1.5]], dtype=object)
+    assert singular_values(m).tolist() == [2.0, 1.5]
+    assert tensor_kyfan(m) == 3.5
+    assert unfold(m, 1).tolist() == [[2.0, 0.0], [0.0, 1.5]]
+    assert find_orthogonal_kruskal(np.array([3, 4], dtype=object)).weights.tolist() == [5.0]
+
+
 def test_a_sign_table_too_large_is_refused_before_it_is_sized(monkeypatch):
     """10**30 columns overflowed sizing the table; on 4 GiB of memory, 40
     columns are refused in one line too, and 10 fit.  The need of 10**30
@@ -367,7 +378,8 @@ def test_orthogonal_forms_match_the_per_tensor_search():
     ]
     want = [per_tensor_form(t) for t in tensors]
     assert None not in want
-    forms, failed = _orthogonal_forms(shape_groups(tensors))
+    stacks, failed = _orthogonal_forms(shape_groups(tensors))
+    forms = stacked_forms(stacks)
     assert failed is None and len(forms) == len(tensors)
     assert all(same_form(f, w) for f, w in zip(forms, want))
     assert all(same_form(find_orthogonal_kruskal(t), w) for t, w in zip(tensors, want))
