@@ -39,7 +39,7 @@ from .errors import NumericIntegrityError
 from .states import (DensityMatrix, _check_memory, _checked_subset, _instance, _integer,
                      _subsystem_dims)
 from .su_basis import build_basis
-from .tolerances import IMAG_TOL
+from .tolerances import EXACT_TOL, IMAG_TOL
 
 
 @dataclass
@@ -92,18 +92,32 @@ def _mode_products(arr: np.ndarray, mats) -> np.ndarray:
     return arr
 
 
-def _real_part(coeff: np.ndarray, full: bool = False) -> np.ndarray:
-    """Real part of a coefficient array, or with ``full`` of the full
-    tensor, every entry of which belongs to the full set; an imaginary
-    residue above IMAG_TOL raises, naming the component that holds the
-    largest one."""
+@lru_cache(maxsize=64)
+def _residue_tol(dims: tuple) -> float:
+    """The largest imaginary residue a coefficient of a state on ``dims``
+    may carry: IMAG_TOL for rounding, plus what validation lets through.
+    The anti-Hermitian part K of a matrix it accepts has entries of at most
+    EXACT_TOL / 2, and Tr(H A_a) of its Hermitian part H is real, so
+    |Im C_a| = |Tr(K A_a)| is at most EXACT_TOL / 2 times the entrywise l1
+    norm of A_a: the product over the modes of c_k, the largest of a row of
+    mode k's stack, which is 2 for a qubit."""
+    rows = (np.abs(_stack(d, d / 2)).sum(axis=1).max() for d in dims)
+    return IMAG_TOL + EXACT_TOL / 2 * math.prod(map(float, rows))
+
+
+def _real_part(coeff: np.ndarray, dims: tuple, full: bool = False) -> np.ndarray:
+    """Real part of a coefficient array of a state on ``dims``, or with
+    ``full`` of its full tensor, every entry of which belongs to the full
+    set; an imaginary residue above ``_residue_tol(dims)`` raises, naming
+    the component that holds the largest one."""
     imag = np.abs(coeff.imag)
     pos = np.unravel_index(int(np.argmax(imag)), imag.shape)
-    if imag[pos] > IMAG_TOL:
+    tol = _residue_tol(dims)
+    if imag[pos] > tol:
         subset = tuple(k for k, a in enumerate(pos) if a or full)
         raise NumericIntegrityError(
             f"{_name(subset)} carries imaginary residue {imag[pos]:.3e} "
-            f"above tolerance {IMAG_TOL:g}"
+            f"above tolerance {tol:.3e}"
         )
     return np.ascontiguousarray(coeff.real)
 
@@ -122,7 +136,7 @@ def _coefficients(rho: DensityMatrix) -> np.ndarray:
     coeff = rho._coefficients
     if coeff is None:
         mats = [_stack(d, d / 2).conj() for d in rho.dims]
-        coeff = _real_part(_mode_products(_paired(rho), mats))
+        coeff = _real_part(_mode_products(_paired(rho), mats), rho.dims)
         coeff.flags.writeable = False
         object.__setattr__(rho, "_coefficients", coeff)
     return coeff
@@ -134,9 +148,10 @@ def _full_tensor(rho: DensityMatrix) -> np.ndarray:
     row, and not cached.  That contraction makes each entry from the same
     products as the whole coefficient array's, with its bits, at a fraction
     of its cost: prod (d_k^2 - 1) entries of prod d_k^2.  Only its own
-    imaginary residue is checked, not that of the lower-order components."""
+    imaginary residue is checked, not that of the lower-order components,
+    against the bound of the whole array."""
     mats = [_stack(d, d / 2).conj()[1:] for d in rho.dims]
-    return _real_part(_mode_products(_paired(rho), mats), full=True)
+    return _real_part(_mode_products(_paired(rho), mats), rho.dims, full=True)
 
 
 def _build_plan(dims: tuple, subsets: tuple) -> tuple:

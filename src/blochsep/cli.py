@@ -36,7 +36,7 @@ from .stateio import (
     SCHEMA_VERSION,
     _batches,
     _check_finite,
-    _encode,
+    _json,
     _list,
     _pieces,
     _state_pieces,
@@ -267,7 +267,7 @@ _BOOLS = ("false", "true")
 @functools.lru_cache(maxsize=4096)
 def _subset_text(subset: tuple) -> str:
     """A record's subset as ``dump_json`` writes it in the record."""
-    return _encode(subset, "\n      ")
+    return _json(subset, "\n      ")
 
 
 def _record_texts(verdicts: list) -> list:

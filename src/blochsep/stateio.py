@@ -11,17 +11,17 @@
   reads and is wrong, or else the first bad row or entry of the matrix;
   text that is not JSON gets json's own message.
 
-Map: ``_pieces`` writes a document by ``%`` templates (``_encode``), as
-a list of pieces whose join is its text: the sections that its caller
-rendered from arrays and results stand in place of an empty list, item by
-item, a separator between items.  They are ``_state_pieces``'s matrix,
-rendered row by row from the array, and the CLI's analyze ``records`` and
-decompose ``terms``, one template filled per record or term.  The bytes are
-still ``json.dumps(indent=2)``'s.  ``dump_json`` and ``state_text`` are the
-joins of those pieces; ``write_text_atomic`` (``save_state``, the CLI's
-``zoo`` and ``decompose``) and the CLI's stdout take the pieces and write
-them in joined batches (``_batches``), so a large document is never held
-whole.
+Map: ``_pieces`` writes a document as a list of pieces whose join is its
+text: ``json.dumps`` writes the frame, and the sections that its caller
+rendered from arrays and results by ``%`` templates stand in place of an
+empty list, item by item, a separator between items.  They are
+``_state_pieces``'s matrix, rendered row by row from the array, and the
+CLI's analyze ``records`` and decompose ``terms``, one template filled per
+record or term.  The bytes are still ``json.dumps(indent=2)``'s.
+``dump_json`` and ``state_text`` are the joins of those pieces;
+``write_text_atomic`` (``save_state``, the CLI's ``zoo`` and ``decompose``)
+and the CLI's stdout take the pieces and write them in joined batches
+(``_batches``), so a large document is never held whole.
 ``load_state`` reads a file's bytes once and reads them as text mode would:
 it checks bytes that are not ASCII to be UTF-8 and reads CRLF and CR as LF.
 ``_fields`` walks the top-level object in the bytes, each value but the
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import io
 import json
 from json.encoder import encode_basestring_ascii
@@ -102,26 +101,22 @@ def dump_json(doc, sections=None) -> str:
     :func:`_pieces`.
 
     ``sections`` maps top-level keys of ``doc``, each of which holds ``[]``
-    there, to the texts of the items that list stands for, each as
-    ``_encode`` writes an item of a top-level list: a caller renders its
-    large sections so, from the arrays and results it holds, and their items
-    are spliced in place of the ``[]``."""
+    there, to the texts of the items that list stands for, each as ``json``
+    writes an item of a top-level list: a caller renders its large sections
+    so, from the arrays and results it holds, by templates, and their items
+    are spliced into json's text of the rest in place of the ``[]``."""
     return "".join(_pieces(doc, sections))
 
 
 def _pieces(doc, sections=None) -> list:
     """The text of ``dump_json(doc, sections)`` as a list of pieces whose
-    join it is: the text around the sections, and each section's items,
-    the separators between them pieces of their own.  A writer writes the
-    pieces in batches (``_batches``), so no copy of a large document is
-    made whole.  A top-level key is the one text that starts a line with
-    exactly two spaces and a quote: ``json`` writes no raw line break
-    inside a string."""
-    try:
-        text = _encode(doc, "\n") + "\n"
-    except RecursionError:
-        # a cycle, which json names, or nesting too deep for json too
-        text = _json(doc, "\n") + "\n"
+    join it is: json's text of ``doc``, the frame, around the sections, and
+    each section's items, the separators between them pieces of their own.
+    A writer writes the pieces in batches (``_batches``), so no copy of a
+    large document is made whole.  A top-level key is the one text that
+    starts a line with exactly two spaces and a quote: ``json`` writes no
+    raw line break inside a string."""
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     spans = []
     for key, items in (sections or {}).items():
         if items:
@@ -172,22 +167,9 @@ def _json(value, newline: str) -> str:
     return json.dumps(value, indent=2, allow_nan=False).replace("\n", newline)
 
 
-_SCALARS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: float.__repr__,
-    bool: ("false", "true").__getitem__,
-    type(None): {None: "null"}.__getitem__,
-}
-
-
-@functools.lru_cache(maxsize=64)
-def _template(keys: tuple, newline: str):
-    """The ``%`` template of an object with ``keys`` at the depth of
-    ``newline``, one ``%s`` per value; None for no keys, or for a key that
-    is not a ``str``, which ``json`` converts or refuses."""
-    if not keys or not all(type(k) is str for k in keys):
-        return None
+def _template(keys: tuple, newline: str) -> str:
+    """The ``%`` template of an object with the ``str`` keys ``keys`` at the
+    depth of ``newline``, one ``%s`` per value."""
     inner = newline + "  "
     lines = [inner + encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys]
     return "{" + ",".join(lines) + newline + "}"
@@ -200,42 +182,6 @@ def _list(texts, newline: str) -> str:
         return "[]"
     inner = newline + "  "
     return "[" + inner + ("," + inner).join(texts) + newline + "]"
-
-
-def _texts(items, newline: str) -> list:
-    """The texts of ``items``, a list or tuple, at the depth of ``newline``.
-
-    Items of one scalar type are encoded by one ``map``; floats so only when
-    their sum is finite, so that each one is.  Objects with one tuple of
-    ``str`` keys, such as a threshold table's records, fill one template,
-    their values encoded column by column."""
-    kinds = set(map(type, items))
-    if len(kinds) == 1:
-        kind = kinds.pop()
-        scalar = _SCALARS.get(kind)
-        if scalar is not None and (kind is not float or math.isfinite(sum(items))):
-            return list(map(scalar, items))
-        if kind is dict and len(set(map(tuple, items))) == 1:
-            template = _template(tuple(items[0]), newline)
-            if template is not None:
-                columns = [_texts(c, newline + "  ") for c in zip(*map(dict.values, items))]
-                return [template % row for row in zip(*columns)]
-    return [_encode(v, newline) for v in items]
-
-
-def _encode(value, newline: str) -> str:
-    """``value`` as ``json.dumps(value, indent=2)`` writes it at the depth
-    whose line break and indent are ``newline``."""
-    kind = type(value)
-    if kind is list or kind is tuple:
-        return _list(_texts(value, newline + "  "), newline)
-    if kind is dict:
-        template = _template(tuple(value), newline)
-        if template is not None:
-            return template % tuple(_texts(tuple(value.values()), newline + "  "))
-    elif kind in _SCALARS and (kind is not float or math.isfinite(value)):
-        return _SCALARS[kind](value)
-    return _json(value, newline)
 
 
 # a pair, and the ends of a row as an item of the matrix, at the depth

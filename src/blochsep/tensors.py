@@ -453,13 +453,16 @@ def sign_table(n_parties: int) -> np.ndarray:
     n_parties = _integer(n_parties, "n_parties")
     if n_parties < 1:
         raise ValueError("sign tables are defined for at least 1 column")
-    # the table and three int64 temporaries of one entry per row
+    # the table and at most three int64 temporaries of one entry per row
     _check_memory(n_parties - 1 + math.log2(8 * (n_parties + 3)),
                   f"a sign table of {n_parties} columns needs")
     rows = 1 << (n_parties - 1)
-    table = np.ones((rows, n_parties), dtype=int)
-    for c in range(n_parties - 1):
-        block = 1 << (n_parties - 2 - c)
-        table[:, c] = np.where((np.arange(rows) // block) % 2 == 0, 1, -1)
-    table[:, -1] = table[:, :-1].prod(axis=1)
+    table = np.empty((rows, n_parties), dtype=int)
+    # column c < N-1 is bit N-2-c of the row index, 0 as +1 and 1 as -1
+    bits = table[:, :-1]
+    np.right_shift(np.arange(rows)[:, None], np.arange(n_parties - 2, -1, -1), out=bits)
+    bits &= 1
+    bits *= -2
+    bits += 1
+    table[:, -1] = bits.prod(axis=1)
     return table

@@ -10,7 +10,8 @@ EXACT_TOL = 1e-10
 # slack below zero allowed for eigenvalues of a positive semidefinite matrix
 PSD_TOL = 1e-9
 
-# |imaginary part| above this in a coefficient that must be real is an error
+# rounding slack of the |imaginary part| of a coefficient that must be real;
+# bloch._residue_tol adds the part that validation's EXACT_TOL lets through
 IMAG_TOL = 1e-8
 
 # singular values below RANK_CUTOFF * sigma_max count as zero for rank purposes

@@ -1,17 +1,21 @@
 """Tests for the Bloch representation: coherence vectors, correlation
 tensors, and reconstruction."""
 
+import contextlib
+import functools
 import itertools
 import math
 import re
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 import numpy as np
 import pytest
 
 from blochsep import (
     BlochData,
+    CriterionUnavailableError,
     DensityMatrix,
+    InvalidStateError,
     NumericIntegrityError,
     ZooSpec,
     ball_radii,
@@ -35,8 +39,8 @@ from blochsep import (
 )
 from blochsep.bloch import (_coefficients, _from_coefficients, _full_tensor, _groups, _plan,
                             _real_part, _stack, _subsets)
-from blochsep.criteria import _select_subsets, necessary_test, subset_scan
-from blochsep.stateio import _template
+from blochsep.criteria import _CRITERIA, _select_subsets, necessary_test, subset_scan
+from blochsep.tolerances import EXACT_TOL
 from conftest import (ZOO_GRID, brute_correlation, component_views, empty_bloch_data,
                       qutrit_ghz_spectrum, random_density, random_pure_product, random_unitary,
                       tensordot_expansion)
@@ -149,7 +153,7 @@ def test_imaginary_residue_names_its_component(pos, name):
     coeff = np.ones((4, 4, 4), dtype=complex)
     coeff[pos] += 1e-6j
     with pytest.raises(NumericIntegrityError, match=r"^" + re.escape(name) + " "):
-        _real_part(coeff)
+        _real_part(coeff, (2, 2, 2))
 
 
 def test_imaginary_residue_of_the_full_tensor_names_the_full_set():
@@ -158,7 +162,7 @@ def test_imaginary_residue_of_the_full_tensor_names_the_full_set():
     coeff[0, 2, 0] += 1e-6j
     with pytest.raises(NumericIntegrityError,
                        match=r"^correlation tensor of subset \(0, 1, 2\) carries "):
-        _real_part(coeff, full=True)
+        _real_part(coeff, (2, 2, 2), full=True)
 
 
 def test_returned_components_are_copies():
@@ -392,8 +396,8 @@ def test_groups_are_the_components_stacked_by_shape(dims, seed, data):
 
 def test_index_plans_are_cached_per_selection_and_bounded():
     # a plan is built once per (dims, selection) and holds read-only index
-    # arrays only; the cache is bounded as the report templates' is
-    assert _plan.cache_info().maxsize == _template.cache_info().maxsize == 64
+    # arrays only; the cache is bounded
+    assert _plan.cache_info().maxsize == 64
     _plan.cache_clear()
     for rho in (ghz(4), w_state(4)):
         for subsets in ("all", "pairs", "all"):
@@ -435,3 +439,40 @@ def test_the_full_tensor_contracted_alone_has_the_gathered_bits(dims, seed, rank
     assert alone.shape == gathered.shape == tuple(d * d - 1 for d in dims)
     assert alone.tobytes() == gathered.tobytes()
     assert necessary_test(fresh) == verdict == subset_scan(fresh, "full")[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(dims=st.one_of(st.integers(2, 10).map(lambda n: (2,) * n),
+                      st.lists(st.integers(2, 4), min_size=2, max_size=6)
+                      .filter(lambda dims: math.prod(dims) <= 1024).map(tuple)),
+       seed=st.integers(0, 2**32 - 1), picks=st.lists(st.integers(0, 15), min_size=10, max_size=10))
+@example(dims=(2,) * 10, seed=0, picks=[1] * 10)
+@example(dims=(2,) * 8, seed=1, picks=[2, 1, 3, 1, 2, 2, 1, 3, 0, 0])
+@example(dims=(3, 3, 4), seed=2, picks=[5, 1, 10, 0, 0, 0, 0, 0, 0, 0])
+@example(dims=(3,) * 6, seed=3, picks=[1, 2, 3, 4, 5, 6, 0, 0, 0, 0])
+def test_states_at_the_validator_limit_get_a_verdict_from_every_criterion(dims, seed, picks):
+    """The anti-Hermitian K = i (delta / 2) S, S the phases of the entries
+    of one component's stack row A_a, puts the largest imaginary part that
+    a Hermiticity deviation of delta allows into that coefficient: delta / 2
+    times A_a's entrywise l1 norm, 5.12e-08 for X...X on 10 qubits and
+    3.6e-08 for an off-diagonal row on 6 qutrits at delta = EXACT_TOL.
+    S's diagonal is dropped where its trace would move the state's.  Just
+    under EXACT_TOL every criterion gives a verdict or finds that it does
+    not apply; just above, validation refuses the state."""
+    total = math.prod(dims)
+    g = np.random.default_rng(seed).normal(size=(total, 4)).view(complex)
+    # half a rank-2 state, half I/D, exactly Hermitian
+    h = g @ g.conj().T / (2 * np.linalg.norm(g) ** 2) + np.eye(total) / (2 * total)
+    h = (h + h.conj().T) / 2
+    row = functools.reduce(np.kron, [_stack(d, d / 2)[p % (d * d)].reshape(d, d)
+                                     for d, p in zip(dims, picks)])
+    phases = np.divide(row, np.abs(row), out=np.zeros_like(row), where=row != 0)
+    if np.trace(phases) != 0:
+        np.fill_diagonal(phases, 0)
+    assume(phases.any())
+    with pytest.raises(InvalidStateError, match="^matrix is not Hermitian "):
+        DensityMatrix(dims, h + 0.5j * EXACT_TOL * (1 + 1e-6) * phases)
+    rho = DensityMatrix(dims, h + 0.5j * EXACT_TOL * (1 - 1e-6) * phases)
+    for criterion, _ in _CRITERIA.values():
+        with contextlib.suppress(CriterionUnavailableError):
+            assert criterion(rho, "pairs")

@@ -42,6 +42,7 @@ from blochsep.stateio import (
     _WINDOW,
     _cut_zero_rows,
     _fields,
+    _json,
     _value,
     dump_json,
     state_from_jsonable,
@@ -997,6 +998,51 @@ def test_files_with_cr_line_ends_get_their_zero_rows_cut(tmp_path, monkeypatch):
     assert cuts == [list(range(1, 15))] * 2
 
 
+# copies of a 9-qubit zoo file, each made from its bytes or text
+NINE_QUBIT_COPIES = {
+    "crlf": lambda data: data.replace(b"\n", b"\r\n"),
+    "cr": lambda data: data.replace(b"\n", b"\r"),
+    "non-ascii": lambda data: data.decode().replace(
+        '"source": "zoo"', '"source": "zoo",\n    "note": "\u00e9t\u00e9 \u6f22"', 1).encode(),
+    "decoy": lambda data: data.decode().replace("{", '{\n  "note": "matrix",', 1).encode(),
+}
+
+
+@pytest.fixture(scope="module")
+def nine_qubit_files(tmp_path_factory):
+    """GHZ-9 and W-9 as ``zoo -o`` writes them, and W-9's copies, by name."""
+    folder = tmp_path_factory.mktemp("nine")
+    for family in ("ghz", "w"):
+        assert main(["zoo", family, "-N", "9", "-o", str(folder / f"{family}9.json")]) == 0
+    data = (folder / "w9.json").read_bytes()
+    for kind, copy in NINE_QUBIT_COPIES.items():
+        (folder / f"w9-{kind}.json").write_bytes(copy(data))
+    return {path.stem: str(path) for path in folder.iterdir()}
+
+
+@pytest.mark.parametrize("name", ["ghz9", "w9", "w9-crlf"])
+def test_t1_gives_the_full_set_record_of_c1(nine_qubit_files, name):
+    """t1 contracts the full tensor against the generator rows only, and c1
+    gathers it from the whole coefficient array, so the two records of the
+    full set agree, the norm bit for bit."""
+    path = nine_qubit_files[name]
+    (t1,) = run_json(["analyze", path, "--criteria", "t1"])["records"]
+    records = run_json(["analyze", path, "--criteria", "c1", "--subsets", "all"])["records"]
+    full = [r for r in records if len(r["subset"]) == 9]
+    assert full == [t1] and repr(full[0]["norm"]) == repr(t1["norm"])
+
+
+@pytest.mark.parametrize("kind", NINE_QUBIT_COPIES)
+def test_copies_of_a_9_qubit_file_give_its_report(nine_qubit_files, kind):
+    """A file is read as text mode reads it, by one walk over its bytes, so
+    W-9 with CRLF or lone-CR line ends, with a non-ASCII metadata note or
+    with a "matrix" string before its matrix gives W-9's t1 report."""
+    want, got = (run_json(["analyze", nine_qubit_files[name], "--criteria", "t1"])
+                 for name in ("w9", f"w9-{kind}"))
+    assert want["input"].pop("source") != got["input"].pop("source")
+    assert got == want
+
+
 @settings(max_examples=100, deadline=None)
 @given(doc=state_docs())
 @example(doc=GHZ2_DOC)
@@ -1137,8 +1183,9 @@ JSON_SCALARS = st.one_of(
                      "100%", "\x00\x1f\x7f\n", "\u00e9\U0001f600", 'quote " and back\\slash']),
 )
 # keys json converts (ints, floats, bools, None, a str enum) beside str keys
-# that are easy to get wrong in a template
-KEYS = st.one_of(st.text(max_size=6), st.sampled_from(["%", "%s", "%%d", "\n", "\u6f22"]))
+# that are easy to get wrong in a template or in a search for a key's line
+KEYS = st.one_of(st.text(max_size=6), st.sampled_from(
+    ["%", "%s", "%%d", "\n", "\u6f22", '"', "\\", "records", '\n  "records": []']))
 ANY_KEYS = st.one_of(KEYS, st.integers(), st.booleans(), st.none(),
                      st.floats(allow_nan=False, allow_infinity=False), st.just(Decision.SEPARABLE))
 
@@ -1200,36 +1247,54 @@ def report_docs(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(doc=st.one_of(json_values(), report_docs(), ragged_int_lists()))
-@example(doc=[1.7976931348623157e308, 1.7976931348623157e308])
+@given(doc=st.one_of(json_values(), report_docs(), ragged_int_lists()), mask=st.integers(0, 255))
+@example(doc=[1.7976931348623157e308, 1.7976931348623157e308], mask=0)
 @example(doc={"records": [{"subset": (0, 1), "norm": 1.5, "decision": Decision.ENTANGLED,
-                           "borderline": False}] * 2, "empty": [{}, {}, [], ()]})
+                           "borderline": False}] * 2, "empty": [{}, {}, [], ()]}, mask=1)
 @example(doc={"schema": "blochsep/1", "kind": "decomposition", "dims": [2, 2],
               "identity_weight": 0.5, "term_count": 2, "terms": [
                   {"weight": 0.25, "factors": [[0.0, 0.0, 1.0], [-0.0, 0.5, -1.0]]},
                   {"weight": 0.25, "factors": [[0.0, 0.0, -1.0], [0.0, -0.5, 1.0]]}],
               "nested": ((("%s", "100%"), ("%(x)s", "%%")), (("a", "b"), ("c", "d"))),
-              "ragged": [[], [], [1, 2]]})
+              "ragged": [[], [], [1, 2]]}, mask=255)
 @example(doc={"records": [{"subset": (0, 1), "norm": 1.5}, {"subset": (0, 1, 2), "norm": 2.5}],
-              "lists": [[3], [-1, 10**20], [0, 1, 2]], "tuples": ((1,), (2, 3))})
+              "lists": [[3], [-1, 10**20], [0, 1, 2]], "tuples": ((1,), (2, 3))}, mask=5)
 @example(doc={"bools": [[True, 1], [2, 3, 4]], "bool-alone": [[1, 2], [False]],
               "empty": [[1], [], [2, 3]], "floats": [[1, 2.0], [3]], "nested": [[[1]], [2, 3]],
-              "mixed-kinds": [(1,), [2, 3]]})
+              "mixed-kinds": [(1,), [2, 3]]}, mask=255)
 @example(doc={"records": [{"subset": (0, 1), "norm": 1.5, "borderline": False},
-                          {"subset": (0, 1, 2), "norm": -0.0, "borderline": True}]})
-@example(doc=[[[1.0, 2.0], [3.0, -0.0]]])
-def test_reports_are_written_as_json_writes_them(doc):
+                          {"subset": (0, 1, 2), "norm": -0.0, "borderline": True}]}, mask=0)
+@example(doc=[[[1.0, 2.0], [3.0, -0.0]]], mask=255)
+@example(doc={'x "records": []': '\n  "records": []', "inner": {"records": []},
+              '\n  "records": [': [], "%": [1], '"': ["records"], "\u6f22": [[]],
+              "records": [{"records": []}, '"records": []']}, mask=255)
+def test_reports_are_written_as_json_writes_them(doc, mask):
     """``dump_json`` gives the bytes of ``json.dumps(indent=2,
     allow_nan=False)``, down to the depth of every line, to floats as
-    ``repr`` writes them and to bools that are not ints; the first example
-    is a run of finite floats whose sum overflows, the third is shaped like
-    a decompose report, whose terms' factors are lists of equal-length
-    lists, the fourth holds lists of int lists of unequal lengths, such as
-    an analyze report's subsets, and the fifth near misses of those: a bool
-    among the ints, an empty list, a float, a nested list, a list beside a
-    tuple.  The last two each hold one list alone, as the one value of an
-    object and of a list."""
-    assert dump_json(doc) == json_dumps(doc)
+    ``repr`` writes them and to bools that are not ints.  The top-level
+    lists under ``str`` keys that the bits of ``mask`` pick go in as
+    sections, as the writers' callers give theirs: emptied in the document,
+    each item rendered as ``json`` writes it there.  So the search for a
+    section's key line meets keys with ``%``, line breaks, quotes and
+    non-ASCII, and ``"records": []`` inside strings and at depth, as in the
+    last example.  The first example is a run of finite floats whose sum
+    overflows, the third is shaped like a decompose report, whose terms'
+    factors are lists of equal-length lists, the fourth holds lists of int
+    lists of unequal lengths, such as an analyze report's subsets, and the
+    fifth near misses of those: a bool among the ints, an empty list, a
+    float, a nested list, a list beside a tuple.  The sixth and seventh
+    each hold one list alone, as the one value of an object and of a
+    list."""
+    frame, sections = doc, {}
+    if isinstance(doc, dict):
+        # a key that json writes as the text of a str key makes two lines
+        # alike, which no report holds
+        assume(len(json.loads(json_dumps(doc))) == len(doc))
+        lists = [k for k, v in doc.items() if type(k) is str and isinstance(v, (list, tuple))]
+        picked = [k for i, k in enumerate(lists) if mask >> i & 1]
+        frame = {k: [] if k in picked else v for k, v in doc.items()}
+        sections = {k: [_json(item, "\n    ") for item in doc[k]] for k in picked}
+    assert dump_json(frame, sections) == json_dumps(doc)
 
 
 NON_FINITE = [math.nan, math.inf, -math.inf, np.float64("-inf")]
@@ -1941,34 +2006,74 @@ def test_analyze_contracts_once(monkeypatch, criteria, rows):
     assert calls == [[rows] * 6]
 
 
-def test_t1_checks_the_imaginary_residue_of_the_full_tensor_only(tmp_path):
-    """A 9-qubit state whose matrix deviates from Hermitian by 8e-11, within
-    tolerance, at the 256 entries that pair qubit 0's levels: coherence
-    vector 0 collects an imaginary residue of 2e-8 from them, above
-    IMAG_TOL, and the full tensor none.  t1 reads the full tensor alone
-    and gives its verdict; c1 expands the whole state and is refused.  A
-    residue in the full tensor itself is refused under t1 too."""
-    m = np.eye(512, dtype=complex) / 512
-    r = np.arange(256)
-    m[r, 256 + r] = m[256 + r, r] = 4e-11j
-    path = tmp_path / "residue.json"
-    save_state(blochsep.states.DensityMatrix((2,) * 9, m), str(path))
-    code, out, err = run(["analyze", str(path), "--criteria", "t1"])
-    assert (code, err) == (0, "")
-    assert json.loads(out)["records"][0]["decision"] == "inconclusive"
-    code, out, err = run(["analyze", str(path), "--criteria", "c1", "--subsets", "all"])
-    assert (code, out) == (4, "")
-    assert err.startswith("numeric integrity failure: coherence vector of subsystem 0 "
-                          "carries imaginary residue 2.048e-08 above tolerance 1e-08")
-    # the same deviation on the antidiagonal gives the full tensor's X...X
-    # entry the residue, and t1 names the full set
-    m = np.eye(512, dtype=complex) / 512
-    m[np.arange(512), 511 - np.arange(512)] = 4e-11j
-    save_state(blochsep.states.DensityMatrix((2,) * 9, m), str(path))
-    code, out, err = run(["analyze", str(path), "--criteria", "t1"])
-    assert (code, out) == (4, "")
-    assert err.startswith("numeric integrity failure: correlation tensor of subset "
-                          "(0, 1, 2, 3, 4, 5, 6, 7, 8) carries imaginary residue 2.048e-08 ")
+def antidiagonal_state(n: int, entry: complex) -> np.ndarray:
+    """I/D on n qubits with ``entry`` on the antidiagonal: its deviation
+    from Hermitian is 2|entry|, all of it in the full tensor's X...X entry,
+    whose imaginary part is D|entry|."""
+    m = np.eye(2**n, dtype=complex) / 2**n
+    m[np.arange(2**n), 2**n - 1 - np.arange(2**n)] = entry
+    return m
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_states_at_the_hermiticity_limit_get_verdicts(tmp_path, n):
+    """A deviation from Hermitian of 9.9e-11, within EXACT_TOL, gives the
+    full tensor of I/D an imaginary residue of 1.267e-08 at 8 qubits and
+    5.069e-08 at 10, above IMAG_TOL but within the bound that follows from
+    EXACT_TOL: t1 and c1 give verdicts, through the CLI at 8 qubits.  A
+    deviation of 1.01e-10 is refused by validation, with exit 2 in one
+    line."""
+    rho = DensityMatrix((2,) * n, antidiagonal_state(n, 0.495e-10j))
+    stacks = [blochsep.bloch._stack(2, 1.0).conj()[1:]] * n
+    residue = np.abs(blochsep.bloch._mode_products(blochsep.bloch._paired(rho), stacks).imag)
+    assert f"{residue.max():.3e}" == {8: "1.267e-08", 10: "5.069e-08"}[n]
+    assert blochsep.criteria.necessary_test(rho).decision is Decision.INCONCLUSIVE
+    assert len(blochsep.criteria.subset_scan(rho, "pairs")) == n * (n - 1) // 2
+    with pytest.raises(InvalidStateError, match=r"^matrix is not Hermitian \(max deviation 1.010e-10\)$"):
+        DensityMatrix((2,) * n, antidiagonal_state(n, 0.505e-10j))
+    if n > 8:
+        return  # a 10-qubit state file is 44 MB
+    path = str(tmp_path / "limit.json")
+    save_state(rho, path)
+    (record,) = run_json(["analyze", path, "--criteria", "t1"])["records"]
+    assert record["decision"] == "inconclusive"
+    records = run_json(["analyze", path, "--criteria", "c1", "--subsets", "pairs"])["records"]
+    assert len(records) == n * (n - 1) // 2
+    save_state(DensityMatrix._built((2,) * n, antidiagonal_state(n, 0.505e-10j)), path)
+    assert run(["analyze", path, "--criteria", "t1"]) == (
+        2, "", "error: matrix is not Hermitian (max deviation 1.010e-10)\n")
+
+
+@pytest.mark.parametrize("argv, component", [
+    (["--criteria", "t1"], (1,) * 9),
+    (["--criteria", "c1", "--subsets", "pairs"], (1,) * 9),
+    (["--criteria", "c1", "--subsets", "pairs"], (1,) + (0,) * 8),
+])
+def test_an_imaginary_residue_above_the_derived_bound_exits_4(monkeypatch, argv, component):
+    """A contraction that leaves an imaginary residue at one entry of the
+    coefficient array, or of the full tensor t1 contracts alone, just above
+    IMAG_TOL + (EXACT_TOL / 2) 2^9 = 3.56e-08 on 9 qubits is refused in one
+    line that names its component; just below, the report is written."""
+    contract = blochsep.bloch._mode_products
+    bound = 1e-8 + 0.5e-10 * 2**9
+    full = argv[1] == "t1"
+    name = ("correlation tensor of subset (0, 1, 2, 3, 4, 5, 6, 7, 8)" if all(component)
+            else "coherence vector of subsystem 0")
+    for scale, code in ((1.001, 4), (0.999, 0)):
+        def leaky(arr, mats, scale=scale):
+            out = contract(arr, mats)
+            out[tuple(a - full for a in component)] += 1j * scale * bound
+            return out
+
+        monkeypatch.setattr(blochsep.bloch, "_mode_products", leaky)
+        got, out, err = run(["analyze", "zoo:ghz", "-N", "9", *argv])
+        assert got == code, err
+        if code:
+            assert out == "" and err == (
+                f"numeric integrity failure: {name} carries imaginary residue "
+                f"{scale * bound:.3e} above tolerance {bound:.3e}\n")
+        else:
+            assert err == "" and json.loads(out)["records"]
 
 
 CRITERION_FUNCTIONS = ("necessary_test", "subset_scan", "qubit_exact_test", "sufficiency_test")

@@ -422,6 +422,19 @@ def test_sign_table_four_parties():
     ])
 
 
+@pytest.mark.parametrize("m", range(1, 14))
+def test_sign_table_is_the_per_column_loop(m):
+    # the reference builds column c < m-1 from blocks of 2^(m-2-c) rows
+    rows = 1 << (m - 1)
+    want = np.ones((rows, m), dtype=int)
+    for c in range(m - 1):
+        want[:, c] = np.where((np.arange(rows) // (1 << (m - 2 - c))) % 2 == 0, 1, -1)
+    want[:, -1] = want[:, :-1].prod(axis=1)
+    table = sign_table(m)
+    assert table.dtype == want.dtype and table.shape == want.shape
+    assert table.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 1])
 def test_sign_table_is_even_parity_group(m):
     table = sign_table(m)
