@@ -19,34 +19,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-from json.encoder import encode_basestring_ascii
 import sys
 import time
 
-from .criteria import (
-    _CRITERIA,
-    _mixture_matrix,
-    noise_threshold_table,
-    separable_decomposition,
-    threshold_search,
-)
+from .criteria import (_CRITERIA, _mixture_matrix, noise_threshold_table, separable_decomposition,
+                       threshold_search)
 from .errors import CriterionUnavailableError, InvalidStateError, NumericIntegrityError
-from .states import DensityMatrix, ZooSpec, zoo_families
-from .stateio import (
-    SCHEMA_VERSION,
-    _batches,
-    _check_finite,
-    _json,
-    _list,
-    _pieces,
-    _state_pieces,
-    _template,
-    dump_json,
-    format_number,
-    load_state,
-    records_to_csv,
-    write_text_atomic,
-)
+from .states import ZooSpec, zoo_families
+from .stateio import (SCHEMA_VERSION, _analysis_csv, _analysis_text, _batches,
+                      _decomposition_pieces, _state_pieces, dump_json, format_number, load_state,
+                      records_to_csv, write_text_atomic)
 
 import numpy as np
 
@@ -221,12 +203,7 @@ def cmd_analyze(args) -> int:
     norms = [v for vs in verdicts.values() for v in vs if v.subset is not None]
 
     if args.format == "csv":
-        rows = [
-            (",".join(map(str, v.subset)), format_number(v.norm_value),
-             format_number(v.bound_value), v.decision.value, v.criterion, int(v.borderline))
-            for v in norms
-        ]
-        _emit(args, records_to_csv(rows, _FIELDS))
+        _emit(args, _analysis_csv(norms))
         return 0
 
     doc = {
@@ -253,34 +230,8 @@ def cmd_analyze(args) -> int:
             doc["sufficiency"]["reason"] = v.reason
     if args.timing:
         doc["timing"] = {"elapsed_seconds": elapsed, "state_seconds": state_seconds}
-    _emit(args, dump_json(doc, {"records": _record_texts(norms)}))
+    _emit(args, _analysis_text(doc, norms))
     return 0
-
-
-# a norm record's keys, and its text as an item of a report's "records", one
-# %s per value
-_FIELDS = ("subset", "norm", "bound", "decision", "criterion", "borderline")
-_RECORD = _template(_FIELDS, "\n    ")
-_BOOLS = ("false", "true")
-
-
-@functools.lru_cache(maxsize=4096)
-def _subset_text(subset: tuple) -> str:
-    """A record's subset as ``dump_json`` writes it in the record."""
-    return _json(subset, "\n      ")
-
-
-def _record_texts(verdicts: list) -> list:
-    """The records of the norm ``verdicts`` as ``dump_json`` writes them in
-    a report, each one ``_RECORD`` filled: ``%s`` writes a float as its
-    ``repr``, as json does.  A norm or bound that is not finite raises
-    json's ``ValueError``."""
-    _check_finite(sum(v.norm_value + v.bound_value for v in verdicts),
-                  [x for v in verdicts for x in (v.norm_value, v.bound_value)])
-    quoted = encode_basestring_ascii
-    return [_RECORD % (_subset_text(v.subset), v.norm_value, v.bound_value,
-                       quoted(v.decision), quoted(v.criterion), _BOOLS[v.borderline])
-            for v in verdicts]
 
 
 def cmd_threshold(args) -> int:
@@ -331,38 +282,8 @@ def cmd_decompose(args) -> int:
         "reconstruction_residual": residual,
         "terms": [],
     }
-    # one row per term: its weight, then its factors' coherence vectors.  Most
-    # entries are 0.0 or a factor's +-inball radius, so each distinct float,
-    # told apart by its bits so that -0.0 stays itself, is rendered once; %s
-    # writes a float as its repr, as json does.  A table too small to repay
-    # the sort is rendered float by float
-    table = np.column_stack([dec.terms.weights, *(f.T for f in dec.terms.factors)])
-    if table.size < _RENDER_BY_BITS:
-        rows = table.tolist()
-    else:
-        distinct, where = np.unique(table.view(np.uint64), return_inverse=True)
-        texts = np.array(list(map(float.__repr__, distinct.view(float).tolist())), dtype=object)
-        rows = texts[where.reshape(table.shape)].tolist()
-    template = _term_template(rho.dims)
-    pieces = _pieces(doc, {"terms": [template % tuple(row) for row in rows]})
-    # checked after the rest of the report, as json, which reaches the terms last
-    _check_finite(float(table.sum()), table)
-    _emit(args, pieces)
+    _emit(args, _decomposition_pieces(doc, dec))
     return 0
-
-
-# the entries of a term table from which ``cmd_decompose`` renders each
-# distinct float once: below it, a sort costs more than the repeated reprs
-_RENDER_BY_BITS = 128
-
-
-@functools.lru_cache(maxsize=64)
-def _term_template(dims: tuple) -> str:
-    """A decompose term on ``dims`` as ``dump_json`` writes it in the
-    report, one ``%s`` per value: the weight, then the entries of each
-    factor's coherence vector."""
-    factors = [_list(["%s"] * (d * d - 1), "\n        ") for d in dims]
-    return _template(("weight", "factors"), "\n    ") % ("%s", _list(factors, "\n      "))
 
 
 def cmd_zoo(args) -> int:
@@ -394,6 +315,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except (InvalidStateError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an allocation that the memory check let through
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except CriterionUnavailableError as exc:
         print(f"not applicable: {exc}", file=sys.stderr)

@@ -11,17 +11,16 @@
   reads and is wrong, or else the first bad row or entry of the matrix;
   text that is not JSON gets json's own message.
 
-Map: ``_pieces`` writes a document as a list of pieces whose join is its
-text: ``json.dumps`` writes the frame, and the sections that its caller
-rendered from arrays and results by ``%`` templates stand in place of an
-empty list, item by item, a separator between items.  They are
-``_state_pieces``'s matrix, rendered row by row from the array, and the
-CLI's analyze ``records`` and decompose ``terms``, one template filled per
-record or term.  The bytes are still ``json.dumps(indent=2)``'s.
-``dump_json`` and ``state_text`` are the joins of those pieces;
-``write_text_atomic`` (``save_state``, the CLI's ``zoo`` and ``decompose``)
-and the CLI's stdout take the pieces and write them in joined batches
-(``_batches``), so a large document is never held whole.
+Map: every JSON text is written here, and the CLI writes none.
+``_pieces`` writes a document as pieces whose join is its text:
+``json.dumps`` writes the frame, and sections rendered by ``%`` templates
+stand in place of an empty list, item by item.  ``_template`` derives every
+template from ``json.dumps`` of an example, ``None`` leaves made ``%s``:
+``_state_pieces``'s matrix pair, ``_analysis_text``'s record and
+``_decomposition_pieces``'s term.  ``dump_json`` and ``state_text`` are the
+joins of the pieces; ``write_text_atomic`` (``save_state``, the CLI's
+``zoo`` and ``decompose``) and the CLI's stdout write them in joined
+batches (``_batches``), so a large document is never held whole.
 ``load_state`` reads a file's bytes once and reads them as text mode would:
 it checks bytes that are not ASCII to be UTF-8 and reads CRLF and CR as LF.
 ``_fields`` walks the top-level object in the bytes, each value but the
@@ -38,6 +37,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import io
 import json
 from json.encoder import encode_basestring_ascii
@@ -102,20 +102,19 @@ def dump_json(doc, sections=None) -> str:
 
     ``sections`` maps top-level keys of ``doc``, each of which holds ``[]``
     there, to the texts of the items that list stands for, each as ``json``
-    writes an item of a top-level list: a caller renders its large sections
-    so, from the arrays and results it holds, by templates, and their items
-    are spliced into json's text of the rest in place of the ``[]``."""
+    writes an item of a top-level list, rendered by templates from arrays
+    and results; they are spliced into json's text in place of the ``[]``."""
     return "".join(_pieces(doc, sections))
 
 
 def _pieces(doc, sections=None) -> list:
     """The text of ``dump_json(doc, sections)`` as a list of pieces whose
     join it is: json's text of ``doc``, the frame, around the sections, and
-    each section's items, the separators between them pieces of their own.
-    A writer writes the pieces in batches (``_batches``), so no copy of a
-    large document is made whole.  A top-level key is the one text that
-    starts a line with exactly two spaces and a quote: ``json`` writes no
-    raw line break inside a string."""
+    each section's items, filled ``_template`` texts, the separators between
+    them pieces of their own.  A writer writes the pieces in batches
+    (``_batches``), so no copy of a large document is made whole.  A
+    top-level key is the one text that starts a line with exactly two
+    spaces and a quote: ``json`` writes no raw line break inside a string."""
     text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     spans = []
     for key, items in (sections or {}).items():
@@ -153,11 +152,11 @@ def _batches(text):
         yield "".join(run)
 
 
-def _check_finite(total: float, values) -> None:
+def _check_finite(values) -> None:
     """Raise what ``dump_json`` raises for the first float of ``values``, a
-    list or an array, that is not finite, where ``total``, the sum of its
-    floats, is not finite; a sum that merely overflows passes."""
-    if not math.isfinite(total):
+    list or an array, that is not finite, where their sum is not finite; a
+    sum that merely overflows passes."""
+    if not math.isfinite(values.sum() if isinstance(values, np.ndarray) else sum(values)):
         _json(values.tolist() if isinstance(values, np.ndarray) else values, "\n")
 
 
@@ -167,26 +166,16 @@ def _json(value, newline: str) -> str:
     return json.dumps(value, indent=2, allow_nan=False).replace("\n", newline)
 
 
-def _template(keys: tuple, newline: str) -> str:
-    """The ``%`` template of an object with the ``str`` keys ``keys`` at the
-    depth of ``newline``, one ``%s`` per value."""
-    inner = newline + "  "
-    lines = [inner + encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys]
-    return "{" + ",".join(lines) + newline + "}"
-
-
-def _list(texts, newline: str) -> str:
-    """The list whose items' texts are ``texts``, at the depth of
-    ``newline``."""
-    if not texts:
-        return "[]"
-    inner = newline + "  "
-    return "[" + inner + ("," + inner).join(texts) + newline + "]"
+def _template(example, newline: str) -> str:
+    """The ``%`` template of ``example`` as ``_json`` writes it at the depth
+    of ``newline``, with ``%s`` in place of each ``None`` leaf, json's
+    ``null``; no key of ``example`` holds ``null``."""
+    return _json(example, newline).replace("%", "%%").replace("null", "%s")
 
 
 # a pair, and the ends of a row as an item of the matrix, at the depth
 # ``indent=2`` puts them
-_PAIR = "      [\n        %r,\n        %r\n      ]"
+_PAIR = "      " + _template([None, None], "\n      ")
 _ZERO = _PAIR % (0.0, 0.0)
 _PIECES = np.array([_ZERO, _PAIR], dtype=object)
 _ROW_OPEN, _ROW_CLOSE = "[\n", "\n    ]"
@@ -225,6 +214,60 @@ def _state_pieces(rho: DensityMatrix, name: str | None = None, source: str | Non
             last = pattern
         rows.append(template if blank else template % tuple(row[keep].view(float).tolist()))
     return _pieces(doc, {"matrix": rows})
+
+
+# a norm record's keys, and its text as an item of a JSON report's "records"
+_FIELDS = ("subset", "norm", "bound", "decision", "criterion", "borderline")
+_RECORD = _template(dict.fromkeys(_FIELDS), "\n    ")
+_BOOLS = ("false", "true")
+
+
+@functools.lru_cache(maxsize=4096)
+def _subset_text(subset: tuple) -> str:
+    """A record's subset as ``dump_json`` writes it in the record."""
+    return _json(subset, "\n      ")
+
+
+def _analysis_text(doc, verdicts: list) -> str:
+    """``dump_json`` of the analyze report ``doc``, its ``"records"`` those
+    of the norm ``verdicts``, each ``_RECORD`` filled; a norm or bound that
+    is not finite raises json's ``ValueError`` before the rest is written."""
+    _check_finite([x for v in verdicts for x in (v.norm_value, v.bound_value)])
+    quoted = encode_basestring_ascii
+    records = [_RECORD % (_subset_text(v.subset), v.norm_value, v.bound_value,
+                          quoted(v.decision), quoted(v.criterion), _BOOLS[v.borderline])
+               for v in verdicts]
+    return dump_json(doc, {"records": records})
+
+
+def _analysis_csv(verdicts: list) -> str:
+    """The CSV report of the norm ``verdicts``, one row of ``_FIELDS`` each."""
+    return records_to_csv([(",".join(map(str, v.subset)), format_number(v.norm_value),
+                            format_number(v.bound_value), v.decision.value, v.criterion,
+                            int(v.borderline)) for v in verdicts], _FIELDS)
+
+
+@functools.lru_cache(maxsize=64)
+def _term_template(dims: tuple) -> str:
+    """A decompose term on ``dims`` as it is written in the report: the
+    weight, then the entries of each factor's coherence vector."""
+    return _template({"weight": None, "factors": [[None] * (d * d - 1) for d in dims]},
+                     "\n    ")
+
+
+def _decomposition_pieces(doc, dec) -> list:
+    """The :func:`_pieces` of the decompose report ``doc``, its ``"terms"``
+    the rows of ``dec``'s weights-and-factors table, each distinct float of
+    it, told apart by its bits so that -0.0 stays itself, rendered once.  A
+    float that is not finite raises, the report's frame checked first."""
+    table = np.column_stack([dec.terms.weights, *(f.T for f in dec.terms.factors)])
+    distinct, where = np.unique(table.view(np.uint64), return_inverse=True)
+    texts = np.array(list(map(float.__repr__, distinct.view(float).tolist())), dtype=object)
+    template = _term_template(dec.dims)
+    rows = texts[where.reshape(table.shape)].tolist()
+    pieces = _pieces(doc, {"terms": [template % tuple(row) for row in rows]})
+    _check_finite(table)
+    return pieces
 
 
 def write_text_atomic(path: str, text) -> None:

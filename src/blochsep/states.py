@@ -6,12 +6,18 @@ sum_k i_k * prod_{l>k} d_l, i.e. subsystem 0 is the most significant digit.
 """
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field, fields
-from functools import reduce
+from functools import cache, reduce
 import math
 import numbers
 import operator
 import os
+
+try:
+    import resource
+except ImportError:  # Windows has no resource limits
+    resource = None
 
 import numpy as np
 
@@ -248,17 +254,43 @@ def _check_fits(dims, repeat: int = 1) -> None:
 
 def _check_memory(log2_need: float, subject: str) -> None:
     """Raise ValueError, opening with ``subject``, when 2^log2_need bytes of
-    working memory exceed physical memory; a platform that does not report
-    its memory is not checked."""
-    try:
-        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return
-    if log2_need > math.log2(have):
+    working memory exceed the least limit on this process: ``_fixed_limit``
+    or the address space that the soft ``RLIMIT_AS`` leaves beside what is
+    mapped.  A limit that is not reported is not checked."""
+    have, name = _fixed_limit()
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0] if resource else -1
+    if 0 <= soft != resource.RLIM_INFINITY and (left := soft - _mapped_bytes()) < have:
+        have, name = left, "address space left under RLIMIT_AS"
+    if log2_need > math.log2(max(have, 1)):
         raise ValueError(
             f"{subject} about {_scientific(log2_need - 30)} GiB of working memory, "
-            f"more than the {have / 2**30:.3g} GiB of physical memory"
+            f"more than the {have / 2**30:.3g} GiB of {name}"
         )
+
+
+@cache
+def _fixed_limit(proc: str = "/proc/self/cgroup", root: str = "/sys/fs/cgroup") -> tuple:
+    """(bytes, name) of the lesser of physical memory and the cgroup v2
+    ``memory.max`` of this process, found by its ``0::`` line of ``proc``,
+    (inf, "") where neither reads; read once per process."""
+    limits = [(math.inf, "")]
+    with suppress(AttributeError, ValueError, OSError):
+        limits.append((os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), "physical memory"))
+    with suppress(OSError, StopIteration, ValueError):  # no cgroup v2, or "max"
+        with open(proc) as fh:
+            path = next(line[3:].strip() for line in fh if line.startswith("0::"))
+        with open(root + path.rstrip("/") + "/memory.max") as fh:
+            limits.append((int(fh.read()), "the cgroup's memory.max"))
+    return min(limits)
+
+
+def _mapped_bytes() -> int:
+    """The address space this process has mapped, by /proc/self/statm."""
+    try:
+        with open("/proc/self/statm") as fh:
+            return int(fh.read().split()[0]) * resource.getpagesize()
+    except OSError:  # no /proc
+        return 0
 
 
 def kron(*matrices) -> np.ndarray:

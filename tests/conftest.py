@@ -1,9 +1,11 @@
 """Shared helpers for the test suite."""
 
+import functools
 import gc
 import itertools
 import json
 import math
+import os
 
 from hypothesis import strategies as st
 import numpy as np
@@ -38,6 +40,7 @@ from blochsep import (
 )
 from blochsep.bloch import _coefficients, _from_coefficients, _stack, _subsets
 from blochsep.stateio import SCHEMA_VERSION, _flat_matrix, _head, state_from_jsonable
+import blochsep.states
 from blochsep.states import _subsystem_dims
 from blochsep.tolerances import (BOUND_GUARD, EXACT_TOL, PSD_TOL, RANK_CUTOFF, SUFFICIENCY_SLACK,
                                  WEIGHT_CUTOFF, ZERO_COMPONENT_TOL)
@@ -197,6 +200,30 @@ def count_calls(monkeypatch, counts, key, module, name):
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapper)
+
+
+def limit_memory(monkeypatch, sysconf, cgroup=(os.devnull, os.devnull), address_space=None,
+                 mapped=0):
+    """Let the memory check of ``blochsep.states`` see these limits alone,
+    none of the host's: ``sysconf`` in place of ``os.sysconf``, which gives
+    physical memory, the ``memory.max`` that the process cgroup file and
+    cgroup tree ``cgroup`` give (none by default), and a soft ``RLIMIT_AS``
+    of ``address_space`` bytes, None for none, with ``mapped`` of them
+    mapped.  The limits read once per process are read again under a fresh
+    cache, which the ``monkeypatch`` teardown drops."""
+    states, soft = blochsep.states, address_space
+    if soft is None:
+        soft = states.resource.RLIM_INFINITY
+    monkeypatch.setattr(states.os, "sysconf", sysconf)
+    monkeypatch.setattr(states.resource, "getrlimit", lambda which: (
+        (soft, soft) if which == states.resource.RLIMIT_AS else _GETRLIMIT(which)))
+    monkeypatch.setattr(states, "_mapped_bytes", lambda: mapped)
+    monkeypatch.setattr(states, "_fixed_limit", functools.cache(lambda: _FIXED_LIMIT(*cgroup)))
+
+
+# the readers that ``limit_memory`` stands in for
+_GETRLIMIT = blochsep.states.resource.getrlimit
+_FIXED_LIMIT = blochsep.states._fixed_limit.__wrapped__
 
 
 def per_matrix_kyfan(tensor):

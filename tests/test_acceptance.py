@@ -8,7 +8,10 @@ also print the previously reported values; 0.2162 and 0.24152 do not follow
 from the documented bound and norm. See the README for the analysis.
 """
 
+import contextlib
+import io
 import os
+import re
 import time
 from pathlib import Path
 
@@ -244,6 +247,20 @@ def test_external_state_exclusion_documented():
     report("external-state-exclusion", ok,
            "README documents the excluded chess-board values and the "
            f"{CHESSBOARD_ENV} stretch hook")
+
+
+def test_readme_quick_start_prints_its_comments():
+    """The README's python block runs, and each line it prints is the
+    trailing comment of its ``print`` line."""
+    text = README.read_text(encoding="utf-8")
+    (block,) = re.findall(r"## Quick start\n\n```python\n(.*?)```", text, re.S)
+    want = [line.rsplit("#", 1)[1].strip() for line in block.splitlines()
+            if line.startswith("print(")]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    got = out.getvalue().splitlines()
+    report("readme-quick-start", got == want, f"printed {got}, comments say {want}")
 
 
 @pytest.mark.skipif(CHESSBOARD_ENV not in os.environ,

@@ -42,8 +42,8 @@ from blochsep.bloch import (_coefficients, _from_coefficients, _full_tensor, _gr
 from blochsep.criteria import _CRITERIA, _select_subsets, necessary_test, subset_scan
 from blochsep.tolerances import EXACT_TOL
 from conftest import (ZOO_GRID, brute_correlation, component_views, empty_bloch_data,
-                      qutrit_ghz_spectrum, random_density, random_pure_product, random_unitary,
-                      tensordot_expansion)
+                      limit_memory, qutrit_ghz_spectrum, random_density, random_pure_product,
+                      random_unitary, tensordot_expansion)
 
 SIX_PROFILES = [(2, 2), (2, 3), (2, 2, 2), (3, 3), (2, 3, 4), (2, 2, 2, 2)]
 
@@ -328,7 +328,7 @@ def test_generator_stacks_are_budgeted(monkeypatch, pages, fits):
     rho = DensityMatrix((5,), np.eye(5) / 5)
     data = decompose(rho)
     sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}
-    monkeypatch.setattr("blochsep.states.os.sysconf", sizes.__getitem__)
+    limit_memory(monkeypatch, sizes.__getitem__)
     _stack.cache_clear()
     calls = [lambda: bloch_vector(DensityMatrix((5,), np.eye(5) / 5), 0),
              lambda: reconstruct(data)]

@@ -54,6 +54,7 @@ from conftest import (
     entrywise_matrix,
     entrywise_state_from_jsonable,
     entrywise_state_to_jsonable,
+    limit_memory,
     low_rank_pair,
     per_tensor_norms,
     qutrit_ghz_threshold,
@@ -1504,13 +1505,49 @@ def test_a_state_whose_generator_stacks_do_not_fit_is_refused_in_one_line(monkey
     # two 4,096-byte pages hold the 10 x 10 state on dims (5, 2), 7,200
     # bytes, but not the 40,000 bytes of the d = 5 generator stacks
     sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2}
-    monkeypatch.setattr("blochsep.states.os.sysconf", sizes.__getitem__)
+    limit_memory(monkeypatch, sizes.__getitem__)
     blochsep.bloch._stack.cache_clear()
     code, out, err = run(["analyze", "zoo:mixed", "--dims", "5,2", "--criteria", "t1"])
     assert (code, out) == (2, "")
     assert err == ("error: the generator stacks of a subsystem of dimension 5 need about "
                    "3.73e-05 GiB of working memory, more than the 7.63e-06 GiB of physical "
                    "memory\n")
+
+
+def test_a_state_beyond_the_address_space_limit_is_refused_in_one_line():
+    """Under a 1.5 GB soft RLIMIT_AS, set in the child alone, GHZ-13's
+    4.5 GiB of working memory is refused before anything is allocated; the
+    parent's limits are left as they were."""
+    import resource
+
+    cap = 1_500_000 * 1024
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    proc = subprocess.run(
+        [sys.executable, "-m", "blochsep", "analyze", "zoo:ghz", "-N", "13"],
+        capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, hard)))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: a state of dimension 8.19e+03 needs about 4.5 GiB of "
+                                  "working memory, more than the ")
+
+
+ALLOCATION = ("Unable to allocate 1.00 GiB for an array with shape (8192, 8192) and data "
+              "type complex128")
+
+
+@pytest.mark.parametrize("message, line", [(ALLOCATION, ALLOCATION), ("", "out of memory")],
+                         ids=["numpy", "bare"])
+def test_a_memory_error_is_one_line(monkeypatch, message, line):
+    """An allocation that the memory check lets through and that still
+    fails exits 2 with one line, not a traceback."""
+    def allocate(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(blochsep.cli, "separable_decomposition", allocate)
+    assert run(["decompose", "zoo:werner", "-p", "0.3"]) == (2, "", f"error: {line}\n")
 
 
 NEAR_MAX = 1.7e308
@@ -2154,6 +2191,41 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["records"][0]["decision"] == "entangled"
+
+
+@pytest.mark.parametrize("argv, want, tol", [
+    (["werner"], 0.3333333333333333, 1e-9),
+    (["werner", "--criterion", "p2"], 0.3333333333333333, 1e-9),
+    (["ghz-noisy", "-N", "3", "--criterion", "p2"], 0.0, 0),
+    (["w-noisy", "-N", "4", "--criterion", "c1"], 0.3018240, 1e-6),
+    (["reduced-w-noisy", "-N", "6", "-n", "4"], None, 0),
+], ids=["werner-t1", "werner-p2", "ghz-noisy-3-p2", "w-noisy-4-c1", "reduced-w-noisy-6-4"])
+def test_threshold_outcomes(tmp_path, argv, want, tol):
+    """Every outcome of threshold_search: the sufficiency sum's flip, a sum
+    unavailable at every p > 0, the least flip to Entangled over the
+    subsets, and no flip on [0, 1].  The threshold is ``want`` within
+    ``tol``, or exactly ``want`` when ``tol`` is 0 or ``want`` is None."""
+    path = tmp_path / "threshold.json"
+    assert run(["threshold", *argv, "-o", str(path)]) == (0, "", "")
+    got = json.loads(path.read_text())["threshold"]
+    if want is None or tol == 0:
+        assert got == want
+    else:
+        assert got is not None and abs(got - want) <= tol
+
+
+@pytest.mark.parametrize("argv", [
+    "ghz -N 3 -d 3", "ghz-noisy -N 4 -p 0.37", "qutrit-ghz-noisy -N 3 -p 0.37", "werner -p 0.37",
+    "w -N 5", "w-noisy -N 5 -p 0.37", "reduced-w-noisy -N 6 -n 2 -p 0.37", "psi-234",
+    "state-234-noisy -p 0.37", "smolin", "duer4", "mixed --dims 3,2,2",
+])
+def test_every_zoo_family_written_to_a_file_loads_back(tmp_path, argv):
+    """The zoo builds its states without validating them; load_state
+    validates, so each family written to a file must load back."""
+    path = tmp_path / "z.json"
+    assert run(["zoo", *argv.split(), "-o", str(path)]) == (0, "", "")
+    _, metadata = load_state(str(path))
+    assert metadata == {"name": argv.split()[0], "source": "zoo"}
 
 
 RECORD_KEYS = ["subset", "norm", "bound", "decision", "criterion", "borderline"]

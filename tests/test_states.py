@@ -53,12 +53,14 @@ from blochsep import (
     zoo_families,
 )
 from blochsep.stateio import state_from_jsonable, state_text
+import blochsep.states
 from blochsep.states import _FAMILIES, _subsystem_dims
 from blochsep.tolerances import PSD_TOL
 from conftest import (
     ZOO_GRID,
     basis_ket_zoo_state,
     empty_bloch_data,
+    limit_memory,
     random_density,
     random_unitary,
     whole_matrix_validate_density,
@@ -788,7 +790,7 @@ def test_working_memory_estimate(monkeypatch, pages, fits):
     # a 3-qubit state needs 72 bytes per entry of its 8 x 8 matrix: 4,608
     # bytes, more than one 4,096-byte page and less than two
     sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": pages}
-    monkeypatch.setattr("blochsep.states.os.sysconf", sizes.__getitem__)
+    limit_memory(monkeypatch, sizes.__getitem__)
     if fits:
         assert ghz(3).dims == (2, 2, 2)
     else:
@@ -800,5 +802,83 @@ def test_working_memory_is_not_checked_where_it_is_not_reported(monkeypatch):
     def unavailable(name):
         raise ValueError(f"unrecognized configuration name {name!r}")
 
-    monkeypatch.setattr("blochsep.states.os.sysconf", unavailable)
+    limit_memory(monkeypatch, unavailable)
     assert maximally_mixed((2, 2)).dims == (2, 2)
+
+
+def pages(n):
+    """``os.sysconf`` on a machine of ``n`` 4,096-byte pages."""
+    return {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": n}.__getitem__
+
+
+PLENTY = pages(2**20)  # 4 GiB
+
+
+LIMITS = ["physical memory", "the cgroup's memory.max", "address space left under RLIMIT_AS"]
+
+
+@pytest.mark.parametrize("name", LIMITS, ids=["physical", "cgroup", "rlimit-as"])
+def test_the_least_memory_limit_is_taken(monkeypatch, tmp_path, name):
+    """A 3-qubit state, 4,608 bytes of working memory, is refused under
+    4,096 bytes of any one limit, the others plentiful, and fits in 8,192."""
+    (tmp_path / "cgroup").write_text("12:memory:/x\n0::/a/b\n")
+    (tmp_path / "a" / "b").mkdir(parents=True)
+    for size in (4096, 8192):
+        (tmp_path / "a" / "b" / "memory.max").write_text(
+            f"{size if name == LIMITS[1] else 2**32}\n")
+        limit_memory(monkeypatch, pages(size // 4096 if name == LIMITS[0] else 2**20),
+                     cgroup=(str(tmp_path / "cgroup"), str(tmp_path)),
+                     address_space=2**20 + size if name == LIMITS[2] else None, mapped=2**20)
+        if size == 8192:
+            assert ghz(3).dims == (2, 2, 2)
+            continue
+        with pytest.raises(ValueError) as got:
+            ghz(3)
+        assert str(got.value) == ("a state of dimension 8 needs about 4.29e-06 GiB of working "
+                                  f"memory, more than the 3.81e-06 GiB of {name}")
+
+
+def test_mapped_memory_is_read_only_under_an_address_space_limit(monkeypatch):
+    limit_memory(monkeypatch, PLENTY)
+
+    def unread():
+        raise AssertionError("/proc/self/statm read without an RLIMIT_AS")
+
+    monkeypatch.setattr(blochsep.states, "_mapped_bytes", unread)
+    assert ghz(3).dims == (2, 2, 2)
+
+
+def test_the_fixed_limits_are_read_once(monkeypatch):
+    reads = []
+
+    def sysconf(name):
+        reads.append(name)
+        return PLENTY(name)
+
+    limit_memory(monkeypatch, sysconf)
+    for _ in range(3):
+        ghz(3)
+        maximally_mixed((2, 2))
+    assert reads == ["SC_PAGE_SIZE", "SC_PHYS_PAGES"]
+
+
+@pytest.mark.parametrize("lines, files, want", [
+    ("12:memory:/x\n0::/a/b\n", {"a/b/memory.max": "1073741824\n"}, 1073741824),
+    ("0::/\n", {"memory.max": "4096\n"}, 4096),
+    ("0::/a\n", {"a/memory.max": "max\n"}, math.inf),
+    ("0::/a\n", {}, math.inf),
+    ("4:memory:/a\n", {"a/memory.max": "4096\n"}, math.inf),
+], ids=["nested", "root", "max", "missing", "v1-only"])
+def test_the_cgroup_limit_is_read_from_the_process_cgroup(monkeypatch, tmp_path, lines, files,
+                                                          want):
+    def unavailable(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    monkeypatch.setattr(blochsep.states.os, "sysconf", unavailable)
+    (tmp_path / "cgroup").write_text(lines)
+    for name, text in files.items():
+        (tmp_path / "fs" / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / "fs" / name).write_text(text)
+    have, _ = blochsep.states._fixed_limit.__wrapped__(str(tmp_path / "cgroup"),
+                                                       str(tmp_path / "fs"))
+    assert have == want

@@ -19,7 +19,7 @@ from blochsep import (
 )
 from blochsep.tensors import _kyfan_norms, _orthogonal_forms
 from blochsep.tolerances import RANK_CUTOFF
-from conftest import (per_matrix_kyfan, per_tensor_form, same_form, shape_groups,
+from conftest import (limit_memory, per_matrix_kyfan, per_tensor_form, same_form, shape_groups,
                       stacked_forms)
 
 # hand-checkable 3x2x3 example with integer entries
@@ -233,7 +233,7 @@ def test_a_sign_table_too_large_is_refused_before_it_is_sized(monkeypatch):
     columns is a power of two: a float's fraction of its base-10 logarithm
     holds no true digit."""
     sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**20}
-    monkeypatch.setattr("blochsep.states.os.sysconf", sizes.__getitem__)
+    limit_memory(monkeypatch, sizes.__getitem__)
     for n, need in [(10**30, "2^1e+30"), (40, "1.76e+05")]:
         with pytest.raises(ValueError) as got:
             sign_table(n)
