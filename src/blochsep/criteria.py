@@ -17,9 +17,9 @@ Three kinds of statement are implemented:
 A component is the coefficient-array slice of one nonempty subsystem subset;
 a coherence vector is the order-1 case, so the criteria walk them in one loop.
 
-Norm-versus-bound comparisons respect the fixed guard band ``BOUND_GUARD``;
-results inside it are inconclusive with ``borderline=True``.  The band only
-absorbs rounding, and a narrower one would call separable states entangled.
+One rule, ``_side``, decides every verdict against the closed guard band of
+its limit, ``BOUND_GUARD`` around a norm bound and ``SUFFICIENCY_SLACK``
+around the sum's 1; inside the band it is inconclusive with ``borderline``.
 """
 from __future__ import annotations
 
@@ -162,31 +162,34 @@ def subset_scan(rho: DensityMatrix, subsets="all") -> list:
     verdict of the necessary criterion is made here, from components
     stacked by shape through ``_groups`` and norms from ``_kyfan_norms``,
     which takes one SVD call per component shape, or per shape and mode
-    where the subset's dimensions differ.  The bound and its comparisons
-    are made once per stack, whose shape fixes its subsets' dimensions.  A
-    single-party state raises ``ValueError`` under every selector, and a
-    ``rho`` that is not a DensityMatrix under every one too.
+    where the subset's dimensions differ.  The bound is computed once per
+    stack, whose shape fixes its subsets' dimensions.  A single-party state
+    raises ``ValueError`` under every selector, and a ``rho`` that is not a
+    DensityMatrix under every one too.
     """
     _instance(rho, DensityMatrix, "rho")
     subsets = _select_subsets(rho.n_parties, subsets)
     return _norm_verdicts(rho, subsets, _groups(rho, subsets))
 
 
+def _side(value, limit, guard):
+    """+1 above ``limit + guard``, -1 below ``limit - guard`` and 0 in the
+    closed band between, elementwise on an array: every verdict's rule."""
+    return (value > limit + guard) * 1 - (value < limit - guard)
+
+
 def _norm_verdicts(rho: DensityMatrix, subsets: list, groups: list) -> list:
     """The necessary criterion's verdicts on ``subsets``, whose components
     ``groups`` holds stacked by shape, in the order of ``subsets``: the one
-    home of its bound and guard-band rules."""
-    norms = _kyfan_norms(groups)
-    values, tests = np.array(norms), [None] * len(subsets)
+    home of its bound.  A norm above the band is Entangled."""
+    norms, bounds = _kyfan_norms(groups), np.empty(len(subsets))
     for positions, _ in groups:
-        bound = separability_bound([rho.dims[k] for k in subsets[positions[0]]])
-        entangled = (values[positions] > bound + BOUND_GUARD).tolist()
-        borderline = (values[positions] > bound - BOUND_GUARD).tolist()
-        for i, e, b in zip(positions.tolist(), entangled, borderline):
-            tests[i] = (Decision.ENTANGLED if e else Decision.INCONCLUSIVE, bound, not e and b)
+        bounds[positions] = separability_bound([rho.dims[k] for k in subsets[positions[0]]])
+    sides = _side(np.array(norms), bounds, BOUND_GUARD).tolist()
+    decisions = (Decision.INCONCLUSIVE, Decision.INCONCLUSIVE, Decision.ENTANGLED)
     made = Verdict._of_norm
-    return [made(decision, norm, bound, borderline, subset)
-            for subset, norm, (decision, bound, borderline) in zip(subsets, norms, tests)]
+    return [made(decisions[side + 1], norm, bound, side == 0, subset)
+            for subset, norm, bound, side in zip(subsets, norms, bounds.tolist(), sides)]
 
 
 def qubit_exact_test(rho: DensityMatrix) -> Verdict:
@@ -217,11 +220,9 @@ def qubit_exact_test(rho: DensityMatrix) -> Verdict:
         reason = "no-orthogonal-decomposition"
         return Verdict(Decision.INCONCLUSIVE, None, 1.0, crit, reason=reason)
     norm = float(stacks[0].sums()[0])
-    if norm > 1.0 + BOUND_GUARD:
-        return Verdict(Decision.ENTANGLED, norm, 1.0, crit)
-    if norm < 1.0 - BOUND_GUARD:
-        return Verdict(Decision.SEPARABLE, norm, 1.0, crit)
-    return Verdict(Decision.INCONCLUSIVE, norm, 1.0, crit, borderline=True)
+    side = _side(norm, 1.0, BOUND_GUARD)
+    decision = (Decision.SEPARABLE, Decision.INCONCLUSIVE, Decision.ENTANGLED)[side + 1]
+    return Verdict(decision, norm, 1.0, crit, borderline=side == 0)
 
 
 def _sufficiency_parts(rho: DensityMatrix):
@@ -260,16 +261,17 @@ def sufficiency_test(rho: DensityMatrix) -> Verdict:
     where T^S for a single subsystem is its coherence vector, whose Ky Fan
     norm is its Euclidean norm; lhs <= 1 certifies separability.  lhs is
     None when some tensor of order >= 3 has no completely orthogonal
-    decomposition; that and a larger sum are merely inconclusive.  The sum
-    may exceed one by ``SUFFICIENCY_SLACK``, which absorbs its rounding."""
+    decomposition.  Only lhs below the band of ``SUFFICIENCY_SLACK`` around 1
+    certifies: inside it the verdict is borderline, "sum-within-guard-band"."""
     crit = "sufficiency-sum"
     total, parts = _sufficiency_parts(rho)
     if total is None:
         reason = f"no-orthogonal-decomposition:{parts}"
         return Verdict(Decision.INCONCLUSIVE, None, 1.0, crit, reason=reason)
-    if total <= 1.0 + SUFFICIENCY_SLACK:
-        return Verdict(Decision.SEPARABLE, total, 1.0, crit)
-    return Verdict(Decision.INCONCLUSIVE, total, 1.0, crit, reason="sum-exceeds-one")
+    side = _side(total, 1.0, SUFFICIENCY_SLACK)
+    decision = Decision.SEPARABLE if side < 0 else Decision.INCONCLUSIVE
+    reason = (None, "sum-within-guard-band", "sum-exceeds-one")[side + 1]
+    return Verdict(decision, total, 1.0, crit, borderline=side == 0, reason=reason)
 
 
 def separable_decomposition(rho: DensityMatrix) -> SeparableDecomposition:
@@ -283,18 +285,18 @@ def separable_decomposition(rho: DensityMatrix) -> SeparableDecomposition:
     are dropped.  Factor vectors are rescaled onto the subsystem inball so
     each factor is a valid state, and the leftover weight goes to the
     maximally mixed state.  Terms run by component, then rank-1 term, then
-    sign row.  Raises CriterionUnavailableError when the criterion does not
-    apply (sum above one or a decomposition missing).
+    sign row.  Raises CriterionUnavailableError wherever p2 is not Separable,
+    so ``identity_weight`` is at least ``SUFFICIENCY_SLACK``.
     """
     total, parts = _sufficiency_parts(rho)
     if total is None:
         raise CriterionUnavailableError(
             f"{_name(parts)} has no completely orthogonal rank-1 decomposition")
-    if total > 1.0 + SUFFICIENCY_SLACK:
-        raise CriterionUnavailableError(
-            f"weighted component norm sum {total:.12g} exceeds 1; "
-            "the sufficient criterion does not apply"
-        )
+    side = _side(total, 1.0, SUFFICIENCY_SLACK)
+    if side >= 0:
+        where = "exceeds 1" if side else f"lies within {SUFFICIENCY_SLACK:g} of 1"
+        raise CriterionUnavailableError(f"weighted component norm sum {total:.12g} {where}; "
+                                        "the sufficient criterion does not apply")
     dims, subsets = rho.dims, _subsets(rho.n_parties)
     inball = [ball_radii(d)[0] for d in dims]
     tables = {m: sign_table(m) for m in {len(stack.factors) for _, stack in parts}}
@@ -381,8 +383,9 @@ def threshold_search(family, criterion: str = "t1") -> float | None:
     unknown family is named as such before the noise parameter is looked for.
     Zoo families have the form (1-p)/D I + p sigma, so the flip is computed
     in closed form from one evaluation of the criterion on sigma (the state
-    at p = 1).  Returns None when the verdict never flips on [0, 1], and 0.0
-    when the state is flagged at every p > 0.
+    at p = 1), where p times a norm crosses its band's upper edge, or the sum
+    its lower edge.  Returns None when the verdict never flips on [0, 1], and
+    0.0 when the state is flagged at every p > 0.
     """
     if criterion not in _CRITERIA:
         raise ValueError(
@@ -395,20 +398,17 @@ def threshold_search(family, criterion: str = "t1") -> float | None:
         raise ValueError("a threshold sweeps the noise weight itself; "
                          f"leave noise unset (got {family.noise})")
     # every coherence vector and correlation tensor of the mixture is p times
-    # sigma's, so each norm and the sufficiency sum grow linearly in p: the sum
-    # flips where it stops being Separable, the others where one turns Entangled
+    # sigma's, so each norm and the sufficiency sum grow linearly in p
     verdicts = _CRITERIA[criterion][0](family._state(), "all")
+    edge, crossed = BOUND_GUARD, Decision.ENTANGLED
     if criterion == "p2":
-        (v,) = verdicts
-        if v.decision is Decision.SEPARABLE:
-            return None
-        if v.norm_value is None:
+        if verdicts[0].norm_value is None:
             # the orthogonal-form cutoff is relative to the tensor's
             # scale, so the sum is unavailable at every p > 0 as well
             return 0.0
-        return (1.0 + SUFFICIENCY_SLACK) / v.norm_value
-    return min(((v.bound_value + BOUND_GUARD) / v.norm_value
-                for v in verdicts if v.decision is Decision.ENTANGLED), default=None)
+        edge, crossed = -SUFFICIENCY_SLACK, Decision.INCONCLUSIVE
+    return min(((v.bound_value + edge) / v.norm_value
+                for v in verdicts if v.decision is crossed), default=None)
 
 
 def noise_threshold_table(max_parties: int = 6) -> list:

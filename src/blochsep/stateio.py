@@ -3,7 +3,9 @@
 - Round trips are bit-exact.  Every document, a state file or a report, is
   written with the bytes of ``json.dumps(doc, indent=2, allow_nan=False)``
   plus a newline, floats by their shortest round-trip repr, so a
-  save/load/save cycle gives the same bytes.  Writes are atomic.
+  save/load/save cycle gives the same bytes.  Writes onto a regular file,
+  directly or through a link, are atomic; a FIFO or device is written in
+  place.
 - Every JSON layout is read, the writer's ``indent=2``, ``json.dumps``'s
   compact one or any other whitespace, to the bits ``json.loads`` gives,
   the last of duplicate keys winning.
@@ -44,6 +46,7 @@ from json.encoder import encode_basestring_ascii
 import math
 import os
 import re
+import stat
 
 import numpy as np
 
@@ -270,19 +273,43 @@ def _decomposition_pieces(doc, dec) -> list:
     return pieces
 
 
-def write_text_atomic(path: str, text) -> None:
-    """Write ``text``, a ``str`` or a list of pieces whose join it is, to a
-    sibling temporary file and move that onto ``path``; on any exception
-    the temporary file is removed and ``path`` is left as it was.
+def _mode(path: str):
+    """The ``st_mode`` of ``path`` itself, a link not followed, or None
+    where nothing can be read there."""
+    try:
+        return os.lstat(path).st_mode
+    except OSError:
+        return None
 
-    The temporary file is opened once, in text mode, and pieces are written
-    in joined batches of about ``_BATCH`` characters (``_batches``), so a
-    large document is never joined or encoded whole."""
+
+def _write(path: str, text) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for batch in _batches(text):
+            fh.write(batch)
+
+
+def write_text_atomic(path: str, text) -> None:
+    """Write ``text``, a ``str`` or a list of pieces whose join it is, to
+    ``path``.  An absent name or a regular file gets a sibling temporary
+    file moved onto it; on any exception the temporary file is removed and
+    ``path`` is left as it was.  A symbolic link is written through: its
+    resolved target is replaced so, and the link stays.  Any other file, a
+    FIFO, a device or a socket, is opened and written in place, with no
+    temporary file and no rename.
+
+    The file is opened once, in text mode, and pieces are written in joined
+    batches of about ``_BATCH`` characters (``_batches``), so a large
+    document is never joined or encoded whole."""
+    mode = _mode(path)
+    if mode is not None and stat.S_ISLNK(mode):
+        path = os.path.realpath(path)
+        mode = _mode(path)
+    if mode is not None and not stat.S_ISREG(mode):
+        _write(path, text)
+        return
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            for batch in _batches(text):
-                fh.write(batch)
+        _write(tmp, text)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

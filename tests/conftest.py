@@ -747,9 +747,12 @@ def per_term_decomposition(rho):
             f"correlation tensor of subset {parts} has no completely "
             "orthogonal rank-1 decomposition"
         )
-    if total > 1.0 + SUFFICIENCY_SLACK:
+    # the safe-side rule: only a sum below the band around 1 certifies
+    if total >= 1.0 - SUFFICIENCY_SLACK:
+        where = ("exceeds 1" if total > 1.0 + SUFFICIENCY_SLACK
+                 else f"lies within {SUFFICIENCY_SLACK:g} of 1")
         raise CriterionUnavailableError(
-            f"weighted component norm sum {total:.12g} exceeds 1; "
+            f"weighted component norm sum {total:.12g} {where}; "
             "the sufficient criterion does not apply"
         )
     dims = rho.dims

@@ -8,9 +8,12 @@ import io
 import json
 import math
 import os
+from pathlib import Path
 import re
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 from hypothesis import assume, example, given, settings, strategies as st
@@ -275,6 +278,25 @@ def test_decompose_inapplicable_exits_3():
     assert "exceeds 1" in err
     code, _, err = run(["decompose", "zoo:ghz", "-N", "3"])
     assert code == 3
+
+
+@pytest.mark.parametrize("p, total", [("0.333333333334333", "1"),
+                                      ("0.33333333334333", "1.00000000003"),
+                                      ("0.33333333336333", "1.00000000009")],
+                         ids=["1e-12", "1e-11", "3e-11"])
+def test_decompose_refuses_a_sum_in_the_band_in_one_line(p, total):
+    """Werner just past p = 1/3 is NPT, and its sum lies within the slack of
+    1, so decompose exits 3 in one line of its own."""
+    assert run(["decompose", "zoo:werner", "-p", p]) == (
+        3, "", f"not applicable: weighted component norm sum {total} lies within 1e-10 of 1; "
+               "the sufficient criterion does not apply\n")
+
+
+def test_analyze_reports_a_sum_in_the_band_inconclusive():
+    doc = run_json(["analyze", "zoo:werner", "-p", "0.33333333336", "--criteria", "p2"])
+    assert doc["sufficiency"] == {"lhs": doc["sufficiency"]["lhs"], "available": True,
+                                  "decision": "inconclusive", "reason": "sum-within-guard-band"}
+    assert 1.0 < doc["sufficiency"]["lhs"] < 1.0 + 1e-10
 
 
 # one small setting of each zoo family, by the ZooSpec parameter each flag sets
@@ -1042,6 +1064,155 @@ def test_copies_of_a_9_qubit_file_give_its_report(nine_qubit_files, kind):
                  for name in ("w9", f"w9-{kind}"))
     assert want["input"].pop("source") != got["input"].pop("source")
     assert got == want
+
+
+def test_zoo_flags_on_a_9_qubit_state_file_are_refused_in_one_line(nine_qubit_files):
+    # zoo flags set a zoo: state only
+    path = nine_qubit_files["w9"]
+    code, out, err = run(["analyze", path, "-N", "3"])
+    assert (code, out) == (2, "") and len(err.splitlines()) == 1
+    assert f"--parties applies only to zoo: states, not to the state file {path}" in err
+
+
+def test_a_state_file_whose_generator_stacks_do_not_fit_is_refused_in_one_line(tmp_path):
+    """A 512 x 512 state on dims [256, 2], as zoo -o writes it: the state
+    fits, but the generator stacks of d = 256 need about 275 GB, so the
+    expansion is refused in one line before it allocates them."""
+    path = tmp_path / "big.json"
+    assert run(["zoo", "mixed", "--dims", "256,2", "-o", str(path)]) == (0, "", "")
+    code, out, err = run(["analyze", str(path), "--criteria", "t1"])
+    assert (code, out) == (2, "") and len(err.splitlines()) == 1
+    assert err.startswith("error: the generator stacks of a subsystem of dimension 256 need about ")
+
+
+def nine_qubit_doc(matrix) -> str:
+    """A 9-qubit state document in json.dumps's compact layout."""
+    return json.dumps({"schema": "blochsep/1", "kind": "state", "dims": [2] * 9, "matrix": matrix})
+
+
+@pytest.mark.parametrize("least, want", [
+    (-7e-10, None),
+    (-1.3e-9, "error: matrix is not positive semidefinite (min eigenvalue -1.300e-09)\n"),
+], ids=["-0.7-PSD_TOL", "-1.3-PSD_TOL"])
+def test_9_qubit_states_at_the_psd_tolerance(tmp_path, least, want):
+    """9-qubit diagonal states with least eigenvalue -0.7 and -1.3 PSD_TOL
+    (PSD_TOL = 1e-9): the Cholesky factorization of m + PSD_TOL/2 I fails
+    on both, and eigvalsh accepts the first and refuses the second in one
+    line."""
+    d = 512
+    rest = (1 - least) / (d - 1)
+    path = tmp_path / "near.json"
+    path.write_text(nine_qubit_doc([[[least if i == j == 0 else rest if i == j else 0.0, 0.0]
+                                     for j in range(d)] for i in range(d)]))
+    code, out, err = run(["analyze", str(path), "--criteria", "t1"])
+    if want is None:
+        assert (code, err) == (0, "") and json.loads(out)["records"]
+    else:
+        assert (code, out, err) == (2, "", want)
+
+
+def test_a_short_pair_made_up_for_by_a_long_one_is_refused_in_one_line(tmp_path):
+    """The maximally mixed 9-qubit state with its last row's last two pairs
+    1 and 3 long: the leaf count is right, and the reader still names the
+    short pair."""
+    d = 512
+    m = [[[1 / d if i == j else 0.0, 0.0] for j in range(d)] for i in range(d)]
+    m[-1][-2:] = [[0.0], [1 / d, 0.0, 0.0]]
+    path = tmp_path / "short-long.json"
+    path.write_text(nine_qubit_doc(m))
+    assert run(["analyze", str(path), "--criteria", "t1"]) == (
+        2, "", "error: matrix entry (511, 510) must be a [re, im] number pair\n")
+
+
+@pytest.fixture(scope="module")
+def dense9_file(tmp_path_factory):
+    """A dense 9-qubit state in json.dumps's compact layout, as the
+    benchmark writes its files."""
+    g = np.random.default_rng(9).normal(size=(512, 1024)).view(complex)
+    m = g @ g.conj().T
+    m /= np.trace(m).real
+    path = tmp_path_factory.mktemp("dense") / "dense9.json"
+    path.write_text(nine_qubit_doc(m.view(float).reshape(512, 512, 2).tolist()))
+    return path
+
+
+@pytest.mark.parametrize("name", ["dense9", "ghz9"])
+def test_9_qubit_files_load_to_the_bits_json_loads_gives(dense9_file, nine_qubit_files, name):
+    # GHZ-9 as the zoo writes it, whose rows of zero pairs the reader cuts
+    # unparsed, and the dense file, whose rows it parses as one flat array
+    path = dense9_file if name == "dense9" else nine_qubit_files["ghz9"]
+    rho, _ = load_state(path)
+    with open(path) as fh:
+        want = np.array(json.load(fh)["matrix"], dtype=float).view(complex)[..., 0]
+    assert rho.matrix.tobytes() == want.tobytes()
+
+
+def refused_as_json_refuses(path, text):
+    """``path``, holding ``text``, is refused in one line with json's own
+    message."""
+    path.write_text(text)
+    with pytest.raises(json.JSONDecodeError) as exc:
+        json.loads(text)
+    assert run(["analyze", str(path), "--criteria", "t1"]) == (
+        2, "", f"error: state file {path} is not valid JSON: {exc.value}\n")
+
+
+def test_a_moved_number_in_a_dense_9_qubit_file_gets_json_s_message(dense9_file, tmp_path):
+    # the second number of the first pair moved right after that pair's "]"
+    text = dense9_file.read_text()
+    i = text.index("]", text.index('"matrix"'))
+    k = text.rindex(", ", 0, i) + 2
+    refused_as_json_refuses(tmp_path / "moved9.json", text[:k] + "]" + text[k:i] + text[i + 1:])
+
+
+def test_a_split_zero_in_a_9_qubit_zero_row_gets_json_s_message(nine_qubit_files, tmp_path):
+    # the second 0.0 of GHZ-9's first zero row, row 1, written "0. 0"
+    text = Path(nine_qubit_files["ghz9"]).read_text()
+    i = text.index("0.0", text.index("0.0", text.index("\n    ],\n    [\n")) + 1)
+    refused_as_json_refuses(tmp_path / "space9.json", text[:i] + "0. 0" + text[i + 3:])
+
+
+def test_a_doubled_matrix_key_in_a_9_qubit_file_takes_the_last(nine_qubit_files, tmp_path):
+    """GHZ-9 with "matrix": [] put in before its "matrix" key: the last of
+    the two keys wins, and the reader hands the file to the whole-document
+    parse, whose walk converts the 512 x 512 matrix."""
+    text = Path(nine_qubit_files["ghz9"]).read_text()
+    i = text.index('"matrix"')
+    path = tmp_path / "twice9.json"
+    path.write_text(text[:i] + '"matrix": [],\n  ' + text[i:])
+    want, got = (run_json(["analyze", str(p), "--criteria", "t1"])["records"]
+                 for p in (nine_qubit_files["ghz9"], path))
+    assert got == want
+
+
+def test_a_wrong_schema_in_a_9_qubit_file_is_refused_in_one_line(nine_qubit_files, tmp_path):
+    # from the head, before the matrix is read
+    text = Path(nine_qubit_files["ghz9"]).read_text()
+    path = tmp_path / "schema9.json"
+    path.write_text(text.replace('"schema": "blochsep/1"', '"schema": "blochsep/2"', 1))
+    assert run(["analyze", str(path), "--criteria", "t1"]) == (
+        2, "", "error: unsupported schema 'blochsep/2' (this reader understands 'blochsep/1')\n")
+
+
+@pytest.mark.parametrize("entries, want", [
+    ({(1, 2): [0.01, 0.0], (2, 1): [0.01, 0.0]},
+     "error: matrix is not positive semidefinite (min eigenvalue -1.000e-02)\n"),
+    ({(1, 2): [1e-6, 0.0]}, "error: matrix is not Hermitian (max deviation 1.000e-06)\n"),
+], ids=["pair9", "lone9"])
+def test_entries_in_the_zero_rows_of_a_9_qubit_file_are_checked(nine_qubit_files, tmp_path,
+                                                                 entries, want):
+    """GHZ-9 with entries in its zero rows 1 and 2, which validation checks
+    on the block of nonzero rows and columns: the pair m[1,2] = m[2,1] =
+    0.01 has eigenvalue -0.01, and m[1,2] = 1e-6 alone is not Hermitian.
+    Each is refused in the one line that a check of the whole matrix
+    gives."""
+    with open(nine_qubit_files["ghz9"]) as fh:
+        doc = json.load(fh)
+    for (i, j), pair in entries.items():
+        doc["matrix"][i][j] = pair
+    path = tmp_path / "edited9.json"
+    path.write_text(json.dumps(doc, indent=2))
+    assert run(["analyze", str(path), "--criteria", "t1"]) == (2, "", want)
 
 
 @settings(max_examples=100, deadline=None)
@@ -2183,6 +2354,77 @@ def test_output_file_written_atomically(tmp_path):
     doc = json.loads(target.read_text())
     assert doc["kind"] == "analysis"
     assert not list(tmp_path.glob("*.tmp*"))
+
+
+def test_output_through_a_symlink_replaces_its_target(tmp_path):
+    """-o onto a symbolic link writes through it: the resolved target gets
+    the report atomically, and the link stays a link."""
+    target, link = tmp_path / "real.json", tmp_path / "link.json"
+    target.write_text("old contents")
+    link.symlink_to(target.name)
+    assert run(["zoo", "ghz", "-N", "2", "-o", str(link)]) == (0, "", "")
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_text() == run(["zoo", "ghz", "-N", "2"])[1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json"]
+
+
+def test_output_onto_a_fifo_reaches_its_reader(tmp_path):
+    """-o onto a FIFO opens it and writes the report to the reader waiting
+    on it, with no temporary file and no rename, and the FIFO stays."""
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    assert run(["zoo", "ghz", "-N", "2", "-o", str(fifo)]) == (0, "", "")
+    reader.join(timeout=30)
+    assert not reader.is_alive() and got == [run(["zoo", "ghz", "-N", "2"])[1]]
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+
+
+def lstat_reporting(monkeypatch, path, kind):
+    """Make ``os.lstat`` report ``path`` as a file of type ``kind``."""
+    real = os.lstat
+
+    def lstat(name, *args, **kwargs):
+        result = real(name, *args, **kwargs)
+        if os.fspath(name) != str(path):
+            return result
+        fields = list(result)
+        fields[0] = kind | stat.S_IMODE(result.st_mode)
+        return os.stat_result(fields)
+
+    monkeypatch.setattr(os, "lstat", lstat)
+
+
+@pytest.mark.parametrize("kind", [stat.S_IFCHR, stat.S_IFIFO, stat.S_IFSOCK],
+                         ids=["character-device", "fifo", "socket"])
+def test_output_onto_a_file_that_is_not_regular_is_written_in_place(tmp_path, monkeypatch,
+                                                                    kind):
+    """A target that lstat reports as no regular file is opened and written
+    in place: the same inode gets the report, and nothing is renamed."""
+    target = tmp_path / "special"
+    target.write_text("old contents")
+    inode = target.stat().st_ino
+    lstat_reporting(monkeypatch, target, kind)
+    monkeypatch.setattr(os, "replace", lambda *args: pytest.fail("the target was renamed onto"))
+    assert run(["zoo", "ghz", "-N", "2", "-o", str(target)]) == (0, "", "")
+    assert target.stat().st_ino == inode
+    assert target.read_text() == run(["zoo", "ghz", "-N", "2"])[1]
+    assert [p.name for p in tmp_path.iterdir()] == ["special"]
+
+
+def test_a_failed_write_in_place_exits_2_in_one_line(tmp_path, monkeypatch):
+    """An OSError from a write in place, as a full device gives, exits 2 in
+    one line and leaves no temporary file."""
+    target = tmp_path / "full"
+    target.write_text("")
+    lstat_reporting(monkeypatch, target, stat.S_IFCHR)
+    monkeypatch.setattr(blochsep.stateio, "open", failing_open([], 1), raising=False)
+    assert run(["zoo", "ghz", "-N", "2", "-o", str(target)]) == (
+        2, "", f"error: cannot write {str(target)!r}: No space left on device\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["full"]
 
 
 def test_module_entry_point():

@@ -220,7 +220,7 @@ def test_norms_agree_with_svds_of_the_row_oriented_unfoldings():
             norm = max(singular_values(unfold(t, m)).sum() for m in range(t.ndim))
             assert v.norm_value == pytest.approx(norm, rel=1e-15, abs=0)
             entangled = norm > v.bound_value + BOUND_GUARD
-            borderline = not entangled and norm > v.bound_value - BOUND_GUARD
+            borderline = not entangled and norm >= v.bound_value - BOUND_GUARD
             assert (v.decision, v.borderline) == (
                 Decision.ENTANGLED if entangled else Decision.INCONCLUSIVE, borderline)
             seen.add((v.decision, v.borderline))
@@ -642,6 +642,23 @@ def test_decomposition_unavailable():
         separable_decomposition(ghz(3))
     with pytest.raises(CriterionUnavailableError):
         separable_decomposition(smolin())
+
+
+@pytest.mark.parametrize("rho, message", [
+    (ghz(3), "correlation tensor of subset (0, 1, 2) has no completely orthogonal rank-1 "
+             "decomposition"),
+    (smolin(), "weighted component norm sum 3 exceeds 1; the sufficient criterion does not apply"),
+    (ZooSpec("werner", noise=1 / 3 + 1e-11).build(),
+     "weighted component norm sum 1.00000000003 lies within 1e-10 of 1; "
+     "the sufficient criterion does not apply"),
+    (ZooSpec("werner", noise=1 / 3).build(),
+     "weighted component norm sum 1 lies within 1e-10 of 1; the sufficient criterion does not apply"),
+], ids=["no-form", "sum-exceeds-one", "sum-within-guard-band", "sum-one"])
+def test_decomposition_refusals_keep_their_messages(rho, message):
+    # one line for each way the sufficient criterion fails to certify
+    with pytest.raises(CriterionUnavailableError) as got:
+        separable_decomposition(rho)
+    assert str(got.value) == message
 
 
 def noisy_qubit_qutrit_product():

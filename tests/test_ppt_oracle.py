@@ -9,7 +9,7 @@ never come with one on any cut.
 
 from itertools import combinations
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -28,6 +28,7 @@ from blochsep import (
     sufficiency_test,
     threshold_search,
 )
+from blochsep.tolerances import SUFFICIENCY_SLACK
 from conftest import decomposition_candidates, random_density, random_separable
 
 
@@ -124,3 +125,70 @@ def test_every_decomposition_rebuilds_its_state(rho):
         return
     assert np.abs(assemble_decomposition(dec).matrix - rho.matrix).max() <= 1e-10
     assert abs(dec.terms.weights.sum() + dec.identity_weight - 1.0) <= 1e-10
+    assert dec.identity_weight >= SUFFICIENCY_SLACK
+
+
+def in_the_band(verdict):
+    return (verdict.decision, verdict.borderline, verdict.reason) == (
+        Decision.INCONCLUSIVE, True, "sum-within-guard-band")
+
+
+@pytest.mark.parametrize("excess", [1e-12, 1e-11, 3e-11])
+def test_p2_is_borderline_on_npt_werner_states_in_its_band(excess):
+    """Werner's sum is 3p, so these states lie 3e-12 to 9e-11 above 1,
+    inside the band of SUFFICIENCY_SLACK = 1e-10 around it, and their
+    partial transposes have eigenvalues -0.75 excess: p2 cannot certify
+    them, and no decomposition is built."""
+    rho = ZooSpec("werner", noise=1 / 3 + excess).build()
+    assert min_pt_eigenvalue(rho, (0,)) == pytest.approx(-0.75 * excess, rel=1e-3)
+    assert in_the_band(sufficiency_test(rho))
+    with pytest.raises(CriterionUnavailableError):
+        separable_decomposition(rho)
+
+
+def test_p2_is_borderline_on_werner_at_one_third():
+    # the true sum is 1, on the bound, and the computed one 1 - 2.2e-16
+    rho = ZooSpec("werner", noise=1 / 3).build()
+    v = sufficiency_test(rho)
+    assert v.norm_value == 1.0 - 2.0**-52
+    assert in_the_band(v)
+
+
+# each sign pattern of t with t_1 t_2 t_3 < 0: there the tetrahedron of
+# Bell-diagonal states reaches beyond the octahedron sum_i |t_i| <= 1 of
+# the separable ones, and its states beyond it are NPT
+SIGNS = [np.array([a, b, -a * b]) for a in (1.0, -1.0) for b in (1.0, -1.0)]
+PAULI = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0])]
+
+
+def bell_diagonal(share, delta, signs):
+    """(I + sum_i t_i sigma_i x sigma_i)/4, its |t_i| in the proportions of
+    ``share`` and summing to 1 + delta."""
+    t = signs * np.asarray(share) / sum(share) * (1.0 + delta)
+    return DensityMatrix((2, 2), (np.eye(4) + sum(
+        w * np.kron(s, s) for w, s in zip(t.tolist(), PAULI))) / 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(share=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).filter(lambda w: sum(w) > 0),
+       delta=st.one_of(st.floats(-1e-9, 1e-9),
+                       st.sampled_from([0.0, 1e-15, 1e-12, 5e-11, 1e-10, -1e-10])),
+       signs=st.sampled_from(SIGNS))
+@example(share=[1.0, 1.0, 1.0], delta=5e-11, signs=SIGNS[0])
+@example(share=[1.0, 0.5, 0.0], delta=1e-12, signs=SIGNS[3])
+def test_p2_never_certifies_an_npt_bell_diagonal_state(share, delta, signs):
+    """On 2x2, PPT decides separability, and a Bell-diagonal state whose
+    correlations sum past 1 is NPT.  Within 1e-9 of that sum, p2 says
+    Separable only where the partial transpose has no eigenvalue below
+    -1e-15, and a decomposition, where one is built, leaves the identity
+    a weight of at least the slack."""
+    rho = bell_diagonal(share, delta, signs)
+    npt = min_pt_eigenvalue(rho, (0,)) < -1e-15
+    separable = sufficiency_test(rho).decision is Decision.SEPARABLE
+    assert not (npt and separable)
+    try:
+        dec = separable_decomposition(rho)
+    except CriterionUnavailableError:
+        assert not separable
+        return
+    assert separable and dec.identity_weight >= SUFFICIENCY_SLACK
