@@ -6,13 +6,13 @@ generators, giving the real coefficient array (cached on the state)
 
     C_{a_0...a_{N-1}} = Tr(rho (A^(0)_{a_0} x ... x A^(N-1)_{a_{N-1}})).
 
-Every component is a slice of C with index 0 in the traced-out modes.
-:func:`_plan` is the one map from subsets to the positions of their entries
-in C, cached per selection: :func:`_groups`, the one reader, gathers the
-components of each shape through it into one stack, and
-:func:`reconstruct`, the one writer, scatters them through it.  The public
-one-subset readers gather through an uncached plan of their subset.  The
-full tensor alone, all the necessary test reads, is the slice of C with no
+Every component is a slice of C, :func:`_index`: index 0 in the traced-out
+modes and ``1:`` in the held ones.  The public one-subset readers copy that
+slice, and :func:`reconstruct` assigns each part to it.  Stacked reads go
+through :func:`_plan`, the map from a selection of subsets to the flat
+positions of their entries in C, cached per selection: :func:`_groups`
+gathers the components of each shape through it into one stack.  The full
+tensor alone, all the necessary test reads, is the slice of C with no
 index 0; :func:`_full_tensor` contracts the stacks without their identity
 rows, which gives its entries with the same bits, and caches nothing.  As
 an identity factor traces its mode out, the slices are the coherence
@@ -92,17 +92,16 @@ def _mode_products(arr: np.ndarray, mats) -> np.ndarray:
     return arr
 
 
-@lru_cache(maxsize=64)
 def _residue_tol(dims: tuple) -> float:
     """The largest imaginary residue a coefficient of a state on ``dims``
     may carry: IMAG_TOL for rounding, plus what validation lets through.
     The anti-Hermitian part K of a matrix it accepts has entries of at most
     EXACT_TOL / 2, and Tr(H A_a) of its Hermitian part H is real, so
     |Im C_a| = |Tr(K A_a)| is at most EXACT_TOL / 2 times the entrywise l1
-    norm of A_a: the product over the modes of c_k, the largest of a row of
-    mode k's stack, which is 2 for a qubit."""
-    rows = (np.abs(_stack(d, d / 2)).sum(axis=1).max() for d in dims)
-    return IMAG_TOL + EXACT_TOL / 2 * math.prod(map(float, rows))
+    norm of A_a: the product over the modes of c_k = sqrt(2 d_k (d_k - 1)),
+    the l1 norm of the last diagonal row (d_k / 2) g_{d_k^2 - 1} of mode k's
+    stack, its largest row, which is 2 for a qubit."""
+    return IMAG_TOL + EXACT_TOL / 2 * math.prod(math.sqrt(2 * d * (d - 1)) for d in dims)
 
 
 def _real_part(coeff: np.ndarray, dims: tuple, full: bool = False) -> np.ndarray:
@@ -154,7 +153,8 @@ def _full_tensor(rho: DensityMatrix) -> np.ndarray:
     return _real_part(_mode_products(_paired(rho), mats), rho.dims, full=True)
 
 
-def _build_plan(dims: tuple, subsets: tuple) -> tuple:
+@lru_cache(maxsize=64)
+def _plan(dims: tuple, subsets: tuple) -> tuple:
     """Where the components of ``subsets`` sit in the flat coefficient array
     of a state on ``dims``: per component shape, in order of first
     appearance, (positions, idx), the read-only ``intp`` arrays of the
@@ -189,11 +189,6 @@ def _build_plan(dims: tuple, subsets: tuple) -> tuple:
     return tuple(plan)
 
 
-# a caller that walks many subsets one at a time goes to _build_plan, so as
-# not to push the plans of whole selections out of this cache
-_plan = lru_cache(maxsize=64)(_build_plan)
-
-
 def _groups(rho: DensityMatrix, subsets=None) -> list:
     """The components of ``subsets`` (ascending index tuples; every
     component when left out) stacked by shape: (positions, stack) per shape
@@ -204,12 +199,17 @@ def _groups(rho: DensityMatrix, subsets=None) -> list:
     return [(positions, coeff[idx]) for positions, idx in _plan(rho.dims, subsets)]
 
 
+def _index(subset: tuple, n: int) -> tuple:
+    """The basic index of the component of ``subset`` in the coefficient
+    array of an ``n``-mode state: 0 on traced modes and ``1:`` on held ones."""
+    return tuple(slice(1, None) if k in subset else 0 for k in range(n))
+
+
 def _component(rho: DensityMatrix, subset, min_size: int) -> np.ndarray:
     """A copy of the component of ``subset``, state and subset checked."""
     _instance(rho, DensityMatrix, "rho")
     subset = _checked_subset(subset, rho.n_parties, min_size)
-    ((_, (idx,)),) = _build_plan(rho.dims, (subset,))
-    return _coefficients(rho).ravel()[idx]
+    return np.array(_coefficients(rho)[_index(subset, rho.n_parties)])
 
 
 def bloch_vector(rho: DensityMatrix, k: int) -> np.ndarray:
@@ -259,12 +259,11 @@ def reconstruct(data: BlochData) -> DensityMatrix:
         if part.shape != want:
             raise ValueError(f"{_name(subset)} has shape {part.shape}, expected {want}")
         parts.append(part)
-    coeff = np.zeros(math.prod(d * d for d in dims))
-    coeff[0] = 1.0
-    for positions, idx in _plan(dims, subsets):
-        for i, at in zip(positions.tolist(), idx):
-            coeff[at] = parts[i]
-    return DensityMatrix(dims, _from_coefficients(dims, coeff.reshape([d * d for d in dims])))
+    coeff = np.zeros([d * d for d in dims])
+    coeff[(0,) * n] = 1.0
+    for subset, part in zip(subsets, parts):
+        coeff[_index(subset, n)] = part
+    return DensityMatrix(dims, _from_coefficients(dims, coeff))
 
 
 def _from_coefficients(dims: tuple, coeff: np.ndarray) -> np.ndarray:

@@ -153,10 +153,10 @@ class DensityMatrix:
 
     Validated on construction (Hermitian, unit trace, positive semidefinite
     within tolerance).  The stored array is a read-only copy.  The states
-    the package builds from a formula, the zoo and ``noisy``, are made by
-    :meth:`_built` instead, which neither validates nor copies, and the
-    states the readers parse by :meth:`_parsed`, which validates but does
-    not copy.
+    the package builds from a formula, the zoo, ``noisy`` and
+    ``partial_trace``, are made by :meth:`_built` instead, which neither
+    validates nor copies, and the states the readers parse by
+    :meth:`_parsed`, which validates but does not copy.
     """
 
     dims: tuple
@@ -326,8 +326,12 @@ def projector(vec) -> np.ndarray:
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out every subsystem not listed in ``keep`` (0-based indices).
 
-    The kept subsystems appear in ascending index order in the result.
+    The kept subsystems appear in ascending index order in the result.  Like
+    ``noisy``'s mixture, the marginal of the DensityMatrix ``rho`` is not
+    validated again: it sums the traced blocks of ``rho``, so their
+    deviations could add up past the tolerances that ``rho`` met.
     """
+    _instance(rho, DensityMatrix, "rho")
     n = rho.n_parties
     keep = _checked_subset(keep, n, 1)
     if len(keep) == n:
@@ -340,7 +344,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     dt = math.prod(dims[k] for k in traced)
     block = t.transpose(perm).reshape(dk, dt, dk, dt)
     reduced = np.einsum("itjt->ij", block)
-    return DensityMatrix(tuple(dims[k] for k in keep), reduced)
+    return DensityMatrix._built(tuple(dims[k] for k in keep), reduced)
 
 
 def maximally_mixed(dims) -> DensityMatrix:

@@ -12,7 +12,6 @@ All generators are Hermitian, traceless and normalized to Tr(g_i g_j) =
 from __future__ import annotations
 
 from functools import lru_cache
-import math
 
 import numpy as np
 
@@ -32,26 +31,19 @@ def build_basis(d: int) -> np.ndarray:
 def _build_basis(d: int) -> np.ndarray:
     if d < 2:
         raise ValueError(f"subsystem dimension must be at least 2, got {d}")
-    mats = []
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = 1.0
-            m[k, j] = 1.0
-            mats.append(m)
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = -1.0j
-            m[k, j] = 1.0j
-            mats.append(m)
-    for l in range(1, d):
-        m = np.zeros((d, d), dtype=complex)
-        coeff = math.sqrt(2.0 / (l * (l + 1)))
-        for q in range(l):
-            m[q, q] = coeff
-        m[l, l] = -l * coeff
-        mats.append(m)
-    arr = np.stack(mats)
+    # pair p = (j, k) of np.triu_indices, lexicographic, fills generators p
+    # and n + p; diagonal l has sqrt(2 / (l (l + 1))) before entry l and
+    # -l times that at it, and +0.0 (not -0.0) after it
+    n = d * (d - 1) // 2
+    j, k = np.triu_indices(d, 1)
+    p = np.arange(n)
+    arr = np.zeros((d * d - 1, d, d), dtype=complex)
+    arr[p, j, k] = arr[p, k, j] = 1.0
+    arr[n + p, j, k] = -1.0j
+    arr[n + p, k, j] = 1.0j
+    l = np.arange(1, d)[:, None]
+    q = np.arange(d)
+    coeff = np.sqrt(2.0 / (l * (l + 1)))
+    arr[2 * n:, q, q] = np.where(q == l, -l * coeff, (q < l) * coeff)
     arr.flags.writeable = False
     return arr

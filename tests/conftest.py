@@ -240,14 +240,40 @@ def per_matrix_kyfan(tensor):
 
 
 def component_views(rho, subsets=None):
-    """Reference for ``bloch._groups``: the view reader it replaced, kept
-    verbatim.  (subset, read-only view of its slice of the coefficient
-    array) for each of the ascending index tuples ``subsets``, or for every
-    component when ``subsets`` is left out, coherence vectors being the
-    order-1 case."""
+    """Reference for ``bloch._groups`` and the one-subset readers: the view
+    reader ``_groups`` replaced, kept verbatim.  (subset, read-only view of
+    its slice of the coefficient array) for each of the ascending index
+    tuples ``subsets``, or for every component when ``subsets`` is left out,
+    coherence vectors being the order-1 case."""
     coeff, n = _coefficients(rho), rho.n_parties
     for subset in _subsets(n) if subsets is None else subsets:
         yield subset, coeff[tuple(slice(1, None) if k in subset else 0 for k in range(n))]
+
+
+def loop_basis(d):
+    """Reference for ``su_basis.build_basis``: the loop over generators it
+    replaced, kept verbatim."""
+    mats = []
+    for j in range(d):
+        for k in range(j + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = 1.0
+            m[k, j] = 1.0
+            mats.append(m)
+    for j in range(d):
+        for k in range(j + 1, d):
+            m = np.zeros((d, d), dtype=complex)
+            m[j, k] = -1.0j
+            m[k, j] = 1.0j
+            mats.append(m)
+    for l in range(1, d):
+        m = np.zeros((d, d), dtype=complex)
+        coeff = math.sqrt(2.0 / (l * (l + 1)))
+        for q in range(l):
+            m[q, q] = coeff
+        m[l, l] = -l * coeff
+        mats.append(m)
+    return np.stack(mats)
 
 
 def shape_groups(tensors):

@@ -37,10 +37,11 @@ from blochsep import (
     unfold,
     w_state,
 )
+import blochsep.bloch
 from blochsep.bloch import (_coefficients, _from_coefficients, _full_tensor, _groups, _plan,
-                            _real_part, _stack, _subsets)
+                            _real_part, _residue_tol, _stack, _subsets)
 from blochsep.criteria import _CRITERIA, _select_subsets, necessary_test, subset_scan
-from blochsep.tolerances import EXACT_TOL
+from blochsep.tolerances import EXACT_TOL, IMAG_TOL
 from conftest import (ZOO_GRID, brute_correlation, component_views, empty_bloch_data,
                       limit_memory, qutrit_ghz_spectrum, random_density, random_pure_product,
                       random_unitary, tensordot_expansion)
@@ -410,16 +411,67 @@ def test_index_plans_are_cached_per_selection_and_bounded():
 
 
 def test_one_subset_reads_leave_the_plan_cache_alone():
-    # the public one-subset readers build their plans uncached, so a walk
-    # over many subsets does not push the analyze path's plans out
+    # the public one-subset readers and reconstruct index the coefficient
+    # array by slices, so a walk over many subsets does not push the
+    # analyze path's plans out, nor asks the cache at all
     rho = w_state(10)
     _groups(rho, _select_subsets(10, "all"))
+    data = decompose(w_state(4))
     before = _plan.cache_info()
     for subset in itertools.islice(itertools.combinations(range(10), 3), 99):
         correlation_tensor(rho, subset)
     bloch_vector(rho, 4)
-    after = _plan.cache_info()
-    assert after.currsize == before.currsize and after.misses == before.misses
+    reconstruct(data)
+    assert _plan.cache_info() == before
+
+
+QUDIT_DIMS = (st.lists(st.integers(2, 5), min_size=1, max_size=5)
+              .filter(lambda dims: math.prod(dims) <= 128).map(tuple))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=QUDIT_DIMS, seed=st.integers(0, 2**32 - 1), rank=st.sampled_from([None, 1, 2]))
+def test_one_subset_reads_are_the_component_views(dims, seed, rank):
+    # each reader copies its slice of the coefficient array: the view's
+    # shape and bits, in a fresh C-ordered array of the caller's own
+    rho = random_density(np.random.default_rng(seed), dims, rank)
+    for subset, view in component_views(rho):
+        got = bloch_vector(rho, subset[0]) if len(subset) == 1 else correlation_tensor(rho, subset)
+        assert got.shape == view.shape and got.tobytes() == view.tobytes()
+        assert got.flags.c_contiguous and got.flags.writeable
+        assert not np.shares_memory(got, view)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=QUDIT_DIMS, seed=st.integers(0, 2**32 - 1), rank=st.sampled_from([None, 1, 2]))
+def test_reconstruct_writes_the_parts_that_groups_reads_back(dims, seed, rank):
+    # the array reconstruct assigns by slices, read back through the plans
+    # of _groups, gives every part bit for bit and 1 at the origin
+    data = decompose(random_density(np.random.default_rng(seed), dims, rank))
+    written, inverse = [], _from_coefficients
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(blochsep.bloch, "_from_coefficients",
+                      lambda dims, coeff: written.append(coeff) or inverse(dims, coeff))
+        reconstruct(data)
+    (coeff,) = written
+    assert coeff.shape == tuple(d * d for d in dims) and coeff[(0,) * len(dims)] == 1.0
+    carrier = maximally_mixed(dims)
+    object.__setattr__(carrier, "_coefficients", coeff)
+    parts = [data.singles[s[0]] if len(s) == 1 else data.tensors[s] for s in _subsets(len(dims))]
+    for positions, stack in _groups(carrier):
+        assert stack.tobytes() == np.stack([parts[i] for i in positions]).tobytes()
+
+
+def test_residue_bound_is_the_closed_form_of_the_stack_rows():
+    # c_k = sqrt(2 d (d - 1)), the l1 norm of the largest row of mode k's
+    # scaled stack: the float read from the stack for d <= 5, and within
+    # 2 ulp of it up to d = 16
+    read = {d: float(np.abs(_stack(d, d / 2)).sum(axis=1).max()) for d in range(2, 17)}
+    for d, c in read.items():
+        closed = math.sqrt(2 * d * (d - 1))
+        assert abs(c - closed) <= (0 if d <= 5 else 2) * math.ulp(closed), d
+    for dims in [(2,), (2, 3), (3, 4, 5), (5, 5), (2,) * 10, (4, 2, 3, 2)]:
+        assert _residue_tol(dims) == IMAG_TOL + EXACT_TOL / 2 * math.prod(map(read.get, dims))
 
 
 @settings(max_examples=60, deadline=None)

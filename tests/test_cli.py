@@ -2435,6 +2435,34 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["records"][0]["decision"] == "entangled"
 
 
+def seeded_diagonal_file(folder):
+    """A separable diagonal 6-qubit state file: a seeded random diagonal
+    mixed with white noise, light enough for decompose to certify."""
+    q = np.random.default_rng(6).random(64)
+    path = folder / "diagonal-6.json"
+    save_state(noisy(DensityMatrix((2,) * 6, np.diag(q / q.sum())), 0.2), str(path))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "zoo:w", "-N", "8", "--subsets", "all", "--criteria", "all"],
+    ["analyze", "zoo:qutrit-ghz-noisy", "-N", "4", "-p", "0.5", "--subsets", "all",
+     "--criteria", "all"],
+    ["decompose", seeded_diagonal_file],
+], ids=["w-8", "qutrit-ghz-noisy-4", "decompose-diagonal-6"])
+def test_reports_do_not_depend_on_the_blas_thread_count(tmp_path, argv):
+    """Every byte-identity claim leans on this: the report of a command is
+    the same under one OpenBLAS thread and under two."""
+    argv = [a(tmp_path) if callable(a) else a for a in argv]
+    outputs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-m", "blochsep", *argv], capture_output=True,
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+        assert (proc.returncode, proc.stderr) == (0, b""), threads
+        outputs.append(proc.stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("argv, want, tol", [
     (["werner"], 0.3333333333333333, 1e-9),
     (["werner", "--criterion", "p2"], 0.3333333333333333, 1e-9),

@@ -484,6 +484,8 @@ def test_integer_indices_of_every_kind_are_read_alike():
     (lambda: noisy(np.eye(2) / 2, 0.5), "state must be a DensityMatrix, got ndarray"),
     (lambda: noisy(None, 0.5), "state must be a DensityMatrix, got NoneType"),
     (lambda: noisy("ghz", 0.5), "state must be a DensityMatrix, got str"),
+    # and neither does partial_trace its marginal
+    (lambda: partial_trace(np.eye(4) / 4, (0,)), "rho must be a DensityMatrix, got ndarray"),
     # every criterion names its state parameter by the same rule
     (lambda: subset_scan(np.eye(2) / 2, "all"), "rho must be a DensityMatrix, got ndarray"),
     (lambda: necessary_test(np.eye(4) / 4), "rho must be a DensityMatrix, got ndarray"),
@@ -532,7 +534,8 @@ def test_integer_indices_of_every_kind_are_read_alike():
         "basis_ket-bool", "dims-bool", "zoo-bool-parties", "zoo-bool-levels", "zoo-bool-removed",
         "threshold-table-bool-parties", "zoo-string-noise", "zoo-bool-noise",
         "zoo-numpy-bool-noise", "zoo-complex-noise", "noisy-array-state",
-        "noisy-none-state", "noisy-string-state", "subset_scan-array-rho",
+        "noisy-none-state", "noisy-string-state", "partial_trace-array-rho",
+        "subset_scan-array-rho",
         "necessary_test-array-rho", "qubit_exact_test-array-rho", "sufficiency_test-array-rho",
         "separable_decomposition-array-rho", "subset_scan-none-rho", "bloch_vector-none-rho",
         "correlation_tensor-array-rho", "decompose-string-rho", "reconstruct-none-data",
@@ -571,6 +574,30 @@ def test_partial_trace_loop_oracle():
                 reduced[i, j] += mat[i, t, j, t]
     np.testing.assert_allclose(partial_trace(rho, (0,)).matrix, reduced,
                                atol=1e-12)
+
+
+def tolerance_edge_states():
+    """Two accepted 2-qubit states whose marginal on qubit 1 sums their
+    deviations past the tolerances they met: an eigenvalue of -9e-10 twice,
+    and a Hermiticity deviation of 6e-11 twice."""
+    below = DensityMatrix((2, 2), np.diag([0.5 + 9e-10, -9e-10, 0.5 + 9e-10, -9e-10]))
+    skewed = np.eye(4) / 4
+    skewed[0, 1] += 6e-11
+    skewed[2, 3] += 6e-11
+    return {"eigenvalue": (below, np.diag([1 + 1.8e-9, -1.8e-9])),
+            "hermiticity": (DensityMatrix((2, 2), skewed), np.array([[0.5, 1.2e-10], [0, 0.5]]))}
+
+
+@pytest.mark.parametrize("case", ["eigenvalue", "hermiticity"])
+def test_partial_trace_takes_the_marginal_of_every_accepted_state(case):
+    # the marginal is the sum of the traced blocks, not validated again
+    rho, want = tolerance_edge_states()[case]
+    marginal = partial_trace(rho, [1])
+    assert marginal.dims == (2,)
+    reduced = rho.matrix[:2, :2] + rho.matrix[2:, 2:]
+    assert marginal.matrix.tobytes() == reduced.tobytes()
+    np.testing.assert_allclose(marginal.matrix, want, rtol=0, atol=1e-24)
+    assert not marginal.matrix.flags.writeable
 
 
 def test_ghz_marginals_are_maximally_mixed():

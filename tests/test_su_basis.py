@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from blochsep import DensityMatrix, bloch_vector, build_basis
+from conftest import loop_basis
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]])
@@ -23,6 +24,15 @@ def test_qubit_generators_are_pauli():
     np.testing.assert_array_equal(gens[0], PAULI_X)
     np.testing.assert_array_equal(gens[1], PAULI_Y)
     np.testing.assert_array_equal(gens[2], PAULI_Z)
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_basis_has_the_bits_of_the_loop_over_generators(d):
+    # the closed form fills the pairs through np.triu_indices and the
+    # diagonals through one np.where, signed zeros included
+    gens = build_basis(d)
+    assert gens.dtype == complex and gens.flags.c_contiguous
+    assert gens.tobytes() == loop_basis(d).tobytes()
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
