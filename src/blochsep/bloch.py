@@ -13,11 +13,11 @@ through :func:`_plan`, the map from a selection of subsets to the flat
 positions of their entries in C, cached per selection: :func:`_groups`
 gathers the components of each shape through it into one stack.  The full
 tensor alone, all the necessary test reads, is the slice of C with no
-index 0; :func:`_full_tensor` contracts the stacks without their identity
-rows, which gives its entries with the same bits, and caches nothing.  As
-an identity factor traces its mode out, the slices are the coherence
-vectors s^(k)_a = (d_k / 2) Tr(rho_k g_a) and, for each subset S with
-|S| >= 2, the correlation tensors
+index 0: ``_contract(rho, 1)`` gives it with the same bits from the stacks
+without their identity rows, and ``_contract(rho, 0)`` gives C.  As an
+identity factor traces its mode out, the slices are the coherence vectors
+s^(k)_a = (d_k / 2) Tr(rho_k g_a) and, for each subset S with |S| >= 2,
+the correlation tensors
 t_{a_1...a_M} = (prod_{k in S} d_k / 2^M) Tr(rho_S (g_{a_1} x ... x g_{a_M}))
 of the reduced states.  C_{0...0} = 1 completes the parameterization:
 :func:`_from_coefficients` runs the contraction in reverse with the unscaled
@@ -104,16 +104,16 @@ def _residue_tol(dims: tuple) -> float:
     return IMAG_TOL + EXACT_TOL / 2 * math.prod(math.sqrt(2 * d * (d - 1)) for d in dims)
 
 
-def _real_part(coeff: np.ndarray, dims: tuple, full: bool = False) -> np.ndarray:
-    """Real part of a coefficient array of a state on ``dims``, or with
-    ``full`` of its full tensor, every entry of which belongs to the full
-    set; an imaginary residue above ``_residue_tol(dims)`` raises, naming
-    the component that holds the largest one."""
+def _real_part(coeff: np.ndarray, dims: tuple, first: int) -> np.ndarray:
+    """Real part of ``coeff``, a state on ``dims`` contracted against the
+    stack rows from ``first`` on; an imaginary residue above
+    ``_residue_tol(dims)`` raises, naming the component that holds the
+    largest one, held in the modes whose index plus ``first`` is above 0."""
     imag = np.abs(coeff.imag)
     pos = np.unravel_index(int(np.argmax(imag)), imag.shape)
     tol = _residue_tol(dims)
     if imag[pos] > tol:
-        subset = tuple(k for k, a in enumerate(pos) if a or full)
+        subset = tuple(k for k, a in enumerate(pos) if a + first > 0)
         raise NumericIntegrityError(
             f"{_name(subset)} carries imaginary residue {imag[pos]:.3e} "
             f"above tolerance {tol:.3e}"
@@ -129,28 +129,25 @@ def _paired(rho: DensityMatrix) -> np.ndarray:
     return rho.matrix.reshape(dims + dims).transpose(pairs).reshape([d * d for d in dims])
 
 
+def _contract(rho: DensityMatrix, first: int) -> np.ndarray:
+    """The real part of ``rho`` contracted against the rows from ``first``
+    on of each conjugated stack, whose row a is A_a^T flattened, so each
+    step gives Tr(. A_a): at 0 the whole coefficient array, and at 1 the
+    full tensor alone, fresh, with the bits of its slice of the array at
+    the cost of prod (d_k^2 - 1) entries of prod d_k^2.  The residue bound
+    is the whole array's either way, checked on the entries contracted."""
+    mats = [_stack(d, d / 2).conj()[first:] for d in rho.dims]
+    return _real_part(_mode_products(_paired(rho), mats), rho.dims, first)
+
+
 def _coefficients(rho: DensityMatrix) -> np.ndarray:
-    """The read-only coefficient array of ``rho``, built on first use.  The
-    conjugated stack row is A_a^T flattened, so each step gives Tr(. A_a)."""
+    """The read-only coefficient array of ``rho``, built on first use."""
     coeff = rho._coefficients
     if coeff is None:
-        mats = [_stack(d, d / 2).conj() for d in rho.dims]
-        coeff = _real_part(_mode_products(_paired(rho), mats), rho.dims)
+        coeff = _contract(rho, 0)
         coeff.flags.writeable = False
         object.__setattr__(rho, "_coefficients", coeff)
     return coeff
-
-
-def _full_tensor(rho: DensityMatrix) -> np.ndarray:
-    """The full correlation tensor of ``rho``, a fresh array contracted
-    against the generator rows of each stack alone, without the identity
-    row, and not cached.  That contraction makes each entry from the same
-    products as the whole coefficient array's, with its bits, at a fraction
-    of its cost: prod (d_k^2 - 1) entries of prod d_k^2.  Only its own
-    imaginary residue is checked, not that of the lower-order components,
-    against the bound of the whole array."""
-    mats = [_stack(d, d / 2).conj()[1:] for d in rho.dims]
-    return _real_part(_mode_products(_paired(rho), mats), rho.dims, full=True)
 
 
 @lru_cache(maxsize=64)

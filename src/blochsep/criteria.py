@@ -27,10 +27,11 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import groupby
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .bloch import _from_coefficients, _full_tensor, _groups, _name, _subsets, ball_radii
+from .bloch import _contract, _from_coefficients, _groups, _name, _subsets, ball_radii
 from .errors import CriterionUnavailableError
 from .states import (
     DensityMatrix,
@@ -57,8 +58,7 @@ class Decision(str, Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of one criterion on one state (or reduced state).
 
     ``norm_value`` and ``bound_value`` document the comparison that decided;
@@ -74,18 +74,6 @@ class Verdict:
     borderline: bool = False
     reason: str | None = None
     subset: tuple | None = None
-
-    @classmethod
-    def _of_norm(cls, decision: Decision, norm: float, bound: float, borderline: bool,
-                 subset: tuple) -> Verdict:
-        """The necessary criterion's verdict on ``subset``, frozen by one
-        ``__dict__`` fill instead of ``__init__``'s ``object.__setattr__``
-        per field: the package makes one per tested subset."""
-        verdict = object.__new__(cls)
-        verdict.__dict__.update(decision=decision, norm_value=norm, bound_value=bound,
-                                criterion="necessary-norm", borderline=borderline,
-                                reason=None, subset=subset)
-        return verdict
 
 
 @dataclass(frozen=True)
@@ -117,13 +105,13 @@ def separability_bound(dims) -> float:
 def necessary_test(rho: DensityMatrix) -> Verdict:
     """Compare the Ky Fan norm of the full correlation tensor with the
     separable bound: the verdict of :func:`subset_scan` under ``"full"``.
-    The tensor alone is contracted (``bloch._full_tensor``), so the state is
-    not expanded whole.  A reduced state is tested through
+    The tensor alone is contracted (``bloch._contract(rho, 1)``), so the
+    state is not expanded whole.  A reduced state is tested through
     :func:`subset_scan` with a list of subsets.  Never returns Separable:
     the criterion is only necessary."""
     _instance(rho, DensityMatrix, "rho")
     full = _select_subsets(rho.n_parties, "full")
-    return _norm_verdicts(rho, full, [(np.zeros(1, dtype=np.intp), _full_tensor(rho)[None])])[0]
+    return _norm_verdicts(rho, full, [(np.zeros(1, dtype=np.intp), _contract(rho, 1)[None])])[0]
 
 
 def _select_subsets(n_parties: int, selector) -> list:
@@ -187,8 +175,7 @@ def _norm_verdicts(rho: DensityMatrix, subsets: list, groups: list) -> list:
         bounds[positions] = separability_bound([rho.dims[k] for k in subsets[positions[0]]])
     sides = _side(np.array(norms), bounds, BOUND_GUARD).tolist()
     decisions = (Decision.INCONCLUSIVE, Decision.INCONCLUSIVE, Decision.ENTANGLED)
-    made = Verdict._of_norm
-    return [made(decisions[side + 1], norm, bound, side == 0, subset)
+    return [Verdict(decisions[side + 1], norm, bound, "necessary-norm", side == 0, None, subset)
             for subset, norm, bound, side in zip(subsets, norms, bounds.tolist(), sides)]
 
 

@@ -47,6 +47,7 @@ import math
 import os
 import re
 import stat
+import threading
 
 import numpy as np
 
@@ -292,10 +293,13 @@ def write_text_atomic(path: str, text) -> None:
     """Write ``text``, a ``str`` or a list of pieces whose join it is, to
     ``path``.  An absent name or a regular file gets a sibling temporary
     file moved onto it; on any exception the temporary file is removed and
-    ``path`` is left as it was.  A symbolic link is written through: its
-    resolved target is replaced so, and the link stays.  Any other file, a
-    FIFO, a device or a socket, is opened and written in place, with no
-    temporary file and no rename.
+    ``path`` is left as it was.  The sibling, ``.blochsep.<pid>.<thread
+    id>.tmp`` in the directory of ``path``, has a short name, so any name
+    the filesystem accepts can be written; it takes the permission bits of
+    the regular file it replaces, and a new file keeps the umask's.  A
+    symbolic link is written through: its resolved target is replaced so,
+    and the link stays.  Any other file, a FIFO, a device or a socket, is
+    opened and written in place, with no temporary file and no rename.
 
     The file is opened once, in text mode, and pieces are written in joined
     batches of about ``_BATCH`` characters (``_batches``), so a large
@@ -307,9 +311,12 @@ def write_text_atomic(path: str, text) -> None:
     if mode is not None and not stat.S_ISREG(mode):
         _write(path, text)
         return
-    tmp = f"{path}.tmp.{os.getpid()}"
+    tmp = os.path.join(os.path.dirname(path),
+                       f".blochsep.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         _write(tmp, text)
+        if mode is not None:
+            os.chmod(tmp, stat.S_IMODE(mode))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -140,10 +140,6 @@ def _sharing(stack: np.ndarray, cyclic: bool):
     count, shape = len(stack), stack.shape[1:]
     p = math.prod(shape[1:]) if shape[0] > 1 else 0
     q = p // shape[1]
-    if count == 1:
-        if cyclic and stack.item(p) == stack.item(q) and _is_fixed(stack, 0):
-            return stack, 0, None
-        return None
     flat = stack.reshape(count, -1)
     probe = flat[:, p].tolist()
     first = None
@@ -308,12 +304,6 @@ def kruskal_to_tensor(form: KruskalForm) -> np.ndarray:
     return (left @ right.T).reshape(form.shape)
 
 
-def _max_abs(stack: np.ndarray) -> np.ndarray:
-    """The largest absolute entry of each tensor in ``stack``, whose axis 0
-    runs over the tensors."""
-    return np.abs(stack).reshape(stack.shape[0], -1).max(axis=1)
-
-
 class _FormStack:
     """The completely orthogonal forms of one stack of tensors of one shape.
 
@@ -321,8 +311,8 @@ class _FormStack:
     holds its candidate weights, ``keep[c]`` marks those that are terms of
     its form, and ``factors[p][c]`` holds, column by column, the mode-``p``
     vectors of those candidates, so its form is ``weights[c][keep[c]]``
-    with factor columns ``factors[p][c][:, keep[c]]``.  A plain class: a
-    ``NamedTuple`` took 0.6 ms of the package's import."""
+    with factor columns ``factors[p][c][:, keep[c]]``.  A plain class: it is
+    created at import in 6-10 microseconds, a ``NamedTuple`` in 75-120."""
 
     __slots__ = ("members", "weights", "keep", "factors")
 
@@ -395,7 +385,7 @@ def _orthogonal_forms(groups) -> tuple:
         shape = stack.shape[1:]
         order = len(shape)
         if order == 1:
-            scales = _max_abs(stack)
+            scales = np.abs(stack).max(axis=1)
             # a zero norm of a nonzero vector means its squares underflowed
             norms = np.array([(np.linalg.norm(t) or s * np.linalg.norm(t / s)) if s else 0.0
                               for t, s in zip(stack, scales.tolist())])

@@ -38,7 +38,7 @@ from blochsep import (
     w_state,
 )
 import blochsep.bloch
-from blochsep.bloch import (_coefficients, _from_coefficients, _full_tensor, _groups, _plan,
+from blochsep.bloch import (_coefficients, _contract, _from_coefficients, _groups, _plan,
                             _real_part, _residue_tol, _stack, _subsets)
 from blochsep.criteria import _CRITERIA, _select_subsets, necessary_test, subset_scan
 from blochsep.tolerances import EXACT_TOL, IMAG_TOL
@@ -154,7 +154,7 @@ def test_imaginary_residue_names_its_component(pos, name):
     coeff = np.ones((4, 4, 4), dtype=complex)
     coeff[pos] += 1e-6j
     with pytest.raises(NumericIntegrityError, match=r"^" + re.escape(name) + " "):
-        _real_part(coeff, (2, 2, 2))
+        _real_part(coeff, (2, 2, 2), 0)
 
 
 def test_imaginary_residue_of_the_full_tensor_names_the_full_set():
@@ -163,7 +163,7 @@ def test_imaginary_residue_of_the_full_tensor_names_the_full_set():
     coeff[0, 2, 0] += 1e-6j
     with pytest.raises(NumericIntegrityError,
                        match=r"^correlation tensor of subset \(0, 1, 2\) carries "):
-        _real_part(coeff, (2, 2, 2), full=True)
+        _real_part(coeff, (2, 2, 2), 1)
 
 
 def test_returned_components_are_copies():
@@ -485,7 +485,7 @@ def test_the_full_tensor_contracted_alone_has_the_gathered_bits(dims, seed, rank
     the Verdict that subset_scan gives under "full"."""
     made = random_density(np.random.default_rng(seed), dims, rank)
     fresh = DensityMatrix._built(made.dims, made.matrix)
-    alone, verdict = _full_tensor(fresh), necessary_test(fresh)
+    alone, verdict = _contract(fresh, 1), necessary_test(fresh)
     assert fresh._coefficients is None
     ((_, (gathered,)),) = _groups(fresh, _subsets(len(dims))[-1:])
     assert alone.shape == gathered.shape == tuple(d * d - 1 for d in dims)

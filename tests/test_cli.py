@@ -1165,6 +1165,18 @@ def test_a_moved_number_in_a_dense_9_qubit_file_gets_json_s_message(dense9_file,
     refused_as_json_refuses(tmp_path / "moved9.json", text[:k] + "]" + text[k:i] + text[i + 1:])
 
 
+@pytest.mark.parametrize("edit", [
+    lambda text: text + "x\n",
+    lambda text: text.replace('"kind": "state",', '"kind": "state"', 1),
+], ids=["text-after-the-object", "no-comma-after-kind"])
+def test_a_file_the_walk_gives_up_on_gets_json_s_message(tmp_path, edit):
+    """Text after the closing brace, or a missing comma between two keys,
+    stops the walk of the top-level object, and json's message names it."""
+    text = edit(state_text(ZooSpec("w", parties=3).build()))
+    assert _fields(text.encode()) is None
+    refused_as_json_refuses(tmp_path / "w3.json", text)
+
+
 def test_a_split_zero_in_a_9_qubit_zero_row_gets_json_s_message(nine_qubit_files, tmp_path):
     # the second 0.0 of GHZ-9's first zero row, row 1, written "0. 0"
     text = Path(nine_qubit_files["ghz9"]).read_text()
@@ -1881,6 +1893,10 @@ USAGE_ERRORS = {
                         "--format csv writes only norm records, not --timing"),
     "reduced-w-one-party": (["analyze", "zoo:reduced-w-noisy", "-N", "1", "-n", "1",
                              "-p", "0.5"], "reduced-w-noisy needs at least 2 parties"),
+    "reduced-w-all-removed": (["analyze", "zoo:reduced-w-noisy", "-N", "4", "-n", "4",
+                               "-p", "0.5"], "n_removed must satisfy 1 <= n < N, got n=4, N=4"),
+    "reduced-w-none-removed": (["analyze", "zoo:reduced-w-noisy", "-N", "4", "-n", "0",
+                                "-p", "0.5"], "n_removed must satisfy 1 <= n < N, got n=0, N=4"),
     "zoo-empty-dims": (["zoo", "mixed", "--dims="], "cannot parse --dims ''"),
     "analyze-zoo-empty-dims": (["analyze", "zoo:ghz", "-N", "3", "--dims="],
                                "cannot parse --dims ''"),
@@ -2366,6 +2382,47 @@ def test_output_through_a_symlink_replaces_its_target(tmp_path):
     assert link.is_symlink() and os.readlink(link) == target.name
     assert target.read_text() == run(["zoo", "ghz", "-N", "2"])[1]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "real.json"]
+
+
+@pytest.mark.parametrize("through_link", [False, True], ids=["file", "symlink"])
+def test_output_onto_an_existing_file_keeps_its_permission_bits(tmp_path, through_link):
+    """-o onto an existing regular file, directly or through a link, leaves
+    it with its own permission bits, not the umask's."""
+    target = tmp_path / "private.json"
+    target.write_text("old contents")
+    target.chmod(0o600)
+    name = target
+    if through_link:
+        name = tmp_path / "link.json"
+        name.symlink_to(target.name)
+    old = os.umask(0o022)
+    try:
+        assert run(["zoo", "ghz", "-N", "2", "-o", str(name)]) == (0, "", "")
+    finally:
+        os.umask(old)
+    assert target.read_text() == run(["zoo", "ghz", "-N", "2"])[1]
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+
+
+def test_output_onto_a_new_file_takes_the_umask_default(tmp_path):
+    target = tmp_path / "new.json"
+    old = os.umask(0o027)
+    try:
+        assert run(["zoo", "ghz", "-N", "2", "-o", str(target)]) == (0, "", "")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+
+def test_output_onto_a_name_of_the_longest_length_is_written(tmp_path):
+    """A 255-byte name, the longest most filesystems accept, is written: the
+    temporary sibling's name does not grow with the target's."""
+    if os.pathconf(tmp_path, "PC_NAME_MAX") < 255:
+        pytest.skip("the filesystem of the temporary directory takes shorter names")
+    target = tmp_path / ("a" * 250 + ".json")
+    assert run(["zoo", "ghz", "-N", "2", "-o", str(target)]) == (0, "", "")
+    assert target.read_text() == run(["zoo", "ghz", "-N", "2"])[1]
+    assert [p.name for p in tmp_path.iterdir()] == [target.name]
 
 
 def test_output_onto_a_fifo_reaches_its_reader(tmp_path):

@@ -3,6 +3,8 @@
 from dataclasses import replace
 import json
 import math
+import os
+import resource
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
@@ -863,6 +865,12 @@ def test_the_least_memory_limit_is_taken(monkeypatch, tmp_path, name):
             ghz(3)
         assert str(got.value) == ("a state of dimension 8 needs about 4.29e-06 GiB of working "
                                   f"memory, more than the 3.81e-06 GiB of {name}")
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="no /proc/self/statm")
+def test_mapped_memory_is_a_positive_number_of_pages():
+    mapped = blochsep.states._mapped_bytes()
+    assert mapped > 0 and mapped % resource.getpagesize() == 0
 
 
 def test_mapped_memory_is_read_only_under_an_address_space_limit(monkeypatch):

@@ -151,6 +151,12 @@ def test_supersymmetric_shortcut_agrees():
     assert tensor_kyfan(unfold(sym, 0)) == pytest.approx(tensor_kyfan(sym), rel=1e-12)
 
 
+def test_a_tensor_of_unequal_dims_is_not_supersymmetric():
+    # even one whose entries are all equal: no permutation maps its shape onto itself
+    assert not is_supersymmetric(np.ones((2, 3, 2)))
+    assert not is_supersymmetric(np.zeros((3, 2)))
+
+
 def test_supersymmetric_spectra_equal_across_modes():
     rng = np.random.default_rng(9)
     raw = rng.normal(size=(3, 3, 3, 3))
