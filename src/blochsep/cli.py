@@ -26,9 +26,9 @@ from .criteria import (_CRITERIA, _mixture_matrix, noise_threshold_table, separa
                        threshold_search)
 from .errors import CriterionUnavailableError, InvalidStateError, NumericIntegrityError
 from .states import ZooSpec, zoo_families
-from .stateio import (SCHEMA_VERSION, _analysis_csv, _analysis_text, _batches,
-                      _decomposition_pieces, _state_pieces, dump_json, format_number, load_state,
-                      records_to_csv, write_text_atomic)
+from .stateio import (SCHEMA_VERSION, _analysis_csv, _analysis_text, _decomposition_pieces,
+                      _state_pieces, _threshold_csv, _write, dump_json, load_state,
+                      write_text_atomic)
 
 import numpy as np
 
@@ -169,10 +169,9 @@ def _parse_subsets(text: str):
 
 def _emit(args, text) -> None:
     """Write ``text``, a ``str`` or a list of pieces whose join it is, to
-    ``-o`` or else to stdout, pieces in joined batches."""
+    ``-o`` or else to stdout, both through ``stateio``'s one writer."""
     if args.output is None:
-        for batch in _batches(text):
-            sys.stdout.write(batch)
+        _write(sys.stdout, text)
         return
     try:
         write_text_atomic(args.output, text)
@@ -251,10 +250,7 @@ def cmd_threshold(args) -> int:
 def cmd_threshold_table(args) -> int:
     rows = noise_threshold_table(args.max_parties)
     if args.format == "csv":
-        csv_rows = [
-            (fam, n, "" if p is None else format_number(p)) for fam, n, p in rows
-        ]
-        _emit(args, records_to_csv(csv_rows, ["family", "parties", "threshold"]))
+        _emit(args, _threshold_csv(rows))
         return 0
     doc = {
         "schema": SCHEMA_VERSION,

@@ -4,8 +4,8 @@
   written with the bytes of ``json.dumps(doc, indent=2, allow_nan=False)``
   plus a newline, floats by their shortest round-trip repr, so a
   save/load/save cycle gives the same bytes.  Writes onto a regular file,
-  directly or through a link, are atomic; a FIFO or device is written in
-  place.
+  directly or through a link, are atomic, through a sibling created
+  exclusively under a random name; a FIFO or device is written in place.
 - Every JSON layout is read, the writer's ``indent=2``, ``json.dumps``'s
   compact one or any other whitespace, to the bits ``json.loads`` gives,
   the last of duplicate keys winning.
@@ -13,16 +13,17 @@
   reads and is wrong, or else the first bad row or entry of the matrix;
   text that is not JSON gets json's own message.
 
-Map: every JSON text is written here, and the CLI writes none.
-``_pieces`` writes a document as pieces whose join is its text:
-``json.dumps`` writes the frame, and sections rendered by ``%`` templates
-stand in place of an empty list, item by item.  ``_template`` derives every
-template from ``json.dumps`` of an example, ``None`` leaves made ``%s``:
-``_state_pieces``'s matrix pair, ``_analysis_text``'s record and
-``_decomposition_pieces``'s term.  ``dump_json`` and ``state_text`` are the
-joins of the pieces; ``write_text_atomic`` (``save_state``, the CLI's
-``zoo`` and ``decompose``) and the CLI's stdout write them in joined
-batches (``_batches``), so a large document is never held whole.
+Map: every report text, JSON or CSV, is rendered and written here; the
+CLI renders and writes none.  ``_pieces`` writes a document as pieces whose
+join is its text: ``json.dumps`` writes the frame, and sections rendered by
+``%`` templates stand in place of an empty list, item by item.
+``_template`` derives every template from ``json.dumps`` of an example,
+``None`` leaves made ``%s``: ``_state_pieces``'s matrix pair,
+``_analysis_text``'s record and ``_decomposition_pieces``'s term.
+``dump_json`` and ``state_text`` join the pieces, and ``_csv`` renders the
+CSV reports.  ``_write``, the one write loop, writes pieces to a handle in
+joined batches, so a large document is never held whole: the CLI's stdout,
+and the file ``write_text_atomic`` opens (``save_state`` and every ``-o``).
 ``load_state`` reads a file's bytes once and reads them as text mode would:
 it checks bytes that are not ASCII to be UTF-8 and reads CRLF and CR as LF.
 ``_fields`` walks the top-level object in the bytes, each value but the
@@ -47,7 +48,6 @@ import math
 import os
 import re
 import stat
-import threading
 
 import numpy as np
 
@@ -115,10 +115,10 @@ def _pieces(doc, sections=None) -> list:
     """The text of ``dump_json(doc, sections)`` as a list of pieces whose
     join it is: json's text of ``doc``, the frame, around the sections, and
     each section's items, filled ``_template`` texts, the separators between
-    them pieces of their own.  A writer writes the pieces in batches
-    (``_batches``), so no copy of a large document is made whole.  A
-    top-level key is the one text that starts a line with exactly two
-    spaces and a quote: ``json`` writes no raw line break inside a string."""
+    them pieces of their own.  ``_write`` writes the pieces in batches, so
+    no copy of a large document is made whole.  A top-level key is the one
+    text that starts a line with exactly two spaces and a quote: ``json``
+    writes no raw line break inside a string."""
     text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     spans = []
     for key, items in (sections or {}).items():
@@ -137,23 +137,23 @@ def _pieces(doc, sections=None) -> list:
     return pieces
 
 
-# the characters of a batch that ``_batches`` joins
+# the characters of a batch that ``_write`` joins
 _BATCH = 1 << 17
 
 
-def _batches(text):
-    """The texts of ``text``, a ``str`` or a list of pieces, joined in runs
-    of about ``_BATCH`` characters: one piece at least, and more until the
-    run reaches it."""
+def _write(fh, text) -> None:
+    """Write ``text``, a ``str`` or a list of pieces whose join it is, to
+    the text handle ``fh`` in runs joined to about ``_BATCH`` characters:
+    one piece at least, and more until the run reaches it."""
     run, size = [], 0
     for piece in [text] if isinstance(text, str) else text:
         run.append(piece)
         size += len(piece)
         if size >= _BATCH:
-            yield "".join(run)
+            fh.write("".join(run))
             run, size = [], 0
     if run:
-        yield "".join(run)
+        fh.write("".join(run))
 
 
 def _check_finite(values) -> None:
@@ -244,11 +244,25 @@ def _analysis_text(doc, verdicts: list) -> str:
     return dump_json(doc, {"records": records})
 
 
+def _csv(header, rows) -> str:
+    """The CSV report of ``rows`` under ``header``, LF line ends, a float
+    written to 12 significant digits and ``None`` as an empty field."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([f"{x:.12g}" if isinstance(x, float) else x for x in row] for row in rows)
+    return buf.getvalue()
+
+
 def _analysis_csv(verdicts: list) -> str:
     """The CSV report of the norm ``verdicts``, one row of ``_FIELDS`` each."""
-    return records_to_csv([(",".join(map(str, v.subset)), format_number(v.norm_value),
-                            format_number(v.bound_value), v.decision.value, v.criterion,
-                            int(v.borderline)) for v in verdicts], _FIELDS)
+    return _csv(_FIELDS, [(",".join(map(str, v.subset)), v.norm_value, v.bound_value,
+                           v.decision.value, v.criterion, int(v.borderline)) for v in verdicts])
+
+
+def _threshold_csv(rows: list) -> str:
+    """The CSV report of ``noise_threshold_table``'s rows."""
+    return _csv(("family", "parties", "threshold"), rows)
 
 
 @functools.lru_cache(maxsize=64)
@@ -274,49 +288,51 @@ def _decomposition_pieces(doc, dec) -> list:
     return pieces
 
 
-def _mode(path: str):
-    """The ``st_mode`` of ``path`` itself, a link not followed, or None
-    where nothing can be read there."""
+def _lstat(path: str):
+    """``os.lstat(path)``, or None where nothing can be read there."""
     try:
-        return os.lstat(path).st_mode
+        return os.lstat(path)
     except OSError:
         return None
 
 
-def _write(path: str, text) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for batch in _batches(text):
-            fh.write(batch)
+def _sibling_name() -> str:
+    """A temporary sibling's name: short, so that any target name can be
+    written, and 64 random bits, so that no one can plant a link there."""
+    return f".blochsep.{os.urandom(8).hex()}.tmp"
 
 
 def write_text_atomic(path: str, text) -> None:
     """Write ``text``, a ``str`` or a list of pieces whose join it is, to
-    ``path``.  An absent name or a regular file gets a sibling temporary
-    file moved onto it; on any exception the temporary file is removed and
-    ``path`` is left as it was.  The sibling, ``.blochsep.<pid>.<thread
-    id>.tmp`` in the directory of ``path``, has a short name, so any name
-    the filesystem accepts can be written; it takes the permission bits of
-    the regular file it replaces, and a new file keeps the umask's.  A
-    symbolic link is written through: its resolved target is replaced so,
-    and the link stays.  Any other file, a FIFO, a device or a socket, is
-    opened and written in place, with no temporary file and no rename.
-
-    The file is opened once, in text mode, and pieces are written in joined
-    batches of about ``_BATCH`` characters (``_batches``), so a large
-    document is never joined or encoded whole."""
-    mode = _mode(path)
-    if mode is not None and stat.S_ISLNK(mode):
+    ``path`` through ``_write``.  An absent name or a regular file gets a
+    sibling, ``_sibling_name()`` in its directory, moved onto it.  The
+    sibling is created with ``O_EXCL``, so a file or link already at its
+    name is refused, never followed; once made, it is removed on any
+    exception, and ``path`` is left as it was.  Through its descriptor it
+    takes the replaced file's owner and group, where the OS allows, and then
+    its mode; a new file keeps the writer's ids and the umask's mode.  A
+    symbolic link is written through: its resolved target is replaced, and
+    the link stays.  A FIFO, device or socket is written in place."""
+    old = _lstat(path)
+    if old is not None and stat.S_ISLNK(old.st_mode):
         path = os.path.realpath(path)
-        mode = _mode(path)
-    if mode is not None and not stat.S_ISREG(mode):
-        _write(path, text)
+        old = _lstat(path)
+    if old is not None and not stat.S_ISREG(old.st_mode):
+        with open(path, "w", encoding="utf-8") as fh:
+            _write(fh, text)
         return
-    tmp = os.path.join(os.path.dirname(path),
-                       f".blochsep.{os.getpid()}.{threading.get_ident()}.tmp")
+    tmp = os.path.join(os.path.dirname(path), _sibling_name())
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        _write(tmp, text)
-        if mode is not None:
-            os.chmod(tmp, stat.S_IMODE(mode))
+        with open(fd, "w", encoding="utf-8") as fh:
+            if old is not None:
+                new = os.fstat(fd)
+                if (new.st_uid, new.st_gid) != (old.st_uid, old.st_gid):
+                    # first: a chown clears the set-id bits
+                    with contextlib.suppress(OSError):
+                        os.fchown(fd, old.st_uid, old.st_gid)
+                os.fchmod(fd, stat.S_IMODE(old.st_mode))
+            _write(fh, text)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -552,16 +568,3 @@ def load_state(path) -> tuple:
     metadata = doc.get("metadata", {})
     return rho, metadata if isinstance(metadata, dict) else {}
 
-
-def format_number(x: float) -> str:
-    """Fixed 12-significant-digit rendering used in CSV reports."""
-    return f"{float(x):.12g}"
-
-
-def records_to_csv(rows, header) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()

@@ -257,6 +257,20 @@ def test_threshold_table_output():
     assert out.splitlines()[0] == "family,parties,threshold"
 
 
+def test_csv_reports_keep_their_bytes():
+    """The threshold table's and analyze's CSV reports, byte for byte."""
+    assert run(["threshold-table", "--max-parties", "4", "--format", "csv"]) == (0, (
+        "family,parties,threshold\n"
+        "ghz-noisy,3,0.353553390947\n"
+        "ghz-noisy,4,0.2000000002\n"
+        "w-noisy,3,0.306749725082\n"
+        "w-noisy,4,0.301823955271\n"), "")
+    assert run(["analyze", "zoo:werner", "-p", "0.3", "--criteria", "c1",
+                "--format", "csv"]) == (0, (
+        "subset,norm,bound,decision,criterion,borderline\n"
+        '"0,1",0.9,1,inconclusive,necessary-norm,0\n'), "")
+
+
 def test_decompose_werner():
     doc = run_json(["decompose", "zoo:werner", "-p", "0.3"])
     assert doc["term_count"] == 6
@@ -2402,6 +2416,89 @@ def test_output_onto_an_existing_file_keeps_its_permission_bits(tmp_path, throug
         os.umask(old)
     assert target.read_text() == run(["zoo", "ghz", "-N", "2"])[1]
     assert stat.S_IMODE(target.stat().st_mode) == 0o600
+
+
+def replaced_keeps_its_ids(tmp_path, uid, gid, mode):
+    """-o onto a file chowned to ``uid``:``gid`` with ``mode`` leaves it
+    with the report, both ids and the mode, set-id bits included."""
+    target = tmp_path / "owned.json"
+    target.write_text("old contents")
+    os.chown(target, uid, gid)
+    target.chmod(mode)
+    assert run(["zoo", "ghz", "-N", "2", "-o", str(target)]) == (0, "", "")
+    assert target.read_text() == run(["zoo", "ghz", "-N", "2"])[1]
+    got = target.stat()
+    assert (got.st_uid, got.st_gid, stat.S_IMODE(got.st_mode)) == (uid, gid, mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["owned.json"]
+
+
+@pytest.mark.skipif(os.name != "posix" or os.geteuid() != 0,
+                    reason="only root can give a file to another user")
+def test_output_onto_a_file_of_another_user_keeps_its_owner_and_group(tmp_path):
+    """The owner is set before the mode, which a chown would strip of its
+    set-id bits."""
+    replaced_keeps_its_ids(tmp_path, 1000, 1000, 0o6750)
+
+
+def test_output_onto_a_file_of_another_group_keeps_it(tmp_path):
+    """A file moved to a group of the writer's other than its own keeps
+    that group: any group where the writer is root."""
+    others = [g for g in os.getgroups() if g != os.getegid()]
+    if not others and os.geteuid() == 0:
+        others = [os.getegid() + 1000]
+    if not others:
+        pytest.skip("this user is in no group other than its effective one")
+    replaced_keeps_its_ids(tmp_path, os.geteuid(), others[0], 0o2750)
+
+
+def test_output_where_the_owner_cannot_be_copied_is_written(tmp_path, monkeypatch):
+    """Where the OS refuses the chown, the file is replaced as before: the
+    report and the mode, with the ids a new file gets there."""
+    target = tmp_path / "owned.json"
+    target.write_text("old contents")
+    target.chmod(0o600)
+    stats = target.stat()
+    ids = (stats.st_uid + 1, stats.st_gid + 1)
+    real = os.lstat
+
+    def lstat(name, *args, **kwargs):
+        # the target as if another user's, so that its ids differ from the writer's
+        result = real(name, *args, **kwargs)
+        if os.fspath(name) != str(target):
+            return result
+        fields = list(result)
+        fields[4:6] = ids
+        return os.stat_result(fields)
+
+    def fchown(fd, uid, gid):
+        assert (uid, gid) == ids
+        raise PermissionError(1, "Operation not permitted")
+
+    monkeypatch.setattr(os, "lstat", lstat)
+    monkeypatch.setattr(os, "fchown", fchown)
+    assert run(["zoo", "ghz", "-N", "2", "-o", str(target)]) == (0, "", "")
+    monkeypatch.undo()
+    assert target.read_text() == run(["zoo", "ghz", "-N", "2"])[1]
+    got = target.stat()
+    assert (got.st_uid, got.st_gid, stat.S_IMODE(got.st_mode)) == (*stats[4:6], 0o600)
+
+
+def test_a_link_planted_at_the_sibling_s_name_does_not_redirect_output(tmp_path, monkeypatch):
+    """A link planted at the name of -o's temporary sibling is refused, not
+    followed: exit 2 in one line, the link's target keeps its bytes, the
+    target name is not made, and the planted link stays."""
+    name = ".blochsep.0123456789abcdef.tmp"
+    monkeypatch.setattr(blochsep.stateio, "_sibling_name", lambda: name, raising=False)
+    monkeypatch.chdir(tmp_path)
+    victim = tmp_path / "victim.txt"
+    victim.write_bytes(b"not to be overwritten\n")
+    (tmp_path / name).symlink_to("victim.txt")
+    assert run(["zoo", "ghz", "-N", "2", "-o", "out.json"]) == (
+        2, "", "error: cannot write 'out.json': File exists\n")
+    assert victim.read_bytes() == b"not to be overwritten\n"
+    assert not os.path.lexists(tmp_path / "out.json")
+    assert os.readlink(tmp_path / name) == "victim.txt"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name, "victim.txt"]
 
 
 def test_output_onto_a_new_file_takes_the_umask_default(tmp_path):
